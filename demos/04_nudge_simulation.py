@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from nudgesim import synthetic
-from nudgesim.nudge import SimConfig, profile_from_sources, simulate, simulate_unconstrained
+from nudgesim.nudge import SimConfig, profile_from_sources, simulate
 from nudgesim.svgplot import line_chart
 
 OUT = Path(__file__).parent / "output"
@@ -37,7 +37,7 @@ def main() -> None:
               f"{len(u0.sources)}/{persona.L} slots used")
 
         nudged = simulate(u0, catalog, SimConfig(T=T, L=persona.L, seed=SEED))
-        pushed = simulate_unconstrained(
+        pushed = simulate(
             u0, catalog, SimConfig(T=T, L=persona.L, seed=SEED, mode="unconstrained")
         )
 

@@ -64,8 +64,6 @@ from .nudge import (
     rng_for_user,
     select_recommendation,
     simulate,
-    simulate_unconstrained,
-    step,
     trust_cost,
     update_scores,
     write_personas,
@@ -118,8 +116,6 @@ __all__ = [
     "select_recommendation",
     "similar_pairs",
     "simulate",
-    "simulate_unconstrained",
-    "step",
     "tfidf_vectors",
     "train_embeddings",
     "trust_cost",

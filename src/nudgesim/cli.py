@@ -77,6 +77,12 @@ def _positive_float(value) -> float:
     return out
 
 
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise argparse.ArgumentTypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _mode(value) -> str:
     if value not in ("constrained", "unconstrained", "both"):
         raise argparse.ArgumentTypeError(
@@ -101,6 +107,7 @@ _VALIDATORS = {
     "q": _positive_float,
     "T": _positive_int,
     "L": _positive_int,
+    "directed": _flag,
 }
 
 _DEFAULTS = {
@@ -309,11 +316,12 @@ def cmd_embed(opts: _Options, args: argparse.Namespace) -> int:
         negatives=opts.get("negatives"),
         epochs=opts.get("epochs"),
         learning_rate=opts.get("learning_rate"),
-        directed=bool(opts.get("directed")),
+        directed=opts.get("directed"),
     )
     out_path.parent.mkdir(parents=True, exist_ok=True)
     embedding.save_vectors(vectors, out_path)
-    _log_homophily(csn, vectors)
+    if log.isEnabledFor(logging.INFO):
+        _log_homophily(csn, vectors)
     print(f"nodes={len(vectors.vectors)} dims={vectors.dims}")
     return 0
 
@@ -345,8 +353,7 @@ def cmd_simulate(opts: _Options, args: argparse.Namespace) -> int:
             config = nudge.SimConfig(
                 T=iterations, L=limit, seed=seed, alpha=alpha, mode=m
             )
-            runner = nudge.simulate if m == "constrained" else nudge.simulate_unconstrained
-            traj = runner(profile, catalog, config)
+            traj = nudge.simulate(profile, catalog, config)
             by_mode[m] = traj
             trajectories.append(traj)
             stem = f"trajectory_{_safe(persona.user_id)}_{m}"

@@ -37,9 +37,6 @@ class SourceVectors:
     vectors: dict[str, np.ndarray]
     params: dict[str, str] = field(default_factory=dict)
 
-    def distance(self, a: str, b: str) -> float:
-        return cosine_distance(self.vectors[a], self.vectors[b])
-
 
 def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     """1 - cos(a, b), in [0, 2]. A zero-norm vector carries no direction,
@@ -49,32 +46,6 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     if norm_a == 0.0 or norm_b == 0.0:
         return 1.0
     return 1.0 - float(np.dot(a, b)) / (norm_a * norm_b)
-
-
-def second_order_weights(
-    prev: str | None,
-    weights: dict[str, float],
-    prev_neighbors: set[str],
-    p: float,
-    q: float,
-) -> dict[str, float]:
-    """Bias the candidate weights for one walk step.
-
-    Returning to ``prev`` divides by ``p``; candidates adjacent to ``prev``
-    keep their weight; everything else divides by ``q``. With no previous
-    node (first step) weights pass through unchanged.
-    """
-    if prev is None:
-        return dict(weights)
-    biased: dict[str, float] = {}
-    for node, w in weights.items():
-        if node == prev:
-            biased[node] = w / p
-        elif node in prev_neighbors:
-            biased[node] = w
-        else:
-            biased[node] = w / q
-    return biased
 
 
 def _walk_view(graph: CsnGraph, directed: bool) -> dict[str, dict[str, float]]:
@@ -305,6 +276,8 @@ def load_vectors(path) -> SourceVectors:
                 row = np.array([float(x) for x in fields[1:]], dtype=float)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            if not np.all(np.isfinite(row)):
+                raise ValueError(f"{path}:{lineno}: non-finite component in {fields[0]!r}")
             if dims is None:
                 dims = len(row)
             if len(row) != dims:

@@ -1,10 +1,10 @@
 """The source-level content sharing network (CSN).
 
 Nodes are news sources; a directed edge A -> B with positive weight means B
-published near-verbatim copies of A's articles. Raw edge weights count copy
-pairs; normalized weights divide by the copier's total article output by
-default ("what fraction of B's output came from A"), with an option to
-normalize by the copied source instead.
+published near-verbatim copies of A's articles. The raw weight of A -> B
+counts B's distinct articles that copy one of A's; the normalized weight
+divides it by B's total article output ("what fraction of B's output came
+from A"), so it is at most 1 however often A reposts a story.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ CSN_HEADER = "#csn v1"
 class CsnGraph:
     """Directed weighted copy graph.
 
-    ``edges`` holds normalized weights in (0, 1]; ``raw_counts`` the pair
-    counts they were derived from; ``article_counts`` the per-source totals
-    used for normalization (graph nodes only).
+    ``edges`` holds normalized weights in (0, 1]; ``raw_counts`` the
+    copier-article counts they were derived from; ``article_counts`` the
+    per-source totals used for normalization (graph nodes only).
     """
 
     nodes: list[str] = field(default_factory=list)
@@ -43,12 +43,6 @@ class CsnGraph:
                     f"edge {src!r}->{dst!r} normalized weight {weight} outside (0, 1]"
                 )
 
-    def out_neighbors(self, node: str) -> list[str]:
-        return sorted(dst for (src, dst) in self.edges if src == node)
-
-    def in_neighbors(self, node: str) -> list[str]:
-        return sorted(src for (src, dst) in self.edges if dst == node)
-
     def neighbors(self, node: str) -> list[str]:
         """Union of in- and out-neighbors, sorted."""
         out = {dst for (src, dst) in self.edges if src == node}
@@ -65,29 +59,21 @@ class CommunityAssignment:
     modularity: float
 
 
-def build_csn(
-    pairs: list[CopyPair],
-    article_counts: dict[str, int],
-    normalize_side: str = "copier",
-) -> CsnGraph:
+def build_csn(pairs: list[CopyPair], article_counts: dict[str, int]) -> CsnGraph:
     """Aggregate copy pairs into the CSN.
 
-    raw weight(A -> B) counts pairs with earlier source A and later source B.
-    With ``normalize_side="copier"`` (default) the normalized weight divides
-    by the copier B's article count; ``"copied"`` divides by A's instead.
+    raw weight(A -> B) counts the distinct later articles of B paired with an
+    earlier article of A; a story A posted twice and B copied once counts
+    once. The normalized weight divides by the copier B's article count.
     Nodes are exactly the sources that appear in at least one pair; a node
-    with a missing or zero article count is a fatal error.
+    with a missing or zero article count is a fatal error, and so is a weight
+    above 1, which only article counts inconsistent with the pairs can give.
     """
-    if normalize_side not in ("copier", "copied"):
-        raise ValueError(f"unknown normalize_side {normalize_side!r}")
-
-    raw: dict[tuple[str, str], int] = {}
-    nodes: set[str] = set()
+    copiers: dict[tuple[str, str], set[str]] = {}
     for p in pairs:
-        key = (p.earlier_source, p.later_source)
-        raw[key] = raw.get(key, 0) + 1
-        nodes.add(p.earlier_source)
-        nodes.add(p.later_source)
+        copiers.setdefault((p.earlier_source, p.later_source), set()).add(p.later)
+    raw = {edge: len(articles) for edge, articles in copiers.items()}
+    nodes = {source for edge in raw for source in edge}
 
     for node in nodes:
         if article_counts.get(node, 0) < 1:
@@ -95,12 +81,11 @@ def build_csn(
 
     edges: dict[tuple[str, str], float] = {}
     for (src, dst), count in raw.items():
-        denominator = article_counts[dst] if normalize_side == "copier" else article_counts[src]
-        weight = count / denominator
+        weight = count / article_counts[dst]
         if weight > 1.0:
             raise ValueError(
-                f"edge {src!r}->{dst!r}: {count} copy pairs exceed the "
-                f"{denominator} articles used for normalization"
+                f"edge {src!r}->{dst!r}: {count} copier articles exceed the "
+                f"{article_counts[dst]} articles {dst!r} published"
             )
         edges[(src, dst)] = weight
 
@@ -319,10 +304,3 @@ def detect_communities(graph: CsnGraph) -> CommunityAssignment:
     relabel = {c: rank for rank, c in enumerate(order)}
     labels = {node: relabel[membership[index[node]]] for node in graph.nodes}
     return CommunityAssignment(labels=labels, modularity=directed_modularity(graph, labels))
-
-
-def write_communities_csv(assignment: CommunityAssignment, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("source,community\n")
-        for node in sorted(assignment.labels):
-            fh.write(f"{node},{assignment.labels[node]}\n")

@@ -49,6 +49,8 @@ class Source:
             raise ValueError(f"{self.source_id}: quality {self.quality} outside [0, 1]")
         if not (-1.0 <= self.leaning <= 1.0):
             raise ValueError(f"{self.source_id}: leaning {self.leaning} outside [-1, 1]")
+        if not np.all(np.isfinite(self.vector)):
+            raise ValueError(f"{self.source_id}: vector has non-finite components")
 
 
 class SourceCatalog:
@@ -203,33 +205,27 @@ def trust_cost(s_prime: Source, u: UserProfile, alpha: float) -> float:
     return (1.0 - alpha) * leaning_distance + alpha * embedding_distance
 
 
+def _eligible(u: UserProfile, catalog: SourceCatalog):
+    """Sources strictly above the user's mean quality and not already
+    trusted, in sorted-id order."""
+    members = set(u.sources)
+    for source_id in catalog.ids():
+        source = catalog[source_id]
+        if source_id not in members and source.quality > u.q_u:
+            yield source
+
+
 def select_recommendation(
     u: UserProfile, catalog: SourceCatalog, alpha: float
 ) -> Source | None:
-    """Cheapest source strictly above the user's mean quality and not already
-    trusted; ties go to the smallest source_id; None when nothing qualifies."""
-    members = set(u.sources)
+    """Cheapest eligible source by trust cost; ties go to the smallest
+    source_id; None when nothing qualifies."""
     best: Source | None = None
     best_cost = float("inf")
-    for source_id in catalog.ids():
-        source = catalog[source_id]
-        if source_id in members or source.quality <= u.q_u:
-            continue
+    for source in _eligible(u, catalog):
         cost = trust_cost(source, u, alpha)
         if cost < best_cost:
             best, best_cost = source, cost
-    return best
-
-
-def _select_unconstrained(u: UserProfile, catalog: SourceCatalog) -> Source | None:
-    members = set(u.sources)
-    best: Source | None = None
-    for source_id in catalog.ids():
-        source = catalog[source_id]
-        if source_id in members or source.quality <= u.q_u:
-            continue
-        if best is None or source.quality > best.quality:
-            best = source
     return best
 
 
@@ -277,12 +273,14 @@ def _step(
     config: SimConfig,
     rng: np.random.Generator,
     t: int,
-    unconstrained: bool,
 ) -> StepRecord:
+    """One iteration, mutating ``u`` in place. No uniform is drawn when the
+    user has converged or nothing is eligible."""
     if _converged(u, config):
         return _noop_record(t, u)
-    if unconstrained:
-        s_prime = _select_unconstrained(u, catalog)
+    if config.mode == "unconstrained":
+        # first maximum in sorted-id order, so ties go to the smallest id
+        s_prime = max(_eligible(u, catalog), key=lambda s: s.quality, default=None)
     else:
         s_prime = select_recommendation(u, catalog, config.alpha)
     if s_prime is None:
@@ -323,18 +321,6 @@ def _step(
     )
 
 
-def step(
-    u: UserProfile,
-    catalog: SourceCatalog,
-    config: SimConfig,
-    rng: np.random.Generator,
-    t: int = 0,
-) -> StepRecord:
-    """One constrained iteration, mutating ``u`` in place. No uniform is
-    drawn when the user has converged or nothing is eligible."""
-    return _step(u, catalog, config, rng, t, unconstrained=False)
-
-
 def rng_for_user(seed: int, user_id: str) -> np.random.Generator:
     """Per-user PCG64 substream: entropy = (seed as unsigned 64-bit, first 8
     bytes of SHA-256(user_id)). Distinct users never share a stream."""
@@ -343,7 +329,16 @@ def rng_for_user(seed: int, user_id: str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
-def _run(u0: UserProfile, catalog: SourceCatalog, config: SimConfig, unconstrained: bool) -> Trajectory:
+def simulate(u0: UserProfile, catalog: SourceCatalog, config: SimConfig) -> Trajectory:
+    """Run the recommendation dynamics for ``config.T`` steps.
+
+    ``config.mode`` picks the offer among the eligible sources (strictly
+    above the user's mean quality, not yet trusted): ``"constrained"`` offers
+    the cheapest by trust cost, ``"unconstrained"`` the highest quality; ties
+    go to the smallest id. Acceptance and drop mechanics are shared, and the
+    trust cost of each offer is recorded in both modes. Pure in its inputs:
+    ``u0`` is copied, and the outcome is a function of (u0, catalog, config)
+    alone."""
     for s in u0.sources:
         if s not in catalog:
             raise ValueError(f"{u0.user_id}: unknown source {s!r}")
@@ -356,42 +351,17 @@ def _run(u0: UserProfile, catalog: SourceCatalog, config: SimConfig, unconstrain
     u.limit = config.L
     update_scores(u, catalog)
     rng = rng_for_user(config.seed, u.user_id)
-    records = [
-        _step(u, catalog, config, rng, t, unconstrained) for t in range(config.T)
-    ]
-    point = next(
-        (r.t for r in records if r.q_u >= 1.0 - config.epsilon_converge), None
-    )
-    return Trajectory(
+    records = [_step(u, catalog, config, rng, t) for t in range(config.T)]
+    traj = Trajectory(
         user_id=u.user_id,
         config=config,
         steps=records,
-        convergence_point=point,
+        convergence_point=None,
         start=start,
         final=u,
     )
-
-
-def simulate(u0: UserProfile, catalog: SourceCatalog, config: SimConfig) -> Trajectory:
-    """Run the trust-constrained recommendation dynamics for ``config.T``
-    steps. Pure in its inputs: ``u0`` is copied, and the outcome is a
-    function of (u0, catalog, config) alone."""
-    if config.mode != "constrained":
-        raise ValueError(f"simulate requires mode='constrained', got {config.mode!r}")
-    return _run(u0, catalog, config, unconstrained=False)
-
-
-def simulate_unconstrained(
-    u0: UserProfile, catalog: SourceCatalog, config: SimConfig
-) -> Trajectory:
-    """Baseline without the trust constraint: recommend the highest-quality
-    eligible source (ties to smallest id). Acceptance and drop mechanics are
-    unchanged and the trust cost of each offer is still recorded."""
-    if config.mode != "unconstrained":
-        raise ValueError(
-            f"simulate_unconstrained requires mode='unconstrained', got {config.mode!r}"
-        )
-    return _run(u0, catalog, config, unconstrained=True)
+    traj.convergence_point = convergence_point(traj)
+    return traj
 
 
 def convergence_point(traj: Trajectory) -> int | None:

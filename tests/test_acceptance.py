@@ -33,7 +33,6 @@ from nudgesim.nudge import (
     profile_from_sources,
     rng_for_user,
     simulate,
-    simulate_unconstrained,
     trust_cost,
     update_scores,
     write_trajectory_csv,
@@ -296,7 +295,7 @@ def test_acceptance_06_soft_nudge_offers_cost_less(capsys, world_catalog):
             constrained = simulate(
                 u0, world_catalog, SimConfig(T=20, L=persona.L, seed=0, alpha=ALPHA)
             )
-            unconstrained = simulate_unconstrained(
+            unconstrained = simulate(
                 u0,
                 world_catalog,
                 SimConfig(T=20, L=persona.L, seed=0, alpha=ALPHA, mode="unconstrained"),

@@ -2,11 +2,12 @@
 artifact layout, and rerun reproducibility."""
 
 import json
+import logging
 import shutil
 
 import pytest
 
-from nudgesim import synthetic
+from nudgesim import graph, synthetic
 from nudgesim.cli import main
 from nudgesim.graph import load_graph
 from nudgesim.embedding import load_vectors
@@ -124,6 +125,21 @@ def test_build_csn_threshold_sweep(tmp_path, capsys):
     assert pairs_loose >= 8
 
 
+def test_build_csn_repost_is_one_copier_article(tmp_path, capsys):
+    # outlet a posts one story twice, outlet b copies it once
+    story = {"title": "Budget", "content": "council approves harbour budget after debate " * 5}
+    articles = tmp_path / "articles.jsonl"
+    with open(articles, "w", encoding="utf-8") as fh:
+        for article_id, source, hour in (("a-1", "a", 8), ("a-2", "a", 9), ("b-1", "b", 10)):
+            published_at = f"2018-05-01T{hour:02d}:00:00Z"
+            fh.write(json.dumps(dict(story, id=article_id, source=source, published_at=published_at)) + "\n")
+    code, stdout, stderr = _run(capsys, ["build-csn", str(articles), "--out-dir", str(tmp_path)])
+    assert code == 0, stderr
+    assert stdout.strip() == "articles=3 skipped=0 pairs=2 nodes=2 edges=1"
+    csn = load_graph(tmp_path / "csn.tsv")
+    assert csn.raw_counts == {("a", "b"): 1} and csn.edges == {("a", "b"): 1.0}
+
+
 # ---------------------------------------------------------------- annotate
 
 
@@ -207,6 +223,39 @@ def test_embed_logs_community_homophily(tmp_path, world_dir, monkeypatch, capsys
     assert "intra" in messages and "inter" in messages
 
 
+_SMALL_EMBED = ["--dims", "4", "--walk-length", "5", "--walks-per-node", "1", "--epochs", "1"]
+
+
+def test_embed_skips_homophily_check_below_info(tmp_path, world_dir, monkeypatch, capsys, caplog):
+    def fail(_csn):
+        raise AssertionError("detect_communities ran with INFO logging off")
+
+    monkeypatch.setattr(graph, "detect_communities", fail)
+    with caplog.at_level(logging.WARNING, logger="nudgesim"):
+        code, stdout, _ = _run(
+            capsys,
+            ["embed", str(world_dir / "csn.tsv"), "--out", str(tmp_path / "v.tsv")] + _SMALL_EMBED,
+        )
+    assert code == 0
+    assert stdout.strip() == "nodes=56 dims=4"
+
+
+def test_embed_config_directed_takes_json_booleans_only(tmp_path, capsys, world_dir):
+    config = tmp_path / "config.json"
+    out = tmp_path / "v.tsv"
+    argv = ["--config", str(config), "embed", str(world_dir / "csn.tsv"), "--out", str(out)]
+    for value, written in ((False, "directed=0"), (True, "directed=1")):
+        config.write_text(json.dumps({"directed": value}), encoding="utf-8")
+        code, _, _ = _run(capsys, argv + _SMALL_EMBED)
+        assert code == 0
+        assert written in out.read_text(encoding="utf-8").splitlines()[0].split("\t")
+    for value in ("false", 0):
+        config.write_text(json.dumps({"directed": value}), encoding="utf-8")
+        code, _, stderr = _run(capsys, argv + _SMALL_EMBED)
+        assert code == 2, value
+        assert "--directed" in stderr
+
+
 # ---------------------------------------------------------------- simulate
 
 
@@ -282,6 +331,18 @@ def test_simulate_unknown_persona_source_exits_1(tmp_path, capsys, world_dir):
     )
     assert code == 1
     assert "no-such-outlet" in stderr
+
+
+def test_simulate_non_finite_vector_exits_1(tmp_path, capsys, world_dir):
+    lines = (world_dir / "vectors.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+    name, _, rest = lines[1].split("\t", 2)
+    lines[1] = f"{name}\tnan\t{rest}"
+    bad = tmp_path / "vectors.tsv"
+    bad.write_text("".join(lines), encoding="utf-8")
+    inputs = [str(world_dir / "personas.json"), str(world_dir / "scores.csv"), str(bad)]
+    code, _, stderr = _run(capsys, ["simulate", *inputs, "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert f"{bad}:2: non-finite" in stderr
 
 
 def test_simulate_both_mode_writes_comparison(tmp_path, capsys, world_dir):

@@ -18,7 +18,6 @@ from nudgesim.embedding import (
     generate_walks,
     load_vectors,
     save_vectors,
-    second_order_weights,
     train_embeddings,
 )
 
@@ -64,17 +63,6 @@ def test_cosine_distance_range():
 
 
 # ---------------------------------------------------------------- step bias
-
-
-def test_second_order_weights_hand_case():
-    weights = {"back": 1.0, "shared": 0.6, "far": 0.5}
-    biased = second_order_weights("back", weights, {"shared", "elsewhere"}, p=2.0, q=0.5)
-    assert biased == {"back": 0.5, "shared": 0.6, "far": 1.0}
-
-
-def test_second_order_weights_no_previous_passthrough():
-    weights = {"a": 0.3, "b": 0.7}
-    assert second_order_weights(None, weights, set(), p=9.0, q=9.0) == weights
 
 
 def test_generate_walks_rejects_bad_bias():
@@ -227,7 +215,7 @@ def test_training_separates_two_communities():
     names = ["a1", "a2", "a3", "b1", "b2", "b3"]
     for i, x in enumerate(names):
         for y in names[i + 1 :]:
-            d = vectors.distance(x, y)
+            d = cosine_distance(vectors.vectors[x], vectors.vectors[y])
             (intra if x[0] == y[0] else inter).append(d)
     assert np.mean(intra) < np.mean(inter)
 
@@ -280,6 +268,10 @@ def test_vectors_file_errors(tmp_path):
     path.write_text("#vectors v1\tdims=2\na\t1.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="expected 2 components"):
         load_vectors(path)
+    for bad in ("nan", "inf", "-inf"):
+        path.write_text(f"#vectors v1\tdims=2\na\t1.0\t0.5\nb\t{bad}\t1.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=":3: non-finite"):
+            load_vectors(path)
     path.write_text("#vectors v1\tdims=1\na\t1.0\na\t2.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="duplicate"):
         load_vectors(path)

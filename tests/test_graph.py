@@ -13,14 +13,12 @@ import pytest
 
 from nudgesim.corpus import CopyPair
 from nudgesim.graph import (
-    CommunityAssignment,
     CsnGraph,
     build_csn,
     detect_communities,
     directed_modularity,
     load_graph,
     save_graph,
-    write_communities_csv,
 )
 
 # ---------------------------------------------------------------- oracles
@@ -115,20 +113,21 @@ def test_build_csn_hand_normalization(fixture_csn):
     assert fixture_csn.edges[("quarry-press", "northgate-news")] == pytest.approx(1 / 3)
 
 
-def test_build_csn_source_side_normalization():
-    pairs = [_pair("a", "b", 1), _pair("a", "b", 2), _pair("b", "a", 1)]
-    counts = {"a": 10, "b": 5}
-    copier = build_csn(pairs, counts)
-    assert copier.edges[("a", "b")] == pytest.approx(2 / 5)
-    assert copier.edges[("b", "a")] == pytest.approx(1 / 10)
-    copied = build_csn(pairs, counts, normalize_side="copied")
-    assert copied.edges[("a", "b")] == pytest.approx(2 / 10)
-    assert copied.edges[("b", "a")] == pytest.approx(1 / 5)
-
-
-def test_build_csn_rejects_unknown_side():
-    with pytest.raises(ValueError, match="normalize_side"):
-        build_csn([], {}, normalize_side="both")
+def test_build_csn_counts_distinct_copier_articles():
+    # a posts one story twice (a-1, a-2) and b copies it once (b-9): two
+    # pairs, one copier article; b also copies a second story of a's
+    pairs = [
+        CopyPair("a-1", "b-9", 0.9, "a", "b"),
+        CopyPair("a-2", "b-9", 0.9, "a", "b"),
+        _pair("a", "b", 3),
+        _pair("b", "a", 1),
+    ]
+    csn = build_csn(pairs, {"a": 10, "b": 2})
+    assert csn.raw_counts == {("a", "b"): 2, ("b", "a"): 1}
+    assert csn.edges[("a", "b")] == 1.0
+    assert csn.edges[("b", "a")] == pytest.approx(1 / 10)
+    # the repost alone: weight 1, not 2
+    assert build_csn(pairs[:2], {"a": 2, "b": 1}).edges == {("a", "b"): 1.0}
 
 
 def test_build_csn_missing_article_count_is_fatal():
@@ -182,8 +181,7 @@ def test_neighbors_union(fixture_csn):
         "summit-sentinel",
         "valley-voice",
     ]
-    assert fixture_csn.out_neighbors("valley-voice") == []
-    assert fixture_csn.in_neighbors("valley-voice") == ["meridian-daily"]
+    assert fixture_csn.neighbors("valley-voice") == ["meridian-daily"]
 
 
 # ---------------------------------------------------------------- persistence
@@ -331,10 +329,3 @@ def test_two_cluster_fixture_recovers_both_communities():
     beta = {result.labels[n] for n in graph.nodes if n.startswith("beta-")}
     assert len(alpha) == 1 and len(beta) == 1 and alpha != beta
     assert result.modularity > 0.4
-
-
-def test_write_communities_csv(tmp_path):
-    assignment = CommunityAssignment(labels={"b": 1, "a": 0}, modularity=0.0)
-    path = tmp_path / "communities.csv"
-    write_communities_csv(assignment, path)
-    assert path.read_text(encoding="utf-8") == "source,community\na,0\nb,1\n"

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nudgesim import nudge
 from nudgesim.nudge import (
     Persona,
     SimConfig,
@@ -27,8 +28,6 @@ from nudgesim.nudge import (
     rng_for_user,
     select_recommendation,
     simulate,
-    simulate_unconstrained,
-    step,
     trust_cost,
     update_scores,
     write_personas,
@@ -140,6 +139,9 @@ def test_catalog_validation():
         _source("a", 1.2, 0.0, [1.0])
     with pytest.raises(ValueError, match="leaning"):
         _source("a", 0.5, -1.2, [1.0])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            _source("a", 0.5, 0.0, [1.0, bad])
 
 
 def test_catalog_lookup_and_order():
@@ -234,7 +236,7 @@ def test_unconstrained_first_offer_is_quality_argmax():
     catalog = _toy_catalog()
     u = profile_from_sources("u", ["anchor"], catalog, limit=3)
     config = SimConfig(T=1, L=3, seed=0, mode="unconstrained")
-    traj = simulate_unconstrained(u, catalog, config)
+    traj = simulate(u, catalog, config)
     assert traj.steps[0].recommended == "top"
     assert traj.steps[0].trust_cost is not None
 
@@ -311,6 +313,12 @@ def _config(**kwargs):
     return SimConfig(**base)
 
 
+def _one_step(u0, catalog, **kwargs):
+    """The first step of a run, and the profile after it."""
+    traj = simulate(u0, catalog, _config(T=1, **kwargs))
+    return traj.steps[0], traj.final
+
+
 def test_step_zero_cost_offer_always_accepted():
     catalog = SourceCatalog(
         [
@@ -320,7 +328,7 @@ def test_step_zero_cost_offer_always_accepted():
     )
     for seed in range(10):
         u = profile_from_sources("u", ["low"], catalog, limit=2)
-        record = step(u, catalog, _config(L=2), np.random.default_rng(seed))
+        record, u = _one_step(u, catalog, L=2, seed=seed)
         assert record.accepted
         assert record.accept_probability == 1.0
         assert u.sources == ["high", "low"]
@@ -336,55 +344,55 @@ def test_step_cost_above_one_never_accepted():
     )
     for seed in range(10):
         u = profile_from_sources("u", ["seed"], catalog, limit=2)
-        record = step(u, catalog, _config(L=2), np.random.default_rng(seed))
+        record, u = _one_step(u, catalog, L=2, seed=seed)
         assert record.recommended == "hostile"
         assert record.accept_probability == 0.0
         assert not record.accepted
         assert u.sources == ["seed"]
 
 
-def test_step_draw_counts():
+def test_step_draw_counts(monkeypatch):
+    streams = []
+
+    def counting_rng(seed, user_id):
+        streams.append(_CountingRng(rng_for_user(seed, user_id)))
+        return streams[-1]
+
+    monkeypatch.setattr(nudge, "rng_for_user", counting_rng)
     catalog = _toy_catalog()
-    config = _config(L=2)
     # below capacity: exactly one uniform
     u = profile_from_sources("u", ["anchor"], catalog, limit=2)
-    rng = _CountingRng(np.random.default_rng(0))
-    step(u, catalog, config, rng)
-    assert rng.calls == 1
+    _one_step(u, catalog, L=2)
+    assert streams[-1].calls == 1
     # at capacity: still exactly one uniform
     u = profile_from_sources("u", ["anchor", "weak"], catalog, limit=2)
-    rng = _CountingRng(np.random.default_rng(0))
-    step(u, catalog, config, rng)
-    assert rng.calls == 1
+    _one_step(u, catalog, L=2)
+    assert streams[-1].calls == 1
     # converged: none
     top_only = SourceCatalog([_source("perfect", 1.0, 0.0, [1.0, 0.0])])
     u = profile_from_sources("u", ["perfect"], top_only, limit=2)
-    rng = _CountingRng(np.random.default_rng(0))
-    record = step(u, top_only, _config(L=2), rng)
-    assert rng.calls == 0
+    record, _ = _one_step(u, top_only, L=2)
+    assert streams[-1].calls == 0
     assert record.recommended is None and not record.accepted
-    # nothing eligible: none
+    # nothing eligible (0.95 is the best quality in the catalog): none
     u = profile_from_sources("u", ["top"], catalog, limit=2)
-    u.q_u = 0.99  # above every catalog quality
-    rng = _CountingRng(np.random.default_rng(0))
-    record = step(u, catalog, config, rng)
-    assert rng.calls == 0
+    record, _ = _one_step(u, catalog, L=2)
+    assert streams[-1].calls == 0
     assert record.recommended is None
 
 
 def test_step_at_capacity_matches_inverse_cdf_oracle():
     catalog = _toy_catalog()
-    config = _config(L=2)
     for seed in range(200):
         u = profile_from_sources("u", ["anchor", "weak"], catalog, limit=2)
-        offered = select_recommendation(u, catalog, config.alpha)
-        dist = drop_distribution(u, offered, catalog, config.alpha)
-        draw = np.random.default_rng(seed).random()
+        offered = select_recommendation(u, catalog, ALPHA)
+        dist = drop_distribution(u, offered, catalog, ALPHA)
+        draw = rng_for_user(seed, "u").random()
         cumulative = np.cumsum([dist[s] for s in dist])
         idx = min(int(np.searchsorted(cumulative, draw, side="right")), len(dist) - 1)
         victim = list(dist)[idx]
 
-        record = step(u, catalog, config, np.random.default_rng(seed))
+        record, u = _one_step(u, catalog, L=2, seed=seed)
         assert record.recommended == offered.source_id
         assert record.accept_probability == pytest.approx(1.0 - dist[offered.source_id])
         if victim == offered.source_id:
@@ -400,7 +408,7 @@ def test_step_at_capacity_matches_inverse_cdf_oracle():
 def test_step_updates_means_after_membership_change():
     catalog = _toy_catalog()
     u = profile_from_sources("u", ["anchor"], catalog, limit=2)
-    record = step(u, catalog, _config(L=2), np.random.default_rng(1))
+    record, u = _one_step(u, catalog, L=2, seed=1)
     if record.accepted:
         members = [catalog[s] for s in u.sources]
         assert record.q_u == pytest.approx(np.mean([m.quality for m in members]))
@@ -463,11 +471,6 @@ def test_simulate_stops_changing_after_convergence():
 
 def test_simulate_validates_inputs():
     catalog = _toy_catalog()
-    u0 = profile_from_sources("u", ["anchor"], catalog, limit=3)
-    with pytest.raises(ValueError, match="mode"):
-        simulate(u0, catalog, _config(mode="unconstrained"))
-    with pytest.raises(ValueError, match="mode"):
-        simulate_unconstrained(u0, catalog, _config(mode="constrained"))
     stranger = _profile(["ghost"], 2, 0.5, 0.0, [1.0, 0.0])
     with pytest.raises(ValueError, match="unknown source"):
         simulate(stranger, catalog, _config())
@@ -497,7 +500,7 @@ def test_unconstrained_accepts_perfect_source_below_capacity():
     )
     u0 = profile_from_sources("u", ["start"], catalog, limit=2)
     config = SimConfig(T=1, L=2, seed=0, mode="unconstrained")
-    traj = simulate_unconstrained(u0, catalog, config)
+    traj = simulate(u0, catalog, config)
     assert traj.steps[0].recommended == "ideal"
     assert traj.steps[0].accepted  # zero cost, room to grow: certain accept
     assert traj.final.sources == ["ideal", "start"]
@@ -525,9 +528,7 @@ def test_constrained_first_offer_never_costlier_than_unconstrained():
     for members in (["anchor"], ["weak"], ["anchor", "weak"]):
         u0 = profile_from_sources("u", members, catalog, limit=3)
         con = simulate(u0, catalog, _config(T=1, L=3, seed=1))
-        unc = simulate_unconstrained(
-            u0, catalog, SimConfig(T=1, L=3, seed=1, mode="unconstrained")
-        )
+        unc = simulate(u0, catalog, _config(T=1, L=3, seed=1, mode="unconstrained"))
         assert con.steps[0].trust_cost <= unc.steps[0].trust_cost
 
 
