@@ -151,8 +151,11 @@ class _Options:
                 raise RuntimeError(f"config file {config_path}: expected a JSON object")
 
     def get(self, name: str):
+        flag = f"--{name.replace('_', '-')}"
         value = getattr(self._args, name, None)
         if value is None:
+            if name in self._config and self._config[name] is None:
+                self._parser.error(f"{flag}: expected a value, got null")
             value = self._config.get(name, _DEFAULTS.get(name))
         if value is None:
             return None
@@ -161,7 +164,7 @@ class _Options:
             try:
                 value = validator(value)
             except (argparse.ArgumentTypeError, ValueError) as exc:
-                self._parser.error(f"--{name.replace('_', '-')}: {exc}")
+                self._parser.error(f"{flag}: {exc}")
         return value
 
 

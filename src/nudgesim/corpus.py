@@ -12,7 +12,7 @@ import json
 import logging
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -49,26 +49,12 @@ class ArticleSet:
     def __len__(self) -> int:
         return len(self.articles)
 
-    def by_id(self) -> dict[str, Article]:
-        return {a.article_id: a for a in self.articles}
-
     def source_counts(self) -> dict[str, int]:
         """Total articles published per source (used for edge normalization)."""
         counts: dict[str, int] = {}
         for a in self.articles:
             counts[a.source_id] = counts.get(a.source_id, 0) + 1
         return counts
-
-
-@dataclass(frozen=True)
-class DocVector:
-    """L2-normalized sparse TF-IDF vector for one article.
-
-    ``entries`` maps term id -> weight; empty for articles with no usable tokens.
-    """
-
-    article_id: str
-    entries: dict[int, float]
 
 
 @dataclass(frozen=True)
@@ -84,11 +70,11 @@ class CopyPair:
 
 @dataclass
 class TfidfResult:
-    vectors: dict[str, DocVector]
+    """One L2-normalized TF-IDF row per article, in ``ArticleSet.articles``
+    order; an article with no usable tokens is an empty row."""
+
+    matrix: sparse.csr_matrix
     vocabulary: dict[str, int]
-    # article ids whose token list was empty; they carry zero vectors and are
-    # excluded from pairing
-    empty_article_ids: frozenset[str] = field(default_factory=frozenset)
 
 
 def parse_timestamp(value: str) -> datetime:
@@ -169,56 +155,34 @@ def tfidf_vectors(articles: ArticleSet) -> TfidfResult:
     document vector is scaled to unit L2 norm. The vocabulary assigns term ids
     in lexicographic term order, so output is deterministic for a given corpus.
     """
-    if len(articles) == 0:
+    n_docs = len(articles)
+    if n_docs == 0:
         raise ValueError("tfidf_vectors requires at least one article")
 
-    token_lists: dict[str, list[str]] = {}
-    df: dict[str, int] = {}
-    for a in articles.articles:
-        tokens = tokenize(a.title) + tokenize(a.body)
-        token_lists[a.article_id] = tokens
-        for term in set(tokens):
-            df[term] = df.get(term, 0) + 1
-
-    vocabulary = {term: idx for idx, term in enumerate(sorted(df))}
-    n_docs = len(articles)
-    idf = {
-        vocabulary[term]: math.log((1 + n_docs) / (1 + count)) + 1.0
-        for term, count in df.items()
-    }
-
-    vectors: dict[str, DocVector] = {}
-    empty: set[str] = set()
-    for a in articles.articles:
-        tokens = token_lists[a.article_id]
-        if not tokens:
-            empty.add(a.article_id)
-            vectors[a.article_id] = DocVector(a.article_id, {})
-            continue
-        tf: dict[int, int] = {}
-        for term in tokens:
-            tid = vocabulary[term]
-            tf[tid] = tf.get(tid, 0) + 1
-        weights = {tid: count * idf[tid] for tid, count in tf.items()}
-        norm = math.sqrt(sum(w * w for w in weights.values()))
-        vectors[a.article_id] = DocVector(
-            a.article_id, {tid: w / norm for tid, w in sorted(weights.items())}
-        )
-    if empty:
-        logger.warning("%d article(s) with no usable tokens excluded from pairing", len(empty))
-    return TfidfResult(vectors=vectors, vocabulary=vocabulary, empty_article_ids=frozenset(empty))
-
-
-def _sparse_matrix(order: list[str], vectors: dict[str, DocVector], n_terms: int) -> sparse.csr_matrix:
-    rows, cols, data = [], [], []
-    for i, article_id in enumerate(order):
-        for tid, w in vectors[article_id].entries.items():
-            rows.append(i)
-            cols.append(tid)
-            data.append(w)
-    return sparse.csr_matrix(
-        (data, (rows, cols)), shape=(len(order), n_terms), dtype=np.float64
+    token_lists = [tokenize(a.title) + tokenize(a.body) for a in articles.articles]
+    terms = sorted({term for tokens in token_lists for term in tokens})
+    vocabulary = {term: idx for idx, term in enumerate(terms)}
+    indptr = np.cumsum([0] + [len(tokens) for tokens in token_lists])
+    indices = np.fromiter(
+        (vocabulary[term] for tokens in token_lists for term in tokens), dtype=np.int32
     )
+    # one entry per token; summing duplicates turns them into term counts
+    matrix = sparse.csr_matrix(
+        (np.ones(len(indices)), indices, indptr), shape=(n_docs, len(terms))
+    )
+    matrix.sum_duplicates()
+
+    df = np.bincount(matrix.indices, minlength=len(terms))
+    idf = np.array([math.log((1 + n_docs) / (1 + count)) + 1.0 for count in df.tolist()])
+    matrix.data *= idf[matrix.indices]
+    rows = np.repeat(np.arange(n_docs), np.diff(matrix.indptr))
+    norms = np.sqrt(np.bincount(rows, weights=matrix.data**2, minlength=n_docs))
+    matrix.data /= norms[rows]
+
+    empty = n_docs - np.count_nonzero(np.diff(matrix.indptr))
+    if empty:
+        logger.warning("%d article(s) with no usable tokens excluded from pairing", empty)
+    return TfidfResult(matrix=matrix, vocabulary=vocabulary)
 
 
 def similar_pairs(
@@ -233,21 +197,20 @@ def similar_pairs(
     Articles with empty token lists never pair. The result is sorted by
     (earlier_source, later_source, earlier, later).
     """
-    by_id = articles.by_id()
-    order = [
-        a.article_id for a in articles.articles if a.article_id not in tfidf.empty_article_ids
-    ]
-    if len(order) < 2:
-        return []
-
-    matrix = _sparse_matrix(order, tfidf.vectors, len(tfidf.vocabulary))
-    sims = (matrix @ matrix.T).tocoo()
+    matrix = tfidf.matrix
+    if matrix.shape[0] != len(articles):
+        raise ValueError(f"{matrix.shape[0]} TF-IDF rows for {len(articles)} articles")
+    sims = matrix @ matrix.T
+    # drop sub-threshold entries before any per-pair Python work
+    sims.data[sims.data < threshold] = 0.0
+    sims.eliminate_zeros()
+    sims = sims.tocoo()
 
     pairs: list[CopyPair] = []
-    for i, j, value in zip(sims.row, sims.col, sims.data):
-        if i >= j or value < threshold:
+    for i, j, value in zip(sims.row.tolist(), sims.col.tolist(), sims.data.tolist()):
+        if i >= j:
             continue
-        a, b = by_id[order[i]], by_id[order[j]]
+        a, b = articles.articles[i], articles.articles[j]
         if a.source_id == b.source_id:
             continue
         if a.published_at == b.published_at:
@@ -258,7 +221,7 @@ def similar_pairs(
             CopyPair(
                 earlier=a.article_id,
                 later=b.article_id,
-                similarity=float(value),
+                similarity=value,
                 earlier_source=a.source_id,
                 later_source=b.source_id,
             )

@@ -436,18 +436,23 @@ def load_personas(path) -> list[Persona]:
     personas = []
     seen = set()
     for i, entry in enumerate(data):
+        where = f"{path}: persona #{i}"
         try:
-            user_id = entry["user_id"]
-            sources = tuple(entry["sources"])
-            limit = int(entry["L"])
+            user_id, sources, limit = entry["user_id"], entry["sources"], entry["L"]
         except (KeyError, TypeError) as exc:
-            raise ValueError(f"{path}: persona #{i}: missing field ({exc})") from exc
+            raise ValueError(f"{where}: missing field ({exc})") from exc
+        if not isinstance(user_id, str) or not user_id:
+            raise ValueError(f"{where}: user_id must be a non-empty string, got {user_id!r}")
+        if not isinstance(sources, list) or not all(isinstance(s, str) for s in sources):
+            raise ValueError(f"{where}: sources must be a list of strings, got {sources!r}")
+        if isinstance(limit, bool) or not isinstance(limit, int) or limit < 1:
+            raise ValueError(f"{where}: L must be an integer >= 1, got {limit!r}")
         if not sources:
             raise ValueError(f"{path}: persona {user_id!r} has no sources")
         if user_id in seen:
             raise ValueError(f"{path}: duplicate persona {user_id!r}")
         seen.add(user_id)
-        personas.append(Persona(user_id=user_id, sources=sources, L=limit))
+        personas.append(Persona(user_id=user_id, sources=tuple(sources), L=limit))
     return personas
 
 

@@ -442,6 +442,46 @@ def test_config_file_invalid_value_exits_2(tmp_path, capsys, world_dir):
     assert "--alpha" in stderr
 
 
+@pytest.mark.parametrize("key, command", [("T", "simulate"), ("seed", "embed")])
+def test_config_file_null_value_exits_2(tmp_path, capsys, world_dir, key, command):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: None}), encoding="utf-8")
+    inputs = {
+        "simulate": [
+            str(world_dir / "personas.json"),
+            str(world_dir / "scores.csv"),
+            str(world_dir / "vectors.tsv"),
+        ],
+        "embed": [str(world_dir / "csn.tsv")] + _SMALL_EMBED,
+    }[command]
+    code, _, stderr = _run(
+        capsys, ["--config", str(config), command, *inputs, "--out-dir", str(tmp_path)]
+    )
+    assert code == 2
+    assert f"--{key}: expected a value, got null" in stderr
+    assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ('{"user_id": "x", "sources": ["valley-voice"], "L": 1e400}', "L must be an integer"),
+        ('{"user_id": ["x"], "sources": ["valley-voice"], "L": 2}', "user_id must be"),
+        ('{"user_id": "x", "sources": "abc", "L": 2}', "sources must be a list of strings"),
+        ('{"user_id": "x", "sources": ["valley-voice"], "L": 2.7}', "L must be an integer"),
+    ],
+    ids=["L-overflow", "user_id-list", "sources-string", "L-fraction"],
+)
+def test_simulate_bad_persona_field_exits_1(tmp_path, capsys, world_dir, entry, message):
+    bad = tmp_path / "personas.json"
+    bad.write_text(f"[{entry}]", encoding="utf-8")
+    inputs = [str(bad), str(world_dir / "scores.csv"), str(world_dir / "vectors.tsv")]
+    code, _, stderr = _run(capsys, ["simulate", *inputs, "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert f"{bad}: persona #0: {message}" in stderr
+    assert "Traceback" not in stderr
+
+
 def test_unknown_subcommand_exits_2(capsys):
     code, _, stderr = _run(capsys, ["frobnicate"])
     assert code == 2

@@ -189,6 +189,12 @@ def _articles_from_texts(texts):
     ]
 
 
+def _row(tfidf, i):
+    """Row i of the TF-IDF matrix as {term id: weight}."""
+    row = tfidf.matrix[i]
+    return dict(zip(row.indices.tolist(), row.data.tolist()))
+
+
 def test_tfidf_matches_hand_computation():
     arts = _articles_from_texts(["apple banana apple", "banana cherry"])
     result = corpus.tfidf_vectors(corpus.ArticleSet(articles=arts, skipped=0))
@@ -197,7 +203,7 @@ def test_tfidf_matches_hand_computation():
     idf_banana = math.log(3 / 3) + 1.0
     w_apple, w_banana = 2 * idf_apple, 1 * idf_banana
     norm = math.sqrt(w_apple**2 + w_banana**2)
-    vec = result.vectors["d0"].entries
+    vec = _row(result, 0)
     assert vec[result.vocabulary["apple"]] == pytest.approx(w_apple / norm, abs=1e-15)
     assert vec[result.vocabulary["banana"]] == pytest.approx(w_banana / norm, abs=1e-15)
 
@@ -209,17 +215,27 @@ def test_tfidf_vocabulary_is_lexicographic():
     assert list(result.vocabulary.values()) == [0, 1, 2]
 
 
-def test_tfidf_vectors_are_unit_norm(fixture_tfidf):
-    for doc_id, vec in fixture_tfidf.vectors.items():
-        if doc_id in fixture_tfidf.empty_article_ids:
-            assert vec.entries == {}
+def test_tfidf_vectors_are_unit_norm(fixture_articles, fixture_tfidf):
+    assert fixture_tfidf.matrix.shape[0] == len(fixture_articles)
+    for i, article in enumerate(fixture_articles.articles):
+        vec = _row(fixture_tfidf, i)
+        if article.article_id == "md-004":
+            assert vec == {}
         else:
-            norm = math.sqrt(sum(w * w for w in vec.entries.values()))
+            norm = math.sqrt(sum(w * w for w in vec.values()))
             assert norm == pytest.approx(1.0, abs=1e-12)
 
 
-def test_tfidf_flags_tokenless_articles(fixture_tfidf):
-    assert fixture_tfidf.empty_article_ids == frozenset({"md-004"})
+def test_tfidf_flags_tokenless_articles(fixture_articles, fixture_tfidf, caplog):
+    empty = [
+        a.article_id
+        for i, a in enumerate(fixture_articles.articles)
+        if fixture_tfidf.matrix[i].nnz == 0
+    ]
+    assert empty == ["md-004"]
+    with caplog.at_level("WARNING", logger="nudgesim.corpus"):
+        corpus.tfidf_vectors(fixture_articles)
+    assert "1 article(s) with no usable tokens" in caplog.text
 
 
 def test_tfidf_empty_corpus_raises():
@@ -230,11 +246,8 @@ def test_tfidf_empty_corpus_raises():
 def test_tfidf_matches_oracle_on_fixture(fixture_articles, fixture_tfidf):
     expected = oracle_tfidf(fixture_articles.articles)
     inverse_vocab = {i: t for t, i in fixture_tfidf.vocabulary.items()}
-    for article in fixture_articles.articles:
-        got = {
-            inverse_vocab[tid]: w
-            for tid, w in fixture_tfidf.vectors[article.article_id].entries.items()
-        }
+    for i, article in enumerate(fixture_articles.articles):
+        got = {inverse_vocab[tid]: w for tid, w in _row(fixture_tfidf, i).items()}
         want = expected[article.article_id]
         assert got.keys() == want.keys()
         for term, w in want.items():
@@ -271,7 +284,7 @@ def test_pairs_exclude_same_source_and_equal_timestamps(fixture_pairs):
 
 
 def test_pairs_oriented_earlier_to_later(fixture_articles, fixture_pairs):
-    by_id = fixture_articles.by_id()
+    by_id = {a.article_id: a for a in fixture_articles.articles}
     for p in fixture_pairs:
         assert by_id[p.earlier].published_at < by_id[p.later].published_at
         assert p.earlier_source == by_id[p.earlier].source_id
@@ -305,13 +318,21 @@ def test_similar_pairs_deterministic(fixture_articles, fixture_tfidf, fixture_pa
     assert again == fixture_pairs
 
 
+def test_similar_pairs_rejects_tfidf_of_another_corpus(fixture_articles, fixture_tfidf):
+    fewer = corpus.ArticleSet(articles=fixture_articles.articles[:-1])
+    with pytest.raises(ValueError, match="20 TF-IDF rows for 19 articles"):
+        corpus.similar_pairs(fixture_tfidf, fewer)
+
+
 _WORDS = ["river", "council", "budget", "storm", "harbor", "election", "bridge", "market"]
+# one-letter words are dropped by the tokenizer, so these documents are tokenless
+_TOKENLESS = st.lists(st.sampled_from(["a", "x", "7"]), min_size=1, max_size=3)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     docs=st.lists(
-        st.lists(st.sampled_from(_WORDS), min_size=1, max_size=12),
+        st.one_of(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=12), _TOKENLESS),
         min_size=2,
         max_size=8,
     ),

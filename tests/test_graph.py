@@ -158,7 +158,11 @@ def test_build_csn_input_order_invariant(fixture_pairs, fixture_articles):
 
 
 def test_raw_counts_conserve_pairs(fixture_csn, fixture_pairs):
-    assert sum(fixture_csn.raw_counts.values()) == len(fixture_pairs)
+    # every pair is accounted for by its edge's distinct copier (later) articles
+    later_articles = {}
+    for p in fixture_pairs:
+        later_articles.setdefault((p.earlier_source, p.later_source), set()).add(p.later)
+    assert fixture_csn.raw_counts == {edge: len(ids) for edge, ids in later_articles.items()}
 
 
 def test_graph_rejects_self_loops_and_bad_weights():
