@@ -5,6 +5,12 @@ usage/validation error. Global flags (--seed, --config, --out-dir) may appear
 before the subcommand; --seed and --out-dir are also accepted after it.
 Option precedence is CLI flag, then --config JSON value (keyed by option
 name), then built-in default. NUDGESIM_LOG sets the log level.
+
+Every option is declared once, in ``_OPTIONS``, with its parser, default and
+help; the flags, the --config keys and --help derive from it. A --config
+value must be a JSON string or number and goes through the flag's parser as
+``str(value)``; the switch ``directed`` takes a JSON boolean. The whole
+config file is checked on load, whatever the subcommand.
 """
 
 from __future__ import annotations
@@ -12,11 +18,13 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import re
 import sys
 from itertools import zip_longest
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -27,145 +35,145 @@ log = logging.getLogger("nudgesim")
 _SAFE_NAME = re.compile(r"[^A-Za-z0-9_.-]+")
 
 
-def _threshold(value) -> float:
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise argparse.ArgumentTypeError(f"not a number: {value!r}") from None
-    if not (0.0 < out <= 1.0):
-        raise argparse.ArgumentTypeError(f"threshold must lie in (0, 1], got {out}")
-    return out
+def _number(convert: Callable[[str], Any], ok: Callable[[Any], bool], rule: str):
+    """Parser that applies ``convert`` (int or float) to the text and accepts
+    only a finite value for which ``ok`` holds; ``rule`` words that test."""
+    kind = "an integer" if convert is int else "a number"
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}") from None
+        if (isinstance(value, float) and not math.isfinite(value)) or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    return parse
 
 
-def _alpha(value) -> float:
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise argparse.ArgumentTypeError(f"not a number: {value!r}") from None
-    if not (0.0 < out < 1.0):
-        raise argparse.ArgumentTypeError(f"alpha must lie strictly inside (0, 1), got {out}")
-    return out
+_MODE_RULE = "constrained, unconstrained or both"
 
 
-def _positive_int(value) -> int:
-    try:
-        out = int(value)
-    except (TypeError, ValueError):
-        raise argparse.ArgumentTypeError(f"not an integer: {value!r}") from None
-    if out < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {out}")
-    return out
+def _mode(text: str) -> str:
+    if text not in ("constrained", "unconstrained", "both"):
+        raise argparse.ArgumentTypeError(f"must be {_MODE_RULE}, got {text!r}")
+    return text
 
 
-def _nonnegative_int(value) -> int:
-    try:
-        out = int(value)
-    except (TypeError, ValueError):
-        raise argparse.ArgumentTypeError(f"not an integer: {value!r}") from None
-    if out < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {out}")
-    return out
-
-
-def _positive_float(value) -> float:
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise argparse.ArgumentTypeError(f"not a number: {value!r}") from None
-    if out <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {out}")
-    return out
-
-
-def _flag(value) -> bool:
+def _switch(value) -> bool:
     if not isinstance(value, bool):
-        raise argparse.ArgumentTypeError(f"expected true or false, got {value!r}")
+        raise argparse.ArgumentTypeError(f"expected true or false, got {json.dumps(value)}")
     return value
 
 
-def _mode(value) -> str:
-    if value not in ("constrained", "unconstrained", "both"):
-        raise argparse.ArgumentTypeError(
-            f"mode must be constrained, unconstrained, or both, got {value!r}"
-        )
-    return value
+class _Option(NamedTuple):
+    parse: Callable[[Any], Any]
+    default: Any  # a bool default makes the option a switch
+    help: str
 
 
-_VALIDATORS = {
-    "threshold": _threshold,
-    "alpha": _alpha,
-    "mode": _mode,
-    "seed": int,
-    "dims": _positive_int,
-    "walk_length": _positive_int,
-    "walks_per_node": _positive_int,
-    "window": _positive_int,
-    "epochs": _positive_int,
-    "negatives": _nonnegative_int,
-    "learning_rate": _positive_float,
-    "p": _positive_float,
-    "q": _positive_float,
-    "T": _positive_int,
-    "L": _positive_int,
-    "directed": _flag,
+_COUNT = _number(int, lambda v: v >= 1, ">= 1")
+_POSITIVE = _number(float, lambda v: v > 0, "> 0")
+
+_OPTIONS = {
+    "seed": _Option(_number(int, lambda v: True, "an integer"), 0, "base RNG seed"),
+    "out_dir": _Option(str, ".", "output directory"),
+    "threshold": _Option(
+        _number(float, lambda v: 0 < v <= 1, "in (0, 1]"),
+        corpus.DEFAULT_SIMILARITY_THRESHOLD,
+        "cosine similarity cutoff in (0, 1]",
+    ),
+    "dims": _Option(_COUNT, embedding.DEFAULT_DIMS, "vector dimensionality"),
+    "p": _Option(_POSITIVE, 1.0, "walk return parameter"),
+    "q": _Option(_POSITIVE, 1.0, "walk in-out parameter"),
+    "walk_length": _Option(_COUNT, embedding.DEFAULT_WALK_LENGTH, "steps per walk"),
+    "walks_per_node": _Option(_COUNT, embedding.DEFAULT_WALKS_PER_NODE, "walks per start node"),
+    "window": _Option(_COUNT, embedding.DEFAULT_WINDOW, "context window"),
+    "negatives": _Option(
+        _number(int, lambda v: v >= 0, ">= 0"),
+        embedding.DEFAULT_NEGATIVES,
+        "negative samples per pair",
+    ),
+    "epochs": _Option(_COUNT, embedding.DEFAULT_EPOCHS, "training epochs"),
+    "learning_rate": _Option(_POSITIVE, embedding.DEFAULT_LEARNING_RATE, "initial learning rate"),
+    "directed": _Option(
+        _switch, False, "walk the graph as directed instead of the undirected view"
+    ),
+    "alpha": _Option(
+        _number(float, lambda v: 0 < v < 1, "strictly inside (0, 1)"),
+        nudge.DEFAULT_ALPHA,
+        "trust-cost mix in (0, 1)",
+    ),
+    "T": _Option(_COUNT, 500, "iterations per user"),
+    "L": _Option(_COUNT, None, "attention limit override (default: persona L)"),
+    "mode": _Option(_mode, "constrained", f"recommendation rule: {_MODE_RULE}"),
 }
 
-_DEFAULTS = {
-    "threshold": corpus.DEFAULT_SIMILARITY_THRESHOLD,
-    "alpha": nudge.DEFAULT_ALPHA,
-    "seed": 0,
-    "dims": embedding.DEFAULT_DIMS,
-    "walk_length": embedding.DEFAULT_WALK_LENGTH,
-    "walks_per_node": embedding.DEFAULT_WALKS_PER_NODE,
-    "window": embedding.DEFAULT_WINDOW,
-    "epochs": embedding.DEFAULT_EPOCHS,
-    "negatives": embedding.DEFAULT_NEGATIVES,
-    "learning_rate": embedding.DEFAULT_LEARNING_RATE,
-    "p": 1.0,
-    "q": 1.0,
-    "T": 500,
-    "L": None,
-    "mode": "constrained",
-    "out_dir": ".",
-    "directed": False,
-}
+
+# the embed flags, passed on to embedding.embed_graph under the same names
+_EMBED_OPTIONS = ("dims", "p", "q", "walk_length", "walks_per_node", "window", "negatives",
+                  "epochs", "learning_rate", "directed", "seed")
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _add_options(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Declare the flags of ``names``. An absent flag leaves no attribute, so
+    the --config value or the table default stands in for it."""
+    for name in names:
+        option = _OPTIONS[name]
+        if isinstance(option.default, bool):
+            kwargs = {"action": "store_true", "help": option.help}
+        else:
+            shown = "" if option.default is None else f" (default {option.default})"
+            kwargs = {"type": option.parse, "help": option.help + shown}
+        parser.add_argument(_flag(name), dest=name, default=argparse.SUPPRESS, **kwargs)
+
+
+def _from_config(option: _Option, value):
+    """Parse a --config value the way its flag text would be parsed."""
+    if value is None:
+        raise argparse.ArgumentTypeError("expected a value, got null")
+    if isinstance(option.default, bool):
+        return option.parse(value)
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise argparse.ArgumentTypeError(f"expected a string or number, got {json.dumps(value)}")
+    return option.parse(str(value))
 
 
 class _Options:
-    """Merged view of CLI args, config-file values, and defaults."""
+    """Each option's value: its flag, else its --config value, else its
+    table default."""
 
     def __init__(self, parser: argparse.ArgumentParser, args: argparse.Namespace):
-        self._parser = parser
-        self._args = args
+        self._given = vars(args)
         self._config: dict = {}
-        config_path = getattr(args, "config", None)
-        if config_path:
+        if not args.config:
+            return
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                config = json.load(fh)
+        except OSError as exc:
+            raise RuntimeError(f"cannot read config file: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise RuntimeError(f"config file {args.config}: {exc}") from exc
+        if not isinstance(config, dict):
+            raise RuntimeError(f"config file {args.config}: expected a JSON object")
+        for name, value in config.items():
+            if name not in _OPTIONS:
+                parser.error(f"--config: unknown key {name!r}")
             try:
-                with open(config_path, encoding="utf-8") as fh:
-                    self._config = json.load(fh)
-            except OSError as exc:
-                raise RuntimeError(f"cannot read config file: {exc}") from exc
-            except json.JSONDecodeError as exc:
-                raise RuntimeError(f"config file {config_path}: {exc}") from exc
-            if not isinstance(self._config, dict):
-                raise RuntimeError(f"config file {config_path}: expected a JSON object")
+                self._config[name] = _from_config(_OPTIONS[name], value)
+            except argparse.ArgumentTypeError as exc:
+                parser.error(f"{_flag(name)}: {exc}")
 
     def get(self, name: str):
-        flag = f"--{name.replace('_', '-')}"
-        value = getattr(self._args, name, None)
-        if value is None:
-            if name in self._config and self._config[name] is None:
-                self._parser.error(f"{flag}: expected a value, got null")
-            value = self._config.get(name, _DEFAULTS.get(name))
-        if value is None:
-            return None
-        validator = _VALIDATORS.get(name)
-        if validator is not None:
-            try:
-                value = validator(value)
-            except (argparse.ArgumentTypeError, ValueError) as exc:
-                self._parser.error(f"{flag}: {exc}")
-        return value
+        if name in self._given:
+            return self._given[name]
+        return self._config.get(name, _OPTIONS[name].default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -174,69 +182,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Copy-network construction, source scoring, graph embeddings, "
         "and trust-aware recommendation simulation.",
     )
-    parser.add_argument("--seed", help="base RNG seed (default 0)")
+    _add_options(parser, "seed")
     parser.add_argument("--config", help="JSON file with default option values")
-    parser.add_argument("--out-dir", dest="out_dir", help="output directory (default .)")
+    _add_options(parser, "out_dir")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--seed", default=argparse.SUPPRESS, help="base RNG seed")
-        sp.add_argument(
-            "--out-dir", dest="out_dir", default=argparse.SUPPRESS, help="output directory"
-        )
 
     p_build = sub.add_parser("build-csn", help="detect copy pairs and build the source graph")
     p_build.add_argument("articles", help="JSONL corpus (id, source, title, content, published_at)")
-    p_build.add_argument("--threshold", help="cosine similarity cutoff in (0, 1], default 0.85")
     p_build.add_argument("--out", help="output directory for pairs.tsv + csn.tsv")
-    add_common(p_build)
+    _add_options(p_build, "threshold", "seed", "out_dir")
 
     p_ann = sub.add_parser("annotate", help="derive quality/leaning scores for graph sources")
     p_ann.add_argument("labels", help="provider labels CSV")
     p_ann.add_argument("csn", help="graph TSV from build-csn")
     p_ann.add_argument("--out", help="output scores CSV (default <out-dir>/scores.csv)")
-    add_common(p_ann)
+    _add_options(p_ann, "seed", "out_dir")
 
     p_embed = sub.add_parser("embed", help="learn node vectors for the graph")
     p_embed.add_argument("csn", help="graph TSV from build-csn")
     p_embed.add_argument("--out", help="output vectors TSV (default <out-dir>/vectors.tsv)")
-    p_embed.add_argument("--dims", help="vector dimensionality (default 64)")
-    p_embed.add_argument("--p", help="walk return parameter (default 1.0)")
-    p_embed.add_argument("--q", help="walk in-out parameter (default 1.0)")
-    p_embed.add_argument("--walk-length", dest="walk_length", help="steps per walk (default 80)")
-    p_embed.add_argument(
-        "--walks-per-node", dest="walks_per_node", help="walks per start node (default 10)"
-    )
-    p_embed.add_argument("--window", help="context window (default 10)")
-    p_embed.add_argument("--negatives", help="negative samples per pair (default 5)")
-    p_embed.add_argument("--epochs", help="training epochs (default 5)")
-    p_embed.add_argument(
-        "--learning-rate", dest="learning_rate", help="initial learning rate (default 0.025)"
-    )
-    p_embed.add_argument(
-        "--directed",
-        action="store_const",
-        const=True,
-        default=argparse.SUPPRESS,
-        help="walk the graph as directed instead of the undirected view",
-    )
-    add_common(p_embed)
+    _add_options(p_embed, *_EMBED_OPTIONS, "out_dir")
 
     p_sim = sub.add_parser("simulate", help="run trust-aware recommendation dynamics")
     p_sim.add_argument("personas", help="JSON list of {user_id, sources, L}")
     p_sim.add_argument("scores", help="scores CSV from annotate")
     p_sim.add_argument("vectors", help="vectors TSV from embed")
-    p_sim.add_argument("--alpha", help="trust-cost mix in (0, 1), default 0.5")
-    p_sim.add_argument("--T", dest="T", help="iterations per user (default 500)")
-    p_sim.add_argument("--L", dest="L", help="attention limit override (default: persona L)")
-    p_sim.add_argument(
-        "--mode",
-        choices=["constrained", "unconstrained", "both"],
-        default=None,
-        help="recommendation rule (default constrained)",
-    )
-    add_common(p_sim)
-
+    _add_options(p_sim, "alpha", "T", "L", "mode", "seed", "out_dir")
     return parser
 
 
@@ -307,20 +278,7 @@ def cmd_embed(opts: _Options, args: argparse.Namespace) -> int:
     if not csn.nodes:
         print("error: graph has no nodes; nothing to embed", file=sys.stderr)
         return 1
-    vectors = embedding.embed_graph(
-        csn,
-        seed=opts.get("seed"),
-        dims=opts.get("dims"),
-        p=opts.get("p"),
-        q=opts.get("q"),
-        walk_length=opts.get("walk_length"),
-        walks_per_node=opts.get("walks_per_node"),
-        window=opts.get("window"),
-        negatives=opts.get("negatives"),
-        epochs=opts.get("epochs"),
-        learning_rate=opts.get("learning_rate"),
-        directed=opts.get("directed"),
-    )
+    vectors = embedding.embed_graph(csn, **{name: opts.get(name) for name in _EMBED_OPTIONS})
     out_path.parent.mkdir(parents=True, exist_ok=True)
     embedding.save_vectors(vectors, out_path)
     if log.isEnabledFor(logging.INFO):
@@ -340,9 +298,6 @@ def cmd_simulate(opts: _Options, args: argparse.Namespace) -> int:
     scores = groundtruth.read_scores_csv(args.scores)
     vectors = embedding.load_vectors(args.vectors)
     catalog = nudge.SourceCatalog.from_scores(scores, vectors)
-    seed = opts.get("seed")
-    alpha = opts.get("alpha")
-    iterations = opts.get("T")
     limit_override = opts.get("L")
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -354,7 +309,7 @@ def cmd_simulate(opts: _Options, args: argparse.Namespace) -> int:
         by_mode: dict[str, nudge.Trajectory] = {}
         for m in modes:
             config = nudge.SimConfig(
-                T=iterations, L=limit, seed=seed, alpha=alpha, mode=m
+                T=opts.get("T"), L=limit, seed=opts.get("seed"), alpha=opts.get("alpha"), mode=m
             )
             traj = nudge.simulate(profile, catalog, config)
             by_mode[m] = traj
@@ -428,12 +383,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         opts = _Options(parser, args)
         return handlers[args.command](opts, args)
-    except SystemExit as exc:  # parser.error from merged-option validation
+    except SystemExit as exc:  # parser.error from --config validation
         return int(exc.code or 0)
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (RuntimeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

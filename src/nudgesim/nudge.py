@@ -437,9 +437,11 @@ def load_personas(path) -> list[Persona]:
     seen = set()
     for i, entry in enumerate(data):
         where = f"{path}: persona #{i}"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where}: expected a JSON object")
         try:
             user_id, sources, limit = entry["user_id"], entry["sources"], entry["L"]
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise ValueError(f"{where}: missing field ({exc})") from exc
         if not isinstance(user_id, str) or not user_id:
             raise ValueError(f"{where}: user_id must be a non-empty string, got {user_id!r}")

@@ -6,8 +6,10 @@ import logging
 import shutil
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from nudgesim import graph, synthetic
+from nudgesim import cli, graph, synthetic
 from nudgesim.cli import main
 from nudgesim.graph import load_graph
 from nudgesim.embedding import load_vectors
@@ -469,8 +471,9 @@ def test_config_file_null_value_exits_2(tmp_path, capsys, world_dir, key, comman
         ('{"user_id": ["x"], "sources": ["valley-voice"], "L": 2}', "user_id must be"),
         ('{"user_id": "x", "sources": "abc", "L": 2}', "sources must be a list of strings"),
         ('{"user_id": "x", "sources": ["valley-voice"], "L": 2.7}', "L must be an integer"),
+        ('"abc"', "expected a JSON object"),
     ],
-    ids=["L-overflow", "user_id-list", "sources-string", "L-fraction"],
+    ids=["L-overflow", "user_id-list", "sources-string", "L-fraction", "not-an-object"],
 )
 def test_simulate_bad_persona_field_exits_1(tmp_path, capsys, world_dir, entry, message):
     bad = tmp_path / "personas.json"
@@ -479,6 +482,112 @@ def test_simulate_bad_persona_field_exits_1(tmp_path, capsys, world_dir, entry, 
     code, _, stderr = _run(capsys, ["simulate", *inputs, "--out-dir", str(tmp_path)])
     assert code == 1
     assert f"{bad}: persona #0: {message}" in stderr
+    assert "Traceback" not in stderr
+
+
+def _inputs(world_dir, command):
+    return {
+        "build-csn": [str(synthetic.fixture_articles_path())],
+        "embed": [str(world_dir / "csn.tsv")] + _SMALL_EMBED,
+        "simulate": [str(world_dir / n) for n in ("personas.json", "scores.csv", "vectors.tsv")],
+    }[command]
+
+
+def test_config_file_unknown_key_exits_2(tmp_path, capsys, world_dir):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"threshhold": 0.5}), encoding="utf-8")
+    argv = ["--config", str(config), "build-csn", *_inputs(world_dir, "build-csn")]
+    code, _, stderr = _run(capsys, argv + ["--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "--config: unknown key 'threshhold'" in stderr
+    assert not (tmp_path / "csn.tsv").exists()
+
+
+@pytest.mark.parametrize(
+    "config, command, flags, flag",
+    [
+        ({"T": 2.7}, "simulate", [], "--T"),
+        ({"T": True}, "simulate", [], "--T"),
+        ({"seed": 1.9}, "embed", [], "--seed"),
+        ({"threshold": True}, "build-csn", [], "--threshold"),
+        ({"alpha": float("nan")}, "simulate", [], "--alpha"),
+        (None, "embed", ["--learning-rate", "inf"], "--learning-rate"),
+    ],
+    ids=["T-fraction", "T-bool", "seed-fraction", "threshold-bool", "alpha-nan", "learning-rate-inf"],
+)
+def test_wrong_type_or_non_finite_option_exits_2(
+    tmp_path, capsys, world_dir, config, command, flags, flag
+):
+    # a config value is parsed as its str(), like flag text: "2.7", "True" and
+    # "1.9" are no integers, "True" is no number, and nan and inf are rejected
+    argv = [command, *_inputs(world_dir, command), *flags, "--out-dir", str(tmp_path / "out")]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv = ["--config", str(path)] + argv
+    code, _, stderr = _run(capsys, argv)
+    assert code == 2
+    assert flag in stderr
+    assert "Traceback" not in stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_global_seed_and_out_dir_beat_config(tmp_path, capsys, world_dir):
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps({"seed": 11, "out_dir": str(tmp_path / "from-config")}), encoding="utf-8"
+    )
+    embed = ["embed", *_inputs(world_dir, "embed")]
+    code, _, stderr = _run(
+        capsys, ["--config", str(config), "--seed", "5", "--out-dir", str(tmp_path / "from-flag")] + embed
+    )
+    assert code == 0, stderr
+    header = (tmp_path / "from-flag" / "vectors.tsv").read_text(encoding="utf-8").splitlines()[0]
+    assert "seed=5" in header.split("\t")
+    assert not (tmp_path / "from-config").exists()
+    # without the flags, the config values apply
+    code, _, stderr = _run(capsys, ["--config", str(config)] + embed)
+    assert code == 0, stderr
+    header = (tmp_path / "from-config" / "vectors.tsv").read_text(encoding="utf-8").splitlines()[0]
+    assert "seed=11" in header.split("\t")
+
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.floats()
+    | st.text(max_size=8)
+    | st.sampled_from(["0.5", "3", "both", "."]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    config=st.dictionaries(
+        st.sampled_from(sorted(cli._OPTIONS)) | st.text(max_size=12), _JSON_VALUES, max_size=4
+    )
+)
+def test_any_config_exits_0_or_2_without_traceback(tmp_path, capsys, world_dir, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, _, stderr = _run(
+        capsys,
+        [
+            "--config",
+            str(path),
+            "annotate",
+            str(world_dir / "labels.csv"),
+            str(world_dir / "csn.tsv"),
+            "--out",
+            str(tmp_path / "scores.csv"),
+            "--out-dir",
+            str(tmp_path),
+        ],
+    )
+    assert code in (0, 2), stderr
     assert "Traceback" not in stderr
 
 
