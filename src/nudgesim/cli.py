@@ -382,6 +382,10 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         opts = _Options(parser, args)
+        if args.command == "embed" and opts.get("seed") < 0:
+            # numpy's SeedSequence takes no negative entropy; simulate instead
+            # masks its seed to 64 bits (nudge.rng_for_user)
+            parser.error(f"argument --seed: must be >= 0 for embed, got {opts.get('seed')}")
         return handlers[args.command](opts, args)
     except SystemExit as exc:  # parser.error from --config validation
         return int(exc.code or 0)

@@ -129,6 +129,8 @@ def load_articles(path) -> ArticleSet:
                 if not isinstance(record, dict):
                     raise ValueError("line is not a JSON object")
                 article = _article_from_record(record)
+            except RecursionError:
+                raise ValueError(f"{path}:{lineno}: JSON nested too deeply") from None
             except (ValueError, TypeError) as exc:
                 logger.warning("%s:%d: skipping malformed line (%s)", path, lineno, exc)
                 skipped += 1

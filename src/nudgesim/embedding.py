@@ -265,7 +265,14 @@ def load_vectors(path) -> SourceVectors:
             if not sep:
                 raise ValueError(f"{path}:1: malformed parameter {part!r}")
             params[key] = value
-        dims = int(params["dims"]) if "dims" in params else None
+        dims = None
+        if "dims" in params:
+            try:
+                dims = int(params["dims"])
+            except ValueError:
+                pass
+            if dims is None or dims < 1:
+                raise ValueError(f"{path}:1: dims must be a positive integer, got {params['dims']!r}")
         vectors: dict[str, np.ndarray] = {}
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")

@@ -23,6 +23,7 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -31,6 +32,8 @@ from .groundtruth import SourceScore
 
 DEFAULT_ALPHA = 0.5
 DEFAULT_EPSILON = 1e-9
+# approximate costs this close to the smallest are verified with trust_cost
+_VERIFY_MARGIN = 1e-9
 
 TRAJECTORY_FIELDS = ["t", "recommended", "trust_cost", "accept_prob", "accepted", "dropped", "q_u", "l_u"]
 
@@ -53,8 +56,18 @@ class Source:
             raise ValueError(f"{self.source_id}: vector has non-finite components")
 
 
+def _frozen(values) -> np.ndarray:
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
+
+
 class SourceCatalog:
-    """Immutable id-keyed collection of fully scored, embedded sources."""
+    """Immutable id-keyed collection of fully scored, embedded sources.
+
+    Row ``i`` of the read-only arrays ``quality``, ``leaning``, ``vectors``
+    and ``norms`` (each vector's ``np.linalg.norm``) describes the ``i``-th
+    id in sorted order; ``index`` maps an id to its row."""
 
     def __init__(self, sources) -> None:
         self._by_id: dict[str, Source] = {}
@@ -72,6 +85,12 @@ class SourceCatalog:
         if not self._by_id:
             raise ValueError("catalog must contain at least one source")
         self._ids = sorted(self._by_id)
+        self._rows = tuple(self._by_id[s] for s in self._ids)
+        self.index = MappingProxyType({s: i for i, s in enumerate(self._ids)})
+        self.quality = _frozen([s.quality for s in self._rows])
+        self.leaning = _frozen([s.leaning for s in self._rows])
+        self.vectors = _frozen(np.reshape([s.vector for s in self._rows], (len(self._rows), dims)))
+        self.norms = _frozen([np.linalg.norm(s.vector) for s in self._rows])
 
     @classmethod
     def from_scores(cls, scores: dict[str, SourceScore], vectors: SourceVectors) -> "SourceCatalog":
@@ -103,7 +122,7 @@ class SourceCatalog:
         return list(self._ids)
 
     def max_quality(self) -> float:
-        return max(s.quality for s in self._by_id.values())
+        return float(self.quality.max())
 
 
 @dataclass
@@ -205,28 +224,66 @@ def trust_cost(s_prime: Source, u: UserProfile, alpha: float) -> float:
     return (1.0 - alpha) * leaning_distance + alpha * embedding_distance
 
 
-def _eligible(u: UserProfile, catalog: SourceCatalog):
-    """Sources strictly above the user's mean quality and not already
-    trusted, in sorted-id order."""
-    members = set(u.sources)
-    for source_id in catalog.ids():
-        source = catalog[source_id]
-        if source_id not in members and source.quality > u.q_u:
-            yield source
+def _eligible_rows(u: UserProfile, catalog: SourceCatalog) -> np.ndarray:
+    """Rows of the sources strictly above the user's mean quality and not
+    already trusted, in sorted-id order."""
+    mask = catalog.quality > u.q_u
+    mask[[catalog.index[s] for s in u.sources]] = False
+    return np.flatnonzero(mask)
+
+
+def _approximate_costs(u: UserProfile, catalog: SourceCatalog, rows: np.ndarray, alpha: float):
+    """``trust_cost`` of each row from one mat-vec and the cached norms. It
+    may differ from the scalar cost in the last bits, or come out non-finite
+    where the scalar cost overflows."""
+    norms = catalog.norms[rows]
+    distance = np.ones(len(rows))
+    norm_u = float(np.linalg.norm(u.v_u))
+    if norm_u != 0.0:
+        live = norms != 0.0  # a zero norm on either side gives the neutral 1.0
+        dots = (catalog.vectors @ u.v_u)[rows[live]]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            distance[live] = 1.0 - dots / (norms[live] * norm_u)
+    leaning_distance = np.abs(u.l_u - catalog.leaning[rows]) / 2.0
+    return (1.0 - alpha) * leaning_distance + alpha * distance
 
 
 def select_recommendation(
     u: UserProfile, catalog: SourceCatalog, alpha: float
 ) -> Source | None:
     """Cheapest eligible source by trust cost; ties go to the smallest
-    source_id; None when nothing qualifies."""
+    source_id; None when nothing qualifies.
+
+    Approximate costs filter the candidates: only rows within
+    ``_VERIFY_MARGIN`` of the smallest one, and rows whose approximate cost is
+    not finite, are recomputed with the scalar ``trust_cost``. The margin is
+    far above the rounding gap between the two, so the exact argmin is always
+    among them and the result is the exhaustive scalar argmin."""
+    rows = _eligible_rows(u, catalog)
+    if not rows.size:
+        return None
+    approx = _approximate_costs(u, catalog, rows, alpha)
+    finite = np.isfinite(approx)
+    keep = ~finite
+    if finite.any():
+        keep[finite] = approx[finite] <= approx[finite].min() + _VERIFY_MARGIN
     best: Source | None = None
     best_cost = float("inf")
-    for source in _eligible(u, catalog):
+    for row in rows[keep]:
+        source = catalog._rows[row]
         cost = trust_cost(source, u, alpha)
         if cost < best_cost:
             best, best_cost = source, cost
     return best
+
+
+def _highest_quality(u: UserProfile, catalog: SourceCatalog) -> Source | None:
+    """Highest-quality eligible source; argmax keeps the first maximum in
+    sorted-id order, so ties go to the smallest id."""
+    rows = _eligible_rows(u, catalog)
+    if not rows.size:
+        return None
+    return catalog._rows[rows[np.argmax(catalog.quality[rows])]]
 
 
 def drop_distribution(
@@ -274,13 +331,10 @@ def _step(
     rng: np.random.Generator,
     t: int,
 ) -> StepRecord:
-    """One iteration, mutating ``u`` in place. No uniform is drawn when the
-    user has converged or nothing is eligible."""
-    if _converged(u, config):
-        return _noop_record(t, u)
+    """One iteration of a user who has not converged, mutating ``u`` in
+    place. No uniform is drawn when nothing is eligible."""
     if config.mode == "unconstrained":
-        # first maximum in sorted-id order, so ties go to the smallest id
-        s_prime = max(_eligible(u, catalog), key=lambda s: s.quality, default=None)
+        s_prime = _highest_quality(u, catalog)
     else:
         s_prime = select_recommendation(u, catalog, config.alpha)
     if s_prime is None:
@@ -351,7 +405,14 @@ def simulate(u0: UserProfile, catalog: SourceCatalog, config: SimConfig) -> Traj
     u.limit = config.L
     update_scores(u, catalog)
     rng = rng_for_user(config.seed, u.user_id)
-    records = [_step(u, catalog, config, rng, t) for t in range(config.T)]
+    records = []
+    for t in range(config.T):
+        if _converged(u, config):
+            # a converged user never changes again: every later step is a
+            # no-op that draws nothing
+            records += [_noop_record(rest, u) for rest in range(t, config.T)]
+            break
+        records.append(_step(u, catalog, config, rng, t))
     traj = Trajectory(
         user_id=u.user_id,
         config=config,
@@ -430,7 +491,10 @@ class Persona:
 
 def load_personas(path) -> list[Persona]:
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, list):
         raise ValueError(f"{path}: expected a JSON list of personas")
     personas = []

@@ -485,6 +485,57 @@ def test_simulate_bad_persona_field_exits_1(tmp_path, capsys, world_dir, entry, 
     assert "Traceback" not in stderr
 
 
+@pytest.mark.parametrize("where", ["flag", "global-flag", "config"])
+def test_embed_negative_seed_exits_2(tmp_path, capsys, world_dir, where):
+    embed = ["embed", *_inputs(world_dir, "embed"), "--out-dir", str(tmp_path / "out")]
+    argv = {
+        "flag": embed + ["--seed", "-1"],
+        "global-flag": ["--seed", "-1"] + embed,
+        "config": ["--config", str(tmp_path / "config.json")] + embed,
+    }[where]
+    (tmp_path / "config.json").write_text(json.dumps({"seed": -1}), encoding="utf-8")
+    code, _, stderr = _run(capsys, argv)
+    assert code == 2
+    assert "--seed: must be >= 0 for embed, got -1" in stderr
+    assert "Traceback" not in stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_masks_negative_seed(tmp_path, capsys, world_dir):
+    inputs = _inputs(world_dir, "simulate")
+    code, _, stderr = _run(
+        capsys, ["simulate", *inputs, "--T", "3", "--seed", "-1", "--out-dir", str(tmp_path)]
+    )
+    assert code == 0, stderr
+    summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+    assert summary[0]["config"]["seed"] == -1
+
+
+def test_simulate_bad_vectors_dims_exits_1(tmp_path, capsys, world_dir):
+    lines = (world_dir / "vectors.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[0] = lines[0].replace("dims=16", "dims=x")
+    bad = tmp_path / "vectors.tsv"
+    bad.write_text("".join(lines), encoding="utf-8")
+    inputs = [str(world_dir / "personas.json"), str(world_dir / "scores.csv"), str(bad)]
+    code, _, stderr = _run(capsys, ["simulate", *inputs, "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert f"{bad}:1: dims must be a positive integer, got 'x'" in stderr
+    assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("command", ["simulate", "build-csn"])
+def test_deeply_nested_json_exits_1(tmp_path, capsys, world_dir, command):
+    bad = tmp_path / "nested.json"
+    bad.write_text("[" * 100_000 + "\n", encoding="utf-8")
+    inputs = _inputs(world_dir, command)
+    inputs[0] = str(bad)
+    code, _, stderr = _run(capsys, [command, *inputs, "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    where = f"{bad}:1:" if command == "build-csn" else f"{bad}:"
+    assert f"error: {where} JSON nested too deeply" in stderr
+    assert "Traceback" not in stderr
+
+
 def _inputs(world_dir, command):
     return {
         "build-csn": [str(synthetic.fixture_articles_path())],

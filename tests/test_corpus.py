@@ -151,6 +151,13 @@ def test_load_articles_duplicate_id_is_fatal(tmp_path):
         corpus.load_articles(path)
 
 
+def test_load_articles_deeply_nested_line_is_fatal(tmp_path):
+    path = tmp_path / "articles.jsonl"
+    path.write_text(json.dumps(_record("a1")) + "\n" + "[" * 100_000 + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r":2: JSON nested too deeply"):
+        corpus.load_articles(path)
+
+
 def test_load_articles_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         corpus.load_articles(tmp_path / "nope.jsonl")

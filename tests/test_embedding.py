@@ -278,6 +278,10 @@ def test_vectors_file_errors(tmp_path):
     path.write_text("#vectors v1\tdims=1\n", encoding="utf-8")
     with pytest.raises(ValueError, match="no vectors"):
         load_vectors(path)
+    for bad in ("x", "0", "-2", ""):
+        path.write_text(f"#vectors v1\tdims={bad}\na\t1.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f":1: dims must be a positive integer, got '{bad}'"):
+            load_vectors(path)
 
 
 def test_save_vectors_checks_shapes(tmp_path):

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nudgesim import nudge
@@ -151,6 +151,21 @@ def test_catalog_lookup_and_order():
     assert catalog["top"].quality == 0.95
     assert catalog.max_quality() == 0.95
     assert len(catalog) == 5
+    # the arrays hold one row per source, in sorted-id order
+    assert [catalog.index[s] for s in catalog.ids()] == [0, 1, 2, 3, 4]
+    assert catalog.quality.tolist() == [0.3, 0.6, 0.7, 0.95, 0.1]
+    assert catalog.leaning.tolist() == [0.0, 0.0, 1.0, -1.0, 0.0]
+    assert catalog.vectors[3].tolist() == [-1.0, 0.0]
+    assert catalog.norms.tolist() == [1.0] * 5
+
+
+def test_catalog_arrays_reject_writes():
+    catalog = _toy_catalog()
+    for array in (catalog.quality, catalog.leaning, catalog.vectors, catalog.norms):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.5
+    with pytest.raises(TypeError):
+        catalog.index["anchor"] = 4
 
 
 def test_profile_from_sources_means():
@@ -239,6 +254,113 @@ def test_unconstrained_first_offer_is_quality_argmax():
     traj = simulate(u, catalog, config)
     assert traj.steps[0].recommended == "top"
     assert traj.steps[0].trust_cost is not None
+
+
+def _scalar_cost(s, l_u, v_u, alpha):
+    """Trust cost in trust_cost's own operation order, for bitwise checks."""
+    norm_a = float(np.linalg.norm(v_u))
+    norm_b = float(np.linalg.norm(s.vector))
+    if norm_a == 0.0 or norm_b == 0.0:
+        d = 1.0
+    else:
+        d = 1.0 - float(np.dot(v_u, s.vector)) / (norm_a * norm_b)
+    return (1.0 - alpha) * (abs(l_u - s.leaning) / 2.0) + alpha * d
+
+
+def _exhaustive_offer(members, catalog, mode, alpha):
+    """The offer an exhaustive scalar scan makes to ``members`` (None when
+    there is none), with the leaning and vector means it used."""
+    sources = [catalog[s] for s in members]
+    q_u = sum(m.quality for m in sources) / len(sources)
+    l_u = sum(m.leaning for m in sources) / len(sources)
+    v_u = np.mean([m.vector for m in sources], axis=0)
+    if q_u >= 1.0 - nudge.DEFAULT_EPSILON:
+        return None, l_u, v_u
+    best, best_key = None, None
+    for source_id in catalog.ids():
+        s = catalog[source_id]
+        if source_id in members or s.quality <= q_u:
+            continue
+        key = _scalar_cost(s, l_u, v_u, alpha) if mode == "constrained" else -s.quality
+        if best is None or key < best_key:
+            best, best_key = s, key
+    return best, l_u, v_u
+
+
+# few distinct values, so that ties, zero norms, zero means and empty
+# eligible sets are common. Permutations of one vector have mathematically
+# equal dot products with a constant mean that round differently, so their
+# costs sit within the verify margin in either order.
+_QUALITIES = st.sampled_from([0.0, 0.3, 0.5, 0.8, 1.0]) | st.floats(0.0, 1.0)
+_LEANINGS = st.sampled_from([-1.0, 0.0, 0.5, 0.5 + 1e-12]) | st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _worlds(draw):
+    dims = draw(st.integers(2, 8))
+    base = draw(st.lists(st.floats(-2.0, 2.0), min_size=dims, max_size=dims))
+    vectors = st.sampled_from([[0.0] * dims, [1.0] * dims, [-1.0] * dims])
+    rows = draw(st.lists(st.tuples(_QUALITIES, _LEANINGS, vectors | st.permutations(base)),
+                         min_size=1, max_size=7))
+    # exact ties: copies of drawn rows under other ids
+    rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    ids = draw(st.permutations([f"s{i:02d}" for i in range(len(rows))]))
+    catalog = SourceCatalog(_source(i, q, l, v) for i, (q, l, v) in zip(ids, rows))
+    L = draw(st.integers(1, 4))
+    trusted = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=L, unique=True))
+    alpha = draw(st.floats(0.01, 0.99))
+    return catalog, trusted, L, alpha
+
+
+def _edge_world(rows, trusted):
+    return SourceCatalog(_source(*row) for row in rows), trusted, 3, ALPHA
+
+
+@settings(max_examples=200, deadline=None)
+@given(world=_worlds(), T=st.integers(1, 8), seed=st.integers(0, 2**32))
+# duplicate vector and leaning under two ids: the smaller id wins
+@example(world=_edge_world([("a", 0.2, 0.0, [1.0, 0.0]), ("y", 0.9, 0.4, [0.0, 1.0]),
+                            ("x", 0.9, 0.4, [0.0, 1.0])], ["a"]), T=6, seed=5)
+# zero-norm sources, and a member mean of zero norm
+@example(world=_edge_world([("a", 0.2, 0.0, [1.0, 0.0]), ("b", 0.2, 0.0, [-1.0, 0.0]),
+                            ("z", 0.7, 0.5, [0.0, 0.0]), ("w", 0.7, 0.5, [0.0, 1.0])],
+                           ["a", "b"]), T=6, seed=5)
+# nothing eligible
+@example(world=_edge_world([("a", 0.6, 0.0, [1.0, 0.0]), ("b", 0.6, 0.3, [0.0, 1.0])], ["a"]),
+         T=6, seed=5)
+def test_offers_match_exhaustive_scalar_argmin(world, T, seed):
+    catalog, trusted, L, alpha = world
+    u0 = profile_from_sources("u", trusted, catalog, L)
+    for mode in ("constrained", "unconstrained"):
+        traj = simulate(u0, catalog, SimConfig(T=T, L=L, seed=seed, alpha=alpha, mode=mode))
+        members = sorted(trusted)
+        for record in traj.steps:
+            offer, l_u, v_u = _exhaustive_offer(members, catalog, mode, alpha)
+            if offer is None:
+                assert record.recommended is None and record.trust_cost is None
+                continue
+            assert record.recommended == offer.source_id
+            assert record.trust_cost == _scalar_cost(offer, l_u, v_u, alpha)
+            if record.accepted:
+                members = sorted(
+                    s for s in members + [offer.source_id] if s != record.dropped
+                )
+        assert traj.final.sources == members
+
+
+def test_select_recommendation_exact_among_rounding_ties():
+    # permutations of one vector have mathematically equal costs against a
+    # constant mean; the mat-vec and the scalar dot round them differently,
+    # so only the scalar verification picks the exhaustive argmin
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        base = rng.uniform(-2.0, 2.0, 16)
+        rows = [_source("anchor", 0.1, 0.0, np.ones(16))]
+        rows += [_source(f"p{i:02d}", 0.9, 0.2, rng.permutation(base)) for i in range(30)]
+        catalog = SourceCatalog(rows)
+        u = profile_from_sources("u", ["anchor"], catalog, limit=2)
+        expected, _, _ = _exhaustive_offer(["anchor"], catalog, "constrained", ALPHA)
+        assert select_recommendation(u, catalog, ALPHA) is expected
 
 
 # ---------------------------------------------------------------- drop lottery
