@@ -9,9 +9,12 @@ is what the downstream trust cost consumes.
 
 from __future__ import annotations
 
+import bisect
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csc_matrix
 from scipy.special import expit
 
 from .graph import CsnGraph
@@ -26,6 +29,11 @@ DEFAULT_NEGATIVES = 5
 DEFAULT_EPOCHS = 5
 DEFAULT_LEARNING_RATE = 0.025
 NOISE_EXPONENT = 0.75
+# positions per skip-gram minibatch; chosen by a sweep of training time and
+# community homophily (see CHANGES.md)
+TRAIN_BLOCK = 128
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -81,6 +89,19 @@ def generate_walks(
     base_weights = {
         n: np.array([adj[n][x] for x in neighbor_ids[n]], dtype=float) for n in graph.nodes
     }
+    biased = p != 1.0 or q != 1.0
+    # cumulative weights per node, and per (previous, current) state of a
+    # biased walk, each computed once, on first use
+    cumulative: dict[object, list[float]] = {
+        n: np.cumsum(base_weights[n]).tolist() for n in graph.nodes
+    }
+
+    def second_order(prev: str, cur: str) -> list[float]:
+        prev_nbrs = neighbor_sets[prev]
+        scale = np.array(
+            [1.0 / p if x == prev else (1.0 if x in prev_nbrs else 1.0 / q) for x in neighbor_ids[cur]]
+        )
+        return np.cumsum(base_weights[cur] * scale).tolist()
 
     walks: list[list[str]] = []
     for _round in range(walks_per_node):
@@ -92,23 +113,36 @@ def generate_walks(
                 ids = neighbor_ids[cur]
                 if not ids:
                     break
-                weights = base_weights[cur]
-                if prev is not None and (p != 1.0 or q != 1.0):
-                    prev_nbrs = neighbor_sets[prev]
-                    scale = np.array(
-                        [
-                            1.0 / p if x == prev else (1.0 if x in prev_nbrs else 1.0 / q)
-                            for x in ids
-                        ]
-                    )
-                    weights = weights * scale
-                cum = np.cumsum(weights)
+                key = (prev, cur) if biased and prev is not None else cur
+                if key not in cumulative:
+                    cumulative[key] = second_order(prev, cur)
+                cum = cumulative[key]
                 u = rng.random() * cum[-1]
-                idx = min(int(np.searchsorted(cum, u, side="right")), len(ids) - 1)
+                idx = min(bisect.bisect_right(cum, u), len(ids) - 1)
                 prev = cur
                 walk.append(ids[idx])
             walks.append(walk)
     return walks
+
+
+def _add_damped(w, rows, coef, vecs, width, trace) -> None:
+    """Add ``coef[j] * vecs[j // width]`` to row ``rows[j]`` of ``w`` for every
+    term j, as one sparse (node x pair) matrix, ``width`` terms per column,
+    times ``vecs``.
+
+    ``trace[j]`` is the term's curvature, alpha * sigma' * |other vector|^2.
+    A row whose terms sum to a curvature trace c takes its summed step scaled
+    by 1 / max(1, 2c), half the budget because the other side of each pair
+    moves too: a row hit a few times in a block (c <= 1/2) takes the plain
+    sum, and a row hit many times (a hub, a tiny vocabulary), whose stale
+    summed step would overshoot, cannot.
+    """
+    damp = 1.0 / np.maximum(1.0, 2.0 * np.bincount(rows, weights=trace, minlength=len(w)))
+    scatter = csc_matrix(
+        (coef * damp[rows], rows, np.arange(0, len(rows) + 1, width)),
+        shape=(len(w), len(vecs)),
+    )
+    w += scatter @ vecs
 
 
 def train_embeddings(
@@ -120,14 +154,25 @@ def train_embeddings(
     epochs: int = DEFAULT_EPOCHS,
     learning_rate: float = DEFAULT_LEARNING_RATE,
 ) -> SourceVectors:
-    """Skip-gram with negative sampling over the walk corpus.
+    """Skip-gram with negative sampling over the walk corpus, in minibatches.
 
     Vocabulary in sorted order; input vectors initialized uniform in
     +/- 0.5/dims, output vectors at zero; noise distribution is the unigram
     distribution raised to 0.75. The window is dynamic (uniform 1..window per
     center position) and the learning rate decays linearly to 1e-4 of its
-    starting value over all processed positions. Single-threaded and fully
-    deterministic for a given generator state.
+    starting value over all processed positions.
+
+    Each epoch walks the concatenated corpus in blocks of ``TRAIN_BLOCK``
+    consecutive positions (a block may span walks; context never crosses a
+    walk boundary). Per block the generator draws, in this order, one span
+    per position (``integers(1, window + 1, size=positions)``) and then one
+    uniform per negative sample (``random((pairs, negatives))``, pairs
+    ordered by center position, then context position). Every gradient of
+    a block comes from the parameters as they were at its start, and each
+    row's summed update is applied once at its end, damped when the row was
+    hit often enough to overshoot (:func:`_add_damped`). At INFO the mean
+    loss per (center, context) pair of each epoch is logged. Single-threaded
+    and fully deterministic for a given generator state.
     """
     if dims < 1 or window < 1 or negatives < 0 or epochs < 1:
         raise ValueError("bad hyperparameters")
@@ -149,36 +194,67 @@ def train_embeddings(
     w_in = (rng.random((n, dims)) - 0.5) / dims
     w_out = np.zeros((n, dims))
 
-    positions = sum(len(walk) for walk in walks)
+    tokens = np.array([index[node] for walk in walks for node in walk], dtype=np.intp)
+    lengths = np.array([len(walk) for walk in walks], dtype=np.intp)
+    walk_end = np.repeat(np.cumsum(lengths), lengths)
+    walk_start = walk_end - np.repeat(lengths, lengths)
+    positions = len(tokens)
     total = epochs * positions
     min_alpha = learning_rate * 1e-4
-    processed = 0
+    offsets = np.concatenate([np.arange(-window, 0), np.arange(1, window + 1)])
+    labels = np.zeros(negatives + 1)
+    labels[0] = 1.0
+    signs = 2.0 * labels - 1.0
+    track_loss = logger.isEnabledFor(logging.INFO)
 
-    for _epoch in range(epochs):
-        for walk in walks:
-            encoded = [index[node] for node in walk]
-            for t, center in enumerate(encoded):
-                alpha = max(min_alpha, learning_rate * (1.0 - processed / total))
-                processed += 1
-                span = int(rng.integers(1, window + 1))
-                lo = max(0, t - span)
-                hi = min(len(encoded), t + span + 1)
-                v = w_in[center]
-                for s in range(lo, hi):
-                    if s == t:
-                        continue
-                    context = encoded[s]
-                    rows = np.empty(negatives + 1, dtype=np.intp)
-                    rows[0] = context
-                    if negatives:
-                        rows[1:] = np.searchsorted(noise_cum, rng.random(negatives), side="right")
-                    labels = np.zeros(negatives + 1)
-                    labels[0] = 1.0
-                    h = w_out[rows]
-                    g = (labels - expit(h @ v)) * alpha
-                    grad_v = g @ h
-                    np.add.at(w_out, rows, np.outer(g, v))
-                    v += grad_v
+    for epoch in range(epochs):
+        loss_sum = 0.0
+        pair_count = 0
+        for b0 in range(0, positions, TRAIN_BLOCK):
+            t = np.arange(b0, min(b0 + TRAIN_BLOCK, positions))
+            spans = rng.integers(1, window + 1, size=len(t))
+            ctx = t[:, None] + offsets
+            keep = (
+                (np.abs(offsets) <= spans[:, None])
+                & (ctx >= walk_start[t, None])
+                & (ctx < walk_end[t, None])
+            )
+            at, _ = np.nonzero(keep)
+            pairs = len(at)
+            centers = tokens[t[at]]
+            rows = np.empty((pairs, negatives + 1), dtype=np.intp)
+            rows[:, 0] = tokens[ctx[keep]]
+            rows[:, 1:] = np.searchsorted(noise_cum, rng.random((pairs, negatives)), side="right")
+            alpha = np.maximum(
+                min_alpha, learning_rate * (1.0 - (epoch * positions + t[at]) / total)
+            )
+
+            v = w_in[centers]
+            h = w_out[rows]
+            scores = np.einsum("pkd,pd->pk", h, v)
+            if track_loss:
+                loss_sum += float(np.logaddexp(0.0, -signs * scores).sum())
+                pair_count += pairs
+            sig = expit(scores)
+            g = (labels - sig) * alpha[:, None]
+            curvature = alpha[:, None] * sig * (1.0 - sig)
+            grad_in = np.einsum("pk,pkd->pd", g, h)
+            _add_damped(
+                w_in, centers, np.ones(pairs), grad_in, 1,
+                (curvature * np.einsum("pkd,pkd->pk", h, h)).sum(axis=1),
+            )
+            _add_damped(
+                w_out, rows.ravel(), g.ravel(), v, negatives + 1,
+                (curvature * np.einsum("pd,pd->p", v, v)[:, None]).ravel(),
+            )
+        if track_loss and pair_count:
+            logger.info(
+                "skip-gram epoch %d/%d: mean loss %.4f per pair over %d pairs",
+                epoch + 1,
+                epochs,
+                loss_sum / pair_count,
+                pair_count,
+            )
     vectors = {node: w_in[index[node]].copy() for node in vocab}
     return SourceVectors(
         dims=dims,

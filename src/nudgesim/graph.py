@@ -132,13 +132,18 @@ def load_graph(path) -> CsnGraph:
                 if fields[0] == "#node":
                     if len(fields) != 3:
                         raise ValueError("expected '#node\\tsource\\tcount'")
+                    if fields[1] in counts:
+                        raise ValueError(f"duplicate node {fields[1]!r}")
                     nodes.append(fields[1])
                     counts[fields[1]] = int(fields[2])
                 else:
                     if len(fields) != 4:
                         raise ValueError("expected 'from\\tto\\traw\\tweight'")
-                    edges[(fields[0], fields[1])] = float(fields[3])
-                    raw[(fields[0], fields[1])] = int(fields[2])
+                    edge = (fields[0], fields[1])
+                    if edge in edges:
+                        raise ValueError(f"duplicate edge {fields[0]!r}->{fields[1]!r}")
+                    edges[edge] = float(fields[3])
+                    raw[edge] = int(fields[2])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed line ({exc})") from exc
     return CsnGraph(nodes=nodes, edges=edges, raw_counts=raw, article_counts=counts)

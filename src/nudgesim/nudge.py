@@ -406,13 +406,15 @@ def simulate(u0: UserProfile, catalog: SourceCatalog, config: SimConfig) -> Traj
     update_scores(u, catalog)
     rng = rng_for_user(config.seed, u.user_id)
     records = []
-    for t in range(config.T):
-        if _converged(u, config):
-            # a converged user never changes again: every later step is a
-            # no-op that draws nothing
-            records += [_noop_record(rest, u) for rest in range(t, config.T)]
-            break
+    t = 0
+    while t < config.T and not _converged(u, config):
         records.append(_step(u, catalog, config, rng, t))
+        t += 1
+        if records[-1].recommended is None:
+            break
+    # a converged user, or one with nothing eligible, never changes again:
+    # every later step is a no-op that draws nothing
+    records += [_noop_record(rest, u) for rest in range(t, config.T)]
     traj = Trajectory(
         user_id=u.user_id,
         config=config,

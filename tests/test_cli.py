@@ -258,6 +258,21 @@ def test_embed_config_directed_takes_json_booleans_only(tmp_path, capsys, world_
         assert "--directed" in stderr
 
 
+@pytest.mark.parametrize("kind", ["node", "edge"])
+def test_embed_duplicate_graph_line_exits_1(tmp_path, capsys, world_dir, kind):
+    lines = (world_dir / "csn.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+    copied = 1 if kind == "node" else len(lines) - 1
+    assert lines[copied].startswith("#node") == (kind == "node")
+    lines.insert(copied + 1, lines[copied])
+    bad = tmp_path / "csn.tsv"
+    bad.write_text("".join(lines), encoding="utf-8")
+    code, _, stderr = _run(capsys, ["embed", str(bad), "--out", str(tmp_path / "v.tsv")] + _SMALL_EMBED)
+    assert code == 1
+    assert f"error: {bad}:{copied + 2}: malformed line (duplicate {kind} " in stderr
+    assert "Traceback" not in stderr
+    assert not (tmp_path / "v.tsv").exists()
+
+
 # ---------------------------------------------------------------- simulate
 
 

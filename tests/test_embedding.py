@@ -6,12 +6,19 @@ closed form, so long-run conditional frequencies must match it.
 """
 
 import collections
+import hashlib
+import logging
+import math
+import re
 
 import numpy as np
 import pytest
 
+from nudgesim import synthetic
 from nudgesim.graph import CsnGraph
 from nudgesim.embedding import (
+    NOISE_EXPONENT,
+    TRAIN_BLOCK,
     SourceVectors,
     cosine_distance,
     embed_graph,
@@ -120,6 +127,24 @@ def test_walks_deterministic_for_seed():
     assert first != third
 
 
+@pytest.mark.parametrize(
+    "p, q, digest",
+    [
+        (1.0, 1.0, "8eedd31623798d48d6fc1641c35b0e0506ce893f79ea04b4d394ce8dc31d1a60"),
+        (2.0, 0.5, "e63309cf3a69c0c70691807876fbc9596b622b2c9014c54ad8309d1e0b4038d4"),
+    ],
+)
+def test_world_walks_match_golden_digest(p, q, digest):
+    # digests of the per-step numpy cumsum + searchsorted sampler; any change
+    # to the draws or the float arithmetic of a step changes them
+    walks = generate_walks(
+        synthetic.world_graph(), np.random.default_rng(2024), p=p, q=q,
+        walk_length=40, walks_per_node=6,
+    )
+    text = "\n".join("\t".join(walk) for walk in walks)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
 def test_first_order_transitions_match_markov_matrix():
     # undirected star-plus-ring; with p=q=1 the next hop from n is exactly
     # weight(n, x) / sum of weights at n
@@ -197,6 +222,88 @@ def test_train_rejects_bad_input():
         train_embeddings([], np.random.default_rng(0))
     with pytest.raises(ValueError, match="hyperparameters"):
         train_embeddings([["a", "b"]], np.random.default_rng(0), dims=0)
+
+
+def _replica_train(walks, rng, dims, window, negatives, epochs, learning_rate):
+    """Per-pair scalar replay of the block trainer: the same draws in the
+    documented order (init; per block all spans, then all negatives), each
+    gradient from the block-start parameters, the updates summed per row and
+    damped by the row's curvature trace once per block."""
+    counts = collections.Counter(node for walk in walks for node in walk)
+    vocab = sorted(counts)
+    index = {node: i for i, node in enumerate(vocab)}
+    noise = np.array([counts[w] for w in vocab], dtype=float) ** NOISE_EXPONENT
+    noise_cum = np.cumsum(noise / noise.sum())
+    noise_cum[-1] = 1.0
+    w_in = (rng.random((len(vocab), dims)) - 0.5) / dims
+    w_out = np.zeros((len(vocab), dims))
+    corpus = []  # (token, first position of its walk, one past its last)
+    for walk in walks:
+        start = len(corpus)
+        corpus += [(index[node], start, start + len(walk)) for node in walk]
+    total = epochs * len(corpus)
+    for epoch in range(epochs):
+        for b0 in range(0, len(corpus), TRAIN_BLOCK):
+            block = range(b0, min(b0 + TRAIN_BLOCK, len(corpus)))
+            spans = rng.integers(1, window + 1, size=len(block))
+            pairs = []
+            for t, span in zip(block, spans):
+                center, lo, hi = corpus[t]
+                for s in range(max(lo, t - span), min(hi, t + span + 1)):
+                    if s != t:
+                        pairs.append((t, center, corpus[s][0]))
+            draws = rng.random((len(pairs), negatives))
+            d_in, d_out = np.zeros_like(w_in), np.zeros_like(w_out)
+            trace_in, trace_out = np.zeros(len(vocab)), np.zeros(len(vocab))
+            for (t, center, context), uniforms in zip(pairs, draws):
+                alpha = max(learning_rate * 1e-4, learning_rate * (1.0 - (epoch * len(corpus) + t) / total))
+                noise_rows = [int(np.searchsorted(noise_cum, u, side="right")) for u in uniforms]
+                v = w_in[center]
+                for label, row in zip([1.0] + [0.0] * negatives, [context] + noise_rows):
+                    h = w_out[row]
+                    sig = 1.0 / (1.0 + math.exp(-float(np.dot(h, v))))
+                    g = (label - sig) * alpha
+                    d_in[center] += g * h
+                    d_out[row] += g * v
+                    trace_in[center] += alpha * sig * (1.0 - sig) * float(np.dot(h, h))
+                    trace_out[row] += alpha * sig * (1.0 - sig) * float(np.dot(v, v))
+            w_in += d_in / np.maximum(1.0, 2.0 * trace_in)[:, None]
+            w_out += d_out / np.maximum(1.0, 2.0 * trace_out)[:, None]
+    return {node: w_in[index[node]] for node in vocab}
+
+
+@pytest.mark.parametrize("negatives", [0, 3])
+def test_train_matches_scalar_block_replica(negatives):
+    # a walk of one node and walks that straddle block boundaries; every
+    # block repeats nodes in both centers and contexts
+    walks = _toy_walks() + [["d"], ["a", "b"]]
+    positions = sum(len(walk) for walk in walks)
+    assert positions > 2 * TRAIN_BLOCK and positions % TRAIN_BLOCK
+    params = dict(dims=5, window=3, negatives=negatives, epochs=2, learning_rate=0.05)
+    rng = np.random.default_rng(77)
+    result = train_embeddings(walks, rng, **params)
+    replay = np.random.default_rng(77)
+    expected = _replica_train(walks, replay, **params)
+    assert sorted(result.vectors) == sorted(expected)
+    for node, vector in expected.items():
+        np.testing.assert_allclose(result.vectors[node], vector, rtol=0, atol=1e-12)
+    assert rng.bit_generator.state == replay.bit_generator.state
+
+
+def test_train_logs_mean_loss_per_epoch(caplog):
+    negatives, epochs = 4, 3
+    with caplog.at_level(logging.INFO, logger="nudgesim.embedding"):
+        train_embeddings(
+            _toy_walks(), np.random.default_rng(5), dims=8, negatives=negatives, epochs=epochs
+        )
+    losses = [
+        float(m.group(1))
+        for r in caplog.records
+        if (m := re.search(r"mean loss (\S+) per pair", r.getMessage()))
+    ]
+    assert len(losses) == epochs
+    untrained = (1 + negatives) * math.log(2.0)
+    assert all(math.isfinite(x) and x < untrained for x in losses)
 
 
 def test_training_separates_two_communities():

@@ -575,6 +575,29 @@ def test_simulate_starts_converged_profile_as_noop():
     assert traj.final.sources == ["perfect"]
 
 
+def test_simulate_selects_once_when_nothing_is_eligible(monkeypatch):
+    catalog = SourceCatalog(
+        [
+            _source("low", 0.4, 0.0, [1.0, 0.0]),
+            _source("mid", 0.5, 0.0, [0.0, 1.0]),
+        ]
+    )
+    calls = []
+    original = nudge.select_recommendation
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(nudge, "select_recommendation", counting)
+    u0 = profile_from_sources("idle", ["mid"], catalog, limit=2)
+    traj = simulate(u0, catalog, _config(T=50, L=2))
+    assert len(calls) == 1
+    assert [r.t for r in traj.steps] == list(range(50))
+    assert all(r.recommended is None and r.q_u == 0.5 for r in traj.steps)
+    assert traj.final.sources == ["mid"]
+
+
 def test_simulate_stops_changing_after_convergence():
     catalog = SourceCatalog(
         [
