@@ -23,6 +23,8 @@ logger = logging.getLogger(__name__)
 DEFAULT_SIMILARITY_THRESHOLD = 0.85
 
 _TOKEN_RE = re.compile(r"[^\W_]+")  # runs of alphanumeric codepoints
+# splits a field or a line of pairs.tsv and csn.tsv
+_TSV_BREAK_RE = re.compile(r"[\t\r\n]")
 
 _DATE_MIN = datetime(1990, 1, 1, tzinfo=timezone.utc)
 _DATE_MAX = datetime(2100, 1, 1, tzinfo=timezone.utc)
@@ -98,12 +100,19 @@ def _article_from_record(record: dict) -> Article:
     for key in ("id", "source", "title", "content", "published_at"):
         if key not in record:
             raise ValueError(f"missing key {key!r}")
+    article_id, source_id = str(record["id"]), str(record["source"])
+    if not article_id or _TSV_BREAK_RE.search(article_id):
+        raise ValueError(f"article id {article_id!r} is empty or holds a tab or line break")
+    if not source_id or source_id.startswith("#") or _TSV_BREAK_RE.search(source_id):
+        raise ValueError(
+            f"source {source_id!r} is empty, starts with '#' or holds a tab or line break"
+        )
     body = str(record["content"])
     if not body.strip():
         raise ValueError("empty body")
     return Article(
-        article_id=str(record["id"]),
-        source_id=str(record["source"]),
+        article_id=article_id,
+        source_id=source_id,
         title=str(record["title"]),
         body=body,
         published_at=parse_timestamp(str(record["published_at"])),
@@ -113,7 +122,9 @@ def _article_from_record(record: dict) -> Article:
 def load_articles(path) -> ArticleSet:
     """Read a JSONL article file.
 
-    Malformed lines are skipped with a warning and counted; a duplicate
+    Malformed lines are skipped with a warning and counted; these include
+    an empty id or source, one holding a tab or line break, and a source
+    starting with ``#``, which would break the TSV outputs. A duplicate
     article id is a fatal corpus-integrity error. An unreadable file raises
     OSError.
     """

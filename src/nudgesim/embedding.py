@@ -56,15 +56,6 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 1.0 - float(np.dot(a, b)) / (norm_a * norm_b)
 
 
-def _walk_view(graph: CsnGraph, directed: bool) -> dict[str, dict[str, float]]:
-    adj: dict[str, dict[str, float]] = {node: {} for node in graph.nodes}
-    for (src, dst), w in graph.edges.items():
-        adj[src][dst] = adj[src].get(dst, 0.0) + w
-        if not directed:
-            adj[dst][src] = adj[dst].get(src, 0.0) + w
-    return adj
-
-
 def generate_walks(
     graph: CsnGraph,
     rng: np.random.Generator,
@@ -83,20 +74,19 @@ def generate_walks(
     if walk_length < 1 or walks_per_node < 1:
         raise ValueError("walk_length and walks_per_node must be >= 1")
 
-    adj = _walk_view(graph, directed)
-    neighbor_ids = {n: sorted(adj[n]) for n in graph.nodes}
-    neighbor_sets = {n: set(adj[n]) for n in graph.nodes}
-    base_weights = {
-        n: np.array([adj[n][x] for x in neighbor_ids[n]], dtype=float) for n in graph.nodes
-    }
+    view = graph.weights if directed else graph.undirected
+    ptr = view.indptr
+    neighbor_ids = [view.indices[ptr[i] : ptr[i + 1]].tolist() for i in range(len(graph.nodes))]
+    neighbor_sets = [set(ids) for ids in neighbor_ids]
+    base_weights = [view.data[ptr[i] : ptr[i + 1]] for i in range(len(graph.nodes))]
     biased = p != 1.0 or q != 1.0
     # cumulative weights per node, and per (previous, current) state of a
     # biased walk, each computed once, on first use
     cumulative: dict[object, list[float]] = {
-        n: np.cumsum(base_weights[n]).tolist() for n in graph.nodes
+        i: np.cumsum(w).tolist() for i, w in enumerate(base_weights)
     }
 
-    def second_order(prev: str, cur: str) -> list[float]:
+    def second_order(prev: int, cur: int) -> list[float]:
         prev_nbrs = neighbor_sets[prev]
         scale = np.array(
             [1.0 / p if x == prev else (1.0 if x in prev_nbrs else 1.0 / q) for x in neighbor_ids[cur]]
@@ -105,9 +95,9 @@ def generate_walks(
 
     walks: list[list[str]] = []
     for _round in range(walks_per_node):
-        for start in graph.nodes:
+        for start in range(len(graph.nodes)):
             walk = [start]
-            prev: str | None = None
+            prev: int | None = None
             while len(walk) < walk_length:
                 cur = walk[-1]
                 ids = neighbor_ids[cur]
@@ -121,7 +111,7 @@ def generate_walks(
                 idx = min(bisect.bisect_right(cum, u), len(ids) - 1)
                 prev = cur
                 walk.append(ids[idx])
-            walks.append(walk)
+            walks.append([graph.nodes[i] for i in walk])
     return walks
 
 

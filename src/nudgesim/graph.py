@@ -11,43 +11,84 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+from scipy.sparse import csr_matrix, hstack
+
 from .corpus import CopyPair
 
 CSN_HEADER = "#csn v1"
 
 
-@dataclass
-class CsnGraph:
-    """Directed weighted copy graph.
+def _check_node(node: str, count) -> None:
+    if not node:
+        raise ValueError("node name must be non-empty")
+    if type(count) is not int or count < 1:
+        raise ValueError(f"source {node!r}: article count {count!r} is not an integer >= 1")
 
-    ``edges`` holds normalized weights in (0, 1]; ``raw_counts`` the
-    copier-article counts they were derived from; ``article_counts`` the
-    per-source totals used for normalization (graph nodes only).
+
+def _check_edge(src: str, dst: str, raw, article_counts: dict[str, int]) -> None:
+    if src == dst:
+        raise ValueError(f"self-loop on {src!r}")
+    if src not in article_counts or dst not in article_counts:
+        raise ValueError(f"edge endpoint missing from nodes: {src!r}->{dst!r}")
+    if type(raw) is not int or raw < 1:
+        raise ValueError(f"edge {src!r}->{dst!r}: raw count {raw!r} is not an integer >= 1")
+    if raw > article_counts[dst]:
+        raise ValueError(
+            f"edge {src!r}->{dst!r}: {raw} copier articles exceed the "
+            f"{article_counts[dst]} articles {dst!r} published (weight outside (0, 1])"
+        )
+
+
+@dataclass(frozen=True)
+class CsnGraph:
+    """Directed weighted copy graph, built from its two independent inputs:
+    ``raw_counts`` (copier-article count per edge) and ``article_counts``
+    (articles per source; its keys are the nodes).
+
+    Everything else is derived once, at construction: the sorted ``nodes``,
+    their row ``index``, the normalized ``edges`` weights
+    ``raw / article_counts[copier]`` in (0, 1], and the same weights as one
+    CSR matrix, ``weights[index[src], index[dst]]`` (rows are the copied
+    source, columns the copier, indices sorted), plus its ``undirected``
+    view ``weights + weights.T``.
     """
 
-    nodes: list[str] = field(default_factory=list)
-    edges: dict[tuple[str, str], float] = field(default_factory=dict)
-    raw_counts: dict[tuple[str, str], int] = field(default_factory=dict)
-    article_counts: dict[str, int] = field(default_factory=dict)
+    raw_counts: dict[tuple[str, str], int]
+    article_counts: dict[str, int]
+    nodes: list[str] = field(init=False, compare=False)
+    index: dict[str, int] = field(init=False, compare=False, repr=False)
+    edges: dict[tuple[str, str], float] = field(init=False, compare=False)
+    weights: csr_matrix = field(init=False, compare=False, repr=False)
+    undirected: csr_matrix = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.nodes = sorted(self.nodes)
-        node_set = set(self.nodes)
-        for (src, dst), weight in self.edges.items():
-            if src == dst:
-                raise ValueError(f"self-loop on {src!r}")
-            if src not in node_set or dst not in node_set:
-                raise ValueError(f"edge endpoint missing from nodes: {src!r}->{dst!r}")
-            if not (0.0 < weight <= 1.0):
-                raise ValueError(
-                    f"edge {src!r}->{dst!r} normalized weight {weight} outside (0, 1]"
-                )
+        for node, count in self.article_counts.items():
+            _check_node(node, count)
+        for (src, dst), raw in self.raw_counts.items():
+            _check_edge(src, dst, raw, self.article_counts)
+        nodes = sorted(self.article_counts)
+        index = {node: i for i, node in enumerate(nodes)}
+        raw_counts = dict(sorted(self.raw_counts.items()))
+        edges = {(s, d): raw / self.article_counts[d] for (s, d), raw in raw_counts.items()}
+        ids = np.array([(index[s], index[d]) for s, d in edges], dtype=np.intp).reshape(-1, 2)
+        weights = csr_matrix(
+            (list(edges.values()), (ids[:, 0], ids[:, 1])), shape=(len(nodes), len(nodes))
+        )
+        undirected = weights + weights.T
+        undirected.sort_indices()
+        article_counts = {node: self.article_counts[node] for node in nodes}
+        for name, value in dict(
+            raw_counts=raw_counts, article_counts=article_counts, nodes=nodes, index=index,
+            edges=edges, weights=weights, undirected=undirected,
+        ).items():
+            object.__setattr__(self, name, value)
 
     def neighbors(self, node: str) -> list[str]:
         """Union of in- and out-neighbors, sorted."""
-        out = {dst for (src, dst) in self.edges if src == node}
-        out.update(src for (src, dst) in self.edges if dst == node)
-        return sorted(out)
+        i = self.index[node]
+        ptr = self.undirected.indptr
+        return [self.nodes[j] for j in self.undirected.indices[ptr[i] : ptr[i + 1]]]
 
 
 @dataclass
@@ -72,28 +113,13 @@ def build_csn(pairs: list[CopyPair], article_counts: dict[str, int]) -> CsnGraph
     copiers: dict[tuple[str, str], set[str]] = {}
     for p in pairs:
         copiers.setdefault((p.earlier_source, p.later_source), set()).add(p.later)
-    raw = {edge: len(articles) for edge, articles in copiers.items()}
-    nodes = {source for edge in raw for source in edge}
-
+    nodes = {source for edge in copiers for source in edge}
     for node in nodes:
         if article_counts.get(node, 0) < 1:
             raise ValueError(f"source {node!r} has no article count; cannot normalize")
-
-    edges: dict[tuple[str, str], float] = {}
-    for (src, dst), count in raw.items():
-        weight = count / article_counts[dst]
-        if weight > 1.0:
-            raise ValueError(
-                f"edge {src!r}->{dst!r}: {count} copier articles exceed the "
-                f"{article_counts[dst]} articles {dst!r} published"
-            )
-        edges[(src, dst)] = weight
-
     return CsnGraph(
-        nodes=sorted(nodes),
-        edges=edges,
-        raw_counts=raw,
-        article_counts={n: article_counts[n] for n in sorted(nodes)},
+        raw_counts={edge: len(articles) for edge, articles in copiers.items()},
+        article_counts={node: article_counts[node] for node in nodes},
     )
 
 
@@ -107,17 +133,21 @@ def save_graph(graph: CsnGraph, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(CSN_HEADER + "\n")
         for node in graph.nodes:
-            fh.write(f"#node\t{node}\t{graph.article_counts.get(node, 0)}\n")
-        for (src, dst) in sorted(graph.edges):
-            fh.write(f"{src}\t{dst}\t{graph.raw_counts[(src, dst)]}\t{graph.edges[(src, dst)]!r}\n")
+            fh.write(f"#node\t{node}\t{graph.article_counts[node]}\n")
+        for (src, dst), weight in graph.edges.items():
+            fh.write(f"{src}\t{dst}\t{graph.raw_counts[(src, dst)]}\t{weight!r}\n")
 
 
 def load_graph(path) -> CsnGraph:
-    """Read a graph written by :func:`save_graph`; malformed lines raise with
-    their line number."""
-    nodes: list[str] = []
+    """Read a graph written by :func:`save_graph`.
+
+    Every ``#node`` line must come before the first edge line, and each line
+    gets the checks of :class:`CsnGraph`, so a bad node or edge raises with
+    its line number. The weight column is redundant with the raw count and
+    the copier's article count; it must equal ``raw / article_count``
+    exactly.
+    """
     counts: dict[str, int] = {}
-    edges: dict[tuple[str, str], float] = {}
     raw: dict[tuple[str, str], int] = {}
     with open(path, encoding="utf-8") as fh:
         first = fh.readline().rstrip("\n")
@@ -132,64 +162,49 @@ def load_graph(path) -> CsnGraph:
                 if fields[0] == "#node":
                     if len(fields) != 3:
                         raise ValueError("expected '#node\\tsource\\tcount'")
+                    if raw:
+                        raise ValueError("#node line after the first edge line")
                     if fields[1] in counts:
                         raise ValueError(f"duplicate node {fields[1]!r}")
-                    nodes.append(fields[1])
                     counts[fields[1]] = int(fields[2])
+                    _check_node(fields[1], counts[fields[1]])
                 else:
                     if len(fields) != 4:
                         raise ValueError("expected 'from\\tto\\traw\\tweight'")
-                    edge = (fields[0], fields[1])
-                    if edge in edges:
-                        raise ValueError(f"duplicate edge {fields[0]!r}->{fields[1]!r}")
-                    edges[edge] = float(fields[3])
-                    raw[edge] = int(fields[2])
+                    src, dst = fields[0], fields[1]
+                    if (src, dst) in raw:
+                        raise ValueError(f"duplicate edge {src!r}->{dst!r}")
+                    raw[(src, dst)] = int(fields[2])
+                    _check_edge(src, dst, raw[(src, dst)], counts)
+                    weight = raw[(src, dst)] / counts[dst]
+                    if float(fields[3]) != weight:
+                        raise ValueError(f"weight {fields[3]} is not raw / article count {weight!r}")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed line ({exc})") from exc
-    return CsnGraph(nodes=nodes, edges=edges, raw_counts=raw, article_counts=counts)
+    return CsnGraph(raw_counts=raw, article_counts=counts)
 
 
 def directed_modularity(graph: CsnGraph, labels: dict[str, int]) -> float:
     """Q = (1/m) * sum_ij [w_ij - w_out(i) * w_in(j) / m] over same-community
-    pairs, on the normalized edge weights; summed in O(E) per community c as
-    (1/m) * sum_c [w_c - out_c * in_c / m], with w_c the weight inside c and
-    out_c, in_c its nodes' strength sums. Zero for an edgeless graph."""
-    m = sum(graph.edges.values())
+    pairs, on the normalized edge weights; summed in O(E) as
+    (1/m) * sum_c [w_c - out_c * in_c / m], with w_c the weight inside
+    community c and out_c, in_c its nodes' strength sums. Zero for an
+    edgeless graph."""
+    entries = graph.weights.tocoo()
+    m = entries.data.sum()
     if m == 0:
         return 0.0
-    inside: dict[int, float] = {}
-    out_c: dict[int, float] = {}
-    in_c: dict[int, float] = {}
-    for (src, dst), w in graph.edges.items():
-        if labels[src] == labels[dst]:
-            inside[labels[src]] = inside.get(labels[src], 0.0) + w
-        out_c[labels[src]] = out_c.get(labels[src], 0.0) + w
-        in_c[labels[dst]] = in_c.get(labels[dst], 0.0) + w
-    q = sum(inside.values()) - sum(out_c[c] * in_c.get(c, 0.0) for c in out_c) / m
-    return q / m
+    _, comm = np.unique([labels[node] for node in graph.nodes], return_inverse=True)
+    src, dst = comm[entries.row], comm[entries.col]
+    out_c = np.bincount(src, weights=entries.data, minlength=len(comm))
+    in_c = np.bincount(dst, weights=entries.data, minlength=len(comm))
+    q = entries.data[src == dst].sum() - (out_c * in_c).sum() / m
+    return float(q / m)
 
 
-class _LouvainLevel:
-    """One aggregation level: integer-indexed directed multigraph with
-    self-loops allowed."""
-
-    def __init__(self, n: int, edges: dict[tuple[int, int], float]):
-        self.n = n
-        self.edges = edges
-        self.m = sum(edges.values())
-        self.out_strength = [0.0] * n
-        self.in_strength = [0.0] * n
-        self.out_adj: list[dict[int, float]] = [dict() for _ in range(n)]
-        self.in_adj: list[dict[int, float]] = [dict() for _ in range(n)]
-        for (i, j), w in edges.items():
-            self.out_strength[i] += w
-            self.in_strength[j] += w
-            self.out_adj[i][j] = self.out_adj[i].get(j, 0.0) + w
-            self.in_adj[j][i] = self.in_adj[j].get(i, 0.0) + w
-
-
-def _local_moving(level: _LouvainLevel) -> list[int]:
-    """Greedy node moves maximizing the directed modularity gain.
+def _local_moving(a: csr_matrix) -> list[int]:
+    """Greedy node moves maximizing the directed modularity gain on the
+    weight matrix ``a`` of one aggregation level (self-loops allowed).
 
     Nodes are visited in index order; ties in gain go to the smallest
     community label. A zero-gain move is taken only when the node is a
@@ -197,19 +212,25 @@ def _local_moving(level: _LouvainLevel) -> list[int]:
     exact ties toward fewer communities); all other moves require strictly
     positive gain.
     """
-    m = level.m
-    comm = list(range(level.n))
-    comm_in = list(level.in_strength)
-    comm_out = list(level.out_strength)
-    comm_size = [1] * level.n
+    n = a.shape[0]
+    m = float(a.sum())
+    out_strength = np.asarray(a.sum(axis=1)).ravel().tolist()
+    in_strength = np.asarray(a.sum(axis=0)).ravel().tolist()
+    # row i: the out-neighbors of i, then its in-neighbors (as n + j)
+    both = hstack([a, a.T], format="csr")
+    ptr, nbr, wts = both.indptr.tolist(), (both.indices % n).tolist(), both.data.tolist()
+    comm = list(range(n))
+    comm_in = list(in_strength)
+    comm_out = list(out_strength)
+    comm_size = [1] * n
 
     improved = True
     while improved:
         improved = False
-        for node in range(level.n):
+        for node in range(n):
             c_old = comm[node]
-            k_out = level.out_strength[node]
-            k_in = level.in_strength[node]
+            k_out = out_strength[node]
+            k_in = in_strength[node]
 
             # take node out of its community
             comm_in[c_old] -= k_in
@@ -219,12 +240,9 @@ def _local_moving(level: _LouvainLevel) -> list[int]:
             # weight from node to/from each neighboring community
             # (self-loops stay with the node whatever community it joins)
             links: dict[int, float] = {c_old: 0.0}
-            for j, w in level.out_adj[node].items():
-                if j != node:
-                    links[comm[j]] = links.get(comm[j], 0.0) + w
-            for j, w in level.in_adj[node].items():
-                if j != node:
-                    links[comm[j]] = links.get(comm[j], 0.0) + w
+            for k in range(ptr[node], ptr[node + 1]):
+                if nbr[k] != node:
+                    links[comm[nbr[k]]] = links.get(comm[nbr[k]], 0.0) + wts[k]
 
             def gain(c: int) -> float:
                 return links.get(c, 0.0) / m - (
@@ -258,18 +276,17 @@ def _local_moving(level: _LouvainLevel) -> list[int]:
     return comm
 
 
-def _aggregate(level: _LouvainLevel, comm: list[int]) -> tuple[_LouvainLevel, list[int]]:
+def _aggregate(a: csr_matrix, comm: list[int]) -> tuple[csr_matrix, list[int]]:
+    """Collapse each community into one node: ``P.T @ a @ P`` with P the
+    node-by-community indicator, communities numbered by first member."""
     relabel: dict[int, int] = {}
-    for node in range(level.n):
-        c = comm[node]
-        if c not in relabel:
-            relabel[c] = len(relabel)
-    edges: dict[tuple[int, int], float] = {}
-    for (i, j), w in level.edges.items():
-        key = (relabel[comm[i]], relabel[comm[j]])
-        edges[key] = edges.get(key, 0.0) + w
-    mapping = [relabel[comm[node]] for node in range(level.n)]
-    return _LouvainLevel(len(relabel), edges), mapping
+    for c in comm:
+        relabel.setdefault(c, len(relabel))
+    mapping = [relabel[c] for c in comm]
+    p = csr_matrix(
+        (np.ones(len(comm)), mapping, np.arange(len(comm) + 1)), shape=(len(comm), len(relabel))
+    )
+    return (p.T @ a @ p).tocsr(), mapping
 
 
 def detect_communities(graph: CsnGraph) -> CommunityAssignment:
@@ -281,23 +298,19 @@ def detect_communities(graph: CsnGraph) -> CommunityAssignment:
     """
     if not graph.nodes:
         raise ValueError("detect_communities requires a non-empty graph")
-    index = {node: i for i, node in enumerate(graph.nodes)}
     if not graph.edges:
         return CommunityAssignment(
             labels={node: i for i, node in enumerate(graph.nodes)}, modularity=0.0
         )
 
-    level = _LouvainLevel(
-        len(graph.nodes),
-        {(index[s], index[d]): w for (s, d), w in graph.edges.items()},
-    )
-    membership = list(range(level.n))  # original node -> current super-node
+    level = graph.weights
+    membership = list(range(len(graph.nodes)))  # original node -> current super-node
     while True:
         comm = _local_moving(level)
-        if all(comm[i] == i for i in range(level.n)) or len(set(comm)) == level.n:
+        if len(set(comm)) == level.shape[0]:
             break
         level, mapping = _aggregate(level, comm)
-        membership = [mapping[membership[i]] for i in range(len(membership))]
+        membership = [mapping[c] for c in membership]
 
     # contiguous labels ordered by smallest member node id
     first_member: dict[int, int] = {}
@@ -305,5 +318,5 @@ def detect_communities(graph: CsnGraph) -> CommunityAssignment:
         first_member.setdefault(c, i)
     order = sorted(first_member, key=lambda c: first_member[c])
     relabel = {c: rank for rank, c in enumerate(order)}
-    labels = {node: relabel[membership[index[node]]] for node in graph.nodes}
+    labels = {node: relabel[membership[i]] for i, node in enumerate(graph.nodes)}
     return CommunityAssignment(labels=labels, modularity=directed_modularity(graph, labels))

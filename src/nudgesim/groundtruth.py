@@ -119,10 +119,9 @@ def impute_missing(scores: dict[str, SourceScore], graph: CsnGraph) -> dict[str,
     """
     provider_quality = {s: sc.quality for s, sc in scores.items() if sc.provenance != "imputed"}
     provider_leaning = {s: sc.leaning for s, sc in scores.items() if sc.provenance != "imputed"}
-    node_set = set(graph.nodes)
 
     def neighbor_mean(source: str, values: dict[str, float | None]) -> float | None:
-        if source not in node_set:
+        if source not in graph.index:
             return None
         donors = [values[n] for n in graph.neighbors(source) if values.get(n) is not None]
         if not donors:

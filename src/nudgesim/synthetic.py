@@ -242,12 +242,7 @@ def world_graph() -> CsnGraph:
 
     nodes = sorted({n for edge in edges for n in edge})
     article_counts = {n: 40 + 2 * (i % 7) for i, n in enumerate(nodes)}
-    normalized = {
-        (src, dst): raw / article_counts[dst] for (src, dst), raw in edges.items()
-    }
-    return CsnGraph(
-        nodes=nodes, edges=normalized, raw_counts=edges, article_counts=article_counts
-    )
+    return CsnGraph(raw_counts=edges, article_counts=article_counts)
 
 
 def world_scores() -> dict[str, SourceScore]:
@@ -290,12 +285,7 @@ def two_cluster_graph() -> CsnGraph:
     edges[("alpha-00", "beta-00")] = 1
     edges[("beta-07", "alpha-07")] = 1
 
-    nodes = sorted({n for edge in edges for n in edge})
-    article_counts = {n: 12 for n in nodes}
-    normalized = {k: raw / 12 for k, raw in edges.items()}
-    return CsnGraph(
-        nodes=nodes, edges=normalized, raw_counts=edges, article_counts=article_counts
-    )
+    return CsnGraph(raw_counts=edges, article_counts={n: 12 for edge in edges for n in edge})
 
 
 def _data_path(name: str) -> Path:

@@ -407,8 +407,6 @@ def test_acceptance_09_ground_truth_rules_are_exact(capsys):
         # imputation: one-hop neighbor means, no chaining, isolation preserved
         nodes = ["a", "b", "x", "y", "z"]
         g = graph.CsnGraph(
-            nodes=nodes,
-            edges={("a", "x"): 0.5, ("b", "x"): 0.5, ("x", "y"): 0.5},
             raw_counts={("a", "x"): 1, ("b", "x"): 1, ("x", "y"): 1},
             article_counts={n: 2 for n in nodes},
         )

@@ -142,6 +142,37 @@ def test_build_csn_repost_is_one_copier_article(tmp_path, capsys):
     assert csn.raw_counts == {("a", "b"): 1} and csn.edges == {("a", "b"): 1.0}
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("source", "#node"),
+        ("source", "#c"),
+        ("source", "c\td"),
+        ("source", "c\nd"),
+        ("source", "c\rd"),
+        ("source", ""),
+        ("id", ""),
+        ("id", "c-1\tx"),
+        ("id", "c-1\nx"),
+    ],
+)
+def test_build_csn_skips_ids_that_break_tsv(tmp_path, capsys, caplog, key, value):
+    # a copies a story to b; a third copy, line 4, has an id or source that
+    # could not be written to pairs.tsv or csn.tsv and read back
+    story = {"title": "Budget", "content": "council approves harbour budget after debate " * 5}
+    articles = tmp_path / "articles.jsonl"
+    with open(articles, "w", encoding="utf-8") as fh:
+        for hour, row in enumerate(({"id": "a-1", "source": "a"}, {"id": "a-2", "source": "a"},
+                                    {"id": "b-1", "source": "b"}, {"id": "c-1", "source": "c", key: value})):
+            fh.write(json.dumps(dict(story, **row, published_at=f"2018-05-01T{hour:02d}:00:00Z")) + "\n")
+    with caplog.at_level(logging.WARNING, logger="nudgesim.corpus"):
+        code, stdout, stderr = _run(capsys, ["build-csn", str(articles), "--out-dir", str(tmp_path)])
+    assert code == 0, stderr
+    assert stdout.strip() == "articles=3 skipped=1 pairs=2 nodes=2 edges=1"
+    assert any(f"{articles}:4: skipping malformed line" in r.getMessage() for r in caplog.records)
+    assert load_graph(tmp_path / "csn.tsv").nodes == ["a", "b"]
+
+
 # ---------------------------------------------------------------- annotate
 
 
@@ -271,6 +302,43 @@ def test_embed_duplicate_graph_line_exits_1(tmp_path, capsys, world_dir, kind):
     assert f"error: {bad}:{copied + 2}: malformed line (duplicate {kind} " in stderr
     assert "Traceback" not in stderr
     assert not (tmp_path / "v.tsv").exists()
+
+
+_LOAD_DEFECTS = {
+    # case: (csn.tsv body after the header, line number of the error)
+    "article-count-zero": ("#node\ta\t0\n#node\tb\t3\na\tb\t1\t0.3333333333333333\n", 2),
+    "article-count-negative": ("#node\ta\t-2\n#node\tb\t3\na\tb\t1\t0.3333333333333333\n", 2),
+    "raw-count-zero": ("#node\ta\t3\n#node\tb\t3\na\tb\t0\t0.0\n", 4),
+    "raw-count-negative": ("#node\ta\t3\n#node\tb\t3\na\tb\t-1\t-0.3333333333333333\n", 4),
+    "raw-7-over-3-stored-as-half": ("#node\ta\t3\n#node\tb\t3\na\tb\t7\t0.5\n", 4),
+    "weight-not-raw-over-count": ("#node\ta\t3\n#node\tb\t3\na\tb\t1\t0.5\n", 4),
+    "raw-count-above-article-count": (
+        "#node\ta\t3\n#node\tb\t3\na\tb\t4\t1.3333333333333333\n", 4
+    ),
+    "endpoint-without-node-line": ("#node\ta\t3\n#node\tb\t3\na\tc\t1\t0.3333333333333333\n", 4),
+    "self-loop": ("#node\ta\t3\n#node\tb\t3\na\ta\t1\t0.3333333333333333\n", 4),
+    "empty-node-name": ("#node\t\t3\n#node\tb\t3\n", 2),
+    "edge-before-node-lines": ("a\tb\t1\t0.3333333333333333\n#node\ta\t3\n#node\tb\t3\n", 2),
+    "node-line-after-edges": ("#node\ta\t3\n#node\tb\t3\na\tb\t1\t0.3333333333333333\n#node\tc\t3\n", 5),
+}
+
+
+@pytest.mark.parametrize("command", ["annotate", "embed"])
+@pytest.mark.parametrize("case", sorted(_LOAD_DEFECTS))
+def test_bad_graph_file_exits_1_with_line(tmp_path, capsys, world_dir, command, case):
+    body, lineno = _LOAD_DEFECTS[case]
+    bad = tmp_path / "csn.tsv"
+    bad.write_text(graph.CSN_HEADER + "\n" + body, encoding="utf-8")
+    out = tmp_path / "out.tsv"
+    if command == "annotate":
+        argv = ["annotate", str(world_dir / "labels.csv"), str(bad), "--out", str(out)]
+    else:
+        argv = ["embed", str(bad), "--out", str(out)] + _SMALL_EMBED
+    code, _, stderr = _run(capsys, argv)
+    assert code == 1
+    assert f"error: {bad}:{lineno}: malformed line (" in stderr
+    assert "Traceback" not in stderr
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- simulate

@@ -1,12 +1,20 @@
-"""The demo scripts import only names the package still provides."""
+"""The demo scripts import only names the package still provides, and each
+runs to completion."""
 
 import ast
 import importlib
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import nudgesim
+
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+SRC = Path(nudgesim.__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
@@ -22,3 +30,17 @@ def test_demo_imports_resolve(demo):
                 importlib.import_module(f"{node.module}.{alias.name}")  # a submodule
             checked += 1
     assert checked, f"{demo.name} imports nothing from nudgesim"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo, tmp_path):
+    # a copy, so that the demo's output/ directory lands under tmp_path
+    script = tmp_path / demo.name
+    shutil.copy(demo, script)
+    env = dict(os.environ, PYTHONPATH=str(SRC), NUDGESIM_LOG="WARNING")
+    result = subprocess.run(
+        [sys.executable, str(script)], cwd=tmp_path, env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "output").is_dir()

@@ -31,11 +31,11 @@ from nudgesim.embedding import (
 
 def _graph(edge_weights):
     nodes = sorted({n for e in edge_weights for n in e})
+    # every weight in these tests is a multiple of 1/20, and k / 20 is the
+    # double nearest k/20, so the derived weights equal the literals exactly
     return CsnGraph(
-        nodes=nodes,
-        edges=dict(edge_weights),
-        raw_counts={e: 1 for e in edge_weights},
-        article_counts={n: 10 for n in nodes},
+        raw_counts={e: round(w * 20) for e, w in edge_weights.items()},
+        article_counts={n: 20 for n in nodes},
     )
 
 

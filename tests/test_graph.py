@@ -10,9 +10,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nudgesim.corpus import CopyPair
 from nudgesim.graph import (
+    CSN_HEADER,
     CsnGraph,
     build_csn,
     detect_communities,
@@ -74,14 +77,13 @@ def _pair(earlier_source, later_source, n):
     )
 
 
-def _graph(edge_weights, counts=None):
+def _graph(edge_weights):
+    # every weight in these tests is a multiple of 1/20, and k / 20 is the
+    # double nearest k/20, so the derived weights equal the literals exactly
     nodes = sorted({n for e in edge_weights for n in e})
-    raw = {e: 1 for e in edge_weights}
     return CsnGraph(
-        nodes=nodes,
-        edges=dict(edge_weights),
-        raw_counts=raw,
-        article_counts=counts or {n: 10 for n in nodes},
+        raw_counts={e: round(w * 20) for e, w in edge_weights.items()},
+        article_counts={n: 20 for n in nodes},
     )
 
 
@@ -167,16 +169,11 @@ def test_raw_counts_conserve_pairs(fixture_csn, fixture_pairs):
 
 def test_graph_rejects_self_loops_and_bad_weights():
     with pytest.raises(ValueError, match="self-loop"):
-        CsnGraph(nodes=["a"], edges={("a", "a"): 0.5}, raw_counts={}, article_counts={"a": 1})
+        CsnGraph(raw_counts={("a", "a"): 1}, article_counts={"a": 2})
     with pytest.raises(ValueError, match="outside"):
-        CsnGraph(
-            nodes=["a", "b"],
-            edges={("a", "b"): 1.5},
-            raw_counts={},
-            article_counts={"a": 1, "b": 1},
-        )
+        CsnGraph(raw_counts={("a", "b"): 3}, article_counts={"a": 1, "b": 2})
     with pytest.raises(ValueError, match="missing from nodes"):
-        CsnGraph(nodes=["a"], edges={("a", "b"): 0.5}, raw_counts={}, article_counts={"a": 1})
+        CsnGraph(raw_counts={("a", "b"): 1}, article_counts={"a": 2})
 
 
 def test_neighbors_union(fixture_csn):
@@ -218,6 +215,67 @@ def test_load_graph_reports_line_numbers(tmp_path):
     path.write_text("#csn v1\n#node\ta\n", encoding="utf-8")
     with pytest.raises(ValueError, match=":2: malformed line"):
         load_graph(path)
+
+
+_FUZZ_NAMES = st.sampled_from(["a", "b", "c", "", "#node"])
+_FUZZ_INTS = st.one_of(st.integers(-2, 5).map(str), st.sampled_from(["", "x", "1.0"]))
+_FUZZ_WEIGHTS = st.one_of(  # mostly raw / count for small ints, so that some edges load
+    st.sampled_from([repr(k / n) for k in range(-1, 7) for n in range(1, 6)] + ["nan", "inf", ""]),
+    st.floats().map(repr),
+)
+_FUZZ_NODE_LINES = st.tuples(st.just("#node"), _FUZZ_NAMES, _FUZZ_INTS).map("\t".join)
+_FUZZ_LINES = st.one_of(
+    _FUZZ_NODE_LINES,
+    st.tuples(_FUZZ_NAMES, _FUZZ_NAMES, _FUZZ_INTS, _FUZZ_WEIGHTS).map("\t".join),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(head=st.lists(_FUZZ_NODE_LINES, max_size=4), rest=st.lists(_FUZZ_LINES, max_size=6))
+def test_load_graph_loads_or_names_the_path(tmp_path, head, rest):
+    path = tmp_path / "csn.tsv"
+    path.write_text(CSN_HEADER + "\n" + "\n".join(head + rest), encoding="utf-8")
+    try:
+        loaded = load_graph(path)
+    except ValueError as exc:
+        assert str(path) in str(exc)
+        return
+    for (src, dst), weight in loaded.edges.items():
+        assert weight == loaded.raw_counts[(src, dst)] / loaded.article_counts[dst]
+    again = tmp_path / "again.tsv"
+    save_graph(loaded, again)
+    assert load_graph(again).edges == loaded.edges
+
+
+@st.composite
+def _raw_graphs(draw):
+    """Raw counts and article counts over names the file format can carry."""
+    name = st.text(st.characters(blacklist_characters="\t\r\n"), min_size=1, max_size=6)
+    names = draw(st.lists(name.filter(lambda s: not s.startswith("#")), min_size=1, max_size=6, unique=True))
+    counts = {node: draw(st.integers(1, 60)) for node in names}
+    edges = set()
+    if len(names) > 1:
+        picks = st.tuples(st.integers(0, len(names) - 1), st.integers(1, len(names) - 1))
+        edges = {(names[i], names[(i + k) % len(names)]) for i, k in draw(st.lists(picks, max_size=12))}
+    raw = {(src, dst): draw(st.integers(1, counts[dst])) for src, dst in sorted(edges)}
+    return raw, counts
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(inputs=_raw_graphs())
+def test_save_load_round_trip_random_graphs(tmp_path, inputs):
+    raw, counts = inputs
+    original = CsnGraph(raw_counts=raw, article_counts=counts)
+    path, again = tmp_path / "csn.tsv", tmp_path / "again.tsv"
+    save_graph(original, path)
+    loaded = load_graph(path)
+    assert loaded.nodes == original.nodes
+    assert loaded.edges == original.edges
+    assert loaded.raw_counts == original.raw_counts == raw
+    assert loaded.article_counts == original.article_counts == counts
+    save_graph(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 # ---------------------------------------------------------------- modularity
@@ -267,9 +325,7 @@ def test_detect_communities_single_edge_collapses_tie():
 
 
 def test_detect_communities_edgeless_graph():
-    graph = CsnGraph(
-        nodes=["x", "y", "z"], edges={}, raw_counts={}, article_counts={"x": 1, "y": 1, "z": 1}
-    )
+    graph = CsnGraph(raw_counts={}, article_counts={"x": 1, "y": 1, "z": 1})
     result = detect_communities(graph)
     assert result.labels == {"x": 0, "y": 1, "z": 2}
     assert result.modularity == 0.0
@@ -277,7 +333,7 @@ def test_detect_communities_edgeless_graph():
 
 def test_detect_communities_empty_graph_raises():
     with pytest.raises(ValueError):
-        detect_communities(CsnGraph(nodes=[], edges={}, raw_counts={}, article_counts={}))
+        detect_communities(CsnGraph(raw_counts={}, article_counts={}))
 
 
 def test_detect_communities_reaches_oracle_optimum_on_small_graphs():

@@ -136,8 +136,6 @@ def test_derive_scores_duplicate_source_fatal():
 def _chain_graph(edges):
     nodes = sorted({n for e in edges for n in e})
     return CsnGraph(
-        nodes=nodes,
-        edges={e: 0.5 for e in edges},
         raw_counts={e: 1 for e in edges},
         article_counts={n: 2 for n in nodes},
     )
@@ -171,12 +169,7 @@ def test_impute_uses_direction_blind_neighborhood():
 
 
 def test_impute_isolated_source_stays_unavailable():
-    graph = CsnGraph(
-        nodes=["a", "x"],
-        edges={},
-        raw_counts={},
-        article_counts={"a": 1, "x": 1},
-    )
+    graph = CsnGraph(raw_counts={}, article_counts={"a": 1, "x": 1})
     scores = {
         "a": SourceScore("a", 1.0, 0.0, "labeled"),
         "x": SourceScore("x", None, None, "unavailable"),
