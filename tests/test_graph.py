@@ -250,8 +250,10 @@ def test_load_graph_loads_or_names_the_path(tmp_path, head, rest):
 
 @st.composite
 def _raw_graphs(draw):
-    """Raw counts and article counts over names the file format can carry."""
-    name = st.text(st.characters(blacklist_characters="\t\r\n"), min_size=1, max_size=6)
+    """Raw counts and article counts over names the file format can carry:
+    UTF-8 text (so no lone surrogates) without tabs or line breaks."""
+    chars = st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\r\n")
+    name = st.text(chars, min_size=1, max_size=6)
     names = draw(st.lists(name.filter(lambda s: not s.startswith("#")), min_size=1, max_size=6, unique=True))
     counts = {node: draw(st.integers(1, 60)) for node in names}
     edges = set()
