@@ -21,6 +21,9 @@ from scipy import sparse
 logger = logging.getLogger(__name__)
 
 DEFAULT_SIMILARITY_THRESHOLD = 0.85
+# rows of M·Mᵀ computed at once by similar_pairs; chosen by a sweep of 128-2048
+# on the copy-detect benchmark workload (peak memory against time)
+_PAIR_BLOCK = 512
 
 _TOKEN_RE = re.compile(r"[^\W_]+")  # runs of alphanumeric codepoints
 # splits a field or a line of pairs.tsv and csn.tsv
@@ -119,23 +122,37 @@ def _article_from_record(record: dict) -> Article:
     )
 
 
+def _check_decoded(line: str) -> None:
+    """Raise ValueError naming the first byte of ``line`` that was not UTF-8.
+
+    The line was read with ``errors="surrogateescape"``, which decodes such
+    a byte to a lone surrogate, and only those fail to encode back.
+    """
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        byte = ord(line[exc.start]) - 0xDC00
+        raise ValueError(f"byte 0x{byte:02x} at character {exc.start} is not UTF-8") from None
+
+
 def load_articles(path) -> ArticleSet:
     """Read a JSONL article file.
 
-    Malformed lines are skipped with a warning and counted; these include
-    an empty id or source, one holding a tab or line break, and a source
-    starting with ``#``, which would break the TSV outputs. A duplicate
-    article id is a fatal corpus-integrity error. An unreadable file raises
-    OSError.
+    Malformed lines are skipped with a warning and counted; these include a
+    line that is not valid UTF-8, an empty id or source, one holding a tab
+    or line break, and a source starting with ``#``, which would break the
+    TSV outputs. A duplicate article id is a fatal corpus-integrity error.
+    An unreadable file raises OSError.
     """
     articles: list[Article] = []
     seen: set[str] = set()
     skipped = 0
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
+                _check_decoded(line)
                 record = json.loads(line)
                 if not isinstance(record, dict):
                     raise ValueError("line is not a JSON object")
@@ -172,13 +189,20 @@ def tfidf_vectors(articles: ArticleSet) -> TfidfResult:
     if n_docs == 0:
         raise ValueError("tfidf_vectors requires at least one article")
 
-    token_lists = [tokenize(a.title) + tokenize(a.body) for a in articles.articles]
-    terms = sorted({term for tokens in token_lists for term in tokens})
+    # term ids in first-seen order, one article at a time, so no article's
+    # token strings outlive it; renumbered to lexicographic order below
+    first_seen: dict[str, int] = {}
+    ids: list[int] = []
+    lengths: list[int] = []
+    for a in articles.articles:
+        tokens = tokenize(a.title) + tokenize(a.body)
+        ids.extend([first_seen.setdefault(term, len(first_seen)) for term in tokens])
+        lengths.append(len(tokens))
+    terms = sorted(first_seen)
     vocabulary = {term: idx for idx, term in enumerate(terms)}
-    indptr = np.cumsum([0] + [len(tokens) for tokens in token_lists])
-    indices = np.fromiter(
-        (vocabulary[term] for tokens in token_lists for term in tokens), dtype=np.int32
-    )
+    rank = np.fromiter((vocabulary[term] for term in first_seen), dtype=np.int32, count=len(terms))
+    indices = rank[np.array(ids, dtype=np.intp)]
+    indptr = np.cumsum([0] + lengths)
     # one entry per token; summing duplicates turns them into term counts
     matrix = sparse.csr_matrix(
         (np.ones(len(indices)), indices, indptr), shape=(n_docs, len(terms))
@@ -198,6 +222,26 @@ def tfidf_vectors(articles: ArticleSet) -> TfidfResult:
     return TfidfResult(matrix=matrix, vocabulary=vocabulary)
 
 
+def _upper_entries(matrix: sparse.csr_matrix, threshold: float):
+    """Yield ``(i, j, (M·Mᵀ)[i, j])`` for every ``i < j`` whose value is at
+    least ``threshold``, computing M·Mᵀ one band of ``_PAIR_BLOCK`` rows at a
+    time and each band only from its first row's column on.
+
+    The product sums entry (i, j) over row i's terms in index order, whatever
+    the band, so every value is bitwise the full product's entry (i, j),
+    which is also its entry (j, i).
+    """
+    for start in range(0, matrix.shape[0], _PAIR_BLOCK):
+        band = matrix[start : start + _PAIR_BLOCK] @ matrix[start:].T
+        at = np.flatnonzero(band.data >= threshold)
+        i = start + np.searchsorted(band.indptr, at, side="right") - 1
+        j = start + band.indices[at]
+        upper = i < j
+        values = band.data[at[upper]]
+        del band  # free it before the next band is computed
+        yield from zip(i[upper].tolist(), j[upper].tolist(), values.tolist())
+
+
 def similar_pairs(
     tfidf: TfidfResult,
     articles: ArticleSet,
@@ -213,16 +257,8 @@ def similar_pairs(
     matrix = tfidf.matrix
     if matrix.shape[0] != len(articles):
         raise ValueError(f"{matrix.shape[0]} TF-IDF rows for {len(articles)} articles")
-    sims = matrix @ matrix.T
-    # drop sub-threshold entries before any per-pair Python work
-    sims.data[sims.data < threshold] = 0.0
-    sims.eliminate_zeros()
-    sims = sims.tocoo()
-
     pairs: list[CopyPair] = []
-    for i, j, value in zip(sims.row.tolist(), sims.col.tolist(), sims.data.tolist()):
-        if i >= j:
-            continue
+    for i, j, value in _upper_entries(matrix, threshold):
         a, b = articles.articles[i], articles.articles[j]
         if a.source_id == b.source_id:
             continue

@@ -345,6 +345,8 @@ def load_vectors(path) -> SourceVectors:
             if not line:
                 continue
             fields = line.split("\t")
+            if not fields[0]:
+                raise ValueError(f"{path}:{lineno}: empty source id")
             try:
                 row = np.array([float(x) for x in fields[1:]], dtype=float)
             except ValueError as exc:

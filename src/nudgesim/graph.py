@@ -14,14 +14,23 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix, hstack
 
-from .corpus import CopyPair
+from .corpus import _TSV_BREAK_RE, CopyPair
 
 CSN_HEADER = "#csn v1"
 
 
 def _check_node(node: str, count) -> None:
-    if not node:
-        raise ValueError("node name must be non-empty")
+    """Reject a node :func:`save_graph` could not write as a line that
+    :func:`load_graph` reads back: an empty name, one starting with ``#``,
+    holding a tab or line break, or not encodable as UTF-8."""
+    if not node or node.startswith("#") or _TSV_BREAK_RE.search(node):
+        raise ValueError(
+            f"node name {node!r} is empty, starts with '#' or holds a tab or line break"
+        )
+    try:
+        node.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"node name {node!r} is not encodable as UTF-8") from None
     if type(count) is not int or count < 1:
         raise ValueError(f"source {node!r}: article count {count!r} is not an integer >= 1")
 

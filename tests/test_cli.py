@@ -173,6 +173,26 @@ def test_build_csn_skips_ids_that_break_tsv(tmp_path, capsys, caplog, key, value
     assert load_graph(tmp_path / "csn.tsv").nodes == ["a", "b"]
 
 
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
+def test_build_csn_skips_line_that_is_not_utf8(tmp_path, capsys, caplog, newline):
+    # a copies a story to b; line 3, a copy by c, holds the byte 0xff
+    story = {"title": "Budget", "content": "council approves harbour budget after debate " * 5}
+    rows = (("a-1", "a"), ("a-2", "a"), ("c-1", "c"), ("b-1", "b"))
+    lines = [
+        json.dumps(dict(story, id=article_id, source=source, published_at=f"2018-05-01T{hour:02d}:00:00Z")).encode()
+        for hour, (article_id, source) in enumerate(rows)
+    ]
+    lines[2] = lines[2].replace(b"debate", b"deb\xffate", 1)
+    articles = tmp_path / "articles.jsonl"
+    articles.write_bytes(newline.join(lines) + newline)
+    with caplog.at_level(logging.WARNING, logger="nudgesim.corpus"):
+        code, stdout, stderr = _run(capsys, ["build-csn", str(articles), "--out-dir", str(tmp_path)])
+    assert code == 0, stderr
+    assert stdout.strip() == "articles=3 skipped=1 pairs=2 nodes=2 edges=1"
+    assert any(f"{articles}:3: skipping malformed line (byte 0xff" in r.getMessage() for r in caplog.records)
+    assert load_graph(tmp_path / "csn.tsv").nodes == ["a", "b"]
+
+
 # ---------------------------------------------------------------- annotate
 
 
@@ -604,6 +624,19 @@ def test_simulate_bad_vectors_dims_exits_1(tmp_path, capsys, world_dir):
     assert code == 1
     assert f"{bad}:1: dims must be a positive integer, got 'x'" in stderr
     assert "Traceback" not in stderr
+
+
+def test_simulate_empty_vector_source_exits_1(tmp_path, capsys, world_dir):
+    lines = (world_dir / "vectors.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+    lines.append("\t" + lines[1].split("\t", 1)[1])  # a copied row with no source id
+    bad = tmp_path / "vectors.tsv"
+    bad.write_text("".join(lines), encoding="utf-8")
+    inputs = [str(world_dir / "personas.json"), str(world_dir / "scores.csv"), str(bad)]
+    code, _, stderr = _run(capsys, ["simulate", *inputs, "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert f"{bad}:{len(lines)}: empty source id" in stderr
+    assert "Traceback" not in stderr
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "build-csn"])

@@ -6,7 +6,10 @@ pure-Python TF-IDF and an O(n^2) cosine loop over all article pairs.
 
 import json
 import math
-from datetime import datetime, timezone
+import random
+import tracemalloc
+from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -334,17 +337,15 @@ def test_similar_pairs_rejects_tfidf_of_another_corpus(fixture_articles, fixture
 _WORDS = ["river", "council", "budget", "storm", "harbor", "election", "bridge", "market"]
 # one-letter words are dropped by the tokenizer, so these documents are tokenless
 _TOKENLESS = st.lists(st.sampled_from(["a", "x", "7"]), min_size=1, max_size=3)
+_CORPORA = st.lists(
+    st.one_of(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=12), _TOKENLESS),
+    min_size=2,
+    max_size=8,
+)
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    docs=st.lists(
-        st.one_of(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=12), _TOKENLESS),
-        min_size=2,
-        max_size=8,
-    ),
-    threshold=st.floats(min_value=0.05, max_value=1.0),
-)
+@given(docs=_CORPORA, threshold=st.floats(min_value=0.05, max_value=1.0))
 def test_similar_pairs_matches_oracle_on_random_corpora(docs, threshold):
     arts = _articles_from_texts([" ".join(tokens) for tokens in docs])
     article_set = corpus.ArticleSet(articles=arts, skipped=0)
@@ -354,6 +355,47 @@ def test_similar_pairs_matches_oracle_on_random_corpora(docs, threshold):
         for p in corpus.similar_pairs(tfidf, article_set, threshold=threshold)
     }
     assert got == oracle_pairs(arts, threshold)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 9])
+@settings(max_examples=25, deadline=None)
+@given(docs=_CORPORA, threshold=st.floats(min_value=0.05, max_value=1.0))
+def test_similar_pairs_in_bands_match_oracle_and_full_product(block, docs, threshold):
+    # bands of 1, 2 and 3 rows cross band boundaries; 9 is one band for any n
+    arts = _articles_from_texts([" ".join(tokens) for tokens in docs])
+    article_set = corpus.ArticleSet(articles=arts, skipped=0)
+    tfidf = corpus.tfidf_vectors(article_set)
+    with mock.patch.object(corpus, "_PAIR_BLOCK", block):
+        pairs = corpus.similar_pairs(tfidf, article_set, threshold=threshold)
+    assert {(p.earlier, p.later) for p in pairs} == oracle_pairs(arts, threshold)
+    full = (tfidf.matrix @ tfidf.matrix.T).toarray()
+    row = {a.article_id: i for i, a in enumerate(arts)}
+    for p in pairs:  # bitwise, whichever of (i, j) and (j, i) the band held
+        assert p.similarity == full[row[p.earlier], row[p.later]]
+
+
+def test_similar_pairs_memory_is_bounded_by_the_band():
+    # 400 documents over 30 shared words: every pair shares a term, so M·Mᵀ
+    # is dense, and building it whole would take nnz × 12 bytes
+    rng = random.Random(3)
+    words = [f"word{k}" for k in range(30)]
+    start = datetime(2018, 1, 1, tzinfo=timezone.utc)
+    arts = [
+        corpus.Article(f"d{i}", f"s{i % 7}", "", " ".join(rng.choices(words, k=20)), start + timedelta(minutes=i))
+        for i in range(400)
+    ]
+    article_set = corpus.ArticleSet(articles=arts, skipped=0)
+    tfidf = corpus.tfidf_vectors(article_set)
+    full_bytes = (tfidf.matrix @ tfidf.matrix.T).nnz * 12
+    assert full_bytes == 400 * 400 * 12
+    with mock.patch.object(corpus, "_PAIR_BLOCK", 16):
+        tracemalloc.start()
+        try:
+            corpus.similar_pairs(tfidf, article_set)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < full_bytes / 4
 
 
 def test_cosine_is_scale_invariant():

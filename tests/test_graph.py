@@ -176,6 +176,19 @@ def test_graph_rejects_self_loops_and_bad_weights():
         CsnGraph(raw_counts={("a", "b"): 1}, article_counts={"a": 2})
 
 
+@pytest.mark.parametrize("name", ["", "a\tb", "a\rb", "a\nb", "#a", "\ud800"])
+def test_graph_rejects_node_names_save_graph_cannot_write(name):
+    with pytest.raises(ValueError, match="node name"):
+        CsnGraph(raw_counts={(name, "b"): 1}, article_counts={name: 2, "b": 2})
+
+
+def test_load_graph_rejects_node_name_starting_with_hash(tmp_path):
+    path = tmp_path / "csn.tsv"
+    path.write_text("#csn v1\n#node\t#a\t2\n#node\tb\t2\n#a\tb\t1\t0.5\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r":2: malformed line \(node name '#a'"):
+        load_graph(path)
+
+
 def test_neighbors_union(fixture_csn):
     assert fixture_csn.neighbors("meridian-daily") == [
         "coastal-chronicle",
