@@ -367,8 +367,14 @@ def test_similar_pairs_in_bands_match_oracle_and_full_product(block, docs, thres
     tfidf = corpus.tfidf_vectors(article_set)
     with mock.patch.object(corpus, "_PAIR_BLOCK", block):
         pairs = corpus.similar_pairs(tfidf, article_set, threshold=threshold)
-    assert {(p.earlier, p.later) for p in pairs} == oracle_pairs(arts, threshold)
-    full = (tfidf.matrix @ tfidf.matrix.T).toarray()
+    with mock.patch.object(corpus, "_PAIR_BLOCK", len(arts)):
+        whole = corpus.similar_pairs(tfidf, article_set, threshold=threshold)
+    assert pairs == whole  # one band is the full product, kept at the same threshold
+    # the oracle sums in another order, so a pair whose similarity rounds to
+    # the threshold (two identical documents at 1.0) may fall on either side
+    got = {(p.earlier, p.later) for p in pairs}
+    assert oracle_pairs(arts, threshold + 1e-12) <= got <= oracle_pairs(arts, threshold - 1e-12)
+    full =(tfidf.matrix @ tfidf.matrix.T).toarray()
     row = {a.article_id: i for i, a in enumerate(arts)}
     for p in pairs:  # bitwise, whichever of (i, j) and (j, i) the band held
         assert p.similarity == full[row[p.earlier], row[p.later]]
