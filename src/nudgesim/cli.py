@@ -295,6 +295,14 @@ def cmd_simulate(opts: _Options, args: argparse.Namespace) -> int:
     out_dir = Path(opts.get("out_dir"))
     mode = opts.get("mode")
     personas = nudge.load_personas(args.personas)
+    stems: dict[str, str] = {}
+    for persona in personas:
+        other = stems.setdefault(_safe(persona.user_id), persona.user_id)
+        if other != persona.user_id:
+            raise ValueError(
+                f"{args.personas}: personas {other!r} and {persona.user_id!r} "
+                f"would write the same output files ({_safe(persona.user_id)!r})"
+            )
     scores = groundtruth.read_scores_csv(args.scores)
     vectors = embedding.load_vectors(args.vectors)
     catalog = nudge.SourceCatalog.from_scores(scores, vectors)

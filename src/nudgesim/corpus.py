@@ -28,6 +28,8 @@ _PAIR_BLOCK = 512
 _TOKEN_RE = re.compile(r"[^\W_]+")  # runs of alphanumeric codepoints
 # splits a field or a line of pairs.tsv and csn.tsv
 _TSV_BREAK_RE = re.compile(r"[\t\r\n]")
+# a lone surrogate (a JSON escape such as "\ud800") cannot be written as UTF-8
+_SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
 
 _DATE_MIN = datetime(1990, 1, 1, tzinfo=timezone.utc)
 _DATE_MAX = datetime(2100, 1, 1, tzinfo=timezone.utc)
@@ -110,6 +112,9 @@ def _article_from_record(record: dict) -> Article:
         raise ValueError(
             f"source {source_id!r} is empty, starts with '#' or holds a tab or line break"
         )
+    for name in (article_id, source_id):
+        if _SURROGATE_RE.search(name):
+            raise ValueError(f"{name!r} holds a lone surrogate, which is not UTF-8")
     body = str(record["content"])
     if not body.strip():
         raise ValueError("empty body")
@@ -139,10 +144,10 @@ def load_articles(path) -> ArticleSet:
     """Read a JSONL article file.
 
     Malformed lines are skipped with a warning and counted; these include a
-    line that is not valid UTF-8, an empty id or source, one holding a tab
-    or line break, and a source starting with ``#``, which would break the
-    TSV outputs. A duplicate article id is a fatal corpus-integrity error.
-    An unreadable file raises OSError.
+    line that is not valid UTF-8, an empty id or source, one holding a tab,
+    a line break or a lone surrogate, and a source starting with ``#``,
+    which would break the TSV outputs. A duplicate article id is a fatal
+    corpus-integrity error. An unreadable file raises OSError.
     """
     articles: list[Article] = []
     seen: set[str] = set()

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix, hstack
 
-from .corpus import _TSV_BREAK_RE, CopyPair
+from .corpus import _SURROGATE_RE, _TSV_BREAK_RE, CopyPair
 
 CSN_HEADER = "#csn v1"
 
@@ -27,10 +27,8 @@ def _check_node(node: str, count) -> None:
         raise ValueError(
             f"node name {node!r} is empty, starts with '#' or holds a tab or line break"
         )
-    try:
-        node.encode("utf-8")
-    except UnicodeEncodeError:
-        raise ValueError(f"node name {node!r} is not encodable as UTF-8") from None
+    if _SURROGATE_RE.search(node):
+        raise ValueError(f"node name {node!r} is not encodable as UTF-8")
     if type(count) is not int or count < 1:
         raise ValueError(f"source {node!r}: article count {count!r} is not an integer >= 1")
 

@@ -19,15 +19,17 @@ decision — trajectories are reproducible across platforms.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
 
-from .embedding import SourceVectors, cosine_distance
+from .embedding import SourceVectors
 from .groundtruth import SourceScore
 
 DEFAULT_ALPHA = 0.5
@@ -91,6 +93,10 @@ class SourceCatalog:
         self.leaning = _frozen([s.leaning for s in self._rows])
         self.vectors = _frozen(np.reshape([s.vector for s in self._rows], (len(self._rows), dims)))
         self.norms = _frozen([np.linalg.norm(s.vector) for s in self._rows])
+        # Python-float copies for the per-step scalar arithmetic
+        self._quality = self.quality.tolist()
+        self._leaning = self.leaning.tolist()
+        self._norms = self.norms.tolist()
 
     @classmethod
     def from_scores(cls, scores: dict[str, SourceScore], vectors: SourceVectors) -> "SourceCatalog":
@@ -144,10 +150,10 @@ class UserProfile:
 
 def update_scores(u: UserProfile, catalog: SourceCatalog) -> None:
     """Recompute the profile means from current membership (idempotent)."""
-    members = [catalog[s] for s in u.sources]
-    u.q_u = sum(m.quality for m in members) / len(members)
-    u.l_u = sum(m.leaning for m in members) / len(members)
-    u.v_u = np.mean([m.vector for m in members], axis=0)
+    rows = [catalog.index[s] for s in u.sources]
+    u.q_u = sum(catalog._quality[r] for r in rows) / len(rows)
+    u.l_u = sum(catalog._leaning[r] for r in rows) / len(rows)
+    u.v_u = catalog.vectors[rows].mean(axis=0)
 
 
 def profile_from_sources(
@@ -216,12 +222,34 @@ class Trajectory:
     final: UserProfile
 
 
-def trust_cost(s_prime: Source, u: UserProfile, alpha: float) -> float:
+def _check_alpha(alpha: float) -> None:
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
-    leaning_distance = abs(u.l_u - s_prime.leaning) / 2.0
-    embedding_distance = cosine_distance(u.v_u, s_prime.vector)
-    return (1.0 - alpha) * leaning_distance + alpha * embedding_distance
+
+
+def _cost(l_u, v_u, norm_u, leaning, vector, norm, alpha) -> float:
+    """The trust cost from its parts; a zero norm on either side gives the
+    neutral cosine distance 1.0."""
+    if norm_u == 0.0 or norm == 0.0:
+        distance = 1.0
+    else:
+        distance = 1.0 - float(np.dot(v_u, vector)) / (norm_u * norm)
+    return (1.0 - alpha) * (abs(l_u - leaning) / 2.0) + alpha * distance
+
+
+def trust_cost(s_prime: Source, u: UserProfile, alpha: float) -> float:
+    _check_alpha(alpha)
+    norm_u = float(np.linalg.norm(u.v_u))
+    norm = float(np.linalg.norm(s_prime.vector))
+    return _cost(u.l_u, u.v_u, norm_u, s_prime.leaning, s_prime.vector, norm, alpha)
+
+
+def _row_costs(u: UserProfile, catalog: SourceCatalog, rows, alpha: float, norm_u: float):
+    """``trust_cost`` of each catalog row, bit for bit: ``norm_u`` is the
+    profile's ``np.linalg.norm`` and the catalog caches each source's."""
+    _check_alpha(alpha)
+    l_u, v_u, leaning, vectors, norms = u.l_u, u.v_u, catalog._leaning, catalog.vectors, catalog._norms
+    return [_cost(l_u, v_u, norm_u, leaning[r], vectors[r], norms[r], alpha) for r in rows]
 
 
 def _eligible_rows(u: UserProfile, catalog: SourceCatalog) -> np.ndarray:
@@ -232,13 +260,14 @@ def _eligible_rows(u: UserProfile, catalog: SourceCatalog) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
-def _approximate_costs(u: UserProfile, catalog: SourceCatalog, rows: np.ndarray, alpha: float):
+def _approximate_costs(
+    u: UserProfile, catalog: SourceCatalog, rows: np.ndarray, alpha: float, norm_u: float
+):
     """``trust_cost`` of each row from one mat-vec and the cached norms. It
     may differ from the scalar cost in the last bits, or come out non-finite
     where the scalar cost overflows."""
     norms = catalog.norms[rows]
     distance = np.ones(len(rows))
-    norm_u = float(np.linalg.norm(u.v_u))
     if norm_u != 0.0:
         live = norms != 0.0  # a zero norm on either side gives the neutral 1.0
         dots = (catalog.vectors @ u.v_u)[rows[live]]
@@ -256,25 +285,25 @@ def select_recommendation(
 
     Approximate costs filter the candidates: only rows within
     ``_VERIFY_MARGIN`` of the smallest one, and rows whose approximate cost is
-    not finite, are recomputed with the scalar ``trust_cost``. The margin is
-    far above the rounding gap between the two, so the exact argmin is always
-    among them and the result is the exhaustive scalar argmin."""
+    not finite, are recomputed exactly, in id order. The margin is far above
+    the rounding gap between the two, so the exact argmin is always among
+    them and the result is the exhaustive scalar argmin."""
     rows = _eligible_rows(u, catalog)
     if not rows.size:
         return None
-    approx = _approximate_costs(u, catalog, rows, alpha)
+    norm_u = float(np.linalg.norm(u.v_u))
+    approx = _approximate_costs(u, catalog, rows, alpha, norm_u)
     finite = np.isfinite(approx)
     keep = ~finite
     if finite.any():
         keep[finite] = approx[finite] <= approx[finite].min() + _VERIFY_MARGIN
-    best: Source | None = None
+    candidates = rows[keep].tolist()
+    best: int | None = None
     best_cost = float("inf")
-    for row in rows[keep]:
-        source = catalog._rows[row]
-        cost = trust_cost(source, u, alpha)
+    for row, cost in zip(candidates, _row_costs(u, catalog, candidates, alpha, norm_u)):
         if cost < best_cost:
-            best, best_cost = source, cost
-    return best
+            best, best_cost = row, cost
+    return None if best is None else catalog._rows[best]
 
 
 def _highest_quality(u: UserProfile, catalog: SourceCatalog) -> Source | None:
@@ -299,12 +328,16 @@ def drop_distribution(
         )
     if s_prime.source_id in u.sources:
         raise ValueError(f"{u.user_id}: candidate {s_prime.source_id!r} already trusted")
-    candidates = sorted(u.sources + [s_prime.source_id])
-    costs = [trust_cost(catalog[s], u, alpha) for s in candidates]
+    rows = sorted(catalog.index[s] for s in u.sources + [s_prime.source_id])
+    costs = _row_costs(u, catalog, rows, alpha, float(np.linalg.norm(u.v_u)))
+    return dict(zip((catalog._ids[r] for r in rows), _drop_shares(costs)))
+
+
+def _drop_shares(costs: list[float]) -> list[float]:
     total = sum(costs)
     if total == 0.0:
-        return {s: 1.0 / len(candidates) for s in candidates}
-    return {s: c / total for s, c in zip(candidates, costs)}
+        return [1.0 / len(costs)] * len(costs)
+    return [c / total for c in costs]
 
 
 def _converged(u: UserProfile, config: SimConfig) -> bool:
@@ -340,7 +373,9 @@ def _step(
     if s_prime is None:
         return _noop_record(t, u)
 
-    cost = trust_cost(s_prime, u, config.alpha)
+    offer = catalog.index[s_prime.source_id]
+    norm_u = float(np.linalg.norm(u.v_u))
+    (cost,) = _row_costs(u, catalog, [offer], config.alpha, norm_u)
     if len(u.sources) < config.L:
         accept_probability = max(0.0, 1.0 - cost)
         accepted = rng.random() < accept_probability
@@ -348,21 +383,22 @@ def _step(
         if accepted:
             u.sources = sorted(u.sources + [s_prime.source_id])
     else:
-        dist = drop_distribution(u, s_prime, catalog, config.alpha)
-        candidates = list(dist)
-        cumulative = np.cumsum([dist[s] for s in candidates])
+        # drop_distribution's lottery, reusing the offer's cost
+        rows = sorted(catalog.index[s] for s in u.sources)
+        costs = _row_costs(u, catalog, rows, config.alpha, norm_u)
+        at = bisect.bisect_left(rows, offer)
+        rows.insert(at, offer)
+        costs.insert(at, cost)
+        shares = _drop_shares(costs)
         draw = rng.random()
-        idx = min(int(np.searchsorted(cumulative, draw, side="right")), len(candidates) - 1)
-        victim = candidates[idx]
-        accept_probability = 1.0 - dist[s_prime.source_id]
-        if victim == s_prime.source_id:
-            accepted = False
-            dropped = None
-        else:
-            accepted = True
-            dropped = victim
-            u.sources = sorted(s for s in u.sources + [s_prime.source_id] if s != victim)
-    update_scores(u, catalog)
+        idx = min(bisect.bisect_right(list(itertools.accumulate(shares)), draw), len(rows) - 1)
+        accept_probability = 1.0 - shares[at]
+        accepted = idx != at
+        dropped = catalog._ids[rows[idx]] if accepted else None
+        if accepted:
+            u.sources = sorted(s for s in u.sources + [s_prime.source_id] if s != dropped)
+    if accepted:
+        update_scores(u, catalog)
     return StepRecord(
         t=t,
         recommended=s_prime.source_id,
@@ -511,6 +547,10 @@ def load_personas(path) -> list[Persona]:
             raise ValueError(f"{where}: missing field ({exc})") from exc
         if not isinstance(user_id, str) or not user_id:
             raise ValueError(f"{where}: user_id must be a non-empty string, got {user_id!r}")
+        try:
+            user_id.encode("utf-8")  # seeds the user's stream (rng_for_user)
+        except UnicodeEncodeError:
+            raise ValueError(f"{where}: user_id {user_id!r} is not encodable as UTF-8") from None
         if not isinstance(sources, list) or not all(isinstance(s, str) for s in sources):
             raise ValueError(f"{where}: sources must be a list of strings, got {sources!r}")
         if isinstance(limit, bool) or not isinstance(limit, int) or limit < 1:

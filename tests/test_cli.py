@@ -151,9 +151,11 @@ def test_build_csn_repost_is_one_copier_article(tmp_path, capsys):
         ("source", "c\nd"),
         ("source", "c\rd"),
         ("source", ""),
+        ("source", "c\ud800"),  # written as the JSON escape \ud800
         ("id", ""),
         ("id", "c-1\tx"),
         ("id", "c-1\nx"),
+        ("id", "c-1\ud800"),
     ],
 )
 def test_build_csn_skips_ids_that_break_tsv(tmp_path, capsys, caplog, key, value):
@@ -575,8 +577,12 @@ def test_config_file_null_value_exits_2(tmp_path, capsys, world_dir, key, comman
         ('{"user_id": "x", "sources": "abc", "L": 2}', "sources must be a list of strings"),
         ('{"user_id": "x", "sources": ["valley-voice"], "L": 2.7}', "L must be an integer"),
         ('"abc"', "expected a JSON object"),
+        # a lone surrogate cannot seed the user's stream
+        ('{"user_id": "u\\ud800", "sources": ["valley-voice"], "L": 2}',
+         "user_id 'u\\ud800' is not encodable as UTF-8"),
     ],
-    ids=["L-overflow", "user_id-list", "sources-string", "L-fraction", "not-an-object"],
+    ids=["L-overflow", "user_id-list", "sources-string", "L-fraction", "not-an-object",
+         "user_id-lone-surrogate"],
 )
 def test_simulate_bad_persona_field_exits_1(tmp_path, capsys, world_dir, entry, message):
     bad = tmp_path / "personas.json"
@@ -586,6 +592,18 @@ def test_simulate_bad_persona_field_exits_1(tmp_path, capsys, world_dir, entry, 
     assert code == 1
     assert f"{bad}: persona #0: {message}" in stderr
     assert "Traceback" not in stderr
+
+
+def test_simulate_colliding_file_names_exit_1_before_writing(tmp_path, capsys, world_dir):
+    # "x/y" and "x_y" both map to trajectory_x_y_<mode>.csv
+    personas = tmp_path / "personas.json"
+    personas.write_text(json.dumps([{"user_id": u, "sources": ["valley-voice"], "L": 2}
+                                    for u in ("x/y", "x_y")]), encoding="utf-8")
+    inputs = [str(personas), str(world_dir / "scores.csv"), str(world_dir / "vectors.tsv")]
+    code, _, stderr = _run(capsys, ["simulate", *inputs, "--out-dir", str(tmp_path / "sim")])
+    assert code == 1
+    assert f"{personas}: personas 'x/y' and 'x_y' would write the same output files" in stderr
+    assert not (tmp_path / "sim").exists()
 
 
 @pytest.mark.parametrize("where", ["flag", "global-flag", "config"])

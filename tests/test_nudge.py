@@ -267,15 +267,19 @@ def _scalar_cost(s, l_u, v_u, alpha):
     return (1.0 - alpha) * (abs(l_u - s.leaning) / 2.0) + alpha * d
 
 
-def _exhaustive_offer(members, catalog, mode, alpha):
-    """The offer an exhaustive scalar scan makes to ``members`` (None when
-    there is none), with the leaning and vector means it used."""
+def _means(members, catalog):
     sources = [catalog[s] for s in members]
     q_u = sum(m.quality for m in sources) / len(sources)
     l_u = sum(m.leaning for m in sources) / len(sources)
-    v_u = np.mean([m.vector for m in sources], axis=0)
+    return q_u, l_u, np.mean([m.vector for m in sources], axis=0)
+
+
+def _exhaustive_offer(members, catalog, mode, alpha):
+    """The offer an exhaustive scalar scan makes to ``members``; None when
+    there is none or they have converged."""
+    q_u, l_u, v_u = _means(members, catalog)
     if q_u >= 1.0 - nudge.DEFAULT_EPSILON:
-        return None, l_u, v_u
+        return None
     best, best_key = None, None
     for source_id in catalog.ids():
         s = catalog[source_id]
@@ -284,7 +288,44 @@ def _exhaustive_offer(members, catalog, mode, alpha):
         key = _scalar_cost(s, l_u, v_u, alpha) if mode == "constrained" else -s.quality
         if best is None or key < best_key:
             best, best_key = s, key
-    return best, l_u, v_u
+    return best
+
+
+def _replayed_run(trusted, catalog, config):
+    """The records and final members of a run, replayed step by step from
+    ``_scalar_cost`` and an inverse-CDF lottery on the user's stream."""
+    rng = rng_for_user(config.seed, "u")
+    members, steps = sorted(trusted), []
+    for t in range(config.T):
+        q_u, l_u, v_u = _means(members, catalog)
+        offer = _exhaustive_offer(members, catalog, config.mode, config.alpha)
+        if offer is None:
+            steps.append(StepRecord(t, None, None, None, False, None, q_u, l_u))
+            continue
+        cost = _scalar_cost(offer, l_u, v_u, config.alpha)
+        candidates = sorted(members + [offer.source_id])
+        if len(members) < config.L:
+            accept_probability = max(0.0, 1.0 - cost)
+            keep = candidates if rng.random() < accept_probability else members
+        else:
+            costs = [_scalar_cost(catalog[s], l_u, v_u, config.alpha) for s in candidates]
+            total = sum(costs)
+            shares = [c / total if total != 0.0 else 1.0 / len(costs) for c in costs]
+            draw, cumulative, victim = rng.random(), 0.0, candidates[-1]
+            for s, share in zip(candidates, shares):
+                cumulative += share
+                if draw < cumulative:
+                    victim = s
+                    break
+            accept_probability = 1.0 - shares[candidates.index(offer.source_id)]
+            keep = [s for s in candidates if s != victim]
+        accepted = offer.source_id in keep
+        dropped = next((s for s in members if s not in keep), None)
+        if accepted:
+            members = keep
+        q_u, l_u, _ = _means(members, catalog)
+        steps.append(StepRecord(t, offer.source_id, cost, accept_probability, accepted, dropped, q_u, l_u))
+    return steps, members
 
 
 # few distinct values, so that ties, zero norms, zero means and empty
@@ -312,8 +353,12 @@ def _worlds(draw):
     return catalog, trusted, L, alpha
 
 
-def _edge_world(rows, trusted):
-    return SourceCatalog(_source(*row) for row in rows), trusted, 3, ALPHA
+def _edge_world(rows, trusted, L=3):
+    return SourceCatalog(_source(*row) for row in rows), trusted, L, ALPHA
+
+
+_ZERO_NORMS = [("a", 0.2, 0.0, [1.0, 0.0]), ("b", 0.2, 0.0, [-1.0, 0.0]),
+               ("z", 0.7, 0.5, [0.0, 0.0]), ("w", 0.7, 0.5, [0.0, 1.0])]
 
 
 @settings(max_examples=200, deadline=None)
@@ -321,30 +366,23 @@ def _edge_world(rows, trusted):
 # duplicate vector and leaning under two ids: the smaller id wins
 @example(world=_edge_world([("a", 0.2, 0.0, [1.0, 0.0]), ("y", 0.9, 0.4, [0.0, 1.0]),
                             ("x", 0.9, 0.4, [0.0, 1.0])], ["a"]), T=6, seed=5)
-# zero-norm sources, and a member mean of zero norm
-@example(world=_edge_world([("a", 0.2, 0.0, [1.0, 0.0]), ("b", 0.2, 0.0, [-1.0, 0.0]),
-                            ("z", 0.7, 0.5, [0.0, 0.0]), ("w", 0.7, 0.5, [0.0, 1.0])],
-                           ["a", "b"]), T=6, seed=5)
+# zero-norm sources, and a member mean of zero norm, below and at capacity
+@example(world=_edge_world(_ZERO_NORMS, ["a", "b"]), T=6, seed=5)
+@example(world=_edge_world(_ZERO_NORMS, ["a", "b"], L=2), T=6, seed=5)
 # nothing eligible
 @example(world=_edge_world([("a", 0.6, 0.0, [1.0, 0.0]), ("b", 0.6, 0.3, [0.0, 1.0])], ["a"]),
          T=6, seed=5)
 def test_offers_match_exhaustive_scalar_argmin(world, T, seed):
+    # every record of a run, offers, costs, probabilities, outcomes and means,
+    # equals the scalar replay bit for bit; repr tells -0.0 from 0.0 and a
+    # numpy scalar from a float
     catalog, trusted, L, alpha = world
     u0 = profile_from_sources("u", trusted, catalog, L)
     for mode in ("constrained", "unconstrained"):
-        traj = simulate(u0, catalog, SimConfig(T=T, L=L, seed=seed, alpha=alpha, mode=mode))
-        members = sorted(trusted)
-        for record in traj.steps:
-            offer, l_u, v_u = _exhaustive_offer(members, catalog, mode, alpha)
-            if offer is None:
-                assert record.recommended is None and record.trust_cost is None
-                continue
-            assert record.recommended == offer.source_id
-            assert record.trust_cost == _scalar_cost(offer, l_u, v_u, alpha)
-            if record.accepted:
-                members = sorted(
-                    s for s in members + [offer.source_id] if s != record.dropped
-                )
+        config = SimConfig(T=T, L=L, seed=seed, alpha=alpha, mode=mode)
+        traj = simulate(u0, catalog, config)
+        steps, members = _replayed_run(trusted, catalog, config)
+        assert [repr(r) for r in traj.steps] == [repr(r) for r in steps]
         assert traj.final.sources == members
 
 
@@ -359,7 +397,7 @@ def test_select_recommendation_exact_among_rounding_ties():
         rows += [_source(f"p{i:02d}", 0.9, 0.2, rng.permutation(base)) for i in range(30)]
         catalog = SourceCatalog(rows)
         u = profile_from_sources("u", ["anchor"], catalog, limit=2)
-        expected, _, _ = _exhaustive_offer(["anchor"], catalog, "constrained", ALPHA)
+        expected = _exhaustive_offer(["anchor"], catalog, "constrained", ALPHA)
         assert select_recommendation(u, catalog, ALPHA) is expected
 
 
@@ -516,7 +554,7 @@ def test_step_at_capacity_matches_inverse_cdf_oracle():
 
         record, u = _one_step(u, catalog, L=2, seed=seed)
         assert record.recommended == offered.source_id
-        assert record.accept_probability == pytest.approx(1.0 - dist[offered.source_id])
+        assert record.accept_probability == 1.0 - dist[offered.source_id]
         if victim == offered.source_id:
             assert not record.accepted and record.dropped is None
             assert u.sources == ["anchor", "weak"]
