@@ -1,0 +1,91 @@
+"""Golden SHA-256 digests of every CLI output on two bundled runs.
+
+``digests(root)`` runs the pipelines under ``root`` and returns, per run,
+the digest of each output file and of each command's stdout. The fixture
+run takes the bundled corpus through ``build-csn`` and ``annotate``; the
+world run takes the bundled world through ``annotate``, ``embed`` and
+``simulate --mode both``. ``test_golden.py`` compares them with
+``golden.json``.
+
+Re-record after a deliberate output change, and say why in CHANGES.md:
+
+    PYTHONPATH=src python tests/golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import numpy
+import scipy
+
+from nudgesim import synthetic
+from nudgesim.cli import main
+
+GOLDEN = Path(__file__).with_name("golden.json")
+RECORD_COMMAND = "PYTHONPATH=src python tests/golden.py"
+
+_WORLD_EMBED = ["--seed", "1234", "--dims", "32", "--walk-length", "40",
+                "--walks-per-node", "6", "--window", "5", "--epochs", "3"]
+
+
+def versions() -> dict[str, str]:
+    """The libraries whose arithmetic the vector bits depend on."""
+    return {"numpy": numpy.__version__, "scipy": scipy.__version__}
+
+
+def _run(argv: list[str]) -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    if code != 0:
+        raise RuntimeError(f"nudgesim {' '.join(argv)} exited {code}")
+    return out.getvalue().encode("utf-8")
+
+
+def _pipeline(out: Path, commands: list[tuple[str, list[str]]]) -> dict[str, str]:
+    """Run each named command, then digest every file under ``out`` and each
+    command's stdout (as ``<name>.stdout``)."""
+    stdout = {f"{name}.stdout": _run(argv) for name, argv in commands}
+    files = {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    return {name: hashlib.sha256(data).hexdigest() for name, data in sorted({**files, **stdout}.items())}
+
+
+def digests(root) -> dict[str, dict[str, str]]:
+    root = Path(root)
+    fixture = root / "fixture"
+    world_inputs = synthetic.write_world(root / "world-inputs")
+    world = root / "world"
+    return {
+        "fixture": _pipeline(fixture, [
+            ("build-csn", ["build-csn", str(synthetic.fixture_articles_path()),
+                           "--out-dir", str(fixture)]),
+            ("annotate", ["annotate", str(synthetic.fixture_labels_path()),
+                          str(fixture / "csn.tsv"), "--out-dir", str(fixture)]),
+        ]),
+        "world": _pipeline(world, [
+            ("annotate", ["annotate", str(world_inputs["labels"]), str(world_inputs["csn"]),
+                          "--out-dir", str(world)]),
+            ("embed", ["embed", str(world_inputs["csn"]), "--out-dir", str(world)] + _WORLD_EMBED),
+            ("simulate", ["simulate", str(world_inputs["personas"]), str(world / "scores.csv"),
+                          str(world / "vectors.tsv"), "--mode", "both", "--T", "120",
+                          "--seed", "7", "--out-dir", str(world)]),
+        ]),
+    }
+
+
+def record() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        payload = {"versions": versions(), "runs": digests(tmp)}
+    GOLDEN.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    count = sum(len(run) for run in payload["runs"].values())
+    print(f"recorded {count} digests in {GOLDEN}")
+
+
+if __name__ == "__main__":
+    record()
