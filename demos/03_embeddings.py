@@ -10,10 +10,8 @@ Run:  python3 demos/03_embeddings.py
 
 from pathlib import Path
 
-import numpy as np
-
 from nudgesim import graph, synthetic
-from nudgesim.embedding import cosine_distance, embed_graph, save_vectors
+from nudgesim.embedding import community_cosines, cosine_distance, embed_graph, save_vectors
 
 OUT = Path(__file__).parent / "output"
 OUT.mkdir(exist_ok=True)
@@ -34,19 +32,14 @@ def main() -> None:
                           window=5, epochs=3)
     print(f"trained {vectors.dims}-dimensional vectors for {len(vectors.vectors)} sources")
 
-    intra, inter = [], []
-    nodes = sorted(vectors.vectors)
-    for i, a in enumerate(nodes):
-        for b in nodes[i + 1:]:
-            cos = 1.0 - cosine_distance(vectors.vectors[a], vectors.vectors[b])
-            (intra if assignment.labels[a] == assignment.labels[b] else inter).append(cos)
-    print(f"mean cosine within a community:  {np.mean(intra):+.4f}")
-    print(f"mean cosine across communities:  {np.mean(inter):+.4f}")
+    intra, inter = community_cosines(vectors, assignment.labels)
+    print(f"mean cosine within a community:  {intra:+.4f}")
+    print(f"mean cosine across communities:  {inter:+.4f}")
 
     anchor = "alpha-03"
     ranked = sorted(
         (cosine_distance(vectors.vectors[anchor], vectors.vectors[n]), n)
-        for n in nodes if n != anchor
+        for n in vectors.vectors if n != anchor
     )
     print(f"\nnearest neighbors of {anchor} (smaller distance = more similar):")
     for d, n in ranked[:5]:

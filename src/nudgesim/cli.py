@@ -22,11 +22,8 @@ import math
 import os
 import re
 import sys
-from itertools import zip_longest
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
-
-import numpy as np
 
 from . import corpus, embedding, graph, groundtruth, nudge, svgplot
 
@@ -252,22 +249,17 @@ def cmd_annotate(opts: _Options, args: argparse.Namespace) -> int:
 
 def _log_homophily(csn: graph.CsnGraph, vectors: embedding.SourceVectors) -> None:
     assignment = graph.detect_communities(csn)
-    if len(set(assignment.labels.values())) < 2:
+    communities = len(set(assignment.labels.values()))
+    if communities < 2:
         return
-    intra: list[float] = []
-    inter: list[float] = []
-    nodes = sorted(vectors.vectors)
-    for i, a in enumerate(nodes):
-        for b in nodes[i + 1 :]:
-            cos = 1.0 - embedding.cosine_distance(vectors.vectors[a], vectors.vectors[b])
-            (intra if assignment.labels[a] == assignment.labels[b] else inter).append(cos)
-    if intra and inter:
+    intra, inter = embedding.community_cosines(vectors, assignment.labels)
+    if not (math.isnan(intra) or math.isnan(inter)):
         log.info(
             "homophily check: mean intra-community cosine %.4f vs inter %.4f "
             "across %d communities",
-            float(np.mean(intra)),
-            float(np.mean(inter)),
-            len(set(assignment.labels.values())),
+            intra,
+            inter,
+            communities,
         )
 
 
@@ -354,9 +346,9 @@ def _write_comparison(
     path = out_dir / f"comparison_{_safe(user_id)}.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("t,constrained_trust_cost,unconstrained_trust_cost\n")
-        for t, (a, b) in enumerate(zip_longest(con, unc)):
-            ca = "" if a is None or a.trust_cost is None else repr(a.trust_cost)
-            cb = "" if b is None or b.trust_cost is None else repr(b.trust_cost)
+        for t, (a, b) in enumerate(zip(con, unc)):
+            ca = "" if a.trust_cost is None else repr(a.trust_cost)
+            cb = "" if b.trust_cost is None else repr(b.trust_cost)
             fh.write(f"{t},{ca},{cb}\n")
     con_series = [r.trust_cost for r in con if r.trust_cost is not None]
     unc_series = [r.trust_cost for r in unc if r.trust_cost is not None]

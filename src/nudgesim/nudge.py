@@ -26,6 +26,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from types import MappingProxyType
+from typing import ClassVar
 
 import numpy as np
 
@@ -182,16 +183,15 @@ class SimConfig:
     L: int
     seed: int
     alpha: float = DEFAULT_ALPHA
-    epsilon_converge: float = DEFAULT_EPSILON
     mode: str = "constrained"
+    epsilon_converge: ClassVar[float] = DEFAULT_EPSILON
 
     def __post_init__(self) -> None:
         if self.T < 1:
             raise ValueError(f"T must be >= 1, got {self.T}")
         if self.L < 1:
             raise ValueError(f"L must be >= 1, got {self.L}")
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must lie strictly inside (0, 1), got {self.alpha}")
+        _check_alpha(self.alpha)
         if self.mode not in ("constrained", "unconstrained"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -246,8 +246,8 @@ def trust_cost(s_prime: Source, u: UserProfile, alpha: float) -> float:
 
 def _row_costs(u: UserProfile, catalog: SourceCatalog, rows, alpha: float, norm_u: float):
     """``trust_cost`` of each catalog row, bit for bit: ``norm_u`` is the
-    profile's ``np.linalg.norm`` and the catalog caches each source's."""
-    _check_alpha(alpha)
+    profile's ``np.linalg.norm`` and the catalog caches each source's. The
+    caller has checked ``alpha``."""
     l_u, v_u, leaning, vectors, norms = u.l_u, u.v_u, catalog._leaning, catalog.vectors, catalog._norms
     return [_cost(l_u, v_u, norm_u, leaning[r], vectors[r], norms[r], alpha) for r in rows]
 
@@ -288,6 +288,7 @@ def select_recommendation(
     not finite, are recomputed exactly, in id order. The margin is far above
     the rounding gap between the two, so the exact argmin is always among
     them and the result is the exhaustive scalar argmin."""
+    _check_alpha(alpha)
     rows = _eligible_rows(u, catalog)
     if not rows.size:
         return None
@@ -321,6 +322,7 @@ def drop_distribution(
     """Eviction probabilities over the current members plus the offer, in
     sorted-id order, proportional to trust cost against the current profile;
     uniform when every cost is zero."""
+    _check_alpha(alpha)
     if len(u.sources) != u.limit:
         raise ValueError(
             f"{u.user_id}: drop lottery requires a full profile "
@@ -328,16 +330,21 @@ def drop_distribution(
         )
     if s_prime.source_id in u.sources:
         raise ValueError(f"{u.user_id}: candidate {s_prime.source_id!r} already trusted")
-    rows = sorted(catalog.index[s] for s in u.sources + [s_prime.source_id])
-    costs = _row_costs(u, catalog, rows, alpha, float(np.linalg.norm(u.v_u)))
-    return dict(zip((catalog._ids[r] for r in rows), _drop_shares(costs)))
+    offer = catalog.index[s_prime.source_id]
+    rows, _, shares = _lottery(u, catalog, offer, alpha, float(np.linalg.norm(u.v_u)))
+    return dict(zip((catalog._ids[r] for r in rows), shares))
 
 
-def _drop_shares(costs: list[float]) -> list[float]:
+def _lottery(u: UserProfile, catalog: SourceCatalog, offer: int, alpha: float, norm_u: float):
+    """The rows of the members and the offer in id order, their trust costs
+    and their drop shares: ``c / sum(costs)``, or uniform when every cost is
+    zero."""
+    rows = sorted([catalog.index[s] for s in u.sources] + [offer])
+    costs = _row_costs(u, catalog, rows, alpha, norm_u)
     total = sum(costs)
     if total == 0.0:
-        return [1.0 / len(costs)] * len(costs)
-    return [c / total for c in costs]
+        return rows, costs, [1.0 / len(costs)] * len(costs)
+    return rows, costs, [c / total for c in costs]
 
 
 def _converged(u: UserProfile, config: SimConfig) -> bool:
@@ -375,21 +382,17 @@ def _step(
 
     offer = catalog.index[s_prime.source_id]
     norm_u = float(np.linalg.norm(u.v_u))
-    (cost,) = _row_costs(u, catalog, [offer], config.alpha, norm_u)
     if len(u.sources) < config.L:
+        (cost,) = _row_costs(u, catalog, [offer], config.alpha, norm_u)
         accept_probability = max(0.0, 1.0 - cost)
         accepted = rng.random() < accept_probability
         dropped = None
         if accepted:
             u.sources = sorted(u.sources + [s_prime.source_id])
     else:
-        # drop_distribution's lottery, reusing the offer's cost
-        rows = sorted(catalog.index[s] for s in u.sources)
-        costs = _row_costs(u, catalog, rows, config.alpha, norm_u)
-        at = bisect.bisect_left(rows, offer)
-        rows.insert(at, offer)
-        costs.insert(at, cost)
-        shares = _drop_shares(costs)
+        rows, costs, shares = _lottery(u, catalog, offer, config.alpha, norm_u)
+        at = rows.index(offer)
+        cost = costs[at]
         draw = rng.random()
         idx = min(bisect.bisect_right(list(itertools.accumulate(shares)), draw), len(rows) - 1)
         accept_probability = 1.0 - shares[at]
