@@ -155,7 +155,7 @@ class _Options:
                 config = json.load(fh)
         except OSError as exc:
             raise RuntimeError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise RuntimeError(f"config file {args.config}: {exc}") from exc
         if not isinstance(config, dict):
             raise RuntimeError(f"config file {args.config}: expected a JSON object")

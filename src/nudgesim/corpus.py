@@ -8,6 +8,7 @@ publication to the later one.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import math
@@ -138,6 +139,21 @@ def _check_decoded(line: str) -> None:
     except UnicodeEncodeError as exc:
         byte = ord(line[exc.start]) - 0xDC00
         raise ValueError(f"byte 0x{byte:02x} at character {exc.start} is not UTF-8") from None
+
+
+def read_utf8(path, newline: str | None = None) -> io.StringIO:
+    """The text of ``path``, read like ``open(path, encoding="utf-8",
+    newline=newline)``; a byte that is not UTF-8 raises ValueError naming the
+    path and its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(
+            f"{path}:{line}: byte 0x{data[exc.start]:02x} at offset {exc.start} is not UTF-8"
+        ) from None
 
 
 def load_articles(path) -> ArticleSet:

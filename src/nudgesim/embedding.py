@@ -18,6 +18,7 @@ import numpy as np
 from scipy.sparse import csc_matrix
 from scipy.special import expit
 
+from .corpus import read_utf8
 from .graph import CsnGraph
 
 VECTORS_HEADER = "#vectors v1"
@@ -351,7 +352,7 @@ def save_vectors(vectors: SourceVectors, path) -> None:
 
 
 def load_vectors(path) -> SourceVectors:
-    with open(path, encoding="utf-8") as fh:
+    with read_utf8(path) as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if header[0] != VECTORS_HEADER:
             raise ValueError(f"{path}:1: expected header {VECTORS_HEADER!r}, got {header[0]!r}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix, hstack
 
-from .corpus import _SURROGATE_RE, _TSV_BREAK_RE, CopyPair
+from .corpus import _SURROGATE_RE, _TSV_BREAK_RE, CopyPair, read_utf8
 
 CSN_HEADER = "#csn v1"
 
@@ -156,7 +156,7 @@ def load_graph(path) -> CsnGraph:
     """
     counts: dict[str, int] = {}
     raw: dict[tuple[str, str], int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with read_utf8(path) as fh:
         first = fh.readline().rstrip("\n")
         if first != CSN_HEADER:
             raise ValueError(f"{path}:1: expected header {CSN_HEADER!r}, got {first!r}")

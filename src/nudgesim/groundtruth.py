@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, replace
 
+from .corpus import read_utf8
 from .graph import CsnGraph
 
 LEANING_CATEGORIES: dict[str, float] = {
@@ -188,7 +189,7 @@ def write_labels_csv(labels: list[SourceLabels], path) -> None:
 def read_labels_csv(path) -> list[SourceLabels]:
     labels: list[SourceLabels] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8", newline="") as fh:
+    with read_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != LABELS_FIELDS:
@@ -235,7 +236,7 @@ def write_scores_csv(scores: dict[str, SourceScore], path) -> None:
 
 def read_scores_csv(path) -> dict[str, SourceScore]:
     scores: dict[str, SourceScore] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
+    with read_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != SCORES_FIELDS:

@@ -670,6 +670,37 @@ def test_deeply_nested_json_exits_1(tmp_path, capsys, world_dir, command):
     assert "Traceback" not in stderr
 
 
+@pytest.mark.parametrize(
+    "command, names",
+    [
+        ("annotate", ["labels.csv", "csn.tsv"]),
+        ("embed", ["csn.tsv"]),
+        ("simulate", ["personas.json", "scores.csv", "vectors.tsv"]),
+    ],
+)
+def test_input_byte_not_utf8_exits_1_with_path_and_line(tmp_path, capsys, world_dir, command, names):
+    extra = {"annotate": [], "embed": _SMALL_EMBED, "simulate": ["--T", "2"]}[command]
+    for bad_name in names:
+        inputs = [str(world_dir / name) for name in names]
+        bad = tmp_path / bad_name
+        lines = (world_dir / bad_name).read_bytes().splitlines(keepends=True)
+        bad.write_bytes(lines[0] + b"\xff" + b"".join(lines[1:]))
+        inputs[names.index(bad_name)] = str(bad)
+        code, _, stderr = _run(capsys, [command, *inputs, *extra, "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert f"error: {bad}:2: byte 0xff at offset {len(lines[0])} is not UTF-8" in stderr
+        assert "Traceback" not in stderr
+
+
+def test_config_byte_not_utf8_exits_1_naming_the_file(tmp_path, capsys, world_dir):
+    config = tmp_path / "config.json"
+    config.write_bytes(b'{"seed": 1\xff}')
+    code, _, stderr = _run(capsys, ["--config", str(config), "embed", *_inputs(world_dir, "embed")])
+    assert code == 1
+    assert stderr.startswith(f"error: config file {config}: 'utf-8' codec can't decode byte 0xff")
+    assert "Traceback" not in stderr
+
+
 def _inputs(world_dir, command):
     return {
         "build-csn": [str(synthetic.fixture_articles_path())],

@@ -7,6 +7,7 @@ through an independent inverse-CDF sampler and demanding the same outcome.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -829,6 +830,18 @@ def test_load_personas_errors(tmp_path):
         encoding="utf-8",
     )
     with pytest.raises(ValueError, match="duplicate persona"):
+        load_personas(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", '[{"user_id": "x"', '[{"user_id": "x", "sources": ["a"], "L": 1' + "1" * 5000 + "}]"],
+    ids=["empty", "truncated", "long-integer"],
+)
+def test_load_personas_json_error_names_the_path(tmp_path, text):
+    path = tmp_path / "personas.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
         load_personas(path)
 
 

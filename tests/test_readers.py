@@ -1,0 +1,78 @@
+"""Every file reader either parses arbitrary bytes or raises ValueError or
+OSError naming the path: no other exception, and no message without the
+file it is about."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from nudgesim import synthetic
+from nudgesim.embedding import SourceVectors, load_vectors, save_vectors
+from nudgesim.graph import load_graph, save_graph
+from nudgesim.groundtruth import (
+    SourceScore,
+    read_labels_csv,
+    read_scores_csv,
+    write_labels_csv,
+    write_scores_csv,
+)
+from nudgesim.nudge import load_personas, write_personas
+
+
+def _vectors():
+    return SourceVectors(dims=2, vectors={"a": np.array([0.5, -1.0]), "b": np.zeros(2)}, params={"dims": "2"})
+
+
+def _scores():
+    return {
+        "a": SourceScore("a", 0.25, -0.5, "labeled"),
+        "b": SourceScore("b", None, None, "unavailable"),
+    }
+
+
+# reader -> writer of a small valid file, the seed that the fuzzer mutates
+READERS = {
+    "load_graph": (load_graph, lambda p: save_graph(synthetic.two_cluster_graph(), p)),
+    "load_vectors": (load_vectors, lambda p: save_vectors(_vectors(), p)),
+    "read_scores_csv": (read_scores_csv, lambda p: write_scores_csv(_scores(), p)),
+    "read_labels_csv": (read_labels_csv, lambda p: write_labels_csv(synthetic.world_labels()[:3], p)),
+    "load_personas": (load_personas, lambda p: write_personas(synthetic.WORLD_PERSONAS[:2], p)),
+}
+
+_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["replace", "insert", "delete"]),
+        st.floats(0.0, 1.0),
+        st.integers(0, 6),
+        st.binary(max_size=6) | st.sampled_from([b"\xff", b"\t", b"\n", b",", b'"', b"=", b"nan", b"1e999", b"-"]),
+    ),
+    max_size=3,
+)
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    for kind, where, width, piece in edits:
+        at = int(where * len(data))
+        if kind == "insert":
+            data = data[:at] + piece + data[at:]
+        elif kind == "replace":
+            data = data[:at] + piece + data[at + width :]
+        else:
+            data = data[:at] + data[at + width :]
+    return data
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=_EDITS, noise=st.none() | st.binary(max_size=24))
+def test_reader_parses_or_names_the_path(tmp_path, name, edits, noise):
+    reader, write = READERS[name]
+    seed = tmp_path / "seed"
+    write(seed)
+    path = tmp_path / "input"
+    path.write_bytes(_mutate(seed.read_bytes(), edits) if noise is None else noise)
+    try:
+        reader(path)
+    except (ValueError, OSError) as exc:
+        assert str(path) in str(exc)
