@@ -20,6 +20,7 @@ from nudgesim.embedding import (
     NOISE_EXPONENT,
     TRAIN_BLOCK,
     SourceVectors,
+    community_cosines,
     cosine_distance,
     embed_graph,
     generate_walks,
@@ -70,6 +71,68 @@ def test_cosine_distance_range():
 
 
 # ---------------------------------------------------------------- step bias
+
+
+def _pair_loop_cosines(vectors, labels):
+    """Oracle: the mean cosine over same-community and over cross-community
+    pairs, visiting each row against every later row, with a zero vector at
+    cosine 0 as in cosine_distance."""
+    nodes = sorted(vectors.vectors)
+    rows = np.array([vectors.vectors[n] for n in nodes])
+    norms = np.linalg.norm(rows, axis=1)
+    community = np.array([labels[n] for n in nodes])
+    intra, inter = [], []
+    for i in range(len(nodes)):
+        later = slice(i + 1, None)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cos = rows[later] @ rows[i] / (norms[later] * norms[i])
+        cos[(norms[later] == 0.0) | (norms[i] == 0.0)] = 0.0
+        same = community[later] == community[i]
+        intra += cos[same].tolist()
+        inter += cos[~same].tolist()
+    return tuple(math.fsum(xs) / len(xs) if xs else math.nan for xs in (intra, inter))
+
+
+def _random_vectors(n, dims, communities, seed, zero_every=0):
+    rng = np.random.default_rng(seed)
+    names = [f"s{i:04d}" for i in range(n)]
+    labels = {name: i % communities for i, name in enumerate(names)}
+    vectors = {name: rng.normal(size=dims) + labels[name] for name in names}
+    for name in names[::zero_every] if zero_every else []:
+        vectors[name] = np.zeros(dims)
+    return SourceVectors(dims=dims, vectors=vectors), labels
+
+
+@pytest.mark.parametrize(
+    "vectors, labels",
+    [
+        _random_vectors(40, 8, 3, seed=1),
+        _random_vectors(40, 8, 3, seed=2, zero_every=4),  # zero vectors
+        _random_vectors(12, 4, 12, seed=3),  # every source its own community
+        _random_vectors(15, 4, 1, seed=4, zero_every=5),  # one community
+        _random_vectors(799, 16, 9, seed=5),  # the population workload's size
+    ],
+    ids=["random", "zero-vectors", "singletons", "one-community", "population-size"],
+)
+def test_community_cosines_match_pair_loop(vectors, labels):
+    intra, inter = community_cosines(vectors, labels)
+    assert type(intra) is float and type(inter) is float
+    expected = _pair_loop_cosines(vectors, labels)
+    for got, want in zip((intra, inter), expected):
+        if math.isnan(want):
+            assert math.isnan(got)
+        else:
+            assert abs(got - want) <= 1e-12
+
+
+def test_community_cosines_match_pair_loop_on_trained_vectors():
+    graph = synthetic.two_cluster_graph()
+    labels = {node: node.split("-")[0] for node in graph.nodes}
+    vectors = embed_graph(graph, seed=42, dims=16, walk_length=20, walks_per_node=4, epochs=1)
+    intra, inter = community_cosines(vectors, labels)
+    want_intra, want_inter = _pair_loop_cosines(vectors, labels)
+    assert abs(intra - want_intra) <= 1e-12 and abs(inter - want_inter) <= 1e-12
+    assert intra > inter
 
 
 def test_generate_walks_rejects_bad_bias():

@@ -114,6 +114,20 @@ def test_trust_cost_rejects_degenerate_alpha():
             trust_cost(s, u, alpha)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 5.0, math.nan])
+def test_entry_points_reject_bad_alpha_before_other_work(alpha):
+    # nothing is eligible for a profile of "top" alone (q_u = 0.95 tops the
+    # catalog), and the profile is below capacity, yet alpha is what fails
+    catalog = _toy_catalog()
+    u = _profile(["top"], 2, q_u=0.95, l_u=-1.0, v_u=[-1.0, 0.0])
+    with pytest.raises(ValueError, match="alpha must lie strictly inside"):
+        select_recommendation(u, catalog, alpha)
+    with pytest.raises(ValueError, match="alpha must lie strictly inside"):
+        drop_distribution(u, catalog["top"], catalog, alpha)
+    with pytest.raises(ValueError, match="alpha must lie strictly inside"):
+        SimConfig(T=1, L=1, seed=0, alpha=alpha)
+
+
 # ---------------------------------------------------------------- catalog
 
 
@@ -385,6 +399,33 @@ def test_offers_match_exhaustive_scalar_argmin(world, T, seed):
         steps, members = _replayed_run(trusted, catalog, config)
         assert [repr(r) for r in traj.steps] == [repr(r) for r in steps]
         assert traj.final.sources == members
+
+
+@settings(max_examples=100, deadline=None)
+@given(world=_worlds(), T=st.integers(1, 8), seed=st.integers(0, 2**32))
+@example(world=_edge_world(_ZERO_NORMS, ["a", "b"], L=2), T=6, seed=5)
+def test_at_capacity_accept_probability_is_drop_distribution_complement(world, T, seed):
+    # the step and drop_distribution run one lottery: at capacity the chance
+    # that the offer survives is, bit for bit, 1 minus its drop share against
+    # the profile the step started from
+    catalog, trusted, L, alpha = world
+    for mode in ("constrained", "unconstrained"):
+        traj = simulate(
+            profile_from_sources("u", trusted, catalog, L),
+            catalog,
+            SimConfig(T=T, L=L, seed=seed, alpha=alpha, mode=mode),
+        )
+        members = sorted(trusted)
+        for r in traj.steps:
+            if r.recommended is None:
+                continue
+            if len(members) == L:
+                before = profile_from_sources("u", members, catalog, L)
+                shares = drop_distribution(before, catalog[r.recommended], catalog, alpha)
+                assert repr(r.accept_probability) == repr(1.0 - shares[r.recommended])
+            if r.accepted:
+                members = sorted(s for s in members + [r.recommended] if s != r.dropped)
+        assert members == traj.final.sources
 
 
 def test_select_recommendation_exact_among_rounding_ties():
