@@ -68,14 +68,13 @@ def community_cosines(vectors: SourceVectors, labels: dict) -> tuple[float, floa
     so both means come from per-community sums of unit rows, in O(n * dims)
     and without visiting pairs."""
     ids = sorted(vectors.vectors)
-    rows = np.array([vectors.vectors[s] for s in ids], dtype=float).reshape(len(ids), vectors.dims)
+    rows = np.array([vectors.vectors[s] for s in ids], dtype=float)
     norms = np.linalg.norm(rows, axis=1)[:, None]
     unit = np.divide(rows, norms, out=np.zeros_like(rows), where=norms != 0.0)
-    index: dict = {}
-    groups = np.array([index.setdefault(labels[s], len(index)) for s in ids], dtype=np.intp)
-    sums = np.zeros((len(index), vectors.dims))
+    _, groups = np.unique([labels[s] for s in ids], return_inverse=True)
+    sizes = np.bincount(groups)
+    sums = np.zeros((len(sizes), vectors.dims))
     np.add.at(sums, groups, unit)
-    sizes = np.bincount(groups, minlength=len(index))
     within = float((sums * sums).sum())  # sum over communities of |S_c|^2
     intra_pairs = int((sizes * (sizes - 1)).sum()) // 2
     inter_pairs = (len(ids) ** 2 - int((sizes * sizes).sum())) // 2

@@ -186,35 +186,44 @@ def write_labels_csv(labels: list[SourceLabels], path) -> None:
             )
 
 
+def _csv_rows(path, fields: list[str]):
+    """(line, row) for each non-empty row of the CSV file ``path`` after its
+    header, which must be ``fields``; every row has ``len(fields)`` fields."""
+    with read_utf8(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            if next(reader, None) != fields:
+                raise ValueError(f"{path}:1: expected header {','.join(fields)!r}")
+            for row_num, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(fields):
+                    raise ValueError(f"{path}:{row_num}: expected {len(fields)} fields, got {len(row)}")
+                yield row_num, row
+        except csv.Error as exc:  # a field over csv.field_size_limit()
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def read_labels_csv(path) -> list[SourceLabels]:
     labels: list[SourceLabels] = []
     seen: set[str] = set()
-    with read_utf8(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != LABELS_FIELDS:
-            raise ValueError(f"{path}:1: expected header {','.join(LABELS_FIELDS)!r}")
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(LABELS_FIELDS):
-                raise ValueError(f"{path}:{row_num}: expected {len(LABELS_FIELDS)} fields, got {len(row)}")
-            try:
-                item = SourceLabels(
-                    source=row[0],
-                    newsguard=float(row[1]) if row[1] else None,
-                    os_flags=_parse_flags(row[2]),
-                    mbfc_flags=_parse_flags(row[3]),
-                    allsides=row[4] or None,
-                    buzzfeed=row[5] or None,
-                    mbfc_bias=row[6] or None,
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}:{row_num}: {exc}") from exc
-            if item.source in seen:
-                raise ValueError(f"{path}:{row_num}: duplicate source {item.source!r}")
-            seen.add(item.source)
-            labels.append(item)
+    for row_num, row in _csv_rows(path, LABELS_FIELDS):
+        try:
+            item = SourceLabels(
+                source=row[0],
+                newsguard=float(row[1]) if row[1] else None,
+                os_flags=_parse_flags(row[2]),
+                mbfc_flags=_parse_flags(row[3]),
+                allsides=row[4] or None,
+                buzzfeed=row[5] or None,
+                mbfc_bias=row[6] or None,
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}:{row_num}: {exc}") from exc
+        if item.source in seen:
+            raise ValueError(f"{path}:{row_num}: duplicate source {item.source!r}")
+        seen.add(item.source)
+        labels.append(item)
     return labels
 
 
@@ -236,29 +245,19 @@ def write_scores_csv(scores: dict[str, SourceScore], path) -> None:
 
 def read_scores_csv(path) -> dict[str, SourceScore]:
     scores: dict[str, SourceScore] = {}
-    with read_utf8(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != SCORES_FIELDS:
-            raise ValueError(f"{path}:1: expected header {','.join(SCORES_FIELDS)!r}")
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(SCORES_FIELDS):
-                raise ValueError(f"{path}:{row_num}: expected {len(SCORES_FIELDS)} fields, got {len(row)}")
-            source, q_field, l_field, provenance = row
-            if provenance not in PROVENANCE_VALUES:
-                raise ValueError(f"{path}:{row_num}: bad provenance {provenance!r}")
-            if source in scores:
-                raise ValueError(f"{path}:{row_num}: duplicate source {source!r}")
-            try:
-                quality = float(q_field) if q_field else None
-                leaning = float(l_field) if l_field else None
-            except ValueError as exc:
-                raise ValueError(f"{path}:{row_num}: {exc}") from exc
-            if quality is not None and not (0.0 <= quality <= 1.0):
-                raise ValueError(f"{path}:{row_num}: quality {quality} outside [0, 1]")
-            if leaning is not None and not (-1.0 <= leaning <= 1.0):
-                raise ValueError(f"{path}:{row_num}: leaning {leaning} outside [-1, 1]")
-            scores[source] = SourceScore(source, quality, leaning, provenance)
+    for row_num, (source, q_field, l_field, provenance) in _csv_rows(path, SCORES_FIELDS):
+        if provenance not in PROVENANCE_VALUES:
+            raise ValueError(f"{path}:{row_num}: bad provenance {provenance!r}")
+        if source in scores:
+            raise ValueError(f"{path}:{row_num}: duplicate source {source!r}")
+        try:
+            quality = float(q_field) if q_field else None
+            leaning = float(l_field) if l_field else None
+        except ValueError as exc:
+            raise ValueError(f"{path}:{row_num}: {exc}") from exc
+        if quality is not None and not (0.0 <= quality <= 1.0):
+            raise ValueError(f"{path}:{row_num}: quality {quality} outside [0, 1]")
+        if leaning is not None and not (-1.0 <= leaning <= 1.0):
+            raise ValueError(f"{path}:{row_num}: leaning {leaning} outside [-1, 1]")
+        scores[source] = SourceScore(source, quality, leaning, provenance)
     return scores

@@ -274,6 +274,22 @@ def test_labels_csv_rejects_bad_rows(tmp_path):
         read_labels_csv(path)
 
 
+@pytest.mark.parametrize(
+    "reader, header",
+    [
+        (read_labels_csv, "source,newsguard,os_flags,mbfc_flags,allsides,buzzfeed,mbfc_bias"),
+        (read_scores_csv, "source,quality,leaning,provenance"),
+    ],
+)
+def test_csv_field_over_size_limit_names_path_and_line(tmp_path, reader, header):
+    # csv.reader raises csv.Error, not ValueError, for a field longer than
+    # csv.field_size_limit() (131072 characters by default)
+    path = tmp_path / "input.csv"
+    path.write_text(f"{header}\n\n{'x' * 140_000},\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"input\.csv:3: field larger than field limit"):
+        reader(path)
+
+
 def test_scores_csv_round_trip(tmp_path):
     scores = {
         "a": SourceScore("a", 0.925, -1 / 3, "labeled"),
