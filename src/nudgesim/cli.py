@@ -302,29 +302,19 @@ def cmd_simulate(opts: _Options, args: argparse.Namespace) -> int:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     modes = ["constrained", "unconstrained"] if mode == "both" else [mode]
-    trajectories: list[nudge.Trajectory] = []
+    runs: list[tuple[nudge.Trajectory, ...]] = []  # per persona, one run per mode
     for persona in personas:
         limit = limit_override if limit_override is not None else persona.L
         profile = nudge.profile_from_sources(persona.user_id, persona.sources, catalog, limit)
-        by_mode: dict[str, nudge.Trajectory] = {}
+        by_mode = []
         for m in modes:
             config = nudge.SimConfig(
                 T=opts.get("T"), L=limit, seed=opts.get("seed"), alpha=opts.get("alpha"), mode=m
             )
             traj = nudge.simulate(profile, catalog, config)
-            by_mode[m] = traj
-            trajectories.append(traj)
-            stem = f"trajectory_{_safe(persona.user_id)}_{m}"
-            nudge.write_trajectory_csv(traj, out_dir / f"{stem}.csv")
-            svgplot.line_chart(
-                [
-                    ("mean quality", [r.q_u for r in traj.steps]),
-                    ("mean leaning", [r.l_u for r in traj.steps]),
-                ],
-                title=f"{persona.user_id} ({m})",
-                y_label="profile mean",
-                path=out_dir / f"{stem}.svg",
-                y_range=(-1.0, 1.05),
+            by_mode.append(traj)
+            nudge.write_trajectory_csv(
+                traj, out_dir / f"trajectory_{_safe(persona.user_id)}_{m}.csv"
             )
             where = traj.convergence_point
             print(
@@ -332,33 +322,24 @@ def cmd_simulate(opts: _Options, args: argparse.Namespace) -> int:
                 f"converged_at={'none' if where is None else where} "
                 f"final_q={traj.final.q_u:.6f} final_l={traj.final.l_u:.6f}"
             )
-        if mode == "both":
-            _write_comparison(by_mode, persona.user_id, out_dir)
-    nudge.write_summary_json(trajectories, out_dir / "summary.json")
+        runs.append(tuple(by_mode))
+    if mode == "both":
+        nudge.write_comparison_csv(runs, out_dir / "comparison.csv")
+    svgplot.line_chart(
+        [(m, _mean_quality(column)) for m, column in zip(modes, zip(*runs))],
+        title="mean quality across personas",
+        y_label="mean profile quality",
+        path=out_dir / "quality.svg",
+        y_range=(0.0, 1.05),
+    )
+    nudge.write_summary_json([traj for run in runs for traj in run], out_dir / "summary.json")
     return 0
 
 
-def _write_comparison(
-    by_mode: dict[str, nudge.Trajectory], user_id: str, out_dir: Path
-) -> None:
-    con = by_mode["constrained"].steps
-    unc = by_mode["unconstrained"].steps
-    path = out_dir / f"comparison_{_safe(user_id)}.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t,constrained_trust_cost,unconstrained_trust_cost\n")
-        for t, (a, b) in enumerate(zip(con, unc)):
-            ca = "" if a.trust_cost is None else repr(a.trust_cost)
-            cb = "" if b.trust_cost is None else repr(b.trust_cost)
-            fh.write(f"{t},{ca},{cb}\n")
-    con_series = [r.trust_cost for r in con if r.trust_cost is not None]
-    unc_series = [r.trust_cost for r in unc if r.trust_cost is not None]
-    if con_series and unc_series:
-        svgplot.line_chart(
-            [("constrained", con_series), ("unconstrained", unc_series)],
-            title=f"{user_id}: trust cost per offered source",
-            y_label="trust cost",
-            path=out_dir / f"comparison_{_safe(user_id)}.svg",
-        )
+def _mean_quality(trajectories: tuple[nudge.Trajectory, ...]) -> list[float]:
+    """Per step, the mean of ``q_u`` over the trajectories."""
+    steps = zip(*([r.q_u for r in traj.steps] for traj in trajectories))
+    return [sum(column) / len(trajectories) for column in steps]
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -40,6 +40,7 @@ DEFAULT_EPSILON = 1e-9
 _VERIFY_MARGIN = 1e-9
 
 TRAJECTORY_FIELDS = ["t", "recommended", "trust_cost", "accept_prob", "accepted", "dropped", "q_u", "l_u"]
+COMPARISON_FIELDS = ["user_id", "t", "constrained_trust_cost", "unconstrained_trust_cost"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -473,6 +474,10 @@ def convergence_point(traj: Trajectory) -> int | None:
     return next((r.t for r in traj.steps if r.q_u >= 1.0 - eps), None)
 
 
+def _optional(x: float | None) -> str:
+    return "" if x is None else repr(x)
+
+
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -482,14 +487,28 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
                 [
                     r.t,
                     r.recommended or "",
-                    "" if r.trust_cost is None else repr(r.trust_cost),
-                    "" if r.accept_probability is None else repr(r.accept_probability),
+                    _optional(r.trust_cost),
+                    _optional(r.accept_probability),
                     "true" if r.accepted else "false",
                     r.dropped or "",
                     repr(r.q_u),
                     repr(r.l_u),
                 ]
             )
+
+
+def write_comparison_csv(runs: list[tuple[Trajectory, Trajectory]], path) -> None:
+    """One row per (user, step) of each user's (constrained, unconstrained)
+    runs: the trust cost of the offer under either rule, as the two
+    trajectory CSVs write it."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(COMPARISON_FIELDS)
+        for constrained, unconstrained in runs:
+            for a, b in zip(constrained.steps, unconstrained.steps):
+                writer.writerow(
+                    [constrained.user_id, a.t, _optional(a.trust_cost), _optional(b.trust_cost)]
+                )
 
 
 def _profile_summary(u: UserProfile) -> dict:
@@ -541,6 +560,8 @@ def load_personas(path) -> list[Persona]:
             raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, list):
         raise ValueError(f"{path}: expected a JSON list of personas")
+    if not data:
+        raise ValueError(f"{path}: no personas")
     personas = []
     seen = set()
     for i, entry in enumerate(data):

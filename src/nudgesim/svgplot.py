@@ -1,8 +1,9 @@
 """Tiny hand-rolled SVG line charts.
 
-The CSV files are the canonical simulation output; these charts exist so a
-run is eyeballable without pulling in a plotting stack. Output is plain
-static markup — same input, same bytes.
+The CSV files are the canonical simulation output; ``simulate`` draws one
+chart, ``quality.svg`` (per mode, the mean profile quality across personas
+at each step), so a run is eyeballable without a plotting stack. The caller
+fixes the y range. Output is plain static markup — same input, same bytes.
 """
 
 from __future__ import annotations
@@ -26,22 +27,15 @@ def line_chart(
     title: str,
     y_label: str,
     path,
-    y_range: tuple[float, float] | None = None,
+    y_range: tuple[float, float],
 ) -> None:
     """Write one SVG with a polyline per (label, values) pair. X is the step
-    index; Y spans ``y_range`` or the padded data range."""
+    index; Y spans ``y_range`` (low < high)."""
     if not series or all(not values for _, values in series):
         raise ValueError("line_chart needs at least one non-empty series")
 
     n = max(len(values) for _, values in series)
-    if y_range is None:
-        flat = [v for _, values in series for v in values]
-        lo, hi = min(flat), max(flat)
-        pad = (hi - lo) * 0.05 or 0.5
-        y_range = (lo - pad, hi + pad)
     y_lo, y_hi = y_range
-    if y_hi <= y_lo:
-        y_hi = y_lo + 1.0
 
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM

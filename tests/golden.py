@@ -1,10 +1,14 @@
-"""Golden SHA-256 digests of every CLI output on two bundled runs.
+"""Golden SHA-256 digests of every CLI output on three bundled runs.
 
 ``digests(root)`` runs the pipelines under ``root`` and returns, per run,
 the digest of each output file and of each command's stdout. The fixture
 run takes the bundled corpus through ``build-csn`` and ``annotate``; the
 world run takes the bundled world through ``annotate``, ``embed`` and
-``simulate --mode both``. ``test_golden.py`` compares them with
+``simulate --mode both``. The repost run takes the bundled corpus plus one
+repost (an outlet posting one of its stories again, under a new id, before
+another outlet copies it), with the bundled labels (one connected source
+unrated) and personas, through all four stages and
+``simulate --mode constrained``. ``test_golden.py`` compares them with
 ``golden.json``.
 
 Re-record after a deliberate output change, and say why in CHANGES.md:
@@ -32,6 +36,8 @@ RECORD_COMMAND = "PYTHONPATH=src python tests/golden.py"
 
 _WORLD_EMBED = ["--seed", "1234", "--dims", "32", "--walk-length", "40",
                 "--walks-per-node", "6", "--window", "5", "--epochs", "3"]
+_REPOST_EMBED = ["--seed", "5", "--dims", "8", "--walk-length", "10",
+                 "--walks-per-node", "3", "--window", "3", "--epochs", "1"]
 
 
 def versions() -> dict[str, str]:
@@ -56,11 +62,24 @@ def _pipeline(out: Path, commands: list[tuple[str, list[str]]]) -> dict[str, str
     return {name: hashlib.sha256(data).hexdigest() for name, data in sorted({**files, **stdout}.items())}
 
 
+def _repost_corpus(path: Path) -> Path:
+    """The bundled corpus plus a second copy of its first article, posted by
+    the same outlet under a new id before the first outside copy."""
+    text = synthetic.fixture_articles_path().read_text(encoding="utf-8")
+    repost = json.loads(text.splitlines()[0])
+    repost.update(id=repost["id"] + "-repost", published_at="2018-03-01T10:00:00Z")
+    path.parent.mkdir(parents=True)
+    path.write_text(text + json.dumps(repost) + "\n", encoding="utf-8")
+    return path
+
+
 def digests(root) -> dict[str, dict[str, str]]:
     root = Path(root)
     fixture = root / "fixture"
     world_inputs = synthetic.write_world(root / "world-inputs")
     world = root / "world"
+    repost_articles = _repost_corpus(root / "repost-inputs" / "articles.jsonl")
+    repost = root / "repost"
     return {
         "fixture": _pipeline(fixture, [
             ("build-csn", ["build-csn", str(synthetic.fixture_articles_path()),
@@ -75,6 +94,16 @@ def digests(root) -> dict[str, dict[str, str]]:
             ("simulate", ["simulate", str(world_inputs["personas"]), str(world / "scores.csv"),
                           str(world / "vectors.tsv"), "--mode", "both", "--T", "120",
                           "--seed", "7", "--out-dir", str(world)]),
+        ]),
+        "repost": _pipeline(repost, [
+            ("build-csn", ["build-csn", str(repost_articles), "--out-dir", str(repost)]),
+            ("annotate", ["annotate", str(synthetic.fixture_labels_path()),
+                          str(repost / "csn.tsv"), "--out-dir", str(repost)]),
+            ("embed", ["embed", str(repost / "csn.tsv"), "--out-dir", str(repost)] + _REPOST_EMBED),
+            ("simulate", ["simulate", str(synthetic.fixture_personas_path()),
+                          str(repost / "scores.csv"), str(repost / "vectors.tsv"),
+                          "--mode", "constrained", "--T", "30", "--seed", "3",
+                          "--out-dir", str(repost)]),
         ]),
     }
 

@@ -1,9 +1,13 @@
 """End-to-end command-line behavior: exit codes, option precedence,
 artifact layout, and rerun reproducibility."""
 
+import csv
 import json
 import logging
+import re
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,6 +17,7 @@ from nudgesim import cli, graph, synthetic
 from nudgesim.cli import main
 from nudgesim.graph import load_graph
 from nudgesim.embedding import load_vectors
+from test_readers import _EDITS, _mutate
 
 
 @pytest.fixture(scope="module")
@@ -395,11 +400,11 @@ def test_simulate_constrained_run(tmp_path, capsys, world_dir):
         "hyper-partisan-right",
         "low-quality-center",
     }
+    assert _simulate_files(out) == _expected_files(payload, "constrained")
     for entry in payload:
         csv_path = out / f"trajectory_{entry['user_id']}_constrained.csv"
-        svg_path = out / f"trajectory_{entry['user_id']}_constrained.svg"
-        assert csv_path.exists() and svg_path.exists()
         assert len(csv_path.read_text(encoding="utf-8").splitlines()) == 61
+    assert _polyline_lengths(out / "quality.svg") == [60]
 
 
 def test_simulate_T_zero_exits_2(tmp_path, capsys, world_dir):
@@ -453,12 +458,17 @@ def test_simulate_non_finite_vector_exits_1(tmp_path, capsys, world_dir):
 
 
 def test_simulate_both_mode_writes_comparison(tmp_path, capsys, world_dir):
+    # a comma and a quote in an id must survive the comparison CSV
+    personas = json.loads((world_dir / "personas.json").read_text(encoding="utf-8"))
+    personas.append({**personas[0], "user_id": 'odd, "quoted"'})
+    personas_path = tmp_path / "personas.json"
+    personas_path.write_text(json.dumps(personas), encoding="utf-8")
     out = tmp_path / "both"
     code, stdout, _ = _run(
         capsys,
         [
             "simulate",
-            str(world_dir / "personas.json"),
+            str(personas_path),
             str(world_dir / "scores.csv"),
             str(world_dir / "vectors.tsv"),
             "--mode",
@@ -473,13 +483,46 @@ def test_simulate_both_mode_writes_comparison(tmp_path, capsys, world_dir):
     )
     assert code == 0
     assert "mode=constrained" in stdout and "mode=unconstrained" in stdout
-    comparison = out / "comparison_conspiracy-right.csv"
-    assert comparison.exists()
-    lines = comparison.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "t,constrained_trust_cost,unconstrained_trust_cost"
-    first = lines[1].split(",")
-    assert float(first[1]) <= float(first[2])  # soft nudge is never pushier
-    assert (out / "comparison_conspiracy-right.svg").exists()
+    payload = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert _simulate_files(out) == _expected_files(payload, "both")
+    with open(out / "comparison.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["user_id", "t", "constrained_trust_cost", "unconstrained_trust_cost"]
+    expected = []
+    for persona in personas:
+        user = persona["user_id"]
+        costs = {}
+        for mode in ("constrained", "unconstrained"):
+            path = out / f"trajectory_{cli._safe(user)}_{mode}.csv"
+            with open(path, encoding="utf-8", newline="") as fh:
+                costs[mode] = [row["trust_cost"] for row in csv.DictReader(fh)]
+        assert len(costs["constrained"]) == 40
+        expected += [
+            [user, str(t), con, unc]
+            for t, (con, unc) in enumerate(zip(costs["constrained"], costs["unconstrained"]))
+        ]
+    assert rows[1:] == expected
+    first = next(row for row in rows if row[0] == "conspiracy-right")
+    assert float(first[2]) <= float(first[3])  # soft nudge is never pushier
+    assert _polyline_lengths(out / "quality.svg") == [40, 40]
+
+
+def _simulate_files(out) -> set[str]:
+    return {p.name for p in out.iterdir()}
+
+
+def _expected_files(summary: list[dict], mode: str) -> set[str]:
+    """What simulate writes: one trajectory CSV per run in ``summary``, the
+    summary and the quality chart, and the comparison under ``both``."""
+    runs = {f"trajectory_{cli._safe(e['user_id'])}_{e['config']['mode']}.csv" for e in summary}
+    extra = {"comparison.csv"} if mode == "both" else set()
+    return runs | {"summary.json", "quality.svg"} | extra
+
+
+def _polyline_lengths(svg) -> list[int]:
+    """The number of points of each polyline in an SVG chart."""
+    text = svg.read_text(encoding="utf-8")
+    return [len(points.split()) for points in re.findall(r'<polyline [^>]*points="([^"]*)"', text)]
 
 
 # ---------------------------------------------------------------- options
@@ -580,18 +623,20 @@ def test_config_file_null_value_exits_2(tmp_path, capsys, world_dir, key, comman
         # a lone surrogate cannot seed the user's stream
         ('{"user_id": "u\\ud800", "sources": ["valley-voice"], "L": 2}',
          "user_id 'u\\ud800' is not encodable as UTF-8"),
+        ("", None),
     ],
     ids=["L-overflow", "user_id-list", "sources-string", "L-fraction", "not-an-object",
-         "user_id-lone-surrogate"],
+         "user_id-lone-surrogate", "no-personas"],
 )
 def test_simulate_bad_persona_field_exits_1(tmp_path, capsys, world_dir, entry, message):
     bad = tmp_path / "personas.json"
     bad.write_text(f"[{entry}]", encoding="utf-8")
     inputs = [str(bad), str(world_dir / "scores.csv"), str(world_dir / "vectors.tsv")]
-    code, _, stderr = _run(capsys, ["simulate", *inputs, "--out-dir", str(tmp_path)])
+    code, _, stderr = _run(capsys, ["simulate", *inputs, "--out-dir", str(tmp_path / "sim")])
     assert code == 1
-    assert f"{bad}: persona #0: {message}" in stderr
+    assert (f"{bad}: persona #0: {message}" if entry else f"{bad}: no personas") in stderr
     assert "Traceback" not in stderr
+    assert not (tmp_path / "sim").exists()
 
 
 def test_simulate_colliding_file_names_exit_1_before_writing(tmp_path, capsys, world_dir):
@@ -604,6 +649,29 @@ def test_simulate_colliding_file_names_exit_1_before_writing(tmp_path, capsys, w
     assert code == 1
     assert f"{personas}: personas 'x/y' and 'x_y' would write the same output files" in stderr
     assert not (tmp_path / "sim").exists()
+
+
+_SIM_INPUTS = ("personas.json", "scores.csv", "vectors.tsv")
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(_SIM_INPUTS), edits=_EDITS, mode=st.sampled_from(["constrained", "both"]))
+def test_simulate_on_mutated_input_exits_0_or_1(capsys, world_dir, name, edits, mode):
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = [str(world_dir / n) for n in _SIM_INPUTS]
+        inputs[_SIM_INPUTS.index(name)] = str(Path(tmp) / name)
+        (Path(tmp) / name).write_bytes(_mutate((world_dir / name).read_bytes(), edits))
+        out = Path(tmp) / "sim"
+        argv = ["simulate", *inputs, "--mode", mode, "--T", "5", "--out-dir", str(out)]
+        code, stdout, stderr = _run(capsys, argv)
+        assert code in (0, 1), stderr
+        assert "Traceback" not in stderr
+        if code == 0:
+            summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+            assert len(summary) == stdout.count("user=")
+            files = _simulate_files(out)
+            assert files == _expected_files(summary, mode)
+            assert len(files) == len(summary) + (3 if mode == "both" else 2)
 
 
 @pytest.mark.parametrize("where", ["flag", "global-flag", "config"])

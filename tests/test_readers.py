@@ -2,12 +2,15 @@
 OSError naming the path: no other exception, and no message without the
 file it is about."""
 
+import shutil
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nudgesim import synthetic
+from nudgesim.corpus import load_articles
 from nudgesim.embedding import SourceVectors, load_vectors, save_vectors
 from nudgesim.graph import load_graph, save_graph
 from nudgesim.groundtruth import (
@@ -33,6 +36,7 @@ def _scores():
 
 # reader -> writer of a small valid file, the seed that the fuzzer mutates
 READERS = {
+    "load_articles": (load_articles, lambda p: shutil.copyfile(synthetic.fixture_articles_path(), p)),
     "load_graph": (load_graph, lambda p: save_graph(synthetic.two_cluster_graph(), p)),
     "load_vectors": (load_vectors, lambda p: save_vectors(_vectors(), p)),
     "read_scores_csv": (read_scores_csv, lambda p: write_scores_csv(_scores(), p)),
