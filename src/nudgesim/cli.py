@@ -299,17 +299,31 @@ def cmd_simulate(opts: _Options, args: argparse.Namespace) -> int:
     vectors = embedding.load_vectors(args.vectors)
     catalog = nudge.SourceCatalog.from_scores(scores, vectors)
     limit_override = opts.get("L")
+    profiles = []  # every persona checked against the catalog before any output
+    for i, persona in enumerate(personas):
+        limit = limit_override if limit_override is not None else persona.L
+        try:
+            profiles.append(
+                nudge.profile_from_sources(persona.user_id, persona.sources, catalog, limit)
+            )
+        except ValueError as exc:
+            reason = str(exc).removeprefix(f"{persona.user_id}: ")
+            raise ValueError(
+                f"{args.personas}: persona #{i} ({persona.user_id}): {reason}"
+            ) from None
 
     out_dir.mkdir(parents=True, exist_ok=True)
     modes = ["constrained", "unconstrained"] if mode == "both" else [mode]
     runs: list[tuple[nudge.Trajectory, ...]] = []  # per persona, one run per mode
-    for persona in personas:
-        limit = limit_override if limit_override is not None else persona.L
-        profile = nudge.profile_from_sources(persona.user_id, persona.sources, catalog, limit)
+    for persona, profile in zip(personas, profiles):
         by_mode = []
         for m in modes:
             config = nudge.SimConfig(
-                T=opts.get("T"), L=limit, seed=opts.get("seed"), alpha=opts.get("alpha"), mode=m
+                T=opts.get("T"),
+                L=profile.limit,
+                seed=opts.get("seed"),
+                alpha=opts.get("alpha"),
+                mode=m,
             )
             traj = nudge.simulate(profile, catalog, config)
             by_mode.append(traj)

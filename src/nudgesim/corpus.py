@@ -27,6 +27,9 @@ DEFAULT_SIMILARITY_THRESHOLD = 0.85
 _PAIR_BLOCK = 512
 
 _TOKEN_RE = re.compile(r"[^\W_]+")  # runs of alphanumeric codepoints
+# every ASCII code point that _TOKEN_RE does not match becomes a space, so
+# str.split gives an ASCII text's runs at C speed
+_ASCII_GAPS = {c: " " for c in range(128) if not _TOKEN_RE.fullmatch(chr(c))}
 # splits a field or a line of pairs.tsv and csn.tsv
 _TSV_BREAK_RE = re.compile(r"[\t\r\n]")
 # a lone surrogate (a JSON escape such as "\ud800") cannot be written as UTF-8
@@ -193,10 +196,28 @@ def load_articles(path) -> ArticleSet:
     return ArticleSet(articles=articles, skipped=skipped)
 
 
+def _runs(text: str) -> list[str]:
+    """The maximal alphanumeric runs of ``text.lower()``, as
+    ``_TOKEN_RE.findall`` gives them; an ASCII text takes the same runs from
+    ``str.translate`` and ``str.split``."""
+    text = text.lower()
+    if text.isascii():
+        return text.translate(_ASCII_GAPS).split()
+    return _TOKEN_RE.findall(text)
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase tokens split on non-alphanumeric codepoints; tokens shorter
     than two characters are dropped. No stop-word removal."""
-    return [t for t in _TOKEN_RE.findall(text.lower()) if len(t) >= 2]
+    return [t for t in _runs(text) if len(t) >= 2]
+
+
+class _FirstSeen(dict):
+    """Numbers each new key with the count of keys before it."""
+
+    def __missing__(self, key: str) -> int:
+        self[key] = value = len(self)
+        return value
 
 
 def tfidf_vectors(articles: ArticleSet) -> TfidfResult:
@@ -210,20 +231,26 @@ def tfidf_vectors(articles: ArticleSet) -> TfidfResult:
     if n_docs == 0:
         raise ValueError("tfidf_vectors requires at least one article")
 
-    # term ids in first-seen order, one article at a time, so no article's
-    # token strings outlive it; renumbered to lexicographic order below
-    first_seen: dict[str, int] = {}
-    ids: list[int] = []
-    lengths: list[int] = []
+    # run ids in first-seen order, one article at a time, so no article's run
+    # strings outlive it; one-character runs are dropped and the rest
+    # renumbered to lexicographic order below, once per distinct run
+    first_seen = _FirstSeen()
+    ids: list[int] = []  # the dict's own int objects, not new ones
+    ends = [0]
     for a in articles.articles:
-        tokens = tokenize(a.title) + tokenize(a.body)
-        ids.extend([first_seen.setdefault(term, len(first_seen)) for term in tokens])
-        lengths.append(len(tokens))
-    terms = sorted(first_seen)
+        ids.extend(map(first_seen.__getitem__, _runs(a.title)))
+        ids.extend(map(first_seen.__getitem__, _runs(a.body)))
+        ends.append(len(ids))
+    terms = sorted(run for run in first_seen if len(run) >= 2)
     vocabulary = {term: idx for idx, term in enumerate(terms)}
-    rank = np.fromiter((vocabulary[term] for term in first_seen), dtype=np.int32, count=len(terms))
-    indices = rank[np.array(ids, dtype=np.intp)]
-    indptr = np.cumsum([0] + lengths)
+    # each run's term id, or -1 for a one-character run
+    rank = np.fromiter(
+        (vocabulary.get(run, -1) for run in first_seen), dtype=np.int32, count=len(first_seen)
+    )
+    token_terms = rank[np.fromiter(ids, dtype=np.intp, count=len(ids))]
+    kept = token_terms >= 0
+    indices = token_terms[kept]
+    indptr = np.concatenate(([0], np.cumsum(kept)))[ends]
     # one entry per token; summing duplicates turns them into term counts
     matrix = sparse.csr_matrix(
         (np.ones(len(indices)), indices, indptr), shape=(n_docs, len(terms))

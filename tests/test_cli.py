@@ -200,6 +200,25 @@ def test_build_csn_skips_line_that_is_not_utf8(tmp_path, capsys, caplog, newline
     assert load_graph(tmp_path / "csn.tsv").nodes == ["a", "b"]
 
 
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=_EDITS)
+def test_build_csn_on_mutated_corpus_exits_0_or_1(capsys, edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        articles = Path(tmp) / "articles.jsonl"
+        articles.write_bytes(_mutate(synthetic.fixture_articles_path().read_bytes(), edits))
+        out = Path(tmp) / "csn"
+        code, stdout, stderr = _run(capsys, ["build-csn", str(articles), "--out-dir", str(out)])
+        assert code in (0, 1), stderr
+        assert "Traceback" not in stderr
+        if code == 1:
+            assert not out.exists()
+        else:
+            counts = dict(field.split("=") for field in stdout.split())
+            pairs = (out / "pairs.tsv").read_text(encoding="utf-8")
+            assert int(counts["pairs"]) == pairs.count("\n")
+            assert (out / "csn.tsv").exists()
+
+
 # ---------------------------------------------------------------- annotate
 
 
@@ -426,11 +445,13 @@ def test_simulate_T_zero_exits_2(tmp_path, capsys, world_dir):
 
 
 def test_simulate_unknown_persona_source_exits_1(tmp_path, capsys, world_dir):
+    # the last persona is the bad one, so no earlier persona's run may be written
+    personas = json.loads((world_dir / "personas.json").read_text(encoding="utf-8"))
+    personas.append({"user_id": "late", "sources": ["no-such-outlet"], "L": 3})
     bad = tmp_path / "personas.json"
-    bad.write_text(
-        '[{"user_id": "odd", "sources": ["no-such-outlet"], "L": 3}]', encoding="utf-8"
-    )
-    code, _, stderr = _run(
+    bad.write_text(json.dumps(personas), encoding="utf-8")
+    out = tmp_path / "sim"
+    code, stdout, stderr = _run(
         capsys,
         [
             "simulate",
@@ -438,11 +459,13 @@ def test_simulate_unknown_persona_source_exits_1(tmp_path, capsys, world_dir):
             str(world_dir / "scores.csv"),
             str(world_dir / "vectors.tsv"),
             "--out-dir",
-            str(tmp_path),
+            str(out),
         ],
     )
     assert code == 1
-    assert "no-such-outlet" in stderr
+    assert f"{bad}: persona #{len(personas) - 1} (late): unknown source 'no-such-outlet'" in stderr
+    assert "user=" not in stdout
+    assert not out.exists()
 
 
 def test_simulate_non_finite_vector_exits_1(tmp_path, capsys, world_dir):
@@ -666,7 +689,9 @@ def test_simulate_on_mutated_input_exits_0_or_1(capsys, world_dir, name, edits, 
         code, stdout, stderr = _run(capsys, argv)
         assert code in (0, 1), stderr
         assert "Traceback" not in stderr
-        if code == 0:
+        if code == 1:  # every input is checked before any output is written
+            assert not out.exists() or not any(out.iterdir())
+        else:
             summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
             assert len(summary) == stdout.count("user=")
             files = _simulate_files(out)

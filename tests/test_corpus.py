@@ -7,7 +7,9 @@ pure-Python TF-IDF and an O(n^2) cosine loop over all article pairs.
 import json
 import math
 import random
+import re
 import tracemalloc
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from unittest import mock
 
@@ -20,12 +22,18 @@ from nudgesim import corpus
 # ---------------------------------------------------------------- oracles
 
 
+_SPEC_RUN = re.compile(r"[^\W_]+")
+
+
+def spec_tokens(text):
+    """The tokenizer rule as specified: lowercase runs of alphanumeric
+    codepoints, two characters or longer."""
+    return [t for t in _SPEC_RUN.findall(text.lower()) if len(t) >= 2]
+
+
 def oracle_tfidf(articles):
     """Independent TF-IDF: raw tf * (ln((1+N)/(1+df)) + 1), L2-normalized."""
-    docs = {
-        a.article_id: corpus.tokenize(a.title) + corpus.tokenize(a.body)
-        for a in articles
-    }
+    docs = {a.article_id: spec_tokens(a.title) + spec_tokens(a.body) for a in articles}
     n = len(docs)
     df = {}
     for tokens in docs.values():
@@ -85,6 +93,32 @@ def test_tokenize_handles_unicode_words():
 
 def test_tokenize_empty():
     assert corpus.tokenize("— ※ !") == []
+
+
+# ASCII text is split by str.translate and str.split, any other by the regex:
+# every ASCII code point (str.split's own whitespace \x1c-\x1f included) and
+# a few separators that are not ASCII, where the two paths could part
+_ASCII_HEAVY = st.text(alphabet=st.sampled_from([chr(c) for c in range(128)] + list("\u00a0’—\u3000")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(alphabet=st.characters(exclude_categories=())) | _ASCII_HEAVY)
+def test_tokenize_follows_the_spec_on_any_text(text):
+    assert corpus.tokenize(text) == spec_tokens(text)
+
+
+def test_tfidf_is_unchanged_by_a_separator_that_is_not_ascii(fixture_articles, fixture_tfidf):
+    # a trailing no-break space sends every text through the regex path
+    # without changing any run, so the result must be the same to the bit
+    padded = corpus.ArticleSet(
+        [replace(a, title=a.title + "\u00a0", body=a.body + "\u00a0") for a in fixture_articles.articles]
+    )
+    got = corpus.tfidf_vectors(padded)
+    assert list(got.vocabulary.items()) == list(fixture_tfidf.vocabulary.items())
+    for field in ("indptr", "indices", "data"):
+        want = getattr(fixture_tfidf.matrix, field)
+        assert getattr(got.matrix, field).dtype == want.dtype
+        assert getattr(got.matrix, field).tobytes() == want.tobytes(), field
 
 
 # ---------------------------------------------------------------- timestamps
@@ -334,7 +368,10 @@ def test_similar_pairs_rejects_tfidf_of_another_corpus(fixture_articles, fixture
         corpus.similar_pairs(fixture_tfidf, fewer)
 
 
-_WORDS = ["river", "council", "budget", "storm", "harbor", "election", "bridge", "market"]
+# a document holding one of the words that are not ASCII takes the regex path
+# of the tokenizer; "river," and "“storm”" give the runs of two plain words
+_WORDS = ["river", "council", "budget", "storm", "harbor", "election", "bridge", "market",
+          "straße", "σεισμός", "新闻", "river,", "“storm”"]
 # one-letter words are dropped by the tokenizer, so these documents are tokenless
 _TOKENLESS = st.lists(st.sampled_from(["a", "x", "7"]), min_size=1, max_size=3)
 _CORPORA = st.lists(
