@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 runtime/data error (diagnostic on stderr), 2
 usage/validation error. Global flags (--seed, --config, --out-dir) may appear
 before the subcommand; --seed and --out-dir are also accepted after it.
 Option precedence is CLI flag, then --config JSON value (keyed by option
-name), then built-in default. NUDGESIM_LOG sets the log level.
+name), then built-in default, resolved once in ``main`` onto the parsed
+namespace that each ``cmd_*`` handler reads. NUDGESIM_LOG sets the log level.
 
 Every option is declared once, in ``_OPTIONS``, with its parser, default and
 help; the flags, the --config keys and --help derive from it. A --config
@@ -141,15 +142,11 @@ def _from_config(option: _Option, value):
     return option.parse(str(value))
 
 
-class _Options:
-    """Each option's value: its flag, else its --config value, else its
-    table default."""
-
-    def __init__(self, parser: argparse.ArgumentParser, args: argparse.Namespace):
-        self._given = vars(args)
-        self._config: dict = {}
-        if not args.config:
-            return
+def _resolve_options(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Set each option the command line left out on ``args``: its --config
+    value, else its table default. Every key of the config file is checked."""
+    config = {}
+    if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 config = json.load(fh)
@@ -159,18 +156,16 @@ class _Options:
             raise RuntimeError(f"config file {args.config}: {exc}") from exc
         if not isinstance(config, dict):
             raise RuntimeError(f"config file {args.config}: expected a JSON object")
-        for name, value in config.items():
-            if name not in _OPTIONS:
-                parser.error(f"--config: unknown key {name!r}")
-            try:
-                self._config[name] = _from_config(_OPTIONS[name], value)
-            except argparse.ArgumentTypeError as exc:
-                parser.error(f"{_flag(name)}: {exc}")
-
-    def get(self, name: str):
-        if name in self._given:
-            return self._given[name]
-        return self._config.get(name, _OPTIONS[name].default)
+    given = vars(args)
+    for name, value in config.items():
+        if name not in _OPTIONS:
+            parser.error(f"--config: unknown key {name!r}")
+        try:
+            given.setdefault(name, _from_config(_OPTIONS[name], value))
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"{_flag(name)}: {exc}")
+    for name, option in _OPTIONS.items():
+        given.setdefault(name, option.default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,36 +183,41 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("articles", help="JSONL corpus (id, source, title, content, published_at)")
     p_build.add_argument("--out", help="output directory for pairs.tsv + csn.tsv")
     _add_options(p_build, "threshold", "seed", "out_dir")
+    p_build.set_defaults(run=cmd_build_csn)
 
     p_ann = sub.add_parser("annotate", help="derive quality/leaning scores for graph sources")
     p_ann.add_argument("labels", help="provider labels CSV")
     p_ann.add_argument("csn", help="graph TSV from build-csn")
     p_ann.add_argument("--out", help="output scores CSV (default <out-dir>/scores.csv)")
     _add_options(p_ann, "seed", "out_dir")
+    p_ann.set_defaults(run=cmd_annotate)
 
     p_embed = sub.add_parser("embed", help="learn node vectors for the graph")
     p_embed.add_argument("csn", help="graph TSV from build-csn")
     p_embed.add_argument("--out", help="output vectors TSV (default <out-dir>/vectors.tsv)")
     _add_options(p_embed, *_EMBED_OPTIONS, "out_dir")
+    p_embed.set_defaults(run=cmd_embed)
 
     p_sim = sub.add_parser("simulate", help="run trust-aware recommendation dynamics")
     p_sim.add_argument("personas", help="JSON list of {user_id, sources, L}")
     p_sim.add_argument("scores", help="scores CSV from annotate")
     p_sim.add_argument("vectors", help="vectors TSV from embed")
     _add_options(p_sim, "alpha", "T", "L", "mode", "seed", "out_dir")
+    p_sim.set_defaults(run=cmd_simulate)
     return parser
 
 
-def cmd_build_csn(opts: _Options, args: argparse.Namespace) -> int:
-    threshold = opts.get("threshold")
-    out_dir = Path(args.out or opts.get("out_dir"))
+def cmd_build_csn(args: argparse.Namespace) -> int:
+    out_dir = Path(args.out or args.out_dir)
     try:
         articles = corpus.load_articles(args.articles)
     except OSError as exc:
         print(f"error: cannot read articles: {exc}", file=sys.stderr)
         return 1
+    if not articles.articles:
+        raise ValueError(f"{args.articles}: no articles ({articles.skipped} malformed lines skipped)")
     tfidf = corpus.tfidf_vectors(articles)
-    pairs = corpus.similar_pairs(tfidf, articles, threshold=threshold)
+    pairs = corpus.similar_pairs(tfidf, articles, threshold=args.threshold)
     csn = graph.build_csn(pairs, articles.source_counts())
     out_dir.mkdir(parents=True, exist_ok=True)
     corpus.write_pairs_tsv(pairs, out_dir / "pairs.tsv")
@@ -229,9 +229,8 @@ def cmd_build_csn(opts: _Options, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_annotate(opts: _Options, args: argparse.Namespace) -> int:
-    out_dir = Path(opts.get("out_dir"))
-    out_path = Path(args.out) if args.out else out_dir / "scores.csv"
+def cmd_annotate(args: argparse.Namespace) -> int:
+    out_path = Path(args.out) if args.out else Path(args.out_dir) / "scores.csv"
     labels = groundtruth.read_labels_csv(args.labels)
     csn = graph.load_graph(args.csn)
     scores = groundtruth.score_sources(labels, csn)
@@ -263,14 +262,13 @@ def _log_homophily(csn: graph.CsnGraph, vectors: embedding.SourceVectors) -> Non
         )
 
 
-def cmd_embed(opts: _Options, args: argparse.Namespace) -> int:
-    out_dir = Path(opts.get("out_dir"))
-    out_path = Path(args.out) if args.out else out_dir / "vectors.tsv"
+def cmd_embed(args: argparse.Namespace) -> int:
+    out_path = Path(args.out) if args.out else Path(args.out_dir) / "vectors.tsv"
     csn = graph.load_graph(args.csn)
     if not csn.nodes:
         print("error: graph has no nodes; nothing to embed", file=sys.stderr)
         return 1
-    vectors = embedding.embed_graph(csn, **{name: opts.get(name) for name in _EMBED_OPTIONS})
+    vectors = embedding.embed_graph(csn, **{name: getattr(args, name) for name in _EMBED_OPTIONS})
     out_path.parent.mkdir(parents=True, exist_ok=True)
     embedding.save_vectors(vectors, out_path)
     if log.isEnabledFor(logging.INFO):
@@ -283,9 +281,8 @@ def _safe(name: str) -> str:
     return _SAFE_NAME.sub("_", name)
 
 
-def cmd_simulate(opts: _Options, args: argparse.Namespace) -> int:
-    out_dir = Path(opts.get("out_dir"))
-    mode = opts.get("mode")
+def cmd_simulate(args: argparse.Namespace) -> int:
+    out_dir = Path(args.out_dir)
     personas = nudge.load_personas(args.personas)
     stems: dict[str, str] = {}
     for persona in personas:
@@ -298,10 +295,9 @@ def cmd_simulate(opts: _Options, args: argparse.Namespace) -> int:
     scores = groundtruth.read_scores_csv(args.scores)
     vectors = embedding.load_vectors(args.vectors)
     catalog = nudge.SourceCatalog.from_scores(scores, vectors)
-    limit_override = opts.get("L")
     profiles = []  # every persona checked against the catalog before any output
     for i, persona in enumerate(personas):
-        limit = limit_override if limit_override is not None else persona.L
+        limit = args.L if args.L is not None else persona.L
         try:
             profiles.append(
                 nudge.profile_from_sources(persona.user_id, persona.sources, catalog, limit)
@@ -313,16 +309,16 @@ def cmd_simulate(opts: _Options, args: argparse.Namespace) -> int:
             ) from None
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    modes = ["constrained", "unconstrained"] if mode == "both" else [mode]
+    modes = ["constrained", "unconstrained"] if args.mode == "both" else [args.mode]
     runs: list[tuple[nudge.Trajectory, ...]] = []  # per persona, one run per mode
     for persona, profile in zip(personas, profiles):
         by_mode = []
         for m in modes:
             config = nudge.SimConfig(
-                T=opts.get("T"),
+                T=args.T,
                 L=profile.limit,
-                seed=opts.get("seed"),
-                alpha=opts.get("alpha"),
+                seed=args.seed,
+                alpha=args.alpha,
                 mode=m,
             )
             traj = nudge.simulate(profile, catalog, config)
@@ -337,7 +333,7 @@ def cmd_simulate(opts: _Options, args: argparse.Namespace) -> int:
                 f"final_q={traj.final.q_u:.6f} final_l={traj.final.l_u:.6f}"
             )
         runs.append(tuple(by_mode))
-    if mode == "both":
+    if args.mode == "both":
         nudge.write_comparison_csv(runs, out_dir / "comparison.csv")
     svgplot.line_chart(
         [(m, _mean_quality(column)) for m, column in zip(modes, zip(*runs))],
@@ -369,19 +365,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    handlers = {
-        "build-csn": cmd_build_csn,
-        "annotate": cmd_annotate,
-        "embed": cmd_embed,
-        "simulate": cmd_simulate,
-    }
     try:
-        opts = _Options(parser, args)
-        if args.command == "embed" and opts.get("seed") < 0:
+        _resolve_options(parser, args)
+        if args.command == "embed" and args.seed < 0:
             # numpy's SeedSequence takes no negative entropy; simulate instead
             # masks its seed to 64 bits (nudge.rng_for_user)
-            parser.error(f"argument --seed: must be >= 0 for embed, got {opts.get('seed')}")
-        return handlers[args.command](opts, args)
+            parser.error(f"argument --seed: must be >= 0 for embed, got {args.seed}")
+        return args.run(args)
     except SystemExit as exc:  # parser.error from --config validation
         return int(exc.code or 0)
     except (RuntimeError, OSError, ValueError) as exc:

@@ -109,6 +109,9 @@ def _article_from_record(record: dict) -> Article:
     for key in ("id", "source", "title", "content", "published_at"):
         if key not in record:
             raise ValueError(f"missing key {key!r}")
+        value = record[key]
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ValueError(f"{key!r} must be a string or number, got {type(value).__name__}")
     article_id, source_id = str(record["id"]), str(record["source"])
     if not article_id or _TSV_BREAK_RE.search(article_id):
         raise ValueError(f"article id {article_id!r} is empty or holds a tab or line break")
@@ -163,10 +166,11 @@ def load_articles(path) -> ArticleSet:
     """Read a JSONL article file.
 
     Malformed lines are skipped with a warning and counted; these include a
-    line that is not valid UTF-8, an empty id or source, one holding a tab,
-    a line break or a lone surrogate, and a source starting with ``#``,
-    which would break the TSV outputs. A duplicate article id is a fatal
-    corpus-integrity error. An unreadable file raises OSError.
+    line that is not valid UTF-8, a field that is not a JSON string or
+    number, an empty id or source, one holding a tab, a line break or a lone
+    surrogate, and a source starting with ``#``, which would break the TSV
+    outputs. A duplicate article id is a fatal corpus-integrity error. An
+    unreadable file raises OSError.
     """
     articles: list[Article] = []
     seen: set[str] = set()

@@ -292,19 +292,17 @@ def train_embeddings(
 def embed_graph(
     graph: CsnGraph,
     seed: int,
-    dims: int = DEFAULT_DIMS,
     p: float = 1.0,
     q: float = 1.0,
     walk_length: int = DEFAULT_WALK_LENGTH,
     walks_per_node: int = DEFAULT_WALKS_PER_NODE,
-    window: int = DEFAULT_WINDOW,
-    negatives: int = DEFAULT_NEGATIVES,
-    epochs: int = DEFAULT_EPOCHS,
-    learning_rate: float = DEFAULT_LEARNING_RATE,
     directed: bool = False,
+    **training,
 ) -> SourceVectors:
     """Walks plus training in one call, with independent generator streams
-    derived from ``seed`` so the two stages cannot perturb each other."""
+    derived from ``seed`` so the two stages cannot perturb each other.
+    ``training`` (``dims``, ``window``, ``negatives``, ``epochs``,
+    ``learning_rate``) goes to :func:`train_embeddings` as given."""
     walk_ss, train_ss = np.random.SeedSequence(seed).spawn(2)
     walks = generate_walks(
         graph,
@@ -315,15 +313,7 @@ def embed_graph(
         walks_per_node=walks_per_node,
         directed=directed,
     )
-    result = train_embeddings(
-        walks,
-        np.random.default_rng(train_ss),
-        dims=dims,
-        window=window,
-        negatives=negatives,
-        epochs=epochs,
-        learning_rate=learning_rate,
-    )
+    result = train_embeddings(walks, np.random.default_rng(train_ss), **training)
     result.params.update(
         {
             "p": repr(p),

@@ -66,10 +66,23 @@ class SourceLabels:
 
 @dataclass(frozen=True)
 class SourceScore:
+    """Quality in [0, 1] and leaning in [-1, 1]; a ``labeled`` or ``imputed``
+    score has both, an ``unavailable`` one may lack either."""
+
     source: str
     quality: float | None
     leaning: float | None
     provenance: str
+
+    def __post_init__(self) -> None:
+        if self.provenance not in PROVENANCE_VALUES:
+            raise ValueError(f"bad provenance {self.provenance!r}")
+        if self.quality is not None and not (0.0 <= self.quality <= 1.0):
+            raise ValueError(f"quality {self.quality} outside [0, 1]")
+        if self.leaning is not None and not (-1.0 <= self.leaning <= 1.0):
+            raise ValueError(f"leaning {self.leaning} outside [-1, 1]")
+        if self.provenance != "unavailable" and (self.quality is None or self.leaning is None):
+            raise ValueError(f"provenance {self.provenance!r} needs both quality and leaning")
 
 
 def quality_score(labels: SourceLabels) -> float | None:
@@ -246,18 +259,15 @@ def write_scores_csv(scores: dict[str, SourceScore], path) -> None:
 def read_scores_csv(path) -> dict[str, SourceScore]:
     scores: dict[str, SourceScore] = {}
     for row_num, (source, q_field, l_field, provenance) in _csv_rows(path, SCORES_FIELDS):
-        if provenance not in PROVENANCE_VALUES:
-            raise ValueError(f"{path}:{row_num}: bad provenance {provenance!r}")
         if source in scores:
             raise ValueError(f"{path}:{row_num}: duplicate source {source!r}")
         try:
-            quality = float(q_field) if q_field else None
-            leaning = float(l_field) if l_field else None
+            scores[source] = SourceScore(
+                source,
+                float(q_field) if q_field else None,
+                float(l_field) if l_field else None,
+                provenance,
+            )
         except ValueError as exc:
             raise ValueError(f"{path}:{row_num}: {exc}") from exc
-        if quality is not None and not (0.0 <= quality <= 1.0):
-            raise ValueError(f"{path}:{row_num}: quality {quality} outside [0, 1]")
-        if leaning is not None and not (-1.0 <= leaning <= 1.0):
-            raise ValueError(f"{path}:{row_num}: leaning {leaning} outside [-1, 1]")
-        scores[source] = SourceScore(source, quality, leaning, provenance)
     return scores

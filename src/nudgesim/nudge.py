@@ -24,7 +24,7 @@ import csv
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from types import MappingProxyType
 from typing import ClassVar
 
@@ -75,10 +75,10 @@ class SourceCatalog:
     id in sorted order; ``index`` maps an id to its row."""
 
     def __init__(self, sources) -> None:
-        self._by_id: dict[str, Source] = {}
+        by_id: dict[str, Source] = {}
         dims: int | None = None
         for source in sources:
-            if source.source_id in self._by_id:
+            if source.source_id in by_id:
                 raise ValueError(f"duplicate source {source.source_id!r}")
             if dims is None:
                 dims = len(source.vector)
@@ -86,11 +86,11 @@ class SourceCatalog:
                 raise ValueError(
                     f"{source.source_id}: vector has {len(source.vector)} dims, expected {dims}"
                 )
-            self._by_id[source.source_id] = source
-        if not self._by_id:
+            by_id[source.source_id] = source
+        if not by_id:
             raise ValueError("catalog must contain at least one source")
-        self._ids = sorted(self._by_id)
-        self._rows = tuple(self._by_id[s] for s in self._ids)
+        self._ids = sorted(by_id)
+        self._rows = tuple(by_id[s] for s in self._ids)
         self.index = MappingProxyType({s: i for i, s in enumerate(self._ids)})
         self.quality = _frozen([s.quality for s in self._rows])
         self.leaning = _frozen([s.leaning for s in self._rows])
@@ -104,13 +104,11 @@ class SourceCatalog:
     @classmethod
     def from_scores(cls, scores: dict[str, SourceScore], vectors: SourceVectors) -> "SourceCatalog":
         """Keep the sources that are actually usable: scored (labeled or
-        imputed, both fields present) and embedded."""
+        imputed, which have both fields) and embedded."""
         usable = []
         for source_id in sorted(scores):
             sc = scores[source_id]
             if sc.provenance not in ("labeled", "imputed"):
-                continue
-            if sc.quality is None or sc.leaning is None:
                 continue
             vec = vectors.vectors.get(source_id)
             if vec is None:
@@ -122,10 +120,10 @@ class SourceCatalog:
         return len(self._ids)
 
     def __contains__(self, source_id: str) -> bool:
-        return source_id in self._by_id
+        return source_id in self.index
 
     def __getitem__(self, source_id: str) -> Source:
-        return self._by_id[source_id]
+        return self._rows[self.index[source_id]]
 
     def ids(self) -> list[str]:
         return list(self._ids)
@@ -524,14 +522,7 @@ def write_summary_json(trajectories: list[Trajectory], path) -> None:
         payload.append(
             {
                 "user_id": traj.user_id,
-                "config": {
-                    "T": cfg.T,
-                    "L": cfg.L,
-                    "alpha": cfg.alpha,
-                    "seed": cfg.seed,
-                    "epsilon_converge": cfg.epsilon_converge,
-                    "mode": cfg.mode,
-                },
+                "config": dict(asdict(cfg), epsilon_converge=cfg.epsilon_converge),
                 "start": _profile_summary(traj.start),
                 "end": _profile_summary(traj.final),
                 "convergence_point": traj.convergence_point,

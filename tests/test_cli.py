@@ -161,11 +161,22 @@ def test_build_csn_repost_is_one_copier_article(tmp_path, capsys):
         ("id", "c-1\tx"),
         ("id", "c-1\nx"),
         ("id", "c-1\ud800"),
+        # a field that is not a JSON string or number, which str() would
+        # turn into the text "None", "True", "['c']", ...
+        ("id", None),
+        ("id", True),
+        ("source", None),
+        ("source", False),
+        ("source", ["c"]),
+        ("title", None),
+        ("content", None),
+        ("content", {"text": "council approves harbour budget"}),
     ],
 )
 def test_build_csn_skips_ids_that_break_tsv(tmp_path, capsys, caplog, key, value):
     # a copies a story to b; a third copy, line 4, has an id or source that
-    # could not be written to pairs.tsv or csn.tsv and read back
+    # could not be written to pairs.tsv or csn.tsv and read back, or a field
+    # that is not a JSON string or number
     story = {"title": "Budget", "content": "council approves harbour budget after debate " * 5}
     articles = tmp_path / "articles.jsonl"
     with open(articles, "w", encoding="utf-8") as fh:
@@ -178,6 +189,18 @@ def test_build_csn_skips_ids_that_break_tsv(tmp_path, capsys, caplog, key, value
     assert stdout.strip() == "articles=3 skipped=1 pairs=2 nodes=2 edges=1"
     assert any(f"{articles}:4: skipping malformed line" in r.getMessage() for r in caplog.records)
     assert load_graph(tmp_path / "csn.tsv").nodes == ["a", "b"]
+
+
+@pytest.mark.parametrize("text, skipped", [("", 0), ('not json\n{"id": "a-1"}\n\n[]\n', 3)])
+def test_build_csn_without_articles_exits_1_naming_the_file(tmp_path, capsys, text, skipped):
+    articles = tmp_path / "articles.jsonl"
+    articles.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    code, stdout, stderr = _run(capsys, ["build-csn", str(articles), "--out-dir", str(out)])
+    assert code == 1
+    assert stdout == ""
+    assert stderr.endswith(f"error: {articles}: no articles ({skipped} malformed lines skipped)\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
@@ -243,6 +266,28 @@ def test_annotate_missing_labels_exits_1(tmp_path, capsys, world_dir):
     )
     assert code == 1
     assert "error:" in stderr
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(["labels.csv", "csn.tsv"]), edits=_EDITS)
+def test_annotate_on_mutated_input_exits_0_or_1(capsys, world_dir, name, edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = {n: world_dir / n for n in ("labels.csv", "csn.tsv")}
+        inputs[name] = Path(tmp) / name
+        inputs[name].write_bytes(_mutate((world_dir / name).read_bytes(), edits))
+        out = Path(tmp) / "scores.csv"
+        code, stdout, stderr = _run(capsys, ["annotate", *map(str, inputs.values()), "--out", str(out)])
+        assert code in (0, 1), stderr
+        assert "Traceback" not in stderr
+        if code == 1:
+            assert not out.exists()
+        else:
+            with open(out, encoding="utf-8", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            counts = dict(field.split("=") for field in stdout.split())
+            assert int(counts["sources"]) == len(rows)
+            for provenance in ("labeled", "imputed", "unavailable"):
+                assert int(counts[provenance]) == sum(r["provenance"] == provenance for r in rows)
 
 
 # ---------------------------------------------------------------- embed
@@ -348,6 +393,24 @@ def test_embed_duplicate_graph_line_exits_1(tmp_path, capsys, world_dir, kind):
     assert f"error: {bad}:{copied + 2}: malformed line (duplicate {kind} " in stderr
     assert "Traceback" not in stderr
     assert not (tmp_path / "v.tsv").exists()
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=_EDITS)
+def test_embed_on_mutated_graph_exits_0_or_1(capsys, world_dir, edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        csn = Path(tmp) / "csn.tsv"
+        csn.write_bytes(_mutate((world_dir / "csn.tsv").read_bytes(), edits))
+        out = Path(tmp) / "vectors.tsv"
+        code, stdout, stderr = _run(capsys, ["embed", str(csn), "--out", str(out)] + _SMALL_EMBED)
+        assert code in (0, 1), stderr
+        assert "Traceback" not in stderr
+        if code == 1:
+            assert not out.exists()
+        else:
+            vectors = load_vectors(out)
+            assert stdout.strip() == f"nodes={len(vectors.vectors)} dims={vectors.dims}"
+            assert sorted(vectors.vectors) == load_graph(csn).nodes
 
 
 _LOAD_DEFECTS = {

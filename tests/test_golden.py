@@ -1,4 +1,4 @@
-"""Every CLI output of the two golden runs is byte-identical to the digest
+"""Every CLI output of the three golden runs is byte-identical to the digest
 recorded in golden.json (see golden.py for the runs and how to re-record)."""
 
 import json

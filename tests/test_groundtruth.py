@@ -315,3 +315,9 @@ def test_scores_csv_rejects_out_of_range(tmp_path):
     )
     with pytest.raises(ValueError, match="provenance"):
         read_scores_csv(path)
+    # a labeled or imputed score that lacks a field would drop out of the
+    # catalog without a word
+    for row in ("a,0.9,,labeled", "a,,0.5,imputed", "a,,,labeled"):
+        path.write_text(f"source,quality,leaning,provenance\nok,,,unavailable\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"scores\.csv:3: provenance '(labeled|imputed)' needs both"):
+            read_scores_csv(path)
