@@ -145,17 +145,9 @@ def _from_config(option: _Option, value):
 def _resolve_options(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Set each option the command line left out on ``args``: its --config
     value, else its table default. Every key of the config file is checked."""
-    config = {}
-    if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                config = json.load(fh)
-        except OSError as exc:
-            raise RuntimeError(f"cannot read config file: {exc}") from exc
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise RuntimeError(f"config file {args.config}: {exc}") from exc
-        if not isinstance(config, dict):
-            raise RuntimeError(f"config file {args.config}: expected a JSON object")
+    config = corpus.read_json(args.config) if args.config else {}
+    if not isinstance(config, dict):
+        raise ValueError(f"{args.config}: expected a JSON object")
     given = vars(args)
     for name, value in config.items():
         if name not in _OPTIONS:
@@ -209,11 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_build_csn(args: argparse.Namespace) -> int:
     out_dir = Path(args.out or args.out_dir)
-    try:
-        articles = corpus.load_articles(args.articles)
-    except OSError as exc:
-        print(f"error: cannot read articles: {exc}", file=sys.stderr)
-        return 1
+    articles = corpus.load_articles(args.articles)
     if not articles.articles:
         raise ValueError(f"{args.articles}: no articles ({articles.skipped} malformed lines skipped)")
     tfidf = corpus.tfidf_vectors(articles)
@@ -266,8 +254,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
     out_path = Path(args.out) if args.out else Path(args.out_dir) / "vectors.tsv"
     csn = graph.load_graph(args.csn)
     if not csn.nodes:
-        print("error: graph has no nodes; nothing to embed", file=sys.stderr)
-        return 1
+        raise ValueError(f"{args.csn}: no nodes; nothing to embed")
     vectors = embedding.embed_graph(csn, **{name: getattr(args, name) for name in _EMBED_OPTIONS})
     out_path.parent.mkdir(parents=True, exist_ok=True)
     embedding.save_vectors(vectors, out_path)

@@ -105,6 +105,16 @@ def parse_timestamp(value: str) -> datetime:
     return ts
 
 
+def check_source_name(name: str) -> None:
+    """Reject a source name that ``pairs.tsv`` and ``csn.tsv`` cannot hold
+    and read back: an empty name, one starting with ``#``, holding a tab or
+    line break, or holding a lone surrogate, which is not UTF-8."""
+    if not name or name.startswith("#") or _TSV_BREAK_RE.search(name):
+        raise ValueError(f"source {name!r} is empty, starts with '#' or holds a tab or line break")
+    if _SURROGATE_RE.search(name):
+        raise ValueError(f"source {name!r} holds a lone surrogate, which is not UTF-8")
+
+
 def _article_from_record(record: dict) -> Article:
     for key in ("id", "source", "title", "content", "published_at"):
         if key not in record:
@@ -115,13 +125,9 @@ def _article_from_record(record: dict) -> Article:
     article_id, source_id = str(record["id"]), str(record["source"])
     if not article_id or _TSV_BREAK_RE.search(article_id):
         raise ValueError(f"article id {article_id!r} is empty or holds a tab or line break")
-    if not source_id or source_id.startswith("#") or _TSV_BREAK_RE.search(source_id):
-        raise ValueError(
-            f"source {source_id!r} is empty, starts with '#' or holds a tab or line break"
-        )
-    for name in (article_id, source_id):
-        if _SURROGATE_RE.search(name):
-            raise ValueError(f"{name!r} holds a lone surrogate, which is not UTF-8")
+    if _SURROGATE_RE.search(article_id):
+        raise ValueError(f"{article_id!r} holds a lone surrogate, which is not UTF-8")
+    check_source_name(source_id)
     body = str(record["content"])
     if not body.strip():
         raise ValueError("empty body")
@@ -160,6 +166,19 @@ def read_utf8(path, newline: str | None = None) -> io.StringIO:
         raise ValueError(
             f"{path}:{line}: byte 0x{data[exc.start]:02x} at offset {exc.start} is not UTF-8"
         ) from None
+
+
+def read_json(path):
+    """The JSON document in ``path``, read with :func:`read_utf8`; a syntax
+    error, an integer too long to convert or too deep a nesting raises
+    ValueError naming the path."""
+    with read_utf8(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+        except ValueError as exc:  # a syntax error, or an integer too long to convert
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def load_articles(path) -> ArticleSet:

@@ -371,6 +371,8 @@ def load_vectors(path) -> SourceVectors:
                 row = np.array([float(x) for x in fields[1:]], dtype=float)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            if not len(row):
+                raise ValueError(f"{path}:{lineno}: no components for {fields[0]!r}")
             if not np.all(np.isfinite(row)):
                 raise ValueError(f"{path}:{lineno}: non-finite component in {fields[0]!r}")
             if dims is None:

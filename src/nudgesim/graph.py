@@ -14,21 +14,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix, hstack
 
-from .corpus import _SURROGATE_RE, _TSV_BREAK_RE, CopyPair, read_utf8
+from .corpus import CopyPair, check_source_name, read_utf8
 
 CSN_HEADER = "#csn v1"
 
 
 def _check_node(node: str, count) -> None:
     """Reject a node :func:`save_graph` could not write as a line that
-    :func:`load_graph` reads back: an empty name, one starting with ``#``,
-    holding a tab or line break, or not encodable as UTF-8."""
-    if not node or node.startswith("#") or _TSV_BREAK_RE.search(node):
-        raise ValueError(
-            f"node name {node!r} is empty, starts with '#' or holds a tab or line break"
-        )
-    if _SURROGATE_RE.search(node):
-        raise ValueError(f"node name {node!r} is not encodable as UTF-8")
+    :func:`load_graph` reads back (see :func:`check_source_name`), or one
+    without an article count of at least 1."""
+    check_source_name(node)
     if type(count) is not int or count < 1:
         raise ValueError(f"source {node!r}: article count {count!r} is not an integer >= 1")
 
@@ -121,12 +116,9 @@ def build_csn(pairs: list[CopyPair], article_counts: dict[str, int]) -> CsnGraph
     for p in pairs:
         copiers.setdefault((p.earlier_source, p.later_source), set()).add(p.later)
     nodes = {source for edge in copiers for source in edge}
-    for node in nodes:
-        if article_counts.get(node, 0) < 1:
-            raise ValueError(f"source {node!r} has no article count; cannot normalize")
     return CsnGraph(
         raw_counts={edge: len(articles) for edge, articles in copiers.items()},
-        article_counts={node: article_counts[node] for node in nodes},
+        article_counts={node: article_counts.get(node, 0) for node in sorted(nodes)},
     )
 
 

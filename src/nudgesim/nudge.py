@@ -30,7 +30,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .corpus import read_utf8
+from .corpus import read_json
 from .embedding import SourceVectors
 from .groundtruth import SourceScore
 
@@ -542,13 +542,7 @@ class Persona:
 
 
 def load_personas(path) -> list[Persona]:
-    with read_utf8(path) as fh:
-        try:
-            data = json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
-        except ValueError as exc:  # a syntax error, or an integer too long to convert
-            raise ValueError(f"{path}: {exc}") from None
+    data = read_json(path)
     if not isinstance(data, list):
         raise ValueError(f"{path}: expected a JSON list of personas")
     if not data:

@@ -90,11 +90,10 @@ def test_build_csn_counts_and_artifacts(tmp_path, capsys, fixture_pairs, fixture
 
 
 def test_build_csn_missing_file_exits_1(tmp_path, capsys):
-    code, _, stderr = _run(
-        capsys, ["build-csn", str(tmp_path / "nope.jsonl"), "--out-dir", str(tmp_path)]
-    )
+    missing = tmp_path / "nope.jsonl"
+    code, _, stderr = _run(capsys, ["build-csn", str(missing), "--out-dir", str(tmp_path)])
     assert code == 1
-    assert "error: cannot read articles" in stderr
+    assert f"error: [Errno 2] No such file or directory: '{missing}'" in stderr
 
 
 def test_build_csn_threshold_out_of_range_exits_2(tmp_path, capsys):
@@ -348,6 +347,29 @@ def test_embed_logs_community_homophily(tmp_path, world_dir, monkeypatch, capsys
 
 
 _SMALL_EMBED = ["--dims", "4", "--walk-length", "5", "--walks-per-node", "1", "--epochs", "1"]
+
+
+def test_embed_skips_homophily_line_for_one_community(tmp_path, monkeypatch, capsys, caplog):
+    csn = tmp_path / "csn.tsv"
+    csn.write_text("#csn v1\n#node\ta\t2\n#node\tb\t2\na\tb\t1\t0.5\n", encoding="utf-8")
+    monkeypatch.setenv("NUDGESIM_LOG", "INFO")
+    with caplog.at_level(logging.INFO, logger="nudgesim"):
+        code, stdout, _ = _run(capsys, ["embed", str(csn), "--out", str(tmp_path / "v.tsv")] + _SMALL_EMBED)
+    assert code == 0
+    assert stdout.strip() == "nodes=2 dims=4"
+    assert len(set(graph.detect_communities(load_graph(csn)).labels.values())) == 1
+    messages = [r.getMessage() for r in caplog.records]
+    assert any("loss" in m for m in messages)  # INFO logging was on
+    assert not any("homophily" in m for m in messages)
+
+
+def test_embed_graph_without_nodes_exits_1_naming_the_file(tmp_path, capsys):
+    csn = tmp_path / "csn.tsv"
+    csn.write_text(graph.CSN_HEADER + "\n", encoding="utf-8")
+    code, _, stderr = _run(capsys, ["embed", str(csn), "--out", str(tmp_path / "v.tsv")] + _SMALL_EMBED)
+    assert code == 1
+    assert f"error: {csn}: no nodes; nothing to embed" in stderr
+    assert not (tmp_path / "v.tsv").exists()
 
 
 def test_embed_skips_homophily_check_below_info(tmp_path, world_dir, monkeypatch, capsys, caplog):
@@ -813,13 +835,17 @@ def test_simulate_empty_vector_source_exits_1(tmp_path, capsys, world_dir):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["simulate", "build-csn"])
+@pytest.mark.parametrize("command", ["simulate", "build-csn", "config"])
 def test_deeply_nested_json_exits_1(tmp_path, capsys, world_dir, command):
     bad = tmp_path / "nested.json"
     bad.write_text("[" * 100_000 + "\n", encoding="utf-8")
-    inputs = _inputs(world_dir, command)
-    inputs[0] = str(bad)
-    code, _, stderr = _run(capsys, [command, *inputs, "--out-dir", str(tmp_path / "out")])
+    if command == "config":
+        argv = ["--config", str(bad), "embed", *_inputs(world_dir, "embed")]
+    else:
+        inputs = _inputs(world_dir, command)
+        inputs[0] = str(bad)
+        argv = [command, *inputs]
+    code, _, stderr = _run(capsys, [*argv, "--out-dir", str(tmp_path / "out")])
     assert code == 1
     where = f"{bad}:1:" if command == "build-csn" else f"{bad}:"
     assert f"error: {where} JSON nested too deeply" in stderr
@@ -853,8 +879,29 @@ def test_config_byte_not_utf8_exits_1_naming_the_file(tmp_path, capsys, world_di
     config.write_bytes(b'{"seed": 1\xff}')
     code, _, stderr = _run(capsys, ["--config", str(config), "embed", *_inputs(world_dir, "embed")])
     assert code == 1
-    assert stderr.startswith(f"error: config file {config}: 'utf-8' codec can't decode byte 0xff")
+    assert f"error: {config}:1: byte 0xff at offset 10 is not UTF-8" in stderr
     assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"seed": ' + "9" * 5000 + "}", ": Exceeds the limit (4300 digits)"),
+        ('[{"seed": 1}]', ": expected a JSON object"),
+        (None, "No such file or directory"),
+    ],
+    ids=["integer-5000-digits", "list", "missing"],
+)
+def test_config_file_unusable_exits_1_naming_the_file(tmp_path, capsys, world_dir, text, message):
+    config = tmp_path / "config.json"
+    if text is not None:
+        config.write_text(text, encoding="utf-8")
+    argv = ["--config", str(config), "embed", *_inputs(world_dir, "embed")]
+    code, _, stderr = _run(capsys, [*argv, "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert stderr.startswith("error: ") and str(config) in stderr and message in stderr
+    assert "Traceback" not in stderr
+    assert not (tmp_path / "out").exists()
 
 
 def _inputs(world_dir, command):

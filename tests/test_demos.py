@@ -1,5 +1,5 @@
 """The demo scripts import only names the package still provides, and each
-runs to completion."""
+runs to completion; no package module imports a private name from another."""
 
 import ast
 import importlib
@@ -30,6 +30,24 @@ def test_demo_imports_resolve(demo):
                 importlib.import_module(f"{node.module}.{alias.name}")  # a submodule
             checked += 1
     assert checked, f"{demo.name} imports nothing from nudgesim"
+
+
+def test_package_modules_import_no_private_name_from_a_sibling():
+    # a private name is free to change with its own module; a rule two
+    # modules share belongs under a public name
+    found = []
+    for path in sorted(Path(nudgesim.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "nudgesim"
+            ):
+                found += [
+                    f"{path.name}:{node.lineno}: {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert not found, found
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)

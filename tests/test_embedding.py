@@ -445,6 +445,10 @@ def test_vectors_file_errors(tmp_path):
     path.write_text("#vectors v1\tdims=2\na\t1.0\t0.5\n\t0.1\t0.2\n", encoding="utf-8")
     with pytest.raises(ValueError, match=":3: empty source id"):
         load_vectors(path)
+    # without dims=, a bare source id would set dims to 0
+    path.write_text("#vectors v1\na\nb\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=":2: no components for 'a'"):
+        load_vectors(path)
     path.write_text("#vectors v1\tdims=1\n", encoding="utf-8")
     with pytest.raises(ValueError, match="no vectors"):
         load_vectors(path)

@@ -133,8 +133,12 @@ def test_build_csn_counts_distinct_copier_articles():
 
 
 def test_build_csn_missing_article_count_is_fatal():
-    with pytest.raises(ValueError, match="no article count"):
+    with pytest.raises(ValueError, match="source 'b': article count 0 is not an integer >= 1"):
         build_csn([_pair("a", "b", 1)], {"a": 3})
+    # with several sources lacking a count, the first in sorted order is named,
+    # whatever the string hash seed
+    with pytest.raises(ValueError, match="source 'a': article count 0"):
+        build_csn([_pair("d", "c", 1), _pair("b", "a", 1)], {})
 
 
 def test_build_csn_weight_above_one_is_fatal():
@@ -178,14 +182,14 @@ def test_graph_rejects_self_loops_and_bad_weights():
 
 @pytest.mark.parametrize("name", ["", "a\tb", "a\rb", "a\nb", "#a", "\ud800"])
 def test_graph_rejects_node_names_save_graph_cannot_write(name):
-    with pytest.raises(ValueError, match="node name"):
+    with pytest.raises(ValueError, match=r"^source .* (is empty|holds a lone surrogate)"):
         CsnGraph(raw_counts={(name, "b"): 1}, article_counts={name: 2, "b": 2})
 
 
 def test_load_graph_rejects_node_name_starting_with_hash(tmp_path):
     path = tmp_path / "csn.tsv"
     path.write_text("#csn v1\n#node\t#a\t2\n#node\tb\t2\n#a\tb\t1\t0.5\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=r":2: malformed line \(node name '#a'"):
+    with pytest.raises(ValueError, match=r":2: malformed line \(source '#a' is empty, starts with '#'"):
         load_graph(path)
 
 

@@ -269,6 +269,12 @@ def test_labels_csv_rejects_bad_rows(tmp_path):
     )
     with pytest.raises(ValueError, match="duplicate"):
         read_labels_csv(path)
+    path.write_text(
+        "source,newsguard,os_flags,mbfc_flags,allsides,buzzfeed,mbfc_bias\n,50,,,,,\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match=r"labels\.csv:2: source id must be non-empty"):
+        read_labels_csv(path)
     path.write_text("source,newsguard\n", encoding="utf-8")
     with pytest.raises(ValueError, match="header"):
         read_labels_csv(path)
@@ -314,6 +320,17 @@ def test_scores_csv_rejects_out_of_range(tmp_path):
         "source,quality,leaning,provenance\nbad,0.5,0.0,guessed\n", encoding="utf-8"
     )
     with pytest.raises(ValueError, match="provenance"):
+        read_scores_csv(path)
+    path.write_text(
+        "source,quality,leaning,provenance\nbad,0.5,-1.5,labeled\n", encoding="utf-8"
+    )
+    with pytest.raises(ValueError, match=r"scores\.csv:2: leaning -1\.5 outside \[-1, 1\]"):
+        read_scores_csv(path)
+    path.write_text(
+        "source,quality,leaning,provenance\na,0.5,0.0,labeled\na,,,unavailable\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match=r"scores\.csv:3: duplicate source 'a'"):
         read_scores_csv(path)
     # a labeled or imputed score that lacks a field would drop out of the
     # catalog without a word
