@@ -22,9 +22,15 @@ from scipy import sparse
 logger = logging.getLogger(__name__)
 
 DEFAULT_SIMILARITY_THRESHOLD = 0.85
-# rows of M·Mᵀ computed at once by similar_pairs; chosen by a sweep of 128-2048
-# on the copy-detect benchmark workload (peak memory against time)
+# rows of each band of similar_pairs; re-swept over 128-2048 with candidate
+# pruning on the copy-detect benchmark workload at 1x and 4x the stories: 512
+# was fastest at 4x and within noise at 1x, and peak memory grows with it
 _PAIR_BLOCK = 512
+# a row's leading terms stay out of the candidate index while their norm is
+# below the threshold minus this (see _upper_entries); on copy-detect, 0.01
+# lets 113k candidates through for 4.7k pairs, 0.03-0.1 let through no more
+# than 4.8k, and above 0.1 the indexed part grows and the time with it
+_UNINDEXED_MARGIN = 0.05
 
 _TOKEN_RE = re.compile(r"[^\W_]+")  # runs of alphanumeric codepoints
 # every ASCII code point that _TOKEN_RE does not match becomes a space, so
@@ -293,23 +299,72 @@ def tfidf_vectors(articles: ArticleSet) -> TfidfResult:
     return TfidfResult(matrix=matrix, vocabulary=vocabulary)
 
 
+def _split_rows(band: sparse.csr_matrix, bound: float):
+    """Split each row of ``band``, whose terms are numbered from the most
+    frequent to the least, into an unindexed part U, its leading terms while
+    ``‖U‖ < bound``, and an indexed part I, the rest.
+
+    Returns I, which is ``band`` sorted and pruned in place, and ``‖U‖`` per
+    row.
+    """
+    band.sort_indices()
+    lengths = np.diff(band.indptr)
+    squares = band.data**2
+    # each entry's squared norm of its row up to and including it
+    sums = np.cumsum(squares)
+    sums -= np.repeat(np.concatenate(([0.0], sums))[band.indptr[:-1]], lengths)
+    unindexed = sums < bound * bound  # a prefix of each row: sums only grow
+    row = np.repeat(np.arange(len(lengths)), lengths)
+    norms = np.sqrt(
+        np.bincount(row[unindexed], weights=squares[unindexed], minlength=len(lengths))
+    )
+    band.data[unindexed] = 0.0
+    band.eliminate_zeros()
+    return band, norms
+
+
 def _upper_entries(matrix: sparse.csr_matrix, threshold: float):
     """Yield ``(i, j, (M·Mᵀ)[i, j])`` for every ``i < j`` whose value is at
-    least ``threshold``, computing M·Mᵀ one band of ``_PAIR_BLOCK`` rows at a
-    time and each band only from its first row's column on.
+    least ``threshold``, one band of ``_PAIR_BLOCK`` rows at a time.
 
-    The product sums entry (i, j) over row i's terms in index order, whatever
-    the band, so every value is bitwise the full product's entry (i, j),
-    which is also its entry (j, i).
+    The terms are renumbered by document frequency, most frequent first, and
+    Mᵀ is formed once. Each row x is split by :func:`_split_rows`, with the
+    bound ``threshold - _UNINDEXED_MARGIN`` or 0 if that is lower. On unit
+    rows Cauchy–Schwarz gives ``x·y ≤ I(x)·y + ‖U(x)‖`` for any split, so a
+    band's candidates are the later columns where ``I(x)·y`` plus ``‖U(x)‖``
+    reaches the threshold, with slack for rounding; a column sharing no term
+    with I(x) gives at most ``‖U(x)‖``, which is below the threshold. Only
+    the candidate rows and columns are then multiplied out exactly. The
+    product sums entry (i, j) over row i's terms in index order, whatever the
+    rows and columns, so every value is bitwise the full product's entry
+    (i, j), which is also its entry (j, i).
     """
-    for start in range(0, matrix.shape[0], _PAIR_BLOCK):
-        band = matrix[start : start + _PAIR_BLOCK] @ matrix[start:].T
-        at = np.flatnonzero(band.data >= threshold)
-        i = start + np.searchsorted(band.indptr, at, side="right") - 1
-        j = start + band.indices[at]
+    n, m = matrix.shape
+    rank = np.empty(m, dtype=matrix.indices.dtype)
+    rank[np.argsort(-np.bincount(matrix.indices, minlength=m), kind="stable")] = np.arange(m)
+    ranked = sparse.csr_matrix((matrix.data, rank[matrix.indices], matrix.indptr), shape=(n, m))
+    transposed = ranked.T.tocsr()
+    bound = max(threshold - _UNINDEXED_MARGIN, 0.0)
+    for start in range(0, n, _PAIR_BLOCK):
+        # the slice is a copy, which _split_rows sorts and prunes
+        part, norms = _split_rows(ranked[start : start + _PAIR_BLOCK], bound)
+        indexed = part @ transposed  # I(x)·y for each row x of the band
+        row = np.repeat(np.arange(part.shape[0]), np.diff(indexed.indptr))
+        candidate = (indexed.indices > start + row) & (
+            indexed.data >= threshold - 1e-9 - norms[row] * (1 + 1e-12)
+        )
+        rows = start + np.unique(row[candidate])
+        cols = np.unique(indexed.indices[candidate])
+        del part, indexed, row, candidate  # free them before the exact product
+        if not len(rows):
+            continue
+        exact = matrix[rows] @ matrix[cols].T
+        at = np.flatnonzero(exact.data >= threshold)
+        i = rows[np.searchsorted(exact.indptr, at, side="right") - 1]
+        j = cols[exact.indices[at]]
         upper = i < j
-        values = band.data[at[upper]]
-        del band  # free it before the next band is computed
+        values = exact.data[at[upper]]
+        del exact
         yield from zip(i[upper].tolist(), j[upper].tolist(), values.tolist())
 
 

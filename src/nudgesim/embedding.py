@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csc_matrix
-from scipy.special import expit
 
 from .corpus import read_utf8
 from .graph import CsnGraph
@@ -202,6 +201,8 @@ def train_embeddings(
             counts[node] = counts.get(node, 0) + 1
     if not counts:
         raise ValueError("cannot train on an empty walk corpus")
+    # imported here: no other command needs scipy.special, which is slow to load
+    from scipy.special import expit
 
     vocab = sorted(counts)
     index = {node: i for i, node in enumerate(vocab)}

@@ -4,9 +4,13 @@ artifact layout, and rerun reproducibility."""
 import csv
 import json
 import logging
+import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -361,6 +365,30 @@ def test_embed_skips_homophily_line_for_one_community(tmp_path, monkeypatch, cap
     messages = [r.getMessage() for r in caplog.records]
     assert any("loss" in m for m in messages)  # INFO logging was on
     assert not any("homophily" in m for m in messages)
+
+
+def test_only_embed_loads_scipy_special(tmp_path):
+    # scipy.special is slow to import and only skip-gram training uses it, so
+    # a fresh process loads it for embed and for nothing before
+    script = textwrap.dedent("""
+        import sys
+        from nudgesim.cli import main
+        loaded = ["scipy.special" in sys.modules]
+        assert main(["build-csn", sys.argv[1], "--out-dir", sys.argv[2]]) == 0
+        loaded.append("scipy.special" in sys.modules)
+        csn, vectors = sys.argv[2] + "/csn.tsv", sys.argv[2] + "/v.tsv"
+        assert main(["embed", csn, "--out", vectors] + sys.argv[3:]) == 0
+        loaded.append("scipy.special" in sys.modules)
+        print(loaded)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(synthetic.fixture_articles_path()), str(tmp_path)]
+        + _SMALL_EMBED,
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[False, False, True]"
 
 
 def test_embed_graph_without_nodes_exits_1_naming_the_file(tmp_path, capsys):

@@ -13,6 +13,7 @@ from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -420,6 +421,122 @@ def test_similar_pairs_in_bands_match_oracle_and_full_product(block, docs, thres
     row = {a.article_id: i for i, a in enumerate(arts)}
     for p in pairs:  # bitwise, whichever of (i, j) and (j, i) the band held
         assert p.similarity == full[row[p.earlier], row[p.later]]
+
+
+def _dated_articles(texts):
+    """One article per text, each from its own source, published a minute
+    after the one before, so that every pair is eligible."""
+    start = datetime(2018, 1, 1, tzinfo=timezone.utc)
+    return [
+        corpus.Article(f"d{i}", f"s{i}", "", text, start + timedelta(minutes=i))
+        for i, text in enumerate(texts)
+    ]
+
+
+def full_product_pairs(arts, tfidf, threshold):
+    """The pairs of ``_dated_articles`` read off the whole of M·Mᵀ: each
+    entry (i, j) with i < j at or above the threshold, as article i -> j."""
+    full = (tfidf.matrix @ tfidf.matrix.T).tocoo()
+    upper = (full.row < full.col) & (full.data >= threshold)
+    return [
+        corpus.CopyPair(arts[i].article_id, arts[j].article_id, value,
+                        arts[i].source_id, arts[j].source_id)
+        for i, j, value in zip(full.row[upper].tolist(), full.col[upper].tolist(),
+                               full.data[upper].tolist())
+    ]
+
+
+def _by_ids(pairs):
+    return sorted(pairs, key=lambda p: (p.earlier, p.later))
+
+
+# word k is drawn about 1/(k + 1) as often as the first, so a row's leading
+# terms by document frequency carry much of its norm
+_ZIPF_WORDS = [f"w{k}" for k in range(40) for _ in range(40 // (k + 1))]
+_ZIPF_CORPORA = st.lists(
+    st.lists(st.sampled_from(_ZIPF_WORDS), min_size=1, max_size=30), min_size=2, max_size=10
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(docs=_ZIPF_CORPORA, copies=st.lists(st.integers(0, 9), max_size=3),
+       pick=st.integers(0, 10**6), low=st.floats(min_value=0.0, max_value=0.05),
+       block=st.sampled_from([1, 3, 512]))
+# the pair d0-d2 scores 0.3857…; d0 leaves no term out of its index, and its
+# candidate score, summed in another order, comes out one unit in the last
+# place below the exact product
+@example(docs=[["w4", "w1", "w1", "w0", "w1", "w4", "w0", "w3"], ["w0", "w3", "w9", "w9"],
+               ["w6", "w6", "w0", "w1", "w3"], ["w2", "w6", "w2"],
+               ["w0", "w1", "w2", "w7", "w0", "w3", "w0", "w0"]],
+         copies=[], pick=5, low=0.0, block=512)
+# d0 holds "common" once among 500 rare words, with weight 0.023, and shares
+# only it with d1: left out of d0's index, it would lose the pair at 0.02
+@example(docs=[["common"] + [f"rare{k}" for k in range(500)], ["common"] * 3,
+               ["common", "alpha"], ["common", "beta"]],
+         copies=[], pick=0, low=0.02, block=512)
+def test_similar_pairs_are_the_full_product_at_a_product_value_and_beside_it(
+    docs, copies, pick, low, block
+):
+    # the threshold is a value of M·Mᵀ, or the float just below or above it,
+    # or one so low that no term is left out of the index; a bound without
+    # enough slack for rounding would lose the pair that sits on it
+    docs = docs + [docs[k % len(docs)] + ["w0"] for k in copies]  # near-copies score high
+    arts = _dated_articles([" ".join(tokens) for tokens in docs])
+    article_set = corpus.ArticleSet(articles=arts, skipped=0)
+    tfidf = corpus.tfidf_vectors(article_set)
+    full = (tfidf.matrix @ tfidf.matrix.T).tocoo()
+    values = sorted(set(full.data[full.row < full.col].tolist()))
+    thresholds = [low]
+    if values:
+        value = values[pick % len(values)]
+        below, above = np.nextafter(value, -np.inf), np.nextafter(value, np.inf)
+        thresholds += [float(below), value, float(above)]
+    with mock.patch.object(corpus, "_PAIR_BLOCK", block):
+        for threshold in thresholds:
+            got = corpus.similar_pairs(tfidf, article_set, threshold=threshold)
+            assert _by_ids(got) == _by_ids(full_product_pairs(arts, tfidf, threshold)), threshold
+
+
+def test_similar_pairs_on_planted_copies_are_the_full_product():
+    # a few hundred long documents over a Zipf-like vocabulary, a third of
+    # them copied with a few words dropped or swapped: most of each row is
+    # left out of the index, and the pairs are still the full product's
+    rng = random.Random(11)
+    vocabulary = [f"term{k}" for k in range(3000)]
+    weights = [1 / (k + 1) for k in range(3000)]
+    docs = []
+    for _ in range(240):
+        doc = rng.choices(vocabulary, weights, k=rng.randint(20, 120))
+        docs.append(doc)
+        if rng.random() < 1 / 3:
+            docs.append([rng.choice(vocabulary) if rng.random() < 0.05 else word
+                         for word in doc if rng.random() >= 0.03])
+    arts = _dated_articles([" ".join(doc) for doc in docs])
+    article_set = corpus.ArticleSet(articles=arts, skipped=0)
+    tfidf = corpus.tfidf_vectors(article_set)
+    before = tfidf.matrix.copy()
+    split = corpus._split_rows
+
+    def counting_split(band, bound):
+        entries = band.nnz
+        part, norms = split(band, bound)
+        indexed.append((entries, part.nnz))
+        return part, norms
+
+    share, found = {}, {}
+    for threshold in (0.02, 0.3, 0.6, 0.85, 0.95):
+        indexed = []
+        with mock.patch.object(corpus, "_PAIR_BLOCK", 64), \
+                mock.patch.object(corpus, "_split_rows", counting_split):
+            got = corpus.similar_pairs(tfidf, article_set, threshold=threshold)
+        assert _by_ids(got) == _by_ids(full_product_pairs(arts, tfidf, threshold))
+        entries, kept = map(sum, zip(*indexed))
+        share[threshold], found[threshold] = kept / entries, len(got)
+    assert share[0.02] == 1.0  # at a threshold of 0.05 or less nothing is left out
+    assert share[0.85] < 0.3 and share[0.95] < 0.2
+    assert found[0.85] >= 60  # the planted copies
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(tfidf.matrix, name), getattr(before, name))
 
 
 def test_similar_pairs_memory_is_bounded_by_the_band():
