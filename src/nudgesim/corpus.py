@@ -8,6 +8,7 @@ publication to the later one.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import logging
@@ -185,6 +186,35 @@ def read_json(path):
             raise ValueError(f"{path}: JSON nested too deeply") from None
         except ValueError as exc:  # a syntax error, or an integer too long to convert
             raise ValueError(f"{path}: {exc}") from None
+
+
+def read_csv(path, fields: list[str]):
+    """(line, row) for each non-empty row of the CSV file ``path`` after its
+    header, which must be ``fields``; every row has ``len(fields)`` string
+    fields, and an empty field (:func:`write_csv`'s ``None``) is ``""``."""
+    with read_utf8(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            if next(reader, None) != fields:
+                raise ValueError(f"{path}:1: expected header {','.join(fields)!r}")
+            for row_num, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(fields):
+                    raise ValueError(f"{path}:{row_num}: expected {len(fields)} fields, got {len(row)}")
+                yield row_num, row
+        except csv.Error as exc:  # a field over csv.field_size_limit()
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """Write ``header``, then ``rows``, to ``path`` as UTF-8 CSV: ``None`` as an
+    empty field, a float (numpy's too) as its shortest round-trip decimal, and
+    any other value as ``str`` gives it."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def load_articles(path) -> ArticleSet:
@@ -407,9 +437,7 @@ def similar_pairs(
 
 def write_pairs_tsv(pairs: list[CopyPair], path) -> None:
     """Write pairs as TSV: earlier_id, later_id, earlier_source, later_source,
-    similarity (full-precision)."""
+    similarity (shortest round-trip decimal)."""
     with open(path, "w", encoding="utf-8") as fh:
         for p in pairs:
-            fh.write(
-                f"{p.earlier}\t{p.later}\t{p.earlier_source}\t{p.later_source}\t{p.similarity!r}\n"
-            )
+            fh.write(f"{p.earlier}\t{p.later}\t{p.earlier_source}\t{p.later_source}\t{p.similarity}\n")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csc_matrix
 
-from .corpus import read_utf8
+from .corpus import check_source_name, read_utf8
 from .graph import CsnGraph
 
 VECTORS_HEADER = "#vectors v1"
@@ -285,7 +285,7 @@ def train_embeddings(
             "window": str(window),
             "negatives": str(negatives),
             "epochs": str(epochs),
-            "learning_rate": repr(learning_rate),
+            "learning_rate": str(learning_rate),
         },
     )
 
@@ -317,8 +317,8 @@ def embed_graph(
     result = train_embeddings(walks, np.random.default_rng(train_ss), **training)
     result.params.update(
         {
-            "p": repr(p),
-            "q": repr(q),
+            "p": str(p),
+            "q": str(q),
             "walk_length": str(walk_length),
             "walks_per_node": str(walks_per_node),
             "directed": "1" if directed else "0",
@@ -330,15 +330,19 @@ def embed_graph(
 
 def save_vectors(vectors: SourceVectors, path) -> None:
     """Header line with hyperparameters, then one tab-separated row per
-    source. Components serialize at full precision; loads are exact."""
+    source. Components are written as their shortest round-trip decimal, so
+    loads are exact. Every source id and row shape is checked before the
+    file is opened."""
+    rows = sorted(vectors.vectors.items())
+    for node, row in rows:
+        check_source_name(node)
+        if row.shape != (vectors.dims,):
+            raise ValueError(f"{node!r}: vector shape {row.shape} != ({vectors.dims},)")
     with open(path, "w", encoding="utf-8") as fh:
         params = "\t".join(f"{k}={vectors.params[k]}" for k in sorted(vectors.params))
         fh.write(VECTORS_HEADER + ("\t" + params if params else "") + "\n")
-        for node in sorted(vectors.vectors):
-            row = vectors.vectors[node]
-            if row.shape != (vectors.dims,):
-                raise ValueError(f"{node!r}: vector shape {row.shape} != ({vectors.dims},)")
-            fh.write(node + "\t" + "\t".join(repr(float(x)) for x in row) + "\n")
+        for node, row in rows:
+            fh.write(node + "\t" + "\t".join(map(str, row.tolist())) + "\n")
 
 
 def load_vectors(path) -> SourceVectors:

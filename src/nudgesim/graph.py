@@ -126,15 +126,15 @@ def save_graph(graph: CsnGraph, path) -> None:
     """Write the edge-list TSV.
 
     Header line, then one ``#node`` line per node carrying its article count,
-    then ``from  to  raw_count  normalized_weight`` rows. Weights use
-    full-precision decimal serialization so round-trips are exact.
+    then ``from  to  raw_count  normalized_weight`` rows. Weights are
+    written as their shortest round-trip decimal, so round-trips are exact.
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(CSN_HEADER + "\n")
         for node in graph.nodes:
             fh.write(f"#node\t{node}\t{graph.article_counts[node]}\n")
         for (src, dst), weight in graph.edges.items():
-            fh.write(f"{src}\t{dst}\t{graph.raw_counts[(src, dst)]}\t{weight!r}\n")
+            fh.write(f"{src}\t{dst}\t{graph.raw_counts[(src, dst)]}\t{weight}\n")
 
 
 def load_graph(path) -> CsnGraph:
@@ -254,9 +254,7 @@ def _local_moving(a: csr_matrix) -> list[int]:
                 if c == c_old:
                     continue
                 g = gain(c)
-                if g > best_gain + 1e-12 or (
-                    g > best_gain - 1e-12 and c < best_c and best_c != c_old
-                ):
+                if g > best_gain + 1e-12:
                     best_c, best_gain = c, g
 
             if best_c == c_old and comm_size[c_old] == 0:

@@ -9,10 +9,9 @@ provider-derived values (one hop, no chaining).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
-from .corpus import read_utf8
+from .corpus import read_csv, write_csv
 from .graph import CsnGraph
 
 LEANING_CATEGORIES: dict[str, float] = {
@@ -182,45 +181,25 @@ def _parse_flags(field: str) -> frozenset[str]:
 
 
 def write_labels_csv(labels: list[SourceLabels], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LABELS_FIELDS)
-        for item in sorted(labels, key=lambda x: x.source):
-            writer.writerow(
-                [
-                    item.source,
-                    "" if item.newsguard is None else repr(item.newsguard),
-                    _flags_field(item.os_flags),
-                    _flags_field(item.mbfc_flags),
-                    item.allsides or "",
-                    item.buzzfeed or "",
-                    item.mbfc_bias or "",
-                ]
-            )
-
-
-def _csv_rows(path, fields: list[str]):
-    """(line, row) for each non-empty row of the CSV file ``path`` after its
-    header, which must be ``fields``; every row has ``len(fields)`` fields."""
-    with read_utf8(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            if next(reader, None) != fields:
-                raise ValueError(f"{path}:1: expected header {','.join(fields)!r}")
-            for row_num, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(fields):
-                    raise ValueError(f"{path}:{row_num}: expected {len(fields)} fields, got {len(row)}")
-                yield row_num, row
-        except csv.Error as exc:  # a field over csv.field_size_limit()
-            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    rows = (
+        [
+            item.source,
+            item.newsguard,
+            _flags_field(item.os_flags),
+            _flags_field(item.mbfc_flags),
+            item.allsides,
+            item.buzzfeed,
+            item.mbfc_bias,
+        ]
+        for item in sorted(labels, key=lambda x: x.source)
+    )
+    write_csv(path, LABELS_FIELDS, rows)
 
 
 def read_labels_csv(path) -> list[SourceLabels]:
     labels: list[SourceLabels] = []
     seen: set[str] = set()
-    for row_num, row in _csv_rows(path, LABELS_FIELDS):
+    for row_num, row in read_csv(path, LABELS_FIELDS):
         try:
             item = SourceLabels(
                 source=row[0],
@@ -241,24 +220,13 @@ def read_labels_csv(path) -> list[SourceLabels]:
 
 
 def write_scores_csv(scores: dict[str, SourceScore], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCORES_FIELDS)
-        for source in sorted(scores):
-            sc = scores[source]
-            writer.writerow(
-                [
-                    sc.source,
-                    "" if sc.quality is None else repr(sc.quality),
-                    "" if sc.leaning is None else repr(sc.leaning),
-                    sc.provenance,
-                ]
-            )
+    rows = ([sc.source, sc.quality, sc.leaning, sc.provenance] for _, sc in sorted(scores.items()))
+    write_csv(path, SCORES_FIELDS, rows)
 
 
 def read_scores_csv(path) -> dict[str, SourceScore]:
     scores: dict[str, SourceScore] = {}
-    for row_num, (source, q_field, l_field, provenance) in _csv_rows(path, SCORES_FIELDS):
+    for row_num, (source, q_field, l_field, provenance) in read_csv(path, SCORES_FIELDS):
         if source in scores:
             raise ValueError(f"{path}:{row_num}: duplicate source {source!r}")
         try:

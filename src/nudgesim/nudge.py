@@ -20,7 +20,6 @@ decision — trajectories are reproducible across platforms.
 from __future__ import annotations
 
 import bisect
-import csv
 import hashlib
 import itertools
 import json
@@ -30,7 +29,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .corpus import read_json
+from .corpus import read_json, write_csv
 from .embedding import SourceVectors
 from .groundtruth import SourceScore
 
@@ -472,41 +471,33 @@ def convergence_point(traj: Trajectory) -> int | None:
     return next((r.t for r in traj.steps if r.q_u >= 1.0 - eps), None)
 
 
-def _optional(x: float | None) -> str:
-    return "" if x is None else repr(x)
-
-
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_FIELDS)
-        for r in traj.steps:
-            writer.writerow(
-                [
-                    r.t,
-                    r.recommended or "",
-                    _optional(r.trust_cost),
-                    _optional(r.accept_probability),
-                    "true" if r.accepted else "false",
-                    r.dropped or "",
-                    repr(r.q_u),
-                    repr(r.l_u),
-                ]
-            )
+    rows = (
+        [
+            r.t,
+            r.recommended,
+            r.trust_cost,
+            r.accept_probability,
+            "true" if r.accepted else "false",
+            r.dropped,
+            r.q_u,
+            r.l_u,
+        ]
+        for r in traj.steps
+    )
+    write_csv(path, TRAJECTORY_FIELDS, rows)
 
 
 def write_comparison_csv(runs: list[tuple[Trajectory, Trajectory]], path) -> None:
     """One row per (user, step) of each user's (constrained, unconstrained)
     runs: the trust cost of the offer under either rule, as the two
     trajectory CSVs write it."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COMPARISON_FIELDS)
-        for constrained, unconstrained in runs:
-            for a, b in zip(constrained.steps, unconstrained.steps):
-                writer.writerow(
-                    [constrained.user_id, a.t, _optional(a.trust_cost), _optional(b.trust_cost)]
-                )
+    rows = (
+        [constrained.user_id, a.t, a.trust_cost, b.trust_cost]
+        for constrained, unconstrained in runs
+        for a, b in zip(constrained.steps, unconstrained.steps)
+    )
+    write_csv(path, COMPARISON_FIELDS, rows)
 
 
 def _profile_summary(u: UserProfile) -> dict:

@@ -574,11 +574,14 @@ def test_cosine_is_scale_invariant():
 
 
 def test_write_pairs_tsv_round_trips_exact_similarity(tmp_path, fixture_pairs):
+    # numpy 2's repr of a numpy scalar is "np.float64(0.9)"
+    pairs = fixture_pairs + [corpus.CopyPair("x1", "x2", np.float64(0.9), "sx", "sy")]
     path = tmp_path / "pairs.tsv"
-    corpus.write_pairs_tsv(fixture_pairs, path)
+    corpus.write_pairs_tsv(pairs, path)
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == len(fixture_pairs)
-    for line, p in zip(lines, fixture_pairs):
+    assert len(lines) == len(pairs)
+    assert lines[-1].endswith("\t0.9")
+    for line, p in zip(lines, pairs):
         earlier, later, e_src, l_src, sim = line.split("\t")
         assert (earlier, later, e_src, l_src) == (
             p.earlier,

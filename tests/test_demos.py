@@ -1,5 +1,6 @@
 """The demo scripts import only names the package still provides, and each
-runs to completion; no package module imports a private name from another."""
+runs to completion; no package module imports a private name from another,
+and no writer formats a value with repr."""
 
 import ast
 import importlib
@@ -47,6 +48,25 @@ def test_package_modules_import_no_private_name_from_a_sibling():
                     for alias in node.names
                     if alias.name.startswith("_")
                 ]
+    assert not found, found
+
+
+def test_package_writers_format_no_value_with_repr():
+    # numpy 2 writes repr(np.float64(0.8)) as "np.float64(0.8)", which no
+    # reader takes back; a writer passes values to corpus.write_csv or
+    # formats them with str, and repr is left to error messages
+    found = []
+    for path in sorted(Path(nudgesim.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in ast.walk(tree):
+            if not (isinstance(func, ast.FunctionDef) and func.name.startswith(("write_", "save_"))):
+                continue
+            in_raise = {id(n) for r in ast.walk(func) if isinstance(r, ast.Raise) for n in ast.walk(r)}
+            for node in ast.walk(func):
+                calls_repr = isinstance(node, ast.Call) and getattr(node.func, "id", None) == "repr"
+                converts_r = isinstance(node, ast.FormattedValue) and node.conversion == ord("r")
+                if (calls_repr or converts_r) and id(node) not in in_raise:
+                    found.append(f"{path.name}:{node.lineno}: {func.name}")
     assert not found, found
 
 

@@ -459,6 +459,17 @@ def test_vectors_file_errors(tmp_path):
 
 
 def test_save_vectors_checks_shapes(tmp_path):
-    vectors = SourceVectors(dims=3, vectors={"a": np.zeros(2)}, params={})
-    with pytest.raises(ValueError, match="shape"):
-        save_vectors(vectors, tmp_path / "vectors.tsv")
+    # an id that load_vectors would misread or that is not UTF-8 is refused
+    # before the file is opened, so no partial file is left behind
+    path = tmp_path / "vectors.tsv"
+    for vectors, match in [
+        ({"a": np.zeros(2)}, "shape"),
+        ({"a\tb": np.zeros(3)}, "tab or line break"),
+        ({"a\nb": np.zeros(3)}, "tab or line break"),
+        ({"#x": np.zeros(3)}, "starts with '#'"),
+        ({"": np.zeros(3)}, "is empty"),
+        ({"ok": np.zeros(3), "\ud800x": np.zeros(3)}, "lone surrogate"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            save_vectors(SourceVectors(dims=3, vectors=vectors, params={}), path)
+        assert not path.exists()

@@ -241,6 +241,7 @@ def test_labels_csv_round_trip(tmp_path):
         _labels("alpha", newsguard=87.5, os_flags=frozenset({"fake", "clickbait"}), allsides="left"),
         _labels("beta", mbfc_flags=frozenset({"questionable"}), buzzfeed="right", mbfc_bias="right-center"),
         _labels("gamma"),
+        _labels("delta", newsguard=np.float64(80.0)),  # numpy 2's repr is "np.float64(80.0)"
     ]
     path = tmp_path / "labels.csv"
     write_labels_csv(rows, path)
@@ -301,6 +302,7 @@ def test_scores_csv_round_trip(tmp_path):
         "a": SourceScore("a", 0.925, -1 / 3, "labeled"),
         "b": SourceScore("b", None, None, "unavailable"),
         "c": SourceScore("c", 0.38, 1.0, "imputed"),
+        "d": SourceScore("d", np.float64(0.8), np.float64(-0.25), "labeled"),
     }
     path = tmp_path / "scores.csv"
     write_scores_csv(scores, path)
