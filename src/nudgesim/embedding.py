@@ -57,6 +57,16 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 1.0 - float(np.dot(a, b)) / (norm_a * norm_b)
 
 
+def check_vector(source_id: str, vector) -> None:
+    """The one rule for a source vector: its norm must be finite. A
+    non-finite component, or components so large that the norm overflows,
+    would make every cosine against the vector nan."""
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(vector)
+    if not np.isfinite(norm):
+        raise ValueError(f"non-finite vector norm for {source_id!r}")
+
+
 def community_cosines(vectors: SourceVectors, labels: dict) -> tuple[float, float]:
     """Mean cosine over the pairs of sources in one community (intra) and
     over the pairs in different communities (inter); nan where there is no
@@ -370,16 +380,14 @@ def load_vectors(path) -> SourceVectors:
             if not line:
                 continue
             fields = line.split("\t")
-            if not fields[0]:
-                raise ValueError(f"{path}:{lineno}: empty source id")
             try:
+                check_source_name(fields[0])
                 row = np.array([float(x) for x in fields[1:]], dtype=float)
+                if not len(row):
+                    raise ValueError(f"no components for {fields[0]!r}")
+                check_vector(fields[0], row)
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            if not len(row):
-                raise ValueError(f"{path}:{lineno}: no components for {fields[0]!r}")
-            if not np.all(np.isfinite(row)):
-                raise ValueError(f"{path}:{lineno}: non-finite component in {fields[0]!r}")
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             if dims is None:
                 dims = len(row)
             if len(row) != dims:

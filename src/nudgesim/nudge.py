@@ -30,7 +30,7 @@ from typing import ClassVar
 import numpy as np
 
 from .corpus import read_json, write_csv
-from .embedding import SourceVectors
+from .embedding import SourceVectors, check_vector
 from .groundtruth import SourceScore
 
 DEFAULT_ALPHA = 0.5
@@ -56,8 +56,7 @@ class Source:
             raise ValueError(f"{self.source_id}: quality {self.quality} outside [0, 1]")
         if not (-1.0 <= self.leaning <= 1.0):
             raise ValueError(f"{self.source_id}: leaning {self.leaning} outside [-1, 1]")
-        if not np.all(np.isfinite(self.vector)):
-            raise ValueError(f"{self.source_id}: vector has non-finite components")
+        check_vector(self.source_id, self.vector)
 
 
 def _frozen(values) -> np.ndarray:
@@ -153,7 +152,7 @@ def update_scores(u: UserProfile, catalog: SourceCatalog) -> None:
     rows = [catalog.index[s] for s in u.sources]
     u.q_u = sum(catalog._quality[r] for r in rows) / len(rows)
     u.l_u = sum(catalog._leaning[r] for r in rows) / len(rows)
-    u.v_u = catalog.vectors[rows].mean(axis=0)
+    u.v_u = np.add.reduce(catalog.vectors[rows], axis=0) / len(rows)
 
 
 def profile_from_sources(
@@ -251,29 +250,24 @@ def _row_costs(u: UserProfile, catalog: SourceCatalog, rows, alpha: float, norm_
     return [_cost(l_u, v_u, norm_u, leaning[r], vectors[r], norms[r], alpha) for r in rows]
 
 
-def _eligible_rows(u: UserProfile, catalog: SourceCatalog) -> np.ndarray:
-    """Rows of the sources strictly above the user's mean quality and not
-    already trusted, in sorted-id order."""
+def _eligible(u: UserProfile, catalog: SourceCatalog) -> np.ndarray:
+    """Mask over the catalog rows of the sources strictly above the user's
+    mean quality and not already trusted."""
     mask = catalog.quality > u.q_u
     mask[[catalog.index[s] for s in u.sources]] = False
-    return np.flatnonzero(mask)
+    return mask
 
 
-def _approximate_costs(
-    u: UserProfile, catalog: SourceCatalog, rows: np.ndarray, alpha: float, norm_u: float
-):
-    """``trust_cost`` of each row from one mat-vec and the cached norms. It
-    may differ from the scalar cost in the last bits, or come out non-finite
-    where the scalar cost overflows."""
-    norms = catalog.norms[rows]
-    distance = np.ones(len(rows))
+def _approximate_costs(u: UserProfile, catalog: SourceCatalog, alpha: float, norm_u: float):
+    """``trust_cost`` of every catalog row from one mat-vec and the cached
+    norms. It may differ from the scalar cost in the last bits, or come out
+    non-finite where the scalar cost overflows."""
+    distance = 1.0
     if norm_u != 0.0:
-        live = norms != 0.0  # a zero norm on either side gives the neutral 1.0
-        dots = (catalog.vectors @ u.v_u)[rows[live]]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            distance[live] = 1.0 - dots / (norms[live] * norm_u)
-    leaning_distance = np.abs(u.l_u - catalog.leaning[rows]) / 2.0
-    return (1.0 - alpha) * leaning_distance + alpha * distance
+            distance = 1.0 - (catalog.vectors @ u.v_u) / (catalog.norms * norm_u)
+        distance[catalog.norms == 0.0] = 1.0  # a zero norm on either side gives the neutral 1.0
+    return (1.0 - alpha) * (np.abs(u.l_u - catalog.leaning) / 2.0) + alpha * distance
 
 
 def select_recommendation(
@@ -282,22 +276,18 @@ def select_recommendation(
     """Cheapest eligible source by trust cost; ties go to the smallest
     source_id; None when nothing qualifies.
 
-    Approximate costs filter the candidates: only rows within
-    ``_VERIFY_MARGIN`` of the smallest one, and rows whose approximate cost is
-    not finite, are recomputed exactly, in id order. The margin is far above
-    the rounding gap between the two, so the exact argmin is always among
-    them and the result is the exhaustive scalar argmin."""
+    Approximate costs filter the candidates: only eligible rows within
+    ``_VERIFY_MARGIN`` of the smallest finite one, and eligible rows whose
+    approximate cost is not finite, are recomputed exactly, in id order. The
+    margin is far above the rounding gap between the two, so the exact argmin
+    is always among them and the result is the exhaustive scalar argmin."""
     _check_alpha(alpha)
-    rows = _eligible_rows(u, catalog)
-    if not rows.size:
-        return None
+    mask = _eligible(u, catalog)
     norm_u = float(np.linalg.norm(u.v_u))
-    approx = _approximate_costs(u, catalog, rows, alpha, norm_u)
+    approx = _approximate_costs(u, catalog, alpha, norm_u)
     finite = np.isfinite(approx)
-    keep = ~finite
-    if finite.any():
-        keep[finite] = approx[finite] <= approx[finite].min() + _VERIFY_MARGIN
-    candidates = rows[keep].tolist()
+    smallest = np.min(approx, where=mask & finite, initial=np.inf)
+    candidates = np.flatnonzero(mask & ((approx <= smallest + _VERIFY_MARGIN) | ~finite)).tolist()
     best: int | None = None
     best_cost = float("inf")
     for row, cost in zip(candidates, _row_costs(u, catalog, candidates, alpha, norm_u)):
@@ -309,7 +299,7 @@ def select_recommendation(
 def _highest_quality(u: UserProfile, catalog: SourceCatalog) -> Source | None:
     """Highest-quality eligible source; argmax keeps the first maximum in
     sorted-id order, so ties go to the smallest id."""
-    rows = _eligible_rows(u, catalog)
+    rows = np.flatnonzero(_eligible(u, catalog))
     if not rows.size:
         return None
     return catalog._rows[rows[np.argmax(catalog.quality[rows])]]
@@ -350,67 +340,26 @@ def _converged(u: UserProfile, config: SimConfig) -> bool:
     return u.q_u >= 1.0 - config.epsilon_converge
 
 
-def _noop_record(t: int, u: UserProfile) -> StepRecord:
-    return StepRecord(
-        t=t,
-        recommended=None,
-        trust_cost=None,
-        accept_probability=None,
-        accepted=False,
-        dropped=None,
-        q_u=u.q_u,
-        l_u=u.l_u,
-    )
-
-
-def _step(
-    u: UserProfile,
-    catalog: SourceCatalog,
-    config: SimConfig,
-    rng: np.random.Generator,
-    t: int,
-) -> StepRecord:
-    """One iteration of a user who has not converged, mutating ``u`` in
-    place. No uniform is drawn when nothing is eligible."""
+def _plan(u: UserProfile, catalog: SourceCatalog, config: SimConfig):
+    """The offer to ``u`` and what one uniform draw decides about it, or None
+    when nothing is eligible: (offer row, trust cost, accept probability,
+    lottery rows, running sums of their drop shares, the offer's position
+    among them); the last three are None below capacity. A function of the
+    profile alone."""
     if config.mode == "unconstrained":
         s_prime = _highest_quality(u, catalog)
     else:
         s_prime = select_recommendation(u, catalog, config.alpha)
     if s_prime is None:
-        return _noop_record(t, u)
-
+        return None
     offer = catalog.index[s_prime.source_id]
     norm_u = float(np.linalg.norm(u.v_u))
     if len(u.sources) < config.L:
         (cost,) = _row_costs(u, catalog, [offer], config.alpha, norm_u)
-        accept_probability = max(0.0, 1.0 - cost)
-        accepted = rng.random() < accept_probability
-        dropped = None
-        if accepted:
-            u.sources = sorted(u.sources + [s_prime.source_id])
-    else:
-        rows, costs, shares = _lottery(u, catalog, offer, config.alpha, norm_u)
-        at = rows.index(offer)
-        cost = costs[at]
-        draw = rng.random()
-        idx = min(bisect.bisect_right(list(itertools.accumulate(shares)), draw), len(rows) - 1)
-        accept_probability = 1.0 - shares[at]
-        accepted = idx != at
-        dropped = catalog._ids[rows[idx]] if accepted else None
-        if accepted:
-            u.sources = sorted(s for s in u.sources + [s_prime.source_id] if s != dropped)
-    if accepted:
-        update_scores(u, catalog)
-    return StepRecord(
-        t=t,
-        recommended=s_prime.source_id,
-        trust_cost=cost,
-        accept_probability=accept_probability,
-        accepted=accepted,
-        dropped=dropped,
-        q_u=u.q_u,
-        l_u=u.l_u,
-    )
+        return offer, cost, max(0.0, 1.0 - cost), None, None, None
+    rows, costs, shares = _lottery(u, catalog, offer, config.alpha, norm_u)
+    at = rows.index(offer)
+    return offer, costs[at], 1.0 - shares[at], rows, list(itertools.accumulate(shares)), at
 
 
 def rng_for_user(seed: int, user_id: str) -> np.random.Generator:
@@ -444,15 +393,32 @@ def simulate(u0: UserProfile, catalog: SourceCatalog, config: SimConfig) -> Traj
     update_scores(u, catalog)
     rng = rng_for_user(config.seed, u.user_id)
     records = []
-    t = 0
-    while t < config.T and not _converged(u, config):
-        records.append(_step(u, catalog, config, rng, t))
-        t += 1
-        if records[-1].recommended is None:
+    plan = None
+    for t in range(config.T):
+        # a rejected offer leaves the profile, and so the plan, unchanged; a
+        # converged user, or one with nothing eligible, never changes again
+        if plan is None and (_converged(u, config) or (plan := _plan(u, catalog, config)) is None):
             break
-    # a converged user, or one with nothing eligible, never changes again:
-    # every later step is a no-op that draws nothing
-    records += [_noop_record(rest, u) for rest in range(t, config.T)]
+        offer, cost, accept_probability, rows, sums, at = plan
+        draw = rng.random()
+        if rows is None:
+            accepted, dropped = draw < accept_probability, None
+        else:
+            idx = min(bisect.bisect_right(sums, draw), len(rows) - 1)
+            accepted = idx != at
+            dropped = catalog._ids[rows[idx]] if accepted else None
+        if accepted:
+            u.sources = sorted(s for s in u.sources + [catalog._ids[offer]] if s != dropped)
+            update_scores(u, catalog)
+            plan = None
+        records.append(
+            StepRecord(t, catalog._ids[offer], cost, accept_probability, accepted, dropped, u.q_u, u.l_u)
+        )
+    # every step after the loop is a no-op that draws nothing
+    records += [
+        StepRecord(rest, None, None, None, False, None, u.q_u, u.l_u)
+        for rest in range(len(records), config.T)
+    ]
     traj = Trajectory(
         user_id=u.user_id,
         config=config,

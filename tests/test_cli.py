@@ -858,7 +858,7 @@ def test_simulate_empty_vector_source_exits_1(tmp_path, capsys, world_dir):
     inputs = [str(world_dir / "personas.json"), str(world_dir / "scores.csv"), str(bad)]
     code, _, stderr = _run(capsys, ["simulate", *inputs, "--out-dir", str(tmp_path / "out")])
     assert code == 1
-    assert f"{bad}:{len(lines)}: empty source id" in stderr
+    assert f"{bad}:{len(lines)}: source '' is empty" in stderr
     assert "Traceback" not in stderr
     assert not (tmp_path / "out").exists()
 

@@ -435,16 +435,25 @@ def test_vectors_file_errors(tmp_path):
     path.write_text("#vectors v1\tdims=2\na\t1.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="expected 2 components"):
         load_vectors(path)
-    for bad in ("nan", "inf", "-inf"):
-        path.write_text(f"#vectors v1\tdims=2\na\t1.0\t0.5\nb\t{bad}\t1.0\n", encoding="utf-8")
+    # finite components whose norm overflows are refused like non-finite ones
+    for bad in ("nan", "inf", "-inf", "1e200\t1e200"):
+        row = bad if "\t" in bad else f"{bad}\t1.0"
+        path.write_text(f"#vectors v1\tdims=2\na\t1.0\t0.5\nb\t{row}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=":3: non-finite"):
             load_vectors(path)
     path.write_text("#vectors v1\tdims=1\na\t1.0\na\t2.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="duplicate"):
         load_vectors(path)
-    path.write_text("#vectors v1\tdims=2\na\t1.0\t0.5\n\t0.1\t0.2\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=":3: empty source id"):
-        load_vectors(path)
+    # the one source-name rule, so that save_vectors can write back what loads
+    for node, match in [
+        ("", "source '' is empty"),
+        ("#x", "source '#x' is empty, starts with '#'"),
+        ("\ud800x", "byte 0xed at offset 29 is not UTF-8"),
+    ]:
+        text = f"#vectors v1\tdims=2\na\t1.0\t0.5\n{node}\t0.1\t0.2\n"
+        path.write_bytes(text.encode("utf-8", "surrogatepass"))
+        with pytest.raises(ValueError, match=f":3: {match}"):
+            load_vectors(path)
     # without dims=, a bare source id would set dims to 0
     path.write_text("#vectors v1\na\nb\n", encoding="utf-8")
     with pytest.raises(ValueError, match=":2: no components for 'a'"):

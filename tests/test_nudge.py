@@ -154,9 +154,10 @@ def test_catalog_validation():
         _source("a", 1.2, 0.0, [1.0])
     with pytest.raises(ValueError, match="leaning"):
         _source("a", 0.5, -1.2, [1.0])
-    for bad in (math.nan, math.inf, -math.inf):
+    # every component of the last one is finite, but its norm overflows
+    for vector in ([1.0, math.nan], [1.0, math.inf], [1.0, -math.inf], [1e200, 1e200]):
         with pytest.raises(ValueError, match="non-finite"):
-            _source("a", 0.5, 0.0, [1.0, bad])
+            _source("a", 0.5, 0.0, vector)
 
 
 def test_catalog_lookup_and_order():
@@ -190,6 +191,26 @@ def test_profile_from_sources_means():
     assert u.q_u == pytest.approx(0.2)
     assert u.l_u == pytest.approx(0.0)
     assert np.allclose(u.v_u, [1.0, 0.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 8).flatmap(
+        lambda dims: st.lists(
+            st.lists(st.floats(-1e6, 1e6) | st.floats(-1e-6, 1e-6), min_size=dims, max_size=dims),
+            min_size=1,
+            max_size=12,
+        )
+    ),
+    data=st.data(),
+)
+def test_update_scores_mean_vector_is_numpy_mean_bit_for_bit(rows, data):
+    catalog = SourceCatalog(_source(f"s{i:02d}", 0.5, 0.0, v) for i, v in enumerate(rows))
+    members = sorted(data.draw(st.lists(st.sampled_from(catalog.ids()), min_size=1, unique=True)))
+    u = _profile(members, len(members), 0.0, 0.0, [])
+    update_scores(u, catalog)
+    expected = np.mean([catalog[s].vector for s in members], axis=0)
+    assert u.v_u.tobytes() == expected.tobytes()
 
 
 def test_profile_from_sources_validation():
@@ -655,13 +676,9 @@ def test_simulate_starts_converged_profile_as_noop():
     assert traj.final.sources == ["perfect"]
 
 
-def test_simulate_selects_once_when_nothing_is_eligible(monkeypatch):
-    catalog = SourceCatalog(
-        [
-            _source("low", 0.4, 0.0, [1.0, 0.0]),
-            _source("mid", 0.5, 0.0, [0.0, 1.0]),
-        ]
-    )
+@pytest.fixture
+def select_calls(monkeypatch):
+    """The arguments of every ``nudge.select_recommendation`` call."""
     calls = []
     original = nudge.select_recommendation
 
@@ -670,12 +687,46 @@ def test_simulate_selects_once_when_nothing_is_eligible(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(nudge, "select_recommendation", counting)
+    return calls
+
+
+def test_simulate_selects_once_when_nothing_is_eligible(select_calls):
+    catalog = SourceCatalog(
+        [
+            _source("low", 0.4, 0.0, [1.0, 0.0]),
+            _source("mid", 0.5, 0.0, [0.0, 1.0]),
+        ]
+    )
     u0 = profile_from_sources("idle", ["mid"], catalog, limit=2)
     traj = simulate(u0, catalog, _config(T=50, L=2))
-    assert len(calls) == 1
+    assert len(select_calls) == 1
     assert [r.t for r in traj.steps] == list(range(50))
     assert all(r.recommended is None and r.q_u == 0.5 for r in traj.steps)
     assert traj.final.sources == ["mid"]
+
+
+def test_simulate_selects_once_per_profile_state(select_calls):
+    # an offer that is never accepted (cost 1.5) leaves one profile state
+    hostile = SourceCatalog(
+        [
+            _source("seed", 0.2, -1.0, [1.0, 0.0]),
+            _source("hostile", 0.9, 1.0, [-1.0, 0.0]),
+        ]
+    )
+    u0 = profile_from_sources("u", ["seed"], hostile, limit=2)
+    traj = simulate(u0, hostile, _config(T=10, L=2))
+    assert len(select_calls) == 1
+    assert all(r.recommended == "hostile" and not r.accepted for r in traj.steps)
+    # otherwise each accepted step makes a new state; no run here converges
+    # (0.95 tops the catalog) or ends on an accepted step, so its last state
+    # is selected for too
+    catalog = _toy_catalog()
+    for seed in range(10):
+        select_calls.clear()
+        u0 = profile_from_sources("u", ["anchor", "weak"], catalog, limit=2)
+        traj = simulate(u0, catalog, _config(T=40, L=2, seed=seed))
+        assert not traj.steps[-1].accepted
+        assert len(select_calls) == 1 + sum(r.accepted for r in traj.steps)
 
 
 def test_simulate_stops_changing_after_convergence():
