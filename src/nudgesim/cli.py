@@ -78,9 +78,9 @@ _OPTIONS = {
     "seed": _Option(_number(int, lambda v: True, "an integer"), 0, "base RNG seed"),
     "out_dir": _Option(str, ".", "output directory"),
     "threshold": _Option(
-        _number(float, lambda v: 0 < v <= 1, "in (0, 1]"),
+        _number(float, lambda v: 0 < v < 1, "in (0, 1)"),
         corpus.DEFAULT_SIMILARITY_THRESHOLD,
-        "cosine similarity cutoff in (0, 1]",
+        "cosine similarity cutoff in (0, 1)",
     ),
     "dims": _Option(_COUNT, embedding.DEFAULT_DIMS, "vector dimensionality"),
     "p": _Option(_POSITIVE, 1.0, "walk return parameter"),

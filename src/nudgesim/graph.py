@@ -9,7 +9,7 @@ from A"), so it is at most 1 however often A reposts a story.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix, hstack
@@ -42,7 +42,6 @@ def _check_edge(src: str, dst: str, raw, article_counts: dict[str, int]) -> None
         )
 
 
-@dataclass(frozen=True)
 class CsnGraph:
     """Directed weighted copy graph, built from its two independent inputs:
     ``raw_counts`` (copier-article count per edge) and ``article_counts``
@@ -56,35 +55,26 @@ class CsnGraph:
     view ``weights + weights.T``.
     """
 
-    raw_counts: dict[tuple[str, str], int]
-    article_counts: dict[str, int]
-    nodes: list[str] = field(init=False, compare=False)
-    index: dict[str, int] = field(init=False, compare=False, repr=False)
-    edges: dict[tuple[str, str], float] = field(init=False, compare=False)
-    weights: csr_matrix = field(init=False, compare=False, repr=False)
-    undirected: csr_matrix = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        for node, count in self.article_counts.items():
+    def __init__(
+        self, raw_counts: dict[tuple[str, str], int], article_counts: dict[str, int]
+    ) -> None:
+        for node, count in article_counts.items():
             _check_node(node, count)
-        for (src, dst), raw in self.raw_counts.items():
-            _check_edge(src, dst, raw, self.article_counts)
-        nodes = sorted(self.article_counts)
-        index = {node: i for i, node in enumerate(nodes)}
-        raw_counts = dict(sorted(self.raw_counts.items()))
-        edges = {(s, d): raw / self.article_counts[d] for (s, d), raw in raw_counts.items()}
-        ids = np.array([(index[s], index[d]) for s, d in edges], dtype=np.intp).reshape(-1, 2)
-        weights = csr_matrix(
-            (list(edges.values()), (ids[:, 0], ids[:, 1])), shape=(len(nodes), len(nodes))
+        for (src, dst), raw in raw_counts.items():
+            _check_edge(src, dst, raw, article_counts)
+        self.nodes = sorted(article_counts)
+        self.index = {node: i for i, node in enumerate(self.nodes)}
+        self.article_counts = {node: article_counts[node] for node in self.nodes}
+        self.raw_counts = dict(sorted(raw_counts.items()))
+        self.edges = {(s, d): raw / article_counts[d] for (s, d), raw in self.raw_counts.items()}
+        ids = np.array([(self.index[s], self.index[d]) for s, d in self.edges], dtype=np.intp)
+        ids = ids.reshape(-1, 2)
+        size = len(self.nodes)
+        self.weights = csr_matrix(
+            (list(self.edges.values()), (ids[:, 0], ids[:, 1])), shape=(size, size)
         )
-        undirected = weights + weights.T
-        undirected.sort_indices()
-        article_counts = {node: self.article_counts[node] for node in nodes}
-        for name, value in dict(
-            raw_counts=raw_counts, article_counts=article_counts, nodes=nodes, index=index,
-            edges=edges, weights=weights, undirected=undirected,
-        ).items():
-            object.__setattr__(self, name, value)
+        self.undirected = self.weights + self.weights.T
+        self.undirected.sort_indices()
 
     def neighbors(self, node: str) -> list[str]:
         """Union of in- and out-neighbors, sorted."""

@@ -155,10 +155,9 @@ def update_scores(u: UserProfile, catalog: SourceCatalog) -> None:
     u.v_u = np.add.reduce(catalog.vectors[rows], axis=0) / len(rows)
 
 
-def profile_from_sources(
-    user_id: str, trusted, catalog: SourceCatalog, limit: int
-) -> UserProfile:
-    sources = sorted(trusted)
+def _check_trusted(user_id: str, sources, catalog: SourceCatalog, limit: int) -> None:
+    """The rule for a trusted set: non-empty, no repeats, no larger than a
+    limit of at least 1, and only catalog sources."""
     if not sources:
         raise ValueError(f"{user_id}: trusted set must be non-empty")
     if len(sources) != len(set(sources)):
@@ -170,6 +169,13 @@ def profile_from_sources(
     for s in sources:
         if s not in catalog:
             raise ValueError(f"{user_id}: unknown source {s!r}")
+
+
+def profile_from_sources(
+    user_id: str, trusted, catalog: SourceCatalog, limit: int
+) -> UserProfile:
+    sources = sorted(trusted)
+    _check_trusted(user_id, sources, catalog, limit)
     u = UserProfile(user_id=user_id, sources=sources, limit=limit)
     update_scores(u, catalog)
     return u
@@ -312,6 +318,7 @@ def drop_distribution(
     sorted-id order, proportional to trust cost against the current profile;
     uniform when every cost is zero."""
     _check_alpha(alpha)
+    _check_trusted(u.user_id, u.sources, catalog, u.limit)
     if len(u.sources) != u.limit:
         raise ValueError(
             f"{u.user_id}: drop lottery requires a full profile "
@@ -342,10 +349,12 @@ def _converged(u: UserProfile, config: SimConfig) -> bool:
 
 def _plan(u: UserProfile, catalog: SourceCatalog, config: SimConfig):
     """The offer to ``u`` and what one uniform draw decides about it, or None
-    when nothing is eligible: (offer row, trust cost, accept probability,
-    lottery rows, running sums of their drop shares, the offer's position
-    among them); the last three are None below capacity. A function of the
-    profile alone."""
+    when nothing is eligible: (offer id, trust cost, accept probability,
+    running sums of the outcome shares, the source each outcome drops). The
+    draw picks the first outcome whose running sum exceeds it; below capacity
+    the outcomes drop nothing (accept) or the offer (reject), at capacity
+    they are the drop lottery, where the offer's own id means rejection. A
+    function of the profile alone."""
     if config.mode == "unconstrained":
         s_prime = _highest_quality(u, catalog)
     else:
@@ -356,10 +365,12 @@ def _plan(u: UserProfile, catalog: SourceCatalog, config: SimConfig):
     norm_u = float(np.linalg.norm(u.v_u))
     if len(u.sources) < config.L:
         (cost,) = _row_costs(u, catalog, [offer], config.alpha, norm_u)
-        return offer, cost, max(0.0, 1.0 - cost), None, None, None
+        p = max(0.0, 1.0 - cost)
+        return s_prime.source_id, cost, p, [p], [None, s_prime.source_id]
     rows, costs, shares = _lottery(u, catalog, offer, config.alpha, norm_u)
     at = rows.index(offer)
-    return offer, costs[at], 1.0 - shares[at], rows, list(itertools.accumulate(shares)), at
+    drops = [catalog._ids[r] for r in rows]
+    return s_prime.source_id, costs[at], 1.0 - shares[at], list(itertools.accumulate(shares)), drops
 
 
 def rng_for_user(seed: int, user_id: str) -> np.random.Generator:
@@ -377,20 +388,12 @@ def simulate(u0: UserProfile, catalog: SourceCatalog, config: SimConfig) -> Traj
     above the user's mean quality, not yet trusted): ``"constrained"`` offers
     the cheapest by trust cost, ``"unconstrained"`` the highest quality; ties
     go to the smallest id. Acceptance and drop mechanics are shared, and the
-    trust cost of each offer is recorded in both modes. Pure in its inputs:
-    ``u0`` is copied, and the outcome is a function of (u0, catalog, config)
-    alone."""
-    for s in u0.sources:
-        if s not in catalog:
-            raise ValueError(f"{u0.user_id}: unknown source {s!r}")
-    if len(u0.sources) > config.L:
-        raise ValueError(
-            f"{u0.user_id}: {len(u0.sources)} trusted sources exceed limit {config.L}"
-        )
-    start = u0.copy()
-    u = u0.copy()
-    u.limit = config.L
-    update_scores(u, catalog)
+    trust cost of each offer is recorded in both modes. ``u0.sources`` is
+    checked by the trusted-set rule of :func:`profile_from_sources` under the
+    limit ``config.L``, and the working set is those sources sorted, with
+    means taken afresh. Pure in its inputs: ``u0`` is copied, and the outcome
+    is a function of (u0, catalog, config) alone."""
+    u = profile_from_sources(u0.user_id, u0.sources, catalog, config.L)
     rng = rng_for_user(config.seed, u.user_id)
     records = []
     plan = None
@@ -399,20 +402,16 @@ def simulate(u0: UserProfile, catalog: SourceCatalog, config: SimConfig) -> Traj
         # converged user, or one with nothing eligible, never changes again
         if plan is None and (_converged(u, config) or (plan := _plan(u, catalog, config)) is None):
             break
-        offer, cost, accept_probability, rows, sums, at = plan
-        draw = rng.random()
-        if rows is None:
-            accepted, dropped = draw < accept_probability, None
-        else:
-            idx = min(bisect.bisect_right(sums, draw), len(rows) - 1)
-            accepted = idx != at
-            dropped = catalog._ids[rows[idx]] if accepted else None
+        offer, cost, accept_probability, sums, drops = plan
+        drop = drops[min(bisect.bisect_right(sums, rng.random()), len(drops) - 1)]
+        accepted = drop != offer
+        dropped = drop if accepted else None
         if accepted:
-            u.sources = sorted(s for s in u.sources + [catalog._ids[offer]] if s != dropped)
+            u.sources = sorted(s for s in u.sources + [offer] if s != dropped)
             update_scores(u, catalog)
             plan = None
         records.append(
-            StepRecord(t, catalog._ids[offer], cost, accept_probability, accepted, dropped, u.q_u, u.l_u)
+            StepRecord(t, offer, cost, accept_probability, accepted, dropped, u.q_u, u.l_u)
         )
     # every step after the loop is a no-op that draws nothing
     records += [
@@ -424,7 +423,7 @@ def simulate(u0: UserProfile, catalog: SourceCatalog, config: SimConfig) -> Traj
         config=config,
         steps=records,
         convergence_point=None,
-        start=start,
+        start=u0.copy(),
         final=u,
     )
     traj.convergence_point = convergence_point(traj)

@@ -101,19 +101,21 @@ def test_build_csn_missing_file_exits_1(tmp_path, capsys):
 
 
 def test_build_csn_threshold_out_of_range_exits_2(tmp_path, capsys):
-    code, _, stderr = _run(
-        capsys,
-        [
-            "build-csn",
-            str(synthetic.fixture_articles_path()),
-            "--threshold",
-            "1.01",
-            "--out-dir",
-            str(tmp_path),
-        ],
-    )
-    assert code == 2
-    assert "--threshold" in stderr
+    # a similarity within rounding of 1 may fall on either side, so 1 is out too
+    for threshold in ("1", "1.01"):
+        code, _, stderr = _run(
+            capsys,
+            [
+                "build-csn",
+                str(synthetic.fixture_articles_path()),
+                "--threshold",
+                threshold,
+                "--out-dir",
+                str(tmp_path),
+            ],
+        )
+        assert code == 2
+        assert "--threshold" in stderr
 
 
 def test_build_csn_threshold_sweep(tmp_path, capsys):

@@ -429,6 +429,9 @@ def test_vectors_file_errors(tmp_path):
     path.write_text("#other v1\n", encoding="utf-8")
     with pytest.raises(ValueError, match=":1: expected header"):
         load_vectors(path)
+    path.write_text("#vectors v1\tdims\na\t1.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=":1: malformed parameter 'dims'"):
+        load_vectors(path)
     path.write_text("#vectors v1\tdims=2\na\t1.0\tnope\n", encoding="utf-8")
     with pytest.raises(ValueError, match=":2:"):
         load_vectors(path)

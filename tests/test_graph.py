@@ -348,6 +348,7 @@ def test_detect_communities_edgeless_graph():
     result = detect_communities(graph)
     assert result.labels == {"x": 0, "y": 1, "z": 2}
     assert result.modularity == 0.0
+    assert directed_modularity(graph, {"x": 0, "y": 0, "z": 1}) == 0.0
 
 
 def test_detect_communities_empty_graph_raises():

@@ -506,6 +506,13 @@ def test_drop_distribution_preconditions():
     full = _profile(["anchor", "cheap"], 2, q_u=0.45, l_u=0.0, v_u=[1.0, 0.0])
     with pytest.raises(ValueError, match="already trusted"):
         drop_distribution(full, catalog["cheap"], catalog, ALPHA)
+    # the trusted-set rule of profile_from_sources comes first
+    repeated = _profile(["anchor", "anchor"], 2, q_u=0.3, l_u=0.0, v_u=[1.0, 0.0])
+    with pytest.raises(ValueError, match="duplicate trusted sources"):
+        drop_distribution(repeated, catalog["top"], catalog, ALPHA)
+    unknown = _profile(["anchor", "ghost"], 2, q_u=0.3, l_u=0.0, v_u=[1.0, 0.0])
+    with pytest.raises(ValueError, match="unknown source 'ghost'"):
+        drop_distribution(unknown, catalog["top"], catalog, ALPHA)
 
 
 @given(
@@ -753,6 +760,12 @@ def test_simulate_validates_inputs():
     crowded = _profile(["anchor", "cheap", "top"], 3, 0.5, 0.0, [1.0, 0.0])
     with pytest.raises(ValueError, match="exceed"):
         simulate(crowded, catalog, _config(L=2))
+    empty = _profile([], 2, 0.5, 0.0, [1.0, 0.0])
+    with pytest.raises(ValueError, match="non-empty"):
+        simulate(empty, catalog, _config())
+    repeated = _profile(["anchor", "anchor"], 2, 0.3, 0.0, [1.0, 0.0])
+    with pytest.raises(ValueError, match="duplicate trusted sources"):
+        simulate(repeated, catalog, _config())
 
 
 def test_simconfig_validation():
