@@ -17,6 +17,7 @@ config file is checked on load, whatever the subcommand.
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import logging
 import math
@@ -31,6 +32,7 @@ from . import corpus, embedding, graph, groundtruth, nudge, svgplot
 log = logging.getLogger("nudgesim")
 
 _SAFE_NAME = re.compile(r"[^A-Za-z0-9_.-]+")
+_MAX_FILE_NAME = 255  # bytes in one path component on common file systems
 
 
 def _number(convert: Callable[[str], Any], ok: Callable[[Any], bool], rule: str):
@@ -224,9 +226,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     scores = groundtruth.score_sources(labels, csn)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     groundtruth.write_scores_csv(scores, out_path)
-    counts = {p: 0 for p in groundtruth.PROVENANCE_VALUES}
-    for sc in scores.values():
-        counts[sc.provenance] += 1
+    counts = collections.Counter(sc.provenance for sc in scores.values())
     print(
         f"sources={len(scores)} labeled={counts['labeled']} "
         f"imputed={counts['imputed']} unavailable={counts['unavailable']}"
@@ -271,13 +271,19 @@ def _safe(name: str) -> str:
 def cmd_simulate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     personas = nudge.load_personas(args.personas)
-    stems: dict[str, str] = {}
+    stems: dict[str, str] = {}  # stem -> user id, one per persona in persona order
     for persona in personas:
-        other = stems.setdefault(_safe(persona.user_id), persona.user_id)
+        stem = _safe(persona.user_id)  # ASCII, so characters are bytes
+        if len(f"trajectory_{stem}_unconstrained.csv") > _MAX_FILE_NAME:
+            raise ValueError(
+                f"{args.personas}: persona {persona.user_id!r} would write file names "
+                f"over {_MAX_FILE_NAME} bytes"
+            )
+        other = stems.setdefault(stem, persona.user_id)
         if other != persona.user_id:
             raise ValueError(
                 f"{args.personas}: personas {other!r} and {persona.user_id!r} "
-                f"would write the same output files ({_safe(persona.user_id)!r})"
+                f"would write the same output files ({stem!r})"
             )
     scores = groundtruth.read_scores_csv(args.scores)
     vectors = embedding.load_vectors(args.vectors)
@@ -298,7 +304,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     modes = ["constrained", "unconstrained"] if args.mode == "both" else [args.mode]
     runs: list[tuple[nudge.Trajectory, ...]] = []  # per persona, one run per mode
-    for persona, profile in zip(personas, profiles):
+    for persona, stem, profile in zip(personas, stems, profiles):
         by_mode = []
         for m in modes:
             config = nudge.SimConfig(
@@ -310,9 +316,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             )
             traj = nudge.simulate(profile, catalog, config)
             by_mode.append(traj)
-            nudge.write_trajectory_csv(
-                traj, out_dir / f"trajectory_{_safe(persona.user_id)}_{m}.csv"
-            )
+            nudge.write_trajectory_csv(traj, out_dir / f"trajectory_{stem}_{m}.csv")
             where = traj.convergence_point
             print(
                 f"user={persona.user_id} mode={m} "
@@ -349,17 +353,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-
-    try:
         _resolve_options(parser, args)
         if args.command == "embed" and args.seed < 0:
             # numpy's SeedSequence takes no negative entropy; simulate instead
             # masks its seed to 64 bits (nudge.rng_for_user)
             parser.error(f"argument --seed: must be >= 0 for embed, got {args.seed}")
         return args.run(args)
-    except SystemExit as exc:  # parser.error from --config validation
+    except SystemExit as exc:  # --help, usage errors and bad --config values
         return int(exc.code or 0)
     except (RuntimeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

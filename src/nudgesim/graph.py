@@ -266,9 +266,7 @@ def _local_moving(a: csr_matrix) -> list[int]:
 def _aggregate(a: csr_matrix, comm: list[int]) -> tuple[csr_matrix, list[int]]:
     """Collapse each community into one node: ``P.T @ a @ P`` with P the
     node-by-community indicator, communities numbered by first member."""
-    relabel: dict[int, int] = {}
-    for c in comm:
-        relabel.setdefault(c, len(relabel))
+    relabel = {c: k for k, c in enumerate(dict.fromkeys(comm))}
     mapping = [relabel[c] for c in comm]
     p = csr_matrix(
         (np.ones(len(comm)), mapping, np.arange(len(comm) + 1)), shape=(len(comm), len(relabel))
@@ -300,10 +298,6 @@ def detect_communities(graph: CsnGraph) -> CommunityAssignment:
         membership = [mapping[c] for c in membership]
 
     # contiguous labels ordered by smallest member node id
-    first_member: dict[int, int] = {}
-    for i, c in enumerate(membership):
-        first_member.setdefault(c, i)
-    order = sorted(first_member, key=lambda c: first_member[c])
-    relabel = {c: rank for rank, c in enumerate(order)}
-    labels = {node: relabel[membership[i]] for i, node in enumerate(graph.nodes)}
+    relabel = {c: k for k, c in enumerate(dict.fromkeys(membership))}
+    labels = {node: relabel[c] for node, c in zip(graph.nodes, membership)}
     return CommunityAssignment(labels=labels, modularity=directed_modularity(graph, labels))

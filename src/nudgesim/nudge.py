@@ -141,11 +141,6 @@ class UserProfile:
     l_u: float = 0.0
     v_u: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
-    def copy(self) -> "UserProfile":
-        return UserProfile(
-            self.user_id, list(self.sources), self.limit, self.q_u, self.l_u, self.v_u.copy()
-        )
-
 
 def update_scores(u: UserProfile, catalog: SourceCatalog) -> None:
     """Recompute the profile means from current membership (idempotent)."""
@@ -221,9 +216,14 @@ class Trajectory:
     user_id: str
     config: SimConfig
     steps: list[StepRecord]
-    convergence_point: int | None
     start: UserProfile
     final: UserProfile
+
+    @property
+    def convergence_point(self) -> int | None:
+        """First step whose post-step mean quality clears 1 - epsilon, if any."""
+        eps = self.config.epsilon_converge
+        return next((r.t for r in self.steps if r.q_u >= 1.0 - eps), None)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -343,10 +343,6 @@ def _lottery(u: UserProfile, catalog: SourceCatalog, offer: int, alpha: float, n
     return rows, costs, [c / total for c in costs]
 
 
-def _converged(u: UserProfile, config: SimConfig) -> bool:
-    return u.q_u >= 1.0 - config.epsilon_converge
-
-
 def _plan(u: UserProfile, catalog: SourceCatalog, config: SimConfig):
     """The offer to ``u`` and what one uniform draw decides about it, or None
     when nothing is eligible: (offer id, trust cost, accept probability,
@@ -390,25 +386,29 @@ def simulate(u0: UserProfile, catalog: SourceCatalog, config: SimConfig) -> Traj
     go to the smallest id. Acceptance and drop mechanics are shared, and the
     trust cost of each offer is recorded in both modes. ``u0.sources`` is
     checked by the trusted-set rule of :func:`profile_from_sources` under the
-    limit ``config.L``, and the working set is those sources sorted, with
-    means taken afresh. Pure in its inputs: ``u0`` is copied, and the outcome
-    is a function of (u0, catalog, config) alone."""
-    u = profile_from_sources(u0.user_id, u0.sources, catalog, config.L)
+    limit ``config.L``. Every profile state is built by
+    :func:`profile_from_sources`: ``Trajectory.start`` from ``u0.sources``, as
+    the run uses it, and each accepted step's next profile from the new
+    members. Pure in its inputs: ``u0`` is never changed, and the outcome is
+    a function of (u0, catalog, config) alone."""
+    u = start = profile_from_sources(u0.user_id, u0.sources, catalog, config.L)
     rng = rng_for_user(config.seed, u.user_id)
     records = []
     plan = None
     for t in range(config.T):
         # a rejected offer leaves the profile, and so the plan, unchanged; a
         # converged user, or one with nothing eligible, never changes again
-        if plan is None and (_converged(u, config) or (plan := _plan(u, catalog, config)) is None):
+        if plan is None and (
+            u.q_u >= 1.0 - config.epsilon_converge or (plan := _plan(u, catalog, config)) is None
+        ):
             break
         offer, cost, accept_probability, sums, drops = plan
         drop = drops[min(bisect.bisect_right(sums, rng.random()), len(drops) - 1)]
         accepted = drop != offer
         dropped = drop if accepted else None
         if accepted:
-            u.sources = sorted(s for s in u.sources + [offer] if s != dropped)
-            update_scores(u, catalog)
+            members = [s for s in u.sources + [offer] if s != dropped]
+            u = profile_from_sources(u.user_id, members, catalog, config.L)
             plan = None
         records.append(
             StepRecord(t, offer, cost, accept_probability, accepted, dropped, u.q_u, u.l_u)
@@ -418,22 +418,7 @@ def simulate(u0: UserProfile, catalog: SourceCatalog, config: SimConfig) -> Traj
         StepRecord(rest, None, None, None, False, None, u.q_u, u.l_u)
         for rest in range(len(records), config.T)
     ]
-    traj = Trajectory(
-        user_id=u.user_id,
-        config=config,
-        steps=records,
-        convergence_point=None,
-        start=u0.copy(),
-        final=u,
-    )
-    traj.convergence_point = convergence_point(traj)
-    return traj
-
-
-def convergence_point(traj: Trajectory) -> int | None:
-    """First step whose post-step mean quality clears 1 - epsilon, if any."""
-    eps = traj.config.epsilon_converge
-    return next((r.t for r in traj.steps if r.q_u >= 1.0 - eps), None)
+    return Trajectory(u.user_id, config, records, start, u)
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -778,15 +778,43 @@ def test_simulate_bad_persona_field_exits_1(tmp_path, capsys, world_dir, entry, 
 
 
 def test_simulate_colliding_file_names_exit_1_before_writing(tmp_path, capsys, world_dir):
-    # "x/y" and "x_y" both map to trajectory_x_y_<mode>.csv
-    personas = tmp_path / "personas.json"
-    personas.write_text(json.dumps([{"user_id": u, "sources": ["valley-voice"], "L": 2}
-                                    for u in ("x/y", "x_y")]), encoding="utf-8")
-    inputs = [str(personas), str(world_dir / "scores.csv"), str(world_dir / "vectors.tsv")]
-    code, _, stderr = _run(capsys, ["simulate", *inputs, "--out-dir", str(tmp_path / "sim")])
+    world = json.loads((world_dir / "personas.json").read_text(encoding="utf-8"))
+    long_id = "x" * 300
+    cases = [
+        # "x/y" and "x_y" both map to trajectory_x_y_<mode>.csv
+        ([{"user_id": u, "sources": ["valley-voice"], "L": 2} for u in ("x/y", "x_y")],
+         "personas 'x/y' and 'x_y' would write the same output files"),
+        # the last persona's file names exceed 255 bytes
+        (world + [dict(world[0], user_id=long_id)],
+         f"persona {long_id!r} would write file names over 255 bytes"),
+    ]
+    for entries, message in cases:
+        personas = tmp_path / "personas.json"
+        personas.write_text(json.dumps(entries), encoding="utf-8")
+        inputs = [str(personas), str(world_dir / "scores.csv"), str(world_dir / "vectors.tsv")]
+        argv = ["simulate", *inputs, "--T", "5", "--out-dir", str(tmp_path / "sim")]
+        code, stdout, stderr = _run(capsys, argv)
+        assert code == 1
+        assert f"{personas}: {message}" in stderr
+        assert "user=" not in stdout
+        assert not (tmp_path / "sim").exists()
+
+
+def test_simulate_limit_override(tmp_path, capsys, world_dir):
+    inputs = _inputs(world_dir, "simulate")
+    argv = ["simulate", *inputs, "--T", "5", "--L", "6", "--out-dir", str(tmp_path / "wide")]
+    code, _, stderr = _run(capsys, argv)
+    assert code == 0, stderr
+    summary = json.loads((tmp_path / "wide" / "summary.json").read_text(encoding="utf-8"))
+    assert len(summary) == 4
+    assert all(entry["config"]["L"] == 6 for entry in summary)
+    # every world persona trusts five sources, so a limit of 4 refuses the first
+    argv = ["simulate", *inputs, "--T", "5", "--L", "4", "--out-dir", str(tmp_path / "narrow")]
+    code, stdout, stderr = _run(capsys, argv)
     assert code == 1
-    assert f"{personas}: personas 'x/y' and 'x_y' would write the same output files" in stderr
-    assert not (tmp_path / "sim").exists()
+    assert "persona #0 (conspiracy-right): 5 trusted sources exceed limit 4" in stderr
+    assert stdout == ""
+    assert not (tmp_path / "narrow").exists()
 
 
 _SIM_INPUTS = ("personas.json", "scores.csv", "vectors.tsv")
@@ -961,8 +989,11 @@ def test_config_file_unknown_key_exits_2(tmp_path, capsys, world_dir):
         ({"threshold": True}, "build-csn", [], "--threshold"),
         ({"alpha": float("nan")}, "simulate", [], "--alpha"),
         (None, "embed", ["--learning-rate", "inf"], "--learning-rate"),
+        (None, "simulate", ["--mode", "nudged"], "--mode"),
+        ({"mode": "Both"}, "simulate", [], "--mode"),
     ],
-    ids=["T-fraction", "T-bool", "seed-fraction", "threshold-bool", "alpha-nan", "learning-rate-inf"],
+    ids=["T-fraction", "T-bool", "seed-fraction", "threshold-bool", "alpha-nan", "learning-rate-inf",
+         "mode-flag", "mode-config"],
 )
 def test_wrong_type_or_non_finite_option_exits_2(
     tmp_path, capsys, world_dir, config, command, flags, flag

@@ -13,9 +13,10 @@ import re
 
 import numpy as np
 import pytest
+from test_graph import _graph
+from test_nudge import _CountingRng
 
 from nudgesim import synthetic
-from nudgesim.graph import CsnGraph
 from nudgesim.embedding import (
     NOISE_EXPONENT,
     TRAIN_BLOCK,
@@ -28,28 +29,6 @@ from nudgesim.embedding import (
     save_vectors,
     train_embeddings,
 )
-
-
-def _graph(edge_weights):
-    nodes = sorted({n for e in edge_weights for n in e})
-    # every weight in these tests is a multiple of 1/20, and k / 20 is the
-    # double nearest k/20, so the derived weights equal the literals exactly
-    return CsnGraph(
-        raw_counts={e: round(w * 20) for e, w in edge_weights.items()},
-        article_counts={n: 20 for n in nodes},
-    )
-
-
-class _CountingRng:
-    """Wraps a generator and counts uniform draws."""
-
-    def __init__(self, rng):
-        self._rng = rng
-        self.calls = 0
-
-    def random(self, *args, **kwargs):
-        self.calls += 1
-        return self._rng.random(*args, **kwargs)
 
 
 # ---------------------------------------------------------------- distance
@@ -437,6 +416,10 @@ def test_vectors_file_errors(tmp_path):
         load_vectors(path)
     path.write_text("#vectors v1\tdims=2\na\t1.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="expected 2 components"):
+        load_vectors(path)
+    # a blank line is skipped, but still counted in the line numbers
+    path.write_text("#vectors v1\tdims=2\na\t1.0\t0.5\n\nb\t1.0\tnope\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=":4: could not convert"):
         load_vectors(path)
     # finite components whose norm overflows are refused like non-finite ones
     for bad in ("nan", "inf", "-inf", "1e200\t1e200"):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_acceptance import _replica_cost, _replica_means
 
 from nudgesim import nudge
 from nudgesim.nudge import (
@@ -21,8 +22,8 @@ from nudgesim.nudge import (
     Source,
     SourceCatalog,
     StepRecord,
+    Trajectory,
     UserProfile,
-    convergence_point,
     drop_distribution,
     load_personas,
     profile_from_sources,
@@ -55,6 +56,8 @@ def _profile(sources, limit, q_u, l_u, v_u, user_id="u"):
 
 
 class _CountingRng:
+    """Wraps a generator and counts uniform draws."""
+
     def __init__(self, rng):
         self._rng = rng
         self.calls = 0
@@ -292,28 +295,10 @@ def test_unconstrained_first_offer_is_quality_argmax():
     assert traj.steps[0].trust_cost is not None
 
 
-def _scalar_cost(s, l_u, v_u, alpha):
-    """Trust cost in trust_cost's own operation order, for bitwise checks."""
-    norm_a = float(np.linalg.norm(v_u))
-    norm_b = float(np.linalg.norm(s.vector))
-    if norm_a == 0.0 or norm_b == 0.0:
-        d = 1.0
-    else:
-        d = 1.0 - float(np.dot(v_u, s.vector)) / (norm_a * norm_b)
-    return (1.0 - alpha) * (abs(l_u - s.leaning) / 2.0) + alpha * d
-
-
-def _means(members, catalog):
-    sources = [catalog[s] for s in members]
-    q_u = sum(m.quality for m in sources) / len(sources)
-    l_u = sum(m.leaning for m in sources) / len(sources)
-    return q_u, l_u, np.mean([m.vector for m in sources], axis=0)
-
-
 def _exhaustive_offer(members, catalog, mode, alpha):
     """The offer an exhaustive scalar scan makes to ``members``; None when
     there is none or they have converged."""
-    q_u, l_u, v_u = _means(members, catalog)
+    q_u, l_u, v_u = _replica_means(members, catalog)
     if q_u >= 1.0 - nudge.DEFAULT_EPSILON:
         return None
     best, best_key = None, None
@@ -321,7 +306,7 @@ def _exhaustive_offer(members, catalog, mode, alpha):
         s = catalog[source_id]
         if source_id in members or s.quality <= q_u:
             continue
-        key = _scalar_cost(s, l_u, v_u, alpha) if mode == "constrained" else -s.quality
+        key = _replica_cost(s, l_u, v_u, alpha) if mode == "constrained" else -s.quality
         if best is None or key < best_key:
             best, best_key = s, key
     return best
@@ -329,22 +314,22 @@ def _exhaustive_offer(members, catalog, mode, alpha):
 
 def _replayed_run(trusted, catalog, config):
     """The records and final members of a run, replayed step by step from
-    ``_scalar_cost`` and an inverse-CDF lottery on the user's stream."""
+    ``_replica_cost`` and an inverse-CDF lottery on the user's stream."""
     rng = rng_for_user(config.seed, "u")
     members, steps = sorted(trusted), []
     for t in range(config.T):
-        q_u, l_u, v_u = _means(members, catalog)
+        q_u, l_u, v_u = _replica_means(members, catalog)
         offer = _exhaustive_offer(members, catalog, config.mode, config.alpha)
         if offer is None:
             steps.append(StepRecord(t, None, None, None, False, None, q_u, l_u))
             continue
-        cost = _scalar_cost(offer, l_u, v_u, config.alpha)
+        cost = _replica_cost(offer, l_u, v_u, config.alpha)
         candidates = sorted(members + [offer.source_id])
         if len(members) < config.L:
             accept_probability = max(0.0, 1.0 - cost)
             keep = candidates if rng.random() < accept_probability else members
         else:
-            costs = [_scalar_cost(catalog[s], l_u, v_u, config.alpha) for s in candidates]
+            costs = [_replica_cost(catalog[s], l_u, v_u, config.alpha) for s in candidates]
             total = sum(costs)
             shares = [c / total if total != 0.0 else 1.0 / len(costs) for c in costs]
             draw, cumulative, victim = rng.random(), 0.0, candidates[-1]
@@ -359,7 +344,7 @@ def _replayed_run(trusted, catalog, config):
         dropped = next((s for s in members if s not in keep), None)
         if accepted:
             members = keep
-        q_u, l_u, _ = _means(members, catalog)
+        q_u, l_u, _ = _replica_means(members, catalog)
         steps.append(StepRecord(t, offer.source_id, cost, accept_probability, accepted, dropped, q_u, l_u))
     return steps, members
 
@@ -669,6 +654,29 @@ def test_simulate_deterministic_and_pure():
     )
 
 
+def test_simulate_start_is_the_checked_working_profile(tmp_path):
+    # a hand-built u0 with unsorted sources and stale means: the run and its
+    # report both start from the profile profile_from_sources builds
+    catalog = SourceCatalog(
+        [
+            _source("a", 0.2, -0.5, [1.0, 0.0]),
+            _source("b", 0.9, 0.5, [0.0, 1.0]),
+            _source("c", 0.5, 0.0, [1.0, 1.0]),
+        ]
+    )
+    u0 = UserProfile("u", ["c", "a"], 2, 0.99, 0.0, np.zeros(2))
+    traj = simulate(u0, catalog, _config(T=3, L=2))
+    built = profile_from_sources("u", ["c", "a"], catalog, 2)
+    assert traj.start.sources == ["a", "c"]
+    assert (traj.start.q_u, traj.start.l_u) == (built.q_u, built.l_u) == (0.35, -0.25)
+    assert np.array_equal(traj.start.v_u, built.v_u)
+    assert u0.sources == ["c", "a"] and u0.q_u == 0.99 and not u0.v_u.any()  # untouched
+    path = tmp_path / "summary.json"
+    write_summary_json([traj], path)
+    (entry,) = json.loads(path.read_text(encoding="utf-8"))
+    assert entry["start"] == {"sources": ["a", "c"], "q_u": built.q_u, "l_u": built.l_u}
+
+
 def test_simulate_starts_converged_profile_as_noop():
     catalog = SourceCatalog(
         [
@@ -829,21 +837,12 @@ def test_convergence_point_variants():
     def _traj(qs):
         steps = [StepRecord(t=t, q_u=q, **base) for t, q in enumerate(qs)]
         u = _profile(["x"], 1, qs[-1], 0.0, [1.0])
-        return Trajectory_like(steps, cfg, u)
+        return Trajectory(user_id="u", config=cfg, steps=steps, start=u, final=u)
 
-    # built through the public type to keep the helper honest
-    from nudgesim.nudge import Trajectory
-
-    def Trajectory_like(steps, config, u):
-        return Trajectory(
-            user_id="u", config=config, steps=steps, convergence_point=None,
-            start=u, final=u,
-        )
-
-    assert convergence_point(_traj([0.5, 1.0, 1.0])) == 1
-    assert convergence_point(_traj([0.5, 0.6, 0.7])) is None
-    assert convergence_point(_traj([1.0, 1.0, 1.0])) == 0
-    assert convergence_point(_traj([1.0 - 5e-10, 0.5, 0.5])) == 0  # inside epsilon
+    assert _traj([0.5, 1.0, 1.0]).convergence_point == 1
+    assert _traj([0.5, 0.6, 0.7]).convergence_point is None
+    assert _traj([1.0, 1.0, 1.0]).convergence_point == 0
+    assert _traj([1.0 - 5e-10, 0.5, 0.5]).convergence_point == 0  # inside epsilon
 
 
 # ---------------------------------------------------------------- rng streams
