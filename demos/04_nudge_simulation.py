@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from nudgesim import synthetic
-from nudgesim.nudge import SimConfig, profile_from_sources, simulate
+from nudgesim.nudge import SimConfig, simulate
 from nudgesim.svgplot import line_chart
 
 OUT = Path(__file__).parent / "output"
@@ -31,15 +31,14 @@ def main() -> None:
           f"(best quality {catalog.max_quality():.2f})")
 
     for persona in synthetic.WORLD_PERSONAS:
-        u0 = profile_from_sources(persona.user_id, persona.sources, catalog, persona.L)
+        nudged = simulate(persona, catalog, SimConfig(T=T, L=persona.L, seed=SEED))
+        pushed = simulate(
+            persona, catalog, SimConfig(T=T, L=persona.L, seed=SEED, mode="unconstrained")
+        )
+        u0 = nudged.start
         print(f"\n=== {persona.user_id} ===")
         print(f"start: quality {u0.q_u:.3f}, leaning {u0.l_u:+.3f}, "
               f"{len(u0.sources)}/{persona.L} slots used")
-
-        nudged = simulate(u0, catalog, SimConfig(T=T, L=persona.L, seed=SEED))
-        pushed = simulate(
-            u0, catalog, SimConfig(T=T, L=persona.L, seed=SEED, mode="unconstrained")
-        )
 
         for name, traj in (("soft nudge", nudged), ("quality-first", pushed)):
             where = traj.convergence_point

@@ -288,13 +288,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     scores = groundtruth.read_scores_csv(args.scores)
     vectors = embedding.load_vectors(args.vectors)
     catalog = nudge.SourceCatalog.from_scores(scores, vectors)
-    profiles = []  # every persona checked against the catalog before any output
-    for i, persona in enumerate(personas):
+    modes = ["constrained", "unconstrained"] if args.mode == "both" else [args.mode]
+    runs: list[tuple[nudge.Trajectory, ...]] = []  # per persona, one run per mode
+    for i, persona in enumerate(personas):  # every run is made before any output
         limit = args.L if args.L is not None else persona.L
+        configs = [
+            nudge.SimConfig(T=args.T, L=limit, seed=args.seed, alpha=args.alpha, mode=m)
+            for m in modes
+        ]
         try:
-            profiles.append(
-                nudge.profile_from_sources(persona.user_id, persona.sources, catalog, limit)
-            )
+            runs.append(tuple(nudge.simulate(persona, catalog, config) for config in configs))
         except ValueError as exc:
             reason = str(exc).removeprefix(f"{persona.user_id}: ")
             raise ValueError(
@@ -302,28 +305,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             ) from None
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    modes = ["constrained", "unconstrained"] if args.mode == "both" else [args.mode]
-    runs: list[tuple[nudge.Trajectory, ...]] = []  # per persona, one run per mode
-    for persona, stem, profile in zip(personas, stems, profiles):
-        by_mode = []
-        for m in modes:
-            config = nudge.SimConfig(
-                T=args.T,
-                L=profile.limit,
-                seed=args.seed,
-                alpha=args.alpha,
-                mode=m,
-            )
-            traj = nudge.simulate(profile, catalog, config)
-            by_mode.append(traj)
+    for stem, run in zip(stems, runs):
+        for m, traj in zip(modes, run):
             nudge.write_trajectory_csv(traj, out_dir / f"trajectory_{stem}_{m}.csv")
             where = traj.convergence_point
             print(
-                f"user={persona.user_id} mode={m} "
+                f"user={traj.user_id} mode={m} "
                 f"converged_at={'none' if where is None else where} "
                 f"final_q={traj.final.q_u:.6f} final_l={traj.final.l_u:.6f}"
             )
-        runs.append(tuple(by_mode))
     if args.mode == "both":
         nudge.write_comparison_csv(runs, out_dir / "comparison.csv")
     svgplot.line_chart(

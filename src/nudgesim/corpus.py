@@ -14,6 +14,7 @@ import json
 import logging
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -69,10 +70,7 @@ class ArticleSet:
 
     def source_counts(self) -> dict[str, int]:
         """Total articles published per source (used for edge normalization)."""
-        counts: dict[str, int] = {}
-        for a in self.articles:
-            counts[a.source_id] = counts.get(a.source_id, 0) + 1
-        return counts
+        return dict(Counter(a.source_id for a in self.articles))
 
 
 @dataclass(frozen=True)

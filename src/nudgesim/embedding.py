@@ -10,8 +10,10 @@ is what the downstream trust cost consumes.
 from __future__ import annotations
 
 import bisect
+import itertools
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -205,10 +207,7 @@ def train_embeddings(
     """
     if dims < 1 or window < 1 or negatives < 0 or epochs < 1:
         raise ValueError("bad hyperparameters")
-    counts: dict[str, int] = {}
-    for walk in walks:
-        for node in walk:
-            counts[node] = counts.get(node, 0) + 1
+    counts = Counter(itertools.chain.from_iterable(walks))
     if not counts:
         raise ValueError("cannot train on an empty walk corpus")
     # imported here: no other command needs scipy.special, which is slow to load

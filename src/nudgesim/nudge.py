@@ -377,20 +377,20 @@ def rng_for_user(seed: int, user_id: str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
-def simulate(u0: UserProfile, catalog: SourceCatalog, config: SimConfig) -> Trajectory:
+def simulate(u0: Persona | UserProfile, catalog: SourceCatalog, config: SimConfig) -> Trajectory:
     """Run the recommendation dynamics for ``config.T`` steps.
 
     ``config.mode`` picks the offer among the eligible sources (strictly
     above the user's mean quality, not yet trusted): ``"constrained"`` offers
     the cheapest by trust cost, ``"unconstrained"`` the highest quality; ties
     go to the smallest id. Acceptance and drop mechanics are shared, and the
-    trust cost of each offer is recorded in both modes. ``u0.sources`` is
-    checked by the trusted-set rule of :func:`profile_from_sources` under the
-    limit ``config.L``. Every profile state is built by
-    :func:`profile_from_sources`: ``Trajectory.start`` from ``u0.sources``, as
-    the run uses it, and each accepted step's next profile from the new
-    members. Pure in its inputs: ``u0`` is never changed, and the outcome is
-    a function of (u0, catalog, config) alone."""
+    trust cost of each offer is recorded in both modes. Only ``u0.user_id``
+    and ``u0.sources`` are read, so ``u0`` may be a :class:`Persona` or a
+    profile; the limit is ``config.L``. Every profile state is built by
+    :func:`profile_from_sources`: ``Trajectory.start`` is the checked start
+    profile built from ``u0.sources``, and each accepted step's next profile
+    is built from the new members. Pure in its inputs: ``u0`` is never
+    changed, and the outcome is a function of (u0, catalog, config) alone."""
     u = start = profile_from_sources(u0.user_id, u0.sources, catalog, config.L)
     rng = rng_for_user(config.seed, u.user_id)
     records = []

@@ -9,7 +9,8 @@ repost (an outlet posting one of its stories again, under a new id, before
 another outlet copies it), with the bundled labels (one connected source
 unrated) and personas, through all four stages and
 ``simulate --mode constrained``. ``test_golden.py`` compares them with
-``golden.json``.
+``golden.json``, and reruns the repost run alone (``repost_outputs``) under
+another hash seed, BLAS thread count and input order.
 
 Re-record after a deliberate output change, and say why in CHANGES.md:
 
@@ -54,12 +55,16 @@ def _run(argv: list[str]) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
-def _pipeline(out: Path, commands: list[tuple[str, list[str]]]) -> dict[str, str]:
-    """Run each named command, then digest every file under ``out`` and each
-    command's stdout (as ``<name>.stdout``)."""
+def _pipeline(out: Path, commands: list[tuple[str, list[str]]]) -> dict[str, bytes]:
+    """Run each named command, then read every file under ``out`` and each
+    command's stdout (as ``<name>.stdout``), in name order."""
     stdout = {f"{name}.stdout": _run(argv) for name, argv in commands}
     files = {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
-    return {name: hashlib.sha256(data).hexdigest() for name, data in sorted({**files, **stdout}.items())}
+    return dict(sorted({**files, **stdout}.items()))
+
+
+def sha256s(outputs: dict[str, bytes]) -> dict[str, str]:
+    return {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
 
 
 def _repost_corpus(path: Path) -> Path:
@@ -73,38 +78,49 @@ def _repost_corpus(path: Path) -> Path:
     return path
 
 
+def repost_inputs(root) -> dict[str, Path]:
+    """The repost run's inputs, its corpus written under ``root``."""
+    return {
+        "articles": _repost_corpus(Path(root) / "repost-inputs" / "articles.jsonl"),
+        "labels": synthetic.fixture_labels_path(),
+        "personas": synthetic.fixture_personas_path(),
+    }
+
+
+def repost_outputs(out, articles, labels, personas) -> dict[str, bytes]:
+    """The repost run on the given inputs, with its outputs under ``out``."""
+    out = Path(out)
+    return _pipeline(out, [
+        ("build-csn", ["build-csn", str(articles), "--out-dir", str(out)]),
+        ("annotate", ["annotate", str(labels), str(out / "csn.tsv"), "--out-dir", str(out)]),
+        ("embed", ["embed", str(out / "csn.tsv"), "--out-dir", str(out)] + _REPOST_EMBED),
+        ("simulate", ["simulate", str(personas), str(out / "scores.csv"),
+                      str(out / "vectors.tsv"), "--mode", "constrained", "--T", "30",
+                      "--seed", "3", "--out-dir", str(out)]),
+    ])
+
+
 def digests(root) -> dict[str, dict[str, str]]:
     root = Path(root)
     fixture = root / "fixture"
     world_inputs = synthetic.write_world(root / "world-inputs")
     world = root / "world"
-    repost_articles = _repost_corpus(root / "repost-inputs" / "articles.jsonl")
-    repost = root / "repost"
     return {
-        "fixture": _pipeline(fixture, [
+        "fixture": sha256s(_pipeline(fixture, [
             ("build-csn", ["build-csn", str(synthetic.fixture_articles_path()),
                            "--out-dir", str(fixture)]),
             ("annotate", ["annotate", str(synthetic.fixture_labels_path()),
                           str(fixture / "csn.tsv"), "--out-dir", str(fixture)]),
-        ]),
-        "world": _pipeline(world, [
+        ])),
+        "world": sha256s(_pipeline(world, [
             ("annotate", ["annotate", str(world_inputs["labels"]), str(world_inputs["csn"]),
                           "--out-dir", str(world)]),
             ("embed", ["embed", str(world_inputs["csn"]), "--out-dir", str(world)] + _WORLD_EMBED),
             ("simulate", ["simulate", str(world_inputs["personas"]), str(world / "scores.csv"),
                           str(world / "vectors.tsv"), "--mode", "both", "--T", "120",
                           "--seed", "7", "--out-dir", str(world)]),
-        ]),
-        "repost": _pipeline(repost, [
-            ("build-csn", ["build-csn", str(repost_articles), "--out-dir", str(repost)]),
-            ("annotate", ["annotate", str(synthetic.fixture_labels_path()),
-                          str(repost / "csn.tsv"), "--out-dir", str(repost)]),
-            ("embed", ["embed", str(repost / "csn.tsv"), "--out-dir", str(repost)] + _REPOST_EMBED),
-            ("simulate", ["simulate", str(synthetic.fixture_personas_path()),
-                          str(repost / "scores.csv"), str(repost / "vectors.tsv"),
-                          "--mode", "constrained", "--T", "30", "--seed", "3",
-                          "--out-dir", str(repost)]),
-        ]),
+        ])),
+        "repost": sha256s(repost_outputs(root / "repost", **repost_inputs(root))),
     }
 
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nudgesim import cli, graph, synthetic
+from nudgesim import cli, graph, nudge, synthetic
 from nudgesim.cli import main
 from nudgesim.graph import load_graph
 from nudgesim.embedding import load_vectors
@@ -815,6 +815,25 @@ def test_simulate_limit_override(tmp_path, capsys, world_dir):
     assert "persona #0 (conspiracy-right): 5 trusted sources exceed limit 4" in stderr
     assert stdout == ""
     assert not (tmp_path / "narrow").exists()
+
+
+def test_simulate_builds_each_profile_state_once(tmp_path, capsys, world_dir, monkeypatch):
+    # one start profile per run and one per accepted step: no pass of its own
+    calls = []
+    build = nudge.profile_from_sources
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(nudge, "profile_from_sources", counted)
+    argv = ["simulate", *_inputs(world_dir, "simulate"), "--mode", "both", "--T", "20",
+            "--out-dir", str(tmp_path)]
+    code, _, stderr = _run(capsys, argv)
+    assert code == 0, stderr
+    summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+    assert len(summary) == 8
+    assert len(calls) == len(summary) + sum(entry["accepted_steps"] for entry in summary)
 
 
 _SIM_INPUTS = ("personas.json", "scores.csv", "vectors.tsv")

@@ -656,7 +656,8 @@ def test_simulate_deterministic_and_pure():
 
 def test_simulate_start_is_the_checked_working_profile(tmp_path):
     # a hand-built u0 with unsorted sources and stale means: the run and its
-    # report both start from the profile profile_from_sources builds
+    # report both start from the profile profile_from_sources builds, as they
+    # do from a persona with the same sources
     catalog = SourceCatalog(
         [
             _source("a", 0.2, -0.5, [1.0, 0.0]),
@@ -671,6 +672,15 @@ def test_simulate_start_is_the_checked_working_profile(tmp_path):
     assert (traj.start.q_u, traj.start.l_u) == (built.q_u, built.l_u) == (0.35, -0.25)
     assert np.array_equal(traj.start.v_u, built.v_u)
     assert u0.sources == ["c", "a"] and u0.q_u == 0.99 and not u0.v_u.any()  # untouched
+    # a persona runs as its built profile does; its own L is not read
+    for other in (Persona("u", ("c", "a"), 1), built):
+        run = simulate(other, catalog, _config(T=3, L=2))
+        assert run.steps == traj.steps
+        for mine, theirs in ((run.start, traj.start), (run.final, traj.final)):
+            assert (mine.sources, mine.limit, mine.q_u, mine.l_u) == (
+                theirs.sources, theirs.limit, theirs.q_u, theirs.l_u
+            )
+            assert np.array_equal(mine.v_u, theirs.v_u)
     path = tmp_path / "summary.json"
     write_summary_json([traj], path)
     (entry,) = json.loads(path.read_text(encoding="utf-8"))
