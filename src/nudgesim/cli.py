@@ -235,18 +235,15 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
 
 def _log_homophily(csn: graph.CsnGraph, vectors: embedding.SourceVectors) -> None:
-    assignment = graph.detect_communities(csn)
-    communities = len(set(assignment.labels.values()))
-    if communities < 2:
-        return
-    intra, inter = embedding.community_cosines(vectors, assignment.labels)
+    labels = graph.detect_communities(csn).labels
+    intra, inter = embedding.community_cosines(vectors, labels)
     if not (math.isnan(intra) or math.isnan(inter)):
         log.info(
             "homophily check: mean intra-community cosine %.4f vs inter %.4f "
             "across %d communities",
             intra,
             inter,
-            communities,
+            len(set(labels.values())),
         )
 
 

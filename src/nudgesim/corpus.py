@@ -104,10 +104,9 @@ def parse_timestamp(value: str) -> datetime:
     ts = datetime.fromisoformat(value)
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
-    ts = ts.astimezone(timezone.utc)
     if not (_DATE_MIN <= ts < _DATE_MAX):
         raise ValueError(f"timestamp {value!r} outside supported range")
-    return ts
+    return ts.astimezone(timezone.utc)
 
 
 def check_source_name(name: str) -> None:
@@ -159,13 +158,14 @@ def _check_decoded(line: str) -> None:
 
 
 def read_utf8(path, newline: str | None = None) -> io.StringIO:
-    """The text of ``path``, read like ``open(path, encoding="utf-8",
-    newline=newline)``; a byte that is not UTF-8 raises ValueError naming the
-    path and its line."""
+    """The text of ``path``, read like ``open(path, encoding="utf-8-sig",
+    newline=newline)`` (one leading byte-order mark is skipped); a byte that
+    is not UTF-8 raises ValueError naming the path, its line and its offset
+    in the file."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return io.StringIO(data.decode("utf-8"), newline=newline)
+        return io.StringIO(data.decode("utf-8").removeprefix("\ufeff"), newline=newline)
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ValueError(
@@ -216,7 +216,7 @@ def write_csv(path, header: list[str], rows) -> None:
 
 
 def load_articles(path) -> ArticleSet:
-    """Read a JSONL article file.
+    """Read a JSONL article file, skipping one leading byte-order mark.
 
     Malformed lines are skipped with a warning and counted; these include a
     line that is not valid UTF-8, a field that is not a JSON string or
@@ -228,7 +228,7 @@ def load_articles(path) -> ArticleSet:
     articles: list[Article] = []
     seen: set[str] = set()
     skipped = 0
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

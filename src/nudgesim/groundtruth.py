@@ -130,30 +130,21 @@ def impute_missing(scores: dict[str, SourceScore], graph: CsnGraph) -> dict[str,
     Sources absent from the graph, or whose neighbors are all silent, keep
     their gaps and stay ``unavailable``.
     """
-    provider_quality = {s: sc.quality for s, sc in scores.items() if sc.provenance != "imputed"}
-    provider_leaning = {s: sc.leaning for s, sc in scores.items() if sc.provenance != "imputed"}
+    donors = {s: sc for s, sc in scores.items() if sc.provenance != "imputed"}
 
-    def neighbor_mean(source: str, values: dict[str, float | None]) -> float | None:
-        if source not in graph.index:
-            return None
-        donors = [values[n] for n in graph.neighbors(source) if values.get(n) is not None]
-        if not donors:
-            return None
-        return sum(donors) / len(donors)
+    def neighbor_mean(source: str, name: str) -> float | None:
+        neighbors = graph.neighbors(source) if source in graph.index else []
+        values = [getattr(donors[n], name) for n in neighbors if n in donors]
+        values = [v for v in values if v is not None]
+        return sum(values) / len(values) if values else None
 
     result: dict[str, SourceScore] = {}
     for source, score in scores.items():
-        q, l = score.quality, score.leaning
-        filled = False
-        if q is None:
-            q = neighbor_mean(source, provider_quality)
-            filled = filled or q is not None
-        if l is None:
-            l = neighbor_mean(source, provider_leaning)
-            filled = filled or l is not None
+        q = neighbor_mean(source, "quality") if score.quality is None else score.quality
+        l = neighbor_mean(source, "leaning") if score.leaning is None else score.leaning
         if q is None or l is None:
             provenance = "unavailable"
-        elif filled:
+        elif (q, l) != (score.quality, score.leaning):
             provenance = "imputed"
         else:
             provenance = score.provenance

@@ -21,7 +21,8 @@ from nudgesim import cli, graph, nudge, synthetic
 from nudgesim.cli import main
 from nudgesim.graph import load_graph
 from nudgesim.embedding import load_vectors
-from test_readers import _EDITS, _mutate
+from golden import repost_inputs, repost_outputs
+from test_readers import BOM, _EDITS, _mutate
 
 
 @pytest.fixture(scope="module")
@@ -176,18 +177,21 @@ def test_build_csn_repost_is_one_copier_article(tmp_path, capsys):
         ("title", None),
         ("content", None),
         ("content", {"text": "council approves harbour budget"}),
+        # in UTC these fall past the ends of datetime's range
+        ("published_at", "9999-12-31T23:59:59-01:00"),
+        ("published_at", "0001-01-01T00:00:00+01:00"),
     ],
 )
 def test_build_csn_skips_ids_that_break_tsv(tmp_path, capsys, caplog, key, value):
     # a copies a story to b; a third copy, line 4, has an id or source that
-    # could not be written to pairs.tsv or csn.tsv and read back, or a field
-    # that is not a JSON string or number
+    # could not be written to pairs.tsv or csn.tsv and read back, a field
+    # that is not a JSON string or number, or a timestamp out of range
     story = {"title": "Budget", "content": "council approves harbour budget after debate " * 5}
     articles = tmp_path / "articles.jsonl"
     with open(articles, "w", encoding="utf-8") as fh:
         for hour, row in enumerate(({"id": "a-1", "source": "a"}, {"id": "a-2", "source": "a"},
                                     {"id": "b-1", "source": "b"}, {"id": "c-1", "source": "c", key: value})):
-            fh.write(json.dumps(dict(story, **row, published_at=f"2018-05-01T{hour:02d}:00:00Z")) + "\n")
+            fh.write(json.dumps({**story, "published_at": f"2018-05-01T{hour:02d}:00:00Z", **row}) + "\n")
     with caplog.at_level(logging.WARNING, logger="nudgesim.corpus"):
         code, stdout, stderr = _run(capsys, ["build-csn", str(articles), "--out-dir", str(tmp_path)])
     assert code == 0, stderr
@@ -206,6 +210,14 @@ def test_build_csn_without_articles_exits_1_naming_the_file(tmp_path, capsys, te
     assert stdout == ""
     assert stderr.endswith(f"error: {articles}: no articles ({skipped} malformed lines skipped)\n")
     assert not out.exists()
+
+
+def test_build_csn_skips_a_leading_byte_order_mark(tmp_path, capsys):
+    articles = tmp_path / "articles.jsonl"
+    articles.write_bytes(BOM + synthetic.fixture_articles_path().read_bytes())
+    code, stdout, stderr = _run(capsys, ["build-csn", str(articles), "--out-dir", str(tmp_path)])
+    assert code == 0, stderr
+    assert stdout.strip() == "articles=20 skipped=0 pairs=8 nodes=6 edges=7"
 
 
 @pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
@@ -1098,68 +1110,10 @@ def test_unknown_subcommand_exits_2(capsys):
 # ------------------------------------------------------------ reproducibility
 
 
-def test_full_pipeline_rerun_is_byte_identical(tmp_path, capsys):
-    def run_all(out):
-        world = out / "world"
-        world.mkdir(parents=True)
-        synthetic.write_world(world)
-        assert main(["build-csn", str(synthetic.fixture_articles_path()), "--out-dir", str(out)]) == 0
-        assert (
-            main(
-                [
-                    "annotate",
-                    str(world / "labels.csv"),
-                    str(world / "csn.tsv"),
-                    "--out",
-                    str(out / "scores.csv"),
-                ]
-            )
-            == 0
-        )
-        assert (
-            main(
-                [
-                    "embed",
-                    str(world / "csn.tsv"),
-                    "--out",
-                    str(out / "vectors.tsv"),
-                    "--seed",
-                    "5",
-                    "--dims",
-                    "8",
-                    "--walk-length",
-                    "12",
-                    "--walks-per-node",
-                    "2",
-                    "--epochs",
-                    "1",
-                ]
-            )
-            == 0
-        )
-        assert (
-            main(
-                [
-                    "simulate",
-                    str(world / "personas.json"),
-                    str(out / "scores.csv"),
-                    str(out / "vectors.tsv"),
-                    "--T",
-                    "30",
-                    "--seed",
-                    "5",
-                    "--out-dir",
-                    str(out / "sim"),
-                ]
-            )
-            == 0
-        )
-
-    first, second = tmp_path / "first", tmp_path / "second"
-    run_all(first)
-    run_all(second)
-    capsys.readouterr()
-    rel_paths = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
-    assert rel_paths
-    for rel in rel_paths:
-        assert (second / rel).read_bytes() == (first / rel).read_bytes(), rel
+def test_full_pipeline_rerun_is_byte_identical(tmp_path):
+    # all four stages twice on the same inputs: every output file and each
+    # stage's stdout
+    inputs = repost_inputs(tmp_path)
+    first = repost_outputs(tmp_path / "first", **inputs)
+    second = repost_outputs(tmp_path / "second", **inputs)
+    assert first and first == second

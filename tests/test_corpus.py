@@ -174,12 +174,16 @@ def test_load_articles_skips_malformed_lines(tmp_path, caplog):
         fh.write(json.dumps({"id": "a2", "source": "s"}) + "\n")  # missing fields
         fh.write(json.dumps(_record("a3", content="   ")) + "\n")  # blank body
         fh.write(json.dumps(_record("a4", ts="1200-01-01T00:00:00Z")) + "\n")
+        # in UTC these fall past the ends of datetime's range
+        fh.write(json.dumps(_record("a6", ts="9999-12-31T23:59:59-01:00")) + "\n")
+        fh.write(json.dumps(_record("a7", ts="0001-01-01T00:00:00+01:00")) + "\n")
         fh.write(json.dumps(_record("a5")) + "\n")
     with caplog.at_level("WARNING", logger="nudgesim.corpus"):
         result = corpus.load_articles(path)
     assert [a.article_id for a in result.articles] == ["a1", "a5"]
-    assert result.skipped == 4
-    assert sum("skipping malformed line" in r.message for r in caplog.records) == 4
+    assert result.skipped == 6
+    assert sum("outside supported range" in r.message for r in caplog.records) == 3
+    assert sum("skipping malformed line" in r.message for r in caplog.records) == 6
 
 
 def test_load_articles_duplicate_id_is_fatal(tmp_path):

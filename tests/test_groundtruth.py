@@ -142,16 +142,19 @@ def _chain_graph(edges):
 
 
 def test_impute_fills_from_labeled_neighbors():
-    graph = _chain_graph([("a", "x"), ("x", "b")])
+    graph = _chain_graph([("a", "x"), ("x", "b"), ("a", "y"), ("y", "b")])
     scores = {
         "a": SourceScore("a", 0.8, -1.0, "labeled"),
         "b": SourceScore("b", 0.4, 0.0, "labeled"),
         "x": SourceScore("x", None, None, "unavailable"),
+        # rated but without a leaning: only the leaning is filled
+        "y": SourceScore("y", 0.3, None, "unavailable"),
     }
     out = impute_missing(scores, graph)
     assert out["x"].quality == pytest.approx(0.6)
     assert out["x"].leaning == pytest.approx(-0.5)
     assert out["x"].provenance == "imputed"
+    assert out["y"] == SourceScore("y", 0.3, -0.5, "imputed")
     # labeled rows pass through untouched
     assert out["a"] == scores["a"]
 

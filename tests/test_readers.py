@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from nudgesim import synthetic
 from nudgesim.corpus import load_articles
 from nudgesim.embedding import SourceVectors, load_vectors, save_vectors
-from nudgesim.graph import load_graph, save_graph
+from nudgesim.graph import CsnGraph, load_graph, save_graph
 from nudgesim.groundtruth import (
     SourceScore,
     read_labels_csv,
@@ -80,3 +80,31 @@ def test_reader_parses_or_names_the_path(tmp_path, name, edits, noise):
         reader(path)
     except (ValueError, OSError) as exc:
         assert str(path) in str(exc)
+
+
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark
+
+
+def _value(result):
+    """``result`` in a form that ``==`` compares by value."""
+    if isinstance(result, CsnGraph):
+        return result.raw_counts, result.article_counts
+    if isinstance(result, SourceVectors):
+        return result.dims, result.params, {s: v.tolist() for s, v in result.vectors.items()}
+    return result
+
+
+def test_readers_skip_one_leading_byte_order_mark(tmp_path):
+    for name, (reader, write) in READERS.items():
+        plain, marked = tmp_path / name, tmp_path / f"{name}.bom"
+        write(plain)
+        marked.write_bytes(BOM + plain.read_bytes())
+        assert _value(reader(marked)) == _value(reader(plain)), name
+
+
+def test_bad_byte_after_byte_order_mark_names_its_offset_in_the_file(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_bytes(BOM + b"source,qua\xfflity,leaning,provenance\n")
+    with pytest.raises(ValueError) as exc:
+        read_scores_csv(path)
+    assert str(exc.value) == f"{path}:1: byte 0xff at offset 13 is not UTF-8"
