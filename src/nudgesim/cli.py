@@ -286,20 +286,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     vectors = embedding.load_vectors(args.vectors)
     catalog = nudge.SourceCatalog.from_scores(scores, vectors)
     modes = ["constrained", "unconstrained"] if args.mode == "both" else [args.mode]
-    runs: list[tuple[nudge.Trajectory, ...]] = []  # per persona, one run per mode
-    for i, persona in enumerate(personas):  # every run is made before any output
-        limit = args.L if args.L is not None else persona.L
-        configs = [
-            nudge.SimConfig(T=args.T, L=limit, seed=args.seed, alpha=args.alpha, mode=m)
-            for m in modes
-        ]
-        try:
-            runs.append(tuple(nudge.simulate(persona, catalog, config) for config in configs))
-        except ValueError as exc:
-            reason = str(exc).removeprefix(f"{persona.user_id}: ")
-            raise ValueError(
-                f"{args.personas}: persona #{i} ({persona.user_id}): {reason}"
-            ) from None
+    # one run per persona and mode, every one made before any output
+    pairs = [
+        (persona, nudge.SimConfig(
+            T=args.T, L=args.L if args.L is not None else persona.L, seed=args.seed, alpha=args.alpha, mode=m
+        ))
+        for persona in personas
+        for m in modes
+    ]
+    try:
+        trajectories = nudge.simulate_all(pairs, catalog)
+    except ValueError as exc:  # the first persona whose start is refused
+        i = exc.run // len(modes)
+        user_id = personas[i].user_id
+        reason = str(exc).removeprefix(f"{user_id}: ")
+        raise ValueError(f"{args.personas}: persona #{i} ({user_id}): {reason}") from None
+    runs = list(zip(*[iter(trajectories)] * len(modes)))  # per persona, one run per mode
 
     out_dir.mkdir(parents=True, exist_ok=True)
     for stem, run in zip(stems, runs):

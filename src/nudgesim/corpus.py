@@ -43,6 +43,12 @@ _TSV_BREAK_RE = re.compile(r"[\t\r\n]")
 # a lone surrogate (a JSON escape such as "\ud800") cannot be written as UTF-8
 _SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
 
+# the timestamps parse_timestamp reads: the extended forms that
+# datetime.fromisoformat takes on every supported Python, plus a trailing Z
+_TIMESTAMP_RE = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
+    r"(?:[T ][0-9]{2}(?::[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{3}|\.[0-9]{6})?)?)?(?:[+-][0-9]{2}:[0-9]{2}|Z)?)?"
+)
 _DATE_MIN = datetime(1990, 1, 1, tzinfo=timezone.utc)
 _DATE_MAX = datetime(2100, 1, 1, tzinfo=timezone.utc)
 
@@ -96,12 +102,17 @@ class TfidfResult:
 def parse_timestamp(value: str) -> datetime:
     """Parse an ISO-8601 timestamp into an aware UTC datetime.
 
-    Accepts a trailing 'Z' (Python 3.10 fromisoformat does not). Naive
-    timestamps are taken to be UTC.
+    The grammar is the same on every supported Python: ``YYYY-MM-DD``,
+    optionally ``T`` or a space and ``HH[:MM[:SS[.fff|.ffffff]]]``, then
+    optionally ``+HH:MM``, ``-HH:MM`` or ``Z``. Naive timestamps are taken
+    to be UTC. An error quotes ``value`` as given.
     """
-    if value.endswith("Z"):
-        value = value[:-1] + "+00:00"
-    ts = datetime.fromisoformat(value)
+    if not _TIMESTAMP_RE.fullmatch(value):
+        raise ValueError(f"timestamp {value!r} is not YYYY-MM-DD[THH[:MM[:SS[.fff]]]][+HH:MM|Z]")
+    try:  # Python 3.10 reads no Z
+        ts = datetime.fromisoformat(value[:-1] + "+00:00" if value.endswith("Z") else value)
+    except ValueError:  # a field out of range, such as month 13
+        raise ValueError(f"timestamp {value!r} is not a valid date and time") from None
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
     if not (_DATE_MIN <= ts < _DATE_MAX):

@@ -256,59 +256,76 @@ def _row_costs(u: UserProfile, catalog: SourceCatalog, rows, alpha: float, norm_
     return [_cost(l_u, v_u, norm_u, leaning[r], vectors[r], norms[r], alpha) for r in rows]
 
 
-def _eligible(u: UserProfile, catalog: SourceCatalog) -> np.ndarray:
-    """Mask over the catalog rows of the sources strictly above the user's
-    mean quality and not already trusted."""
-    mask = catalog.quality > u.q_u
-    mask[[catalog.index[s] for s in u.sources]] = False
-    return mask
+def _offers(profiles: list[UserProfile], catalog: SourceCatalog, alphas) -> list[int | None]:
+    """The catalog row offered to each profile, or None when nothing is
+    eligible: no source lies strictly above the profile's mean quality and
+    outside its members. An ``alphas`` entry of None offers the highest
+    quality, any other the cheapest by trust cost at that alpha; ties go to
+    the smallest source_id.
 
-
-def _approximate_costs(u: UserProfile, catalog: SourceCatalog, alpha: float, norm_u: float):
-    """``trust_cost`` of every catalog row from one mat-vec and the cached
-    norms. It may differ from the scalar cost in the last bits, or come out
-    non-finite where the scalar cost overflows."""
-    distance = 1.0
-    if norm_u != 0.0:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            distance = 1.0 - (catalog.vectors @ u.v_u) / (catalog.norms * norm_u)
-        distance[catalog.norms == 0.0] = 1.0  # a zero norm on either side gives the neutral 1.0
-    return (1.0 - alpha) * (np.abs(u.l_u - catalog.leaning) / 2.0) + alpha * distance
+    One mask covers every profile, and one matrix product gives every
+    approximate cost. Those only pick candidates: eligible rows within
+    ``_VERIFY_MARGIN`` of a profile's smallest finite approximate cost, and
+    eligible rows whose approximate cost is not finite, are recomputed
+    exactly, in id order. The margin is far above the rounding gap between
+    the two, so the exact argmin is always among them, and each offer is the
+    exhaustive scalar argmin for its own profile, whatever the others are.
+    The caller has checked each alpha."""
+    members = [[catalog.index[s] for s in u.sources] for u in profiles]
+    eligible = catalog.quality > np.array([u.q_u for u in profiles])[:, None]
+    owners = np.repeat(np.arange(len(profiles)), [len(rows) for rows in members])
+    eligible[owners, list(itertools.chain.from_iterable(members))] = False
+    found = eligible.any(axis=1).tolist()
+    offers: list[int | None] = [None] * len(profiles)
+    best_quality = [i for i, alpha in enumerate(alphas) if found[i] and alpha is None]
+    if best_quality:
+        # argmax keeps the first maximum, in id order
+        rows = np.where(eligible[best_quality], catalog.quality, -np.inf).argmax(axis=1)
+        for i, row in zip(best_quality, rows.tolist()):
+            offers[i] = row
+    cheapest = [i for i, alpha in enumerate(alphas) if found[i] and alpha is not None]
+    if not cheapest:
+        return offers
+    # (1 - alpha) * (|l_u - l_s| / 2) + alpha * (1 - dot / (|v_u| * |v_s|)),
+    # one row per profile, computed in place to hold two arrays at a time
+    us = [profiles[i] for i in cheapest]
+    alpha = np.array([alphas[i] for i in cheapest])[:, None]
+    norm_u = [float(np.linalg.norm(u.v_u)) for u in us]
+    distance = np.array([u.v_u for u in us]) @ catalog.vectors.T
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        distance /= np.multiply.outer(norm_u, catalog.norms)
+        np.subtract(1.0, distance, out=distance)
+        # a zero norm on either side gives the neutral 1.0
+        distance[:, catalog.norms == 0.0] = 1.0
+        distance[np.equal(norm_u, 0.0)] = 1.0
+        distance *= alpha
+        approx = np.subtract.outer([u.l_u for u in us], catalog.leaning)
+        np.abs(approx, out=approx)
+        approx /= 2.0
+        approx *= 1.0 - alpha
+        approx += distance
+    mask = eligible[cheapest]
+    finite = np.isfinite(approx)
+    smallest = np.min(approx, axis=1, where=mask & finite, initial=np.inf, keepdims=True)
+    kept = mask & ((approx <= smallest + _VERIFY_MARGIN) | ~finite)
+    for i, u, norm, row_kept in zip(cheapest, us, norm_u, kept):
+        candidates = np.flatnonzero(row_kept).tolist()
+        best_cost = float("inf")
+        for row, cost in zip(candidates, _row_costs(u, catalog, candidates, alphas[i], norm)):
+            if cost < best_cost:
+                offers[i], best_cost = row, cost
+    return offers
 
 
 def select_recommendation(
     u: UserProfile, catalog: SourceCatalog, alpha: float
 ) -> Source | None:
     """Cheapest eligible source by trust cost; ties go to the smallest
-    source_id; None when nothing qualifies.
-
-    Approximate costs filter the candidates: only eligible rows within
-    ``_VERIFY_MARGIN`` of the smallest finite one, and eligible rows whose
-    approximate cost is not finite, are recomputed exactly, in id order. The
-    margin is far above the rounding gap between the two, so the exact argmin
-    is always among them and the result is the exhaustive scalar argmin."""
+    source_id; None when nothing qualifies. The offer :func:`_offers` makes
+    to ``u`` alone."""
     _check_alpha(alpha)
-    mask = _eligible(u, catalog)
-    norm_u = float(np.linalg.norm(u.v_u))
-    approx = _approximate_costs(u, catalog, alpha, norm_u)
-    finite = np.isfinite(approx)
-    smallest = np.min(approx, where=mask & finite, initial=np.inf)
-    candidates = np.flatnonzero(mask & ((approx <= smallest + _VERIFY_MARGIN) | ~finite)).tolist()
-    best: int | None = None
-    best_cost = float("inf")
-    for row, cost in zip(candidates, _row_costs(u, catalog, candidates, alpha, norm_u)):
-        if cost < best_cost:
-            best, best_cost = row, cost
-    return None if best is None else catalog._rows[best]
-
-
-def _highest_quality(u: UserProfile, catalog: SourceCatalog) -> Source | None:
-    """Highest-quality eligible source; argmax keeps the first maximum in
-    sorted-id order, so ties go to the smallest id."""
-    rows = np.flatnonzero(_eligible(u, catalog))
-    if not rows.size:
-        return None
-    return catalog._rows[rows[np.argmax(catalog.quality[rows])]]
+    (row,) = _offers([u], catalog, [alpha])
+    return None if row is None else catalog._rows[row]
 
 
 def drop_distribution(
@@ -343,30 +360,24 @@ def _lottery(u: UserProfile, catalog: SourceCatalog, offer: int, alpha: float, n
     return rows, costs, [c / total for c in costs]
 
 
-def _plan(u: UserProfile, catalog: SourceCatalog, config: SimConfig):
-    """The offer to ``u`` and what one uniform draw decides about it, or None
-    when nothing is eligible: (offer id, trust cost, accept probability,
-    running sums of the outcome shares, the source each outcome drops). The
-    draw picks the first outcome whose running sum exceeds it; below capacity
-    the outcomes drop nothing (accept) or the offer (reject), at capacity
-    they are the drop lottery, where the offer's own id means rejection. A
-    function of the profile alone."""
-    if config.mode == "unconstrained":
-        s_prime = _highest_quality(u, catalog)
-    else:
-        s_prime = select_recommendation(u, catalog, config.alpha)
-    if s_prime is None:
-        return None
-    offer = catalog.index[s_prime.source_id]
+def _plan(u: UserProfile, catalog: SourceCatalog, config: SimConfig, offer: int):
+    """What one uniform draw decides about offering catalog row ``offer`` to
+    ``u``: (offer id, trust cost, accept probability, running sums of the
+    outcome shares, the source each outcome drops). The draw picks the first
+    outcome whose running sum exceeds it; below capacity the outcomes drop
+    nothing (accept) or the offer (reject), at capacity they are the drop
+    lottery, where the offer's own id means rejection. A function of the
+    profile and the offer alone."""
+    offer_id = catalog._ids[offer]
     norm_u = float(np.linalg.norm(u.v_u))
     if len(u.sources) < config.L:
         (cost,) = _row_costs(u, catalog, [offer], config.alpha, norm_u)
         p = max(0.0, 1.0 - cost)
-        return s_prime.source_id, cost, p, [p], [None, s_prime.source_id]
+        return offer_id, cost, p, [p], [None, offer_id]
     rows, costs, shares = _lottery(u, catalog, offer, config.alpha, norm_u)
     at = rows.index(offer)
     drops = [catalog._ids[r] for r in rows]
-    return s_prime.source_id, costs[at], 1.0 - shares[at], list(itertools.accumulate(shares)), drops
+    return offer_id, costs[at], 1.0 - shares[at], list(itertools.accumulate(shares)), drops
 
 
 def rng_for_user(seed: int, user_id: str) -> np.random.Generator:
@@ -390,35 +401,75 @@ def simulate(u0: Persona | UserProfile, catalog: SourceCatalog, config: SimConfi
     :func:`profile_from_sources`: ``Trajectory.start`` is the checked start
     profile built from ``u0.sources``, and each accepted step's next profile
     is built from the new members. Pure in its inputs: ``u0`` is never
-    changed, and the outcome is a function of (u0, catalog, config) alone."""
-    u = start = profile_from_sources(u0.user_id, u0.sources, catalog, config.L)
-    rng = rng_for_user(config.seed, u.user_id)
-    records = []
-    plan = None
-    for t in range(config.T):
+    changed, and the outcome is a function of (u0, catalog, config) alone.
+    The one run of :func:`simulate_all`."""
+    return simulate_all([(u0, config)], catalog)[0]
+
+
+def simulate_all(
+    runs: list[tuple[Persona | UserProfile, SimConfig]], catalog: SourceCatalog
+) -> list[Trajectory]:
+    """Make each ``(u0, config)`` run of ``runs`` as :func:`simulate`
+    describes, all in lockstep, and return their trajectories in order.
+
+    A plan (offer, cost, accept probability, outcome table) is made at a
+    run's start and after each of its accepted steps; at each step one
+    :func:`_offers` call serves every run that needs one. Each run then
+    takes one uniform draw from its own :func:`rng_for_user` stream. A
+    run's trajectory is a function of its own (u0, catalog, config), whatever
+    other runs share the batch. A run whose start profile is refused raises
+    the ValueError of :func:`profile_from_sources`, its ``run`` attribute
+    set to the run's position, before any run is made."""
+    starts = []
+    for position, (u0, config) in enumerate(runs):
+        try:
+            starts.append(profile_from_sources(u0.user_id, u0.sources, catalog, config.L))
+        except ValueError as exc:
+            exc.run = position
+            raise
+    configs = [config for _, config in runs]
+    rngs = [rng_for_user(config.seed, u.user_id) for u, config in zip(starts, configs)]
+    profiles = list(starts)
+    records: list[list[StepRecord]] = [[] for _ in runs]
+    plans: list[tuple | None] = [None] * len(runs)
+    stepping = range(len(runs))
+    for t in range(max((config.T for config in configs), default=0)):
         # a rejected offer leaves the profile, and so the plan, unchanged; a
-        # converged user, or one with nothing eligible, never changes again
-        if plan is None and (
-            u.q_u >= 1.0 - config.epsilon_converge or (plan := _plan(u, catalog, config)) is None
-        ):
-            break
-        offer, cost, accept_probability, sums, drops = plan
-        drop = drops[min(bisect.bisect_right(sums, rng.random()), len(drops) - 1)]
-        accepted = drop != offer
-        dropped = drop if accepted else None
-        if accepted:
-            members = [s for s in u.sources + [offer] if s != dropped]
-            u = profile_from_sources(u.user_id, members, catalog, config.L)
-            plan = None
-        records.append(
-            StepRecord(t, offer, cost, accept_probability, accepted, dropped, u.q_u, u.l_u)
-        )
-    # every step after the loop is a no-op that draws nothing
-    records += [
-        StepRecord(rest, None, None, None, False, None, u.q_u, u.l_u)
-        for rest in range(len(records), config.T)
-    ]
-    return Trajectory(u.user_id, config, records, start, u)
+        # converged run, or one with nothing eligible, never changes again
+        stepping = [
+            j for j in stepping
+            if t < configs[j].T
+            and (plans[j] is not None or profiles[j].q_u < 1.0 - configs[j].epsilon_converge)
+        ]
+        planless = [j for j in stepping if plans[j] is None]
+        if planless:
+            alphas = [configs[j].alpha if configs[j].mode == "constrained" else None for j in planless]
+            for j, offer in zip(planless, _offers([profiles[j] for j in planless], catalog, alphas)):
+                if offer is not None:
+                    plans[j] = _plan(profiles[j], catalog, configs[j], offer)
+            stepping = [j for j in stepping if plans[j] is not None]
+        for j in stepping:
+            offer, cost, accept_probability, sums, drops = plans[j]
+            drop = drops[min(bisect.bisect_right(sums, rngs[j].random()), len(drops) - 1)]
+            accepted = drop != offer
+            dropped = drop if accepted else None
+            u = profiles[j]
+            if accepted:
+                members = [s for s in u.sources + [offer] if s != dropped]
+                u = profiles[j] = profile_from_sources(u.user_id, members, catalog, configs[j].L)
+                plans[j] = None
+            records[j].append(
+                StepRecord(t, offer, cost, accept_probability, accepted, dropped, u.q_u, u.l_u)
+            )
+    trajectories = []
+    for start, u, config, steps in zip(starts, profiles, configs, records):
+        # every step after a run stops is a no-op that draws nothing
+        steps += [
+            StepRecord(rest, None, None, None, False, None, u.q_u, u.l_u)
+            for rest in range(len(steps), config.T)
+        ]
+        trajectories.append(Trajectory(u.user_id, config, steps, start, u))
+    return trajectories
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
@@ -471,8 +522,7 @@ def write_summary_json(trajectories: list[Trajectory], path) -> None:
             }
         )
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 @dataclass(frozen=True)

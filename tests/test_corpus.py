@@ -147,6 +147,46 @@ def test_parse_timestamp_rejects_out_of_range(value):
         corpus.parse_timestamp(value)
 
 
+@pytest.mark.parametrize("value", ["9999-12-31T23:59:59Z", "2018-13-01T00:00:00Z", "2018-05-01Z"])
+def test_parse_timestamp_error_quotes_the_value_as_written(value):
+    with pytest.raises(ValueError, match=re.escape(f"timestamp {value!r} ")):
+        corpus.parse_timestamp(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["2018-05-01", "2018-05-01T08", "2018-05-01 08:30", "2018-05-01T08:30:15.123",
+     "2018-05-01T08:30:15.123456+02:00", "2018-05-01T08:30-05:00", "2018-05-01T08:30:15Z"],
+)
+def test_parse_timestamp_reads_the_extended_forms(value):
+    ts = corpus.parse_timestamp(value)
+    assert ts.tzinfo == timezone.utc
+    assert ts.date().isoformat() == "2018-05-01"
+
+
+# forms that fromisoformat reads on Python 3.11 but not on 3.10, and a
+# date-only stamp with an offset, which both read as a time of day
+@pytest.mark.parametrize(
+    "value",
+    ["20180501", "2018-W18-2", "2018-05-01T08:30:15.123456789", "20180501T083015",
+     "2018-05-01T08:30:15.1", "2018-05-01+02:00", "2018-05-01T08:30+0200", "２０１８-05-01"],
+)
+def test_parse_timestamp_refuses_other_forms(value):
+    with pytest.raises(ValueError, match=re.escape(f"timestamp {value!r} is not YYYY-MM-DD")):
+        corpus.parse_timestamp(value)
+
+
+def test_load_articles_skips_timestamps_of_other_forms(tmp_path, caplog):
+    path = tmp_path / "articles.jsonl"
+    stamps = [20180501, "20180501", "2018-W18-2", "2018-05-01T08:30:15.123456789", "2018-05-01T08:00:00Z"]
+    _write_jsonl(path, [_record(f"a{i}", ts=ts) for i, ts in enumerate(stamps)])
+    with caplog.at_level("WARNING", logger="nudgesim.corpus"):
+        result = corpus.load_articles(path)
+    assert [a.article_id for a in result.articles] == ["a4"]
+    assert result.skipped == 4
+    assert sum("skipping malformed line" in r.message for r in caplog.records) == 4
+
+
 # ---------------------------------------------------------------- loading
 
 

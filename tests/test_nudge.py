@@ -703,15 +703,15 @@ def test_simulate_starts_converged_profile_as_noop():
 
 @pytest.fixture
 def select_calls(monkeypatch):
-    """The arguments of every ``nudge.select_recommendation`` call."""
+    """Every profile passed to ``nudge._offers``, one entry per profile."""
     calls = []
-    original = nudge.select_recommendation
+    original = nudge._offers
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
+    def counting(profiles, catalog, alphas):
+        calls.extend(profiles)
+        return original(profiles, catalog, alphas)
 
-    monkeypatch.setattr(nudge, "select_recommendation", counting)
+    monkeypatch.setattr(nudge, "_offers", counting)
     return calls
 
 
@@ -752,6 +752,111 @@ def test_simulate_selects_once_per_profile_state(select_calls):
         traj = simulate(u0, catalog, _config(T=40, L=2, seed=seed))
         assert not traj.steps[-1].accepted
         assert len(select_calls) == 1 + sum(r.accepted for r in traj.steps)
+
+
+# ---------------------------------------------------------------- lockstep runs
+
+
+def _outcome(traj):
+    """Everything a trajectory reports, bit for bit."""
+    return (
+        traj.user_id,
+        traj.config,
+        [repr(r) for r in traj.steps],
+        [(u.sources, u.limit, repr(u.q_u), repr(u.l_u), u.v_u.tobytes()) for u in (traj.start, traj.final)],
+    )
+
+
+@pytest.fixture(scope="module")
+def world_runs(world_catalog):
+    """World personas x both modes x seeds and alphas, with runs of different
+    T and L in one batch, and each run's outcome when made alone."""
+    from nudgesim.synthetic import WORLD_PERSONAS
+
+    runs = [
+        (persona, SimConfig(T=20 + 13 * k + seed % 7, L=persona.L + (k + seed) % 2,
+                            seed=seed, alpha=alpha, mode=mode))
+        for seed, alpha in [(0, 0.5), (7, 0.2), (2**40 + 3, 0.85)]
+        for k, persona in enumerate(WORLD_PERSONAS)
+        for mode in ("constrained", "unconstrained")
+    ]
+    return runs, [_outcome(simulate(u0, world_catalog, config)) for u0, config in runs]
+
+
+def test_simulate_all_equals_each_run_alone(world_catalog, world_runs):
+    runs, alone = world_runs
+    assert len({(c.T, c.L) for _, c in runs}) > 4
+    assert [_outcome(traj) for traj in nudge.simulate_all(runs, world_catalog)] == alone
+    assert nudge.simulate_all([], world_catalog) == []
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_simulate_all_is_independent_of_batch_order_and_make_up(world_catalog, world_runs, data):
+    runs, alone = world_runs
+    order = data.draw(st.permutations(range(len(runs))))
+    batch = order[: data.draw(st.integers(1, len(runs)))]
+    got = nudge.simulate_all([runs[j] for j in batch], world_catalog)
+    assert [_outcome(traj) for traj in got] == [alone[j] for j in batch]
+
+
+def test_simulate_all_names_the_run_that_cannot_start(world_catalog, world_runs):
+    runs, _ = world_runs
+    bad = Persona("ghost-reader", ("no-such-outlet",), 2)
+    batch = runs[:3] + [(bad, SimConfig(T=5, L=2, seed=0))] + runs[3:]
+    with pytest.raises(ValueError, match="^ghost-reader: unknown source 'no-such-outlet'$") as caught:
+        nudge.simulate_all(batch, world_catalog)
+    assert caught.value.run == 3
+
+
+def _exhaustive_row(u, catalog, alpha):
+    """The offer by an exhaustive scan in id order over the eligible rows:
+    the first of the highest quality when ``alpha`` is None, else the first
+    strict minimum of ``trust_cost``."""
+    best, best_key = None, math.inf
+    for row, source_id in enumerate(catalog.ids()):
+        s = catalog[source_id]
+        if source_id in u.sources or not s.quality > u.q_u:
+            continue
+        key = -s.quality if alpha is None else trust_cost(s, u, alpha)
+        if key < best_key:
+            best, best_key = row, key
+    return best
+
+
+# zero norms, norms near the largest a vector may have (whose products sit at
+# the edge of overflow), norms whose squares are subnormal, and repeated rows
+# under other ids, so that exact cost ties are common
+_HOSTILE_VECTORS = st.sampled_from(
+    [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 1.0, 0.0], [1.3e154, 0.0, 0.0],
+     [9e153, -9e153, 0.0], [-1.3e154, 0.0, 1e150], [1e-160, 3e-161, 0.0], [0.5, 0.5, 0.5]]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+@example(data=None)
+def test_offers_match_exhaustive_argmin_on_hostile_catalogs(data):
+    if data is None:  # one known case: huge, zero, tiny and exactly tied vectors
+        rows = [(0.1, 0.0, [1.3e154, 0.0, 0.0]), (0.8, 0.5, [9e153, -9e153, 0.0]),
+                (0.8, 0.5, [9e153, -9e153, 0.0]), (0.9, -1.0, [0.0, 0.0, 0.0]),
+                (0.6, 0.5, [1e-160, 3e-161, 0.0])]
+        trusted_sets = [[0], [0, 4], [3], [2]]
+        alphas = [0.5, 0.3, None, 0.9]
+    else:
+        rows = data.draw(st.lists(st.tuples(_QUALITIES, _LEANINGS, _HOSTILE_VECTORS), min_size=1, max_size=8))
+        rows += data.draw(st.lists(st.sampled_from(rows), max_size=3))
+        trusted_sets = data.draw(st.lists(
+            st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=3, unique=True), min_size=1, max_size=6
+        ))
+        alphas = [data.draw(st.none() | st.floats(0.01, 0.99)) for _ in trusted_sets]
+    catalog = SourceCatalog(_source(f"s{i:02d}", q, l, v) for i, (q, l, v) in enumerate(rows))
+    ids = catalog.ids()
+    profiles = [profile_from_sources("u", [ids[i] for i in t], catalog, 3) for t in trusted_sets]
+    expected = [_exhaustive_row(u, catalog, alpha) for u, alpha in zip(profiles, alphas)]
+    assert nudge._offers(profiles, catalog, alphas) == expected
+    # each offer is the one the profile gets alone
+    assert [nudge._offers([u], catalog, [a])[0] for u, a in zip(profiles, alphas)] == expected
 
 
 def test_simulate_stops_changing_after_convergence():
