@@ -60,13 +60,19 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def check_vector(source_id: str, vector) -> None:
-    """The one rule for a source vector: its norm must be finite. A
-    non-finite component, or components so large that the norm overflows,
-    would make every cosine against the vector nan."""
+    """The one rule for a source vector: ``v·v``, whose square root is its
+    norm, must be finite, and a normal float unless the vector is zero. A
+    non-finite component, or components so large that ``v·v`` overflows,
+    would make every cosine against the vector nan; below the smallest
+    normal float ``v·v`` has lost the bits its norm is taken from, so
+    cosines against the vector leave [-1, 1]."""
+    vector = np.asarray(vector, dtype=float)
     with np.errstate(over="ignore"):
-        norm = np.linalg.norm(vector)
-    if not np.isfinite(norm):
+        square = np.dot(vector, vector)
+    if not np.isfinite(square):
         raise ValueError(f"non-finite vector norm for {source_id!r}")
+    if square < np.finfo(float).tiny and vector.any():
+        raise ValueError(f"vector for {source_id!r} is not zero but its squared norm is subnormal")
 
 
 def community_cosines(vectors: SourceVectors, labels: dict) -> tuple[float, float]:

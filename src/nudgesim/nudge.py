@@ -23,6 +23,7 @@ import bisect
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from types import MappingProxyType
 from typing import ClassVar
@@ -35,7 +36,7 @@ from .groundtruth import SourceScore
 
 DEFAULT_ALPHA = 0.5
 DEFAULT_EPSILON = 1e-9
-# approximate costs this close to the smallest are verified with trust_cost
+# approximate costs this close to the smallest are verified with _costs
 _VERIFY_MARGIN = 1e-9
 
 TRAJECTORY_FIELDS = ["t", "recommended", "trust_cost", "accept_prob", "accepted", "dropped", "q_u", "l_u"]
@@ -93,11 +94,10 @@ class SourceCatalog:
         self.quality = _frozen([s.quality for s in self._rows])
         self.leaning = _frozen([s.leaning for s in self._rows])
         self.vectors = _frozen(np.reshape([s.vector for s in self._rows], (len(self._rows), dims)))
-        self.norms = _frozen([np.linalg.norm(s.vector) for s in self._rows])
-        # Python-float copies for the per-step scalar arithmetic
+        self.norms = _frozen(_norms(self.vectors))
+        # Python-float copies for the profile means
         self._quality = self.quality.tolist()
         self._leaning = self.leaning.tolist()
-        self._norms = self.norms.tolist()
 
     @classmethod
     def from_scores(cls, scores: dict[str, SourceScore], vectors: SourceVectors) -> "SourceCatalog":
@@ -143,11 +143,10 @@ class UserProfile:
 
 
 def update_scores(u: UserProfile, catalog: SourceCatalog) -> None:
-    """Recompute the profile means from current membership (idempotent)."""
-    rows = [catalog.index[s] for s in u.sources]
-    u.q_u = sum(catalog._quality[r] for r in rows) / len(rows)
-    u.l_u = sum(catalog._leaning[r] for r in rows) / len(rows)
-    u.v_u = np.add.reduce(catalog.vectors[rows], axis=0) / len(rows)
+    """Recompute the profile means from current membership (idempotent),
+    as :func:`_profiles` takes them."""
+    (fresh,) = _profiles([u.user_id], [u.sources], catalog, [u.limit])
+    u.q_u, u.l_u, u.v_u = fresh.q_u, fresh.l_u, fresh.v_u
 
 
 def _check_trusted(user_id: str, sources, catalog: SourceCatalog, limit: int) -> None:
@@ -166,13 +165,43 @@ def _check_trusted(user_id: str, sources, catalog: SourceCatalog, limit: int) ->
             raise ValueError(f"{user_id}: unknown source {s!r}")
 
 
+def _profiles(user_ids, trusted_sets, catalog: SourceCatalog, limits) -> list[UserProfile]:
+    """One profile per (user id, trusted set, limit), each set checked by
+    the rule of :func:`_check_trusted` and kept in its given order. ``q_u``
+    and ``l_u`` are sums in member order over the member count. Each ``v_u``
+    is ``np.add.reduce(catalog.vectors[rows], axis=0) / len(rows)``, the
+    sum and division that ``ndarray.mean`` runs; the profiles with the same
+    member count take theirs from one ``np.add.reduce(..., axis=1)``, which
+    adds each profile's member rows in the same order."""
+    for user_id, sources, limit in zip(user_ids, trusted_sets, limits):
+        _check_trusted(user_id, sources, catalog, limit)
+    members = [[catalog.index[s] for s in sources] for sources in trusted_sets]
+    by_size: dict[int, list[int]] = {}
+    for i, rows in enumerate(members):
+        by_size.setdefault(len(rows), []).append(i)
+    means: dict[int, np.ndarray] = {}
+    for size, group in by_size.items():
+        sums = np.add.reduce(catalog.vectors[[members[i] for i in group]], axis=1)
+        means.update(zip(group, sums / size))
+    quality, leaning = catalog._quality, catalog._leaning
+    return [
+        UserProfile(
+            user_id=user_id,
+            sources=list(sources),
+            limit=limit,
+            q_u=sum(quality[r] for r in rows) / len(rows),
+            l_u=sum(leaning[r] for r in rows) / len(rows),
+            v_u=means[i],
+        )
+        for i, (user_id, sources, limit, rows) in enumerate(zip(user_ids, trusted_sets, limits, members))
+    ]
+
+
 def profile_from_sources(
     user_id: str, trusted, catalog: SourceCatalog, limit: int
 ) -> UserProfile:
-    sources = sorted(trusted)
-    _check_trusted(user_id, sources, catalog, limit)
-    u = UserProfile(user_id=user_id, sources=sources, limit=limit)
-    update_scores(u, catalog)
+    """The profile of ``trusted``, sorted: a one-profile :func:`_profiles`."""
+    (u,) = _profiles([user_id], [sorted(trusted)], catalog, [limit])
     return u
 
 
@@ -231,29 +260,46 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
 
 
-def _cost(l_u, v_u, norm_u, leaning, vector, norm, alpha) -> float:
-    """The trust cost from its parts; a zero norm on either side gives the
-    neutral cosine distance 1.0."""
-    if norm_u == 0.0 or norm == 0.0:
-        distance = 1.0
-    else:
-        distance = 1.0 - float(np.dot(v_u, vector)) / (norm_u * norm)
-    return (1.0 - alpha) * (abs(l_u - leaning) / 2.0) + alpha * distance
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, each bit for bit ``np.dot(a[i], b[i])``: for
+    a 1×d by d×1 core, ``np.matmul`` calls the dot routine that ``np.dot``
+    calls on 1-D arrays. ``einsum("ij,ij->i")``, ``(a * b).sum(1)`` and
+    ``a @ b.T`` add the products in other orders."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    """Each row's ``np.linalg.norm``, bit for bit: it is the square root of
+    the row's dot product with itself."""
+    return np.sqrt(_dots(vectors, vectors))
+
+
+def _costs(profiles: list[UserProfile], alphas, owners, rows, catalog: SourceCatalog) -> list[float]:
+    """The trust cost of each pair (``profiles[o]``, catalog row ``r``) at
+    ``alphas[o]``, for the ``o`` and ``r`` of ``zip(owners, rows)``:
+
+        (1 - alpha) * (|l_u - l_s| / 2) + alpha * (1 - dot / (|v_u| * |v_s|))
+
+    in that operation order, with a distance of 1.0 when either norm is
+    zero. Dot products and norms come from :func:`_dots`, so each cost
+    equals the scalar formula on ``np.dot`` and ``np.linalg.norm`` to the
+    bit. The caller has checked each alpha."""
+    v_u = np.array([u.v_u for u in profiles])
+    norm_u = _norms(v_u)[owners]
+    norm = catalog.norms[rows]
+    alpha = np.array(alphas)[owners]
+    l_u = np.array([u.l_u for u in profiles])[owners]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        distance = 1.0 - _dots(v_u[owners], catalog.vectors[rows]) / (norm_u * norm)
+        distance[(norm_u == 0.0) | (norm == 0.0)] = 1.0
+        return ((1.0 - alpha) * (np.abs(l_u - catalog.leaning[rows]) / 2.0) + alpha * distance).tolist()
 
 
 def trust_cost(s_prime: Source, u: UserProfile, alpha: float) -> float:
+    """The trust cost of ``s_prime`` to ``u``: one pair of :func:`_costs`."""
     _check_alpha(alpha)
-    norm_u = float(np.linalg.norm(u.v_u))
-    norm = float(np.linalg.norm(s_prime.vector))
-    return _cost(u.l_u, u.v_u, norm_u, s_prime.leaning, s_prime.vector, norm, alpha)
-
-
-def _row_costs(u: UserProfile, catalog: SourceCatalog, rows, alpha: float, norm_u: float):
-    """``trust_cost`` of each catalog row, bit for bit: ``norm_u`` is the
-    profile's ``np.linalg.norm`` and the catalog caches each source's. The
-    caller has checked ``alpha``."""
-    l_u, v_u, leaning, vectors, norms = u.l_u, u.v_u, catalog._leaning, catalog.vectors, catalog._norms
-    return [_cost(l_u, v_u, norm_u, leaning[r], vectors[r], norms[r], alpha) for r in rows]
+    (cost,) = _costs([u], [alpha], [0], [0], SourceCatalog([s_prime]))
+    return cost
 
 
 def _offers(profiles: list[UserProfile], catalog: SourceCatalog, alphas) -> list[int | None]:
@@ -267,8 +313,9 @@ def _offers(profiles: list[UserProfile], catalog: SourceCatalog, alphas) -> list
     approximate cost. Those only pick candidates: eligible rows within
     ``_VERIFY_MARGIN`` of a profile's smallest finite approximate cost, and
     eligible rows whose approximate cost is not finite, are recomputed
-    exactly, in id order. The margin is far above the rounding gap between
-    the two, so the exact argmin is always among them, and each offer is the
+    exactly by one :func:`_costs` call, and the first strict minimum in id
+    order wins. The margin is far above the rounding gap between the two,
+    so the exact argmin is always among them, and each offer is the
     exhaustive scalar argmin for its own profile, whatever the others are.
     The caller has checked each alpha."""
     members = [[catalog.index[s] for s in u.sources] for u in profiles]
@@ -290,8 +337,9 @@ def _offers(profiles: list[UserProfile], catalog: SourceCatalog, alphas) -> list
     # one row per profile, computed in place to hold two arrays at a time
     us = [profiles[i] for i in cheapest]
     alpha = np.array([alphas[i] for i in cheapest])[:, None]
-    norm_u = [float(np.linalg.norm(u.v_u)) for u in us]
-    distance = np.array([u.v_u for u in us]) @ catalog.vectors.T
+    v_u = np.array([u.v_u for u in us])
+    norm_u = _norms(v_u)
+    distance = v_u @ catalog.vectors.T
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         distance /= np.multiply.outer(norm_u, catalog.norms)
         np.subtract(1.0, distance, out=distance)
@@ -308,12 +356,13 @@ def _offers(profiles: list[UserProfile], catalog: SourceCatalog, alphas) -> list
     finite = np.isfinite(approx)
     smallest = np.min(approx, axis=1, where=mask & finite, initial=np.inf, keepdims=True)
     kept = mask & ((approx <= smallest + _VERIFY_MARGIN) | ~finite)
-    for i, u, norm, row_kept in zip(cheapest, us, norm_u, kept):
-        candidates = np.flatnonzero(row_kept).tolist()
-        best_cost = float("inf")
-        for row, cost in zip(candidates, _row_costs(u, catalog, candidates, alphas[i], norm)):
-            if cost < best_cost:
-                offers[i], best_cost = row, cost
+    owners, rows = np.nonzero(kept)
+    best = [math.inf] * len(cheapest)
+    costs = _costs(us, alpha[:, 0], owners, rows, catalog)
+    # pairs come in id order per profile, so the first strict minimum wins
+    for k, row, cost in zip(owners.tolist(), rows.tolist(), costs):
+        if cost < best[k]:
+            offers[cheapest[k]], best[k] = row, cost
     return offers
 
 
@@ -333,7 +382,8 @@ def drop_distribution(
 ) -> dict[str, float]:
     """Eviction probabilities over the current members plus the offer, in
     sorted-id order, proportional to trust cost against the current profile;
-    uniform when every cost is zero."""
+    uniform when every cost is zero. The lottery :func:`_stakes` costs for
+    ``u`` alone."""
     _check_alpha(alpha)
     _check_trusted(u.user_id, u.sources, catalog, u.limit)
     if len(u.sources) != u.limit:
@@ -343,41 +393,31 @@ def drop_distribution(
         )
     if s_prime.source_id in u.sources:
         raise ValueError(f"{u.user_id}: candidate {s_prime.source_id!r} already trusted")
-    offer = catalog.index[s_prime.source_id]
-    rows, _, shares = _lottery(u, catalog, offer, alpha, float(np.linalg.norm(u.v_u)))
-    return dict(zip((catalog._ids[r] for r in rows), shares))
+    ((rows, costs),) = _stakes([u], [catalog.index[s_prime.source_id]], catalog, [alpha])
+    return dict(zip((catalog._ids[r] for r in rows), _shares(costs)))
 
 
-def _lottery(u: UserProfile, catalog: SourceCatalog, offer: int, alpha: float, norm_u: float):
-    """The rows of the members and the offer in id order, their trust costs
-    and their drop shares: ``c / sum(costs)``, or uniform when every cost is
-    zero."""
-    rows = sorted([catalog.index[s] for s in u.sources] + [offer])
-    costs = _row_costs(u, catalog, rows, alpha, norm_u)
+def _stakes(profiles: list[UserProfile], offers: list[int], catalog: SourceCatalog, alphas):
+    """For each profile and the catalog row offered to it, the rows at stake
+    and their trust costs, all from one :func:`_costs` call: the offer alone
+    below the profile's limit, else the drop lottery's entries, the members
+    and the offer in id order. The caller has checked each alpha."""
+    stakes = [
+        [offer] if len(u.sources) < u.limit else sorted([catalog.index[s] for s in u.sources] + [offer])
+        for u, offer in zip(profiles, offers)
+    ]
+    owners = np.repeat(np.arange(len(stakes)), [len(rows) for rows in stakes])
+    costs = iter(_costs(profiles, alphas, owners, list(itertools.chain.from_iterable(stakes)), catalog))
+    return [(rows, list(itertools.islice(costs, len(rows)))) for rows in stakes]
+
+
+def _shares(costs: list[float]) -> list[float]:
+    """Drop shares in proportion to the costs: ``c / sum(costs)``, or
+    uniform when every cost is zero."""
     total = sum(costs)
     if total == 0.0:
-        return rows, costs, [1.0 / len(costs)] * len(costs)
-    return rows, costs, [c / total for c in costs]
-
-
-def _plan(u: UserProfile, catalog: SourceCatalog, config: SimConfig, offer: int):
-    """What one uniform draw decides about offering catalog row ``offer`` to
-    ``u``: (offer id, trust cost, accept probability, running sums of the
-    outcome shares, the source each outcome drops). The draw picks the first
-    outcome whose running sum exceeds it; below capacity the outcomes drop
-    nothing (accept) or the offer (reject), at capacity they are the drop
-    lottery, where the offer's own id means rejection. A function of the
-    profile and the offer alone."""
-    offer_id = catalog._ids[offer]
-    norm_u = float(np.linalg.norm(u.v_u))
-    if len(u.sources) < config.L:
-        (cost,) = _row_costs(u, catalog, [offer], config.alpha, norm_u)
-        p = max(0.0, 1.0 - cost)
-        return offer_id, cost, p, [p], [None, offer_id]
-    rows, costs, shares = _lottery(u, catalog, offer, config.alpha, norm_u)
-    at = rows.index(offer)
-    drops = [catalog._ids[r] for r in rows]
-    return offer_id, costs[at], 1.0 - shares[at], list(itertools.accumulate(shares)), drops
+        return [1.0 / len(costs)] * len(costs)
+    return [c / total for c in costs]
 
 
 def rng_for_user(seed: int, user_id: str) -> np.random.Generator:
@@ -397,11 +437,12 @@ def simulate(u0: Persona | UserProfile, catalog: SourceCatalog, config: SimConfi
     go to the smallest id. Acceptance and drop mechanics are shared, and the
     trust cost of each offer is recorded in both modes. Only ``u0.user_id``
     and ``u0.sources`` are read, so ``u0`` may be a :class:`Persona` or a
-    profile; the limit is ``config.L``. Every profile state is built by
-    :func:`profile_from_sources`: ``Trajectory.start`` is the checked start
-    profile built from ``u0.sources``, and each accepted step's next profile
-    is built from the new members. Pure in its inputs: ``u0`` is never
-    changed, and the outcome is a function of (u0, catalog, config) alone.
+    profile; the limit is ``config.L``. Every profile state is built by the
+    rule of :func:`profile_from_sources`: ``Trajectory.start`` is the checked
+    start profile built from ``u0.sources``, and each accepted step's next
+    profile is built from the new members, sorted. Pure in its inputs:
+    ``u0`` is never changed, and the outcome is a function of (u0, catalog,
+    config) alone.
     The one run of :func:`simulate_all`."""
     return simulate_all([(u0, config)], catalog)[0]
 
@@ -412,14 +453,20 @@ def simulate_all(
     """Make each ``(u0, config)`` run of ``runs`` as :func:`simulate`
     describes, all in lockstep, and return their trajectories in order.
 
-    A plan (offer, cost, accept probability, outcome table) is made at a
-    run's start and after each of its accepted steps; at each step one
-    :func:`_offers` call serves every run that needs one. Each run then
-    takes one uniform draw from its own :func:`rng_for_user` stream. A
-    run's trajectory is a function of its own (u0, catalog, config), whatever
-    other runs share the batch. A run whose start profile is refused raises
-    the ValueError of :func:`profile_from_sources`, its ``run`` attribute
-    set to the run's position, before any run is made."""
+    A plan is made at a run's start and after each of its accepted steps:
+    the offer, its trust cost, its accept probability and one outcome table,
+    the running sums of the outcome shares and the source each outcome
+    drops. Below capacity the outcomes drop nothing (accept) or the offer
+    (reject); at capacity they are the drop lottery, where the offer's own
+    id means rejection. At each step one :func:`_offers` call and one
+    :func:`_stakes` call plan every run that needs a plan. Each stepping run
+    then takes one uniform draw from its own :func:`rng_for_user` stream and
+    picks the first outcome whose running sum exceeds it, and one
+    :func:`_profiles` call builds the next profile of every run that
+    accepted. A run's trajectory is a function of its own (u0, catalog,
+    config), whatever other runs share the batch. A run whose start profile
+    is refused raises the ValueError of :func:`profile_from_sources`, its
+    ``run`` attribute set to the run's position, before any run is made."""
     starts = []
     for position, (u0, config) in enumerate(runs):
         try:
@@ -444,23 +491,50 @@ def simulate_all(
         planless = [j for j in stepping if plans[j] is None]
         if planless:
             alphas = [configs[j].alpha if configs[j].mode == "constrained" else None for j in planless]
-            for j, offer in zip(planless, _offers([profiles[j] for j in planless], catalog, alphas)):
-                if offer is not None:
-                    plans[j] = _plan(profiles[j], catalog, configs[j], offer)
+            offered = [
+                (j, offer)
+                for j, offer in zip(planless, _offers([profiles[j] for j in planless], catalog, alphas))
+                if offer is not None
+            ]
+            if offered:
+                stakes = _stakes(
+                    [profiles[j] for j, _ in offered], [offer for _, offer in offered], catalog,
+                    [configs[j].alpha for j, _ in offered],
+                )
+                for (j, offer), (rows, costs) in zip(offered, stakes):
+                    offer_id = catalog._ids[offer]
+                    if len(profiles[j].sources) < configs[j].L:
+                        (cost,) = costs
+                        p = max(0.0, 1.0 - cost)
+                        plans[j] = offer_id, cost, p, [p], [None, offer_id]
+                    else:
+                        shares = _shares(costs)
+                        at = rows.index(offer)
+                        sums = list(itertools.accumulate(shares))
+                        drops = [catalog._ids[r] for r in rows]
+                        plans[j] = offer_id, costs[at], 1.0 - shares[at], sums, drops
             stepping = [j for j in stepping if plans[j] is not None]
+        moved = []
         for j in stepping:
             offer, cost, accept_probability, sums, drops = plans[j]
             drop = drops[min(bisect.bisect_right(sums, rngs[j].random()), len(drops) - 1)]
-            accepted = drop != offer
-            dropped = drop if accepted else None
-            u = profiles[j]
-            if accepted:
-                members = [s for s in u.sources + [offer] if s != dropped]
-                u = profiles[j] = profile_from_sources(u.user_id, members, catalog, configs[j].L)
-                plans[j] = None
-            records[j].append(
-                StepRecord(t, offer, cost, accept_probability, accepted, dropped, u.q_u, u.l_u)
-            )
+            if drop == offer:
+                u = profiles[j]
+                records[j].append(
+                    StepRecord(t, offer, cost, accept_probability, False, None, u.q_u, u.l_u)
+                )
+            else:
+                moved.append((j, drop))
+        members = [
+            sorted(s for s in profiles[j].sources + [plans[j][0]] if s != dropped) for j, dropped in moved
+        ]
+        built = _profiles(
+            [profiles[j].user_id for j, _ in moved], members, catalog, [configs[j].L for j, _ in moved]
+        )
+        for (j, dropped), u in zip(moved, built):
+            offer, cost, accept_probability = plans[j][:3]
+            records[j].append(StepRecord(t, offer, cost, accept_probability, True, dropped, u.q_u, u.l_u))
+            profiles[j], plans[j] = u, None
     trajectories = []
     for start, u, config, steps in zip(starts, profiles, configs, records):
         # every step after a run stops is a no-op that draws nothing

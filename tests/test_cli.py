@@ -831,21 +831,22 @@ def test_simulate_limit_override(tmp_path, capsys, world_dir):
 
 def test_simulate_builds_each_profile_state_once(tmp_path, capsys, world_dir, monkeypatch):
     # one start profile per run and one per accepted step: no pass of its own
-    calls = []
-    build = nudge.profile_from_sources
+    built = []
+    build = nudge._profiles
 
     def counted(*args):
-        calls.append(args)
-        return build(*args)
+        profiles = build(*args)
+        built.extend(profiles)
+        return profiles
 
-    monkeypatch.setattr(nudge, "profile_from_sources", counted)
+    monkeypatch.setattr(nudge, "_profiles", counted)
     argv = ["simulate", *_inputs(world_dir, "simulate"), "--mode", "both", "--T", "20",
             "--out-dir", str(tmp_path)]
     code, _, stderr = _run(capsys, argv)
     assert code == 0, stderr
     summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
     assert len(summary) == 8
-    assert len(calls) == len(summary) + sum(entry["accepted_steps"] for entry in summary)
+    assert len(built) == len(summary) + sum(entry["accepted_steps"] for entry in summary) == 71
 
 
 _SIM_INPUTS = ("personas.json", "scores.csv", "vectors.tsv")

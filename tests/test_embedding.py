@@ -427,6 +427,11 @@ def test_vectors_file_errors(tmp_path):
         path.write_text(f"#vectors v1\tdims=2\na\t1.0\t0.5\nb\t{row}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=":3: non-finite"):
             load_vectors(path)
+    # so is a nonzero vector whose squared norm is subnormal
+    for row in ("2.3e-162\t0.0", "1e-170\t0.0"):
+        path.write_text(f"#vectors v1\tdims=2\na\t1.0\t0.5\nb\t{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=":3: vector for 'b' is not zero but its squared norm is subnormal"):
+            load_vectors(path)
     path.write_text("#vectors v1\tdims=1\na\t1.0\na\t2.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="duplicate"):
         load_vectors(path)

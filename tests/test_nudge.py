@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from test_acceptance import _replica_cost, _replica_means
 
 from nudgesim import nudge
+from nudgesim.embedding import check_vector
 from nudgesim.nudge import (
     Persona,
     SimConfig,
@@ -42,6 +43,15 @@ ALPHA = 0.5
 
 def _source(source_id, quality, leaning, vector):
     return Source(source_id, quality, leaning, np.asarray(vector, dtype=float))
+
+
+def _admitted(vector) -> bool:
+    """Whether a source may have this vector."""
+    try:
+        check_vector("s", vector)
+    except ValueError:
+        return False
+    return True
 
 
 def _profile(sources, limit, q_u, l_u, v_u, user_id="u"):
@@ -161,6 +171,14 @@ def test_catalog_validation():
     for vector in ([1.0, math.nan], [1.0, math.inf], [1.0, -math.inf], [1e200, 1e200]):
         with pytest.raises(ValueError, match="non-finite"):
             _source("a", 0.5, 0.0, vector)
+    # a nonzero vector whose v·v is subnormal, or underflows to zero, has
+    # lost the bits its norm is taken from; the smallest admitted is zero or
+    # has v·v of at least the smallest normal float
+    for vector in ([2.3e-162, 0.0], [1e-160, 3e-161, 0.0], [1e-170, 0.0], [5e-324]):
+        with pytest.raises(ValueError, match="^vector for 'a' is not zero but its squared norm is subnormal$"):
+            _source("a", 0.5, 0.0, vector)
+    for vector in ([0.0, -0.0], [1.5e-154, 0.0, 0.0]):
+        assert _source("a", 0.5, 0.0, vector).vector.tolist() == vector
 
 
 def test_catalog_lookup_and_order():
@@ -200,7 +218,8 @@ def test_profile_from_sources_means():
 @given(
     rows=st.integers(1, 8).flatmap(
         lambda dims: st.lists(
-            st.lists(st.floats(-1e6, 1e6) | st.floats(-1e-6, 1e-6), min_size=dims, max_size=dims),
+            st.lists(st.floats(-1e6, 1e6) | st.floats(-1e-6, 1e-6), min_size=dims, max_size=dims)
+            .filter(_admitted),
             min_size=1,
             max_size=12,
         )
@@ -360,7 +379,7 @@ _LEANINGS = st.sampled_from([-1.0, 0.0, 0.5, 0.5 + 1e-12]) | st.floats(-1.0, 1.0
 @st.composite
 def _worlds(draw):
     dims = draw(st.integers(2, 8))
-    base = draw(st.lists(st.floats(-2.0, 2.0), min_size=dims, max_size=dims))
+    base = draw(st.lists(st.floats(-2.0, 2.0), min_size=dims, max_size=dims).filter(_admitted))
     vectors = st.sampled_from([[0.0] * dims, [1.0] * dims, [-1.0] * dims])
     rows = draw(st.lists(st.tuples(_QUALITIES, _LEANINGS, vectors | st.permutations(base)),
                          min_size=1, max_size=7))
@@ -703,16 +722,28 @@ def test_simulate_starts_converged_profile_as_noop():
 
 @pytest.fixture
 def select_calls(monkeypatch):
-    """Every profile passed to ``nudge._offers``, one entry per profile."""
+    """Every profile passed to ``nudge._offers``, one entry per profile. An
+    ``_offers`` call starts a step's planning; on teardown, no more than two
+    calls of the cost kernel ``nudge._costs`` may follow any one of them,
+    whatever the number of runs, and none may come before the first."""
     calls = []
-    original = nudge._offers
+    kernel_calls = []  # per _offers call, the kernel calls that followed it
+    offers, costs = nudge._offers, nudge._costs
 
-    def counting(profiles, catalog, alphas):
+    def counting_offers(profiles, catalog, alphas):
         calls.extend(profiles)
-        return original(profiles, catalog, alphas)
+        kernel_calls.append(0)
+        return offers(profiles, catalog, alphas)
 
-    monkeypatch.setattr(nudge, "_offers", counting)
-    return calls
+    def counting_costs(*args):
+        assert kernel_calls, "a kernel call before any step's offers"
+        kernel_calls[-1] += 1
+        return costs(*args)
+
+    monkeypatch.setattr(nudge, "_offers", counting_offers)
+    monkeypatch.setattr(nudge, "_costs", counting_costs)
+    yield calls
+    assert max(kernel_calls, default=0) <= 2, kernel_calls
 
 
 def test_simulate_selects_once_when_nothing_is_eligible(select_calls):
@@ -752,6 +783,21 @@ def test_simulate_selects_once_per_profile_state(select_calls):
         traj = simulate(u0, catalog, _config(T=40, L=2, seed=seed))
         assert not traj.steps[-1].accepted
         assert len(select_calls) == 1 + sum(r.accepted for r in traj.steps)
+
+
+def test_simulate_all_makes_at_most_two_kernel_calls_per_step(select_calls, world_catalog):
+    # every run of a 40-run batch needs a plan at step 0, and most again later
+    from nudgesim.synthetic import WORLD_PERSONAS
+
+    runs = [
+        (persona, SimConfig(T=30, L=persona.L, seed=seed, mode=mode))
+        for seed in range(5)
+        for persona in WORLD_PERSONAS
+        for mode in ("constrained", "unconstrained")
+    ]
+    trajectories = nudge.simulate_all(runs, world_catalog)
+    assert sum(r.accepted for traj in trajectories for r in traj.steps) > 2 * len(runs)
+    assert len(select_calls) > 3 * len(runs)  # the teardown checks the kernel calls
 
 
 # ---------------------------------------------------------------- lockstep runs
@@ -825,11 +871,12 @@ def _exhaustive_row(u, catalog, alpha):
 
 
 # zero norms, norms near the largest a vector may have (whose products sit at
-# the edge of overflow), norms whose squares are subnormal, and repeated rows
-# under other ids, so that exact cost ties are common
+# the edge of overflow), the smallest nonzero norm a vector may have (its
+# square is the smallest normal float), and repeated rows under other ids, so
+# that exact cost ties are common
 _HOSTILE_VECTORS = st.sampled_from(
     [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 1.0, 0.0], [1.3e154, 0.0, 0.0],
-     [9e153, -9e153, 0.0], [-1.3e154, 0.0, 1e150], [1e-160, 3e-161, 0.0], [0.5, 0.5, 0.5]]
+     [9e153, -9e153, 0.0], [-1.3e154, 0.0, 1e150], [1.5e-154, 0.0, 0.0], [0.5, 0.5, 0.5]]
 )
 
 
@@ -840,7 +887,7 @@ def test_offers_match_exhaustive_argmin_on_hostile_catalogs(data):
     if data is None:  # one known case: huge, zero, tiny and exactly tied vectors
         rows = [(0.1, 0.0, [1.3e154, 0.0, 0.0]), (0.8, 0.5, [9e153, -9e153, 0.0]),
                 (0.8, 0.5, [9e153, -9e153, 0.0]), (0.9, -1.0, [0.0, 0.0, 0.0]),
-                (0.6, 0.5, [1e-160, 3e-161, 0.0])]
+                (0.6, 0.5, [1.5e-154, 0.0, 0.0])]
         trusted_sets = [[0], [0, 4], [3], [2]]
         alphas = [0.5, 0.3, None, 0.9]
     else:
@@ -857,6 +904,35 @@ def test_offers_match_exhaustive_argmin_on_hostile_catalogs(data):
     assert nudge._offers(profiles, catalog, alphas) == expected
     # each offer is the one the profile gets alone
     assert [nudge._offers([u], catalog, [a])[0] for u, a in zip(profiles, alphas)] == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_cost_kernel_is_the_scalar_formula_bit_for_bit(data):
+    # more components after the hostile ones reach every unrolled path of
+    # the dot routine
+    n = data.draw(st.integers(0, 30))
+    extra = st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)
+    vectors = st.tuples(_HOSTILE_VECTORS, extra).map(lambda parts: parts[0] + parts[1]).filter(_admitted)
+    rows = data.draw(st.lists(st.tuples(_QUALITIES, _LEANINGS, vectors), min_size=1, max_size=8))
+    rows += data.draw(st.lists(st.sampled_from(rows), max_size=3))
+    catalog = SourceCatalog(_source(f"s{i:02d}", q, l, v) for i, (q, l, v) in enumerate(rows))
+    ids = catalog.ids()
+    norms = [np.linalg.norm(catalog[s].vector) for s in ids]
+    assert catalog.norms.tobytes() == np.array(norms).tobytes()
+    trusted_sets = data.draw(st.lists(
+        st.lists(st.sampled_from(ids), min_size=1, max_size=3, unique=True), min_size=1, max_size=6
+    ))
+    profiles = [profile_from_sources("u", t, catalog, 3) for t in trusted_sets]
+    alphas = [data.draw(st.floats(0.01, 0.99)) for _ in profiles]
+    pairs = data.draw(st.lists(
+        st.tuples(st.integers(0, len(profiles) - 1), st.integers(0, len(ids) - 1)), min_size=1, max_size=24
+    ))
+    owners, picked = (np.array(column) for column in zip(*pairs))
+    costs = nudge._costs(profiles, alphas, owners, picked, catalog)
+    expected = [_replica_cost(catalog[ids[r]], profiles[o].l_u, profiles[o].v_u, alphas[o]) for o, r in pairs]
+    # repr tells -0.0 from 0.0 and a numpy scalar from a float
+    assert [repr(c) for c in costs] == [repr(c) for c in expected]
 
 
 def test_simulate_stops_changing_after_convergence():
