@@ -28,7 +28,7 @@ SEED = 0
 def main() -> None:
     catalog = synthetic.world_catalog()
     print(f"catalog: {len(catalog)} scored + embedded sources "
-          f"(best quality {catalog.max_quality():.2f})")
+          f"(best quality {catalog.quality.max():.2f})")
 
     for persona in synthetic.WORLD_PERSONAS:
         nudged = simulate(persona, catalog, SimConfig(T=T, L=persona.L, seed=SEED))

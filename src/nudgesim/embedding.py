@@ -35,6 +35,9 @@ NOISE_EXPONENT = 0.75
 # positions per skip-gram minibatch; chosen by a sweep of training time and
 # community homophily (see CHANGES.md)
 TRAIN_BLOCK = 128
+# below this norm, v·v is below the smallest normal float and has lost the bits
+# cosines need: such a vector has no direction, at cosine distance 1.0 from all
+NO_DIRECTION_NORM = math.sqrt(np.finfo(float).tiny)
 
 logger = logging.getLogger(__name__)
 
@@ -50,36 +53,35 @@ class SourceVectors:
 
 
 def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """1 - cos(a, b), in [0, 2]. A zero-norm vector carries no direction,
-    so its distance to anything is the neutral 1.0."""
+    """1 - cos(a, b), in [0, 2]. A vector without direction (norm below
+    :data:`NO_DIRECTION_NORM`) is at the neutral 1.0 from anything."""
     norm_a = float(np.linalg.norm(a))
     norm_b = float(np.linalg.norm(b))
-    if norm_a == 0.0 or norm_b == 0.0:
+    if min(norm_a, norm_b) < NO_DIRECTION_NORM:
         return 1.0
     return 1.0 - float(np.dot(a, b)) / (norm_a * norm_b)
 
 
 def check_vector(source_id: str, vector) -> None:
     """The one rule for a source vector: ``v·v``, whose square root is its
-    norm, must be finite, and a normal float unless the vector is zero. A
-    non-finite component, or components so large that ``v·v`` overflows,
-    would make every cosine against the vector nan; below the smallest
-    normal float ``v·v`` has lost the bits its norm is taken from, so
-    cosines against the vector leave [-1, 1]."""
+    norm, must be finite, and the vector must have a direction (norm at
+    least :data:`NO_DIRECTION_NORM`) unless it is zero. A non-finite
+    component, or components so large that ``v·v`` overflows, would make
+    every cosine against the vector nan."""
     vector = np.asarray(vector, dtype=float)
     with np.errstate(over="ignore"):
         square = np.dot(vector, vector)
     if not np.isfinite(square):
         raise ValueError(f"non-finite vector norm for {source_id!r}")
-    if square < np.finfo(float).tiny and vector.any():
+    if math.sqrt(square) < NO_DIRECTION_NORM and vector.any():
         raise ValueError(f"vector for {source_id!r} is not zero but its squared norm is subnormal")
 
 
 def community_cosines(vectors: SourceVectors, labels: dict) -> tuple[float, float]:
     """Mean cosine over the pairs of sources in one community (intra) and
     over the pairs in different communities (inter); nan where there is no
-    such pair. ``labels`` maps each source to its community. A zero vector
-    has cosine 0 with everything, as :func:`cosine_distance` gives it 1.0.
+    such pair; ``labels`` maps each source to its community. A vector with no
+    direction has cosine 0 with all, as :func:`cosine_distance` gives it 1.0.
 
     Over unit rows the pairwise cosines sum to (|sum u|^2 - sum |u|^2) / 2,
     so both means come from per-community sums of unit rows, in O(n * dims)
@@ -87,7 +89,7 @@ def community_cosines(vectors: SourceVectors, labels: dict) -> tuple[float, floa
     ids = sorted(vectors.vectors)
     rows = np.array([vectors.vectors[s] for s in ids], dtype=float)
     norms = np.linalg.norm(rows, axis=1)[:, None]
-    unit = np.divide(rows, norms, out=np.zeros_like(rows), where=norms != 0.0)
+    unit = np.divide(rows, norms, out=np.zeros_like(rows), where=norms >= NO_DIRECTION_NORM)
     _, groups = np.unique([labels[s] for s in ids], return_inverse=True)
     sizes = np.bincount(groups)
     sums = np.zeros((len(sizes), vectors.dims))

@@ -31,7 +31,7 @@ from typing import ClassVar
 import numpy as np
 
 from .corpus import read_json, write_csv
-from .embedding import SourceVectors, check_vector
+from .embedding import NO_DIRECTION_NORM, SourceVectors, check_vector
 from .groundtruth import SourceScore
 
 DEFAULT_ALPHA = 0.5
@@ -126,9 +126,6 @@ class SourceCatalog:
     def ids(self) -> list[str]:
         return list(self._ids)
 
-    def max_quality(self) -> float:
-        return float(self.quality.max())
-
 
 @dataclass
 class UserProfile:
@@ -172,9 +169,14 @@ def _profiles(user_ids, trusted_sets, catalog: SourceCatalog, limits) -> list[Us
     is ``np.add.reduce(catalog.vectors[rows], axis=0) / len(rows)``, the
     sum and division that ``ndarray.mean`` runs; the profiles with the same
     member count take theirs from one ``np.add.reduce(..., axis=1)``, which
-    adds each profile's member rows in the same order."""
-    for user_id, sources, limit in zip(user_ids, trusted_sets, limits):
-        _check_trusted(user_id, sources, catalog, limit)
+    adds each profile's member rows in the same order. A refused set's
+    ValueError has its position as its ``run`` attribute."""
+    for position, (user_id, sources, limit) in enumerate(zip(user_ids, trusted_sets, limits)):
+        try:
+            _check_trusted(user_id, sources, catalog, limit)
+        except ValueError as exc:
+            exc.run = position
+            raise
     members = [[catalog.index[s] for s in sources] for sources in trusted_sets]
     by_size: dict[int, list[int]] = {}
     for i, rows in enumerate(members):
@@ -274,25 +276,34 @@ def _norms(vectors: np.ndarray) -> np.ndarray:
     return np.sqrt(_dots(vectors, vectors))
 
 
-def _costs(profiles: list[UserProfile], alphas, owners, rows, catalog: SourceCatalog) -> list[float]:
-    """The trust cost of each pair (``profiles[o]``, catalog row ``r``) at
-    ``alphas[o]``, for the ``o`` and ``r`` of ``zip(owners, rows)``:
+def _trust_costs(dots: np.ndarray, norm_u, norm_s, l_u, l_s, alpha) -> np.ndarray:
+    """The trust cost of each dot product of ``v_u`` and ``v_s`` in ``dots``,
+    written over it, with norms, leanings and alphas broadcast against it:
 
         (1 - alpha) * (|l_u - l_s| / 2) + alpha * (1 - dot / (|v_u| * |v_s|))
 
-    in that operation order, with a distance of 1.0 when either norm is
-    zero. Dot products and norms come from :func:`_dots`, so each cost
+    in that operation order, with a distance of 1.0 when either vector has
+    no direction (norm below ``NO_DIRECTION_NORM``)."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        dots /= norm_u * norm_s
+        distance = np.subtract(1.0, dots, out=dots)
+        np.copyto(distance, 1.0, where=(norm_u < NO_DIRECTION_NORM) | (norm_s < NO_DIRECTION_NORM))
+        distance *= alpha
+        distance += (1.0 - alpha) * (np.abs(l_u - l_s) / 2.0)
+    return distance
+
+
+def _costs(profiles: list[UserProfile], alphas, owners, rows, catalog: SourceCatalog) -> list[float]:
+    """The :func:`_trust_costs` of each pair (``profiles[o]``, catalog row
+    ``r``) at ``alphas[o]``, for the ``o`` and ``r`` of ``zip(owners,
+    rows)``. Dot products and norms come from :func:`_dots`, so each cost
     equals the scalar formula on ``np.dot`` and ``np.linalg.norm`` to the
     bit. The caller has checked each alpha."""
     v_u = np.array([u.v_u for u in profiles])
-    norm_u = _norms(v_u)[owners]
-    norm = catalog.norms[rows]
-    alpha = np.array(alphas)[owners]
-    l_u = np.array([u.l_u for u in profiles])[owners]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        distance = 1.0 - _dots(v_u[owners], catalog.vectors[rows]) / (norm_u * norm)
-        distance[(norm_u == 0.0) | (norm == 0.0)] = 1.0
-        return ((1.0 - alpha) * (np.abs(l_u - catalog.leaning[rows]) / 2.0) + alpha * distance).tolist()
+    return _trust_costs(
+        _dots(v_u[owners], catalog.vectors[rows]), _norms(v_u)[owners], catalog.norms[rows],
+        np.array([u.l_u for u in profiles])[owners], catalog.leaning[rows], np.array(alphas)[owners],
+    ).tolist()
 
 
 def trust_cost(s_prime: Source, u: UserProfile, alpha: float) -> float:
@@ -309,15 +320,16 @@ def _offers(profiles: list[UserProfile], catalog: SourceCatalog, alphas) -> list
     quality, any other the cheapest by trust cost at that alpha; ties go to
     the smallest source_id.
 
-    One mask covers every profile, and one matrix product gives every
-    approximate cost. Those only pick candidates: eligible rows within
-    ``_VERIFY_MARGIN`` of a profile's smallest finite approximate cost, and
-    eligible rows whose approximate cost is not finite, are recomputed
-    exactly by one :func:`_costs` call, and the first strict minimum in id
-    order wins. The margin is far above the rounding gap between the two,
-    so the exact argmin is always among them, and each offer is the
-    exhaustive scalar argmin for its own profile, whatever the others are.
-    The caller has checked each alpha."""
+    One mask covers every profile, and :func:`_trust_costs` on one matrix
+    product gives every approximate cost. Those only pick candidates:
+    eligible rows within ``_VERIFY_MARGIN`` of a profile's smallest finite
+    approximate cost, and eligible rows whose approximate cost is not
+    finite, are recomputed exactly by one :func:`_costs` call, and the first
+    strict minimum in id order wins. The margin is far above the rounding
+    gap between the two, which apply the same formula, so the exact argmin
+    is always among them, and each offer is the exhaustive scalar argmin
+    for its own profile, whatever the others are. The caller has checked
+    each alpha."""
     members = [[catalog.index[s] for s in u.sources] for u in profiles]
     eligible = catalog.quality > np.array([u.q_u for u in profiles])[:, None]
     owners = np.repeat(np.arange(len(profiles)), [len(rows) for rows in members])
@@ -333,25 +345,11 @@ def _offers(profiles: list[UserProfile], catalog: SourceCatalog, alphas) -> list
     cheapest = [i for i, alpha in enumerate(alphas) if found[i] and alpha is not None]
     if not cheapest:
         return offers
-    # (1 - alpha) * (|l_u - l_s| / 2) + alpha * (1 - dot / (|v_u| * |v_s|)),
-    # one row per profile, computed in place to hold two arrays at a time
     us = [profiles[i] for i in cheapest]
     alpha = np.array([alphas[i] for i in cheapest])[:, None]
-    v_u = np.array([u.v_u for u in us])
-    norm_u = _norms(v_u)
-    distance = v_u @ catalog.vectors.T
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        distance /= np.multiply.outer(norm_u, catalog.norms)
-        np.subtract(1.0, distance, out=distance)
-        # a zero norm on either side gives the neutral 1.0
-        distance[:, catalog.norms == 0.0] = 1.0
-        distance[np.equal(norm_u, 0.0)] = 1.0
-        distance *= alpha
-        approx = np.subtract.outer([u.l_u for u in us], catalog.leaning)
-        np.abs(approx, out=approx)
-        approx /= 2.0
-        approx *= 1.0 - alpha
-        approx += distance
+    v_u, l_u = np.array([u.v_u for u in us]), np.array([u.l_u for u in us])[:, None]
+    dots = v_u @ catalog.vectors.T  # one row per profile
+    approx = _trust_costs(dots, _norms(v_u)[:, None], catalog.norms, l_u, catalog.leaning, alpha)
     mask = eligible[cheapest]
     finite = np.isfinite(approx)
     smallest = np.min(approx, axis=1, where=mask & finite, initial=np.inf, keepdims=True)
@@ -371,8 +369,9 @@ def select_recommendation(
 ) -> Source | None:
     """Cheapest eligible source by trust cost; ties go to the smallest
     source_id; None when nothing qualifies. The offer :func:`_offers` makes
-    to ``u`` alone."""
+    to ``u``, whose trusted set keeps the rule of :func:`_check_trusted`."""
     _check_alpha(alpha)
+    _check_trusted(u.user_id, u.sources, catalog, u.limit)
     (row,) = _offers([u], catalog, [alpha])
     return None if row is None else catalog._rows[row]
 
@@ -393,6 +392,8 @@ def drop_distribution(
         )
     if s_prime.source_id in u.sources:
         raise ValueError(f"{u.user_id}: candidate {s_prime.source_id!r} already trusted")
+    if s_prime.source_id not in catalog:
+        raise ValueError(f"{u.user_id}: unknown candidate {s_prime.source_id!r}")
     ((rows, costs),) = _stakes([u], [catalog.index[s_prime.source_id]], catalog, [alpha])
     return dict(zip((catalog._ids[r] for r in rows), _shares(costs)))
 
@@ -464,17 +465,13 @@ def simulate_all(
     picks the first outcome whose running sum exceeds it, and one
     :func:`_profiles` call builds the next profile of every run that
     accepted. A run's trajectory is a function of its own (u0, catalog,
-    config), whatever other runs share the batch. A run whose start profile
-    is refused raises the ValueError of :func:`profile_from_sources`, its
-    ``run`` attribute set to the run's position, before any run is made."""
-    starts = []
-    for position, (u0, config) in enumerate(runs):
-        try:
-            starts.append(profile_from_sources(u0.user_id, u0.sources, catalog, config.L))
-        except ValueError as exc:
-            exc.run = position
-            raise
+    config), whatever other runs share the batch. One :func:`_profiles`
+    call builds every start profile, so a refused one raises before any run
+    is made, its position in ``runs`` as the error's ``run`` attribute."""
     configs = [config for _, config in runs]
+    starts = _profiles(
+        [u0.user_id for u0, _ in runs], [sorted(u0.sources) for u0, _ in runs], catalog, [c.L for c in configs]
+    )
     rngs = [rng_for_user(config.seed, u.user_id) for u, config in zip(starts, configs)]
     profiles = list(starts)
     records: list[list[StepRecord]] = [[] for _ in runs]
@@ -503,7 +500,7 @@ def simulate_all(
                 )
                 for (j, offer), (rows, costs) in zip(offered, stakes):
                     offer_id = catalog._ids[offer]
-                    if len(profiles[j].sources) < configs[j].L:
+                    if rows == [offer]:  # below capacity
                         (cost,) = costs
                         p = max(0.0, 1.0 - cost)
                         plans[j] = offer_id, cost, p, [p], [None, offer_id]

@@ -836,7 +836,7 @@ def test_simulate_builds_each_profile_state_once(tmp_path, capsys, world_dir, mo
 
     def counted(*args):
         profiles = build(*args)
-        built.extend(profiles)
+        built.append(len(profiles))
         return profiles
 
     monkeypatch.setattr(nudge, "_profiles", counted)
@@ -846,7 +846,9 @@ def test_simulate_builds_each_profile_state_once(tmp_path, capsys, world_dir, mo
     assert code == 0, stderr
     summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
     assert len(summary) == 8
-    assert len(built) == len(summary) + sum(entry["accepted_steps"] for entry in summary) == 71
+    assert sum(built) == len(summary) + sum(entry["accepted_steps"] for entry in summary) == 71
+    # the first call builds every start profile
+    assert built[0] == len(summary)
 
 
 _SIM_INPUTS = ("personas.json", "scores.csv", "vectors.tsv")

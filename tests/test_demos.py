@@ -1,6 +1,7 @@
 """The demo scripts import only names the package still provides, and each
 runs to completion; no package module imports a private name from another,
-and no writer formats a value with repr."""
+no writer formats a value with repr, and the simulator writes its trust-cost
+formula and no-direction rule once each."""
 
 import ast
 import importlib
@@ -68,6 +69,29 @@ def test_package_writers_format_no_value_with_repr():
                 if (calls_repr or converts_r) and id(node) not in in_raise:
                     found.append(f"{path.name}:{node.lineno}: {func.name}")
     assert not found, found
+
+
+def test_package_writes_the_trust_cost_and_the_no_direction_rule_once():
+    # embedding.NO_DIRECTION_NORM is the one rule for a vector without
+    # direction, and nudge._trust_costs the one copy of the formula: a norm
+    # compared with zero, or a second "1.0 - alpha", is a copy that can drift
+    norm_tests, formulas = [], []
+    for path in sorted(Path(nudgesim.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BinOp) and ast.unparse(node) == "1.0 - alpha":
+                formulas.append(f"{path.name}:{node.lineno}")
+            operands = []
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("equal", "not_equal"):
+                operands = node.args
+            if any(isinstance(o, ast.Constant) and o.value == 0.0 for o in operands) and any(
+                "norm" in ast.unparse(o) for o in operands
+            ):
+                norm_tests.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert not norm_tests, norm_tests
+    assert len(formulas) == 1, formulas
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)

@@ -40,6 +40,8 @@ def test_cosine_distance_reference_points():
     assert cosine_distance(np.array([1.0, 0.0]), np.array([-3.0, 0.0])) == pytest.approx(2.0)
     assert cosine_distance(np.zeros(4), np.ones(4)) == 1.0
     assert cosine_distance(np.ones(4), np.zeros(4)) == 1.0
+    # v·v of [0, 5.5e-161] is subnormal: the vector has no direction
+    assert cosine_distance(np.array([0.0, 5.5e-161]), np.array([0.0, 1.0])) == 1.0
 
 
 def test_cosine_distance_range():

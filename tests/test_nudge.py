@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from test_acceptance import _replica_cost, _replica_means
 
 from nudgesim import nudge
-from nudgesim.embedding import check_vector
+from nudgesim.embedding import NO_DIRECTION_NORM, check_vector
 from nudgesim.nudge import (
     Persona,
     SimConfig,
@@ -52,6 +52,14 @@ def _admitted(vector) -> bool:
     except ValueError:
         return False
     return True
+
+
+def _scalar_cost(s, l_u, v_u, alpha):
+    """``_replica_cost``, with a mean below the no-direction norm taken as
+    the zero vector: the simulator gives it no direction."""
+    if np.linalg.norm(v_u) < NO_DIRECTION_NORM:
+        v_u = np.zeros_like(v_u)
+    return _replica_cost(s, l_u, v_u, alpha)
 
 
 def _profile(sources, limit, q_u, l_u, v_u, user_id="u"):
@@ -186,7 +194,6 @@ def test_catalog_lookup_and_order():
     assert catalog.ids() == ["anchor", "cheap", "pricey", "top", "weak"]
     assert "cheap" in catalog and "missing" not in catalog
     assert catalog["top"].quality == 0.95
-    assert catalog.max_quality() == 0.95
     assert len(catalog) == 5
     # the arrays hold one row per source, in sorted-id order
     assert [catalog.index[s] for s in catalog.ids()] == [0, 1, 2, 3, 4]
@@ -280,6 +287,10 @@ def test_select_recommendation_skips_trusted_even_if_cheapest():
     picked = select_recommendation(u, catalog, ALPHA)
     assert picked.source_id in ("pricey", "top")
     assert picked.source_id != "cheap"
+    # the trusted set keeps the rule of profile_from_sources
+    stranger = _profile(["anchor", "ghost"], 3, q_u=0.3, l_u=0.0, v_u=[1.0, 0.0])
+    with pytest.raises(ValueError, match="unknown source 'ghost'"):
+        select_recommendation(stranger, catalog, ALPHA)
 
 
 def test_select_recommendation_requires_strict_quality_gain():
@@ -325,7 +336,7 @@ def _exhaustive_offer(members, catalog, mode, alpha):
         s = catalog[source_id]
         if source_id in members or s.quality <= q_u:
             continue
-        key = _replica_cost(s, l_u, v_u, alpha) if mode == "constrained" else -s.quality
+        key = _scalar_cost(s, l_u, v_u, alpha) if mode == "constrained" else -s.quality
         if best is None or key < best_key:
             best, best_key = s, key
     return best
@@ -333,7 +344,7 @@ def _exhaustive_offer(members, catalog, mode, alpha):
 
 def _replayed_run(trusted, catalog, config):
     """The records and final members of a run, replayed step by step from
-    ``_replica_cost`` and an inverse-CDF lottery on the user's stream."""
+    ``_scalar_cost`` and an inverse-CDF lottery on the user's stream."""
     rng = rng_for_user(config.seed, "u")
     members, steps = sorted(trusted), []
     for t in range(config.T):
@@ -342,13 +353,13 @@ def _replayed_run(trusted, catalog, config):
         if offer is None:
             steps.append(StepRecord(t, None, None, None, False, None, q_u, l_u))
             continue
-        cost = _replica_cost(offer, l_u, v_u, config.alpha)
+        cost = _scalar_cost(offer, l_u, v_u, config.alpha)
         candidates = sorted(members + [offer.source_id])
         if len(members) < config.L:
             accept_probability = max(0.0, 1.0 - cost)
             keep = candidates if rng.random() < accept_probability else members
         else:
-            costs = [_replica_cost(catalog[s], l_u, v_u, config.alpha) for s in candidates]
+            costs = [_scalar_cost(catalog[s], l_u, v_u, config.alpha) for s in candidates]
             total = sum(costs)
             shares = [c / total if total != 0.0 else 1.0 / len(costs) for c in costs]
             draw, cumulative, victim = rng.random(), 0.0, candidates[-1]
@@ -517,6 +528,8 @@ def test_drop_distribution_preconditions():
     unknown = _profile(["anchor", "ghost"], 2, q_u=0.3, l_u=0.0, v_u=[1.0, 0.0])
     with pytest.raises(ValueError, match="unknown source 'ghost'"):
         drop_distribution(unknown, catalog["top"], catalog, ALPHA)
+    with pytest.raises(ValueError, match="unknown candidate 'ghost'"):
+        drop_distribution(full, _source("ghost", 0.9, 0.0, [1.0, 0.0]), catalog, ALPHA)
 
 
 @given(
@@ -908,31 +921,51 @@ def test_offers_match_exhaustive_argmin_on_hostile_catalogs(data):
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
+@example(data=None)
 def test_cost_kernel_is_the_scalar_formula_bit_for_bit(data):
-    # more components after the hostile ones reach every unrolled path of
-    # the dot routine
-    n = data.draw(st.integers(0, 30))
-    extra = st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)
-    vectors = st.tuples(_HOSTILE_VECTORS, extra).map(lambda parts: parts[0] + parts[1]).filter(_admitted)
-    rows = data.draw(st.lists(st.tuples(_QUALITIES, _LEANINGS, vectors), min_size=1, max_size=8))
-    rows += data.draw(st.lists(st.sampled_from(rows), max_size=3))
+    if data is None:  # two admitted members whose mean has a subnormal v·v
+        rows = [(0.2, 0.0, [1.0, 1.1e-160]), (0.2, 0.0, [-1.0, 0.0]), (0.9, 0.0, [0.0, 1.0])]
+        trusted_sets, alphas, pairs = [[0, 1]], [0.5], [(0, 0), (0, 1), (0, 2)]
+    else:
+        # more components after the hostile ones reach every unrolled path
+        # of the dot routine
+        n = data.draw(st.integers(0, 30))
+        extra = st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)
+        vectors = st.tuples(_HOSTILE_VECTORS, extra).map(lambda parts: parts[0] + parts[1]).filter(_admitted)
+        rows = data.draw(st.lists(st.tuples(_QUALITIES, _LEANINGS, vectors), min_size=1, max_size=8))
+        rows += data.draw(st.lists(st.sampled_from(rows), max_size=3))
+        trusted_sets = data.draw(st.lists(
+            st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=3, unique=True), min_size=1, max_size=6
+        ))
+        alphas = [data.draw(st.floats(0.01, 0.99)) for _ in trusted_sets]
+        pairs = data.draw(st.lists(
+            st.tuples(st.integers(0, len(trusted_sets) - 1), st.integers(0, len(rows) - 1)),
+            min_size=1, max_size=24,
+        ))
     catalog = SourceCatalog(_source(f"s{i:02d}", q, l, v) for i, (q, l, v) in enumerate(rows))
     ids = catalog.ids()
     norms = [np.linalg.norm(catalog[s].vector) for s in ids]
     assert catalog.norms.tobytes() == np.array(norms).tobytes()
-    trusted_sets = data.draw(st.lists(
-        st.lists(st.sampled_from(ids), min_size=1, max_size=3, unique=True), min_size=1, max_size=6
-    ))
-    profiles = [profile_from_sources("u", t, catalog, 3) for t in trusted_sets]
-    alphas = [data.draw(st.floats(0.01, 0.99)) for _ in profiles]
-    pairs = data.draw(st.lists(
-        st.tuples(st.integers(0, len(profiles) - 1), st.integers(0, len(ids) - 1)), min_size=1, max_size=24
-    ))
+    profiles = [profile_from_sources("u", [ids[i] for i in t], catalog, 3) for t in trusted_sets]
     owners, picked = (np.array(column) for column in zip(*pairs))
     costs = nudge._costs(profiles, alphas, owners, picked, catalog)
-    expected = [_replica_cost(catalog[ids[r]], profiles[o].l_u, profiles[o].v_u, alphas[o]) for o, r in pairs]
+    expected = [_scalar_cost(catalog[ids[r]], profiles[o].l_u, profiles[o].v_u, alphas[o]) for o, r in pairs]
     # repr tells -0.0 from 0.0 and a numpy scalar from a float
     assert [repr(c) for c in costs] == [repr(c) for c in expected]
+
+
+def test_profile_mean_without_direction_is_at_distance_one():
+    # both members are admitted, but their mean [0, 5.5e-161] has a
+    # subnormal v·v: it has no direction, so the offer's distance is 1.0
+    catalog = SourceCatalog(
+        [
+            _source("a", 0.2, 0.0, [1.0, 1.1e-160]),
+            _source("b", 0.2, 0.0, [-1.0, 0.0]),
+            _source("c", 0.9, 0.0, [0.0, 1.0]),
+        ]
+    )
+    step, _ = _one_step(Persona("u", ("a", "b"), 3), catalog)
+    assert (step.recommended, step.trust_cost, step.accept_probability) == ("c", 0.5, 0.5)
 
 
 def test_simulate_stops_changing_after_convergence():
