@@ -35,6 +35,8 @@ NOISE_EXPONENT = 0.75
 # positions per skip-gram minibatch; chosen by a sweep of training time and
 # community homophily (see CHANGES.md)
 TRAIN_BLOCK = 128
+# uniforms per bulk draw of the walk generator (see generate_walks)
+WALK_CHUNK = 4096
 # below this norm, v·v is below the smallest normal float and has lost the bits
 # cosines need: such a vector has no direction, at cosine distance 1.0 from all
 NO_DIRECTION_NORM = math.sqrt(np.finfo(float).tiny)
@@ -115,8 +117,14 @@ def generate_walks(
     directed: bool = False,
 ) -> list[list[str]]:
     """Biased random walks, ``walks_per_node`` rounds over the sorted node
-    list. Exactly one uniform draw per step taken; a node with no
-    out-neighbors in the walk view ends its walk early.
+    list. Each step taken consumes one uniform; a node with no out-neighbors
+    in the walk view ends its walk early.
+
+    The uniforms are drawn in chunks of ``WALK_CHUNK``, and the generator is
+    then rewound to its state before the last chunk and advanced by the
+    uniforms that chunk gave to steps. ``random(size)`` yields the doubles of
+    as many ``random()`` calls, so the walks and the generator's final state
+    are exactly those of one ``random()`` call per step taken.
     """
     if p <= 0 or q <= 0:
         raise ValueError(f"walk bias parameters must be positive (p={p}, q={q})")
@@ -125,9 +133,10 @@ def generate_walks(
 
     view = graph.weights if directed else graph.undirected
     ptr = view.indptr
-    neighbor_ids = [view.indices[ptr[i] : ptr[i + 1]].tolist() for i in range(len(graph.nodes))]
+    n = len(graph.nodes)
+    neighbor_ids = [view.indices[ptr[i] : ptr[i + 1]].tolist() for i in range(n)]
     neighbor_sets = [set(ids) for ids in neighbor_ids]
-    base_weights = [view.data[ptr[i] : ptr[i + 1]] for i in range(len(graph.nodes))]
+    base_weights = [view.data[ptr[i] : ptr[i + 1]] for i in range(n)]
     biased = p != 1.0 or q != 1.0
     # cumulative weights per node, and per (previous, current) state of a
     # biased walk, each computed once, on first use
@@ -142,26 +151,40 @@ def generate_walks(
         )
         return np.cumsum(base_weights[cur] * scale).tolist()
 
-    walks: list[list[str]] = []
+    bisect_right = bisect.bisect_right
+    cached = cumulative.get
+    uniforms: list[float] = []
+    used = 0
+    rewind = None  # the generator's state before the chunk being used
+    walks: list[list[int]] = []
     for _round in range(walks_per_node):
-        for start in range(len(graph.nodes)):
+        for start in range(n):
             walk = [start]
-            prev: int | None = None
-            while len(walk) < walk_length:
-                cur = walk[-1]
+            prev = None
+            cur = start
+            for _step in range(walk_length - 1):
                 ids = neighbor_ids[cur]
                 if not ids:
                     break
                 key = (prev, cur) if biased and prev is not None else cur
-                if key not in cumulative:
-                    cumulative[key] = second_order(prev, cur)
-                cum = cumulative[key]
-                u = rng.random() * cum[-1]
-                idx = min(bisect.bisect_right(cum, u), len(ids) - 1)
+                cum = cached(key)
+                if cum is None:
+                    cum = cumulative[key] = second_order(prev, cur)
+                if used == len(uniforms):
+                    rewind = rng.bit_generator.state
+                    uniforms = rng.random(WALK_CHUNK).tolist()
+                    used = 0
+                idx = bisect_right(cum, uniforms[used] * cum[-1])
+                used += 1
                 prev = cur
-                walk.append(ids[idx])
-            walks.append([graph.nodes[i] for i in walk])
-    return walks
+                cur = ids[idx] if idx < len(ids) else ids[-1]
+                walk.append(cur)
+            walks.append(walk)
+    if rewind is not None:
+        rng.bit_generator.state = rewind
+        rng.random(used)
+    nodes = graph.nodes
+    return [[nodes[i] for i in walk] for walk in walks]
 
 
 def _add_damped(w, rows, coef, vecs, width, trace) -> None:
@@ -182,6 +205,32 @@ def _add_damped(w, rows, coef, vecs, width, trace) -> None:
         shape=(len(w), len(vecs)),
     )
     w += scatter @ vecs
+
+
+def _noise_lookup(noise_cum: np.ndarray):
+    """``u -> np.searchsorted(noise_cum, u, side="right")`` for uniforms ``u``
+    in [0, 1), where ``noise_cum`` is nondecreasing and ends at 1.0.
+
+    [0, 1) is cut into K buckets, K the power of two at least four times the
+    table size. ``first[b]`` is the answer at the bucket's left edge b/K, and
+    ``span`` the most table entries strictly inside one bucket. A key's answer
+    is ``first`` of its bucket plus that bucket's entries not above it, which
+    ``span`` passes of ``idx += noise_cum[idx] <= u`` count. The lookup is
+    exact: ``u * K`` and ``b / K`` round nothing, and every comparison is one
+    the binary search would make."""
+    k = 1 << (4 * len(noise_cum) - 1).bit_length()
+    first = np.searchsorted(noise_cum, np.arange(k) / k, side="right")
+    scaled = noise_cum[noise_cum < 1.0] * k
+    inside = scaled[scaled != np.floor(scaled)].astype(np.intp)
+    span = int(np.bincount(inside, minlength=1).max())
+
+    def lookup(u: np.ndarray) -> np.ndarray:
+        idx = first[(u * k).astype(np.intp)]
+        for _ in range(span):
+            idx += noise_cum[idx] <= u
+        return idx
+
+    return lookup
 
 
 def train_embeddings(
@@ -206,7 +255,11 @@ def train_embeddings(
     walk boundary). Per block the generator draws, in this order, one span
     per position (``integers(1, window + 1, size=positions)``) and then one
     uniform per negative sample (``random((pairs, negatives))``, pairs
-    ordered by center position, then context position). Every gradient of
+    ordered by center position, then context position), which picks its
+    noise row by an exact bucketed lookup (:func:`_noise_lookup`) that gives
+    the row a binary search of the noise table gives. Context offsets are
+    built only out to the longest walk, so memory does not grow with
+    ``window`` beyond it. Every gradient of
     a block comes from the parameters as they were at its start, and each
     row's summed update is applied once at its end, damped when the row was
     hit often enough to overshoot (:func:`_add_damped`). At INFO the mean
@@ -228,6 +281,7 @@ def train_embeddings(
     noise = np.array([counts[w] for w in vocab], dtype=float) ** NOISE_EXPONENT
     noise_cum = np.cumsum(noise / noise.sum())
     noise_cum[-1] = 1.0
+    noise_rows = _noise_lookup(noise_cum)
 
     w_in = (rng.random((n, dims)) - 0.5) / dims
     w_out = np.zeros((n, dims))
@@ -239,7 +293,9 @@ def train_embeddings(
     positions = len(tokens)
     total = epochs * positions
     min_alpha = learning_rate * 1e-4
-    offsets = np.concatenate([np.arange(-window, 0), np.arange(1, window + 1)])
+    # no offset beyond the longest walk lands in a walk, whatever the window
+    reach = min(window, int(lengths.max()) - 1)
+    offsets = np.concatenate([np.arange(-reach, 0), np.arange(1, reach + 1)])
     labels = np.zeros(negatives + 1)
     labels[0] = 1.0
     signs = 2.0 * labels - 1.0
@@ -262,7 +318,7 @@ def train_embeddings(
             centers = tokens[t[at]]
             rows = np.empty((pairs, negatives + 1), dtype=np.intp)
             rows[:, 0] = tokens[ctx[keep]]
-            rows[:, 1:] = np.searchsorted(noise_cum, rng.random((pairs, negatives)), side="right")
+            rows[:, 1:] = noise_rows(rng.random((pairs, negatives)))
             alpha = np.maximum(
                 min_alpha, learning_rate * (1.0 - (epoch * positions + t[at]) / total)
             )

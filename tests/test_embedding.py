@@ -5,6 +5,7 @@ for a fixed (previous, current) state the next-hop distribution is known in
 closed form, so long-run conditional frequencies must match it.
 """
 
+import bisect
 import collections
 import hashlib
 import logging
@@ -13,14 +14,17 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from test_graph import _graph
-from test_nudge import _CountingRng
 
 from nudgesim import synthetic
 from nudgesim.embedding import (
     NOISE_EXPONENT,
     TRAIN_BLOCK,
+    WALK_CHUNK,
     SourceVectors,
+    _noise_lookup,
     community_cosines,
     cosine_distance,
     embed_graph,
@@ -151,12 +155,84 @@ def test_walks_undirected_view_sums_reciprocal_weights():
     assert walks == [["a", "b", "a", "b"], ["b", "a", "b", "a"]]
 
 
-def test_walks_one_uniform_draw_per_step():
-    graph = _graph({("a", "b"): 0.5, ("b", "c"): 0.5, ("c", "a"): 0.5})
-    rng = _CountingRng(np.random.default_rng(4))
-    walks = generate_walks(graph, rng, p=2.0, q=0.5, walk_length=7, walks_per_node=2)
+def _cached_uint32(seed):
+    """A generator whose buffered 32-bit half-draw is set."""
+    rng = np.random.default_rng(seed)
+    state = rng.bit_generator.state
+    state["has_uint32"], state["uinteger"] = 1, 123456789
+    rng.bit_generator.state = state
+    return rng
+
+
+_TRIANGLE = {("a", "b"): 0.5, ("b", "c"): 0.5, ("c", "a"): 0.5}
+
+
+@pytest.mark.parametrize(
+    "edges, walk_kwargs, make_rng",
+    [
+        (_TRIANGLE, dict(p=2.0, q=0.5, walk_length=7, walks_per_node=2), np.random.default_rng),
+        # c is a sink of the directed view: walks through it end early
+        (
+            {("a", "b"): 0.5, ("b", "c"): 0.3, ("a", "c"): 0.2},
+            dict(walk_length=6, walks_per_node=3, directed=True),
+            np.random.default_rng,
+        ),
+        (_TRIANGLE, dict(walk_length=1, walks_per_node=3), np.random.default_rng),
+        (_TRIANGLE, dict(walk_length=1500, walks_per_node=2), np.random.default_rng),
+        (_TRIANGLE, dict(p=0.5, walk_length=9, walks_per_node=2), _cached_uint32),
+    ],
+    ids=["biased", "directed-sink", "length-one", "several-chunks", "cached-uint32"],
+)
+def test_walks_leave_generator_one_uniform_per_step(edges, walk_kwargs, make_rng):
+    # the bulk draws are rewound: the generator ends exactly where one
+    # random() per step taken would leave it, cached half-draw included, and
+    # an unbiased walk's steps are the documented sampler on those uniforms
+    graph = _graph(edges)
+    rng = make_rng(4)
+    walks = generate_walks(graph, rng, **walk_kwargs)
     steps_taken = sum(len(w) - 1 for w in walks)
-    assert rng.calls == steps_taken == 6 * 2 * 3
+    reference = make_rng(4)
+    uniforms = [reference.random() for _ in range(steps_taken)]
+    assert rng.bit_generator.state == reference.bit_generator.state
+    if walk_kwargs.get("p", 1.0) == 1.0 == walk_kwargs.get("q", 1.0):
+        view = graph.weights if walk_kwargs.get("directed") else graph.undirected
+        position = {node: i for i, node in enumerate(graph.nodes)}
+        draws = iter(uniforms)
+        for walk in walks:
+            for cur, nxt in zip(walk, walk[1:]):
+                i = position[cur]
+                ids = view.indices[view.indptr[i] : view.indptr[i + 1]]
+                cum = np.cumsum(view.data[view.indptr[i] : view.indptr[i + 1]]).tolist()
+                idx = min(bisect.bisect_right(cum, next(draws) * cum[-1]), len(ids) - 1)
+                assert graph.nodes[ids[idx]] == nxt
+    if walk_kwargs["walk_length"] == 1:
+        assert steps_taken == 0
+    if walk_kwargs.get("directed"):
+        assert min(map(len, walks)) < walk_kwargs["walk_length"]
+    if walk_kwargs["walk_length"] == 1500:
+        assert steps_taken > 2 * WALK_CHUNK
+
+
+class _CallCountingGenerator:
+    """Forwards ``random`` and ``bit_generator`` to a generator and counts
+    ``random`` calls."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.bit_generator = rng.bit_generator
+        self.calls = 0
+
+    def random(self, *args, **kwargs):
+        self.calls += 1
+        return self._rng.random(*args, **kwargs)
+
+
+def test_world_walks_draw_uniforms_in_bulk():
+    rng = _CallCountingGenerator(np.random.default_rng(2024))
+    walks = generate_walks(synthetic.world_graph(), rng, p=2.0, q=0.5, walk_length=40, walks_per_node=6)
+    steps_taken = sum(len(w) - 1 for w in walks)
+    assert steps_taken > WALK_CHUNK
+    assert rng.calls <= math.ceil(steps_taken / WALK_CHUNK) + 1
 
 
 def test_walks_deterministic_for_seed():
@@ -329,6 +405,66 @@ def test_train_matches_scalar_block_replica(negatives):
     for node, vector in expected.items():
         np.testing.assert_allclose(result.vectors[node], vector, rtol=0, atol=1e-12)
     assert rng.bit_generator.state == replay.bit_generator.state
+
+
+def _vectors_digest(vectors):
+    text = "\n".join(
+        node + "\t" + " ".join(map(repr, vectors.vectors[node].tolist()))
+        for node in sorted(vectors.vectors)
+    )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_train_window_far_beyond_walks_is_cheap_and_unchanged():
+    # context offsets stop at the longest walk, so a huge window allocates
+    # nothing per offset; the digest is that of the per-offset trainer,
+    # which built every one of the 2 * 20000 offsets. 2**62 offsets cannot
+    # even be asked for, so a trainer that builds them fails at once
+    graph = _graph({("a", "b"): 0.5, ("b", "c"): 0.5, ("c", "a"): 0.5, ("c", "d"): 0.5})
+    walks = generate_walks(graph, np.random.default_rng(20), walk_length=10, walks_per_node=6)
+    result = train_embeddings(walks, np.random.default_rng(40), dims=8, window=20000, epochs=2)
+    assert _vectors_digest(result) == "ff2804004b13a58d06ea418cd0a712992beeb663e45046718ec59f0efdd01564"
+    huge = train_embeddings(walks, np.random.default_rng(40), dims=8, window=2**62, epochs=2)
+    assert huge.params["window"] == str(2**62)
+    assert all(np.isfinite(v).all() for v in huge.vectors.values())
+
+
+def _lookup_keys(cum):
+    """0.0, every bucket edge b/K and the double below it, every table
+    entry below 1.0 and the doubles on either side of it."""
+    k = 1
+    while k < 4 * len(cum):
+        k *= 2
+    edges = np.arange(k) / k
+    entries = cum[cum < 1.0]
+    keys = np.concatenate([[0.0], edges, np.nextafter(edges, 0.0), entries,
+                           np.nextafter(entries, 0.0), np.nextafter(entries, 1.0)])
+    return keys[(keys >= 0.0) & (keys < 1.0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    counts=st.lists(st.integers(1, 10**6), min_size=1, max_size=60),
+    zeros=st.lists(st.booleans(), max_size=60),
+    uniforms=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40),
+)
+@example(counts=[1], zeros=[], uniforms=[])
+@example(counts=[10**6] + [1] * 50, zeros=[], uniforms=[])
+@example(counts=[1, 1, 10**6, 1], zeros=[False, True, False, True], uniforms=[0.5])
+def test_noise_lookup_matches_searchsorted(counts, zeros, uniforms):
+    # a zero weight repeats the cumulative value before it; one heavy count
+    # among light ones packs many entries into one bucket
+    weights = np.array(counts, dtype=float) ** NOISE_EXPONENT
+    weights[: len(zeros)][np.array(zeros[: len(counts)], dtype=bool)] = 0.0
+    if not weights.any():
+        weights[-1] = 1.0
+    cum = np.cumsum(weights / weights.sum())  # the trainer's noise table
+    cum[-1] = 1.0
+    keys = np.concatenate([_lookup_keys(cum), uniforms])
+    got = _noise_lookup(cum)(keys)
+    assert np.array_equal(got, np.searchsorted(cum, keys, side="right"))
+    block = np.random.default_rng(len(counts)).random((7, 3))
+    assert np.array_equal(_noise_lookup(cum)(block), np.searchsorted(cum, block, side="right"))
 
 
 def test_train_logs_mean_loss_per_epoch(caplog):
