@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import functools
 import json
 import logging
 import math
@@ -162,7 +163,10 @@ def _resolve_options(parser: argparse.ArgumentParser, args: argparse.Namespace) 
         given.setdefault(name, option.default)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process: parsing leaves no state on it, and
+    building it costs about a millisecond."""
     parser = argparse.ArgumentParser(
         prog="nudgesim",
         description="Copy-network construction, source scoring, graph embeddings, "
@@ -214,7 +218,7 @@ def cmd_build_csn(args: argparse.Namespace) -> int:
     graph.save_graph(csn, out_dir / "csn.tsv")
     print(
         f"articles={len(articles.articles)} skipped={articles.skipped} "
-        f"pairs={len(pairs)} nodes={len(csn.nodes)} edges={len(csn.edges)}"
+        f"pairs={len(pairs)} nodes={len(csn.nodes)} edges={len(csn.src)}"
     )
     return 0
 
@@ -329,7 +333,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def _mean_quality(trajectories: tuple[nudge.Trajectory, ...]) -> list[float]:
     """Per step, the mean of ``q_u`` over the trajectories."""
     steps = zip(*([r.q_u for r in traj.steps] for traj in trajectories))
-    return [sum(column) / len(trajectories) for column in steps]
+    return [corpus.float_sum(column) / len(trajectories) for column in steps]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -350,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args)
     except SystemExit as exc:  # --help, usage errors and bad --config values
         return int(exc.code or 0)
-    except (RuntimeError, OSError, ValueError) as exc:
+    except (RuntimeError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,11 +9,14 @@ publication to the later one.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import logging
 import math
+import operator
 import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -118,6 +121,13 @@ def parse_timestamp(value: str) -> datetime:
     if not (_DATE_MIN <= ts < _DATE_MAX):
         raise ValueError(f"timestamp {value!r} outside supported range")
     return ts.astimezone(timezone.utc)
+
+
+def float_sum(values) -> float:
+    """The float sum of ``values``, added left to right from 0.0: what
+    ``sum()`` gives up to Python 3.11. From 3.12 ``sum()`` compensates its
+    rounding, and so can differ in the last bit."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 def check_source_name(name: str) -> None:
@@ -301,9 +311,10 @@ def tfidf_vectors(articles: ArticleSet) -> TfidfResult:
 
     # run ids in first-seen order, one article at a time, so no article's run
     # strings outlive it; one-character runs are dropped and the rest
-    # renumbered to lexicographic order below, once per distinct run
+    # renumbered to lexicographic order below, once per distinct run. The ids
+    # are C ints, 4 bytes each, read by numpy in place
     first_seen = _FirstSeen()
-    ids: list[int] = []  # the dict's own int objects, not new ones
+    ids = array("i")
     ends = [0]
     for a in articles.articles:
         ids.extend(map(first_seen.__getitem__, _runs(a.title)))
@@ -315,14 +326,19 @@ def tfidf_vectors(articles: ArticleSet) -> TfidfResult:
     rank = np.fromiter(
         (vocabulary.get(run, -1) for run in first_seen), dtype=np.int32, count=len(first_seen)
     )
-    token_terms = rank[np.fromiter(ids, dtype=np.intp, count=len(ids))]
+    del first_seen
+    token_terms = rank[np.frombuffer(ids, dtype=np.intc)]
+    del ids, rank
     kept = token_terms >= 0
     indices = token_terms[kept]
+    del token_terms
     indptr = np.concatenate(([0], np.cumsum(kept)))[ends]
+    del kept
     # one entry per token; summing duplicates turns them into term counts
     matrix = sparse.csr_matrix(
         (np.ones(len(indices)), indices, indptr), shape=(n_docs, len(terms))
     )
+    del indices
     matrix.sum_duplicates()
 
     df = np.bincount(matrix.indices, minlength=len(terms))

@@ -13,7 +13,6 @@ import bisect
 import itertools
 import logging
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,10 +114,11 @@ def generate_walks(
     walk_length: int = DEFAULT_WALK_LENGTH,
     walks_per_node: int = DEFAULT_WALKS_PER_NODE,
     directed: bool = False,
-) -> list[list[str]]:
+) -> list[list[int]]:
     """Biased random walks, ``walks_per_node`` rounds over the sorted node
-    list. Each step taken consumes one uniform; a node with no out-neighbors
-    in the walk view ends its walk early.
+    list, each a list of node indices into ``graph.nodes``. Each step taken
+    consumes one uniform; a node with no out-neighbors in the walk view ends
+    its walk early.
 
     The uniforms are drawn in chunks of ``WALK_CHUNK``, and the generator is
     then rewound to its state before the last chunk and advanced by the
@@ -132,24 +132,24 @@ def generate_walks(
         raise ValueError("walk_length and walks_per_node must be >= 1")
 
     view = graph.weights if directed else graph.undirected
-    ptr = view.indptr
-    n = len(graph.nodes)
-    neighbor_ids = [view.indices[ptr[i] : ptr[i + 1]].tolist() for i in range(n)]
-    neighbor_sets = [set(ids) for ids in neighbor_ids]
-    base_weights = [view.data[ptr[i] : ptr[i + 1]] for i in range(n)]
+    ptr = view.indptr.tolist()
+    rows = list(zip(ptr, ptr[1:]))
+    indices, data = view.indices.tolist(), view.data.tolist()
+    neighbor_ids = [indices[a:b] for a, b in rows]
     biased = p != 1.0 or q != 1.0
     # cumulative weights per node, and per (previous, current) state of a
-    # biased walk, each computed once, on first use
+    # biased walk, computed on first use; both add left to right, as
+    # np.cumsum does
     cumulative: dict[object, list[float]] = {
-        i: np.cumsum(w).tolist() for i, w in enumerate(base_weights)
+        i: list(itertools.accumulate(data[a:b])) for i, (a, b) in enumerate(rows)
     }
 
     def second_order(prev: int, cur: int) -> list[float]:
-        prev_nbrs = neighbor_sets[prev]
+        prev_nbrs = set(neighbor_ids[prev])
         scale = np.array(
             [1.0 / p if x == prev else (1.0 if x in prev_nbrs else 1.0 / q) for x in neighbor_ids[cur]]
         )
-        return np.cumsum(base_weights[cur] * scale).tolist()
+        return np.cumsum(view.data[ptr[cur] : ptr[cur + 1]] * scale).tolist()
 
     bisect_right = bisect.bisect_right
     cached = cumulative.get
@@ -158,7 +158,7 @@ def generate_walks(
     rewind = None  # the generator's state before the chunk being used
     walks: list[list[int]] = []
     for _round in range(walks_per_node):
-        for start in range(n):
+        for start in range(len(rows)):
             walk = [start]
             prev = None
             cur = start
@@ -183,8 +183,7 @@ def generate_walks(
     if rewind is not None:
         rng.bit_generator.state = rewind
         rng.random(used)
-    nodes = graph.nodes
-    return [[nodes[i] for i in walk] for walk in walks]
+    return walks
 
 
 def _add_damped(w, rows, coef, vecs, width, trace) -> None:
@@ -234,7 +233,8 @@ def _noise_lookup(noise_cum: np.ndarray):
 
 
 def train_embeddings(
-    walks: list[list[str]],
+    walks: list[list[int]],
+    nodes: list[str],
     rng: np.random.Generator,
     dims: int = DEFAULT_DIMS,
     window: int = DEFAULT_WINDOW,
@@ -244,7 +244,9 @@ def train_embeddings(
 ) -> SourceVectors:
     """Skip-gram with negative sampling over the walk corpus, in minibatches.
 
-    Vocabulary in sorted order; input vectors initialized uniform in
+    The walks hold indices into ``nodes``, which name the vectors. The
+    vocabulary is the nodes the walks visit, in index order (sorted, for a
+    graph's walks); input vectors initialized uniform in
     +/- 0.5/dims, output vectors at zero; noise distribution is the unigram
     distribution raised to 0.75. The window is dynamic (uniform 1..window per
     center position) and the learning rate decays linearly to 1e-4 of its
@@ -268,17 +270,21 @@ def train_embeddings(
     """
     if dims < 1 or window < 1 or negatives < 0 or epochs < 1:
         raise ValueError("bad hyperparameters")
-    counts = Counter(itertools.chain.from_iterable(walks))
-    if not counts:
+    lengths = np.fromiter(map(len, walks), dtype=np.intp, count=len(walks))
+    tokens = np.fromiter(itertools.chain.from_iterable(walks), dtype=np.intp, count=int(lengths.sum()))
+    if not len(tokens):
         raise ValueError("cannot train on an empty walk corpus")
     # imported here: no other command needs scipy.special, which is slow to load
     from scipy.special import expit
 
-    vocab = sorted(counts)
-    index = {node: i for i, node in enumerate(vocab)}
+    counts = np.bincount(tokens, minlength=len(nodes))
+    vocab = np.flatnonzero(counts)
     n = len(vocab)
+    row = np.zeros(len(counts), dtype=np.intp)
+    row[vocab] = np.arange(n)
+    tokens = row[tokens]
 
-    noise = np.array([counts[w] for w in vocab], dtype=float) ** NOISE_EXPONENT
+    noise = counts[vocab].astype(float) ** NOISE_EXPONENT
     noise_cum = np.cumsum(noise / noise.sum())
     noise_cum[-1] = 1.0
     noise_rows = _noise_lookup(noise_cum)
@@ -286,8 +292,6 @@ def train_embeddings(
     w_in = (rng.random((n, dims)) - 0.5) / dims
     w_out = np.zeros((n, dims))
 
-    tokens = np.array([index[node] for walk in walks for node in walk], dtype=np.intp)
-    lengths = np.array([len(walk) for walk in walks], dtype=np.intp)
     walk_end = np.repeat(np.cumsum(lengths), lengths)
     walk_start = walk_end - np.repeat(lengths, lengths)
     positions = len(tokens)
@@ -349,7 +353,7 @@ def train_embeddings(
                 loss_sum / pair_count,
                 pair_count,
             )
-    vectors = {node: w_in[index[node]].copy() for node in vocab}
+    vectors = {nodes[i]: w_in[r].copy() for r, i in enumerate(vocab.tolist())}
     return SourceVectors(
         dims=dims,
         vectors=vectors,
@@ -387,7 +391,7 @@ def embed_graph(
         walks_per_node=walks_per_node,
         directed=directed,
     )
-    result = train_embeddings(walks, np.random.default_rng(train_ss), **training)
+    result = train_embeddings(walks, graph.nodes, np.random.default_rng(train_ss), **training)
     result.params.update(
         {
             "p": str(p),

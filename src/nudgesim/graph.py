@@ -9,6 +9,7 @@ from A"), so it is at most 1 however often A reposts a story.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,64 +18,171 @@ from scipy.sparse import csr_matrix, hstack
 from .corpus import CopyPair, check_source_name, read_utf8
 
 CSN_HEADER = "#csn v1"
+# an int smaller than this in size converts to a float exactly
+_EXACT_INT = 2**53
 
 
-def _check_node(node: str, count) -> None:
-    """Reject a node :func:`save_graph` could not write as a line that
-    :func:`load_graph` reads back (see :func:`check_source_name`), or one
-    without an article count of at least 1."""
-    check_source_name(node)
-    if type(count) is not int or count < 1:
-        raise ValueError(f"source {node!r}: article count {count!r} is not an integer >= 1")
+def _int_array(values: list) -> np.ndarray:
+    """``values`` as an int64 array, 0 standing in for each value that is not
+    an int; as Python ints (dtype object) when one is 2**53 or more in size,
+    so that every comparison and quotient on them is that of Python ints."""
+    if set(map(type, values)) - {int}:
+        values = [v if type(v) is int else 0 for v in values]
+    try:
+        array = np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+    if len(array) and (array.max() >= _EXACT_INT or array.min() <= -_EXACT_INT):
+        return np.array(values, dtype=object)
+    return array
 
 
-def _check_edge(src: str, dst: str, raw, article_counts: dict[str, int]) -> None:
-    if src == dst:
-        raise ValueError(f"self-loop on {src!r}")
-    if src not in article_counts or dst not in article_counts:
-        raise ValueError(f"edge endpoint missing from nodes: {src!r}->{dst!r}")
-    if type(raw) is not int or raw < 1:
-        raise ValueError(f"edge {src!r}->{dst!r}: raw count {raw!r} is not an integer >= 1")
-    if raw > article_counts[dst]:
-        raise ValueError(
-            f"edge {src!r}->{dst!r}: {raw} copier articles exceed the "
-            f"{article_counts[dst]} articles {dst!r} published (weight outside (0, 1])"
-        )
+def _name_fault(name: str) -> str | None:
+    """Why :func:`check_source_name` refuses ``name``, or None."""
+    try:
+        check_source_name(name)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _raise_first(rules) -> None:
+    """Raise the ValueError of the first record that a rule rejects.
+
+    A rule is ``(offset, mask, message)``: ``mask[i]`` says that it rejects
+    record ``offset + i`` (a lone bool speaks for record ``offset``) and
+    ``message(i)`` says why. Rules are listed in the order one record is
+    checked, so on a record that several reject, the earlier rule speaks.
+    The error's ``index`` is the record's number."""
+    first = None
+    for offset, mask, message in rules:
+        hits = np.flatnonzero(mask)
+        if len(hits) and (first is None or offset + hits[0] < first[0]):
+            first = (offset + int(hits[0]), message, int(hits[0]))
+    if first is not None:
+        exc = ValueError(first[1](first[2]))
+        exc.index = first[0]
+        raise exc
+
+
+def _rule(offset: int, faults: list[str | None]):
+    """The rule that rejects record ``offset + i`` when ``faults[i]`` is a
+    message."""
+    return offset, [fault is not None for fault in faults], faults.__getitem__
+
+
+class _Records:
+    """The nodes and edges of a graph as they were given, as arrays, and the
+    rules of :class:`CsnGraph` over them (see :func:`_raise_first`).
+
+    Records are numbered nodes first, from 0, then edges, from ``n``.
+    ``names`` holds the ``n`` node names and then each other name an edge
+    uses; ``src`` and ``dst`` index it. ``counts`` and ``raw`` hold the values
+    as given, which the messages show. A node needs a name
+    :func:`save_graph` can write as a line :func:`load_graph` reads back (see
+    :func:`check_source_name`) and an article count of at least 1. An edge
+    needs two distinct nodes as endpoints and a raw count from 1 to its
+    copier's article count, so that its weight ``raw / article count`` is in
+    (0, 1]."""
+
+    def __init__(self, names: list[str], n: int, counts: list, src, dst, raw: list) -> None:
+        self.nodes = names[:n]
+        self.src = src = np.asarray(src, dtype=np.intp)
+        self.dst = dst = np.asarray(dst, dtype=np.intp)
+        self.count = count = _int_array(counts)
+        self.raw = raw_count = _int_array(raw)
+        copier = np.concatenate([count, np.zeros(len(names) - n, dtype=count.dtype)])[dst]
+        fits = (raw_count >= 1) & (raw_count <= copier)
+        self.weight = np.asarray(np.where(fits, raw_count, 0) / np.where(fits, copier, 1), dtype=float)
+
+        def edge(i: int) -> str:
+            return f"{names[src[i]]!r}->{names[dst[i]]!r}"
+
+        self.rules = [
+            _rule(0, [_name_fault(name) for name in self.nodes]),
+            (0, count < 1, lambda i: (
+                f"source {names[i]!r}: article count {counts[i]!r} is not an integer >= 1"
+            )),
+            (n, src == dst, lambda i: f"self-loop on {names[src[i]]!r}"),
+            (n, (src >= n) | (dst >= n), lambda i: f"edge endpoint missing from nodes: {edge(i)}"),
+            (n, raw_count < 1, lambda i: f"edge {edge(i)}: raw count {raw[i]!r} is not an integer >= 1"),
+            (n, raw_count > copier, lambda i: (
+                f"edge {edge(i)}: {raw[i]} copier articles exceed the {counts[dst[i]]} "
+                f"articles {names[dst[i]]!r} published (weight outside (0, 1])"
+            )),
+        ]
 
 
 class CsnGraph:
     """Directed weighted copy graph, built from its two independent inputs:
     ``raw_counts`` (copier-article count per edge) and ``article_counts``
-    (articles per source; its keys are the nodes).
+    (articles per source; its keys are the nodes), checked once.
 
-    Everything else is derived once, at construction: the sorted ``nodes``,
-    their row ``index``, the normalized ``edges`` weights
-    ``raw / article_counts[copier]`` in (0, 1], and the same weights as one
-    CSR matrix, ``weights[index[src], index[dst]]`` (rows are the copied
-    source, columns the copier, indices sorted), plus its ``undirected``
-    view ``weights + weights.T``.
+    It is held as arrays: the sorted ``nodes`` with their ``article_count``,
+    and one entry per edge, sorted by (source, copier), in ``src`` and
+    ``dst`` (node indices) and ``raw``. The normalized weights
+    ``raw / article_count[dst]``, in (0, 1], form the CSR matrix
+    ``weights[src, dst]`` (rows are the copied source, columns the copier,
+    indices sorted), and ``undirected`` is ``weights + weights.T``. The
+    name-keyed dicts ``edges``, ``raw_counts``, ``article_counts`` and
+    ``index`` are views built on first read.
     """
 
     def __init__(
         self, raw_counts: dict[tuple[str, str], int], article_counts: dict[str, int]
     ) -> None:
-        for node, count in article_counts.items():
-            _check_node(node, count)
-        for (src, dst), raw in raw_counts.items():
-            _check_edge(src, dst, raw, article_counts)
-        self.nodes = sorted(article_counts)
-        self.index = {node: i for i, node in enumerate(self.nodes)}
-        self.article_counts = {node: article_counts[node] for node in self.nodes}
-        self.raw_counts = dict(sorted(raw_counts.items()))
-        self.edges = {(s, d): raw / article_counts[d] for (s, d), raw in self.raw_counts.items()}
-        ids = np.array([(self.index[s], self.index[d]) for s, d in self.edges], dtype=np.intp)
-        ids = ids.reshape(-1, 2)
-        size = len(self.nodes)
-        self.weights = csr_matrix(
-            (list(self.edges.values()), (ids[:, 0], ids[:, 1])), shape=(size, size)
+        names = list(article_counts)
+        ids = dict(zip(names, range(len(names))))
+        src = [ids.setdefault(s, len(ids)) for s, _ in raw_counts]
+        dst = [ids.setdefault(d, len(ids)) for _, d in raw_counts]
+        records = _Records(
+            list(ids), len(names), list(article_counts.values()), src, dst, list(raw_counts.values())
         )
+        _raise_first(records.rules)
+        self._assemble(records)
+
+    @classmethod
+    def _of(cls, records: _Records) -> CsnGraph:
+        """The graph of records whose rules have passed."""
+        graph = cls.__new__(cls)
+        graph._assemble(records)
+        return graph
+
+    def _assemble(self, records: _Records) -> None:
+        n = len(records.nodes)
+        order = sorted(range(n), key=records.nodes.__getitem__)
+        self.nodes = [records.nodes[i] for i in order]
+        self.article_count = records.count[order]
+        rank = np.empty(n, dtype=np.intp)
+        rank[order] = np.arange(n)
+        src, dst = rank[records.src], rank[records.dst]
+        by_edge = np.argsort(src * n + dst, kind="stable")
+        self.src, self.dst, self.raw = src[by_edge], dst[by_edge], records.raw[by_edge]
+        indptr = np.searchsorted(self.src, np.arange(n + 1))
+        self.weights = csr_matrix((records.weight[by_edge], self.dst, indptr), shape=(n, n))
         self.undirected = self.weights + self.weights.T
         self.undirected.sort_indices()
+
+    def _pairs(self) -> list[tuple[str, str]]:
+        nodes = self.nodes
+        return [(nodes[s], nodes[d]) for s, d in zip(self.src.tolist(), self.dst.tolist())]
+
+    @functools.cached_property
+    def edges(self) -> dict[tuple[str, str], float]:
+        """Normalized weight per (source, copier) name pair."""
+        return dict(zip(self._pairs(), self.weights.data.tolist()))
+
+    @functools.cached_property
+    def raw_counts(self) -> dict[tuple[str, str], int]:
+        return dict(zip(self._pairs(), self.raw.tolist()))
+
+    @functools.cached_property
+    def article_counts(self) -> dict[str, int]:
+        return dict(zip(self.nodes, self.article_count.tolist()))
+
+    @functools.cached_property
+    def index(self) -> dict[str, int]:
+        return {node: i for i, node in enumerate(self.nodes)}
 
     def neighbors(self, node: str) -> list[str]:
         """Union of in- and out-neighbors, sorted."""
@@ -102,14 +210,29 @@ def build_csn(pairs: list[CopyPair], article_counts: dict[str, int]) -> CsnGraph
     with a missing or zero article count is a fatal error, and so is a weight
     above 1, which only article counts inconsistent with the pairs can give.
     """
-    copiers: dict[tuple[str, str], set[str]] = {}
-    for p in pairs:
-        copiers.setdefault((p.earlier_source, p.later_source), set()).add(p.later)
-    nodes = {source for edge in copiers for source in edge}
-    return CsnGraph(
-        raw_counts={edge: len(articles) for edge, articles in copiers.items()},
-        article_counts={node: article_counts.get(node, 0) for node in sorted(nodes)},
+    earlier, later = [p.earlier_source for p in pairs], [p.later_source for p in pairs]
+    copies = [p.later for p in pairs]
+    sources = sorted(set(earlier) | set(later))
+    index = {source: i for i, source in enumerate(sources)}
+    article = dict(zip(copies, range(len(pairs))))  # a number per later article: its last pair
+
+    def numbers(ids: dict[str, int], names: list[str]) -> np.ndarray:
+        return np.fromiter(map(ids.__getitem__, names), np.intp, len(names))
+
+    # each pair as one int: its edge, numbered in (earlier source, later
+    # source) order, then its later article; one np.unique keeps each such
+    # row once
+    edges, edge = np.unique(
+        numbers(index, earlier) * len(sources) + numbers(index, later), return_inverse=True
     )
+    rows = np.unique(edge * len(pairs) + numbers(article, copies))
+    raw = np.bincount(rows // len(pairs), minlength=len(edges))
+    records = _Records(
+        sources, len(sources), [article_counts.get(s, 0) for s in sources],
+        edges // len(sources), edges % len(sources), raw.tolist(),
+    )
+    _raise_first(records.rules)
+    return CsnGraph._of(records)
 
 
 def save_graph(graph: CsnGraph, path) -> None:
@@ -119,58 +242,110 @@ def save_graph(graph: CsnGraph, path) -> None:
     then ``from  to  raw_count  normalized_weight`` rows. Weights are
     written as their shortest round-trip decimal, so round-trips are exact.
     """
+    nodes = graph.nodes
+    edges = zip(graph.src.tolist(), graph.dst.tolist(), graph.raw.tolist(), graph.weights.data.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(CSN_HEADER + "\n")
-        for node in graph.nodes:
-            fh.write(f"#node\t{node}\t{graph.article_counts[node]}\n")
-        for (src, dst), weight in graph.edges.items():
-            fh.write(f"{src}\t{dst}\t{graph.raw_counts[(src, dst)]}\t{weight}\n")
+        fh.writelines(f"#node\t{node}\t{count}\n" for node, count in zip(nodes, graph.article_count.tolist()))
+        fh.writelines(f"{nodes[s]}\t{nodes[d]}\t{raw}\t{weight}\n" for s, d, raw, weight in edges)
+
+
+def _convert(convert, texts) -> tuple[list, list[str | None]]:
+    """``convert`` of each text, None where it raises ValueError, and that
+    error's message per text (None where it converts; no list when all do)."""
+    try:
+        return list(map(convert, texts)), []
+    except ValueError:
+        pass
+    values, faults = [], []
+    for text in texts:
+        try:
+            values.append(convert(text))
+            faults.append(None)
+        except ValueError as exc:
+            values.append(None)
+            faults.append(str(exc))
+    return values, faults
 
 
 def load_graph(path) -> CsnGraph:
     """Read a graph written by :func:`save_graph`.
 
-    Every ``#node`` line must come before the first edge line, and each line
-    gets the checks of :class:`CsnGraph`, so a bad node or edge raises with
-    its line number. The weight column is redundant with the raw count and
-    the copier's article count; it must equal ``raw / article_count``
-    exactly.
+    Every ``#node`` line must come before the first edge line. Each line is
+    parsed once, and the nodes and edges are checked once, by the rules of
+    :class:`CsnGraph` plus the file's own: no duplicate node or edge, and a
+    weight column equal to ``raw / article_count`` exactly (it is redundant
+    with the raw count and the copier's article count). The first line, in
+    file order, that breaks a rule raises with its line number; on one line
+    the rules go in the order the columns are read.
     """
-    counts: dict[str, int] = {}
-    raw: dict[tuple[str, str], int] = {}
     with read_utf8(path) as fh:
         first = fh.readline().rstrip("\n")
         if first != CSN_HEADER:
             raise ValueError(f"{path}:1: expected header {CSN_HEADER!r}, got {first!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            try:
-                if fields[0] == "#node":
-                    if len(fields) != 3:
-                        raise ValueError("expected '#node\\tsource\\tcount'")
-                    if raw:
-                        raise ValueError("#node line after the first edge line")
-                    if fields[1] in counts:
-                        raise ValueError(f"duplicate node {fields[1]!r}")
-                    counts[fields[1]] = int(fields[2])
-                    _check_node(fields[1], counts[fields[1]])
-                else:
-                    if len(fields) != 4:
-                        raise ValueError("expected 'from\\tto\\traw\\tweight'")
-                    src, dst = fields[0], fields[1]
-                    if (src, dst) in raw:
-                        raise ValueError(f"duplicate edge {src!r}->{dst!r}")
-                    raw[(src, dst)] = int(fields[2])
-                    _check_edge(src, dst, raw[(src, dst)], counts)
-                    weight = raw[(src, dst)] / counts[dst]
-                    if float(fields[3]) != weight:
-                        raise ValueError(f"weight {fields[3]} is not raw / article count {weight!r}")
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed line ({exc})") from exc
-    return CsnGraph(raw_counts=raw, article_counts=counts)
+        lines = fh.read().split("\n")
+    rows = [line.split("\t") for line in lines if line]
+    heads = [row[0] == "#node" for row in rows]
+    n = heads.index(False) if False in heads else len(rows)
+    widths = list(map(len, rows))
+    # the first row that is neither a 3-field #node line before every edge
+    # line nor a 4-field edge line; no row from it on is read
+    broken = len(rows)
+    if widths[:n].count(3) != n or widths[n:].count(4) != len(rows) - n or True in heads[n:]:
+        broken = next(
+            k for k in range(len(rows)) if widths[k] != (3 if heads[k] else 4) or heads[k] and k >= n
+        )
+    n = min(n, broken)
+    edge_rows = rows[n:broken]  # row n + k is edge k
+
+    _, names, count_texts = zip(*rows[:n]) if n else ((), (), ())
+    srcs, dsts, raw_texts, weight_texts = zip(*edge_rows) if edge_rows else ((), (), (), ())
+    counts, count_faults = _convert(int, count_texts)
+    raw, raw_faults = _convert(int, raw_texts)
+    weights, weight_faults = _convert(float, weight_texts)
+    names = list(names)
+    first_node = dict(zip(reversed(names), range(n - 1, -1, -1)))
+    ids = dict(first_node)
+    try:
+        src, dst = list(map(ids.__getitem__, srcs)), list(map(ids.__getitem__, dsts))
+    except KeyError:  # an endpoint that is no node: such names are numbered from n
+        shift = n - len(ids)
+        src = [ids.setdefault(name, len(ids) + shift) for name in srcs]
+        dst = [ids.setdefault(name, len(ids) + shift) for name in dsts]
+    records = _Records(names + list(ids)[len(first_node):], n, counts, src, dst, raw)
+    pair = records.src * (n + len(ids)) + records.dst
+    by_pair = np.argsort(pair, kind="stable")
+    repeated = np.zeros(len(pair), dtype=bool)
+    repeated[by_pair[1:]] = pair[by_pair[1:]] == pair[by_pair[:-1]]
+
+    def edge(k: int) -> str:
+        return f"{srcs[k]!r}->{dsts[k]!r}"
+
+    def misshapen(_) -> str:
+        if not heads[broken]:
+            return "expected 'from\\tto\\traw\\tweight'"
+        if widths[broken] != 3:
+            return "expected '#node\\tsource\\tcount'"
+        return "#node line after the first edge line"
+
+    try:
+        _raise_first([
+            (0, len(first_node) < n and [first_node[name] != k for k, name in enumerate(names)],
+             lambda k: f"duplicate node {names[k]!r}"),
+            _rule(0, count_faults),
+            (n, repeated, lambda k: f"duplicate edge {edge(k)}"),
+            _rule(n, raw_faults),
+            *records.rules,
+            _rule(n, weight_faults),
+            (n, np.array(weights, dtype=float) != records.weight, lambda k: (
+                f"weight {weight_texts[k]} is not raw / article count {float(records.weight[k])!r}"
+            )),
+            (broken, broken < len(rows), misshapen),
+        ])
+    except ValueError as exc:
+        lineno = [i for i, line in enumerate(lines, start=2) if line][exc.index]
+        raise ValueError(f"{path}:{lineno}: malformed line ({exc})") from exc
+    return CsnGraph._of(records)
 
 
 def directed_modularity(graph: CsnGraph, labels: dict[str, int]) -> float:
@@ -283,7 +458,7 @@ def detect_communities(graph: CsnGraph) -> CommunityAssignment:
     """
     if not graph.nodes:
         raise ValueError("detect_communities requires a non-empty graph")
-    if not graph.edges:
+    if not graph.weights.nnz:
         return CommunityAssignment(
             labels={node: i for i, node in enumerate(graph.nodes)}, modularity=0.0
         )

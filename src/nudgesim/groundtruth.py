@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .corpus import read_csv, write_csv
+import numpy as np
+
+from .corpus import float_sum, read_csv, write_csv
 from .graph import CsnGraph
 
 LEANING_CATEGORIES: dict[str, float] = {
@@ -105,7 +107,7 @@ def leaning_score(labels: SourceLabels) -> float | None:
     ]
     if not values:
         return None
-    return sum(values) / len(values)
+    return float_sum(values) / len(values)
 
 
 def derive_scores(labels: list[SourceLabels]) -> dict[str, SourceScore]:
@@ -129,19 +131,31 @@ def impute_missing(scores: dict[str, SourceScore], graph: CsnGraph) -> dict[str,
     (imputed values never propagate, so a second pass would be a no-op).
     Sources absent from the graph, or whose neighbors are all silent, keep
     their gaps and stay ``unavailable``.
+
+    Per field, the 0/1 pattern of ``graph.undirected`` times the donors'
+    values gives each node's neighbor sum, and times the donors' indicator
+    its neighbor count. A CSR product adds a row's terms in index order,
+    which is the sorted neighbor order, from 0.0, so each mean is that of
+    :func:`float_sum` over the neighbors.
     """
-    donors = {s: sc for s, sc in scores.items() if sc.provenance != "imputed"}
+    pattern = graph.undirected.copy()
+    pattern.data[:] = 1.0
+    donors = [scores.get(node) for node in graph.nodes]
+    donors = [d if d is not None and d.provenance != "imputed" else None for d in donors]
 
-    def neighbor_mean(source: str, name: str) -> float | None:
-        neighbors = graph.neighbors(source) if source in graph.index else []
-        values = [getattr(donors[n], name) for n in neighbors if n in donors]
-        values = [v for v in values if v is not None]
-        return sum(values) / len(values) if values else None
+    def neighbor_means(name: str) -> list[float | None]:
+        values = [None if d is None else getattr(d, name) for d in donors]
+        given = np.array([v is not None for v in values], dtype=float)
+        sums = pattern @ np.array([0.0 if v is None else v for v in values])
+        counts = pattern @ given
+        return [s / c if c else None for s, c in zip(sums.tolist(), counts.tolist())]
 
+    means = dict(zip(graph.nodes, zip(neighbor_means("quality"), neighbor_means("leaning"))))
     result: dict[str, SourceScore] = {}
     for source, score in scores.items():
-        q = neighbor_mean(source, "quality") if score.quality is None else score.quality
-        l = neighbor_mean(source, "leaning") if score.leaning is None else score.leaning
+        q_mean, l_mean = means.get(source, (None, None))
+        q = q_mean if score.quality is None else score.quality
+        l = l_mean if score.leaning is None else score.leaning
         if q is None or l is None:
             provenance = "unavailable"
         elif (q, l) != (score.quality, score.leaning):

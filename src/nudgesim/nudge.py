@@ -14,7 +14,8 @@ with identical acceptance mechanics.
 
 Randomness: one PCG64 substream per user, derived from the run seed and a
 SHA-256 hash of the user id, consuming exactly one uniform draw per stochastic
-decision — trajectories are reproducible across platforms.
+decision, and every float sum added left to right (``corpus.float_sum``) —
+trajectories are reproducible across platforms and Python versions.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .corpus import read_json, write_csv
+from .corpus import float_sum, read_json, write_csv
 from .embedding import NO_DIRECTION_NORM, SourceVectors, check_vector
 from .groundtruth import SourceScore
 
@@ -191,8 +192,8 @@ def _profiles(user_ids, trusted_sets, catalog: SourceCatalog, limits) -> list[Us
             user_id=user_id,
             sources=list(sources),
             limit=limit,
-            q_u=sum(quality[r] for r in rows) / len(rows),
-            l_u=sum(leaning[r] for r in rows) / len(rows),
+            q_u=float_sum(quality[r] for r in rows) / len(rows),
+            l_u=float_sum(leaning[r] for r in rows) / len(rows),
             v_u=means[i],
         )
         for i, (user_id, sources, limit, rows) in enumerate(zip(user_ids, trusted_sets, limits, members))
@@ -415,7 +416,7 @@ def _stakes(profiles: list[UserProfile], offers: list[int], catalog: SourceCatal
 def _shares(costs: list[float]) -> list[float]:
     """Drop shares in proportion to the costs: ``c / sum(costs)``, or
     uniform when every cost is zero."""
-    total = sum(costs)
+    total = float_sum(costs)
     if total == 0.0:
         return [1.0 / len(costs)] * len(costs)
     return [c / total for c in costs]

@@ -1110,6 +1110,53 @@ def test_unknown_subcommand_exits_2(capsys):
     assert code == 2
 
 
+def _vectors_params(path):
+    header = path.read_text(encoding="utf-8").splitlines()[0].split("\t")[1:]
+    return dict(part.split("=", 1) for part in header)
+
+
+def test_main_calls_in_a_row_carry_no_state(tmp_path, capsys, world_dir):
+    # the parser is built once per process; each call still starts from the
+    # table defaults, its own --config file and its own flags
+    assert cli.build_parser() is cli.build_parser()
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    first.write_text(json.dumps({"dims": 5, "seed": 3, "epochs": 2}), encoding="utf-8")
+    second.write_text(json.dumps({"seed": 11}), encoding="utf-8")
+    small = ["--walk-length", "5", "--walks-per-node", "1"]
+    csn = str(world_dir / "csn.tsv")
+    runs = [
+        (["--config", str(first), "embed", csn, "--out", str(tmp_path / "a.tsv")] + small, {"dims": "5", "seed": "3", "epochs": "2"}),
+        (["annotate", str(world_dir / "labels.csv"), csn, "--out", str(tmp_path / "scores.csv")], None),
+        (["embed", csn, "--out", str(tmp_path / "b.tsv"), "--epochs", "1"] + small, {"dims": "64", "seed": "0", "epochs": "1"}),
+        (["--config", str(second), "embed", csn, "--dims", "7", "--out", str(tmp_path / "c.tsv")] + small,
+         {"dims": "7", "seed": "11", "epochs": "5"}),
+    ]
+    for argv, expected in runs:
+        code, _, stderr = _run(capsys, argv)
+        assert code == 0, stderr
+        if expected:
+            params = _vectors_params(Path(argv[argv.index("--out") + 1]))
+            assert {key: params[key] for key in expected} == expected
+    code, help_text, _ = _run(capsys, ["--help"])
+    assert code == 0 and "build-csn" in help_text
+    assert _run(capsys, ["--help"]) == (0, help_text, "")
+    code, _, stderr = _run(capsys, ["embed"])
+    assert code == 2 and "required" in stderr
+    assert _run(capsys, ["embed", csn, "--out", str(tmp_path / "d.tsv")] + small)[0] == 0
+    assert _vectors_params(tmp_path / "d.tsv")["dims"] == "64"
+
+
+def test_embed_request_too_large_to_allocate_exits_1(tmp_path, capsys, world_dir):
+    # numpy refuses the vector table before allocating any of it
+    out = tmp_path / "vectors.tsv"
+    code, _, stderr = _run(capsys, ["embed", str(world_dir / "csn.tsv"), "--dims", "100000000000000",
+                                    "--walk-length", "2", "--walks-per-node", "1", "--out", str(out)])
+    assert code == 1
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert "Traceback" not in stderr
+    assert not out.exists()
+
+
 # ------------------------------------------------------------ reproducibility
 
 

@@ -634,3 +634,17 @@ def test_write_pairs_tsv_round_trips_exact_similarity(tmp_path, fixture_pairs):
             p.later_source,
         )
         assert float(sim) == p.similarity
+
+
+def test_float_sum_adds_left_to_right():
+    # Python 3.12's sum() compensates and gives 0.6 here
+    assert corpus.float_sum([0.1, 0.2, 0.3]) == 0.6000000000000001
+    assert corpus.float_sum([]) == 0.0 and type(corpus.float_sum([])) is float
+    rng = random.Random(3)
+    for _ in range(200):
+        values = [rng.uniform(-1e3, 1e3) * 10.0 ** rng.randint(-8, 8) for _ in range(rng.randint(1, 7))]
+        total = 0.0
+        for v in values:
+            total += v
+        assert corpus.float_sum(values) == total
+        assert corpus.float_sum(iter(values)) == total

@@ -131,11 +131,17 @@ def test_generate_walks_rejects_bad_bias():
 # ---------------------------------------------------------------- walks
 
 
+def _named(nodes, walks):
+    """The walks with each node index replaced by its name in ``nodes``."""
+    return [[nodes[i] for i in walk] for walk in walks]
+
+
 def test_walks_cover_every_node_each_round():
     graph = _graph({("a", "b"): 0.5, ("b", "c"): 0.5, ("c", "a"): 0.5})
     walks = generate_walks(graph, np.random.default_rng(1), walk_length=5, walks_per_node=3)
     assert len(walks) == 9
-    assert [w[0] for w in walks] == ["a", "b", "c"] * 3
+    assert [w[0] for w in walks] == [0, 1, 2] * 3
+    assert all(type(i) is int for walk in walks for i in walk)
 
 
 def test_walks_truncate_at_dead_end():
@@ -144,7 +150,7 @@ def test_walks_truncate_at_dead_end():
     walks = generate_walks(
         graph, np.random.default_rng(2), walk_length=10, walks_per_node=1, directed=True
     )
-    assert walks == [["a", "b", "c"], ["b", "c"], ["c"]]
+    assert _named(graph.nodes, walks) == [["a", "b", "c"], ["b", "c"], ["c"]]
 
 
 def test_walks_undirected_view_sums_reciprocal_weights():
@@ -152,7 +158,7 @@ def test_walks_undirected_view_sums_reciprocal_weights():
     # only move is to b regardless of direction
     graph = _graph({("a", "b"): 0.25, ("b", "a"): 0.5})
     walks = generate_walks(graph, np.random.default_rng(3), walk_length=4, walks_per_node=1)
-    assert walks == [["a", "b", "a", "b"], ["b", "a", "b", "a"]]
+    assert _named(graph.nodes, walks) == [["a", "b", "a", "b"], ["b", "a", "b", "a"]]
 
 
 def _cached_uint32(seed):
@@ -196,15 +202,13 @@ def test_walks_leave_generator_one_uniform_per_step(edges, walk_kwargs, make_rng
     assert rng.bit_generator.state == reference.bit_generator.state
     if walk_kwargs.get("p", 1.0) == 1.0 == walk_kwargs.get("q", 1.0):
         view = graph.weights if walk_kwargs.get("directed") else graph.undirected
-        position = {node: i for i, node in enumerate(graph.nodes)}
         draws = iter(uniforms)
         for walk in walks:
-            for cur, nxt in zip(walk, walk[1:]):
-                i = position[cur]
+            for i, nxt in zip(walk, walk[1:]):
                 ids = view.indices[view.indptr[i] : view.indptr[i + 1]]
                 cum = np.cumsum(view.data[view.indptr[i] : view.indptr[i + 1]]).tolist()
                 idx = min(bisect.bisect_right(cum, next(draws) * cum[-1]), len(ids) - 1)
-                assert graph.nodes[ids[idx]] == nxt
+                assert ids[idx] == nxt
     if walk_kwargs["walk_length"] == 1:
         assert steps_taken == 0
     if walk_kwargs.get("directed"):
@@ -254,11 +258,12 @@ def test_walks_deterministic_for_seed():
 def test_world_walks_match_golden_digest(p, q, digest):
     # digests of the per-step numpy cumsum + searchsorted sampler; any change
     # to the draws or the float arithmetic of a step changes them
+    graph = synthetic.world_graph()
     walks = generate_walks(
-        synthetic.world_graph(), np.random.default_rng(2024), p=p, q=q,
+        graph, np.random.default_rng(2024), p=p, q=q,
         walk_length=40, walks_per_node=6,
     )
-    text = "\n".join("\t".join(walk) for walk in walks)
+    text = "\n".join("\t".join(walk) for walk in _named(graph.nodes, walks))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
@@ -274,6 +279,7 @@ def test_first_order_transitions_match_markov_matrix():
     walks = generate_walks(
         graph, np.random.default_rng(7), walk_length=400, walks_per_node=60
     )
+    walks = _named(graph.nodes, walks)
     counts = collections.Counter()
     for walk in walks:
         for cur, nxt in zip(walk, walk[1:]):
@@ -294,6 +300,7 @@ def test_second_order_transitions_match_biased_distribution():
     walks = generate_walks(
         graph, np.random.default_rng(8), p=p_, q=q_, walk_length=120, walks_per_node=300
     )
+    walks = _named(graph.nodes, walks)
     following = collections.Counter()
     for walk in walks:
         for prev, cur, nxt in zip(walk, walk[1:], walk[2:]):
@@ -310,24 +317,28 @@ def test_second_order_transitions_match_biased_distribution():
 # ---------------------------------------------------------------- training
 
 
+_TOY_NODES = ["a", "b", "c", "d"]
+
+
 def _toy_walks():
     graph = _graph({("a", "b"): 0.5, ("b", "c"): 0.5, ("c", "a"): 0.5, ("c", "d"): 0.5})
+    assert graph.nodes == _TOY_NODES
     return generate_walks(graph, np.random.default_rng(20), walk_length=15, walks_per_node=6)
 
 
 def test_train_deterministic_and_seed_sensitive():
     walks = _toy_walks()
-    first = train_embeddings(walks, np.random.default_rng(30), dims=8, epochs=2)
-    second = train_embeddings(walks, np.random.default_rng(30), dims=8, epochs=2)
+    first = train_embeddings(walks, _TOY_NODES, np.random.default_rng(30), dims=8, epochs=2)
+    second = train_embeddings(walks, _TOY_NODES, np.random.default_rng(30), dims=8, epochs=2)
     for node in first.vectors:
         assert np.array_equal(first.vectors[node], second.vectors[node])
-    other = train_embeddings(walks, np.random.default_rng(31), dims=8, epochs=2)
+    other = train_embeddings(walks, _TOY_NODES, np.random.default_rng(31), dims=8, epochs=2)
     assert any(not np.array_equal(first.vectors[n], other.vectors[n]) for n in first.vectors)
 
 
 def test_train_vocabulary_and_shape():
-    result = train_embeddings(_toy_walks(), np.random.default_rng(1), dims=12, epochs=1)
-    assert sorted(result.vectors) == ["a", "b", "c", "d"]
+    result = train_embeddings(_toy_walks(), _TOY_NODES, np.random.default_rng(1), dims=12, epochs=1)
+    assert list(result.vectors) == _TOY_NODES
     assert result.dims == 12
     assert all(v.shape == (12,) for v in result.vectors.values())
     assert result.params["dims"] == "12"
@@ -336,9 +347,22 @@ def test_train_vocabulary_and_shape():
 
 def test_train_rejects_bad_input():
     with pytest.raises(ValueError, match="empty"):
-        train_embeddings([], np.random.default_rng(0))
+        train_embeddings([], [], np.random.default_rng(0))
+    with pytest.raises(ValueError, match="empty"):
+        train_embeddings([[]], ["a"], np.random.default_rng(0))
     with pytest.raises(ValueError, match="hyperparameters"):
-        train_embeddings([["a", "b"]], np.random.default_rng(0), dims=0)
+        train_embeddings([[0, 1]], ["a", "b"], np.random.default_rng(0), dims=0)
+
+
+def test_train_vocabulary_is_the_visited_nodes_in_index_order():
+    # a node no walk visits gets no vector, and the others keep the rows
+    # (and so the initial draws) of their index order
+    walks = [[2, 0, 2], [0]]
+    result = train_embeddings(walks, ["x", "y", "z"], np.random.default_rng(3), dims=4, epochs=1)
+    assert list(result.vectors) == ["x", "z"]
+    same = train_embeddings([[1, 0, 1], [0]], ["x", "z"], np.random.default_rng(3), dims=4, epochs=1)
+    for node in ("x", "z"):
+        assert np.array_equal(result.vectors[node], same.vectors[node])
 
 
 def _replica_train(walks, rng, dims, window, negatives, epochs, learning_rate):
@@ -393,14 +417,14 @@ def _replica_train(walks, rng, dims, window, negatives, epochs, learning_rate):
 def test_train_matches_scalar_block_replica(negatives):
     # a walk of one node and walks that straddle block boundaries; every
     # block repeats nodes in both centers and contexts
-    walks = _toy_walks() + [["d"], ["a", "b"]]
+    walks = _toy_walks() + [[3], [0, 1]]  # ["d"], ["a", "b"]
     positions = sum(len(walk) for walk in walks)
     assert positions > 2 * TRAIN_BLOCK and positions % TRAIN_BLOCK
     params = dict(dims=5, window=3, negatives=negatives, epochs=2, learning_rate=0.05)
     rng = np.random.default_rng(77)
-    result = train_embeddings(walks, rng, **params)
+    result = train_embeddings(walks, _TOY_NODES, rng, **params)
     replay = np.random.default_rng(77)
-    expected = _replica_train(walks, replay, **params)
+    expected = _replica_train(_named(_TOY_NODES, walks), replay, **params)
     assert sorted(result.vectors) == sorted(expected)
     for node, vector in expected.items():
         np.testing.assert_allclose(result.vectors[node], vector, rtol=0, atol=1e-12)
@@ -422,9 +446,9 @@ def test_train_window_far_beyond_walks_is_cheap_and_unchanged():
     # even be asked for, so a trainer that builds them fails at once
     graph = _graph({("a", "b"): 0.5, ("b", "c"): 0.5, ("c", "a"): 0.5, ("c", "d"): 0.5})
     walks = generate_walks(graph, np.random.default_rng(20), walk_length=10, walks_per_node=6)
-    result = train_embeddings(walks, np.random.default_rng(40), dims=8, window=20000, epochs=2)
+    result = train_embeddings(walks, graph.nodes, np.random.default_rng(40), dims=8, window=20000, epochs=2)
     assert _vectors_digest(result) == "ff2804004b13a58d06ea418cd0a712992beeb663e45046718ec59f0efdd01564"
-    huge = train_embeddings(walks, np.random.default_rng(40), dims=8, window=2**62, epochs=2)
+    huge = train_embeddings(walks, graph.nodes, np.random.default_rng(40), dims=8, window=2**62, epochs=2)
     assert huge.params["window"] == str(2**62)
     assert all(np.isfinite(v).all() for v in huge.vectors.values())
 
@@ -471,7 +495,7 @@ def test_train_logs_mean_loss_per_epoch(caplog):
     negatives, epochs = 4, 3
     with caplog.at_level(logging.INFO, logger="nudgesim.embedding"):
         train_embeddings(
-            _toy_walks(), np.random.default_rng(5), dims=8, negatives=negatives, epochs=epochs
+            _toy_walks(), _TOY_NODES, np.random.default_rng(5), dims=8, negatives=negatives, epochs=epochs
         )
     losses = [
         float(m.group(1))

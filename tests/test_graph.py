@@ -234,6 +234,102 @@ def test_load_graph_reports_line_numbers(tmp_path):
         load_graph(path)
 
 
+_TWO_NODES = "#csn v1\n#node\ta\t2\n#node\tb\t4\n"
+
+
+# one malformed file per rule; each message and line number is the one the
+# per-line loader gave before the checks were vectorized
+_REJECTIONS = [
+    ("header", "#csn v2\n", "PATH:1: expected header '#csn v1', got '#csn v2'"),
+    ("node-fields", "#csn v1\n#node\ta\n", "PATH:2: malformed line (expected '#node\\tsource\\tcount')"),
+    ("node-after-edge", _TWO_NODES + "a\tb\t1\t0.25\n#node\tc\t1\n",
+     "PATH:5: malformed line (#node line after the first edge line)"),
+    ("duplicate-node", _TWO_NODES + "#node\ta\t3\n", "PATH:4: malformed line (duplicate node 'a')"),
+    ("count-not-int", "#csn v1\n#node\ta\tmany\n",
+     "PATH:2: malformed line (invalid literal for int() with base 10: 'many')"),
+    ("name-empty", "#csn v1\n#node\t\t2\n",
+     "PATH:2: malformed line (source '' is empty, starts with '#' or holds a tab or line break)"),
+    ("count-zero", "#csn v1\n#node\ta\t0\n",
+     "PATH:2: malformed line (source 'a': article count 0 is not an integer >= 1)"),
+    ("edge-fields", _TWO_NODES + "a\tb\t1\n", "PATH:4: malformed line (expected 'from\\tto\\traw\\tweight')"),
+    ("duplicate-edge", _TWO_NODES + "a\tb\t1\t0.25\na\tb\t1\t0.25\n",
+     "PATH:5: malformed line (duplicate edge 'a'->'b')"),
+    ("raw-not-int", _TWO_NODES + "a\tb\tone\t0.25\n",
+     "PATH:4: malformed line (invalid literal for int() with base 10: 'one')"),
+    ("self-loop", _TWO_NODES + "a\ta\t1\t0.5\n", "PATH:4: malformed line (self-loop on 'a')"),
+    ("unknown-endpoint", _TWO_NODES + "a\tc\t1\t0.5\n",
+     "PATH:4: malformed line (edge endpoint missing from nodes: 'a'->'c')"),
+    ("raw-zero", _TWO_NODES + "a\tb\t0\t0.0\n",
+     "PATH:4: malformed line (edge 'a'->'b': raw count 0 is not an integer >= 1)"),
+    ("raw-over-count", _TWO_NODES + "b\ta\t3\t1.5\n",
+     "PATH:4: malformed line (edge 'b'->'a': 3 copier articles exceed the 2 articles 'a' "
+     "published (weight outside (0, 1]))"),
+    ("weight-not-float", _TWO_NODES + "a\tb\t1\tquarter\n",
+     "PATH:4: malformed line (could not convert string to float: 'quarter')"),
+    ("weight-mismatch", _TWO_NODES + "a\tb\t1\t0.3\n",
+     "PATH:4: malformed line (weight 0.3 is not raw / article count 0.25)"),
+    # with several faults the first line in file order speaks, blank lines
+    # counted, and on one line the rule of the column read first
+    ("earlier-line-first", _TWO_NODES + "a\tb\t1\t0.3\nb\tb\t1\t0.25\n",
+     "PATH:4: malformed line (weight 0.3 is not raw / article count 0.25)"),
+    ("earlier-line-before-shape", _TWO_NODES + "a\tb\t1\t0.3\nb\ta\n",
+     "PATH:4: malformed line (weight 0.3 is not raw / article count 0.25)"),
+    ("blank-lines-counted", "#csn v1\n\n#node\ta\t2\n\n#node\tb\t0\n",
+     "PATH:5: malformed line (source 'b': article count 0 is not an integer >= 1)"),
+    ("duplicate-before-raw", _TWO_NODES + "a\tb\t1\t0.25\na\tb\tone\t0.25\n",
+     "PATH:5: malformed line (duplicate edge 'a'->'b')"),
+    ("self-loop-before-weight", _TWO_NODES + "a\ta\t1\tquarter\n", "PATH:4: malformed line (self-loop on 'a')"),
+    ("count-before-name", "#csn v1\n#node\t#a\tmany\n",
+     "PATH:2: malformed line (invalid literal for int() with base 10: 'many')"),
+]
+
+
+@pytest.mark.parametrize("text, expected", [pytest.param(t, e, id=i) for i, t, e in _REJECTIONS])
+def test_load_graph_rejection_table(tmp_path, text, expected):
+    path = tmp_path / "csn.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as caught:
+        load_graph(path)
+    assert str(caught.value).replace(str(path), "PATH") == expected
+
+
+def test_graph_arrays_and_lazy_views(tmp_path, fixture_csn):
+    from nudgesim import synthetic
+    from nudgesim.embedding import embed_graph
+    from nudgesim.groundtruth import read_labels_csv, score_sources
+
+    path = tmp_path / "csn.tsv"
+    save_graph(fixture_csn, path)
+    graph = load_graph(path)
+    # the pipeline reads the arrays and never builds a name-keyed view
+    score_sources(read_labels_csv(synthetic.fixture_labels_path()), graph)
+    embed_graph(graph, seed=1, dims=4, walk_length=5, walks_per_node=1, epochs=1)
+    save_graph(graph, tmp_path / "again.tsv")
+    assert not {"edges", "raw_counts", "article_counts", "index"} & set(vars(graph))
+    assert graph.src.dtype == graph.dst.dtype == np.intp
+    assert graph.raw.tolist() == list(fixture_csn.raw_counts.values())
+    assert graph.article_count.tolist() == [fixture_csn.article_counts[n] for n in graph.nodes]
+    pairs = [(graph.nodes[s], graph.nodes[d]) for s, d in zip(graph.src, graph.dst)]
+    assert pairs == sorted(fixture_csn.edges) == list(graph.edges)
+    assert graph.weights.data.tolist() == list(fixture_csn.edges.values())
+
+
+def test_graph_counts_beyond_int64_stay_exact(tmp_path):
+    # counts too large for int64 are compared and divided as Python ints
+    big = 10**20 + 1
+    graph = CsnGraph(raw_counts={("a", "b"): 10**20}, article_counts={"a": 1, "b": big})
+    assert graph.edges == {("a", "b"): 10**20 / big}
+    path = tmp_path / "csn.tsv"
+    save_graph(graph, path)
+    assert load_graph(path).raw_counts == {("a", "b"): 10**20}
+    with pytest.raises(ValueError, match=f"{big} copier articles exceed the 3 articles"):
+        CsnGraph(raw_counts={("a", "b"): big}, article_counts={"a": 1, "b": 3})
+    with pytest.raises(ValueError, match=r"source 'b': article count 2\.0 is not an integer"):
+        CsnGraph(raw_counts={}, article_counts={"a": 1, "b": 2.0})
+    with pytest.raises(ValueError, match="raw count True is not an integer"):
+        CsnGraph(raw_counts={("a", "b"): True}, article_counts={"a": 1, "b": 2})
+
+
 _FUZZ_NAMES = st.sampled_from(["a", "b", "c", "", "#node"])
 _FUZZ_INTS = st.one_of(st.integers(-2, 5).map(str), st.sampled_from(["", "x", "1.0"]))
 _FUZZ_WEIGHTS = st.one_of(  # mostly raw / count for small ints, so that some edges load
