@@ -38,9 +38,12 @@ _PAIR_BLOCK = 512
 _UNINDEXED_MARGIN = 0.05
 
 _TOKEN_RE = re.compile(r"[^\W_]+")  # runs of alphanumeric codepoints
-# every ASCII code point that _TOKEN_RE does not match becomes a space, so
-# str.split gives an ASCII text's runs at C speed
-_ASCII_GAPS = {c: " " for c in range(128) if not _TOKEN_RE.fullmatch(chr(c))}
+# lowercases each ASCII byte that _TOKEN_RE matches and makes every other
+# ASCII byte a space, so bytes.split gives an ASCII text's runs at C speed;
+# bytes from 128 up, which an ASCII text has none of, stay as they are
+_ASCII_TABLE = bytes(
+    ord(chr(c).lower()) if _TOKEN_RE.fullmatch(chr(c)) else ord(" ") for c in range(128)
+) + bytes(range(128, 256))
 # splits a field or a line of pairs.tsv and csn.tsv
 _TSV_BREAK_RE = re.compile(r"[\t\r\n]")
 # a lone surrogate (a JSON escape such as "\ud800") cannot be written as UTF-8
@@ -132,8 +135,11 @@ def float_sum(values) -> float:
 
 def check_source_name(name: str) -> None:
     """Reject a source name that ``pairs.tsv`` and ``csn.tsv`` cannot hold
-    and read back: an empty name, one starting with ``#``, holding a tab or
-    line break, or holding a lone surrogate, which is not UTF-8."""
+    and read back: one that is not a string, an empty name, one starting
+    with ``#``, holding a tab or line break, or holding a lone surrogate,
+    which is not UTF-8."""
+    if not isinstance(name, str):
+        raise ValueError(f"source {name!r} is not a string but {type(name).__name__}")
     if not name or name.startswith("#") or _TSV_BREAK_RE.search(name):
         raise ValueError(f"source {name!r} is empty, starts with '#' or holds a tab or line break")
     if _SURROGATE_RE.search(name):
@@ -154,7 +160,7 @@ def _article_from_record(record: dict) -> Article:
         raise ValueError(f"{article_id!r} holds a lone surrogate, which is not UTF-8")
     check_source_name(source_id)
     body = str(record["content"])
-    if not body.strip():
+    if not body or body.isspace():
         raise ValueError("empty body")
     return Article(
         article_id=article_id,
@@ -274,26 +280,25 @@ def load_articles(path) -> ArticleSet:
     return ArticleSet(articles=articles, skipped=skipped)
 
 
-def _runs(text: str) -> list[str]:
+def _runs(text: str) -> list[bytes]:
     """The maximal alphanumeric runs of ``text.lower()``, as
-    ``_TOKEN_RE.findall`` gives them; an ASCII text takes the same runs from
-    ``str.translate`` and ``str.split``."""
-    text = text.lower()
+    ``_TOKEN_RE.findall`` gives them, each encoded as UTF-8; an ASCII text
+    takes the same runs from ``bytes.translate`` and ``bytes.split``."""
     if text.isascii():
-        return text.translate(_ASCII_GAPS).split()
-    return _TOKEN_RE.findall(text)
+        return text.encode("ascii").translate(_ASCII_TABLE).split()
+    return [run.encode() for run in _TOKEN_RE.findall(text.lower())]
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase tokens split on non-alphanumeric codepoints; tokens shorter
     than two characters are dropped. No stop-word removal."""
-    return [t for t in _runs(text) if len(t) >= 2]
+    return [t for t in map(bytes.decode, _runs(text)) if len(t) >= 2]
 
 
 class _FirstSeen(dict):
     """Numbers each new key with the count of keys before it."""
 
-    def __missing__(self, key: str) -> int:
+    def __missing__(self, key: bytes) -> int:
         self[key] = value = len(self)
         return value
 
@@ -309,24 +314,30 @@ def tfidf_vectors(articles: ArticleSet) -> TfidfResult:
     if n_docs == 0:
         raise ValueError("tfidf_vectors requires at least one article")
 
-    # run ids in first-seen order, one article at a time, so no article's run
-    # strings outlive it; one-character runs are dropped and the rest
-    # renumbered to lexicographic order below, once per distinct run. The ids
-    # are C ints, 4 bytes each, read by numpy in place
+    # run ids in first-seen order, one article at a time, so no article's runs
+    # outlive it. The space keeps title and body apart: no run, and no
+    # lowercasing (a final sigma), crosses it. The ids are C ints, 4 bytes
+    # each, read by numpy in place
     first_seen = _FirstSeen()
     ids = array("i")
     ends = [0]
     for a in articles.articles:
-        ids.extend(map(first_seen.__getitem__, _runs(a.title)))
-        ids.extend(map(first_seen.__getitem__, _runs(a.body)))
+        ids.extend(map(first_seen.__getitem__, _runs(a.title + " " + a.body)))
         ends.append(len(ids))
-    terms = sorted(run for run in first_seen if len(run) >= 2)
+    # each run is decoded as it leaves the dict, the last first, so the bytes
+    # and the strings of all runs are never held at once
+    decoded = [first_seen.popitem()[0].decode() for _ in range(len(first_seen))]
+    decoded.reverse()
+    del first_seen
+    # a one-character run is dropped by its decoded length: a two-byte é is
+    # one character
+    terms = sorted(run for run in decoded if len(run) >= 2)
     vocabulary = {term: idx for idx, term in enumerate(terms)}
     # each run's term id, or -1 for a one-character run
     rank = np.fromiter(
-        (vocabulary.get(run, -1) for run in first_seen), dtype=np.int32, count=len(first_seen)
+        (vocabulary.get(run, -1) for run in decoded), dtype=np.int32, count=len(decoded)
     )
-    del first_seen
+    del decoded
     token_terms = rank[np.frombuffer(ids, dtype=np.intc)]
     del ids, rank
     kept = token_terms >= 0
@@ -341,8 +352,12 @@ def tfidf_vectors(articles: ArticleSet) -> TfidfResult:
     del indices
     matrix.sum_duplicates()
 
-    df = np.bincount(matrix.indices, minlength=len(terms))
-    idf = np.array([math.log((1 + n_docs) / (1 + count)) + 1.0 for count in df.tolist()])
+    # one log per distinct document frequency
+    frequencies, df = np.unique(
+        np.bincount(matrix.indices, minlength=len(terms)), return_inverse=True
+    )
+    idf = np.array([math.log((1 + n_docs) / (1 + count)) + 1.0 for count in frequencies.tolist()])[df]
+    del df
     matrix.data *= idf[matrix.indices]
     rows = np.repeat(np.arange(n_docs), np.diff(matrix.indptr))
     norms = np.sqrt(np.bincount(rows, weights=matrix.data**2, minlength=n_docs))

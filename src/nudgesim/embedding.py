@@ -186,10 +186,11 @@ def generate_walks(
     return walks
 
 
-def _add_damped(w, rows, coef, vecs, width, trace) -> None:
-    """Add ``coef[j] * vecs[j // width]`` to row ``rows[j]`` of ``w`` for every
-    term j, as one sparse (node x pair) matrix, ``width`` terms per column,
-    times ``vecs``.
+def _add_damped(w, rows, coef, vecs, indptr, trace) -> None:
+    """Add ``coef[j] * vecs[c]`` to row ``rows[j]`` of ``w`` for every term j
+    of column c, whose terms are ``indptr[c]`` up to ``indptr[c + 1]``, as one
+    sparse (row x column) matrix times ``vecs``. Each row of ``w`` takes the
+    sum of its own terms, added in term order from 0.0.
 
     ``trace[j]`` is the term's curvature, alpha * sigma' * |other vector|^2.
     A row whose terms sum to a curvature trace c takes its summed step scaled
@@ -199,11 +200,7 @@ def _add_damped(w, rows, coef, vecs, width, trace) -> None:
     summed step would overshoot, cannot.
     """
     damp = 1.0 / np.maximum(1.0, 2.0 * np.bincount(rows, weights=trace, minlength=len(w)))
-    scatter = csc_matrix(
-        (coef * damp[rows], rows, np.arange(0, len(rows) + 1, width)),
-        shape=(len(w), len(vecs)),
-    )
-    w += scatter @ vecs
+    w += csc_matrix((coef * damp[rows], rows, indptr), shape=(len(w), len(vecs))) @ vecs
 
 
 def _noise_lookup(noise_cum: np.ndarray):
@@ -289,8 +286,9 @@ def train_embeddings(
     noise_cum[-1] = 1.0
     noise_rows = _noise_lookup(noise_cum)
 
-    w_in = (rng.random((n, dims)) - 0.5) / dims
-    w_out = np.zeros((n, dims))
+    # input vectors in rows [0, n), output vectors in rows [n, 2n)
+    w = np.zeros((2 * n, dims))
+    w[:n] = (rng.random((n, dims)) - 0.5) / dims
 
     walk_end = np.repeat(np.cumsum(lengths), lengths)
     walk_start = walk_end - np.repeat(lengths, lengths)
@@ -319,16 +317,23 @@ def train_embeddings(
             )
             at, _ = np.nonzero(keep)
             pairs = len(at)
-            centers = tokens[t[at]]
-            rows = np.empty((pairs, negatives + 1), dtype=np.intp)
+            # the terms of a block: a column per pair for its center's input
+            # row, then a column per pair for its context and negative rows
+            terms = np.empty(pairs * (negatives + 2), dtype=np.int32)
+            centers, rows = terms[:pairs], terms[pairs:].reshape(pairs, negatives + 1)
+            centers[:] = tokens[t[at]]
             rows[:, 0] = tokens[ctx[keep]]
             rows[:, 1:] = noise_rows(rng.random((pairs, negatives)))
+            rows += n
             alpha = np.maximum(
                 min_alpha, learning_rate * (1.0 - (epoch * positions + t[at]) / total)
             )
 
-            v = w_in[centers]
-            h = w_out[rows]
+            # the input rows' gradients, then the center vectors
+            vecs = np.empty((2 * pairs, dims))
+            v = vecs[pairs:]
+            v[:] = w[centers]
+            h = w[rows]
             scores = np.einsum("pkd,pd->pk", h, v)
             if track_loss:
                 loss_sum += float(np.logaddexp(0.0, -signs * scores).sum())
@@ -336,15 +341,17 @@ def train_embeddings(
             sig = expit(scores)
             g = (labels - sig) * alpha[:, None]
             curvature = alpha[:, None] * sig * (1.0 - sig)
-            grad_in = np.einsum("pk,pkd->pd", g, h)
-            _add_damped(
-                w_in, centers, np.ones(pairs), grad_in, 1,
+            np.einsum("pk,pkd->pd", g, h, out=vecs[:pairs])
+            coef = np.concatenate((np.ones(pairs), g.ravel()))
+            trace = np.concatenate((
                 (curvature * np.einsum("pkd,pkd->pk", h, h)).sum(axis=1),
-            )
-            _add_damped(
-                w_out, rows.ravel(), g.ravel(), v, negatives + 1,
                 (curvature * np.einsum("pd,pd->p", v, v)[:, None]).ravel(),
-            )
+            ))
+            indptr = np.concatenate((
+                np.arange(pairs, dtype=np.int32),
+                np.arange(pairs, len(terms) + 1, negatives + 1, dtype=np.int32),
+            ))
+            _add_damped(w, terms, coef, vecs, indptr, trace)
         if track_loss and pair_count:
             logger.info(
                 "skip-gram epoch %d/%d: mean loss %.4f per pair over %d pairs",
@@ -353,7 +360,7 @@ def train_embeddings(
                 loss_sum / pair_count,
                 pair_count,
             )
-    vectors = {nodes[i]: w_in[r].copy() for r, i in enumerate(vocab.tolist())}
+    vectors = {nodes[i]: w[r].copy() for r, i in enumerate(vocab.tolist())}
     return SourceVectors(
         dims=dims,
         vectors=vectors,

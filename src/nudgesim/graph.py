@@ -212,6 +212,11 @@ def build_csn(pairs: list[CopyPair], article_counts: dict[str, int]) -> CsnGraph
     """
     earlier, later = [p.earlier_source for p in pairs], [p.later_source for p in pairs]
     copies = [p.later for p in pairs]
+    # the sort below compares names, so a name that is not a string is
+    # refused first
+    if set(map(type, earlier + later)) - {str}:
+        for name in earlier + later:
+            check_source_name(name)
     sources = sorted(set(earlier) | set(later))
     index = {source: i for i, source in enumerate(sources)}
     article = dict(zip(copies, range(len(pairs))))  # a number per later article: its last pair

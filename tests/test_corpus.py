@@ -96,10 +96,12 @@ def test_tokenize_empty():
     assert corpus.tokenize("— ※ !") == []
 
 
-# ASCII text is split by str.translate and str.split, any other by the regex:
-# every ASCII code point (str.split's own whitespace \x1c-\x1f included) and
-# a few separators that are not ASCII, where the two paths could part
-_ASCII_HEAVY = st.text(alphabet=st.sampled_from([chr(c) for c in range(128)] + list("\u00a0’—\u3000")))
+# ASCII text is split by bytes.translate and bytes.split, any other by the
+# regex: every ASCII code point (\x1c-\x1f, whitespace to str.split but not
+# to bytes.split, included) and a few separators that are not ASCII, where
+# the two paths could part
+_ASCII_HEAVY_CHARS = [chr(c) for c in range(128)] + list("\u00a0’—\u3000")
+_ASCII_HEAVY = st.text(alphabet=st.sampled_from(_ASCII_HEAVY_CHARS))
 
 
 @settings(max_examples=300, deadline=None)
@@ -325,6 +327,51 @@ def test_tfidf_flags_tokenless_articles(fixture_articles, fixture_tfidf, caplog)
     with caplog.at_level("WARNING", logger="nudgesim.corpus"):
         corpus.tfidf_vectors(fixture_articles)
     assert "1 article(s) with no usable tokens" in caplog.text
+
+
+# a text field for tfidf_vectors, which joins title and body with a space and
+# tokenizes them as UTF-8 bytes: letters of two bytes, the two lowercase
+# sigmas and the capital one whose lowercase depends on its neighbours, a
+# capital that lowercases to two code points, and a combining accent
+_FIELD = st.text(alphabet=st.sampled_from(_ASCII_HEAVY_CHARS + list("éßΣς’İ\u0301")), max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fields=st.lists(st.tuples(_FIELD, _FIELD), min_size=1, max_size=6))
+@example(fields=[("ab", "cd")])
+@example(fields=[("ΑΣ", "Σα"), ("x", "é x ab")])
+def test_tfidf_tokenizes_title_and_body_each_on_its_own(fields):
+    bodies = _dated_articles([body for _, body in fields])
+    arts = [replace(a, title=title) for a, (title, _) in zip(bodies, fields)]
+    result = corpus.tfidf_vectors(corpus.ArticleSet(arts))
+    tokens = [corpus.tokenize(title) + corpus.tokenize(body) for title, body in fields]
+    assert list(result.vocabulary) == sorted(set().union(*tokens))
+    assert list(result.vocabulary.values()) == list(range(len(result.vocabulary)))
+    expected = oracle_tfidf(arts)
+    for i, (article, doc) in enumerate(zip(arts, tokens)):
+        row = _row(result, i)
+        assert sorted(row) == sorted(result.vocabulary[t] for t in set(doc))
+        want = expected[article.article_id]
+        for term, weight in want.items():
+            assert row[result.vocabulary[term]] == pytest.approx(weight, abs=1e-12)
+
+
+def test_tfidf_drops_a_run_of_one_character_however_many_bytes():
+    # é is one character in two UTF-8 bytes
+    result = corpus.tfidf_vectors(corpus.ArticleSet(_dated_articles(["é x ab"])))
+    assert result.vocabulary == {"ab": 0}
+    assert _row(result, 0) == {0: 1.0}
+
+
+def test_load_articles_skips_a_body_of_whitespace_only(tmp_path, caplog):
+    path = tmp_path / "articles.jsonl"
+    bodies = ["", " \t", "\u3000\x1c\u2028", "\u00a0x"]
+    _write_jsonl(path, [_record(f"a{i}", content=body) for i, body in enumerate(bodies)])
+    with caplog.at_level("WARNING", logger="nudgesim.corpus"):
+        result = corpus.load_articles(path)
+    assert [a.article_id for a in result.articles] == ["a3"]
+    assert result.skipped == 3
+    assert sum("(empty body)" in r.message for r in caplog.records) == 3
 
 
 def test_tfidf_empty_corpus_raises():

@@ -1,7 +1,8 @@
 """The demo scripts import only names the package still provides, and each
 runs to completion; no package module imports a private name from another,
-no writer formats a value with repr, and the simulator writes its trust-cost
-formula and no-direction rule once each."""
+no writer formats a value with repr, the simulator writes its trust-cost
+formula and no-direction rule once each, and the tokenizer rule is written
+once."""
 
 import ast
 import importlib
@@ -92,6 +93,31 @@ def test_package_writes_the_trust_cost_and_the_no_direction_rule_once():
                 norm_tests.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert not norm_tests, norm_tests
     assert len(formulas) == 1, formulas
+
+
+
+def test_package_writes_the_tokenizer_rule_once():
+    # corpus._runs is the one tokenizer: a second _TOKEN_RE.findall, or a
+    # str.translate with a table of its own, is a copy that can drift. A
+    # translate on the result of encode() is the bytes one in _runs
+    runs, str_translates = [], []
+    for path in sorted(Path(nudgesim.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                    continue
+                where = f"{path.name}:{func.name}: {ast.unparse(node)}"
+                if ast.unparse(node.func) == "_TOKEN_RE.findall":
+                    runs.append(where)
+                receiver = node.func.value
+                on_bytes = isinstance(receiver, ast.Call) and getattr(receiver.func, "attr", None) == "encode"
+                if node.func.attr == "translate" and not on_bytes:
+                    str_translates.append(where)
+    assert len(runs) == 1 and runs[0].startswith("corpus.py:_runs: "), runs
+    assert not str_translates, str_translates
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)

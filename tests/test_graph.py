@@ -186,6 +186,17 @@ def test_graph_rejects_node_names_save_graph_cannot_write(name):
         CsnGraph(raw_counts={(name, "b"): 1}, article_counts={name: 2, "b": 2})
 
 
+def test_graph_rejects_a_node_name_that_is_not_a_string():
+    with pytest.raises(ValueError, match=r"^source 1 is not a string but int$"):
+        CsnGraph(raw_counts={}, article_counts={1: 2})
+
+
+def test_build_csn_rejects_a_source_that_is_not_a_string_before_sorting():
+    # "a" and 7 cannot be sorted together: the name is refused before the sort
+    with pytest.raises(ValueError, match=r"^source 7 is not a string but int$"):
+        build_csn([CopyPair("x", "y", 0.9, "a", 7)], {"a": 1, 7: 1})
+
+
 def test_load_graph_rejects_node_name_starting_with_hash(tmp_path):
     path = tmp_path / "csn.tsv"
     path.write_text("#csn v1\n#node\t#a\t2\n#node\tb\t2\n#a\tb\t1\t0.5\n", encoding="utf-8")
