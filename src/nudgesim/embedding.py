@@ -415,13 +415,17 @@ def embed_graph(
 def save_vectors(vectors: SourceVectors, path) -> None:
     """Header line with hyperparameters, then one tab-separated row per
     source. Components are written as their shortest round-trip decimal, so
-    loads are exact. Every source id and row shape is checked before the
-    file is opened."""
-    rows = sorted(vectors.vectors.items())
-    for node, row in rows:
+    loads are exact. Every source id, then every row's shape and
+    :func:`check_vector`, is checked before the rows are sorted and before
+    the file is opened, so that no file is written that :func:`load_vectors`
+    would refuse."""
+    for node in vectors.vectors:
         check_source_name(node)
+    for node, row in vectors.vectors.items():
         if row.shape != (vectors.dims,):
             raise ValueError(f"{node!r}: vector shape {row.shape} != ({vectors.dims},)")
+        check_vector(node, row)
+    rows = sorted(vectors.vectors.items())
     with open(path, "w", encoding="utf-8") as fh:
         params = "\t".join(f"{k}={vectors.params[k]}" for k in sorted(vectors.params))
         fh.write(VECTORS_HEADER + ("\t" + params if params else "") + "\n")

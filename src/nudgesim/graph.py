@@ -65,30 +65,30 @@ def _raise_first(rules) -> None:
         raise exc
 
 
-def _rule(offset: int, faults: list[str | None]):
-    """The rule that rejects record ``offset + i`` when ``faults[i]`` is a
-    message."""
-    return offset, [fault is not None for fault in faults], faults.__getitem__
-
-
 class _Records:
     """The nodes and edges of a graph as they were given, as arrays, and the
     rules of :class:`CsnGraph` over them (see :func:`_raise_first`).
 
-    Records are numbered nodes first, from 0, then edges, from ``n``.
-    ``names`` holds the ``n`` node names and then each other name an edge
-    uses; ``src`` and ``dst`` index it. ``counts`` and ``raw`` hold the values
-    as given, which the messages show. A node needs a name
-    :func:`save_graph` can write as a line :func:`load_graph` reads back (see
+    Records are numbered nodes first, from 0, then edges, from ``n``. Names
+    are numbered here only: ``names`` lists the ``n`` node names, then each
+    other name an edge uses; ``ids`` maps a name to its place there (a
+    repeated node name to its last), and ``src`` and ``dst`` hold the edges'
+    endpoints so numbered. ``counts`` and ``raw`` hold the values as given,
+    which the messages show. A node needs a name :func:`save_graph` can
+    write as a line :func:`load_graph` reads back (see
     :func:`check_source_name`) and an article count of at least 1. An edge
     needs two distinct nodes as endpoints and a raw count from 1 to its
     copier's article count, so that its weight ``raw / article count`` is in
     (0, 1]."""
 
-    def __init__(self, names: list[str], n: int, counts: list, src, dst, raw: list) -> None:
+    def __init__(self, nodes: list, counts: list, srcs: list, dsts: list, raw: list) -> None:
+        n = len(nodes)
+        self.ids = ids = dict(zip(nodes, range(n)))
+        self.names = names = list(nodes) + [name for name in dict.fromkeys(srcs + dsts) if name not in ids]
+        ids.update(zip(names[n:], range(n, len(names))))
         self.nodes = names[:n]
-        self.src = src = np.asarray(src, dtype=np.intp)
-        self.dst = dst = np.asarray(dst, dtype=np.intp)
+        self.src = src = np.fromiter(map(ids.__getitem__, srcs), np.intp, len(srcs))
+        self.dst = dst = np.fromiter(map(ids.__getitem__, dsts), np.intp, len(dsts))
         self.count = count = _int_array(counts)
         self.raw = raw_count = _int_array(raw)
         copier = np.concatenate([count, np.zeros(len(names) - n, dtype=count.dtype)])[dst]
@@ -98,8 +98,9 @@ class _Records:
         def edge(i: int) -> str:
             return f"{names[src[i]]!r}->{names[dst[i]]!r}"
 
+        name_faults = [_name_fault(name) for name in self.nodes]
         self.rules = [
-            _rule(0, [_name_fault(name) for name in self.nodes]),
+            (0, [fault is not None for fault in name_faults], name_faults.__getitem__),
             (0, count < 1, lambda i: (
                 f"source {names[i]!r}: article count {counts[i]!r} is not an integer >= 1"
             )),
@@ -124,19 +125,14 @@ class CsnGraph:
     ``raw / article_count[dst]``, in (0, 1], form the CSR matrix
     ``weights[src, dst]`` (rows are the copied source, columns the copier,
     indices sorted), and ``undirected`` is ``weights + weights.T``. The
-    name-keyed dicts ``edges``, ``raw_counts``, ``article_counts`` and
-    ``index`` are views built on first read.
+    name-keyed dicts ``edges``, ``raw_counts`` and ``article_counts`` are
+    views built on first read.
     """
 
-    def __init__(
-        self, raw_counts: dict[tuple[str, str], int], article_counts: dict[str, int]
-    ) -> None:
-        names = list(article_counts)
-        ids = dict(zip(names, range(len(names))))
-        src = [ids.setdefault(s, len(ids)) for s, _ in raw_counts]
-        dst = [ids.setdefault(d, len(ids)) for _, d in raw_counts]
+    def __init__(self, raw_counts: dict[tuple[str, str], int], article_counts: dict[str, int]) -> None:
         records = _Records(
-            list(ids), len(names), list(article_counts.values()), src, dst, list(raw_counts.values())
+            list(article_counts), list(article_counts.values()),
+            [s for s, _ in raw_counts], [d for _, d in raw_counts], list(raw_counts.values()),
         )
         _raise_first(records.rules)
         self._assemble(records)
@@ -180,16 +176,6 @@ class CsnGraph:
     def article_counts(self) -> dict[str, int]:
         return dict(zip(self.nodes, self.article_count.tolist()))
 
-    @functools.cached_property
-    def index(self) -> dict[str, int]:
-        return {node: i for i, node in enumerate(self.nodes)}
-
-    def neighbors(self, node: str) -> list[str]:
-        """Union of in- and out-neighbors, sorted."""
-        i = self.index[node]
-        ptr = self.undirected.indptr
-        return [self.nodes[j] for j in self.undirected.indices[ptr[i] : ptr[i + 1]]]
-
 
 @dataclass
 class CommunityAssignment:
@@ -232,10 +218,8 @@ def build_csn(pairs: list[CopyPair], article_counts: dict[str, int]) -> CsnGraph
     )
     rows = np.unique(edge * len(pairs) + numbers(article, copies))
     raw = np.bincount(rows // len(pairs), minlength=len(edges))
-    records = _Records(
-        sources, len(sources), [article_counts.get(s, 0) for s in sources],
-        edges // len(sources), edges % len(sources), raw.tolist(),
-    )
+    src, dst = (list(map(sources.__getitem__, ends.tolist())) for ends in np.divmod(edges, len(sources)))
+    records = _Records(sources, [article_counts.get(s, 0) for s in sources], src, dst, raw.tolist())
     _raise_first(records.rules)
     return CsnGraph._of(records)
 
@@ -255,34 +239,26 @@ def save_graph(graph: CsnGraph, path) -> None:
         fh.writelines(f"{nodes[s]}\t{nodes[d]}\t{raw}\t{weight}\n" for s, d, raw, weight in edges)
 
 
-def _convert(convert, texts) -> tuple[list, list[str | None]]:
-    """``convert`` of each text, None where it raises ValueError, and that
-    error's message per text (None where it converts; no list when all do)."""
-    try:
-        return list(map(convert, texts)), []
-    except ValueError:
-        pass
-    values, faults = [], []
-    for text in texts:
-        try:
-            values.append(convert(text))
-            faults.append(None)
-        except ValueError as exc:
-            values.append(None)
-            faults.append(str(exc))
-    return values, faults
+def _repeated(keys: np.ndarray) -> np.ndarray:
+    """Whether each key equals an earlier one."""
+    order = np.argsort(keys, kind="stable")
+    seen = np.zeros(len(keys), dtype=bool)
+    seen[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+    return seen
 
 
 def load_graph(path) -> CsnGraph:
     """Read a graph written by :func:`save_graph`.
 
-    Every ``#node`` line must come before the first edge line. Each line is
-    parsed once, and the nodes and edges are checked once, by the rules of
-    :class:`CsnGraph` plus the file's own: no duplicate node or edge, and a
-    weight column equal to ``raw / article_count`` exactly (it is redundant
-    with the raw count and the copier's article count). The first line, in
-    file order, that breaks a rule raises with its line number; on one line
-    the rules go in the order the columns are read.
+    One pass over the lines checks each line's shape (3 fields for a
+    ``#node`` line, all of which come before the first edge line, and 4 for
+    an edge line) and converts its numbers; a line that fails raises at once.
+    Then the rules of :class:`CsnGraph` and the file's own (no duplicate node
+    or edge, a weight column equal to ``raw / article_count`` exactly) check
+    every record at once: the earliest line that breaks one raises, and on
+    one line the rule of the column read first. So a shape or number fault
+    is named before a rule fault, even one on an earlier line. Errors name
+    the line.
     """
     with read_utf8(path) as fh:
         first = fh.readline().rstrip("\n")
@@ -290,66 +266,45 @@ def load_graph(path) -> CsnGraph:
             raise ValueError(f"{path}:1: expected header {CSN_HEADER!r}, got {first!r}")
         lines = fh.read().split("\n")
     rows = [line.split("\t") for line in lines if line]
-    heads = [row[0] == "#node" for row in rows]
-    n = heads.index(False) if False in heads else len(rows)
-    widths = list(map(len, rows))
-    # the first row that is neither a 3-field #node line before every edge
-    # line nor a 4-field edge line; no row from it on is read
-    broken = len(rows)
-    if widths[:n].count(3) != n or widths[n:].count(4) != len(rows) - n or True in heads[n:]:
-        broken = next(
-            k for k in range(len(rows)) if widths[k] != (3 if heads[k] else 4) or heads[k] and k >= n
-        )
-    n = min(n, broken)
-    edge_rows = rows[n:broken]  # row n + k is edge k
 
-    _, names, count_texts = zip(*rows[:n]) if n else ((), (), ())
-    srcs, dsts, raw_texts, weight_texts = zip(*edge_rows) if edge_rows else ((), (), (), ())
-    counts, count_faults = _convert(int, count_texts)
-    raw, raw_faults = _convert(int, raw_texts)
-    weights, weight_faults = _convert(float, weight_texts)
-    names = list(names)
-    first_node = dict(zip(reversed(names), range(n - 1, -1, -1)))
-    ids = dict(first_node)
+    def malformed(k: int, exc: ValueError) -> ValueError:
+        lineno = [i for i, line in enumerate(lines, start=2) if line][k]
+        return ValueError(f"{path}:{lineno}: malformed line ({exc})")
+
+    names, counts, srcs, dsts, raw, weights = [], [], [], [], [], []
     try:
-        src, dst = list(map(ids.__getitem__, srcs)), list(map(ids.__getitem__, dsts))
-    except KeyError:  # an endpoint that is no node: such names are numbered from n
-        shift = n - len(ids)
-        src = [ids.setdefault(name, len(ids) + shift) for name in srcs]
-        dst = [ids.setdefault(name, len(ids) + shift) for name in dsts]
-    records = _Records(names + list(ids)[len(first_node):], n, counts, src, dst, raw)
-    pair = records.src * (n + len(ids)) + records.dst
-    by_pair = np.argsort(pair, kind="stable")
-    repeated = np.zeros(len(pair), dtype=bool)
-    repeated[by_pair[1:]] = pair[by_pair[1:]] == pair[by_pair[:-1]]
-
-    def edge(k: int) -> str:
-        return f"{srcs[k]!r}->{dsts[k]!r}"
-
-    def misshapen(_) -> str:
-        if not heads[broken]:
-            return "expected 'from\\tto\\traw\\tweight'"
-        if widths[broken] != 3:
-            return "expected '#node\\tsource\\tcount'"
-        return "#node line after the first edge line"
-
+        for k, row in enumerate(rows):
+            if row[0] == "#node":
+                if len(row) != 3:
+                    raise ValueError("expected '#node\\tsource\\tcount'")
+                if srcs:
+                    raise ValueError("#node line after the first edge line")
+                names.append(row[1])
+                counts.append(int(row[2]))
+            elif len(row) != 4:
+                raise ValueError("expected 'from\\tto\\traw\\tweight'")
+            else:
+                srcs.append(row[0])
+                dsts.append(row[1])
+                raw.append(int(row[2]))
+                weights.append(float(row[3]))
+    except ValueError as exc:
+        raise malformed(k, exc) from exc
+    n = len(names)
+    records = _Records(names, counts, srcs, dsts, raw)
     try:
         _raise_first([
-            (0, len(first_node) < n and [first_node[name] != k for k, name in enumerate(names)],
+            (0, _repeated(np.fromiter(map(records.ids.__getitem__, names), np.intp, n)),
              lambda k: f"duplicate node {names[k]!r}"),
-            _rule(0, count_faults),
-            (n, repeated, lambda k: f"duplicate edge {edge(k)}"),
-            _rule(n, raw_faults),
+            (n, _repeated(records.src * len(records.names) + records.dst),
+             lambda k: f"duplicate edge {srcs[k]!r}->{dsts[k]!r}"),
             *records.rules,
-            _rule(n, weight_faults),
             (n, np.array(weights, dtype=float) != records.weight, lambda k: (
-                f"weight {weight_texts[k]} is not raw / article count {float(records.weight[k])!r}"
+                f"weight {rows[n + k][3]} is not raw / article count {float(records.weight[k])!r}"
             )),
-            (broken, broken < len(rows), misshapen),
         ])
     except ValueError as exc:
-        lineno = [i for i, line in enumerate(lines, start=2) if line][exc.index]
-        raise ValueError(f"{path}:{lineno}: malformed line ({exc})") from exc
+        raise malformed(exc.index, exc) from exc
     return CsnGraph._of(records)
 
 

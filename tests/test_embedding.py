@@ -621,8 +621,10 @@ def test_vectors_file_errors(tmp_path):
 
 
 def test_save_vectors_checks_shapes(tmp_path):
-    # an id that load_vectors would misread or that is not UTF-8 is refused
-    # before the file is opened, so no partial file is left behind
+    # an id that load_vectors would misread or that is not UTF-8, and a vector
+    # it would refuse, are refused before the file is opened, so no partial
+    # file is left behind; a name that is not a string is refused before the
+    # sort compares it
     path = tmp_path / "vectors.tsv"
     for vectors, match in [
         ({"a": np.zeros(2)}, "shape"),
@@ -631,6 +633,10 @@ def test_save_vectors_checks_shapes(tmp_path):
         ({"#x": np.zeros(3)}, "starts with '#'"),
         ({"": np.zeros(3)}, "is empty"),
         ({"ok": np.zeros(3), "\ud800x": np.zeros(3)}, "lone surrogate"),
+        ({"a": np.zeros(3), 1: np.zeros(3)}, r"^source 1 is not a string but int$"),
+        ({"a": np.array([1.0, np.nan, 0.0])}, r"^non-finite vector norm for 'a'$"),
+        ({"a": np.zeros(3), "b": np.full(3, 1e300)}, r"^non-finite vector norm for 'b'$"),
+        ({"a": np.full(3, 1e-300)}, r"^vector for 'a' is not zero but its squared norm is subnormal$"),
     ]:
         with pytest.raises(ValueError, match=match):
             save_vectors(SourceVectors(dims=3, vectors=vectors, params={}), path)

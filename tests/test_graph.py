@@ -205,12 +205,19 @@ def test_load_graph_rejects_node_name_starting_with_hash(tmp_path):
 
 
 def test_neighbors_union(fixture_csn):
-    assert fixture_csn.neighbors("meridian-daily") == [
+    # imputation and walks read a node's in- and out-neighbors, sorted, as
+    # its row of the undirected matrix
+    def neighbors(node: str) -> list[str]:
+        i = fixture_csn.nodes.index(node)
+        ptr = fixture_csn.undirected.indptr
+        return [fixture_csn.nodes[j] for j in fixture_csn.undirected.indices[ptr[i] : ptr[i + 1]]]
+
+    assert neighbors("meridian-daily") == [
         "coastal-chronicle",
         "summit-sentinel",
         "valley-voice",
     ]
-    assert fixture_csn.neighbors("valley-voice") == ["meridian-daily"]
+    assert neighbors("valley-voice") == ["meridian-daily"]
 
 
 # ---------------------------------------------------------------- persistence
@@ -248,8 +255,9 @@ def test_load_graph_reports_line_numbers(tmp_path):
 _TWO_NODES = "#csn v1\n#node\ta\t2\n#node\tb\t4\n"
 
 
-# one malformed file per rule; each message and line number is the one the
-# per-line loader gave before the checks were vectorized
+# one malformed file per rule, each with the message and line number the
+# per-line loader gave before the checks were vectorized; then files with
+# several faults, which show the order in which they are named
 _REJECTIONS = [
     ("header", "#csn v2\n", "PATH:1: expected header '#csn v1', got '#csn v2'"),
     ("node-fields", "#csn v1\n#node\ta\n", "PATH:2: malformed line (expected '#node\\tsource\\tcount')"),
@@ -279,17 +287,19 @@ _REJECTIONS = [
      "PATH:4: malformed line (could not convert string to float: 'quarter')"),
     ("weight-mismatch", _TWO_NODES + "a\tb\t1\t0.3\n",
      "PATH:4: malformed line (weight 0.3 is not raw / article count 0.25)"),
-    # with several faults the first line in file order speaks, blank lines
-    # counted, and on one line the rule of the column read first
+    # among rule faults the first line in file order speaks, blank lines
+    # counted, and on one line the rule of the column read first; a shape or
+    # number fault speaks before any rule fault, even on an earlier line
     ("earlier-line-first", _TWO_NODES + "a\tb\t1\t0.3\nb\tb\t1\t0.25\n",
      "PATH:4: malformed line (weight 0.3 is not raw / article count 0.25)"),
-    ("earlier-line-before-shape", _TWO_NODES + "a\tb\t1\t0.3\nb\ta\n",
-     "PATH:4: malformed line (weight 0.3 is not raw / article count 0.25)"),
+    ("shape-before-earlier-line", _TWO_NODES + "a\tb\t1\t0.3\nb\ta\n",
+     "PATH:5: malformed line (expected 'from\\tto\\traw\\tweight')"),
     ("blank-lines-counted", "#csn v1\n\n#node\ta\t2\n\n#node\tb\t0\n",
      "PATH:5: malformed line (source 'b': article count 0 is not an integer >= 1)"),
-    ("duplicate-before-raw", _TWO_NODES + "a\tb\t1\t0.25\na\tb\tone\t0.25\n",
-     "PATH:5: malformed line (duplicate edge 'a'->'b')"),
-    ("self-loop-before-weight", _TWO_NODES + "a\ta\t1\tquarter\n", "PATH:4: malformed line (self-loop on 'a')"),
+    ("raw-before-duplicate", _TWO_NODES + "a\tb\t1\t0.25\na\tb\tone\t0.25\n",
+     "PATH:5: malformed line (invalid literal for int() with base 10: 'one')"),
+    ("weight-before-self-loop", _TWO_NODES + "a\ta\t1\tquarter\n",
+     "PATH:4: malformed line (could not convert string to float: 'quarter')"),
     ("count-before-name", "#csn v1\n#node\t#a\tmany\n",
      "PATH:2: malformed line (invalid literal for int() with base 10: 'many')"),
 ]
@@ -316,7 +326,7 @@ def test_graph_arrays_and_lazy_views(tmp_path, fixture_csn):
     score_sources(read_labels_csv(synthetic.fixture_labels_path()), graph)
     embed_graph(graph, seed=1, dims=4, walk_length=5, walks_per_node=1, epochs=1)
     save_graph(graph, tmp_path / "again.tsv")
-    assert not {"edges", "raw_counts", "article_counts", "index"} & set(vars(graph))
+    assert not {"edges", "raw_counts", "article_counts"} & set(vars(graph))
     assert graph.src.dtype == graph.dst.dtype == np.intp
     assert graph.raw.tolist() == list(fixture_csn.raw_counts.values())
     assert graph.article_count.tolist() == [fixture_csn.article_counts[n] for n in graph.nodes]
