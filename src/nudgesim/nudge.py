@@ -20,18 +20,17 @@ trajectories are reproducible across platforms and Python versions.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field
 from types import MappingProxyType
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .corpus import float_sum, read_json, write_csv
+from .corpus import read_json, write_csv
 from .embedding import NO_DIRECTION_NORM, SourceVectors, check_vector
 from .groundtruth import SourceScore
 
@@ -96,9 +95,10 @@ class SourceCatalog:
         self.leaning = _frozen([s.leaning for s in self._rows])
         self.vectors = _frozen(np.reshape([s.vector for s in self._rows], (len(self._rows), dims)))
         self.norms = _frozen(_norms(self.vectors))
-        # Python-float copies for the profile means
-        self._quality = self.quality.tolist()
-        self._leaning = self.leaning.tolist()
+        # quality and leaning with a 0.0 at row len(self), the padding row
+        # of member arrays (_Rows)
+        self._padded_quality = _frozen(np.append(self.quality, 0.0))
+        self._padded_leaning = _frozen(np.append(self.leaning, 0.0))
 
     @classmethod
     def from_scores(cls, scores: dict[str, SourceScore], vectors: SourceVectors) -> "SourceCatalog":
@@ -140,6 +140,74 @@ class UserProfile:
     v_u: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
+class _Rows(NamedTuple):
+    """Profile states as array rows. Row ``i`` of ``members`` holds the
+    catalog rows of the ``i``-th state's sources, then ``len(catalog)``, the
+    padding row, up to the width; ``sizes`` holds the member counts, and
+    ``q_u``, ``l_u`` and ``v_u`` the means."""
+
+    members: np.ndarray
+    sizes: np.ndarray
+    q_u: np.ndarray
+    l_u: np.ndarray
+    v_u: np.ndarray
+
+    def take(self, index) -> "_Rows":
+        return _Rows(*(column[index] for column in self))
+
+
+def _member_rows(trusted_sets, catalog: SourceCatalog, width: int | None = None):
+    """The ``members`` and ``sizes`` of :class:`_Rows` for ``trusted_sets``,
+    each set's rows in its given order, ``width`` (by default the largest
+    set's size) columns wide."""
+    sizes = np.array([len(sources) for sources in trusted_sets], dtype=np.int64)
+    if width is None:
+        width = int(sizes.max(initial=0))
+    members = np.full((len(sizes), width), len(catalog), dtype=np.int64)
+    members[np.arange(width) < sizes[:, None]] = [
+        catalog.index[s] for s in itertools.chain.from_iterable(trusted_sets)
+    ]
+    return members, sizes
+
+
+def _rows(profiles: list[UserProfile], catalog: SourceCatalog, width: int | None = None) -> _Rows:
+    """``profiles`` as :class:`_Rows`, members in each profile's order."""
+    return _Rows(
+        *_member_rows([u.sources for u in profiles], catalog, width),
+        np.array([u.q_u for u in profiles], dtype=float),
+        np.array([u.l_u for u in profiles], dtype=float),
+        np.array([u.v_u for u in profiles], dtype=float),
+    )
+
+
+def _float_sums(table: np.ndarray) -> np.ndarray:
+    """Each row's ``float_sum``: its columns added left to right from 0.0.
+    Adding 0.0 leaves such a sum as it is, since it is never -0.0."""
+    total = np.zeros(len(table))
+    for column in table.T:
+        total += column
+    return total
+
+
+def _means(members: np.ndarray, sizes: np.ndarray, catalog: SourceCatalog):
+    """The ``q_u``, ``l_u`` and ``v_u`` arrays of the rows ``members`` and
+    ``sizes`` (as in :class:`_Rows`). ``q_u`` and ``l_u`` are
+    :func:`_float_sums` in member order, where the padding row adds 0.0,
+    over the member count. Each ``v_u`` is ``np.add.reduce(catalog.vectors[
+    rows], axis=0) / len(rows)``, the sum and division that ``ndarray.mean``
+    runs; the rows with the same member count take theirs from one
+    ``np.add.reduce(..., axis=1)``, which adds each row's members in the
+    same order."""
+    top = members[:, : sizes.max(initial=0)]
+    q_u = _float_sums(catalog._padded_quality[top]) / sizes
+    l_u = _float_sums(catalog._padded_leaning[top]) / sizes
+    v_u = np.empty((len(members), catalog.vectors.shape[1]))
+    for size in np.unique(sizes).tolist():
+        group = np.flatnonzero(sizes == size)
+        v_u[group] = np.add.reduce(catalog.vectors[members[group, :size]], axis=1) / size
+    return q_u, l_u, v_u
+
+
 def update_scores(u: UserProfile, catalog: SourceCatalog) -> None:
     """Recompute the profile means from current membership (idempotent),
     as :func:`_profiles` takes them."""
@@ -165,38 +233,21 @@ def _check_trusted(user_id: str, sources, catalog: SourceCatalog, limit: int) ->
 
 def _profiles(user_ids, trusted_sets, catalog: SourceCatalog, limits) -> list[UserProfile]:
     """One profile per (user id, trusted set, limit), each set checked by
-    the rule of :func:`_check_trusted` and kept in its given order. ``q_u``
-    and ``l_u`` are sums in member order over the member count. Each ``v_u``
-    is ``np.add.reduce(catalog.vectors[rows], axis=0) / len(rows)``, the
-    sum and division that ``ndarray.mean`` runs; the profiles with the same
-    member count take theirs from one ``np.add.reduce(..., axis=1)``, which
-    adds each profile's member rows in the same order. A refused set's
-    ValueError has its position as its ``run`` attribute."""
+    the rule of :func:`_check_trusted` and kept in its given order, with the
+    means :func:`_means` takes. A refused set's ValueError has its position
+    as its ``run`` attribute."""
     for position, (user_id, sources, limit) in enumerate(zip(user_ids, trusted_sets, limits)):
         try:
             _check_trusted(user_id, sources, catalog, limit)
         except ValueError as exc:
             exc.run = position
             raise
-    members = [[catalog.index[s] for s in sources] for sources in trusted_sets]
-    by_size: dict[int, list[int]] = {}
-    for i, rows in enumerate(members):
-        by_size.setdefault(len(rows), []).append(i)
-    means: dict[int, np.ndarray] = {}
-    for size, group in by_size.items():
-        sums = np.add.reduce(catalog.vectors[[members[i] for i in group]], axis=1)
-        means.update(zip(group, sums / size))
-    quality, leaning = catalog._quality, catalog._leaning
+    q_u, l_u, v_u = _means(*_member_rows(trusted_sets, catalog), catalog)
     return [
-        UserProfile(
-            user_id=user_id,
-            sources=list(sources),
-            limit=limit,
-            q_u=float_sum(quality[r] for r in rows) / len(rows),
-            l_u=float_sum(leaning[r] for r in rows) / len(rows),
-            v_u=means[i],
+        UserProfile(user_id=user_id, sources=list(sources), limit=limit, q_u=q, l_u=l, v_u=v)
+        for user_id, sources, limit, q, l, v in zip(
+            user_ids, trusted_sets, limits, q_u.tolist(), l_u.tolist(), v_u
         )
-        for i, (user_id, sources, limit, rows) in enumerate(zip(user_ids, trusted_sets, limits, members))
     ]
 
 
@@ -294,72 +345,71 @@ def _trust_costs(dots: np.ndarray, norm_u, norm_s, l_u, l_s, alpha) -> np.ndarra
     return distance
 
 
-def _costs(profiles: list[UserProfile], alphas, owners, rows, catalog: SourceCatalog) -> list[float]:
-    """The :func:`_trust_costs` of each pair (``profiles[o]``, catalog row
-    ``r``) at ``alphas[o]``, for the ``o`` and ``r`` of ``zip(owners,
-    rows)``. Dot products and norms come from :func:`_dots`, so each cost
-    equals the scalar formula on ``np.dot`` and ``np.linalg.norm`` to the
-    bit. The caller has checked each alpha."""
-    v_u = np.array([u.v_u for u in profiles])
+def _costs(l_u: np.ndarray, v_u: np.ndarray, alphas, owners, rows, catalog: SourceCatalog) -> list[float]:
+    """The :func:`_trust_costs` of each pair (profile means ``l_u[o]`` and
+    ``v_u[o]``, catalog row ``r``) at ``alphas[o]``, for the ``o`` and ``r``
+    of ``zip(owners, rows)``. Dot products and norms come from
+    :func:`_dots`, so each cost equals the scalar formula on ``np.dot`` and
+    ``np.linalg.norm`` to the bit. The caller has checked each alpha."""
     return _trust_costs(
         _dots(v_u[owners], catalog.vectors[rows]), _norms(v_u)[owners], catalog.norms[rows],
-        np.array([u.l_u for u in profiles])[owners], catalog.leaning[rows], np.array(alphas)[owners],
+        l_u[owners], catalog.leaning[rows], np.array(alphas)[owners],
     ).tolist()
 
 
 def trust_cost(s_prime: Source, u: UserProfile, alpha: float) -> float:
     """The trust cost of ``s_prime`` to ``u``: one pair of :func:`_costs`."""
     _check_alpha(alpha)
-    (cost,) = _costs([u], [alpha], [0], [0], SourceCatalog([s_prime]))
+    (cost,) = _costs(np.array([u.l_u]), np.array([u.v_u]), [alpha], [0], [0], SourceCatalog([s_prime]))
     return cost
 
 
-def _offers(profiles: list[UserProfile], catalog: SourceCatalog, alphas) -> list[int | None]:
-    """The catalog row offered to each profile, or None when nothing is
-    eligible: no source lies strictly above the profile's mean quality and
+def _offers(rows: _Rows, catalog: SourceCatalog, alphas) -> list[int | None]:
+    """The catalog row offered to each of ``rows``, or None when nothing is
+    eligible: no source lies strictly above the row's mean quality and
     outside its members. An ``alphas`` entry of None offers the highest
     quality, any other the cheapest by trust cost at that alpha; ties go to
-    the smallest source_id.
+    the smallest source_id. ``rows.sizes`` is not read.
 
-    One mask covers every profile, and :func:`_trust_costs` on one matrix
+    One mask covers every row, and :func:`_trust_costs` on one matrix
     product gives every approximate cost. Those only pick candidates:
-    eligible rows within ``_VERIFY_MARGIN`` of a profile's smallest finite
-    approximate cost, and eligible rows whose approximate cost is not
+    eligible catalog rows within ``_VERIFY_MARGIN`` of a row's smallest
+    finite approximate cost, and eligible ones whose approximate cost is not
     finite, are recomputed exactly by one :func:`_costs` call, and the first
     strict minimum in id order wins. The margin is far above the rounding
     gap between the two, which apply the same formula, so the exact argmin
     is always among them, and each offer is the exhaustive scalar argmin
-    for its own profile, whatever the others are. The caller has checked
-    each alpha."""
-    members = [[catalog.index[s] for s in u.sources] for u in profiles]
-    eligible = catalog.quality > np.array([u.q_u for u in profiles])[:, None]
-    owners = np.repeat(np.arange(len(profiles)), [len(rows) for rows in members])
-    eligible[owners, list(itertools.chain.from_iterable(members))] = False
+    for its own row, whatever the others are. The caller has checked each
+    alpha."""
+    eligible = np.zeros((len(rows.members), len(catalog) + 1), dtype=bool)
+    np.greater(catalog.quality, rows.q_u[:, None], out=eligible[:, :-1])
+    # no member is eligible, nor the padding row, the last column
+    eligible[np.arange(len(eligible))[:, None], rows.members] = False
+    eligible = eligible[:, :-1]
     found = eligible.any(axis=1).tolist()
-    offers: list[int | None] = [None] * len(profiles)
+    offers: list[int | None] = [None] * len(found)
     best_quality = [i for i, alpha in enumerate(alphas) if found[i] and alpha is None]
     if best_quality:
         # argmax keeps the first maximum, in id order
-        rows = np.where(eligible[best_quality], catalog.quality, -np.inf).argmax(axis=1)
-        for i, row in zip(best_quality, rows.tolist()):
+        best = np.where(eligible[best_quality], catalog.quality, -np.inf).argmax(axis=1)
+        for i, row in zip(best_quality, best.tolist()):
             offers[i] = row
     cheapest = [i for i, alpha in enumerate(alphas) if found[i] and alpha is not None]
     if not cheapest:
         return offers
-    us = [profiles[i] for i in cheapest]
     alpha = np.array([alphas[i] for i in cheapest])[:, None]
-    v_u, l_u = np.array([u.v_u for u in us]), np.array([u.l_u for u in us])[:, None]
+    v_u, l_u = rows.v_u[cheapest], rows.l_u[cheapest]
     dots = v_u @ catalog.vectors.T  # one row per profile
-    approx = _trust_costs(dots, _norms(v_u)[:, None], catalog.norms, l_u, catalog.leaning, alpha)
+    approx = _trust_costs(dots, _norms(v_u)[:, None], catalog.norms, l_u[:, None], catalog.leaning, alpha)
     mask = eligible[cheapest]
     finite = np.isfinite(approx)
-    smallest = np.min(approx, axis=1, where=mask & finite, initial=np.inf, keepdims=True)
+    smallest = np.where(mask & finite, approx, np.inf).min(axis=1, keepdims=True)
     kept = mask & ((approx <= smallest + _VERIFY_MARGIN) | ~finite)
-    owners, rows = np.nonzero(kept)
+    owners, candidates = np.divmod(np.flatnonzero(kept), len(catalog))
     best = [math.inf] * len(cheapest)
-    costs = _costs(us, alpha[:, 0], owners, rows, catalog)
+    costs = _costs(l_u, v_u, alpha[:, 0], owners, candidates, catalog)
     # pairs come in id order per profile, so the first strict minimum wins
-    for k, row, cost in zip(owners.tolist(), rows.tolist(), costs):
+    for k, row, cost in zip(owners.tolist(), candidates.tolist(), costs):
         if cost < best[k]:
             offers[cheapest[k]], best[k] = row, cost
     return offers
@@ -373,7 +423,7 @@ def select_recommendation(
     to ``u``, whose trusted set keeps the rule of :func:`_check_trusted`."""
     _check_alpha(alpha)
     _check_trusted(u.user_id, u.sources, catalog, u.limit)
-    (row,) = _offers([u], catalog, [alpha])
+    (row,) = _offers(_rows([u], catalog), catalog, [alpha])
     return None if row is None else catalog._rows[row]
 
 
@@ -382,8 +432,8 @@ def drop_distribution(
 ) -> dict[str, float]:
     """Eviction probabilities over the current members plus the offer, in
     sorted-id order, proportional to trust cost against the current profile;
-    uniform when every cost is zero. The lottery :func:`_stakes` costs for
-    ``u`` alone."""
+    uniform when every cost is zero. The lottery :func:`_stakes` and
+    :func:`_shares` make for ``u`` alone."""
     _check_alpha(alpha)
     _check_trusted(u.user_id, u.sources, catalog, u.limit)
     if len(u.sources) != u.limit:
@@ -395,31 +445,52 @@ def drop_distribution(
         raise ValueError(f"{u.user_id}: candidate {s_prime.source_id!r} already trusted")
     if s_prime.source_id not in catalog:
         raise ValueError(f"{u.user_id}: unknown candidate {s_prime.source_id!r}")
-    ((rows, costs),) = _stakes([u], [catalog.index[s_prime.source_id]], catalog, [alpha])
-    return dict(zip((catalog._ids[r] for r in rows), _shares(costs)))
+    offer = np.array([catalog.index[s_prime.source_id]])
+    stakes, costs = _stakes(_rows([u], catalog), np.array([True]), offer, [alpha], catalog)
+    count = len(u.sources) + 1
+    shares = _shares(costs, np.array([count]))
+    return dict(zip((catalog._ids[r] for r in stakes[0, :count].tolist()), shares[0, :count].tolist()))
 
 
-def _stakes(profiles: list[UserProfile], offers: list[int], catalog: SourceCatalog, alphas):
-    """For each profile and the catalog row offered to it, the rows at stake
-    and their trust costs, all from one :func:`_costs` call: the offer alone
-    below the profile's limit, else the drop lottery's entries, the members
-    and the offer in id order. The caller has checked each alpha."""
-    stakes = [
-        [offer] if len(u.sources) < u.limit else sorted([catalog.index[s] for s in u.sources] + [offer])
-        for u, offer in zip(profiles, offers)
-    ]
-    owners = np.repeat(np.arange(len(stakes)), [len(rows) for rows in stakes])
-    costs = iter(_costs(profiles, alphas, owners, list(itertools.chain.from_iterable(stakes)), catalog))
-    return [(rows, list(itertools.islice(costs, len(rows)))) for rows in stakes]
+def _stakes(rows: _Rows, full: np.ndarray, offers: np.ndarray, alphas, catalog: SourceCatalog):
+    """For each of ``rows`` and the catalog row offered to it, the catalog
+    rows at stake and their trust costs, all from one :func:`_costs` call:
+    the offer alone below the limit (``full`` False), else the drop
+    lottery's entries, the members and the offer in id order. Both arrays
+    have a row per offer, padded past its entries with the padding row and
+    with 0.0. The caller has checked each alpha."""
+    n = len(catalog)
+    stakes = np.column_stack([np.where(full[:, None], rows.members, n), offers])
+    stakes.sort(axis=1)
+    owners, columns = np.nonzero(stakes < n)
+    costs = np.zeros(stakes.shape)
+    costs[owners, columns] = _costs(rows.l_u, rows.v_u, alphas, owners, stakes[owners, columns], catalog)
+    return stakes, costs
 
 
-def _shares(costs: list[float]) -> list[float]:
-    """Drop shares in proportion to the costs: ``c / sum(costs)``, or
-    uniform when every cost is zero."""
-    total = float_sum(costs)
-    if total == 0.0:
-        return [1.0 / len(costs)] * len(costs)
-    return [c / total for c in costs]
+def _shares(costs: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each row's drop shares in proportion to its first ``counts`` costs,
+    the rest being 0.0: ``c / total`` with the ``total`` of
+    :func:`_float_sums`, or ``1.0 / count`` each when that total is zero.
+    Past ``counts`` a row's shares mean nothing."""
+    total = _float_sums(costs[:, : counts.max(initial=0)])[:, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.where(total == 0.0, 1.0 / counts[:, None], costs / total)
+
+
+def _bisect_right(sums: np.ndarray, counts: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """``bisect.bisect_right(sums[i, :counts[i]], draws[i])`` for each row
+    ``i``, by the same halving steps, so the two agree on any sums: a
+    lottery's running sums are not monotone where a trust cost rounds below
+    zero, and then a count of the sums not above the draw would differ."""
+    lo, hi = np.zeros_like(counts), counts
+    rows, last = np.arange(len(counts)), sums.shape[1] - 1
+    while (searching := lo < hi).any():
+        mid = (lo + hi) // 2
+        left = draws < sums[rows, np.minimum(mid, last)]
+        hi = np.where(left, mid, hi)  # a finished row has mid == hi
+        lo = np.where(left | ~searching, lo, mid + 1)
+    return lo
 
 
 def rng_for_user(seed: int, user_id: str) -> np.random.Generator:
@@ -439,12 +510,12 @@ def simulate(u0: Persona | UserProfile, catalog: SourceCatalog, config: SimConfi
     go to the smallest id. Acceptance and drop mechanics are shared, and the
     trust cost of each offer is recorded in both modes. Only ``u0.user_id``
     and ``u0.sources`` are read, so ``u0`` may be a :class:`Persona` or a
-    profile; the limit is ``config.L``. Every profile state is built by the
-    rule of :func:`profile_from_sources`: ``Trajectory.start`` is the checked
-    start profile built from ``u0.sources``, and each accepted step's next
-    profile is built from the new members, sorted. Pure in its inputs:
-    ``u0`` is never changed, and the outcome is a function of (u0, catalog,
-    config) alone.
+    profile; the limit is ``config.L``. ``Trajectory.start`` is the checked
+    start profile that :func:`profile_from_sources` builds from
+    ``u0.sources``, and ``Trajectory.final`` the profile of the last
+    members, sorted, with the means :func:`_means` takes. Pure in its
+    inputs: ``u0`` is never changed, and the outcome is a function of (u0,
+    catalog, config) alone.
     The one run of :func:`simulate_all`."""
     return simulate_all([(u0, config)], catalog)[0]
 
@@ -455,92 +526,110 @@ def simulate_all(
     """Make each ``(u0, config)`` run of ``runs`` as :func:`simulate`
     describes, all in lockstep, and return their trajectories in order.
 
-    A plan is made at a run's start and after each of its accepted steps:
-    the offer, its trust cost, its accept probability and one outcome table,
-    the running sums of the outcome shares and the source each outcome
-    drops. Below capacity the outcomes drop nothing (accept) or the offer
-    (reject); at capacity they are the drop lottery, where the offer's own
-    id means rejection. At each step one :func:`_offers` call and one
-    :func:`_stakes` call plan every run that needs a plan. Each stepping run
-    then takes one uniform draw from its own :func:`rng_for_user` stream and
-    picks the first outcome whose running sum exceeds it, and one
-    :func:`_profiles` call builds the next profile of every run that
-    accepted. A run's trajectory is a function of its own (u0, catalog,
-    config), whatever other runs share the batch. One :func:`_profiles`
-    call builds every start profile, so a refused one raises before any run
-    is made, its position in ``runs`` as the error's ``run`` attribute."""
+    Every run's state is one row of arrays: its members and means (a
+    :class:`_Rows` as wide as the largest limit, each limit clamped to the
+    catalog size first) and its plan. A plan is made at a run's start and
+    after each of its accepted steps: the offer, its trust cost, its accept
+    probability ``p`` and one outcome table, the running sums of the
+    outcome shares and the row each outcome drops. Below capacity the
+    outcomes drop nothing (accept) or the offer (reject), with sums ``[p,
+    1.0]``; at capacity they are the drop lottery, where dropping the offer
+    means rejection. At each step one :func:`_offers` call and one
+    :func:`_stakes` call plan every run that needs a plan. Each stepping
+    run then takes one uniform draw from its own :func:`rng_for_user`
+    stream, and :func:`_bisect_right` picks every run's outcome, the last
+    one where the draw passes every sum. One vectorized update gives every
+    run that accepted its new members, sorted, and one :func:`_means` call
+    its new means; ``Trajectory.final`` is built once, after the last step.
+    A run's trajectory is a function of its own (u0, catalog, config),
+    whatever other runs share the batch. One :func:`_profiles` call builds
+    every start profile, so a refused one raises before any run is made,
+    its position in ``runs`` as the error's ``run`` attribute."""
     configs = [config for _, config in runs]
     starts = _profiles(
         [u0.user_id for u0, _ in runs], [sorted(u0.sources) for u0, _ in runs], catalog, [c.L for c in configs]
     )
+    if not runs:
+        return []
+    n, ids = len(catalog), catalog._ids
     rngs = [rng_for_user(config.seed, u.user_id) for u, config in zip(starts, configs)]
-    profiles = list(starts)
+    # no run holds more members than the catalog has, so a larger limit
+    # means the same as the catalog size
+    limits = np.array([min(config.L, n) for config in configs], dtype=np.int64)
+    state = _rows(starts, catalog, int(limits.max()))
+    offer_rule = [config.alpha if config.mode == "constrained" else None for config in configs]
+    alphas = np.array([config.alpha for config in configs])
+    ends = np.array([config.T for config in configs])
+    # the plans: each offer (-1 for none), its cost and accept probability,
+    # and each outcome table, its number of outcomes, their running sums and
+    # the row each one drops (n for none)
+    offer = np.full(len(runs), -1, dtype=np.int64)
+    cost, accept = np.zeros(len(runs)), np.zeros(len(runs))
+    outcomes = np.zeros(len(runs), dtype=np.int64)
+    width = state.members.shape[1] + 1
+    sums, drops = np.zeros((len(runs), width)), np.full((len(runs), width), n, dtype=np.int64)
     records: list[list[StepRecord]] = [[] for _ in runs]
-    plans: list[tuple | None] = [None] * len(runs)
-    stepping = range(len(runs))
-    for t in range(max((config.T for config in configs), default=0)):
-        # a rejected offer leaves the profile, and so the plan, unchanged; a
+    stepping = np.arange(len(runs))
+    for t in range(max(config.T for config in configs)):
+        # a rejected offer leaves the members, and so the plan, unchanged; a
         # converged run, or one with nothing eligible, never changes again
-        stepping = [
-            j for j in stepping
-            if t < configs[j].T
-            and (plans[j] is not None or profiles[j].q_u < 1.0 - configs[j].epsilon_converge)
+        stepping = stepping[
+            (ends[stepping] > t)
+            & ((offer[stepping] >= 0) | (state.q_u[stepping] < 1.0 - SimConfig.epsilon_converge))
         ]
-        planless = [j for j in stepping if plans[j] is None]
-        if planless:
-            alphas = [configs[j].alpha if configs[j].mode == "constrained" else None for j in planless]
-            offered = [
-                (j, offer)
-                for j, offer in zip(planless, _offers([profiles[j] for j in planless], catalog, alphas))
-                if offer is not None
-            ]
-            if offered:
-                stakes = _stakes(
-                    [profiles[j] for j, _ in offered], [offer for _, offer in offered], catalog,
-                    [configs[j].alpha for j, _ in offered],
-                )
-                for (j, offer), (rows, costs) in zip(offered, stakes):
-                    offer_id = catalog._ids[offer]
-                    if rows == [offer]:  # below capacity
-                        (cost,) = costs
-                        p = max(0.0, 1.0 - cost)
-                        plans[j] = offer_id, cost, p, [p], [None, offer_id]
-                    else:
-                        shares = _shares(costs)
-                        at = rows.index(offer)
-                        sums = list(itertools.accumulate(shares))
-                        drops = [catalog._ids[r] for r in rows]
-                        plans[j] = offer_id, costs[at], 1.0 - shares[at], sums, drops
-            stepping = [j for j in stepping if plans[j] is not None]
-        moved = []
-        for j in stepping:
-            offer, cost, accept_probability, sums, drops = plans[j]
-            drop = drops[min(bisect.bisect_right(sums, rngs[j].random()), len(drops) - 1)]
-            if drop == offer:
-                u = profiles[j]
-                records[j].append(
-                    StepRecord(t, offer, cost, accept_probability, False, None, u.q_u, u.l_u)
-                )
-            else:
-                moved.append((j, drop))
-        members = [
-            sorted(s for s in profiles[j].sources + [plans[j][0]] if s != dropped) for j, dropped in moved
-        ]
-        built = _profiles(
-            [profiles[j].user_id for j, _ in moved], members, catalog, [configs[j].L for j, _ in moved]
-        )
-        for (j, dropped), u in zip(moved, built):
-            offer, cost, accept_probability = plans[j][:3]
-            records[j].append(StepRecord(t, offer, cost, accept_probability, True, dropped, u.q_u, u.l_u))
-            profiles[j], plans[j] = u, None
+        planless = stepping[offer[stepping] < 0]
+        if planless.size:
+            offers = _offers(state.take(planless), catalog, [offer_rule[j] for j in planless.tolist()])
+            new = planless[[row is not None for row in offers]]
+            if new.size:
+                rows = np.array([row for row in offers if row is not None], dtype=np.int64)
+                full = state.sizes[new] == limits[new]
+                stakes, costs = _stakes(state.take(new), full, rows, alphas[new], catalog)
+                counts = np.where(full, state.sizes[new] + 1, 1)
+                shares = _shares(costs, counts)
+                k, at = np.arange(len(new)), np.argmax(stakes == rows[:, None], axis=1)
+                p = 1.0 - np.where(full, shares[k, at], costs[k, at])
+                p = np.where(full | (p > 0.0), p, 0.0)  # max(0.0, 1 - cost) below capacity
+                offer[new], cost[new], accept[new] = rows, costs[k, at], p
+                # below capacity the outcomes are accept, which drops nothing,
+                # and reject; a draw is below 1.0, so sums [p, 1.0] pick as [p]
+                below_sums, below_drops = np.ones_like(shares), np.full_like(stakes, n)
+                below_sums[:, 0], below_drops[:, 1] = p, rows
+                outcomes[new] = np.where(full, counts, 2)
+                sums[new] = np.where(full[:, None], np.cumsum(shares, axis=1), below_sums)
+                drops[new] = np.where(full[:, None], stakes, below_drops)
+            stepping = stepping[offer[stepping] >= 0]
+        if not stepping.size:
+            break
+        draws = np.array([rngs[j].random() for j in stepping.tolist()])
+        picks = np.minimum(_bisect_right(sums[stepping], outcomes[stepping], draws), outcomes[stepping] - 1)
+        dropped = drops[stepping, picks]
+        taken = dropped != offer[stepping]
+        moved = stepping[taken]
+        if moved.size:
+            members = np.column_stack([state.members[moved], offer[moved]])
+            members[members == dropped[taken][:, None]] = n
+            members.sort(axis=1)
+            state.members[moved] = members[:, :-1]
+            state.sizes[moved] += dropped[taken] == n
+            state.q_u[moved], state.l_u[moved], state.v_u[moved] = _means(
+                state.members[moved], state.sizes[moved], catalog
+            )
+        for j, row, c, chance, a, d, q, l in zip(
+            stepping.tolist(), offer[stepping].tolist(), cost[stepping].tolist(), accept[stepping].tolist(),
+            taken.tolist(), dropped.tolist(), state.q_u[stepping].tolist(), state.l_u[stepping].tolist(),
+        ):
+            records[j].append(StepRecord(t, ids[row], c, chance, a, ids[d] if a and d < n else None, q, l))
+        offer[moved] = -1
     trajectories = []
-    for start, u, config, steps in zip(starts, profiles, configs, records):
+    for start, config, steps, members, size, q, l, v in zip(
+        starts, configs, records, state.members.tolist(), state.sizes.tolist(),
+        state.q_u.tolist(), state.l_u.tolist(), state.v_u,
+    ):
+        final = UserProfile(start.user_id, [ids[r] for r in members[:size]], config.L, q, l, v)
         # every step after a run stops is a no-op that draws nothing
-        steps += [
-            StepRecord(rest, None, None, None, False, None, u.q_u, u.l_u)
-            for rest in range(len(steps), config.T)
-        ]
-        trajectories.append(Trajectory(u.user_id, config, steps, start, u))
+        steps += [StepRecord(rest, None, None, None, False, None, q, l) for rest in range(len(steps), config.T)]
+        trajectories.append(Trajectory(start.user_id, config, steps, start, final))
     return trajectories
 
 

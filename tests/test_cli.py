@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nudgesim import cli, graph, nudge, synthetic
+from nudgesim import cli, graph, groundtruth, nudge, synthetic
 from nudgesim.cli import main
 from nudgesim.graph import load_graph
 from nudgesim.embedding import load_vectors
@@ -834,16 +834,29 @@ def test_simulate_limit_override(tmp_path, capsys, world_dir):
 
 
 def test_simulate_builds_each_profile_state_once(tmp_path, capsys, world_dir, monkeypatch):
-    # one start profile per run and one per accepted step: no pass of its own
-    built = []
-    build = nudge._profiles
+    # one start profile per run and one member update per accepted step: no
+    # pass of its own; every start and every update takes its means through
+    # nudge._means, only the starts are built by nudge._profiles, and the only
+    # other profile of a run is its final one
+    built, starts, profiles = [], [], []
+    means, build, profile = nudge._means, nudge._profiles, nudge.UserProfile
 
-    def counted(*args):
-        profiles = build(*args)
-        built.append(len(profiles))
-        return profiles
+    def counted_means(members, sizes, catalog):
+        built.append(len(members))
+        return means(members, sizes, catalog)
 
-    monkeypatch.setattr(nudge, "_profiles", counted)
+    def counted_profiles(*args):
+        made = build(*args)
+        starts.append(len(made))
+        return made
+
+    def counted_profile(*args, **kwargs):
+        profiles.append(profile(*args, **kwargs))
+        return profiles[-1]
+
+    monkeypatch.setattr(nudge, "_means", counted_means)
+    monkeypatch.setattr(nudge, "_profiles", counted_profiles)
+    monkeypatch.setattr(nudge, "UserProfile", counted_profile)
     argv = ["simulate", *_inputs(world_dir, "simulate"), "--mode", "both", "--T", "20",
             "--out-dir", str(tmp_path)]
     code, _, stderr = _run(capsys, argv)
@@ -853,6 +866,28 @@ def test_simulate_builds_each_profile_state_once(tmp_path, capsys, world_dir, mo
     assert sum(built) == len(summary) + sum(entry["accepted_steps"] for entry in summary) == 71
     # the first call builds every start profile
     assert built[0] == len(summary)
+    assert starts == [len(summary)]
+    assert len(profiles) == 2 * len(summary)
+
+
+
+def test_simulate_limit_above_the_catalog_size_means_the_catalog_size(tmp_path, capsys, world_dir):
+    # no run can hold more members than the catalog has, so any larger
+    # limit, even one past 64 bits, runs as the catalog size
+    personas, scores, vectors = _inputs(world_dir, "simulate")
+    size = len(nudge.SourceCatalog.from_scores(
+        groundtruth.read_scores_csv(scores), load_vectors(vectors)
+    ))
+    written = {}
+    for limit in (size, 10**30):
+        out = tmp_path / str(limit)
+        argv = ["simulate", personas, scores, vectors, "--mode", "both", "--T", "40",
+                "--L", str(limit), "--out-dir", str(out)]
+        code, _, stderr = _run(capsys, argv)
+        assert code == 0, stderr
+        written[limit] = {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}
+    assert len(written[size]) == 9  # a trajectory per persona and mode, and the comparison
+    assert written[10**30] == written[size]
 
 
 _SIM_INPUTS = ("personas.json", "scores.csv", "vectors.tsv")

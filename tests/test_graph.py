@@ -357,29 +357,13 @@ _FUZZ_WEIGHTS = st.one_of(  # mostly raw / count for small ints, so that some ed
     st.sampled_from([repr(k / n) for k in range(-1, 7) for n in range(1, 6)] + ["nan", "inf", ""]),
     st.floats().map(repr),
 )
+_FUZZ_FIELDS = st.one_of(_FUZZ_NAMES, _FUZZ_INTS, _FUZZ_WEIGHTS)
 _FUZZ_NODE_LINES = st.tuples(st.just("#node"), _FUZZ_NAMES, _FUZZ_INTS).map("\t".join)
 _FUZZ_LINES = st.one_of(
     _FUZZ_NODE_LINES,
     st.tuples(_FUZZ_NAMES, _FUZZ_NAMES, _FUZZ_INTS, _FUZZ_WEIGHTS).map("\t".join),
     st.text(max_size=12),
 )
-
-
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(head=st.lists(_FUZZ_NODE_LINES, max_size=4), rest=st.lists(_FUZZ_LINES, max_size=6))
-def test_load_graph_loads_or_names_the_path(tmp_path, head, rest):
-    path = tmp_path / "csn.tsv"
-    path.write_text(CSN_HEADER + "\n" + "\n".join(head + rest), encoding="utf-8")
-    try:
-        loaded = load_graph(path)
-    except ValueError as exc:
-        assert str(path) in str(exc)
-        return
-    for (src, dst), weight in loaded.edges.items():
-        assert weight == loaded.raw_counts[(src, dst)] / loaded.article_counts[dst]
-    again = tmp_path / "again.tsv"
-    save_graph(loaded, again)
-    assert load_graph(again).edges == loaded.edges
 
 
 @st.composite
@@ -396,6 +380,60 @@ def _raw_graphs(draw):
         edges = {(names[i], names[(i + k) % len(names)]) for i, k in draw(st.lists(picks, max_size=12))}
     raw = {(src, dst): draw(st.integers(1, counts[dst])) for src, dst in sorted(edges)}
     return raw, counts
+
+
+# at most one line of a saved graph replaced by, or preceded by, a fuzz
+# line, removed, repeated, or with one field replaced by a fuzz field
+_CORRUPTIONS = st.one_of(
+    st.none(),
+    st.tuples(st.sampled_from(["replace", "insert"]), st.integers(0, 40), _FUZZ_LINES),
+    st.tuples(st.sampled_from(["remove", "repeat"]), st.integers(0, 40), st.none()),
+    st.tuples(st.just("field"), st.integers(0, 40), st.tuples(st.integers(0, 3), _FUZZ_FIELDS)),
+)
+
+
+def _corrupted(lines: list[str], corruption) -> list[str]:
+    if corruption is None:
+        return lines
+    kind, at, change = corruption
+    lines, at = list(lines), at % len(lines)
+    if kind == "replace":
+        lines[at] = change
+    elif kind == "insert":
+        lines.insert(at, change)
+    elif kind == "remove":
+        del lines[at]
+    elif kind == "repeat":
+        lines.insert(at, lines[at])
+    else:
+        fields = lines[at].split("\t")
+        column, field = change
+        fields[column % len(fields)] = field
+        lines[at] = "\t".join(fields)
+    return lines
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(inputs=_raw_graphs().filter(lambda inputs: inputs[0]), corruption=_CORRUPTIONS)
+def test_load_graph_loads_or_names_the_path(tmp_path, inputs, corruption):
+    # a file save_graph wrote from a graph with an edge, at most one line of
+    # it corrupted, so that about half the examples load and hold edges
+    raw, counts = inputs
+    path = tmp_path / "csn.tsv"
+    save_graph(CsnGraph(raw_counts=raw, article_counts=counts), path)
+    # names may hold characters that str.splitlines takes for line breaks
+    lines = _corrupted(path.read_text(encoding="utf-8").removesuffix("\n").split("\n"), corruption)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        loaded = load_graph(path)
+    except ValueError as exc:
+        assert str(path) in str(exc)
+        return
+    for (src, dst), weight in loaded.edges.items():
+        assert weight == loaded.raw_counts[(src, dst)] / loaded.article_counts[dst]
+    again = tmp_path / "again.tsv"
+    save_graph(loaded, again)
+    assert load_graph(again).edges == loaded.edges
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

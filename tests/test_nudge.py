@@ -5,6 +5,8 @@ Stochastic steps are validated by replaying the identical generator stream
 through an independent inverse-CDF sampler and demanding the same outcome.
 """
 
+import bisect
+import itertools
 import json
 import math
 import re
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from test_acceptance import _replica_cost, _replica_means
 
 from nudgesim import nudge
+from nudgesim.corpus import float_sum
 from nudgesim.embedding import NO_DIRECTION_NORM, check_vector
 from nudgesim.nudge import (
     Persona,
@@ -735,18 +738,19 @@ def test_simulate_starts_converged_profile_as_noop():
 
 @pytest.fixture
 def select_calls(monkeypatch):
-    """Every profile passed to ``nudge._offers``, one entry per profile. An
-    ``_offers`` call starts a step's planning; on teardown, no more than two
-    calls of the cost kernel ``nudge._costs`` may follow any one of them,
-    whatever the number of runs, and none may come before the first."""
+    """Every member row passed to ``nudge._offers``, one entry per profile
+    state. An ``_offers`` call starts a step's planning; on teardown, no
+    more than two calls of the cost kernel ``nudge._costs`` may follow any
+    one of them, whatever the number of runs, and none may come before the
+    first."""
     calls = []
     kernel_calls = []  # per _offers call, the kernel calls that followed it
     offers, costs = nudge._offers, nudge._costs
 
-    def counting_offers(profiles, catalog, alphas):
-        calls.extend(profiles)
+    def counting_offers(rows, catalog, alphas):
+        calls.extend(rows.members)
         kernel_calls.append(0)
-        return offers(profiles, catalog, alphas)
+        return offers(rows, catalog, alphas)
 
     def counting_costs(*args):
         assert kernel_calls, "a kernel call before any step's offers"
@@ -914,9 +918,9 @@ def test_offers_match_exhaustive_argmin_on_hostile_catalogs(data):
     ids = catalog.ids()
     profiles = [profile_from_sources("u", [ids[i] for i in t], catalog, 3) for t in trusted_sets]
     expected = [_exhaustive_row(u, catalog, alpha) for u, alpha in zip(profiles, alphas)]
-    assert nudge._offers(profiles, catalog, alphas) == expected
+    assert nudge._offers(nudge._rows(profiles, catalog), catalog, alphas) == expected
     # each offer is the one the profile gets alone
-    assert [nudge._offers([u], catalog, [a])[0] for u, a in zip(profiles, alphas)] == expected
+    assert [nudge._offers(nudge._rows([u], catalog), catalog, [a])[0] for u, a in zip(profiles, alphas)] == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -948,7 +952,8 @@ def test_cost_kernel_is_the_scalar_formula_bit_for_bit(data):
     assert catalog.norms.tobytes() == np.array(norms).tobytes()
     profiles = [profile_from_sources("u", [ids[i] for i in t], catalog, 3) for t in trusted_sets]
     owners, picked = (np.array(column) for column in zip(*pairs))
-    costs = nudge._costs(profiles, alphas, owners, picked, catalog)
+    rows = nudge._rows(profiles, catalog)
+    costs = nudge._costs(rows.l_u, rows.v_u, alphas, owners, picked, catalog)
     expected = [_scalar_cost(catalog[ids[r]], profiles[o].l_u, profiles[o].v_u, alphas[o]) for o, r in pairs]
     # repr tells -0.0 from 0.0 and a numpy scalar from a float
     assert [repr(c) for c in costs] == [repr(c) for c in expected]
@@ -1067,6 +1072,81 @@ def test_convergence_point_variants():
     assert _traj([0.5, 0.6, 0.7]).convergence_point is None
     assert _traj([1.0, 1.0, 1.0]).convergence_point == 0
     assert _traj([1.0 - 5e-10, 0.5, 0.5]).convergence_point == 0  # inside epsilon
+
+
+# ---------------------------------------------------------------- array rows
+
+
+def test_bisect_right_on_running_sums_that_fall():
+    # a trust cost that rounds below zero makes a lottery's running sums
+    # fall, and there bisect_right and a count of the sums not above the
+    # draw disagree
+    sums, draw = [0.3, 0.29999999999999993, 1.0], 0.29999999999999993
+    assert bisect.bisect_right(sums, draw) == 2
+    assert sum(s <= draw for s in sums) == 1
+    assert nudge._bisect_right(np.array([sums]), np.array([3]), np.array([draw])).tolist() == [2]
+
+
+_SUMS = st.sampled_from([0.0, 0.29999999999999993, 0.3, 0.5, 1.0, 1.0000000000000002]) | st.floats(-0.5, 1.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_bisect_right_is_bisect_per_row(data):
+    width = data.draw(st.integers(1, 7))
+    rows = data.draw(st.lists(st.lists(_SUMS, min_size=width, max_size=width), min_size=1, max_size=6))
+    counts = [data.draw(st.integers(0, width)) for _ in rows]
+    draws = [data.draw(_SUMS) for _ in rows]
+    picked = nudge._bisect_right(np.array(rows), np.array(counts), np.array(draws))
+    expected = [bisect.bisect_right(row[:count], draw) for row, count, draw in zip(rows, counts, draws)]
+    assert picked.tolist() == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_means_are_float_sums_and_mean_vectors_per_row(data):
+    # q_u and l_u are float_sum in member order over the member count; v_u
+    # is the row's own np.add.reduce over the member count, which is
+    # np.mean; a batch of rows of several sizes, padded past each, changes
+    # none of them
+    dims = data.draw(st.integers(1, 5))
+    vectors = st.lists(st.floats(-1e6, 1e6) | st.sampled_from([-0.0, 1e-300]), min_size=dims, max_size=dims)
+    rows = data.draw(st.lists(
+        st.tuples(_QUALITIES | st.just(-0.0), _LEANINGS | st.just(-0.0), vectors.filter(_admitted)),
+        min_size=1, max_size=12,
+    ))
+    catalog = SourceCatalog(_source(f"s{i:02d}", q, l, v) for i, (q, l, v) in enumerate(rows))
+    ids, quality, leaning = catalog.ids(), catalog.quality.tolist(), catalog.leaning.tolist()
+    sets = data.draw(st.lists(
+        st.lists(st.integers(0, len(rows) - 1), min_size=1, unique=True), min_size=1, max_size=6
+    ))
+    width = max(map(len, sets)) + data.draw(st.integers(0, 2))
+    members, sizes = nudge._member_rows([[ids[r] for r in rows] for rows in sets], catalog, width)
+    q_u, l_u, v_u = nudge._means(members, sizes, catalog)
+    for k, rows in enumerate(sets):
+        assert repr(q_u.tolist()[k]) == repr(float_sum(quality[r] for r in rows) / len(rows))
+        assert repr(l_u.tolist()[k]) == repr(float_sum(leaning[r] for r in rows) / len(rows))
+        alone = np.add.reduce(catalog.vectors[[rows]], axis=1)[0] / len(rows)
+        assert v_u[k].tobytes() == alone.tobytes() == np.mean(catalog.vectors[rows], axis=0).tobytes()
+
+
+_COSTS = st.sampled_from([0.0, -0.0, -1e-17, 1e-17, 0.5, 1.5]) | st.floats(-0.1, 2.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lotteries=st.lists(st.lists(_COSTS, min_size=1, max_size=6), min_size=1, max_size=5))
+def test_shares_and_running_sums_are_the_scalar_lottery(lotteries):
+    # each share is c / float_sum(costs), uniform at a zero total, and the
+    # running sums are np.cumsum along the row, which is itertools.accumulate
+    width = max(map(len, lotteries))
+    costs = np.array([c + [0.0] * (width - len(c)) for c in lotteries])
+    shares = nudge._shares(costs, np.array([len(c) for c in lotteries]))
+    sums = np.cumsum(shares, axis=1)
+    for k, c in enumerate(lotteries):
+        total = float_sum(c)
+        expected = [x / total for x in c] if total != 0.0 else [1.0 / len(c)] * len(c)
+        assert [repr(x) for x in shares[k, : len(c)].tolist()] == [repr(x) for x in expected]
+        assert [repr(x) for x in sums[k, : len(c)].tolist()] == [repr(x) for x in itertools.accumulate(expected)]
 
 
 # ---------------------------------------------------------------- rng streams
