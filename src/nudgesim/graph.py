@@ -18,106 +18,74 @@ from scipy.sparse import csr_matrix, hstack
 from .corpus import CopyPair, check_source_name, read_utf8
 
 CSN_HEADER = "#csn v1"
-# an int smaller than this in size converts to a float exactly
-_EXACT_INT = 2**53
 
 
-def _int_array(values: list) -> np.ndarray:
-    """``values`` as an int64 array, 0 standing in for each value that is not
-    an int; as Python ints (dtype object) when one is 2**53 or more in size,
-    so that every comparison and quotient on them is that of Python ints."""
-    if set(map(type, values)) - {int}:
-        values = [v if type(v) is int else 0 for v in values]
+def _int_array(values: list[int]) -> np.ndarray:
+    """``values`` as an int64 array, or as Python ints (dtype object) when one
+    does not fit in int64."""
     try:
-        array = np.array(values, dtype=np.int64)
+        return np.array(values, dtype=np.int64)
     except OverflowError:
         return np.array(values, dtype=object)
-    if len(array) and (array.max() >= _EXACT_INT or array.min() <= -_EXACT_INT):
-        return np.array(values, dtype=object)
-    return array
 
 
-def _name_fault(name: str) -> str | None:
-    """Why :func:`check_source_name` refuses ``name``, or None."""
+def _checked_weights(nodes: list, counts: list, srcs: list, dsts: list, raw: list, stated=None) -> list[float]:
+    """Check a graph's records one by one, nodes first, then edges, and
+    give each edge's weight ``raw / article count`` as a Python float.
+
+    A node needs a new name that :func:`save_graph` can write as a line
+    :func:`load_graph` reads back (see :func:`check_source_name`) and an
+    int article count of at least 1; an edge needs to be new, two distinct
+    nodes as endpoints and an int raw count from 1 to its copier's article
+    count, so that its weight is in (0, 1], and, given ``stated`` (a
+    file's weights as (value, text) pairs), the weight stated. The first
+    record that breaks a rule raises a ValueError naming the first rule it
+    breaks, with the record's number (nodes from 0, then edges) as
+    ``index``."""
+    count_of, seen, weights = {}, set(), []
+
+    def edge() -> str:
+        return f"{src!r}->{dst!r}"
+
     try:
-        check_source_name(name)
+        for name, count in zip(nodes, counts):
+            if name in count_of:
+                raise ValueError(f"duplicate node {name!r}")
+            check_source_name(name)
+            if type(count) is not int or count < 1:
+                raise ValueError(f"source {name!r}: article count {count!r} is not an integer >= 1")
+            count_of[name] = count
+        for src, dst, copies in zip(srcs, dsts, raw):
+            if (src, dst) in seen:
+                raise ValueError(f"duplicate edge {edge()}")
+            seen.add((src, dst))
+            if src == dst:
+                raise ValueError(f"self-loop on {src!r}")
+            if src not in count_of or dst not in count_of:
+                raise ValueError(f"edge endpoint missing from nodes: {edge()}")
+            if type(copies) is not int or copies < 1:
+                raise ValueError(f"edge {edge()}: raw count {copies!r} is not an integer >= 1")
+            if copies > count_of[dst]:
+                raise ValueError(
+                    f"edge {edge()}: {copies} copier articles exceed the {count_of[dst]} "
+                    f"articles {dst!r} published (weight outside (0, 1])"
+                )
+            weight = copies / count_of[dst]
+            if stated is not None and stated[len(weights)][0] != weight:
+                raise ValueError(f"weight {stated[len(weights)][1]} is not raw / article count {weight!r}")
+            weights.append(weight)
     except ValueError as exc:
-        return str(exc)
-    return None
-
-
-def _raise_first(rules) -> None:
-    """Raise the ValueError of the first record that a rule rejects.
-
-    A rule is ``(offset, mask, message)``: ``mask[i]`` says that it rejects
-    record ``offset + i`` (a lone bool speaks for record ``offset``) and
-    ``message(i)`` says why. Rules are listed in the order one record is
-    checked, so on a record that several reject, the earlier rule speaks.
-    The error's ``index`` is the record's number."""
-    first = None
-    for offset, mask, message in rules:
-        hits = np.flatnonzero(mask)
-        if len(hits) and (first is None or offset + hits[0] < first[0]):
-            first = (offset + int(hits[0]), message, int(hits[0]))
-    if first is not None:
-        exc = ValueError(first[1](first[2]))
-        exc.index = first[0]
-        raise exc
-
-
-class _Records:
-    """The nodes and edges of a graph as they were given, as arrays, and the
-    rules of :class:`CsnGraph` over them (see :func:`_raise_first`).
-
-    Records are numbered nodes first, from 0, then edges, from ``n``. Names
-    are numbered here only: ``names`` lists the ``n`` node names, then each
-    other name an edge uses; ``ids`` maps a name to its place there (a
-    repeated node name to its last), and ``src`` and ``dst`` hold the edges'
-    endpoints so numbered. ``counts`` and ``raw`` hold the values as given,
-    which the messages show. A node needs a name :func:`save_graph` can
-    write as a line :func:`load_graph` reads back (see
-    :func:`check_source_name`) and an article count of at least 1. An edge
-    needs two distinct nodes as endpoints and a raw count from 1 to its
-    copier's article count, so that its weight ``raw / article count`` is in
-    (0, 1]."""
-
-    def __init__(self, nodes: list, counts: list, srcs: list, dsts: list, raw: list) -> None:
-        n = len(nodes)
-        self.ids = ids = dict(zip(nodes, range(n)))
-        self.names = names = list(nodes) + [name for name in dict.fromkeys(srcs + dsts) if name not in ids]
-        ids.update(zip(names[n:], range(n, len(names))))
-        self.nodes = names[:n]
-        self.src = src = np.fromiter(map(ids.__getitem__, srcs), np.intp, len(srcs))
-        self.dst = dst = np.fromiter(map(ids.__getitem__, dsts), np.intp, len(dsts))
-        self.count = count = _int_array(counts)
-        self.raw = raw_count = _int_array(raw)
-        copier = np.concatenate([count, np.zeros(len(names) - n, dtype=count.dtype)])[dst]
-        fits = (raw_count >= 1) & (raw_count <= copier)
-        self.weight = np.asarray(np.where(fits, raw_count, 0) / np.where(fits, copier, 1), dtype=float)
-
-        def edge(i: int) -> str:
-            return f"{names[src[i]]!r}->{names[dst[i]]!r}"
-
-        name_faults = [_name_fault(name) for name in self.nodes]
-        self.rules = [
-            (0, [fault is not None for fault in name_faults], name_faults.__getitem__),
-            (0, count < 1, lambda i: (
-                f"source {names[i]!r}: article count {counts[i]!r} is not an integer >= 1"
-            )),
-            (n, src == dst, lambda i: f"self-loop on {names[src[i]]!r}"),
-            (n, (src >= n) | (dst >= n), lambda i: f"edge endpoint missing from nodes: {edge(i)}"),
-            (n, raw_count < 1, lambda i: f"edge {edge(i)}: raw count {raw[i]!r} is not an integer >= 1"),
-            (n, raw_count > copier, lambda i: (
-                f"edge {edge(i)}: {raw[i]} copier articles exceed the {counts[dst[i]]} "
-                f"articles {names[dst[i]]!r} published (weight outside (0, 1])"
-            )),
-        ]
+        # the records before it passed, nodes into count_of and edges into weights
+        exc.index = len(count_of) + len(weights)
+        raise
+    return weights
 
 
 class CsnGraph:
     """Directed weighted copy graph, built from its two independent inputs:
     ``raw_counts`` (copier-article count per edge) and ``article_counts``
-    (articles per source; its keys are the nodes), checked once.
+    (articles per source; its keys are the nodes), checked record by record
+    (see :func:`_checked_weights`).
 
     It is held as arrays: the sorted ``nodes`` with their ``article_count``,
     and one entry per edge, sorted by (source, copier), in ``src`` and
@@ -130,32 +98,31 @@ class CsnGraph:
     """
 
     def __init__(self, raw_counts: dict[tuple[str, str], int], article_counts: dict[str, int]) -> None:
-        records = _Records(
+        self._assemble(
             list(article_counts), list(article_counts.values()),
             [s for s, _ in raw_counts], [d for _, d in raw_counts], list(raw_counts.values()),
         )
-        _raise_first(records.rules)
-        self._assemble(records)
 
     @classmethod
-    def _of(cls, records: _Records) -> CsnGraph:
-        """The graph of records whose rules have passed."""
+    def _of(cls, *records, stated=None) -> CsnGraph:
+        """The graph of records given as :meth:`_assemble` takes them."""
         graph = cls.__new__(cls)
-        graph._assemble(records)
+        graph._assemble(*records, stated=stated)
         return graph
 
-    def _assemble(self, records: _Records) -> None:
-        n = len(records.nodes)
-        order = sorted(range(n), key=records.nodes.__getitem__)
-        self.nodes = [records.nodes[i] for i in order]
-        self.article_count = records.count[order]
-        rank = np.empty(n, dtype=np.intp)
-        rank[order] = np.arange(n)
-        src, dst = rank[records.src], rank[records.dst]
+    def _assemble(self, nodes: list, counts: list, srcs: list, dsts: list, raw: list, stated=None) -> None:
+        weights = _checked_weights(nodes, counts, srcs, dsts, raw, stated)
+        n = len(nodes)
+        order = sorted(range(n), key=nodes.__getitem__)
+        self.nodes = [nodes[i] for i in order]
+        self.article_count = _int_array(counts)[order]
+        rank = dict(zip(self.nodes, range(n)))
+        src = np.fromiter(map(rank.__getitem__, srcs), np.intp, len(srcs))
+        dst = np.fromiter(map(rank.__getitem__, dsts), np.intp, len(dsts))
         by_edge = np.argsort(src * n + dst, kind="stable")
-        self.src, self.dst, self.raw = src[by_edge], dst[by_edge], records.raw[by_edge]
+        self.src, self.dst, self.raw = src[by_edge], dst[by_edge], _int_array(raw)[by_edge]
         indptr = np.searchsorted(self.src, np.arange(n + 1))
-        self.weights = csr_matrix((records.weight[by_edge], self.dst, indptr), shape=(n, n))
+        self.weights = csr_matrix((np.array(weights, dtype=float)[by_edge], self.dst, indptr), shape=(n, n))
         self.undirected = self.weights + self.weights.T
         self.undirected.sort_indices()
 
@@ -219,9 +186,7 @@ def build_csn(pairs: list[CopyPair], article_counts: dict[str, int]) -> CsnGraph
     rows = np.unique(edge * len(pairs) + numbers(article, copies))
     raw = np.bincount(rows // len(pairs), minlength=len(edges))
     src, dst = (list(map(sources.__getitem__, ends.tolist())) for ends in np.divmod(edges, len(sources)))
-    records = _Records(sources, [article_counts.get(s, 0) for s in sources], src, dst, raw.tolist())
-    _raise_first(records.rules)
-    return CsnGraph._of(records)
+    return CsnGraph._of(sources, [article_counts.get(s, 0) for s in sources], src, dst, raw.tolist())
 
 
 def save_graph(graph: CsnGraph, path) -> None:
@@ -239,26 +204,18 @@ def save_graph(graph: CsnGraph, path) -> None:
         fh.writelines(f"{nodes[s]}\t{nodes[d]}\t{raw}\t{weight}\n" for s, d, raw, weight in edges)
 
 
-def _repeated(keys: np.ndarray) -> np.ndarray:
-    """Whether each key equals an earlier one."""
-    order = np.argsort(keys, kind="stable")
-    seen = np.zeros(len(keys), dtype=bool)
-    seen[order[1:]] = keys[order[1:]] == keys[order[:-1]]
-    return seen
-
-
 def load_graph(path) -> CsnGraph:
     """Read a graph written by :func:`save_graph`.
 
     One pass over the lines checks each line's shape (3 fields for a
     ``#node`` line, all of which come before the first edge line, and 4 for
     an edge line) and converts its numbers; a line that fails raises at once.
-    Then the rules of :class:`CsnGraph` and the file's own (no duplicate node
-    or edge, a weight column equal to ``raw / article_count`` exactly) check
-    every record at once: the earliest line that breaks one raises, and on
-    one line the rule of the column read first. So a shape or number fault
-    is named before a rule fault, even one on an earlier line. Errors name
-    the line.
+    Then the records are checked line by line, by the rules of
+    :class:`CsnGraph` and the file's own (no duplicate node or edge, a
+    weight column equal to ``raw / article_count`` exactly), each line's in
+    the order its columns are read: the first line that breaks one raises.
+    So a shape or number fault is named before a rule fault, even one on an
+    earlier line. Errors name the line.
     """
     with read_utf8(path) as fh:
         first = fh.readline().rstrip("\n")
@@ -287,25 +244,13 @@ def load_graph(path) -> CsnGraph:
                 srcs.append(row[0])
                 dsts.append(row[1])
                 raw.append(int(row[2]))
-                weights.append(float(row[3]))
+                weights.append((float(row[3]), row[3]))
     except ValueError as exc:
         raise malformed(k, exc) from exc
-    n = len(names)
-    records = _Records(names, counts, srcs, dsts, raw)
     try:
-        _raise_first([
-            (0, _repeated(np.fromiter(map(records.ids.__getitem__, names), np.intp, n)),
-             lambda k: f"duplicate node {names[k]!r}"),
-            (n, _repeated(records.src * len(records.names) + records.dst),
-             lambda k: f"duplicate edge {srcs[k]!r}->{dsts[k]!r}"),
-            *records.rules,
-            (n, np.array(weights, dtype=float) != records.weight, lambda k: (
-                f"weight {rows[n + k][3]} is not raw / article count {float(records.weight[k])!r}"
-            )),
-        ])
+        return CsnGraph._of(names, counts, srcs, dsts, raw, stated=weights)
     except ValueError as exc:
         raise malformed(exc.index, exc) from exc
-    return CsnGraph._of(records)
 
 
 def directed_modularity(graph: CsnGraph, labels: dict[str, int]) -> float:

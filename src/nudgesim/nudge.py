@@ -278,8 +278,7 @@ class SimConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One iteration. ``q_u``/``l_u`` are the post-step means. At capacity
     ``accept_probability`` is the chance the offer survives the drop lottery;
     a lottery loss shows as accepted=False with dropped=None."""

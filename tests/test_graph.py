@@ -351,6 +351,48 @@ def test_graph_counts_beyond_int64_stay_exact(tmp_path):
         CsnGraph(raw_counts={("a", "b"): True}, article_counts={"a": 1, "b": 2})
 
 
+@pytest.mark.parametrize("raw, count", [
+    (2**53 + 1, 2**53 + 2),
+    (4499683446528355981, 6548177331224692246),
+    (2**63 - 2, 2**63 - 1),
+])
+def test_graph_weights_of_counts_from_2_to_the_53_are_python_quotients(tmp_path, raw, count):
+    # such counts fit in int64, but an int64 quotient rounds both to floats
+    # first: for 2**53 + 1 over 2**53 + 2 it gives 0.9999999999999998
+    graph = CsnGraph(raw_counts={("a", "b"): raw}, article_counts={"a": 1, "b": count})
+    assert graph.edges == {("a", "b"): raw / count}
+    if raw == 2**53 + 1:
+        assert raw / count == 0.9999999999999999
+    path = tmp_path / "csn.tsv"
+    save_graph(graph, path)
+    loaded = load_graph(path)
+    assert loaded.edges == graph.edges
+    assert loaded.raw_counts == {("a", "b"): raw}
+    assert loaded.article_counts == {"a": 1, "b": count}
+
+
+# graphs with several faults: the first record (nodes first, then edges in
+# the order given) is named, and on one record the first rule it breaks;
+# the error's index is that record's number
+_CONSTRUCTOR_FAULTS = [
+    ({("a", "a"): 1}, {"a": 1, "b": 0}, 1, "source 'b': article count 0 is not an integer >= 1"),
+    ({("a", "b"): 5, ("a", "a"): 1}, {"a": 1, "b": 2}, 2,
+     "edge 'a'->'b': 5 copier articles exceed the 2 articles 'b' published (weight outside (0, 1])"),
+    ({("a", "c"): 1, ("b", "b"): 1}, {"a": 1, "b": 1}, 2, "edge endpoint missing from nodes: 'a'->'c'"),
+    ({}, {"a": 1, "#b": 0}, 1, "source '#b' is empty, starts with '#' or holds a tab or line break"),
+    ({("c", "c"): 0}, {"a": 1}, 1, "self-loop on 'c'"),
+    ({("a", "c"): 0}, {"a": 1}, 1, "edge endpoint missing from nodes: 'a'->'c'"),
+    ({("b", "a"): 1, ("a", "b"): 2.0}, {"a": 1, "b": 1}, 3, "edge 'a'->'b': raw count 2.0 is not an integer >= 1"),
+]
+
+
+@pytest.mark.parametrize("raw_counts, article_counts, index, message", _CONSTRUCTOR_FAULTS)
+def test_graph_names_its_first_fault(raw_counts, article_counts, index, message):
+    with pytest.raises(ValueError) as caught:
+        CsnGraph(raw_counts=raw_counts, article_counts=article_counts)
+    assert (str(caught.value), caught.value.index) == (message, index)
+
+
 _FUZZ_NAMES = st.sampled_from(["a", "b", "c", "", "#node"])
 _FUZZ_INTS = st.one_of(st.integers(-2, 5).map(str), st.sampled_from(["", "x", "1.0"]))
 _FUZZ_WEIGHTS = st.one_of(  # mostly raw / count for small ints, so that some edges load
