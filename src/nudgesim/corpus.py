@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
 import logging
 import math
@@ -36,6 +37,12 @@ _PAIR_BLOCK = 512
 # lets 113k candidates through for 4.7k pairs, 0.03-0.1 let through no more
 # than 4.8k, and above 0.1 the indexed part grows and the time with it
 _UNINDEXED_MARGIN = 0.05
+# row entries that one slice of the exact step gathers, per row of a band (see
+# _upper_entries): 256k, about 6 MB, at the default band, so memory still grows
+# with the band; a candidate whose two rows hold more is a slice of its own
+_GATHER_PER_ROW = 512
+# articles whose runs tfidf_vectors holds and numbers at once
+_RUN_CHUNK = 64
 
 _TOKEN_RE = re.compile(r"[^\W_]+")  # runs of alphanumeric codepoints
 # lowercases each ASCII byte that _TOKEN_RE matches and makes every other
@@ -309,21 +316,34 @@ def tfidf_vectors(articles: ArticleSet) -> TfidfResult:
     weight(t, d) = tf(t, d) * (ln((1 + N) / (1 + df(t))) + 1), then each
     document vector is scaled to unit L2 norm. The vocabulary assigns term ids
     in lexicographic term order, so output is deterministic for a given corpus.
+
+    The articles are split ``_RUN_CHUNK`` at a time, and each chunk's runs are
+    numbered in first-seen order by one ``np.fromiter``; the numbering, and so
+    the result, is the same whatever the chunk size. The matrix is in
+    canonical format: sorted indices, no duplicates.
     """
     n_docs = len(articles)
     if n_docs == 0:
         raise ValueError("tfidf_vectors requires at least one article")
 
-    # run ids in first-seen order, one article at a time, so no article's runs
-    # outlive it. The space keeps title and body apart: no run, and no
-    # lowercasing (a final sigma), crosses it. The ids are C ints, 4 bytes
-    # each, read by numpy in place
+    # run ids in first-seen order, one chunk of articles at a time, so no
+    # article's runs outlive its chunk. The space keeps title and body apart:
+    # no run, and no lowercasing (a final sigma), crosses it. A chunk's ids
+    # come from one np.fromiter; they are C ints, 4 bytes each, read by numpy
+    # in place
     first_seen = _FirstSeen()
     ids = array("i")
-    ends = [0]
-    for a in articles.articles:
-        ids.extend(map(first_seen.__getitem__, _runs(a.title + " " + a.body)))
-        ends.append(len(ids))
+    lengths: list[int] = []
+    for start in range(0, n_docs, _RUN_CHUNK):
+        runs = [_runs(a.title + " " + a.body) for a in articles.articles[start : start + _RUN_CHUNK]]
+        lengths += map(len, runs)
+        numbered = np.fromiter(
+            map(first_seen.__getitem__, itertools.chain.from_iterable(runs)),
+            dtype=np.intc,
+            count=sum(lengths[start:]),
+        )
+        ids.frombytes(numbered.view(np.uint8))
+    del runs, numbered
     # each run is decoded as it leaves the dict, the last first, so the bytes
     # and the strings of all runs are never held at once
     decoded = [first_seen.popitem()[0].decode() for _ in range(len(first_seen))]
@@ -335,7 +355,7 @@ def tfidf_vectors(articles: ArticleSet) -> TfidfResult:
     vocabulary = {term: idx for idx, term in enumerate(terms)}
     # each run's term id, or -1 for a one-character run
     rank = np.fromiter(
-        (vocabulary.get(run, -1) for run in decoded), dtype=np.int32, count=len(decoded)
+        map(vocabulary.get, decoded, itertools.repeat(-1)), dtype=np.int32, count=len(decoded)
     )
     del decoded
     token_terms = rank[np.frombuffer(ids, dtype=np.intc)]
@@ -343,7 +363,7 @@ def tfidf_vectors(articles: ArticleSet) -> TfidfResult:
     kept = token_terms >= 0
     indices = token_terms[kept]
     del token_terms
-    indptr = np.concatenate(([0], np.cumsum(kept)))[ends]
+    indptr = np.concatenate(([0], np.cumsum(kept)))[np.cumsum([0] + lengths)]
     del kept
     # one entry per token; summing duplicates turns them into term counts
     matrix = sparse.csr_matrix(
@@ -374,10 +394,12 @@ def _split_rows(band: sparse.csr_matrix, bound: float):
     frequent to the least, into an unindexed part U, its leading terms while
     ``‖U‖ < bound``, and an indexed part I, the rest.
 
-    Returns I, which is ``band`` sorted and pruned in place, and ``‖U‖`` per
-    row.
+    The terms of each row are put in rank order by two transposes: scipy's
+    CSR↔CSC conversion is a counting sort, linear in the entries and the
+    columns, and emits each major's minor indices sorted. Returns I, the
+    sorted copy pruned in place, and ``‖U‖`` per row.
     """
-    band.sort_indices()
+    band = band.tocsc().tocsr()
     lengths = np.diff(band.indptr)
     squares = band.data**2
     # each entry's squared norm of its row up to and including it
@@ -394,8 +416,9 @@ def _split_rows(band: sparse.csr_matrix, bound: float):
 
 
 def _upper_entries(matrix: sparse.csr_matrix, threshold: float):
-    """Yield ``(i, j, (M·Mᵀ)[i, j])`` for every ``i < j`` whose value is at
-    least ``threshold``, one band of ``_PAIR_BLOCK`` rows at a time.
+    """The ``(i, j, (M·Mᵀ)[i, j])`` with ``i < j`` whose value is at least
+    ``threshold``, as three arrays, found one band of ``_PAIR_BLOCK`` rows at
+    a time.
 
     The terms are renumbered by document frequency, most frequent first, and
     Mᵀ is formed once. Each row x is split by :func:`_split_rows`, with the
@@ -403,39 +426,58 @@ def _upper_entries(matrix: sparse.csr_matrix, threshold: float):
     rows Cauchy–Schwarz gives ``x·y ≤ I(x)·y + ‖U(x)‖`` for any split, so a
     band's candidates are the later columns where ``I(x)·y`` plus ``‖U(x)‖``
     reaches the threshold, with slack for rounding; a column sharing no term
-    with I(x) gives at most ``‖U(x)‖``, which is below the threshold. Only
-    the candidate rows and columns are then multiplied out exactly. The
-    product sums entry (i, j) over row i's terms in index order, whatever the
-    rows and columns, so every value is bitwise the full product's entry
-    (i, j), which is also its entry (j, i).
+    with I(x) gives at most ``‖U(x)‖``, which is below the threshold. Each
+    candidate's exact value is ``M[i].multiply(M[j]) @ ones``: both rows are
+    canonical, so the products come in index order, and the mat-vec adds them
+    left to right from 0.0, as the full product sums its entry (i, j), and
+    also (j, i). So every value is bitwise the full product's. The
+    candidates are taken in slices whose two rows hold at most
+    ``_GATHER_PER_ROW * _PAIR_BLOCK`` entries in all, so a story copied many
+    times does not gather all its copies' rows at once.
     """
     n, m = matrix.shape
     rank = np.empty(m, dtype=matrix.indices.dtype)
     rank[np.argsort(-np.bincount(matrix.indices, minlength=m), kind="stable")] = np.arange(m)
     ranked = sparse.csr_matrix((matrix.data, rank[matrix.indices], matrix.indptr), shape=(n, m))
     transposed = ranked.T.tocsr()
+    del ranked  # each band is renumbered on its own
     bound = max(threshold - _UNINDEXED_MARGIN, 0.0)
+    lengths = np.diff(matrix.indptr)
+    ones = np.ones(m)
+    # three empty arrays stand first, for a matrix with no pair at all
+    found = [(np.empty(0, rank.dtype), np.empty(0, rank.dtype), np.empty(0))]
     for start in range(0, n, _PAIR_BLOCK):
-        # the slice is a copy, which _split_rows sorts and prunes
-        part, norms = _split_rows(ranked[start : start + _PAIR_BLOCK], bound)
+        band = matrix[start : start + _PAIR_BLOCK]  # a copy
+        band.indices = rank[band.indices]
+        part, norms = _split_rows(band, bound)
         indexed = part @ transposed  # I(x)·y for each row x of the band
-        row = np.repeat(np.arange(part.shape[0]), np.diff(indexed.indptr))
-        candidate = (indexed.indices > start + row) & (
-            indexed.data >= threshold - 1e-9 - norms[row] * (1 + 1e-12)
-        )
-        rows = start + np.unique(row[candidate])
-        cols = np.unique(indexed.indices[candidate])
-        del part, indexed, row, candidate  # free them before the exact product
-        if not len(rows):
-            continue
-        exact = matrix[rows] @ matrix[cols].T
-        at = np.flatnonzero(exact.data >= threshold)
-        i = rows[np.searchsorted(exact.indptr, at, side="right") - 1]
-        j = cols[exact.indices[at]]
-        upper = i < j
-        values = exact.data[at[upper]]
-        del exact
-        yield from zip(i[upper].tolist(), j[upper].tolist(), values.tolist())
+        row = np.repeat(np.arange(part.shape[0], dtype=rank.dtype), np.diff(indexed.indptr))
+        floor = threshold - 1e-9 - norms * (1 + 1e-12)
+        candidate = (indexed.indices > start + row) & (indexed.data >= floor[row])
+        j = indexed.indices[candidate]
+        del band, part, indexed  # free them before the exact step
+        i = start + row[candidate]
+        del row, candidate
+        # slices end where the gathered entries would pass the cap
+        gathered = np.cumsum(lengths[i] + lengths[j])
+        ends = [0]
+        while ends[-1] < len(i):
+            cap = _GATHER_PER_ROW * _PAIR_BLOCK + (gathered[ends[-1] - 1] if ends[-1] else 0)
+            ends.append(max(int(np.searchsorted(gathered, cap, side="right")), ends[-1] + 1))
+        del gathered
+        for low, high in itertools.pairwise(ends):
+            si, sj = i[low:high], j[low:high]
+            values = matrix[si].multiply(matrix[sj]) @ ones
+            keep = values >= threshold
+            if keep.any():
+                found.append((si[keep], sj[keep], values[keep]))
+    return tuple(map(np.concatenate, zip(*found)))
+
+
+def _codes(keys: list) -> np.ndarray:
+    """Each key's rank among the distinct keys, in their sorted order."""
+    code = {key: k for k, key in enumerate(sorted(set(keys)))}
+    return np.fromiter(map(code.__getitem__, keys), dtype=np.intp, count=len(keys))
 
 
 def similar_pairs(
@@ -453,26 +495,25 @@ def similar_pairs(
     matrix = tfidf.matrix
     if matrix.shape[0] != len(articles):
         raise ValueError(f"{matrix.shape[0]} TF-IDF rows for {len(articles)} articles")
-    pairs: list[CopyPair] = []
-    for i, j, value in _upper_entries(matrix, threshold):
-        a, b = articles.articles[i], articles.articles[j]
-        if a.source_id == b.source_id:
-            continue
-        if a.published_at == b.published_at:
-            continue
-        if a.published_at > b.published_at:
-            a, b = b, a
-        pairs.append(
-            CopyPair(
-                earlier=a.article_id,
-                later=b.article_id,
-                similarity=value,
-                earlier_source=a.source_id,
-                later_source=b.source_id,
-            )
+    i, j, values = _upper_entries(matrix, threshold)
+    arts = articles.articles
+    source = _codes([a.source_id for a in arts])
+    when = _codes([a.published_at for a in arts])  # one code for one instant in any offset
+    rank = _codes([a.article_id for a in arts])
+    keep = (source[i] != source[j]) & (when[i] != when[j])
+    i, j, values = i[keep], j[keep], values[keep]
+    earlier, later = np.where(when[i] < when[j], i, j), np.where(when[i] < when[j], j, i)
+    order = np.lexsort((rank[later], rank[earlier], source[later], source[earlier]))
+    return [
+        CopyPair(
+            earlier=arts[a].article_id,
+            later=arts[b].article_id,
+            similarity=value,
+            earlier_source=arts[a].source_id,
+            later_source=arts[b].source_id,
         )
-    pairs.sort(key=lambda p: (p.earlier_source, p.later_source, p.earlier, p.later))
-    return pairs
+        for a, b, value in zip(earlier[order].tolist(), later[order].tolist(), values[order].tolist())
+    ]
 
 
 def write_pairs_tsv(pairs: list[CopyPair], path) -> None:

@@ -390,6 +390,34 @@ def test_tfidf_matches_oracle_on_fixture(fixture_articles, fixture_tfidf):
             assert got[term] == pytest.approx(w, abs=1e-12)
 
 
+def test_tfidf_numbers_runs_chunk_by_chunk_as_one_corpus():
+    # chunks of 3 articles: 11 articles span four chunks, runs first seen in
+    # one chunk recur in later ones, and texts that are not ASCII or have no
+    # usable token sit on either side of a chunk's edge
+    texts = ["river council budget", "straße σεισμός river", "a x 7", "新闻 budget budget",
+             "storm harbor", "x", "river straße storm", "“storm” election", "ΑΣ Σα bridge",
+             "market 7 a", "council council market"]
+    arts = _dated_articles(texts)
+    article_set = corpus.ArticleSet(articles=arts, skipped=0)
+    with mock.patch.object(corpus, "_RUN_CHUNK", 3):
+        assert len(arts) > 3 * corpus._RUN_CHUNK
+        result = corpus.tfidf_vectors(article_set)
+    assert result.matrix.has_canonical_format
+    expected = oracle_tfidf(arts)
+    inverse_vocab = {i: t for t, i in result.vocabulary.items()}
+    for i, article in enumerate(arts):
+        got = {inverse_vocab[tid]: w for tid, w in _row(result, i).items()}
+        want = expected[article.article_id]
+        assert got.keys() == want.keys()
+        for term, w in want.items():
+            assert got[term] == pytest.approx(w, abs=1e-12)
+    with mock.patch.object(corpus, "_RUN_CHUNK", len(arts)):
+        whole = corpus.tfidf_vectors(article_set)
+    assert result.vocabulary == whole.vocabulary
+    for name in ("data", "indices", "indptr"):  # bit for bit one chunk's matrix
+        assert np.array_equal(getattr(result.matrix, name), getattr(whole.matrix, name))
+
+
 # ---------------------------------------------------------------- pairing
 
 
@@ -652,6 +680,71 @@ def test_similar_pairs_memory_is_bounded_by_the_band():
         finally:
             tracemalloc.stop()
     assert peak < full_bytes / 4
+
+
+@pytest.mark.parametrize("one_band", [False, True])
+def test_similar_pairs_eligibility_on_hand_built_articles(one_band):
+    noon = datetime(2018, 1, 1, 12, tzinfo=timezone.utc)
+    plus_two = timezone(timedelta(hours=2))
+    wind, storm, river = ("wind farm approved offshore", "council approves harbor budget after storm",
+                          "river bridge market election")
+    arts = [
+        corpus.Article("z", "s1", "", wind, noon),
+        # the same instant as "z", written in another offset
+        corpus.Article("plus", "s2", "", wind, datetime(2018, 1, 1, 14, tzinfo=plus_two)),
+        corpus.Article("late", "s3", "", storm, noon + timedelta(microseconds=1)),
+        corpus.Article("early", "s4", "", storm, noon),
+        corpus.Article("same-a", "s5", "", river, noon),
+        corpus.Article("same-b", "s5", "", river, noon + timedelta(hours=1)),
+    ]
+    article_set = corpus.ArticleSet(articles=arts, skipped=0)
+    tfidf = corpus.tfidf_vectors(article_set)
+    full = (tfidf.matrix @ tfidf.matrix.T).toarray()
+    assert full[0, 1] >= 0.85 and full[2, 3] >= 0.85 and full[4, 5] >= 0.85  # all three score
+    with mock.patch.object(corpus, "_PAIR_BLOCK", len(arts) if one_band else 1):
+        pairs = corpus.similar_pairs(tfidf, article_set)
+    assert pairs == [corpus.CopyPair("early", "late", full[2, 3], "s4", "s3")]
+
+
+@pytest.mark.parametrize("block", [1, 4])
+def test_similar_pairs_without_candidates_is_empty(block):
+    arts = _dated_articles(["alpha beta", "gamma delta", "a x", "epsilon zeta"])
+    article_set = corpus.ArticleSet(articles=arts, skipped=0)
+    tfidf = corpus.tfidf_vectors(article_set)
+    with mock.patch.object(corpus, "_PAIR_BLOCK", block):
+        assert corpus.similar_pairs(tfidf, article_set) == []
+        assert corpus.similar_pairs(tfidf, article_set, threshold=0.01) == []
+
+
+def test_similar_pairs_memory_is_bounded_by_the_gathered_entries():
+    # three 5,000-token stories, each copied 50 times with one word swapped:
+    # every two copies of a story pair, so gathering the rows of every
+    # candidate at once would take 12 bytes per entry of both rows
+    rng = random.Random(5)
+    words = [f"w{k}" for k in range(3000)]
+    start = datetime(2018, 1, 1, tzinfo=timezone.utc)
+    arts = []
+    for story in range(3):
+        text = rng.choices(words, k=5000)
+        for copy in range(50):
+            swapped = list(text)
+            swapped[rng.randrange(len(text))] = rng.choice(words)
+            arts.append(corpus.Article(f"st{story}-{copy}", f"s{copy}", "", " ".join(swapped),
+                                       start + timedelta(minutes=len(arts))))
+    article_set = corpus.ArticleSet(articles=arts, skipped=0)
+    tfidf = corpus.tfidf_vectors(article_set)
+    full = (tfidf.matrix @ tfidf.matrix.T).tocoo()
+    paired = (full.row < full.col) & (full.data >= 0.85)
+    lengths = np.diff(tfidf.matrix.indptr)
+    gathered_bytes = int((lengths[full.row[paired]] + lengths[full.col[paired]]).sum()) * 12
+    tracemalloc.start()
+    try:
+        pairs = corpus.similar_pairs(tfidf, article_set)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == 3 * 50 * 49 // 2
+    assert peak < gathered_bytes
 
 
 def test_cosine_is_scale_invariant():
