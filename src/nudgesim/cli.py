@@ -337,9 +337,10 @@ def _mean_quality(trajectories: tuple[nudge.Trajectory, ...]) -> list[float]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("NUDGESIM_LOG", "WARNING").upper()
+    # a level name maps to its number; any other name is WARNING
+    level = logging.getLevelName(os.environ.get("NUDGESIM_LOG", "WARNING").upper())
     logging.basicConfig(
-        level=getattr(logging, level, logging.WARNING),
+        level=level if isinstance(level, int) else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )

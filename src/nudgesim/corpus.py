@@ -474,12 +474,6 @@ def _upper_entries(matrix: sparse.csr_matrix, threshold: float):
     return tuple(map(np.concatenate, zip(*found)))
 
 
-def _codes(keys: list) -> np.ndarray:
-    """Each key's rank among the distinct keys, in their sorted order."""
-    code = {key: k for k, key in enumerate(sorted(set(keys)))}
-    return np.fromiter(map(code.__getitem__, keys), dtype=np.intp, count=len(keys))
-
-
 def similar_pairs(
     tfidf: TfidfResult,
     articles: ArticleSet,
@@ -487,9 +481,10 @@ def similar_pairs(
 ) -> list[CopyPair]:
     """All cross-source article pairs with cosine similarity >= threshold.
 
-    Pairs are oriented earlier -> later by publication timestamp; pairs with
-    exactly equal timestamps are discarded (copy direction is unknowable).
-    Articles with empty token lists never pair. The result is sorted by
+    Each entry :func:`_upper_entries` finds is oriented earlier -> later by
+    publication timestamp; pairs with equal instants (in any offsets) are
+    discarded (copy direction is unknowable). Articles with empty token lists
+    never pair. The pairs are then sorted by
     (earlier_source, later_source, earlier, later).
     """
     matrix = tfidf.matrix
@@ -497,23 +492,16 @@ def similar_pairs(
         raise ValueError(f"{matrix.shape[0]} TF-IDF rows for {len(articles)} articles")
     i, j, values = _upper_entries(matrix, threshold)
     arts = articles.articles
-    source = _codes([a.source_id for a in arts])
-    when = _codes([a.published_at for a in arts])  # one code for one instant in any offset
-    rank = _codes([a.article_id for a in arts])
-    keep = (source[i] != source[j]) & (when[i] != when[j])
-    i, j, values = i[keep], j[keep], values[keep]
-    earlier, later = np.where(when[i] < when[j], i, j), np.where(when[i] < when[j], j, i)
-    order = np.lexsort((rank[later], rank[earlier], source[later], source[earlier]))
-    return [
-        CopyPair(
-            earlier=arts[a].article_id,
-            later=arts[b].article_id,
-            similarity=value,
-            earlier_source=arts[a].source_id,
-            later_source=arts[b].source_id,
-        )
-        for a, b, value in zip(earlier[order].tolist(), later[order].tolist(), values[order].tolist())
-    ]
+    pairs = []
+    for a, b, value in zip(i.tolist(), j.tolist(), values.tolist()):
+        first, second = arts[a], arts[b]
+        if first.source_id == second.source_id or first.published_at == second.published_at:
+            continue
+        if second.published_at < first.published_at:
+            first, second = second, first
+        pairs.append(CopyPair(first.article_id, second.article_id, value, first.source_id, second.source_id))
+    pairs.sort(key=operator.attrgetter("earlier_source", "later_source", "earlier", "later"))
+    return pairs
 
 
 def write_pairs_tsv(pairs: list[CopyPair], path) -> None:

@@ -103,13 +103,6 @@ class CsnGraph:
             [s for s, _ in raw_counts], [d for _, d in raw_counts], list(raw_counts.values()),
         )
 
-    @classmethod
-    def _of(cls, *records, stated=None) -> CsnGraph:
-        """The graph of records given as :meth:`_assemble` takes them."""
-        graph = cls.__new__(cls)
-        graph._assemble(*records, stated=stated)
-        return graph
-
     def _assemble(self, nodes: list, counts: list, srcs: list, dsts: list, raw: list, stated=None) -> None:
         weights = _checked_weights(nodes, counts, srcs, dsts, raw, stated)
         n = len(nodes)
@@ -162,31 +155,21 @@ def build_csn(pairs: list[CopyPair], article_counts: dict[str, int]) -> CsnGraph
     Nodes are exactly the sources that appear in at least one pair; a node
     with a missing or zero article count is a fatal error, and so is a weight
     above 1, which only article counts inconsistent with the pairs can give.
+    A source that is not a string is refused first, earlier names before later.
     """
-    earlier, later = [p.earlier_source for p in pairs], [p.later_source for p in pairs]
-    copies = [p.later for p in pairs]
-    # the sort below compares names, so a name that is not a string is
+    names = [p.earlier_source for p in pairs] + [p.later_source for p in pairs]
+    # the sorts below compare names, so a name that is not a string is
     # refused first
-    if set(map(type, earlier + later)) - {str}:
-        for name in earlier + later:
+    if set(map(type, names)) - {str}:
+        for name in names:
             check_source_name(name)
-    sources = sorted(set(earlier) | set(later))
-    index = {source: i for i, source in enumerate(sources)}
-    article = dict(zip(copies, range(len(pairs))))  # a number per later article: its last pair
-
-    def numbers(ids: dict[str, int], names: list[str]) -> np.ndarray:
-        return np.fromiter(map(ids.__getitem__, names), np.intp, len(names))
-
-    # each pair as one int: its edge, numbered in (earlier source, later
-    # source) order, then its later article; one np.unique keeps each such
-    # row once
-    edges, edge = np.unique(
-        numbers(index, earlier) * len(sources) + numbers(index, later), return_inverse=True
-    )
-    rows = np.unique(edge * len(pairs) + numbers(article, copies))
-    raw = np.bincount(rows // len(pairs), minlength=len(edges))
-    src, dst = (list(map(sources.__getitem__, ends.tolist())) for ends in np.divmod(edges, len(sources)))
-    return CsnGraph._of(sources, [article_counts.get(s, 0) for s in sources], src, dst, raw.tolist())
+    copiers: dict[tuple[str, str], set[str]] = {}
+    for p in pairs:
+        copiers.setdefault((p.earlier_source, p.later_source), set()).add(p.later)
+    raw_counts = {edge: len(copiers[edge]) for edge in sorted(copiers)}
+    del copiers  # a set per edge, freed before the graph's arrays are built
+    sources = sorted({name for edge in raw_counts for name in edge})
+    return CsnGraph(raw_counts=raw_counts, article_counts={s: article_counts.get(s, 0) for s in sources})
 
 
 def save_graph(graph: CsnGraph, path) -> None:
@@ -210,8 +193,8 @@ def load_graph(path) -> CsnGraph:
     One pass over the lines checks each line's shape (3 fields for a
     ``#node`` line, all of which come before the first edge line, and 4 for
     an edge line) and converts its numbers; a line that fails raises at once.
-    Then the records are checked line by line, by the rules of
-    :class:`CsnGraph` and the file's own (no duplicate node or edge, a
+    Then the records, in file order, are checked line by line by the rules
+    of :class:`CsnGraph` and the file's own (no duplicate node or edge, a
     weight column equal to ``raw / article_count`` exactly), each line's in
     the order its columns are read: the first line that breaks one raises.
     So a shape or number fault is named before a rule fault, even one on an
@@ -248,9 +231,11 @@ def load_graph(path) -> CsnGraph:
     except ValueError as exc:
         raise malformed(k, exc) from exc
     try:
-        return CsnGraph._of(names, counts, srcs, dsts, raw, stated=weights)
+        graph = CsnGraph.__new__(CsnGraph)
+        graph._assemble(names, counts, srcs, dsts, raw, stated=weights)
     except ValueError as exc:
         raise malformed(exc.index, exc) from exc
+    return graph
 
 
 def directed_modularity(graph: CsnGraph, labels: dict[str, int]) -> float:

@@ -9,9 +9,8 @@ provider-derived values (one hop, no chaining).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .corpus import float_sum, read_csv, write_csv
 from .graph import CsnGraph
@@ -132,30 +131,25 @@ def impute_missing(scores: dict[str, SourceScore], graph: CsnGraph) -> dict[str,
     Sources absent from the graph, or whose neighbors are all silent, keep
     their gaps and stay ``unavailable``.
 
-    Per field, the 0/1 pattern of ``graph.undirected`` times the donors'
-    values gives each node's neighbor sum, and times the donors' indicator
-    its neighbor count. A CSR product adds a row's terms in index order,
-    which is the sorted neighbor order, from 0.0, so each mean is that of
-    :func:`float_sum` over the neighbors.
+    A field's mean is the :func:`float_sum` of the donors' values over the
+    source's row of ``graph.undirected``, which lists its neighbors in
+    sorted order, divided by their count.
     """
-    pattern = graph.undirected.copy()
-    pattern.data[:] = 1.0
     donors = [scores.get(node) for node in graph.nodes]
     donors = [d if d is not None and d.provenance != "imputed" else None for d in donors]
+    given = {name: [None if d is None else getattr(d, name) for d in donors] for name in ("quality", "leaning")}
+    row_of = dict(zip(graph.nodes, itertools.pairwise(graph.undirected.indptr.tolist())))
+    neighbors = graph.undirected.indices.tolist()
 
-    def neighbor_means(name: str) -> list[float | None]:
-        values = [None if d is None else getattr(d, name) for d in donors]
-        given = np.array([v is not None for v in values], dtype=float)
-        sums = pattern @ np.array([0.0 if v is None else v for v in values])
-        counts = pattern @ given
-        return [s / c if c else None for s, c in zip(sums.tolist(), counts.tolist())]
+    def neighbor_mean(source: str, name: str) -> float | None:
+        start, end = row_of.get(source, (0, 0))
+        values = [v for v in map(given[name].__getitem__, neighbors[start:end]) if v is not None]
+        return float_sum(values) / len(values) if values else None
 
-    means = dict(zip(graph.nodes, zip(neighbor_means("quality"), neighbor_means("leaning"))))
     result: dict[str, SourceScore] = {}
     for source, score in scores.items():
-        q_mean, l_mean = means.get(source, (None, None))
-        q = q_mean if score.quality is None else score.quality
-        l = l_mean if score.leaning is None else score.leaning
+        q = neighbor_mean(source, "quality") if score.quality is None else score.quality
+        l = neighbor_mean(source, "leaning") if score.leaning is None else score.leaning
         if q is None or l is None:
             provenance = "unavailable"
         elif (q, l) != (score.quality, score.leaning):

@@ -405,6 +405,23 @@ def test_only_embed_loads_scipy_special(tmp_path):
     assert result.stdout.splitlines()[-1] == "[False, False, True]"
 
 
+def test_log_variable_that_names_no_level_is_warning():
+    # NUDGESIM_LOG=basic_format names logging.BASIC_FORMAT, a format string,
+    # not a level; it must fall back to WARNING, not reach basicConfig. In a
+    # fresh process, since pytest's root handlers make basicConfig a no-op
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent),
+        NUDGESIM_LOG="basic_format",
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys; from nudgesim.cli import main; sys.exit(main(['--help']))"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.startswith("usage:")
+
+
 def test_embed_graph_without_nodes_exits_1_naming_the_file(tmp_path, capsys):
     csn = tmp_path / "csn.tsv"
     csn.write_text(graph.CSN_HEADER + "\n", encoding="utf-8")

@@ -195,6 +195,11 @@ def test_build_csn_rejects_a_source_that_is_not_a_string_before_sorting():
     # "a" and 7 cannot be sorted together: the name is refused before the sort
     with pytest.raises(ValueError, match=r"^source 7 is not a string but int$"):
         build_csn([CopyPair("x", "y", 0.9, "a", 7)], {"a": 1, 7: 1})
+    # every earlier source is checked before any later one: the earlier 8 of
+    # the second pair is named, not the later 7 of the first
+    pairs = [CopyPair("x", "y", 0.9, "a", 7), CopyPair("u", "v", 0.9, 8, "b")]
+    with pytest.raises(ValueError, match=r"^source 8 is not a string but int$"):
+        build_csn(pairs, {"a": 1, "b": 1, 7: 1, 8: 1})
 
 
 def test_load_graph_rejects_node_name_starting_with_hash(tmp_path):

@@ -209,6 +209,24 @@ def test_impute_partial_fill_keeps_unavailable():
     assert out["x"].provenance == "unavailable"
 
 
+def test_impute_adds_donors_in_sorted_neighbor_order():
+    # x's neighbors in name order are donors 0.1, 0.2, 0.3 with a non-donor
+    # and an imputed row between them; 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1
+    # differ in the last bit, so the exact mean pins the order
+    graph = _chain_graph([("a", "x"), ("x", "b"), ("c", "x"), ("x", "d"), ("e", "x")])
+    scores = {
+        "a": SourceScore("a", 0.1, 0.1, "labeled"),
+        "b": SourceScore("b", None, None, "unavailable"),
+        "c": SourceScore("c", 0.2, 0.2, "labeled"),
+        "d": SourceScore("d", 1.0, 1.0, "imputed"),
+        "e": SourceScore("e", 0.3, 0.3, "labeled"),
+        "x": SourceScore("x", None, None, "unavailable"),
+    }
+    assert (0.1 + 0.2 + 0.3) / 3 != (0.3 + 0.2 + 0.1) / 3
+    out = impute_missing(scores, graph)
+    assert out["x"] == SourceScore("x", 0.20000000000000004, 0.20000000000000004, "imputed")
+
+
 def test_impute_is_idempotent():
     graph = _chain_graph([("a", "x"), ("x", "b")])
     scores = {
