@@ -17,7 +17,6 @@ import logging
 import math
 import operator
 import re
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -41,8 +40,6 @@ _UNINDEXED_MARGIN = 0.05
 # _upper_entries): 256k, about 6 MB, at the default band, so memory still grows
 # with the band; a candidate whose two rows hold more is a slice of its own
 _GATHER_PER_ROW = 512
-# articles whose runs tfidf_vectors holds and numbers at once
-_RUN_CHUNK = 64
 
 _TOKEN_RE = re.compile(r"[^\W_]+")  # runs of alphanumeric codepoints
 # lowercases each ASCII byte that _TOKEN_RE matches and makes every other
@@ -317,33 +314,28 @@ def tfidf_vectors(articles: ArticleSet) -> TfidfResult:
     document vector is scaled to unit L2 norm. The vocabulary assigns term ids
     in lexicographic term order, so output is deterministic for a given corpus.
 
-    The articles are split ``_RUN_CHUNK`` at a time, and each chunk's runs are
-    numbered in first-seen order by one ``np.fromiter``; the numbering, and so
-    the result, is the same whatever the chunk size. The matrix is in
+    Every run of every article is numbered in first-seen order by one
+    ``np.fromiter``, which reads the articles one at a time. The matrix is in
     canonical format: sorted indices, no duplicates.
     """
     n_docs = len(articles)
     if n_docs == 0:
         raise ValueError("tfidf_vectors requires at least one article")
 
-    # run ids in first-seen order, one chunk of articles at a time, so no
-    # article's runs outlive its chunk. The space keeps title and body apart:
-    # no run, and no lowercasing (a final sigma), crosses it. A chunk's ids
-    # come from one np.fromiter; they are C ints, 4 bytes each, read by numpy
-    # in place
+    # run ids in first-seen order, split one article at a time, so no
+    # article's runs outlive its numbering; each article's run count goes to
+    # lengths as it is split. The space keeps title and body apart: no run,
+    # and no lowercasing (a final sigma), crosses it
     first_seen = _FirstSeen()
-    ids = array("i")
     lengths: list[int] = []
-    for start in range(0, n_docs, _RUN_CHUNK):
-        runs = [_runs(a.title + " " + a.body) for a in articles.articles[start : start + _RUN_CHUNK]]
-        lengths += map(len, runs)
-        numbered = np.fromiter(
-            map(first_seen.__getitem__, itertools.chain.from_iterable(runs)),
-            dtype=np.intc,
-            count=sum(lengths[start:]),
-        )
-        ids.frombytes(numbered.view(np.uint8))
-    del runs, numbered
+
+    def article_runs():
+        for a in articles.articles:
+            runs = _runs(a.title + " " + a.body)
+            lengths.append(len(runs))
+            yield runs
+
+    ids = np.fromiter(map(first_seen.__getitem__, itertools.chain.from_iterable(article_runs())), dtype=np.intc)
     # each run is decoded as it leaves the dict, the last first, so the bytes
     # and the strings of all runs are never held at once
     decoded = [first_seen.popitem()[0].decode() for _ in range(len(first_seen))]
@@ -358,7 +350,7 @@ def tfidf_vectors(articles: ArticleSet) -> TfidfResult:
         map(vocabulary.get, decoded, itertools.repeat(-1)), dtype=np.int32, count=len(decoded)
     )
     del decoded
-    token_terms = rank[np.frombuffer(ids, dtype=np.intc)]
+    token_terms = rank[ids]
     del ids, rank
     kept = token_terms >= 0
     indices = token_terms[kept]

@@ -150,13 +150,10 @@ def impute_missing(scores: dict[str, SourceScore], graph: CsnGraph) -> dict[str,
     for source, score in scores.items():
         q = neighbor_mean(source, "quality") if score.quality is None else score.quality
         l = neighbor_mean(source, "leaning") if score.leaning is None else score.leaning
-        if q is None or l is None:
-            provenance = "unavailable"
-        elif (q, l) != (score.quality, score.leaning):
-            provenance = "imputed"
-        else:
-            provenance = score.provenance
-        result[source] = replace(score, quality=q, leaning=l, provenance=provenance)
+        if (q, l) != (score.quality, score.leaning):  # a gap was filled
+            provenance = "unavailable" if q is None or l is None else "imputed"
+            score = replace(score, quality=q, leaning=l, provenance=provenance)
+        result[source] = score
     return result
 
 

@@ -24,7 +24,8 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import ClassVar, NamedTuple
 
@@ -477,21 +478,6 @@ def _shares(costs: np.ndarray, counts: np.ndarray) -> np.ndarray:
         return np.where(total == 0.0, 1.0 / counts[:, None], costs / total)
 
 
-def _bisect_right(sums: np.ndarray, counts: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """``bisect.bisect_right(sums[i, :counts[i]], draws[i])`` for each row
-    ``i``, by the same halving steps, so the two agree on any sums: a
-    lottery's running sums are not monotone where a trust cost rounds below
-    zero, and then a count of the sums not above the draw would differ."""
-    lo, hi = np.zeros_like(counts), counts
-    rows, last = np.arange(len(counts)), sums.shape[1] - 1
-    while (searching := lo < hi).any():
-        mid = (lo + hi) // 2
-        left = draws < sums[rows, np.minimum(mid, last)]
-        hi = np.where(left, mid, hi)  # a finished row has mid == hi
-        lo = np.where(left | ~searching, lo, mid + 1)
-    return lo
-
-
 def rng_for_user(seed: int, user_id: str) -> np.random.Generator:
     """Per-user PCG64 substream: entropy = (seed as unsigned 64-bit, first 8
     bytes of SHA-256(user_id)). Distinct users never share a stream."""
@@ -527,17 +513,18 @@ def simulate_all(
 
     Every run's state is one row of arrays: its members and means (a
     :class:`_Rows` as wide as the largest limit, each limit clamped to the
-    catalog size first) and its plan. A plan is made at a run's start and
-    after each of its accepted steps: the offer, its trust cost, its accept
-    probability ``p`` and one outcome table, the running sums of the
-    outcome shares and the row each outcome drops. Below capacity the
-    outcomes drop nothing (accept) or the offer (reject), with sums ``[p,
-    1.0]``; at capacity they are the drop lottery, where dropping the offer
-    means rejection. At each step one :func:`_offers` call and one
-    :func:`_stakes` call plan every run that needs a plan. Each stepping
-    run then takes one uniform draw from its own :func:`rng_for_user`
-    stream, and :func:`_bisect_right` picks every run's outcome, the last
-    one where the draw passes every sum. One vectorized update gives every
+    catalog size first) and its plan: the offer, its trust cost and its
+    accept probability ``p``, plus one outcome table, two lists of the
+    running sums of the outcome shares and the row each outcome drops. A
+    plan is made at a run's start and after each of its accepted steps.
+    Below capacity the outcomes drop nothing (accept) or the offer
+    (reject), with sums ``[p, 1.0]``; at capacity they are the drop
+    lottery, where dropping the offer means rejection. At each step one
+    :func:`_offers` call and one :func:`_stakes` call plan every run that
+    needs a plan. Each stepping run then takes one uniform draw from its
+    own :func:`rng_for_user` stream and drops the row that
+    ``bisect_right`` over its sums picks, the last one where the
+    draw passes every sum. One vectorized update gives every
     run that accepted its new members, sorted, and one :func:`_means` call
     its new means; ``Trajectory.final`` is built once, after the last step.
     A run's trajectory is a function of its own (u0, catalog, config),
@@ -560,22 +547,18 @@ def simulate_all(
     alphas = np.array([config.alpha for config in configs])
     ends = np.array([config.T for config in configs])
     # the plans: each offer (-1 for none), its cost and accept probability,
-    # and each outcome table, its number of outcomes, their running sums and
-    # the row each one drops (n for none)
+    # and each outcome table, the running sums of the outcome shares and the
+    # row each outcome drops (n for none), as two lists
     offer = np.full(len(runs), -1, dtype=np.int64)
     cost, accept = np.zeros(len(runs)), np.zeros(len(runs))
-    outcomes = np.zeros(len(runs), dtype=np.int64)
-    width = state.members.shape[1] + 1
-    sums, drops = np.zeros((len(runs), width)), np.full((len(runs), width), n, dtype=np.int64)
+    tables: list[tuple[list[float], list[int]] | None] = [None] * len(runs)
     records: list[list[StepRecord]] = [[] for _ in runs]
     stepping = np.arange(len(runs))
     for t in range(max(config.T for config in configs)):
         # a rejected offer leaves the members, and so the plan, unchanged; a
-        # converged run, or one with nothing eligible, never changes again
-        stepping = stepping[
-            (ends[stepping] > t)
-            & ((offer[stepping] >= 0) | (state.q_u[stepping] < 1.0 - SimConfig.epsilon_converge))
-        ]
+        # converged run, or one with nothing eligible, never changes again.
+        # A plan is made only below convergence and dropped when q_u changes
+        stepping = stepping[(ends[stepping] > t) & (state.q_u[stepping] < 1.0 - SimConfig.epsilon_converge)]
         planless = stepping[offer[stepping] < 0]
         if planless.size:
             offers = _offers(state.take(planless), catalog, [offer_rule[j] for j in planless.tolist()])
@@ -592,17 +575,19 @@ def simulate_all(
                 offer[new], cost[new], accept[new] = rows, costs[k, at], p
                 # below capacity the outcomes are accept, which drops nothing,
                 # and reject; a draw is below 1.0, so sums [p, 1.0] pick as [p]
-                below_sums, below_drops = np.ones_like(shares), np.full_like(stakes, n)
-                below_sums[:, 0], below_drops[:, 1] = p, rows
-                outcomes[new] = np.where(full, counts, 2)
-                sums[new] = np.where(full[:, None], np.cumsum(shares, axis=1), below_sums)
-                drops[new] = np.where(full[:, None], stakes, below_drops)
+                for j, at_limit, count, sums, drops, chance, row in zip(
+                    new.tolist(), full.tolist(), counts.tolist(), np.cumsum(shares, axis=1).tolist(),
+                    stakes.tolist(), p.tolist(), rows.tolist(),
+                ):
+                    tables[j] = (sums[:count], drops[:count]) if at_limit else ([chance, 1.0], [n, row])
             stepping = stepping[offer[stepping] >= 0]
         if not stepping.size:
             break
-        draws = np.array([rngs[j].random() for j in stepping.tolist()])
-        picks = np.minimum(_bisect_right(sums[stepping], outcomes[stepping], draws), outcomes[stepping] - 1)
-        dropped = drops[stepping, picks]
+        # one draw per run; a draw past every running sum takes the last outcome
+        dropped = np.array([
+            drops[min(bisect_right(sums, rngs[j].random()), len(drops) - 1)]
+            for j in stepping.tolist() for sums, drops in [tables[j]]
+        ], dtype=np.int64)
         taken = dropped != offer[stepping]
         moved = stepping[taken]
         if moved.size:
@@ -674,7 +659,7 @@ def write_summary_json(trajectories: list[Trajectory], path) -> None:
         payload.append(
             {
                 "user_id": traj.user_id,
-                "config": dict(asdict(cfg), epsilon_converge=cfg.epsilon_converge),
+                "config": dict(vars(cfg), epsilon_converge=cfg.epsilon_converge),
                 "start": _profile_summary(traj.start),
                 "end": _profile_summary(traj.final),
                 "convergence_point": traj.convergence_point,

@@ -399,7 +399,7 @@ def test_only_embed_loads_scipy_special(tmp_path):
     result = subprocess.run(
         [sys.executable, "-c", script, str(synthetic.fixture_articles_path()), str(tmp_path)]
         + _SMALL_EMBED,
-        env=env, capture_output=True, text=True, timeout=120,
+        env=env, capture_output=True, text=True, encoding="utf-8", timeout=120,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[False, False, True]"
@@ -416,7 +416,7 @@ def test_log_variable_that_names_no_level_is_warning():
     )
     result = subprocess.run(
         [sys.executable, "-c", "import sys; from nudgesim.cli import main; sys.exit(main(['--help']))"],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=env, capture_output=True, text=True, encoding="utf-8", timeout=120,
     )
     assert (result.returncode, result.stderr) == (0, "")
     assert result.stdout.startswith("usage:")

@@ -390,18 +390,14 @@ def test_tfidf_matches_oracle_on_fixture(fixture_articles, fixture_tfidf):
             assert got[term] == pytest.approx(w, abs=1e-12)
 
 
-def test_tfidf_numbers_runs_chunk_by_chunk_as_one_corpus():
-    # chunks of 3 articles: 11 articles span four chunks, runs first seen in
-    # one chunk recur in later ones, and texts that are not ASCII or have no
-    # usable token sit on either side of a chunk's edge
+def test_tfidf_numbers_runs_across_articles_as_one_corpus():
+    # runs first seen in one article recur in later ones, and texts that are
+    # not ASCII or have no usable token sit between them
     texts = ["river council budget", "straße σεισμός river", "a x 7", "新闻 budget budget",
              "storm harbor", "x", "river straße storm", "“storm” election", "ΑΣ Σα bridge",
              "market 7 a", "council council market"]
     arts = _dated_articles(texts)
-    article_set = corpus.ArticleSet(articles=arts, skipped=0)
-    with mock.patch.object(corpus, "_RUN_CHUNK", 3):
-        assert len(arts) > 3 * corpus._RUN_CHUNK
-        result = corpus.tfidf_vectors(article_set)
+    result = corpus.tfidf_vectors(corpus.ArticleSet(articles=arts, skipped=0))
     assert result.matrix.has_canonical_format
     expected = oracle_tfidf(arts)
     inverse_vocab = {i: t for t, i in result.vocabulary.items()}
@@ -411,11 +407,6 @@ def test_tfidf_numbers_runs_chunk_by_chunk_as_one_corpus():
         assert got.keys() == want.keys()
         for term, w in want.items():
             assert got[term] == pytest.approx(w, abs=1e-12)
-    with mock.patch.object(corpus, "_RUN_CHUNK", len(arts)):
-        whole = corpus.tfidf_vectors(article_set)
-    assert result.vocabulary == whole.vocabulary
-    for name in ("data", "indices", "indptr"):  # bit for bit one chunk's matrix
-        assert np.array_equal(getattr(result.matrix, name), getattr(whole.matrix, name))
 
 
 # ---------------------------------------------------------------- pairing

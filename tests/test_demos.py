@@ -128,7 +128,7 @@ def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(SRC), NUDGESIM_LOG="WARNING")
     result = subprocess.run(
         [sys.executable, str(script)], cwd=tmp_path, env=env, capture_output=True, text=True,
-        timeout=120,
+        encoding="utf-8", timeout=120,
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "output").is_dir()

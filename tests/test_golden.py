@@ -51,7 +51,7 @@ def test_repost_run_ignores_hash_seed_and_blas_threads(tmp_path):
         env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed,
                    OPENBLAS_NUM_THREADS=threads)
         child = subprocess.run([sys.executable, "-c", _REPOST_CHILD, str(root)], env=env,
-                               capture_output=True, text=True, timeout=120)
+                               capture_output=True, text=True, encoding="utf-8", timeout=120)
         assert child.returncode == 0, child.stderr
         assert json.loads(child.stdout) == expected, (hash_seed, threads)
 

@@ -155,8 +155,8 @@ def test_impute_fills_from_labeled_neighbors():
     assert out["x"].leaning == pytest.approx(-0.5)
     assert out["x"].provenance == "imputed"
     assert out["y"] == SourceScore("y", 0.3, -0.5, "imputed")
-    # labeled rows pass through untouched
-    assert out["a"] == scores["a"]
+    # labeled rows pass through untouched, as the same objects
+    assert out["a"] is scores["a"] and out["b"] is scores["b"]
 
 
 def test_impute_uses_direction_blind_neighborhood():
@@ -178,7 +178,7 @@ def test_impute_isolated_source_stays_unavailable():
         "x": SourceScore("x", None, None, "unavailable"),
     }
     out = impute_missing(scores, graph)
-    assert out["x"].provenance == "unavailable"
+    assert out["x"] is scores["x"]  # a score whose gaps stay is kept as it is
 
 
 def test_impute_does_not_chain_through_imputed_rows():

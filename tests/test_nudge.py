@@ -5,7 +5,6 @@ Stochastic steps are validated by replaying the identical generator stream
 through an independent inverse-CDF sampler and demanding the same outcome.
 """
 
-import bisect
 import itertools
 import json
 import math
@@ -655,6 +654,34 @@ def test_step_at_capacity_matches_inverse_cdf_oracle():
         assert len(u.sources) == 2
 
 
+class _LastDrawRng:
+    """Draws the largest double below 1.0, every time."""
+
+    def random(self):
+        return float(np.nextafter(1.0, 0.0))
+
+
+def test_step_draw_past_every_running_sum_takes_the_last_outcome(monkeypatch):
+    # the lottery's shares round to running sums that end below 1.0, so the
+    # draw passes every sum; it must drop the last stake, here the member
+    # "c", the highest id, not fall off the end of the outcomes
+    catalog = SourceCatalog(
+        [
+            _source("a", 0.5, -1.0, [1.0, 1.0]),
+            _source("b", 0.9, -1.0, [1.0, 2.0]),
+            _source("c", 0.5, -1.0, [-1.0, 0.0]),
+        ]
+    )
+    u = profile_from_sources("u", ["a", "c"], catalog, limit=2)
+    dist = drop_distribution(u, catalog["b"], catalog, ALPHA)
+    assert list(dist) == ["a", "b", "c"]
+    assert list(itertools.accumulate(dist.values()))[-1] == np.nextafter(1.0, 0.0)
+    monkeypatch.setattr(nudge, "rng_for_user", lambda seed, user_id: _LastDrawRng())
+    record, u = _one_step(u, catalog, L=2)
+    assert (record.recommended, record.accepted, record.dropped) == ("b", True, "c")
+    assert u.sources == ["a", "b"]
+
+
 def test_step_updates_means_after_membership_change():
     catalog = _toy_catalog()
     u = profile_from_sources("u", ["anchor"], catalog, limit=2)
@@ -1075,31 +1102,6 @@ def test_convergence_point_variants():
 
 
 # ---------------------------------------------------------------- array rows
-
-
-def test_bisect_right_on_running_sums_that_fall():
-    # a trust cost that rounds below zero makes a lottery's running sums
-    # fall, and there bisect_right and a count of the sums not above the
-    # draw disagree
-    sums, draw = [0.3, 0.29999999999999993, 1.0], 0.29999999999999993
-    assert bisect.bisect_right(sums, draw) == 2
-    assert sum(s <= draw for s in sums) == 1
-    assert nudge._bisect_right(np.array([sums]), np.array([3]), np.array([draw])).tolist() == [2]
-
-
-_SUMS = st.sampled_from([0.0, 0.29999999999999993, 0.3, 0.5, 1.0, 1.0000000000000002]) | st.floats(-0.5, 1.5)
-
-
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_bisect_right_is_bisect_per_row(data):
-    width = data.draw(st.integers(1, 7))
-    rows = data.draw(st.lists(st.lists(_SUMS, min_size=width, max_size=width), min_size=1, max_size=6))
-    counts = [data.draw(st.integers(0, width)) for _ in rows]
-    draws = [data.draw(_SUMS) for _ in rows]
-    picked = nudge._bisect_right(np.array(rows), np.array(counts), np.array(draws))
-    expected = [bisect.bisect_right(row[:count], draw) for row, count, draw in zip(rows, counts, draws)]
-    assert picked.tolist() == expected
 
 
 @settings(max_examples=200, deadline=None)
