@@ -348,10 +348,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         _resolve_options(parser, args)
-        if args.command == "embed" and args.seed < 0:
-            # numpy's SeedSequence takes no negative entropy; simulate instead
-            # masks its seed to 64 bits (nudge.rng_for_user)
-            parser.error(f"argument --seed: must be >= 0 for embed, got {args.seed}")
         return args.run(args)
     except SystemExit as exc:  # --help, usage errors and bad --config values
         return int(exc.code or 0)

@@ -39,6 +39,8 @@ WALK_CHUNK = 4096
 # below this norm, v·v is below the smallest normal float and has lost the bits
 # cosines need: such a vector has no direction, at cosine distance 1.0 from all
 NO_DIRECTION_NORM = math.sqrt(np.finfo(float).tiny)
+# every stage takes its seed modulo 2^64 (numpy's SeedSequence takes none < 0)
+SEED_MASK = 2**64 - 1
 
 logger = logging.getLogger(__name__)
 
@@ -385,10 +387,10 @@ def embed_graph(
     **training,
 ) -> SourceVectors:
     """Walks plus training in one call, with independent generator streams
-    derived from ``seed`` so the two stages cannot perturb each other.
-    ``training`` (``dims``, ``window``, ``negatives``, ``epochs``,
+    derived from ``seed`` modulo 2^64, so the two stages cannot perturb each
+    other. ``training`` (``dims``, ``window``, ``negatives``, ``epochs``,
     ``learning_rate``) goes to :func:`train_embeddings` as given."""
-    walk_ss, train_ss = np.random.SeedSequence(seed).spawn(2)
+    walk_ss, train_ss = np.random.SeedSequence(seed & SEED_MASK).spawn(2)
     walks = generate_walks(
         graph,
         np.random.default_rng(walk_ss),

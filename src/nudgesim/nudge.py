@@ -32,7 +32,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .corpus import read_json, write_csv
-from .embedding import NO_DIRECTION_NORM, SourceVectors, check_vector
+from .embedding import NO_DIRECTION_NORM, SEED_MASK, SourceVectors, check_vector
 from .groundtruth import SourceScore
 
 DEFAULT_ALPHA = 0.5
@@ -42,8 +42,6 @@ _VERIFY_MARGIN = 1e-9
 
 TRAJECTORY_FIELDS = ["t", "recommended", "trust_cost", "accept_prob", "accepted", "dropped", "q_u", "l_u"]
 COMPARISON_FIELDS = ["user_id", "t", "constrained_trust_cost", "unconstrained_trust_cost"]
-
-_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -479,11 +477,10 @@ def _shares(costs: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def rng_for_user(seed: int, user_id: str) -> np.random.Generator:
-    """Per-user PCG64 substream: entropy = (seed as unsigned 64-bit, first 8
+    """Per-user PCG64 substream seeded with (``seed`` modulo 2^64, first 8
     bytes of SHA-256(user_id)). Distinct users never share a stream."""
     digest = hashlib.sha256(user_id.encode("utf-8")).digest()
-    entropy = [seed & _MASK64, int.from_bytes(digest[:8], "big")]
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    return np.random.default_rng([seed & SEED_MASK, int.from_bytes(digest[:8], "big")])
 
 
 def simulate(u0: Persona | UserProfile, catalog: SourceCatalog, config: SimConfig) -> Trajectory:
@@ -618,19 +615,9 @@ def simulate_all(
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    rows = (
-        [
-            r.t,
-            r.recommended,
-            r.trust_cost,
-            r.accept_probability,
-            "true" if r.accepted else "false",
-            r.dropped,
-            r.q_u,
-            r.l_u,
-        ]
-        for r in traj.steps
-    )
+    """One row per step: the :class:`StepRecord` fields, in the order of the
+    ``TRAJECTORY_FIELDS`` columns, with ``accepted`` as ``true`` or ``false``."""
+    rows = ((*r[:4], "true" if r.accepted else "false", *r[5:]) for r in traj.steps)
     write_csv(path, TRAJECTORY_FIELDS, rows)
 
 

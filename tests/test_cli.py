@@ -933,7 +933,7 @@ def test_simulate_on_mutated_input_exits_0_or_1(capsys, world_dir, name, edits, 
 
 
 @pytest.mark.parametrize("where", ["flag", "global-flag", "config"])
-def test_embed_negative_seed_exits_2(tmp_path, capsys, world_dir, where):
+def test_embed_takes_negative_seed_modulo_2_64(tmp_path, capsys, world_dir, where):
     embed = ["embed", *_inputs(world_dir, "embed"), "--out-dir", str(tmp_path / "out")]
     argv = {
         "flag": embed + ["--seed", "-1"],
@@ -942,10 +942,13 @@ def test_embed_negative_seed_exits_2(tmp_path, capsys, world_dir, where):
     }[where]
     (tmp_path / "config.json").write_text(json.dumps({"seed": -1}), encoding="utf-8")
     code, _, stderr = _run(capsys, argv)
-    assert code == 2
-    assert "--seed: must be >= 0 for embed, got -1" in stderr
-    assert "Traceback" not in stderr
-    assert not (tmp_path / "out").exists()
+    assert code == 0, stderr
+    header, *rows = (tmp_path / "out" / "vectors.tsv").read_text(encoding="utf-8").splitlines()
+    assert "seed=-1" in header.split("\t")  # the seed is recorded as given
+    wrapped = ["embed", *_inputs(world_dir, "embed"), "--out-dir", str(tmp_path / "wrapped")]
+    code, _, stderr = _run(capsys, wrapped + ["--seed", str(2**64 - 1)])
+    assert code == 0, stderr
+    assert rows == (tmp_path / "wrapped" / "vectors.tsv").read_text(encoding="utf-8").splitlines()[1:]
 
 
 def test_simulate_masks_negative_seed(tmp_path, capsys, world_dir):

@@ -20,6 +20,7 @@ from nudgesim import nudge
 from nudgesim.corpus import float_sum
 from nudgesim.embedding import NO_DIRECTION_NORM, check_vector
 from nudgesim.nudge import (
+    TRAJECTORY_FIELDS,
     Persona,
     SimConfig,
     Source,
@@ -1192,6 +1193,13 @@ def test_trajectory_csv_format(tmp_path):
     if noop is not None:
         row = lines[1 + noop.t].split(",")
         assert row[1] == "" and row[2] == "" and row[5] == ""
+
+
+def test_step_record_fields_pair_with_trajectory_columns():
+    # write_trajectory_csv writes each record's fields in order under these columns
+    assert len(StepRecord._fields) == len(TRAJECTORY_FIELDS)
+    columns = {"accept_probability": "accept_prob"}
+    assert [columns.get(name, name) for name in StepRecord._fields] == TRAJECTORY_FIELDS
 
 
 def test_summary_json_format(tmp_path):
