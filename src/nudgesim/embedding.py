@@ -417,13 +417,12 @@ def embed_graph(
 def save_vectors(vectors: SourceVectors, path) -> None:
     """Header line with hyperparameters, then one tab-separated row per
     source. Components are written as their shortest round-trip decimal, so
-    loads are exact. Every source id, then every row's shape and
+    loads are exact. Each row's source id, then its shape and
     :func:`check_vector`, is checked before the rows are sorted and before
     the file is opened, so that no file is written that :func:`load_vectors`
-    would refuse."""
-    for node in vectors.vectors:
-        check_source_name(node)
+    would refuse; the first bad row raises."""
     for node, row in vectors.vectors.items():
+        check_source_name(node)
         if row.shape != (vectors.dims,):
             raise ValueError(f"{node!r}: vector shape {row.shape} != ({vectors.dims},)")
         check_vector(node, row)

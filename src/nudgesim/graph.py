@@ -20,77 +20,63 @@ from .corpus import CopyPair, check_source_name, read_utf8
 CSN_HEADER = "#csn v1"
 
 
-def _int_array(values: list[int]) -> np.ndarray:
-    """``values`` as an int64 array, or as Python ints (dtype object) when one
-    does not fit in int64."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
-def _checked_weights(nodes: list, counts: list, srcs: list, dsts: list, raw: list, stated=None) -> list[float]:
-    """Check a graph's records one by one, nodes first, then edges, and
-    give each edge's weight ``raw / article count`` as a Python float.
+class _Records:
+    """A graph's records, checked one at a time as they are added, nodes
+    before edges, and kept in ``article_counts``, ``raw_counts`` and
+    ``weights`` (per edge, ``raw / article count`` as a Python float).
 
     A node needs a new name that :func:`save_graph` can write as a line
     :func:`load_graph` reads back (see :func:`check_source_name`) and an
-    int article count of at least 1; an edge needs to be new, two distinct
-    nodes as endpoints and an int raw count from 1 to its copier's article
-    count, so that its weight is in (0, 1], and, given ``stated`` (a
-    file's weights as (value, text) pairs), the weight stated. The first
-    record that breaks a rule raises a ValueError naming the first rule it
-    breaks, with the record's number (nodes from 0, then edges) as
-    ``index``."""
-    count_of, seen, weights = {}, set(), []
+    int article count from 1 to 2**63 - 1; an edge needs to be new, two
+    distinct nodes as endpoints and an int raw count from 1 to its copier's
+    article count, so that its weight is in (0, 1]. A record that breaks a
+    rule raises a ValueError naming the first rule it breaks."""
 
-    def edge() -> str:
-        return f"{src!r}->{dst!r}"
+    def __init__(self) -> None:
+        self.article_counts: dict[str, int] = {}
+        self.raw_counts: dict[tuple[str, str], int] = {}
+        self.weights: list[float] = []
 
-    try:
-        for name, count in zip(nodes, counts):
-            if name in count_of:
-                raise ValueError(f"duplicate node {name!r}")
-            check_source_name(name)
-            if type(count) is not int or count < 1:
-                raise ValueError(f"source {name!r}: article count {count!r} is not an integer >= 1")
-            count_of[name] = count
-        for src, dst, copies in zip(srcs, dsts, raw):
-            if (src, dst) in seen:
-                raise ValueError(f"duplicate edge {edge()}")
-            seen.add((src, dst))
-            if src == dst:
-                raise ValueError(f"self-loop on {src!r}")
-            if src not in count_of or dst not in count_of:
-                raise ValueError(f"edge endpoint missing from nodes: {edge()}")
-            if type(copies) is not int or copies < 1:
-                raise ValueError(f"edge {edge()}: raw count {copies!r} is not an integer >= 1")
-            if copies > count_of[dst]:
-                raise ValueError(
-                    f"edge {edge()}: {copies} copier articles exceed the {count_of[dst]} "
-                    f"articles {dst!r} published (weight outside (0, 1])"
-                )
-            weight = copies / count_of[dst]
-            if stated is not None and stated[len(weights)][0] != weight:
-                raise ValueError(f"weight {stated[len(weights)][1]} is not raw / article count {weight!r}")
-            weights.append(weight)
-    except ValueError as exc:
-        # the records before it passed, nodes into count_of and edges into weights
-        exc.index = len(count_of) + len(weights)
-        raise
-    return weights
+    def node(self, name: str, count: int) -> None:
+        if name in self.article_counts:
+            raise ValueError(f"duplicate node {name!r}")
+        check_source_name(name)
+        if type(count) is not int or count < 1:
+            raise ValueError(f"source {name!r}: article count {count!r} is not an integer >= 1")
+        if count >= 2**63:
+            raise ValueError(f"source {name!r}: article count {count} is not below 2**63")
+        self.article_counts[name] = count
+
+    def edge(self, src: str, dst: str, copies: int) -> float:
+        if (src, dst) in self.raw_counts:
+            raise ValueError(f"duplicate edge {src!r}->{dst!r}")
+        if src == dst:
+            raise ValueError(f"self-loop on {src!r}")
+        counts = self.article_counts
+        if src not in counts or dst not in counts:
+            raise ValueError(f"edge endpoint missing from nodes: {src!r}->{dst!r}")
+        if type(copies) is not int or copies < 1:
+            raise ValueError(f"edge {src!r}->{dst!r}: raw count {copies!r} is not an integer >= 1")
+        if copies > counts[dst]:
+            raise ValueError(
+                f"edge {src!r}->{dst!r}: {copies} copier articles exceed the {counts[dst]} "
+                f"articles {dst!r} published (weight outside (0, 1])"
+            )
+        self.raw_counts[(src, dst)] = copies
+        self.weights.append(copies / counts[dst])
+        return self.weights[-1]
 
 
 class CsnGraph:
     """Directed weighted copy graph, built from its two independent inputs:
     ``raw_counts`` (copier-article count per edge) and ``article_counts``
-    (articles per source; its keys are the nodes), checked record by record
-    (see :func:`_checked_weights`).
+    (articles per source; its keys are the nodes), checked record by record,
+    nodes first, then edges in the order given (see :class:`_Records`).
 
-    It is held as arrays: the sorted ``nodes`` with their ``article_count``,
-    and one entry per edge, sorted by (source, copier), in ``src`` and
-    ``dst`` (node indices) and ``raw``. The normalized weights
-    ``raw / article_count[dst]``, in (0, 1], form the CSR matrix
+    It is held as arrays: the sorted ``nodes`` with their int64
+    ``article_count``, and one entry per edge, sorted by (source, copier),
+    in ``src`` and ``dst`` (node indices) and int64 ``raw``. The normalized
+    weights ``raw / article_count[dst]``, in (0, 1], form the CSR matrix
     ``weights[src, dst]`` (rows are the copied source, columns the copier,
     indices sorted), and ``undirected`` is ``weights + weights.T``. The
     name-keyed dicts ``edges``, ``raw_counts`` and ``article_counts`` are
@@ -98,24 +84,27 @@ class CsnGraph:
     """
 
     def __init__(self, raw_counts: dict[tuple[str, str], int], article_counts: dict[str, int]) -> None:
-        self._assemble(
-            list(article_counts), list(article_counts.values()),
-            [s for s, _ in raw_counts], [d for _, d in raw_counts], list(raw_counts.values()),
-        )
+        records = _Records()
+        for name, count in article_counts.items():
+            records.node(name, count)
+        for (src, dst), copies in raw_counts.items():
+            records.edge(src, dst, copies)
+        self._assemble(records)
 
-    def _assemble(self, nodes: list, counts: list, srcs: list, dsts: list, raw: list, stated=None) -> None:
-        weights = _checked_weights(nodes, counts, srcs, dsts, raw, stated)
-        n = len(nodes)
-        order = sorted(range(n), key=nodes.__getitem__)
-        self.nodes = [nodes[i] for i in order]
-        self.article_count = _int_array(counts)[order]
+    def _assemble(self, records: _Records) -> None:
+        counts, raw = records.article_counts, records.raw_counts
+        self.nodes = sorted(counts)
+        n = len(self.nodes)
+        self.article_count = np.fromiter(map(counts.__getitem__, self.nodes), np.int64, n)
         rank = dict(zip(self.nodes, range(n)))
-        src = np.fromiter(map(rank.__getitem__, srcs), np.intp, len(srcs))
-        dst = np.fromiter(map(rank.__getitem__, dsts), np.intp, len(dsts))
+        src = np.fromiter((rank[s] for s, _ in raw), np.intp, len(raw))
+        dst = np.fromiter((rank[d] for _, d in raw), np.intp, len(raw))
         by_edge = np.argsort(src * n + dst, kind="stable")
-        self.src, self.dst, self.raw = src[by_edge], dst[by_edge], _int_array(raw)[by_edge]
+        self.src, self.dst = src[by_edge], dst[by_edge]
+        self.raw = np.fromiter(raw.values(), np.int64, len(raw))[by_edge]
         indptr = np.searchsorted(self.src, np.arange(n + 1))
-        self.weights = csr_matrix((np.array(weights, dtype=float)[by_edge], self.dst, indptr), shape=(n, n))
+        weights = np.array(records.weights, dtype=float)[by_edge]
+        self.weights = csr_matrix((weights, self.dst, indptr), shape=(n, n))
         self.undirected = self.weights + self.weights.T
         self.undirected.sort_indices()
 
@@ -190,51 +179,42 @@ def save_graph(graph: CsnGraph, path) -> None:
 def load_graph(path) -> CsnGraph:
     """Read a graph written by :func:`save_graph`.
 
-    One pass over the lines checks each line's shape (3 fields for a
-    ``#node`` line, all of which come before the first edge line, and 4 for
-    an edge line) and converts its numbers; a line that fails raises at once.
-    Then the records, in file order, are checked line by line by the rules
-    of :class:`CsnGraph` and the file's own (no duplicate node or edge, a
-    weight column equal to ``raw / article_count`` exactly), each line's in
-    the order its columns are read: the first line that breaks one raises.
-    So a shape or number fault is named before a rule fault, even one on an
-    earlier line. Errors name the line.
+    Each line is checked as it is read, and the first line that fails
+    raises a ValueError naming it. A line is checked in the order its
+    columns are read: its shape first (3 fields for a ``#node`` line, all
+    of which come before the first edge line, and 4 for an edge line), then
+    its numbers, then the rules of :class:`CsnGraph` (see :class:`_Records`),
+    then, on an edge line, a weight column equal to ``raw / article_count``
+    exactly.
     """
+    records = _Records()
     with read_utf8(path) as fh:
         first = fh.readline().rstrip("\n")
         if first != CSN_HEADER:
             raise ValueError(f"{path}:1: expected header {CSN_HEADER!r}, got {first!r}")
         lines = fh.read().split("\n")
-    rows = [line.split("\t") for line in lines if line]
-
-    def malformed(k: int, exc: ValueError) -> ValueError:
-        lineno = [i for i, line in enumerate(lines, start=2) if line][k]
-        return ValueError(f"{path}:{lineno}: malformed line ({exc})")
-
-    names, counts, srcs, dsts, raw, weights = [], [], [], [], [], []
     try:
-        for k, row in enumerate(rows):
+        for lineno, line in enumerate(lines, start=2):
+            if not line:
+                continue
+            row = line.split("\t")
             if row[0] == "#node":
                 if len(row) != 3:
                     raise ValueError("expected '#node\\tsource\\tcount'")
-                if srcs:
+                if records.raw_counts:
                     raise ValueError("#node line after the first edge line")
-                names.append(row[1])
-                counts.append(int(row[2]))
+                records.node(row[1], int(row[2]))
             elif len(row) != 4:
                 raise ValueError("expected 'from\\tto\\traw\\tweight'")
             else:
-                srcs.append(row[0])
-                dsts.append(row[1])
-                raw.append(int(row[2]))
-                weights.append((float(row[3]), row[3]))
+                copies, stated = int(row[2]), float(row[3])
+                weight = records.edge(row[0], row[1], copies)
+                if weight != stated:
+                    raise ValueError(f"weight {row[3]} is not raw / article count {weight!r}")
     except ValueError as exc:
-        raise malformed(k, exc) from exc
-    try:
-        graph = CsnGraph.__new__(CsnGraph)
-        graph._assemble(names, counts, srcs, dsts, raw, stated=weights)
-    except ValueError as exc:
-        raise malformed(exc.index, exc) from exc
+        raise ValueError(f"{path}:{lineno}: malformed line ({exc})") from exc
+    graph = CsnGraph.__new__(CsnGraph)
+    graph._assemble(records)
     return graph
 
 

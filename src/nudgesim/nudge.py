@@ -15,7 +15,7 @@ with identical acceptance mechanics.
 Randomness: one PCG64 substream per user, derived from the run seed and a
 SHA-256 hash of the user id, consuming exactly one uniform draw per stochastic
 decision, and every float sum added left to right (``corpus.float_sum``) —
-trajectories are reproducible across platforms and Python versions.
+trajectories are byte-identical across Python versions for one BLAS kernel.
 """
 
 from __future__ import annotations

@@ -508,11 +508,9 @@ _LOAD_DEFECTS = {
     "endpoint-without-node-line": ("#node\ta\t3\n#node\tb\t3\na\tc\t1\t0.3333333333333333\n", 4),
     "self-loop": ("#node\ta\t3\n#node\tb\t3\na\ta\t1\t0.3333333333333333\n", 4),
     "empty-node-name": ("#node\t\t3\n#node\tb\t3\n", 2),
-    # the #node line after an edge line is named before the unknown endpoints
-    # on the line above it
-    "node-line-after-edge-before-endpoints": (
-        "a\tb\t1\t0.3333333333333333\n#node\ta\t3\n#node\tb\t3\n", 3
-    ),
+    # an edge line before every #node line names its unknown endpoints
+    "edge-before-node-lines": ("a\tb\t1\t0.3333333333333333\n#node\ta\t3\n#node\tb\t3\n", 2),
+    "article-count-of-2-to-the-63": (f"#node\ta\t3\n#node\tb\t{2**63}\na\tb\t1\t{1 / 2**63}\n", 3),
     "node-line-after-edges": ("#node\ta\t3\n#node\tb\t3\na\tb\t1\t0.3333333333333333\n#node\tc\t3\n", 5),
 }
 

@@ -1,7 +1,8 @@
 """Every CLI output of the three golden runs is byte-identical to the digest
-recorded in golden.json (see golden.py for the runs and how to re-record),
-and the repost run's outputs depend on neither the hash seed, the BLAS
-thread count nor the order of the input lines."""
+recorded in golden.json (see golden.py for the runs, the BLAS kernel they
+run under and how to re-record), and the repost run's outputs depend on
+neither the hash seed, the BLAS thread count nor the order of the input
+lines."""
 
 import json
 import os
@@ -10,9 +11,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import nudgesim
 from golden import (
-    GOLDEN, RECORD_COMMAND, digests, repost_inputs, repost_outputs, sha256s, versions,
+    GOLDEN, RECORD_COMMAND, digests, kernel_picked_at_run_time, repost_inputs, repost_outputs,
+    sha256s, versions,
 )
 
 
@@ -35,6 +39,30 @@ def test_cli_outputs_match_golden_digests(tmp_path):
     )
 
 
+def _child_env(**extra: str) -> dict[str, str]:
+    path = os.pathsep.join([str(Path(nudgesim.__file__).parents[1]), str(Path(__file__).parent)])
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+_DIGESTS_CHILD = """
+import json, sys
+from golden import digests
+print(json.dumps(digests(sys.argv[1])))
+"""
+
+
+def test_golden_digests_hold_when_this_process_picks_another_kernel(tmp_path):
+    # the digests are taken under the pinned kernel, not the one this
+    # process picked; Haswell's dot products differ from Prescott's
+    if not kernel_picked_at_run_time():
+        pytest.skip("numpy's BLAS is not an OpenBLAS that picks its kernel at run time on x86-64")
+    child = subprocess.run([sys.executable, "-c", _DIGESTS_CHILD, str(tmp_path)],
+                           env=_child_env(OPENBLAS_CORETYPE="Haswell"),
+                           capture_output=True, text=True, encoding="utf-8", timeout=600)
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == json.loads(GOLDEN.read_text(encoding="utf-8"))["runs"]
+
+
 _REPOST_CHILD = """
 import json, sys
 from golden import repost_inputs, repost_outputs, sha256s
@@ -45,11 +73,9 @@ print(json.dumps(sha256s(repost_outputs(root + "/repost", **repost_inputs(root))
 
 def test_repost_run_ignores_hash_seed_and_blas_threads(tmp_path):
     expected = sha256s(repost_outputs(tmp_path / "in-process", **repost_inputs(tmp_path)))
-    path = os.pathsep.join([str(Path(nudgesim.__file__).parents[1]), str(Path(__file__).parent)])
     for hash_seed, threads in (("0", "1"), ("12345", "2")):
         root = tmp_path / f"child-{hash_seed}"
-        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed,
-                   OPENBLAS_NUM_THREADS=threads)
+        env = _child_env(PYTHONHASHSEED=hash_seed, OPENBLAS_NUM_THREADS=threads)
         child = subprocess.run([sys.executable, "-c", _REPOST_CHILD, str(root)], env=env,
                                capture_output=True, text=True, encoding="utf-8", timeout=120)
         assert child.returncode == 0, child.stderr
