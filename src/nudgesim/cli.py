@@ -265,16 +265,12 @@ def cmd_embed(args: argparse.Namespace) -> int:
     return 0
 
 
-def _safe(name: str) -> str:
-    return _SAFE_NAME.sub("_", name)
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     personas = nudge.load_personas(args.personas)
     stems: dict[str, str] = {}  # stem -> user id, one per persona in persona order
     for persona in personas:
-        stem = _safe(persona.user_id)  # ASCII, so characters are bytes
+        stem = _SAFE_NAME.sub("_", persona.user_id)  # ASCII, so characters are bytes
         if len(f"trajectory_{stem}_unconstrained.csv") > _MAX_FILE_NAME:
             raise ValueError(
                 f"{args.personas}: persona {persona.user_id!r} would write file names "
@@ -288,7 +284,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             )
     scores = groundtruth.read_scores_csv(args.scores)
     vectors = embedding.load_vectors(args.vectors)
-    catalog = nudge.SourceCatalog.from_scores(scores, vectors)
+    try:
+        catalog = nudge.SourceCatalog.from_scores(scores, vectors)
+    except ValueError as exc:  # no usable source, or vectors of two sizes
+        raise ValueError(f"{args.scores}, {args.vectors}: {exc}") from None
     modes = ["constrained", "unconstrained"] if args.mode == "both" else [args.mode]
     # one run per persona and mode, every one made before any output
     pairs = [

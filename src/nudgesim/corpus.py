@@ -217,10 +217,14 @@ def read_json(path):
             raise ValueError(f"{path}: {exc}") from None
 
 
-def read_csv(path, fields: list[str]):
-    """(line, row) for each non-empty row of the CSV file ``path`` after its
-    header, which must be ``fields``; every row has ``len(fields)`` string
-    fields, and an empty field (:func:`write_csv`'s ``None``) is ``""``."""
+def read_csv(path, fields: list[str], make) -> dict:
+    """``{source: make(row)}`` over the non-empty rows of the CSV file
+    ``path`` after its header, which must be ``fields``, in file order, a
+    row's source being its first field. Every row has ``len(fields)`` string
+    fields, and an empty field (:func:`write_csv`'s ``None``) is ``""``. A
+    row that repeats a source, or whose ``make`` raises a ValueError, raises
+    one naming its line; the repeat is named first."""
+    made = {}
     with read_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -231,9 +235,15 @@ def read_csv(path, fields: list[str]):
                     continue
                 if len(row) != len(fields):
                     raise ValueError(f"{path}:{row_num}: expected {len(fields)} fields, got {len(row)}")
-                yield row_num, row
+                if row[0] in made:
+                    raise ValueError(f"{path}:{row_num}: duplicate source {row[0]!r}")
+                try:
+                    made[row[0]] = make(row)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{row_num}: {exc}") from exc
         except csv.Error as exc:  # a field over csv.field_size_limit()
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    return made
 
 
 def write_csv(path, header: list[str], rows) -> None:

@@ -144,20 +144,16 @@ def build_csn(pairs: list[CopyPair], article_counts: dict[str, int]) -> CsnGraph
     Nodes are exactly the sources that appear in at least one pair; a node
     with a missing or zero article count is a fatal error, and so is a weight
     above 1, which only article counts inconsistent with the pairs can give.
-    A source that is not a string is refused first, earlier names before later.
+    :class:`CsnGraph` checks the sources in the order the pairs name them,
+    each pair's earlier source before its later one, then the edges in the
+    order they first appear, and sorts only what it has checked.
     """
-    names = [p.earlier_source for p in pairs] + [p.later_source for p in pairs]
-    # the sorts below compare names, so a name that is not a string is
-    # refused first
-    if set(map(type, names)) - {str}:
-        for name in names:
-            check_source_name(name)
     copiers: dict[tuple[str, str], set[str]] = {}
     for p in pairs:
         copiers.setdefault((p.earlier_source, p.later_source), set()).add(p.later)
-    raw_counts = {edge: len(copiers[edge]) for edge in sorted(copiers)}
+    raw_counts = {edge: len(later) for edge, later in copiers.items()}
     del copiers  # a set per edge, freed before the graph's arrays are built
-    sources = sorted({name for edge in raw_counts for name in edge})
+    sources = dict.fromkeys(name for edge in raw_counts for name in edge)
     return CsnGraph(raw_counts=raw_counts, article_counts={s: article_counts.get(s, 0) for s in sources})
 
 

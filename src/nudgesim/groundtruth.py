@@ -192,27 +192,15 @@ def write_labels_csv(labels: list[SourceLabels], path) -> None:
     write_csv(path, LABELS_FIELDS, rows)
 
 
+def _optional_float(field: str) -> float | None:
+    return float(field) if field else None
+
+
 def read_labels_csv(path) -> list[SourceLabels]:
-    labels: list[SourceLabels] = []
-    seen: set[str] = set()
-    for row_num, row in read_csv(path, LABELS_FIELDS):
-        try:
-            item = SourceLabels(
-                source=row[0],
-                newsguard=float(row[1]) if row[1] else None,
-                os_flags=_parse_flags(row[2]),
-                mbfc_flags=_parse_flags(row[3]),
-                allsides=row[4] or None,
-                buzzfeed=row[5] or None,
-                mbfc_bias=row[6] or None,
-            )
-        except ValueError as exc:
-            raise ValueError(f"{path}:{row_num}: {exc}") from exc
-        if item.source in seen:
-            raise ValueError(f"{path}:{row_num}: duplicate source {item.source!r}")
-        seen.add(item.source)
-        labels.append(item)
-    return labels
+    return list(read_csv(path, LABELS_FIELDS, lambda row: SourceLabels(
+        row[0], _optional_float(row[1]), _parse_flags(row[2]), _parse_flags(row[3]),
+        *(rating or None for rating in row[4:]),
+    )).values())
 
 
 def write_scores_csv(scores: dict[str, SourceScore], path) -> None:
@@ -221,17 +209,6 @@ def write_scores_csv(scores: dict[str, SourceScore], path) -> None:
 
 
 def read_scores_csv(path) -> dict[str, SourceScore]:
-    scores: dict[str, SourceScore] = {}
-    for row_num, (source, q_field, l_field, provenance) in read_csv(path, SCORES_FIELDS):
-        if source in scores:
-            raise ValueError(f"{path}:{row_num}: duplicate source {source!r}")
-        try:
-            scores[source] = SourceScore(
-                source,
-                float(q_field) if q_field else None,
-                float(l_field) if l_field else None,
-                provenance,
-            )
-        except ValueError as exc:
-            raise ValueError(f"{path}:{row_num}: {exc}") from exc
-    return scores
+    return read_csv(path, SCORES_FIELDS, lambda row: SourceScore(
+        row[0], _optional_float(row[1]), _optional_float(row[2]), row[3]
+    ))

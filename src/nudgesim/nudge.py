@@ -103,16 +103,11 @@ class SourceCatalog:
     def from_scores(cls, scores: dict[str, SourceScore], vectors: SourceVectors) -> "SourceCatalog":
         """Keep the sources that are actually usable: scored (labeled or
         imputed, which have both fields) and embedded."""
-        usable = []
-        for source_id in sorted(scores):
-            sc = scores[source_id]
-            if sc.provenance not in ("labeled", "imputed"):
-                continue
-            vec = vectors.vectors.get(source_id)
-            if vec is None:
-                continue
-            usable.append(Source(source_id, sc.quality, sc.leaning, vec))
-        return cls(usable)
+        return cls(
+            Source(source_id, sc.quality, sc.leaning, vectors.vectors[source_id])
+            for source_id, sc in scores.items()
+            if sc.provenance in ("labeled", "imputed") and source_id in vectors.vectors
+        )
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -430,8 +425,8 @@ def drop_distribution(
 ) -> dict[str, float]:
     """Eviction probabilities over the current members plus the offer, in
     sorted-id order, proportional to trust cost against the current profile;
-    uniform when every cost is zero. The lottery :func:`_stakes` and
-    :func:`_shares` make for ``u`` alone."""
+    uniform when every cost is zero. The lottery :func:`_lotteries` makes
+    for ``u`` alone."""
     _check_alpha(alpha)
     _check_trusted(u.user_id, u.sources, catalog, u.limit)
     if len(u.sources) != u.limit:
@@ -444,26 +439,32 @@ def drop_distribution(
     if s_prime.source_id not in catalog:
         raise ValueError(f"{u.user_id}: unknown candidate {s_prime.source_id!r}")
     offer = np.array([catalog.index[s_prime.source_id]])
-    stakes, costs = _stakes(_rows([u], catalog), np.array([True]), offer, [alpha], catalog)
-    count = len(u.sources) + 1
-    shares = _shares(costs, np.array([count]))
+    stakes, (count,), shares, _, _ = _lotteries(_rows([u], catalog), np.array([True]), offer, [alpha], catalog)
     return dict(zip((catalog._ids[r] for r in stakes[0, :count].tolist()), shares[0, :count].tolist()))
 
 
-def _stakes(rows: _Rows, full: np.ndarray, offers: np.ndarray, alphas, catalog: SourceCatalog):
-    """For each of ``rows`` and the catalog row offered to it, the catalog
-    rows at stake and their trust costs, all from one :func:`_costs` call:
-    the offer alone below the limit (``full`` False), else the drop
-    lottery's entries, the members and the offer in id order. Both arrays
-    have a row per offer, padded past its entries with the padding row and
-    with 0.0. The caller has checked each alpha."""
+def _lotteries(rows: _Rows, full: np.ndarray, offers: np.ndarray, alphas, catalog: SourceCatalog):
+    """For each of ``rows`` and the catalog row offered to it, the lottery
+    that decides the offer, from one :func:`_costs` call: the catalog rows
+    at stake, their count, their :func:`_shares`, the offer's trust cost and
+    the chance the offer is kept. At stake is the offer alone below the
+    limit (``full`` False), with chance max(0, 1 - cost), else the drop
+    lottery's entries, the members and the offer in id order, with chance 1
+    minus the offer's share. The stakes and shares have a row per offer,
+    padded past its count with the padding row and with shares that mean
+    nothing. The caller has checked each alpha."""
     n = len(catalog)
     stakes = np.column_stack([np.where(full[:, None], rows.members, n), offers])
     stakes.sort(axis=1)
     owners, columns = np.nonzero(stakes < n)
     costs = np.zeros(stakes.shape)
     costs[owners, columns] = _costs(rows.l_u, rows.v_u, alphas, owners, stakes[owners, columns], catalog)
-    return stakes, costs
+    counts = np.where(full, rows.sizes + 1, 1)
+    shares = _shares(costs, counts)
+    k, at = np.arange(len(offers)), np.argmax(stakes == offers[:, None], axis=1)
+    p = 1.0 - np.where(full, shares[k, at], costs[k, at])
+    # max(0.0, 1 - cost) below capacity, and 0.0 for a nan cost
+    return stakes, counts, shares, costs[k, at], np.where(full | (p > 0.0), p, 0.0)
 
 
 def _shares(costs: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -517,8 +518,9 @@ def simulate_all(
     Below capacity the outcomes drop nothing (accept) or the offer
     (reject), with sums ``[p, 1.0]``; at capacity they are the drop
     lottery, where dropping the offer means rejection. At each step one
-    :func:`_offers` call and one :func:`_stakes` call plan every run that
-    needs a plan. Each stepping run then takes one uniform draw from its
+    :func:`_offers` call and one :func:`_lotteries` call, which gives each
+    plan's cost, ``p``, shares and rows at stake, plan every run that needs
+    a plan. Each stepping run then takes one uniform draw from its
     own :func:`rng_for_user` stream and drops the row that
     ``bisect_right`` over its sums picks, the last one where the
     draw passes every sum. One vectorized update gives every
@@ -563,18 +565,15 @@ def simulate_all(
             if new.size:
                 rows = np.array([row for row in offers if row is not None], dtype=np.int64)
                 full = state.sizes[new] == limits[new]
-                stakes, costs = _stakes(state.take(new), full, rows, alphas[new], catalog)
-                counts = np.where(full, state.sizes[new] + 1, 1)
-                shares = _shares(costs, counts)
-                k, at = np.arange(len(new)), np.argmax(stakes == rows[:, None], axis=1)
-                p = 1.0 - np.where(full, shares[k, at], costs[k, at])
-                p = np.where(full | (p > 0.0), p, 0.0)  # max(0.0, 1 - cost) below capacity
-                offer[new], cost[new], accept[new] = rows, costs[k, at], p
+                offer[new] = rows
+                stakes, counts, shares, cost[new], accept[new] = _lotteries(
+                    state.take(new), full, rows, alphas[new], catalog
+                )
                 # below capacity the outcomes are accept, which drops nothing,
                 # and reject; a draw is below 1.0, so sums [p, 1.0] pick as [p]
                 for j, at_limit, count, sums, drops, chance, row in zip(
                     new.tolist(), full.tolist(), counts.tolist(), np.cumsum(shares, axis=1).tolist(),
-                    stakes.tolist(), p.tolist(), rows.tolist(),
+                    stakes.tolist(), accept[new].tolist(), rows.tolist(),
                 ):
                     tables[j] = (sums[:count], drops[:count]) if at_limit else ([chance, 1.0], [n, row])
             stepping = stepping[offer[stepping] >= 0]

@@ -662,7 +662,7 @@ def test_simulate_both_mode_writes_comparison(tmp_path, capsys, world_dir):
         user = persona["user_id"]
         costs = {}
         for mode in ("constrained", "unconstrained"):
-            path = out / f"trajectory_{cli._safe(user)}_{mode}.csv"
+            path = out / f"trajectory_{cli._SAFE_NAME.sub('_', user)}_{mode}.csv"
             with open(path, encoding="utf-8", newline="") as fh:
                 costs[mode] = [row["trust_cost"] for row in csv.DictReader(fh)]
         assert len(costs["constrained"]) == 40
@@ -683,7 +683,7 @@ def _simulate_files(out) -> set[str]:
 def _expected_files(summary: list[dict], mode: str) -> set[str]:
     """What simulate writes: one trajectory CSV per run in ``summary``, the
     summary and the quality chart, and the comparison under ``both``."""
-    runs = {f"trajectory_{cli._safe(e['user_id'])}_{e['config']['mode']}.csv" for e in summary}
+    runs = {f"trajectory_{cli._SAFE_NAME.sub('_', e['user_id'])}_{e['config']['mode']}.csv" for e in summary}
     extra = {"comparison.csv"} if mode == "both" else set()
     return runs | {"summary.json", "quality.svg"} | extra
 
@@ -981,6 +981,21 @@ def test_simulate_empty_vector_source_exits_1(tmp_path, capsys, world_dir):
     assert code == 1
     assert f"{bad}:{len(lines)}: source '' is empty" in stderr
     assert "Traceback" not in stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_without_a_usable_source_names_its_inputs(tmp_path, capsys, world_dir):
+    # one vector, for a source scores.csv does not hold, leaves no source usable
+    lines = (world_dir / "vectors.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+    bad = tmp_path / "vectors.tsv"
+    bad.write_text(lines[0] + "stranger\t" + lines[1].split("\t", 1)[1], encoding="utf-8")
+    scores = world_dir / "scores.csv"
+    inputs = [str(world_dir / "personas.json"), str(scores), str(bad)]
+    code, stdout, stderr = _run(capsys, ["simulate", *inputs, "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert f"error: {scores}, {bad}: catalog must contain at least one source" in stderr
+    assert "Traceback" not in stderr
+    assert stdout == ""
     assert not (tmp_path / "out").exists()
 
 

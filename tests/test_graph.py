@@ -135,9 +135,9 @@ def test_build_csn_counts_distinct_copier_articles():
 def test_build_csn_missing_article_count_is_fatal():
     with pytest.raises(ValueError, match="source 'b': article count 0 is not an integer >= 1"):
         build_csn([_pair("a", "b", 1)], {"a": 3})
-    # with several sources lacking a count, the first in sorted order is named,
-    # whatever the string hash seed
-    with pytest.raises(ValueError, match="source 'a': article count 0"):
+    # with several sources lacking a count, the first the pairs name is
+    # named, whatever the string hash seed
+    with pytest.raises(ValueError, match="source 'd': article count 0"):
         build_csn([_pair("d", "c", 1), _pair("b", "a", 1)], {})
 
 
@@ -191,14 +191,14 @@ def test_graph_rejects_a_node_name_that_is_not_a_string():
         CsnGraph(raw_counts={}, article_counts={1: 2})
 
 
-def test_build_csn_rejects_a_source_that_is_not_a_string_before_sorting():
-    # "a" and 7 cannot be sorted together: the name is refused before the sort
+def test_build_csn_rejects_a_source_that_is_not_a_string_in_pair_order():
+    # "a" and 7 cannot be sorted together: the name is refused, not compared
     with pytest.raises(ValueError, match=r"^source 7 is not a string but int$"):
         build_csn([CopyPair("x", "y", 0.9, "a", 7)], {"a": 1, 7: 1})
-    # every earlier source is checked before any later one: the earlier 8 of
-    # the second pair is named, not the later 7 of the first
+    # sources are checked in the order the pairs name them: the later 7 of
+    # the first pair is named, not the earlier 8 of the second
     pairs = [CopyPair("x", "y", 0.9, "a", 7), CopyPair("u", "v", 0.9, 8, "b")]
-    with pytest.raises(ValueError, match=r"^source 8 is not a string but int$"):
+    with pytest.raises(ValueError, match=r"^source 7 is not a string but int$"):
         build_csn(pairs, {"a": 1, "b": 1, 7: 1, 8: 1})
 
 

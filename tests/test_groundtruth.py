@@ -302,6 +302,20 @@ def test_labels_csv_rejects_bad_rows(tmp_path):
         read_labels_csv(path)
 
 
+def test_labels_csv_names_a_repeated_source_before_its_rule(tmp_path):
+    # a row that repeats a source and breaks a rule is named a duplicate,
+    # as in scores.csv
+    path = tmp_path / "labels.csv"
+    path.write_text(
+        "source,newsguard,os_flags,mbfc_flags,allsides,buzzfeed,mbfc_bias\n"
+        "dup,50,,,,,\n"
+        "dup,500,,,,,\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match=r"^[^:]*labels\.csv:3: duplicate source 'dup'$"):
+        read_labels_csv(path)
+
+
 @pytest.mark.parametrize(
     "reader, header",
     [

@@ -192,6 +192,33 @@ def test_catalog_validation():
         assert _source("a", 0.5, 0.0, vector).vector.tolist() == vector
 
 
+def test_catalog_from_scores_is_the_same_in_any_score_order():
+    # the usable sources are labeled or imputed and embedded, in id order,
+    # however the scores dict is ordered
+    from nudgesim.embedding import SourceVectors
+    from nudgesim.groundtruth import SourceScore
+
+    provenances = ["labeled", "imputed", "unavailable"]
+    scores = {
+        f"s{i}": SourceScore(f"s{i}", (i * 7 % 10) / 10, (i % 5 - 2) / 2, provenances[i % 3]) for i in range(12)
+    }
+    embedded = {f"s{i}": np.array([math.cos(i), math.sin(i), i / 12]) for i in range(12) if i != 4}
+    vectors = SourceVectors(dims=3, vectors=embedded)
+    usable = [f"s{i}" for i in range(12) if i % 3 < 2 and i != 4]
+
+    def outcome(catalog):
+        arrays = (catalog.quality, catalog.leaning, catalog.vectors, catalog.norms)
+        return catalog.ids(), dict(catalog.index), [a.tobytes() for a in arrays]
+
+    expected = outcome(SourceCatalog(
+        _source(s, scores[s].quality, scores[s].leaning, embedded[s]) for s in usable
+    ))
+    assert expected[0] == sorted(usable)
+    shuffled = [f"s{i}" for i in (5, 11, 0, 7, 2, 9, 4, 1, 10, 3, 8, 6)]
+    for order in (list(scores), list(reversed(scores)), shuffled):
+        assert outcome(SourceCatalog.from_scores({s: scores[s] for s in order}, vectors)) == expected
+
+
 def test_catalog_lookup_and_order():
     catalog = _toy_catalog()
     assert catalog.ids() == ["anchor", "cheap", "pricey", "top", "weak"]
