@@ -31,10 +31,9 @@ def main() -> None:
           f"(best quality {catalog.quality.max():.2f})")
 
     for persona in synthetic.WORLD_PERSONAS:
-        nudged = simulate(persona, catalog, SimConfig(T=T, L=persona.L, seed=SEED))
-        pushed = simulate(
-            persona, catalog, SimConfig(T=T, L=persona.L, seed=SEED, mode="unconstrained")
-        )
+        # each persona trusts at most persona.L sources, its own attention limit
+        nudged = simulate(persona, catalog, SimConfig(T=T, seed=SEED))
+        pushed = simulate(persona, catalog, SimConfig(T=T, seed=SEED, mode="unconstrained"))
         u0 = nudged.start
         print(f"\n=== {persona.user_id} ===")
         print(f"start: quality {u0.q_u:.3f}, leaning {u0.l_u:+.3f}, "

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import dataclasses
 import functools
 import json
 import logging
@@ -288,17 +289,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         catalog = nudge.SourceCatalog.from_scores(scores, vectors)
     except ValueError as exc:  # no usable source, or vectors of two sizes
         raise ValueError(f"{args.scores}, {args.vectors}: {exc}") from None
+    if args.L is not None:
+        personas = [dataclasses.replace(persona, L=args.L) for persona in personas]
     modes = ["constrained", "unconstrained"] if args.mode == "both" else [args.mode]
-    # one run per persona and mode, every one made before any output
-    pairs = [
-        (persona, nudge.SimConfig(
-            T=args.T, L=args.L if args.L is not None else persona.L, seed=args.seed, alpha=args.alpha, mode=m
-        ))
-        for persona in personas
-        for m in modes
-    ]
-    try:
-        trajectories = nudge.simulate_all(pairs, catalog)
+    configs = [nudge.SimConfig(T=args.T, seed=args.seed, alpha=args.alpha, mode=m) for m in modes]
+    try:  # one run per persona and mode, every one made before any output
+        trajectories = nudge.simulate_all([(p, config) for p in personas for config in configs], catalog)
     except ValueError as exc:  # the first persona whose start is refused
         i = exc.run // len(modes)
         user_id = personas[i].user_id

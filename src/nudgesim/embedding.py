@@ -420,7 +420,10 @@ def save_vectors(vectors: SourceVectors, path) -> None:
     loads are exact. Each row's source id, then its shape and
     :func:`check_vector`, is checked before the rows are sorted and before
     the file is opened, so that no file is written that :func:`load_vectors`
-    would refuse; the first bad row raises."""
+    would refuse; a parameter with an empty name, then the first bad row,
+    raises."""
+    if "" in vectors.params:
+        raise ValueError("a parameter has an empty name")
     for node, row in vectors.vectors.items():
         check_source_name(node)
         if row.shape != (vectors.dims,):
@@ -442,8 +445,10 @@ def load_vectors(path) -> SourceVectors:
         params: dict[str, str] = {}
         for part in header[1:]:
             key, sep, value = part.partition("=")
-            if not sep:
+            if not sep or not key:
                 raise ValueError(f"{path}:1: malformed parameter {part!r}")
+            if key in params:
+                raise ValueError(f"{path}:1: repeated parameter {key!r}")
             params[key] = value
         dims = None
         if "dims" in params:

@@ -1,8 +1,8 @@
 """Trust-aware recommendation dynamics.
 
-A simulated user trusts a small set of sources (at most ``L``). Each step the
-engine offers the cheapest strictly-higher-quality source, where cost blends
-leaning distance with embedding distance:
+A simulated user trusts a small set of sources, at most its own attention
+limit ``L``. Each step the engine offers the cheapest strictly-higher-quality
+source, where cost blends leaning distance with embedding distance:
 
     t(s', u) = (1 - alpha) * |l_u - l_s'| / 2 + alpha * (1 - cos(v_u, v_s'))
 
@@ -124,11 +124,12 @@ class SourceCatalog:
 
 @dataclass
 class UserProfile:
-    """Trusted-source membership plus the running means derived from it."""
+    """Trusted-source membership, its limit ``L``, plus the running means
+    derived from it."""
 
     user_id: str
     sources: list[str]
-    limit: int
+    L: int
     q_u: float = 0.0
     l_u: float = 0.0
     v_u: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -202,13 +203,6 @@ def _means(members: np.ndarray, sizes: np.ndarray, catalog: SourceCatalog):
     return q_u, l_u, v_u
 
 
-def update_scores(u: UserProfile, catalog: SourceCatalog) -> None:
-    """Recompute the profile means from current membership (idempotent),
-    as :func:`_profiles` takes them."""
-    (fresh,) = _profiles([u.user_id], [u.sources], catalog, [u.limit])
-    u.q_u, u.l_u, u.v_u = fresh.q_u, fresh.l_u, fresh.v_u
-
-
 def _check_trusted(user_id: str, sources, catalog: SourceCatalog, limit: int) -> None:
     """The rule for a trusted set: non-empty, no repeats, no larger than a
     limit of at least 1, and only catalog sources."""
@@ -238,25 +232,23 @@ def _profiles(user_ids, trusted_sets, catalog: SourceCatalog, limits) -> list[Us
             raise
     q_u, l_u, v_u = _means(*_member_rows(trusted_sets, catalog), catalog)
     return [
-        UserProfile(user_id=user_id, sources=list(sources), limit=limit, q_u=q, l_u=l, v_u=v)
+        UserProfile(user_id=user_id, sources=list(sources), L=limit, q_u=q, l_u=l, v_u=v)
         for user_id, sources, limit, q, l, v in zip(
             user_ids, trusted_sets, limits, q_u.tolist(), l_u.tolist(), v_u
         )
     ]
 
 
-def profile_from_sources(
-    user_id: str, trusted, catalog: SourceCatalog, limit: int
-) -> UserProfile:
-    """The profile of ``trusted``, sorted: a one-profile :func:`_profiles`."""
-    (u,) = _profiles([user_id], [sorted(trusted)], catalog, [limit])
+def profile_from_sources(user_id: str, trusted, catalog: SourceCatalog, L: int) -> UserProfile:
+    """The profile of ``trusted``, sorted, with the limit ``L`` and the
+    means :func:`_means` takes: a one-profile :func:`_profiles`."""
+    (u,) = _profiles([user_id], [sorted(trusted)], catalog, [L])
     return u
 
 
 @dataclass(frozen=True)
 class SimConfig:
     T: int
-    L: int
     seed: int
     alpha: float = DEFAULT_ALPHA
     mode: str = "constrained"
@@ -265,8 +257,6 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.T < 1:
             raise ValueError(f"T must be >= 1, got {self.T}")
-        if self.L < 1:
-            raise ValueError(f"L must be >= 1, got {self.L}")
         _check_alpha(self.alpha)
         if self.mode not in ("constrained", "unconstrained"):
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -408,31 +398,19 @@ def _offers(rows: _Rows, catalog: SourceCatalog, alphas) -> list[int | None]:
     return offers
 
 
-def select_recommendation(
-    u: UserProfile, catalog: SourceCatalog, alpha: float
-) -> Source | None:
-    """Cheapest eligible source by trust cost; ties go to the smallest
-    source_id; None when nothing qualifies. The offer :func:`_offers` makes
-    to ``u``, whose trusted set keeps the rule of :func:`_check_trusted`."""
-    _check_alpha(alpha)
-    _check_trusted(u.user_id, u.sources, catalog, u.limit)
-    (row,) = _offers(_rows([u], catalog), catalog, [alpha])
-    return None if row is None else catalog._rows[row]
-
-
 def drop_distribution(
     u: UserProfile, s_prime: Source, catalog: SourceCatalog, alpha: float
 ) -> dict[str, float]:
     """Eviction probabilities over the current members plus the offer, in
     sorted-id order, proportional to trust cost against the current profile;
     uniform when every cost is zero. The lottery :func:`_lotteries` makes
-    for ``u`` alone."""
+    for ``u`` alone, which must hold ``u.L`` sources."""
     _check_alpha(alpha)
-    _check_trusted(u.user_id, u.sources, catalog, u.limit)
-    if len(u.sources) != u.limit:
+    _check_trusted(u.user_id, u.sources, catalog, u.L)
+    if len(u.sources) != u.L:
         raise ValueError(
             f"{u.user_id}: drop lottery requires a full profile "
-            f"({len(u.sources)}/{u.limit} sources)"
+            f"({len(u.sources)}/{u.L} sources)"
         )
     if s_prime.source_id in u.sources:
         raise ValueError(f"{u.user_id}: candidate {s_prime.source_id!r} already trusted")
@@ -491,11 +469,11 @@ def simulate(u0: Persona | UserProfile, catalog: SourceCatalog, config: SimConfi
     above the user's mean quality, not yet trusted): ``"constrained"`` offers
     the cheapest by trust cost, ``"unconstrained"`` the highest quality; ties
     go to the smallest id. Acceptance and drop mechanics are shared, and the
-    trust cost of each offer is recorded in both modes. Only ``u0.user_id``
-    and ``u0.sources`` are read, so ``u0`` may be a :class:`Persona` or a
-    profile; the limit is ``config.L``. ``Trajectory.start`` is the checked
-    start profile that :func:`profile_from_sources` builds from
-    ``u0.sources``, and ``Trajectory.final`` the profile of the last
+    trust cost of each offer is recorded in both modes. Only ``u0.user_id``,
+    ``u0.sources`` and ``u0.L``, the reader's limit, are read, so ``u0`` may
+    be a :class:`Persona` or a profile. ``Trajectory.start`` is the checked
+    start profile that :func:`profile_from_sources` builds from ``u0.sources``
+    and ``u0.L``, and ``Trajectory.final`` the profile of the last
     members, sorted, with the means :func:`_means` takes. Pure in its
     inputs: ``u0`` is never changed, and the outcome is a function of (u0,
     catalog, config) alone.
@@ -510,8 +488,8 @@ def simulate_all(
     describes, all in lockstep, and return their trajectories in order.
 
     Every run's state is one row of arrays: its members and means (a
-    :class:`_Rows` as wide as the largest limit, each limit clamped to the
-    catalog size first) and its plan: the offer, its trust cost and its
+    :class:`_Rows` as wide as the largest start limit ``L``, each clamped to
+    the catalog size first) and its plan: the offer, its trust cost and its
     accept probability ``p``, plus one outcome table, two lists of the
     running sums of the outcome shares and the row each outcome drops. A
     plan is made at a run's start and after each of its accepted steps.
@@ -532,7 +510,7 @@ def simulate_all(
     its position in ``runs`` as the error's ``run`` attribute."""
     configs = [config for _, config in runs]
     starts = _profiles(
-        [u0.user_id for u0, _ in runs], [sorted(u0.sources) for u0, _ in runs], catalog, [c.L for c in configs]
+        [u0.user_id for u0, _ in runs], [sorted(u0.sources) for u0, _ in runs], catalog, [u0.L for u0, _ in runs]
     )
     if not runs:
         return []
@@ -540,7 +518,7 @@ def simulate_all(
     rngs = [rng_for_user(config.seed, u.user_id) for u, config in zip(starts, configs)]
     # no run holds more members than the catalog has, so a larger limit
     # means the same as the catalog size
-    limits = np.array([min(config.L, n) for config in configs], dtype=np.int64)
+    limits = np.array([min(u.L, n) for u in starts], dtype=np.int64)
     state = _rows(starts, catalog, int(limits.max()))
     offer_rule = [config.alpha if config.mode == "constrained" else None for config in configs]
     alphas = np.array([config.alpha for config in configs])
@@ -606,7 +584,7 @@ def simulate_all(
         starts, configs, records, state.members.tolist(), state.sizes.tolist(),
         state.q_u.tolist(), state.l_u.tolist(), state.v_u,
     ):
-        final = UserProfile(start.user_id, [ids[r] for r in members[:size]], config.L, q, l, v)
+        final = UserProfile(start.user_id, [ids[r] for r in members[:size]], start.L, q, l, v)
         # every step after a run stops is a no-op that draws nothing
         steps += [StepRecord(rest, None, None, None, False, None, q, l) for rest in range(len(steps), config.T)]
         trajectories.append(Trajectory(start.user_id, config, steps, start, final))
@@ -638,14 +616,15 @@ def _profile_summary(u: UserProfile) -> dict:
 
 def write_summary_json(trajectories: list[Trajectory], path) -> None:
     """One entry per user: start/end profile, convergence point, and the
-    exact config (seed included) that produced the run."""
+    exact config (seed included) that produced the run, with the start
+    profile's ``L`` as its ``L``."""
     payload = []
     for traj in trajectories:
         cfg = traj.config
         payload.append(
             {
                 "user_id": traj.user_id,
-                "config": dict(vars(cfg), epsilon_converge=cfg.epsilon_converge),
+                "config": dict(vars(cfg), L=traj.start.L, epsilon_converge=cfg.epsilon_converge),
                 "start": _profile_summary(traj.start),
                 "end": _profile_summary(traj.final),
                 "convergence_point": traj.convergence_point,

@@ -34,7 +34,6 @@ from nudgesim.nudge import (
     rng_for_user,
     simulate,
     trust_cost,
-    update_scores,
     write_trajectory_csv,
 )
 from nudgesim.synthetic import WORLD_PERSONAS
@@ -160,7 +159,7 @@ def test_acceptance_03_drop_lottery_is_a_distribution_and_replays(capsys, world_
         # reproducible by consuming the same stream through inverse-CDF
         # sampling done here, outside the library
         persona = _personas_by_id()["conspiracy-right"]
-        config = SimConfig(T=100, L=persona.L, seed=2026, alpha=ALPHA)
+        config = SimConfig(T=100, seed=2026, alpha=ALPHA)
         u0 = profile_from_sources(persona.user_id, persona.sources, world_catalog, persona.L)
         traj = simulate(u0, world_catalog, config)
 
@@ -174,7 +173,7 @@ def test_acceptance_03_drop_lottery_is_a_distribution_and_replays(capsys, world_
                 continue
             shadow = UserProfile(persona.user_id, list(members), persona.L, q_u, l_u, v_u)
             offered = world_catalog[record.recommended]
-            if len(members) < config.L:
+            if len(members) < persona.L:
                 accepted = replay.random() < max(0.0, 1.0 - trust_cost(offered, shadow, ALPHA))
                 assert record.accepted == accepted
                 if accepted:
@@ -207,7 +206,7 @@ def test_acceptance_04_recommendation_invariants_hold_across_seeds(capsys, world
             limit = persona.L + 1  # start below capacity to exercise both regimes
             u0 = profile_from_sources(persona.user_id, persona.sources, world_catalog, limit)
             for seed in range(100):
-                config = SimConfig(T=120, L=limit, seed=seed, alpha=ALPHA)
+                config = SimConfig(T=120, seed=seed, alpha=ALPHA)
                 traj = simulate(u0, world_catalog, config)
                 members = list(u0.sources)
                 for record in traj.steps:
@@ -268,7 +267,7 @@ def test_acceptance_05_personas_converge_and_moderate(capsys, world_catalog):
         for persona in WORLD_PERSONAS:
             u0 = profiles[persona.user_id]
             traj = simulate(
-                u0, world_catalog, SimConfig(T=500, L=persona.L, seed=0, alpha=ALPHA)
+                u0, world_catalog, SimConfig(T=500, seed=0, alpha=ALPHA)
             )
             assert traj.convergence_point is not None, f"{persona.user_id} never converged"
             assert traj.final.q_u >= 1.0 - 1e-9
@@ -280,7 +279,7 @@ def test_acceptance_05_personas_converge_and_moderate(capsys, world_catalog):
             u0 = profiles[persona.user_id]
             converged = sum(
                 simulate(
-                    u0, world_catalog, SimConfig(T=500, L=persona.L, seed=seed, alpha=ALPHA)
+                    u0, world_catalog, SimConfig(T=500, seed=seed, alpha=ALPHA)
                 ).convergence_point
                 is not None
                 for seed in range(100)
@@ -293,12 +292,12 @@ def test_acceptance_06_soft_nudge_offers_cost_less(capsys, world_catalog):
         for persona in WORLD_PERSONAS:
             u0 = profile_from_sources(persona.user_id, persona.sources, world_catalog, persona.L)
             constrained = simulate(
-                u0, world_catalog, SimConfig(T=20, L=persona.L, seed=0, alpha=ALPHA)
+                u0, world_catalog, SimConfig(T=20, seed=0, alpha=ALPHA)
             )
             unconstrained = simulate(
                 u0,
                 world_catalog,
-                SimConfig(T=20, L=persona.L, seed=0, alpha=ALPHA, mode="unconstrained"),
+                SimConfig(T=20, seed=0, alpha=ALPHA, mode="unconstrained"),
             )
             first_con = constrained.steps[0].trust_cost
             first_unc = unconstrained.steps[0].trust_cost
@@ -362,7 +361,7 @@ def test_acceptance_08_pipeline_reruns_are_byte_identical(capsys, tmp_path):
                     persona.user_id, persona.sources, catalog, persona.L
                 )
                 traj = simulate(
-                    u0, catalog, SimConfig(T=50, L=persona.L, seed=9, alpha=ALPHA)
+                    u0, catalog, SimConfig(T=50, seed=9, alpha=ALPHA)
                 )
                 write_trajectory_csv(traj, out / f"trajectory_{persona.user_id}.csv")
 

@@ -125,10 +125,13 @@ def test_demo_runs(demo, tmp_path):
     # a copy, so that the demo's output/ directory lands under tmp_path
     script = tmp_path / demo.name
     shutil.copy(demo, script)
-    env = dict(os.environ, PYTHONPATH=str(SRC), NUDGESIM_LOG="WARNING")
+    # under the suite's strict flags: development mode, every warning an
+    # error, bytes compared with str an error, and a warning for text I/O
+    # that takes the locale's encoding
+    env = dict(os.environ, PYTHONPATH=str(SRC), NUDGESIM_LOG="WARNING", PYTHONWARNDEFAULTENCODING="1")
     result = subprocess.run(
-        [sys.executable, str(script)], cwd=tmp_path, env=env, capture_output=True, text=True,
-        encoding="utf-8", timeout=120,
+        [sys.executable, "-X", "dev", "-bb", "-W", "error", str(script)], cwd=tmp_path, env=env,
+        capture_output=True, text=True, encoding="utf-8", timeout=120,
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "output").is_dir()

@@ -565,6 +565,21 @@ def test_vectors_round_trip_exact(tmp_path):
         assert np.array_equal(loaded.vectors[node], vectors.vectors[node])
 
 
+def test_vectors_header_names_each_parameter_once_by_a_nonempty_key(tmp_path):
+    path = tmp_path / "vectors.tsv"
+    for header, message in (("seed=1\tseed=2\tdims=2", "repeated parameter 'seed'"),
+                            ("dims=3\tdims=2", "repeated parameter 'dims'"),
+                            ("=1\tdims=2", "malformed parameter '=1'")):
+        path.write_text(f"#vectors v1\t{header}\na\t1.0\t0.5\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: {message}$"):
+            load_vectors(path)
+    # nor does save_vectors write a key that load_vectors refuses
+    unwritten = tmp_path / "unwritten.tsv"
+    with pytest.raises(ValueError, match="empty name"):
+        save_vectors(SourceVectors(dims=1, vectors={"a": np.ones(1)}, params={"": "1"}), unwritten)
+    assert not unwritten.exists()
+
+
 def test_vectors_file_errors(tmp_path):
     path = tmp_path / "vectors.tsv"
     path.write_text("#other v1\n", encoding="utf-8")

@@ -5,6 +5,7 @@ Stochastic steps are validated by replaying the identical generator stream
 through an independent inverse-CDF sampler and demanding the same outcome.
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -32,10 +33,8 @@ from nudgesim.nudge import (
     load_personas,
     profile_from_sources,
     rng_for_user,
-    select_recommendation,
     simulate,
     trust_cost,
-    update_scores,
     write_personas,
     write_summary_json,
     write_trajectory_csv,
@@ -65,11 +64,11 @@ def _scalar_cost(s, l_u, v_u, alpha):
     return _replica_cost(s, l_u, v_u, alpha)
 
 
-def _profile(sources, limit, q_u, l_u, v_u, user_id="u"):
+def _profile(sources, L, q_u, l_u, v_u, user_id="u"):
     return UserProfile(
         user_id=user_id,
         sources=sorted(sources),
-        limit=limit,
+        L=L,
         q_u=q_u,
         l_u=l_u,
         v_u=np.asarray(v_u, dtype=float),
@@ -145,11 +144,11 @@ def test_entry_points_reject_bad_alpha_before_other_work(alpha):
     catalog = _toy_catalog()
     u = _profile(["top"], 2, q_u=0.95, l_u=-1.0, v_u=[-1.0, 0.0])
     with pytest.raises(ValueError, match="alpha must lie strictly inside"):
-        select_recommendation(u, catalog, alpha)
+        trust_cost(catalog["top"], u, alpha)
     with pytest.raises(ValueError, match="alpha must lie strictly inside"):
         drop_distribution(u, catalog["top"], catalog, alpha)
     with pytest.raises(ValueError, match="alpha must lie strictly inside"):
-        SimConfig(T=1, L=1, seed=0, alpha=alpha)
+        SimConfig(T=1, seed=0, alpha=alpha)
 
 
 # ---------------------------------------------------------------- catalog
@@ -244,7 +243,7 @@ def test_catalog_arrays_reject_writes():
 
 def test_profile_from_sources_means():
     catalog = _toy_catalog()
-    u = profile_from_sources("u", ["weak", "anchor"], catalog, limit=3)
+    u = profile_from_sources("u", ["weak", "anchor"], catalog, L=3)
     assert u.sources == ["anchor", "weak"]  # stored sorted
     assert u.q_u == pytest.approx(0.2)
     assert u.l_u == pytest.approx(0.0)
@@ -266,8 +265,7 @@ def test_profile_from_sources_means():
 def test_update_scores_mean_vector_is_numpy_mean_bit_for_bit(rows, data):
     catalog = SourceCatalog(_source(f"s{i:02d}", 0.5, 0.0, v) for i, v in enumerate(rows))
     members = sorted(data.draw(st.lists(st.sampled_from(catalog.ids()), min_size=1, unique=True)))
-    u = _profile(members, len(members), 0.0, 0.0, [])
-    update_scores(u, catalog)
+    u = profile_from_sources("u", members, catalog, len(members))
     expected = np.mean([catalog[s].vector for s in members], axis=0)
     assert u.v_u.tobytes() == expected.tobytes()
 
@@ -275,15 +273,15 @@ def test_update_scores_mean_vector_is_numpy_mean_bit_for_bit(rows, data):
 def test_profile_from_sources_validation():
     catalog = _toy_catalog()
     with pytest.raises(ValueError, match="non-empty"):
-        profile_from_sources("u", [], catalog, limit=2)
+        profile_from_sources("u", [], catalog, L=2)
     with pytest.raises(ValueError, match="duplicate"):
-        profile_from_sources("u", ["weak", "weak"], catalog, limit=3)
+        profile_from_sources("u", ["weak", "weak"], catalog, L=3)
     with pytest.raises(ValueError, match="exceed"):
-        profile_from_sources("u", ["weak", "anchor"], catalog, limit=1)
+        profile_from_sources("u", ["weak", "anchor"], catalog, L=1)
     with pytest.raises(ValueError, match="unknown source 'ghost'"):
-        profile_from_sources("u", ["ghost"], catalog, limit=2)
+        profile_from_sources("u", ["ghost"], catalog, L=2)
     with pytest.raises(ValueError, match="limit"):
-        profile_from_sources("u", ["weak"], catalog, limit=0)
+        profile_from_sources("u", ["weak"], catalog, L=0)
 
 
 def test_world_persona_start_means(world_catalog):
@@ -301,10 +299,10 @@ def test_world_persona_start_means(world_catalog):
 
 def test_select_recommendation_is_cost_argmin_over_eligible():
     catalog = _toy_catalog()
-    u = profile_from_sources("u", ["anchor"], catalog, limit=3)
+    u = profile_from_sources("u", ["anchor"], catalog, L=3)
     # eligible: cheap (cost 0), pricey, top; weak fails the quality bar
-    picked = select_recommendation(u, catalog, ALPHA)
-    assert picked.source_id == "cheap"
+    picked, _ = _one_step(u, catalog)
+    assert picked.recommended == "cheap"
     costs = {
         s: trust_cost(catalog[s], u, ALPHA) for s in ("cheap", "pricey", "top")
     }
@@ -313,14 +311,14 @@ def test_select_recommendation_is_cost_argmin_over_eligible():
 
 def test_select_recommendation_skips_trusted_even_if_cheapest():
     catalog = _toy_catalog()
-    u = profile_from_sources("u", ["anchor", "cheap"], catalog, limit=3)
-    picked = select_recommendation(u, catalog, ALPHA)
-    assert picked.source_id in ("pricey", "top")
-    assert picked.source_id != "cheap"
+    u = profile_from_sources("u", ["anchor", "cheap"], catalog, L=3)
+    picked, _ = _one_step(u, catalog)
+    assert picked.recommended in ("pricey", "top")
+    assert picked.recommended != "cheap"
     # the trusted set keeps the rule of profile_from_sources
     stranger = _profile(["anchor", "ghost"], 3, q_u=0.3, l_u=0.0, v_u=[1.0, 0.0])
     with pytest.raises(ValueError, match="unknown source 'ghost'"):
-        select_recommendation(stranger, catalog, ALPHA)
+        _one_step(stranger, catalog)
 
 
 def test_select_recommendation_requires_strict_quality_gain():
@@ -330,8 +328,8 @@ def test_select_recommendation_requires_strict_quality_gain():
             _source("b", 0.5, 0.0, [1.0, 0.0]),
         ]
     )
-    u = profile_from_sources("u", ["a"], catalog, limit=2)
-    assert select_recommendation(u, catalog, ALPHA) is None  # 0.5 is not > 0.5
+    u = profile_from_sources("u", ["a"], catalog, L=2)
+    assert _one_step(u, catalog)[0].recommended is None  # 0.5 is not > 0.5
 
 
 def test_select_recommendation_breaks_ties_lexicographically():
@@ -342,14 +340,14 @@ def test_select_recommendation_breaks_ties_lexicographically():
             _source("alpha", 0.8, 0.5, [0.0, 1.0]),  # identical cost to zeta
         ]
     )
-    u = profile_from_sources("u", ["base"], catalog, limit=2)
-    assert select_recommendation(u, catalog, ALPHA).source_id == "alpha"
+    u = profile_from_sources("u", ["base"], catalog, L=2)
+    assert _one_step(u, catalog)[0].recommended == "alpha"
 
 
 def test_unconstrained_first_offer_is_quality_argmax():
     catalog = _toy_catalog()
-    u = profile_from_sources("u", ["anchor"], catalog, limit=3)
-    config = SimConfig(T=1, L=3, seed=0, mode="unconstrained")
+    u = profile_from_sources("u", ["anchor"], catalog, L=3)
+    config = SimConfig(T=1, seed=0, mode="unconstrained")
     traj = simulate(u, catalog, config)
     assert traj.steps[0].recommended == "top"
     assert traj.steps[0].trust_cost is not None
@@ -372,9 +370,10 @@ def _exhaustive_offer(members, catalog, mode, alpha):
     return best
 
 
-def _replayed_run(trusted, catalog, config):
-    """The records and final members of a run, replayed step by step from
-    ``_scalar_cost`` and an inverse-CDF lottery on the user's stream."""
+def _replayed_run(trusted, L, catalog, config):
+    """The records and final members of a run of a reader of limit ``L``,
+    replayed step by step from ``_scalar_cost`` and an inverse-CDF lottery
+    on the user's stream."""
     rng = rng_for_user(config.seed, "u")
     members, steps = sorted(trusted), []
     for t in range(config.T):
@@ -385,7 +384,7 @@ def _replayed_run(trusted, catalog, config):
             continue
         cost = _scalar_cost(offer, l_u, v_u, config.alpha)
         candidates = sorted(members + [offer.source_id])
-        if len(members) < config.L:
+        if len(members) < L:
             accept_probability = max(0.0, 1.0 - cost)
             keep = candidates if rng.random() < accept_probability else members
         else:
@@ -460,9 +459,9 @@ def test_offers_match_exhaustive_scalar_argmin(world, T, seed):
     catalog, trusted, L, alpha = world
     u0 = profile_from_sources("u", trusted, catalog, L)
     for mode in ("constrained", "unconstrained"):
-        config = SimConfig(T=T, L=L, seed=seed, alpha=alpha, mode=mode)
+        config = SimConfig(T=T, seed=seed, alpha=alpha, mode=mode)
         traj = simulate(u0, catalog, config)
-        steps, members = _replayed_run(trusted, catalog, config)
+        steps, members = _replayed_run(trusted, L, catalog, config)
         assert [repr(r) for r in traj.steps] == [repr(r) for r in steps]
         assert traj.final.sources == members
 
@@ -479,7 +478,7 @@ def test_at_capacity_accept_probability_is_drop_distribution_complement(world, T
         traj = simulate(
             profile_from_sources("u", trusted, catalog, L),
             catalog,
-            SimConfig(T=T, L=L, seed=seed, alpha=alpha, mode=mode),
+            SimConfig(T=T, seed=seed, alpha=alpha, mode=mode),
         )
         members = sorted(trusted)
         for r in traj.steps:
@@ -504,9 +503,9 @@ def test_select_recommendation_exact_among_rounding_ties():
         rows = [_source("anchor", 0.1, 0.0, np.ones(16))]
         rows += [_source(f"p{i:02d}", 0.9, 0.2, rng.permutation(base)) for i in range(30)]
         catalog = SourceCatalog(rows)
-        u = profile_from_sources("u", ["anchor"], catalog, limit=2)
+        u = profile_from_sources("u", ["anchor"], catalog, L=2)
         expected = _exhaustive_offer(["anchor"], catalog, "constrained", ALPHA)
-        assert select_recommendation(u, catalog, ALPHA) is expected
+        assert _one_step(u, catalog)[0].recommended == expected.source_id
 
 
 # ---------------------------------------------------------------- drop lottery
@@ -585,7 +584,7 @@ def test_drop_distribution_normalizes(leanings, l_u):
 
 
 def _config(**kwargs):
-    base = dict(T=10, L=3, seed=0)
+    base = dict(T=10, seed=0)
     base.update(kwargs)
     return SimConfig(**base)
 
@@ -604,8 +603,8 @@ def test_step_zero_cost_offer_always_accepted():
         ]
     )
     for seed in range(10):
-        u = profile_from_sources("u", ["low"], catalog, limit=2)
-        record, u = _one_step(u, catalog, L=2, seed=seed)
+        u = profile_from_sources("u", ["low"], catalog, L=2)
+        record, u = _one_step(u, catalog, seed=seed)
         assert record.accepted
         assert record.accept_probability == 1.0
         assert u.sources == ["high", "low"]
@@ -620,8 +619,8 @@ def test_step_cost_above_one_never_accepted():
         ]
     )
     for seed in range(10):
-        u = profile_from_sources("u", ["seed"], catalog, limit=2)
-        record, u = _one_step(u, catalog, L=2, seed=seed)
+        u = profile_from_sources("u", ["seed"], catalog, L=2)
+        record, u = _one_step(u, catalog, seed=seed)
         assert record.recommended == "hostile"
         assert record.accept_probability == 0.0
         assert not record.accepted
@@ -638,22 +637,22 @@ def test_step_draw_counts(monkeypatch):
     monkeypatch.setattr(nudge, "rng_for_user", counting_rng)
     catalog = _toy_catalog()
     # below capacity: exactly one uniform
-    u = profile_from_sources("u", ["anchor"], catalog, limit=2)
-    _one_step(u, catalog, L=2)
+    u = profile_from_sources("u", ["anchor"], catalog, L=2)
+    _one_step(u, catalog)
     assert streams[-1].calls == 1
     # at capacity: still exactly one uniform
-    u = profile_from_sources("u", ["anchor", "weak"], catalog, limit=2)
-    _one_step(u, catalog, L=2)
+    u = profile_from_sources("u", ["anchor", "weak"], catalog, L=2)
+    _one_step(u, catalog)
     assert streams[-1].calls == 1
     # converged: none
     top_only = SourceCatalog([_source("perfect", 1.0, 0.0, [1.0, 0.0])])
-    u = profile_from_sources("u", ["perfect"], top_only, limit=2)
-    record, _ = _one_step(u, top_only, L=2)
+    u = profile_from_sources("u", ["perfect"], top_only, L=2)
+    record, _ = _one_step(u, top_only)
     assert streams[-1].calls == 0
     assert record.recommended is None and not record.accepted
     # nothing eligible (0.95 is the best quality in the catalog): none
-    u = profile_from_sources("u", ["top"], catalog, limit=2)
-    record, _ = _one_step(u, catalog, L=2)
+    u = profile_from_sources("u", ["top"], catalog, L=2)
+    record, _ = _one_step(u, catalog)
     assert streams[-1].calls == 0
     assert record.recommended is None
 
@@ -661,15 +660,15 @@ def test_step_draw_counts(monkeypatch):
 def test_step_at_capacity_matches_inverse_cdf_oracle():
     catalog = _toy_catalog()
     for seed in range(200):
-        u = profile_from_sources("u", ["anchor", "weak"], catalog, limit=2)
-        offered = select_recommendation(u, catalog, ALPHA)
+        u = profile_from_sources("u", ["anchor", "weak"], catalog, L=2)
+        offered = _exhaustive_offer(u.sources, catalog, "constrained", ALPHA)
         dist = drop_distribution(u, offered, catalog, ALPHA)
         draw = rng_for_user(seed, "u").random()
         cumulative = np.cumsum([dist[s] for s in dist])
         idx = min(int(np.searchsorted(cumulative, draw, side="right")), len(dist) - 1)
         victim = list(dist)[idx]
 
-        record, u = _one_step(u, catalog, L=2, seed=seed)
+        record, u = _one_step(u, catalog, seed=seed)
         assert record.recommended == offered.source_id
         assert record.accept_probability == 1.0 - dist[offered.source_id]
         if victim == offered.source_id:
@@ -700,20 +699,20 @@ def test_step_draw_past_every_running_sum_takes_the_last_outcome(monkeypatch):
             _source("c", 0.5, -1.0, [-1.0, 0.0]),
         ]
     )
-    u = profile_from_sources("u", ["a", "c"], catalog, limit=2)
+    u = profile_from_sources("u", ["a", "c"], catalog, L=2)
     dist = drop_distribution(u, catalog["b"], catalog, ALPHA)
     assert list(dist) == ["a", "b", "c"]
     assert list(itertools.accumulate(dist.values()))[-1] == np.nextafter(1.0, 0.0)
     monkeypatch.setattr(nudge, "rng_for_user", lambda seed, user_id: _LastDrawRng())
-    record, u = _one_step(u, catalog, L=2)
+    record, u = _one_step(u, catalog)
     assert (record.recommended, record.accepted, record.dropped) == ("b", True, "c")
     assert u.sources == ["a", "b"]
 
 
 def test_step_updates_means_after_membership_change():
     catalog = _toy_catalog()
-    u = profile_from_sources("u", ["anchor"], catalog, limit=2)
-    record, u = _one_step(u, catalog, L=2, seed=1)
+    u = profile_from_sources("u", ["anchor"], catalog, L=2)
+    record, u = _one_step(u, catalog, seed=1)
     if record.accepted:
         members = [catalog[s] for s in u.sources]
         assert record.q_u == pytest.approx(np.mean([m.quality for m in members]))
@@ -725,9 +724,9 @@ def test_step_updates_means_after_membership_change():
 
 def test_simulate_deterministic_and_pure():
     catalog = _toy_catalog()
-    u0 = profile_from_sources("reader", ["anchor", "weak"], catalog, limit=2)
+    u0 = profile_from_sources("reader", ["anchor", "weak"], catalog, L=2)
     before = (list(u0.sources), u0.q_u, u0.l_u, u0.v_u.copy())
-    config = _config(T=40, L=2, seed=9)
+    config = _config(T=40, seed=9)
     first = simulate(u0, catalog, config)
     second = simulate(u0, catalog, config)
     assert first.steps == second.steps
@@ -739,7 +738,7 @@ def test_simulate_deterministic_and_pure():
     assert np.array_equal(u0.v_u, before[3])
     # some other seed must produce a different run
     assert any(
-        simulate(u0, catalog, _config(T=40, L=2, seed=s)).steps != first.steps
+        simulate(u0, catalog, _config(T=40, seed=s)).steps != first.steps
         for s in range(10, 20)
     )
 
@@ -756,19 +755,19 @@ def test_simulate_start_is_the_checked_working_profile(tmp_path):
         ]
     )
     u0 = UserProfile("u", ["c", "a"], 2, 0.99, 0.0, np.zeros(2))
-    traj = simulate(u0, catalog, _config(T=3, L=2))
+    traj = simulate(u0, catalog, _config(T=3))
     built = profile_from_sources("u", ["c", "a"], catalog, 2)
     assert traj.start.sources == ["a", "c"]
     assert (traj.start.q_u, traj.start.l_u) == (built.q_u, built.l_u) == (0.35, -0.25)
     assert np.array_equal(traj.start.v_u, built.v_u)
     assert u0.sources == ["c", "a"] and u0.q_u == 0.99 and not u0.v_u.any()  # untouched
-    # a persona runs as its built profile does; its own L is not read
-    for other in (Persona("u", ("c", "a"), 1), built):
-        run = simulate(other, catalog, _config(T=3, L=2))
+    # a persona runs as its built profile does
+    for other in (Persona("u", ("c", "a"), 2), built):
+        run = simulate(other, catalog, _config(T=3))
         assert run.steps == traj.steps
         for mine, theirs in ((run.start, traj.start), (run.final, traj.final)):
-            assert (mine.sources, mine.limit, mine.q_u, mine.l_u) == (
-                theirs.sources, theirs.limit, theirs.q_u, theirs.l_u
+            assert (mine.sources, mine.L, mine.q_u, mine.l_u) == (
+                theirs.sources, theirs.L, theirs.q_u, theirs.l_u
             )
             assert np.array_equal(mine.v_u, theirs.v_u)
     path = tmp_path / "summary.json"
@@ -784,8 +783,8 @@ def test_simulate_starts_converged_profile_as_noop():
             _source("other", 0.5, 0.0, [1.0, 0.0]),
         ]
     )
-    u0 = profile_from_sources("done", ["perfect"], catalog, limit=2)
-    traj = simulate(u0, catalog, _config(T=5, L=2))
+    u0 = profile_from_sources("done", ["perfect"], catalog, L=2)
+    traj = simulate(u0, catalog, _config(T=5))
     assert traj.convergence_point == 0
     assert all(r.recommended is None and not r.accepted for r in traj.steps)
     assert traj.final.sources == ["perfect"]
@@ -825,8 +824,8 @@ def test_simulate_selects_once_when_nothing_is_eligible(select_calls):
             _source("mid", 0.5, 0.0, [0.0, 1.0]),
         ]
     )
-    u0 = profile_from_sources("idle", ["mid"], catalog, limit=2)
-    traj = simulate(u0, catalog, _config(T=50, L=2))
+    u0 = profile_from_sources("idle", ["mid"], catalog, L=2)
+    traj = simulate(u0, catalog, _config(T=50))
     assert len(select_calls) == 1
     assert [r.t for r in traj.steps] == list(range(50))
     assert all(r.recommended is None and r.q_u == 0.5 for r in traj.steps)
@@ -841,8 +840,8 @@ def test_simulate_selects_once_per_profile_state(select_calls):
             _source("hostile", 0.9, 1.0, [-1.0, 0.0]),
         ]
     )
-    u0 = profile_from_sources("u", ["seed"], hostile, limit=2)
-    traj = simulate(u0, hostile, _config(T=10, L=2))
+    u0 = profile_from_sources("u", ["seed"], hostile, L=2)
+    traj = simulate(u0, hostile, _config(T=10))
     assert len(select_calls) == 1
     assert all(r.recommended == "hostile" and not r.accepted for r in traj.steps)
     # otherwise each accepted step makes a new state; no run here converges
@@ -851,8 +850,8 @@ def test_simulate_selects_once_per_profile_state(select_calls):
     catalog = _toy_catalog()
     for seed in range(10):
         select_calls.clear()
-        u0 = profile_from_sources("u", ["anchor", "weak"], catalog, limit=2)
-        traj = simulate(u0, catalog, _config(T=40, L=2, seed=seed))
+        u0 = profile_from_sources("u", ["anchor", "weak"], catalog, L=2)
+        traj = simulate(u0, catalog, _config(T=40, seed=seed))
         assert not traj.steps[-1].accepted
         assert len(select_calls) == 1 + sum(r.accepted for r in traj.steps)
 
@@ -862,7 +861,7 @@ def test_simulate_all_makes_at_most_two_kernel_calls_per_step(select_calls, worl
     from nudgesim.synthetic import WORLD_PERSONAS
 
     runs = [
-        (persona, SimConfig(T=30, L=persona.L, seed=seed, mode=mode))
+        (persona, SimConfig(T=30, seed=seed, mode=mode))
         for seed in range(5)
         for persona in WORLD_PERSONAS
         for mode in ("constrained", "unconstrained")
@@ -881,7 +880,7 @@ def _outcome(traj):
         traj.user_id,
         traj.config,
         [repr(r) for r in traj.steps],
-        [(u.sources, u.limit, repr(u.q_u), repr(u.l_u), u.v_u.tobytes()) for u in (traj.start, traj.final)],
+        [(u.sources, u.L, repr(u.q_u), repr(u.l_u), u.v_u.tobytes()) for u in (traj.start, traj.final)],
     )
 
 
@@ -892,8 +891,8 @@ def world_runs(world_catalog):
     from nudgesim.synthetic import WORLD_PERSONAS
 
     runs = [
-        (persona, SimConfig(T=20 + 13 * k + seed % 7, L=persona.L + (k + seed) % 2,
-                            seed=seed, alpha=alpha, mode=mode))
+        (dataclasses.replace(persona, L=persona.L + (k + seed) % 2),
+         SimConfig(T=20 + 13 * k + seed % 7, seed=seed, alpha=alpha, mode=mode))
         for seed, alpha in [(0, 0.5), (7, 0.2), (2**40 + 3, 0.85)]
         for k, persona in enumerate(WORLD_PERSONAS)
         for mode in ("constrained", "unconstrained")
@@ -903,7 +902,7 @@ def world_runs(world_catalog):
 
 def test_simulate_all_equals_each_run_alone(world_catalog, world_runs):
     runs, alone = world_runs
-    assert len({(c.T, c.L) for _, c in runs}) > 4
+    assert len({(c.T, u0.L) for u0, c in runs}) > 4
     assert [_outcome(traj) for traj in nudge.simulate_all(runs, world_catalog)] == alone
     assert nudge.simulate_all([], world_catalog) == []
 
@@ -921,7 +920,7 @@ def test_simulate_all_is_independent_of_batch_order_and_make_up(world_catalog, w
 def test_simulate_all_names_the_run_that_cannot_start(world_catalog, world_runs):
     runs, _ = world_runs
     bad = Persona("ghost-reader", ("no-such-outlet",), 2)
-    batch = runs[:3] + [(bad, SimConfig(T=5, L=2, seed=0))] + runs[3:]
+    batch = runs[:3] + [(bad, SimConfig(T=5, seed=0))] + runs[3:]
     with pytest.raises(ValueError, match="^ghost-reader: unknown source 'no-such-outlet'$") as caught:
         nudge.simulate_all(batch, world_catalog)
     assert caught.value.run == 3
@@ -1035,8 +1034,8 @@ def test_simulate_stops_changing_after_convergence():
             _source("best", 1.0, 0.0, [1.0, 0.0]),
         ]
     )
-    u0 = profile_from_sources("u", ["start"], catalog, limit=1)
-    traj = simulate(u0, catalog, _config(T=30, L=1, seed=3))
+    u0 = profile_from_sources("u", ["start"], catalog, L=1)
+    traj = simulate(u0, catalog, _config(T=30, seed=3))
     point = traj.convergence_point
     assert point is not None
     for record in traj.steps[point + 1 :]:
@@ -1049,9 +1048,9 @@ def test_simulate_validates_inputs():
     stranger = _profile(["ghost"], 2, 0.5, 0.0, [1.0, 0.0])
     with pytest.raises(ValueError, match="unknown source"):
         simulate(stranger, catalog, _config())
-    crowded = _profile(["anchor", "cheap", "top"], 3, 0.5, 0.0, [1.0, 0.0])
+    crowded = _profile(["anchor", "cheap", "top"], 2, 0.5, 0.0, [1.0, 0.0])
     with pytest.raises(ValueError, match="exceed"):
-        simulate(crowded, catalog, _config(L=2))
+        simulate(crowded, catalog, _config())
     empty = _profile([], 2, 0.5, 0.0, [1.0, 0.0])
     with pytest.raises(ValueError, match="non-empty"):
         simulate(empty, catalog, _config())
@@ -1062,13 +1061,11 @@ def test_simulate_validates_inputs():
 
 def test_simconfig_validation():
     with pytest.raises(ValueError, match="T"):
-        SimConfig(T=0, L=1, seed=0)
-    with pytest.raises(ValueError, match="L"):
-        SimConfig(T=1, L=0, seed=0)
+        SimConfig(T=0, seed=0)
     with pytest.raises(ValueError, match="alpha"):
-        SimConfig(T=1, L=1, seed=0, alpha=1.0)
+        SimConfig(T=1, seed=0, alpha=1.0)
     with pytest.raises(ValueError, match="mode"):
-        SimConfig(T=1, L=1, seed=0, mode="hybrid")
+        SimConfig(T=1, seed=0, mode="hybrid")
 
 
 def test_unconstrained_accepts_perfect_source_below_capacity():
@@ -1079,8 +1076,8 @@ def test_unconstrained_accepts_perfect_source_below_capacity():
             _source("decoy", 0.9, 0.0, [1.0, 0.0]),
         ]
     )
-    u0 = profile_from_sources("u", ["start"], catalog, limit=2)
-    config = SimConfig(T=1, L=2, seed=0, mode="unconstrained")
+    u0 = profile_from_sources("u", ["start"], catalog, L=2)
+    config = SimConfig(T=1, seed=0, mode="unconstrained")
     traj = simulate(u0, catalog, config)
     assert traj.steps[0].recommended == "ideal"
     assert traj.steps[0].accepted  # zero cost, room to grow: certain accept
@@ -1098,25 +1095,43 @@ def test_single_member_profile_at_capacity_never_evicts():
         ]
     )
     for seed in range(10):
-        u0 = profile_from_sources("u", ["start"], catalog, limit=1)
-        traj = simulate(u0, catalog, SimConfig(T=3, L=1, seed=seed))
+        u0 = profile_from_sources("u", ["start"], catalog, L=1)
+        traj = simulate(u0, catalog, SimConfig(T=3, seed=seed))
         assert traj.final.sources == ["start"]
         assert all(not r.accepted for r in traj.steps)
+
+
+def test_capacity_is_the_readers_own_limit():
+    # the same sources at L=1 fill the reader, so the first offer enters the
+    # drop lottery against the lone member, whose cost is zero, and loses it
+    # for certain; at L=2 there is room, so it is kept with chance 1 - cost
+    catalog = SourceCatalog(
+        [
+            _source("start", 0.4, 0.4, [1.0, 0.0]),
+            _source("ideal", 1.0, 0.0, [1.0, 0.0]),
+        ]
+    )
+    full, room = (_one_step(Persona("u", ("start",), L), catalog)[0] for L in (1, 2))
+    assert full.recommended == room.recommended == "ideal"
+    assert full.trust_cost == room.trust_cost == pytest.approx(0.1)
+    lottery = drop_distribution(profile_from_sources("u", ["start"], catalog, 1), catalog["ideal"], catalog, ALPHA)
+    assert full.accept_probability == 1.0 - lottery["ideal"] == 0.0
+    assert room.accept_probability == 1.0 - room.trust_cost
 
 
 def test_constrained_first_offer_never_costlier_than_unconstrained():
     catalog = _toy_catalog()
     for members in (["anchor"], ["weak"], ["anchor", "weak"]):
-        u0 = profile_from_sources("u", members, catalog, limit=3)
-        con = simulate(u0, catalog, _config(T=1, L=3, seed=1))
-        unc = simulate(u0, catalog, _config(T=1, L=3, seed=1, mode="unconstrained"))
+        u0 = profile_from_sources("u", members, catalog, L=3)
+        con = simulate(u0, catalog, _config(T=1, seed=1))
+        unc = simulate(u0, catalog, _config(T=1, seed=1, mode="unconstrained"))
         assert con.steps[0].trust_cost <= unc.steps[0].trust_cost
 
 
 def test_convergence_point_variants():
     base = dict(recommended=None, trust_cost=None, accept_probability=None,
                 accepted=False, dropped=None, l_u=0.0)
-    cfg = _config(T=3, L=1)
+    cfg = _config(T=3)
 
     def _traj(qs):
         steps = [StepRecord(t=t, q_u=q, **base) for t, q in enumerate(qs)]
@@ -1200,8 +1215,8 @@ def test_rng_for_user_streams():
 
 def _small_trajectory():
     catalog = _toy_catalog()
-    u0 = profile_from_sources("reader", ["anchor"], catalog, limit=2)
-    return simulate(u0, catalog, _config(T=4, L=2, seed=5))
+    u0 = profile_from_sources("reader", ["anchor"], catalog, L=2)
+    return simulate(u0, catalog, _config(T=4, seed=5))
 
 
 def test_trajectory_csv_format(tmp_path):
@@ -1303,6 +1318,6 @@ def test_bundled_personas_simulate_on_fixture_catalog(fixture_csn):
     personas = load_personas(synthetic.fixture_personas_path())
     for persona in personas:
         u0 = profile_from_sources(persona.user_id, persona.sources, catalog, persona.L)
-        traj = simulate(u0, catalog, SimConfig(T=20, L=persona.L, seed=1))
+        traj = simulate(u0, catalog, SimConfig(T=20, seed=1))
         assert len(traj.steps) == 20
         assert traj.final.q_u >= u0.q_u  # quality never degrades
