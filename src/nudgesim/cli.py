@@ -5,7 +5,8 @@ usage/validation error. Global flags (--seed, --config, --out-dir) may appear
 before the subcommand; --seed and --out-dir are also accepted after it.
 Option precedence is CLI flag, then --config JSON value (keyed by option
 name), then built-in default, resolved once in ``main`` onto the parsed
-namespace that each ``cmd_*`` handler reads. NUDGESIM_LOG sets the log level.
+namespace that each ``cmd_*`` handler reads. NUDGESIM_LOG sets the level of
+the ``nudgesim`` logger on every call of ``main``.
 
 Every option is declared once, in ``_OPTIONS``, with its parser, default and
 help; the flags, the --config keys and --help derive from it. A --config
@@ -332,13 +333,12 @@ def _mean_quality(trajectories: tuple[nudge.Trajectory, ...]) -> list[float]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # a level name maps to its number; any other name is WARNING
+    # a level name maps to its number; any other name is WARNING. The level
+    # is set on every call; basicConfig adds the stderr handler only when the
+    # root logger has none
     level = logging.getLevelName(os.environ.get("NUDGESIM_LOG", "WARNING").upper())
-    logging.basicConfig(
-        level=level if isinstance(level, int) else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
+    log.setLevel(level if isinstance(level, int) else logging.WARNING)
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

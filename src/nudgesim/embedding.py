@@ -420,10 +420,18 @@ def save_vectors(vectors: SourceVectors, path) -> None:
     loads are exact. Each row's source id, then its shape and
     :func:`check_vector`, is checked before the rows are sorted and before
     the file is opened, so that no file is written that :func:`load_vectors`
-    would refuse; a parameter with an empty name, then the first bad row,
-    raises."""
-    if "" in vectors.params:
-        raise ValueError("a parameter has an empty name")
+    would refuse or read back otherwise; the first bad parameter, then the
+    first bad row, raises. A parameter's name and value are strings with no
+    tab, ``\\n`` or ``\\r``, and its name is not empty and holds no ``=``."""
+    for key, value in vectors.params.items():
+        if not (isinstance(key, str) and isinstance(value, str)):
+            raise ValueError(f"parameter {key!r}={value!r} is not a pair of strings")
+        if not key:
+            raise ValueError("a parameter has an empty name")
+        if "=" in key:
+            raise ValueError(f"parameter {key!r} holds '=' in its name")
+        if any(c in key + value for c in "\t\n\r"):
+            raise ValueError(f"parameter {key!r}={value!r} holds a tab, \\n or \\r")
     for node, row in vectors.vectors.items():
         check_source_name(node)
         if row.shape != (vectors.dims,):

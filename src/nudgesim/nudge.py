@@ -25,7 +25,7 @@ import itertools
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import ClassVar, NamedTuple
 
@@ -130,9 +130,9 @@ class UserProfile:
     user_id: str
     sources: list[str]
     L: int
-    q_u: float = 0.0
-    l_u: float = 0.0
-    v_u: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    q_u: float
+    l_u: float
+    v_u: np.ndarray
 
 
 class _Rows(NamedTuple):
@@ -165,16 +165,6 @@ def _member_rows(trusted_sets, catalog: SourceCatalog, width: int | None = None)
     return members, sizes
 
 
-def _rows(profiles: list[UserProfile], catalog: SourceCatalog, width: int | None = None) -> _Rows:
-    """``profiles`` as :class:`_Rows`, members in each profile's order."""
-    return _Rows(
-        *_member_rows([u.sources for u in profiles], catalog, width),
-        np.array([u.q_u for u in profiles], dtype=float),
-        np.array([u.l_u for u in profiles], dtype=float),
-        np.array([u.v_u for u in profiles], dtype=float),
-    )
-
-
 def _float_sums(table: np.ndarray) -> np.ndarray:
     """Each row's ``float_sum``: its columns added left to right from 0.0.
     Adding 0.0 leaves such a sum as it is, since it is never -0.0."""
@@ -204,8 +194,8 @@ def _means(members: np.ndarray, sizes: np.ndarray, catalog: SourceCatalog):
 
 
 def _check_trusted(user_id: str, sources, catalog: SourceCatalog, limit: int) -> None:
-    """The rule for a trusted set: non-empty, no repeats, no larger than a
-    limit of at least 1, and only catalog sources."""
+    """The one rule for a trusted set, the first broken part raising: non-empty,
+    no repeats, no larger than a limit of at least 1, only catalog sources."""
     if not sources:
         raise ValueError(f"{user_id}: trusted set must be non-empty")
     if len(sources) != len(set(sources)):
@@ -219,31 +209,32 @@ def _check_trusted(user_id: str, sources, catalog: SourceCatalog, limit: int) ->
             raise ValueError(f"{user_id}: unknown source {s!r}")
 
 
-def _profiles(user_ids, trusted_sets, catalog: SourceCatalog, limits) -> list[UserProfile]:
-    """One profile per (user id, trusted set, limit), each set checked by
-    the rule of :func:`_check_trusted` and kept in its given order, with the
-    means :func:`_means` takes. A refused set's ValueError has its position
-    as its ``run`` attribute."""
+def _start_rows(user_ids, trusted_sets, catalog: SourceCatalog, limits, width: int) -> _Rows:
+    """The :class:`_Rows`, ``width`` wide, of the trusted sets in their given
+    order, each checked against its limit by :func:`_check_trusted`. A refused
+    set's ValueError has its position as its ``run`` attribute."""
     for position, (user_id, sources, limit) in enumerate(zip(user_ids, trusted_sets, limits)):
         try:
             _check_trusted(user_id, sources, catalog, limit)
         except ValueError as exc:
             exc.run = position
             raise
-    q_u, l_u, v_u = _means(*_member_rows(trusted_sets, catalog), catalog)
-    return [
-        UserProfile(user_id=user_id, sources=list(sources), L=limit, q_u=q, l_u=l, v_u=v)
-        for user_id, sources, limit, q, l, v in zip(
-            user_ids, trusted_sets, limits, q_u.tolist(), l_u.tolist(), v_u
-        )
-    ]
+    members, sizes = _member_rows(trusted_sets, catalog, width)
+    return _Rows(members, sizes, *_means(members, sizes, catalog))
+
+
+def _row_profile(rows: _Rows, i: int, user_id: str, L: int, catalog: SourceCatalog) -> UserProfile:
+    """The profile of row ``i`` of ``rows``: its member ids, the limit ``L``
+    and copies of its means, which a later update of ``rows`` leaves as is."""
+    sources = [catalog._ids[r] for r in rows.members[i, : rows.sizes[i]].tolist()]
+    return UserProfile(user_id, sources, L, rows.q_u[i].item(), rows.l_u[i].item(), rows.v_u[i].copy())
 
 
 def profile_from_sources(user_id: str, trusted, catalog: SourceCatalog, L: int) -> UserProfile:
-    """The profile of ``trusted``, sorted, with the limit ``L`` and the
-    means :func:`_means` takes: a one-profile :func:`_profiles`."""
-    (u,) = _profiles([user_id], [sorted(trusted)], catalog, [L])
-    return u
+    """The profile of ``trusted``, sorted, under the limit ``L``: the one row
+    of :func:`_start_rows`, read by :func:`_row_profile`."""
+    trusted = sorted(trusted)
+    return _row_profile(_start_rows([user_id], [trusted], catalog, [L], len(trusted)), 0, user_id, L, catalog)
 
 
 @dataclass(frozen=True)
@@ -417,7 +408,9 @@ def drop_distribution(
     if s_prime.source_id not in catalog:
         raise ValueError(f"{u.user_id}: unknown candidate {s_prime.source_id!r}")
     offer = np.array([catalog.index[s_prime.source_id]])
-    stakes, (count,), shares, _, _ = _lotteries(_rows([u], catalog), np.array([True]), offer, [alpha], catalog)
+    # the lottery is drawn against u's own means, whatever its members
+    rows = _Rows(*_member_rows([u.sources], catalog), *(np.array([m], dtype=float) for m in (u.q_u, u.l_u, u.v_u)))
+    stakes, (count,), shares, _, _ = _lotteries(rows, np.array([True]), offer, [alpha], catalog)
     return dict(zip((catalog._ids[r] for r in stakes[0, :count].tolist()), shares[0, :count].tolist()))
 
 
@@ -471,13 +464,12 @@ def simulate(u0: Persona | UserProfile, catalog: SourceCatalog, config: SimConfi
     go to the smallest id. Acceptance and drop mechanics are shared, and the
     trust cost of each offer is recorded in both modes. Only ``u0.user_id``,
     ``u0.sources`` and ``u0.L``, the reader's limit, are read, so ``u0`` may
-    be a :class:`Persona` or a profile. ``Trajectory.start`` is the checked
-    start profile that :func:`profile_from_sources` builds from ``u0.sources``
-    and ``u0.L``, and ``Trajectory.final`` the profile of the last
-    members, sorted, with the means :func:`_means` takes. Pure in its
-    inputs: ``u0`` is never changed, and the outcome is a function of (u0,
-    catalog, config) alone.
-    The one run of :func:`simulate_all`."""
+    be a :class:`Persona` or a profile; a set that breaks the rule of
+    :func:`_check_trusted` raises ValueError. ``Trajectory.start`` is the
+    :func:`profile_from_sources` of ``u0.sources`` and ``u0.L``, and
+    ``Trajectory.final`` the profile of the last members, sorted. Pure in
+    its inputs: ``u0`` is never changed, and the outcome is a function of
+    (u0, catalog, config) alone. The one run of :func:`simulate_all`."""
     return simulate_all([(u0, config)], catalog)[0]
 
 
@@ -498,28 +490,29 @@ def simulate_all(
     lottery, where dropping the offer means rejection. At each step one
     :func:`_offers` call and one :func:`_lotteries` call, which gives each
     plan's cost, ``p``, shares and rows at stake, plan every run that needs
-    a plan. Each stepping run then takes one uniform draw from its
-    own :func:`rng_for_user` stream and drops the row that
-    ``bisect_right`` over its sums picks, the last one where the
-    draw passes every sum. One vectorized update gives every
-    run that accepted its new members, sorted, and one :func:`_means` call
-    its new means; ``Trajectory.final`` is built once, after the last step.
-    A run's trajectory is a function of its own (u0, catalog, config),
-    whatever other runs share the batch. One :func:`_profiles` call builds
-    every start profile, so a refused one raises before any run is made,
-    its position in ``runs`` as the error's ``run`` attribute."""
-    configs = [config for _, config in runs]
-    starts = _profiles(
-        [u0.user_id for u0, _ in runs], [sorted(u0.sources) for u0, _ in runs], catalog, [u0.L for u0, _ in runs]
-    )
+    a plan. Each stepping run then takes one uniform draw from its own
+    :func:`rng_for_user` stream and drops the row that ``bisect_right`` over
+    its sums picks, the last one where the draw passes every sum. One
+    vectorized update gives every run that accepted its new members, sorted,
+    and one :func:`_means` call its new means. A run's trajectory is a
+    function of its own (u0, catalog, config), whatever other runs share the
+    batch. One :func:`_start_rows` call checks every start set and lays out
+    the state, so a refused set raises before any run is made, its position
+    in ``runs`` as the error's ``run`` attribute. :func:`_row_profile` reads
+    ``Trajectory.start`` off the state before the first step, and
+    ``Trajectory.final`` after the last."""
     if not runs:
         return []
+    configs = [config for _, config in runs]
     n, ids = len(catalog), catalog._ids
-    rngs = [rng_for_user(config.seed, u.user_id) for u, config in zip(starts, configs)]
+    user_ids, limits = [u0.user_id for u0, _ in runs], [u0.L for u0, _ in runs]
     # no run holds more members than the catalog has, so a larger limit
     # means the same as the catalog size
-    limits = np.array([min(u.L, n) for u in starts], dtype=np.int64)
-    state = _rows(starts, catalog, int(limits.max()))
+    capacity = [min(L, n) for L in limits]
+    state = _start_rows(user_ids, [sorted(u0.sources) for u0, _ in runs], catalog, limits, max(capacity))
+    starts = [_row_profile(state, j, user_id, L, catalog) for j, (user_id, L) in enumerate(zip(user_ids, limits))]
+    rngs = [rng_for_user(config.seed, user_id) for user_id, config in zip(user_ids, configs)]
+    capacity = np.array(capacity, dtype=np.int64)
     offer_rule = [config.alpha if config.mode == "constrained" else None for config in configs]
     alphas = np.array([config.alpha for config in configs])
     ends = np.array([config.T for config in configs])
@@ -542,7 +535,7 @@ def simulate_all(
             new = planless[[row is not None for row in offers]]
             if new.size:
                 rows = np.array([row for row in offers if row is not None], dtype=np.int64)
-                full = state.sizes[new] == limits[new]
+                full = state.sizes[new] == capacity[new]
                 offer[new] = rows
                 stakes, counts, shares, cost[new], accept[new] = _lotteries(
                     state.take(new), full, rows, alphas[new], catalog
@@ -580,11 +573,9 @@ def simulate_all(
             records[j].append(StepRecord(t, ids[row], c, chance, a, ids[d] if a and d < n else None, q, l))
         offer[moved] = -1
     trajectories = []
-    for start, config, steps, members, size, q, l, v in zip(
-        starts, configs, records, state.members.tolist(), state.sizes.tolist(),
-        state.q_u.tolist(), state.l_u.tolist(), state.v_u,
-    ):
-        final = UserProfile(start.user_id, [ids[r] for r in members[:size]], start.L, q, l, v)
+    for j, (start, config, steps) in enumerate(zip(starts, configs, records)):
+        final = _row_profile(state, j, start.user_id, start.L, catalog)
+        q, l = final.q_u, final.l_u
         # every step after a run stops is a no-op that draws nothing
         steps += [StepRecord(rest, None, None, None, False, None, q, l) for rest in range(len(steps), config.T)]
         trajectories.append(Trajectory(start.user_id, config, steps, start, final))
@@ -643,6 +634,9 @@ class Persona:
 
 
 def load_personas(path) -> list[Persona]:
+    """The personas of a JSON list, checked for shape only: a non-empty,
+    UTF-8 ``user_id`` named once, ``sources`` a list of strings and ``L`` a
+    non-bool int. :func:`simulate_all` checks each set and limit."""
     data = read_json(path)
     if not isinstance(data, list):
         raise ValueError(f"{path}: expected a JSON list of personas")
@@ -666,10 +660,8 @@ def load_personas(path) -> list[Persona]:
             raise ValueError(f"{where}: user_id {user_id!r} is not encodable as UTF-8") from None
         if not isinstance(sources, list) or not all(isinstance(s, str) for s in sources):
             raise ValueError(f"{where}: sources must be a list of strings, got {sources!r}")
-        if isinstance(limit, bool) or not isinstance(limit, int) or limit < 1:
-            raise ValueError(f"{where}: L must be an integer >= 1, got {limit!r}")
-        if not sources:
-            raise ValueError(f"{path}: persona {user_id!r} has no sources")
+        if isinstance(limit, bool) or not isinstance(limit, int):
+            raise ValueError(f"{where}: L must be an integer, got {limit!r}")
         if user_id in seen:
             raise ValueError(f"{path}: duplicate persona {user_id!r}")
         seen.add(user_id)

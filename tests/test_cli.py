@@ -422,6 +422,25 @@ def test_log_variable_that_names_no_level_is_warning():
     assert result.stdout.startswith("usage:")
 
 
+@pytest.fixture
+def nudgesim_log_level():
+    """Restores the level that main sets on the nudgesim logger."""
+    level = cli.log.level
+    yield
+    cli.log.setLevel(level)
+
+
+def test_log_variable_applies_on_every_call(tmp_path, world_dir, monkeypatch, capsys, caplog, nudgesim_log_level):
+    # pytest's root logger has handlers, so basicConfig alone would apply no
+    # level at all; no caplog.at_level here
+    argv = ["embed", str(world_dir / "csn.tsv"), "--out", str(tmp_path / "v.tsv")] + _SMALL_EMBED
+    for level, logged in (("INFO", True), ("WARNING", False), ("INFO", True)):
+        monkeypatch.setenv("NUDGESIM_LOG", level)
+        caplog.clear()
+        assert _run(capsys, argv)[0] == 0
+        assert any("homophily" in r.getMessage() for r in caplog.records) is logged, level
+
+
 def test_embed_graph_without_nodes_exits_1_naming_the_file(tmp_path, capsys):
     csn = tmp_path / "csn.tsv"
     csn.write_text(graph.CSN_HEADER + "\n", encoding="utf-8")
@@ -784,18 +803,21 @@ def test_config_file_null_value_exits_2(tmp_path, capsys, world_dir, key, comman
 @pytest.mark.parametrize(
     "entry, message",
     [
-        ('{"user_id": "x", "sources": ["valley-voice"], "L": 1e400}', "L must be an integer"),
-        ('{"user_id": ["x"], "sources": ["valley-voice"], "L": 2}', "user_id must be"),
-        ('{"user_id": "x", "sources": "abc", "L": 2}', "sources must be a list of strings"),
-        ('{"user_id": "x", "sources": ["valley-voice"], "L": 2.7}', "L must be an integer"),
-        ('"abc"', "expected a JSON object"),
+        ('{"user_id": "x", "sources": ["valley-voice"], "L": 1e400}', ": L must be an integer"),
+        ('{"user_id": ["x"], "sources": ["valley-voice"], "L": 2}', ": user_id must be"),
+        ('{"user_id": "x", "sources": "abc", "L": 2}', ": sources must be a list of strings"),
+        ('{"user_id": "x", "sources": ["valley-voice"], "L": 2.7}', ": L must be an integer"),
+        ('"abc"', ": expected a JSON object"),
         # a lone surrogate cannot seed the user's stream
         ('{"user_id": "u\\ud800", "sources": ["valley-voice"], "L": 2}',
-         "user_id 'u\\ud800' is not encodable as UTF-8"),
+         ": user_id 'u\\ud800' is not encodable as UTF-8"),
+        # a well-formed persona whose trusted set breaks the one set rule
+        ('{"user_id": "x", "sources": [], "L": 2}', " (x): trusted set must be non-empty"),
+        ('{"user_id": "x", "sources": ["valley-voice"], "L": 0}', " (x): limit must be >= 1"),
         ("", None),
     ],
     ids=["L-overflow", "user_id-list", "sources-string", "L-fraction", "not-an-object",
-         "user_id-lone-surrogate", "no-personas"],
+         "user_id-lone-surrogate", "sources-empty", "L-zero", "no-personas"],
 )
 def test_simulate_bad_persona_field_exits_1(tmp_path, capsys, world_dir, entry, message):
     bad = tmp_path / "personas.json"
@@ -803,7 +825,7 @@ def test_simulate_bad_persona_field_exits_1(tmp_path, capsys, world_dir, entry, 
     inputs = [str(bad), str(world_dir / "scores.csv"), str(world_dir / "vectors.tsv")]
     code, _, stderr = _run(capsys, ["simulate", *inputs, "--out-dir", str(tmp_path / "sim")])
     assert code == 1
-    assert (f"{bad}: persona #0: {message}" if entry else f"{bad}: no personas") in stderr
+    assert (f"{bad}: persona #0{message}" if entry else f"{bad}: no personas") in stderr
     assert "Traceback" not in stderr
     assert not (tmp_path / "sim").exists()
 
@@ -848,21 +870,34 @@ def test_simulate_limit_override(tmp_path, capsys, world_dir):
     assert not (tmp_path / "narrow").exists()
 
 
+def test_simulate_limit_override_replaces_a_zero_limit_before_it_is_checked(tmp_path, capsys, world_dir):
+    # a file's L of 0 breaks the set rule only if it is the limit that runs
+    (first, *_) = json.loads((world_dir / "personas.json").read_text(encoding="utf-8"))
+    personas = tmp_path / "personas.json"
+    personas.write_text(json.dumps([dict(first, user_id="x", sources=first["sources"][:2], L=0)]), encoding="utf-8")
+    inputs = [str(personas), str(world_dir / "scores.csv"), str(world_dir / "vectors.tsv")]
+    code, stdout, stderr = _run(capsys, ["simulate", *inputs, "--T", "5", "--L", "3", "--out-dir", str(tmp_path)])
+    assert (code, stderr) == (0, "")
+    assert stdout.startswith("user=x mode=constrained ")
+    summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+    assert [entry["config"]["L"] for entry in summary] == [3]
+
+
 def test_simulate_builds_each_profile_state_once(tmp_path, capsys, world_dir, monkeypatch):
     # one start profile per run and one member update per accepted step: no
     # pass of its own; every start and every update takes its means through
-    # nudge._means, only the starts are built by nudge._profiles, and the only
-    # other profile of a run is its final one
+    # nudge._means, only the starts are laid out by nudge._start_rows, and the
+    # only profiles of a run are its start and its final one
     built, starts, profiles = [], [], []
-    means, build, profile = nudge._means, nudge._profiles, nudge.UserProfile
+    means, build, profile = nudge._means, nudge._start_rows, nudge.UserProfile
 
     def counted_means(members, sizes, catalog):
         built.append(len(members))
         return means(members, sizes, catalog)
 
-    def counted_profiles(*args):
+    def counted_start_rows(*args):
         made = build(*args)
-        starts.append(len(made))
+        starts.append(len(made.members))
         return made
 
     def counted_profile(*args, **kwargs):
@@ -870,7 +905,7 @@ def test_simulate_builds_each_profile_state_once(tmp_path, capsys, world_dir, mo
         return profiles[-1]
 
     monkeypatch.setattr(nudge, "_means", counted_means)
-    monkeypatch.setattr(nudge, "_profiles", counted_profiles)
+    monkeypatch.setattr(nudge, "_start_rows", counted_start_rows)
     monkeypatch.setattr(nudge, "UserProfile", counted_profile)
     argv = ["simulate", *_inputs(world_dir, "simulate"), "--mode", "both", "--T", "20",
             "--out-dir", str(tmp_path)]

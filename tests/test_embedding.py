@@ -573,11 +573,30 @@ def test_vectors_header_names_each_parameter_once_by_a_nonempty_key(tmp_path):
         path.write_text(f"#vectors v1\t{header}\na\t1.0\t0.5\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: {message}$"):
             load_vectors(path)
-    # nor does save_vectors write a key that load_vectors refuses
-    unwritten = tmp_path / "unwritten.tsv"
-    with pytest.raises(ValueError, match="empty name"):
-        save_vectors(SourceVectors(dims=1, vectors={"a": np.ones(1)}, params={"": "1"}), unwritten)
-    assert not unwritten.exists()
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"": "1"}, "a parameter has an empty name"),
+        ({"a=b": "1"}, "parameter 'a=b' holds '=' in its name"),
+        ({"y": "1\t2"}, r"parameter 'y'='1\\t2' holds a tab"),
+        ({"y": "1\n2"}, r"parameter 'y'='1\\n2' holds a tab"),
+        ({"y": "1\r"}, r"parameter 'y'='1\\r' holds a tab"),
+        ({"y\tz": "1"}, r"parameter 'y\\tz'='1' holds a tab"),
+        ({1: "1"}, "parameter 1='1' is not a pair of strings"),
+        ({"y": 1}, "parameter 'y'=1 is not a pair of strings"),
+    ],
+    ids=["empty-name", "equals-in-name", "tab-in-value", "newline-in-value", "carriage-return-in-value",
+         "tab-in-name", "name-not-a-string", "value-not-a-string"],
+)
+def test_save_vectors_writes_only_parameters_that_load_back(tmp_path, params, message):
+    # load_vectors would refuse an empty name, split 'a=b=1' at the first
+    # '=', split the header at a tab or line break, and drop a trailing '\r'
+    path = tmp_path / "vectors.tsv"
+    with pytest.raises(ValueError, match=f"^{message}"):
+        save_vectors(SourceVectors(dims=1, vectors={"a": np.ones(1)}, params=params), path)
+    assert not path.exists()
 
 
 def test_vectors_file_errors(tmp_path):
