@@ -215,7 +215,6 @@ def cmd_build_csn(args: argparse.Namespace) -> int:
     tfidf = corpus.tfidf_vectors(articles)
     pairs = corpus.similar_pairs(tfidf, articles, threshold=args.threshold)
     csn = graph.build_csn(pairs, articles.source_counts())
-    out_dir.mkdir(parents=True, exist_ok=True)
     corpus.write_pairs_tsv(pairs, out_dir / "pairs.tsv")
     graph.save_graph(csn, out_dir / "csn.tsv")
     print(
@@ -230,7 +229,6 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     labels = groundtruth.read_labels_csv(args.labels)
     csn = graph.load_graph(args.csn)
     scores = groundtruth.score_sources(labels, csn)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     groundtruth.write_scores_csv(scores, out_path)
     counts = collections.Counter(sc.provenance for sc in scores.values())
     print(
@@ -259,7 +257,6 @@ def cmd_embed(args: argparse.Namespace) -> int:
     if not csn.nodes:
         raise ValueError(f"{args.csn}: no nodes; nothing to embed")
     vectors = embedding.embed_graph(csn, **{name: getattr(args, name) for name in _EMBED_OPTIONS})
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     embedding.save_vectors(vectors, out_path)
     if log.isEnabledFor(logging.INFO):
         _log_homophily(csn, vectors)
@@ -303,12 +300,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError(f"{args.personas}: persona #{i} ({user_id}): {reason}") from None
     runs = list(zip(*[iter(trajectories)] * len(modes)))  # per persona, one run per mode
 
-    out_dir.mkdir(parents=True, exist_ok=True)
+    lines = []  # printed once every output is in place
     for stem, run in zip(stems, runs):
         for m, traj in zip(modes, run):
             nudge.write_trajectory_csv(traj, out_dir / f"trajectory_{stem}_{m}.csv")
             where = traj.convergence_point
-            print(
+            lines.append(
                 f"user={traj.user_id} mode={m} "
                 f"converged_at={'none' if where is None else where} "
                 f"final_q={traj.final.q_u:.6f} final_l={traj.final.l_u:.6f}"
@@ -323,6 +320,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         y_range=(0.0, 1.05),
     )
     nudge.write_summary_json([traj for run in runs for traj in run], out_dir / "summary.json")
+    print("\n".join(lines))
     return 0
 
 

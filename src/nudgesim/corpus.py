@@ -8,6 +8,7 @@ publication to the later one.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
@@ -16,10 +17,13 @@ import json
 import logging
 import math
 import operator
+import os
 import re
+import stat
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 from scipy import sparse
@@ -246,14 +250,42 @@ def read_csv(path, fields: list[str], make) -> dict:
     return made
 
 
+def write_text(path, text: str) -> None:
+    """Put ``text`` in ``path`` as UTF-8, whole or not at all: the one way
+    nudgesim writes a file. A lone surrogate raises ValueError naming
+    ``<path>:<line>`` before anything is opened. A regular file that holds
+    these bytes already is left as it is. Else the bytes go to a new
+    ``.<pid>.tmp`` beside ``path``, in a directory made if need be, which
+    ``os.replace`` moves onto ``path``; a failure removes it."""
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        line = text.count("\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line}: {text[exc.start]!r} is a lone surrogate, which is not UTF-8") from None
+    # a rerun makes the same bytes, and reading them costs less than a new file
+    with contextlib.suppress(OSError):
+        found = os.lstat(path)
+        if stat.S_ISREG(found.st_mode) and found.st_size == len(data) and Path(path).read_bytes() == data:
+            return
+    tmp = Path(path).with_name(f".{os.getpid()}.tmp")  # short, so a name of 255 bytes still gets one
+    tmp.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        tmp.write_bytes(data)  # its mode follows the umask
+        os.replace(tmp, path)  # a symlink at path is replaced, not written through
+    finally:  # a no-op once the file is in place
+        tmp.unlink(missing_ok=True)
+
+
 def write_csv(path, header: list[str], rows) -> None:
-    """Write ``header``, then ``rows``, to ``path`` as UTF-8 CSV: ``None`` as an
-    empty field, a float (numpy's too) as its shortest round-trip decimal, and
-    any other value as ``str`` gives it."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    """Write ``header``, then ``rows``, to ``path`` as UTF-8 CSV through
+    :func:`write_text`: ``None`` as an empty field, a float (numpy's too) as
+    its shortest round-trip decimal, and any other value as ``str`` gives it."""
+    buffer = io.StringIO()
+    try:
+        csv.writer(buffer).writerows(itertools.chain([header], rows))
+    except csv.Error as exc:  # a NUL, which Python 3.10's csv cannot write
+        raise ValueError(f"{path}: {exc}") from None
+    write_text(path, buffer.getvalue())
 
 
 def load_articles(path) -> ArticleSet:
@@ -507,8 +539,8 @@ def similar_pairs(
 
 
 def write_pairs_tsv(pairs: list[CopyPair], path) -> None:
-    """Write pairs as TSV: earlier_id, later_id, earlier_source, later_source,
-    similarity (shortest round-trip decimal)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for p in pairs:
-            fh.write(f"{p.earlier}\t{p.later}\t{p.earlier_source}\t{p.later_source}\t{p.similarity}\n")
+    """Write pairs as TSV through :func:`write_text`: earlier_id, later_id,
+    earlier_source, later_source, similarity (shortest round-trip decimal)."""
+    write_text(path, "".join(
+        f"{p.earlier}\t{p.later}\t{p.earlier_source}\t{p.later_source}\t{p.similarity}\n" for p in pairs
+    ))

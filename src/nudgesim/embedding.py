@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csc_matrix
 
-from .corpus import check_source_name, read_utf8
+from .corpus import check_source_name, read_utf8, write_text
 from .graph import CsnGraph
 
 VECTORS_HEADER = "#vectors v1"
@@ -416,13 +416,13 @@ def embed_graph(
 
 def save_vectors(vectors: SourceVectors, path) -> None:
     """Header line with hyperparameters, then one tab-separated row per
-    source. Components are written as their shortest round-trip decimal, so
-    loads are exact. Each row's source id, then its shape and
-    :func:`check_vector`, is checked before the rows are sorted and before
-    the file is opened, so that no file is written that :func:`load_vectors`
-    would refuse or read back otherwise; the first bad parameter, then the
-    first bad row, raises. A parameter's name and value are strings with no
-    tab, ``\\n`` or ``\\r``, and its name is not empty and holds no ``=``."""
+    source, through ``corpus.write_text``; each component is its shortest
+    round-trip decimal, so loads are exact. Nothing is written that
+    :func:`load_vectors` would refuse or read back otherwise: parameters are
+    strings with no tab, ``\\n`` or ``\\r``, named, with no ``=`` in a name,
+    ``dims`` if given is ``str(dims)``, and some vector has 1 component or
+    more. Then each row's source id, shape and :func:`check_vector` are checked
+    before the rows are sorted; the first bad parameter, then row, raises."""
     for key, value in vectors.params.items():
         if not (isinstance(key, str) and isinstance(value, str)):
             raise ValueError(f"parameter {key!r}={value!r} is not a pair of strings")
@@ -432,17 +432,18 @@ def save_vectors(vectors: SourceVectors, path) -> None:
             raise ValueError(f"parameter {key!r} holds '=' in its name")
         if any(c in key + value for c in "\t\n\r"):
             raise ValueError(f"parameter {key!r}={value!r} holds a tab, \\n or \\r")
+    if vectors.params.get("dims", str(vectors.dims)) != str(vectors.dims):
+        raise ValueError(f"parameter dims={vectors.params['dims']!r} is not the vectors' dims {vectors.dims}")
+    if not vectors.vectors or vectors.dims < 1:
+        raise ValueError(f"nothing to write: {len(vectors.vectors)} vectors of dims {vectors.dims}")
     for node, row in vectors.vectors.items():
         check_source_name(node)
         if row.shape != (vectors.dims,):
             raise ValueError(f"{node!r}: vector shape {row.shape} != ({vectors.dims},)")
         check_vector(node, row)
-    rows = sorted(vectors.vectors.items())
-    with open(path, "w", encoding="utf-8") as fh:
-        params = "\t".join(f"{k}={vectors.params[k]}" for k in sorted(vectors.params))
-        fh.write(VECTORS_HEADER + ("\t" + params if params else "") + "\n")
-        for node, row in rows:
-            fh.write(node + "\t" + "\t".join(map(str, row.tolist())) + "\n")
+    params = "".join(f"\t{k}={vectors.params[k]}" for k in sorted(vectors.params))
+    rows = (node + "\t" + "\t".join(map(str, row.tolist())) + "\n" for node, row in sorted(vectors.vectors.items()))
+    write_text(path, VECTORS_HEADER + params + "\n" + "".join(rows))
 
 
 def load_vectors(path) -> SourceVectors:

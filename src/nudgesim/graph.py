@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix, hstack
 
-from .corpus import CopyPair, check_source_name, read_utf8
+from .corpus import CopyPair, check_source_name, read_utf8, write_text
 
 CSN_HEADER = "#csn v1"
 
@@ -158,7 +158,7 @@ def build_csn(pairs: list[CopyPair], article_counts: dict[str, int]) -> CsnGraph
 
 
 def save_graph(graph: CsnGraph, path) -> None:
-    """Write the edge-list TSV.
+    """Write the edge-list TSV through :func:`~nudgesim.corpus.write_text`.
 
     Header line, then one ``#node`` line per node carrying its article count,
     then ``from  to  raw_count  normalized_weight`` rows. Weights are
@@ -166,10 +166,9 @@ def save_graph(graph: CsnGraph, path) -> None:
     """
     nodes = graph.nodes
     edges = zip(graph.src.tolist(), graph.dst.tolist(), graph.raw.tolist(), graph.weights.data.tolist())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(CSN_HEADER + "\n")
-        fh.writelines(f"#node\t{node}\t{count}\n" for node, count in zip(nodes, graph.article_count.tolist()))
-        fh.writelines(f"{nodes[s]}\t{nodes[d]}\t{raw}\t{weight}\n" for s, d, raw, weight in edges)
+    node_lines = (f"#node\t{node}\t{count}\n" for node, count in zip(nodes, graph.article_count.tolist()))
+    edge_lines = (f"{nodes[s]}\t{nodes[d]}\t{raw}\t{weight}\n" for s, d, raw, weight in edges)
+    write_text(path, CSN_HEADER + "\n" + "".join(node_lines) + "".join(edge_lines))
 
 
 def load_graph(path) -> CsnGraph:

@@ -177,6 +177,8 @@ def _parse_flags(field: str) -> frozenset[str]:
 
 
 def write_labels_csv(labels: list[SourceLabels], path) -> None:
+    if len({item.source for item in labels}) < len(labels):
+        raise ValueError(f"{path}: a source is labeled twice, which read_labels_csv refuses")
     rows = (
         [
             item.source,
@@ -204,6 +206,8 @@ def read_labels_csv(path) -> list[SourceLabels]:
 
 
 def write_scores_csv(scores: dict[str, SourceScore], path) -> None:
+    if any(key != sc.source for key, sc in scores.items()):
+        raise ValueError(f"{path}: a score is keyed by a name other than its source")
     rows = ([sc.source, sc.quality, sc.leaning, sc.provenance] for _, sc in sorted(scores.items()))
     write_csv(path, SCORES_FIELDS, rows)
 

@@ -31,7 +31,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .corpus import read_json, write_csv
+from .corpus import read_json, write_csv, write_text
 from .embedding import NO_DIRECTION_NORM, SEED_MASK, SourceVectors, check_vector
 from .groundtruth import SourceScore
 
@@ -608,7 +608,7 @@ def _profile_summary(u: UserProfile) -> dict:
 def write_summary_json(trajectories: list[Trajectory], path) -> None:
     """One entry per user: start/end profile, convergence point, and the
     exact config (seed included) that produced the run, with the start
-    profile's ``L`` as its ``L``."""
+    profile's ``L`` as its ``L``; through ``corpus.write_text``."""
     payload = []
     for traj in trajectories:
         cfg = traj.config
@@ -622,8 +622,7 @@ def write_summary_json(trajectories: list[Trajectory], path) -> None:
                 "accepted_steps": sum(1 for r in traj.steps if r.accepted),
             }
         )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 @dataclass(frozen=True)
@@ -634,16 +633,20 @@ class Persona:
 
 
 def load_personas(path) -> list[Persona]:
-    """The personas of a JSON list, checked for shape only: a non-empty,
-    UTF-8 ``user_id`` named once, ``sources`` a list of strings and ``L`` a
-    non-bool int. :func:`simulate_all` checks each set and limit."""
-    data = read_json(path)
+    """The personas of the JSON list in ``path``, checked for shape only by
+    :func:`_personas`; :func:`simulate_all` checks each set and limit."""
+    return _personas(read_json(path), path)
+
+
+def _personas(data, path) -> list[Persona]:
+    """The personas of ``data``, the JSON list of the file ``path``: one or
+    more, each with a non-empty, UTF-8 ``user_id`` named once, ``sources`` a
+    list of strings and ``L`` a non-bool int; else ValueError naming ``path``."""
     if not isinstance(data, list):
         raise ValueError(f"{path}: expected a JSON list of personas")
     if not data:
         raise ValueError(f"{path}: no personas")
-    personas = []
-    seen = set()
+    personas = {}
     for i, entry in enumerate(data):
         where = f"{path}: persona #{i}"
         if not isinstance(entry, dict):
@@ -662,17 +665,15 @@ def load_personas(path) -> list[Persona]:
             raise ValueError(f"{where}: sources must be a list of strings, got {sources!r}")
         if isinstance(limit, bool) or not isinstance(limit, int):
             raise ValueError(f"{where}: L must be an integer, got {limit!r}")
-        if user_id in seen:
+        if user_id in personas:
             raise ValueError(f"{path}: duplicate persona {user_id!r}")
-        seen.add(user_id)
-        personas.append(Persona(user_id=user_id, sources=tuple(sources), L=limit))
-    return personas
+        personas[user_id] = Persona(user_id=user_id, sources=tuple(sources), L=limit)
+    return list(personas.values())
 
 
 def write_personas(personas: list[Persona], path) -> None:
-    payload = [
-        {"user_id": p.user_id, "sources": list(p.sources), "L": p.L} for p in personas
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    """Write ``personas`` through ``corpus.write_text`` as the JSON list that
+    :func:`load_personas` reads; a list its rule refuses raises first."""
+    payload = [{"user_id": p.user_id, "sources": list(p.sources), "L": p.L} for p in personas]
+    _personas(payload, path)
+    write_text(path, json.dumps(payload, indent=2) + "\n")

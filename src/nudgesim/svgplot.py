@@ -8,6 +8,8 @@ fixes the y range. Output is plain static markup — same input, same bytes.
 
 from __future__ import annotations
 
+from .corpus import write_text
+
 PALETTE = ["#1b6ca8", "#d95f02", "#1b9e77", "#7570b3", "#e7298a", "#66a61e"]
 
 _WIDTH = 640
@@ -29,8 +31,8 @@ def line_chart(
     path,
     y_range: tuple[float, float],
 ) -> None:
-    """Write one SVG with a polyline per (label, values) pair. X is the step
-    index; Y spans ``y_range`` (low < high)."""
+    """Write one SVG with a polyline per (label, values) pair through
+    ``corpus.write_text``. X is the step index; Y spans ``y_range`` (low < high)."""
     if not series or all(not values for _, values in series):
         raise ValueError("line_chart needs at least one non-empty series")
 
@@ -81,8 +83,7 @@ def line_chart(
         parts.append(f'<text x="{lx + 24}" y="{ly}">{_escape(label)}</text>')
 
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+    write_text(path, "\n".join(parts) + "\n")
 
 
 def _escape(text: str) -> str:

@@ -260,7 +260,6 @@ def world_catalog(seed: int = WORLD_SEED) -> SourceCatalog:
 def write_world(out_dir) -> dict[str, Path]:
     """Emit the world as pipeline inputs: labels.csv, csn.tsv, personas.json."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     paths = {
         "labels": out / "labels.csv",
         "csn": out / "csn.tsv",

@@ -695,6 +695,30 @@ def test_simulate_both_mode_writes_comparison(tmp_path, capsys, world_dir):
     assert _polyline_lengths(out / "quality.svg") == [40, 40]
 
 
+def test_simulate_puts_every_output_in_place_before_a_closed_stdout_fails(tmp_path, capsys, world_dir):
+    # the child's stdout is a pipe whose reading end is already closed, and
+    # unbuffered (-u), so the first line printed fails at once: every output
+    # must be whole by then, and main reports the broken pipe as a failure
+    argv = ["simulate", *(str(world_dir / name) for name in ("personas.json", "scores.csv", "vectors.tsv")),
+            "--mode", "both", "--T", "60"]
+    assert main(argv + ["--out-dir", str(tmp_path / "normal")]) == 0
+    capsys.readouterr()
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    try:
+        result = subprocess.run(
+            [sys.executable, "-u", "-m", "nudgesim.cli", *argv, "--out-dir", str(tmp_path / "closed")],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (1, b"error: [Errno 32] Broken pipe\n")
+    normal = {p.name: p.read_bytes() for p in (tmp_path / "normal").iterdir()}
+    assert len(normal) == 11  # 4 personas x 2 modes, comparison, chart and summary
+    assert {p.name: p.read_bytes() for p in (tmp_path / "closed").iterdir()} == normal
+
+
 def _simulate_files(out) -> set[str]:
     return {p.name for p in out.iterdir()}
 

@@ -1281,6 +1281,33 @@ def test_personas_round_trip(tmp_path):
     assert load_personas(path) == personas
 
 
+@pytest.mark.parametrize(
+    "personas",
+    [
+        [],
+        [Persona("", ("a",), 2)],
+        [Persona("\ud800", ("a",), 2)],
+        [Persona("x", ("a",), True)],
+        [Persona("x", ("a", 1), 2)],
+        [Persona("x", ("a",), 2), Persona("x", ("b",), 3)],
+    ],
+    ids=["none", "empty-id", "surrogate-id", "bool-limit", "source-not-a-string", "repeated-id"],
+)
+def test_write_personas_refuses_what_load_personas_refuses(tmp_path, personas):
+    # the file a plain JSON dump of the same entries gives is refused by the
+    # loader, and the writer raises the loader's message before it writes
+    path = tmp_path / "personas.json"
+    entries = [{"user_id": p.user_id, "sources": list(p.sources), "L": p.L} for p in personas]
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    with pytest.raises(ValueError) as loaded:
+        load_personas(path)
+    path.unlink()
+    with pytest.raises(ValueError) as written:
+        write_personas(personas, path)
+    assert str(written.value) == str(loaded.value)
+    assert not path.exists()
+
+
 def test_load_personas_errors(tmp_path):
     path = tmp_path / "personas.json"
     path.write_text('{"user_id": "solo"}', encoding="utf-8")
