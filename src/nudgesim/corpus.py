@@ -8,7 +8,6 @@ publication to the later one.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import functools
 import io
@@ -17,9 +16,7 @@ import json
 import logging
 import math
 import operator
-import os
 import re
-import stat
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -251,29 +248,17 @@ def read_csv(path, fields: list[str], make) -> dict:
 
 
 def write_text(path, text: str) -> None:
-    """Put ``text`` in ``path`` as UTF-8, whole or not at all: the one way
-    nudgesim writes a file. A lone surrogate raises ValueError naming
-    ``<path>:<line>`` before anything is opened. A regular file that holds
-    these bytes already is left as it is. Else the bytes go to a new
-    ``.<pid>.tmp`` beside ``path``, in a directory made if need be, which
-    ``os.replace`` moves onto ``path``; a failure removes it."""
+    """Put ``text`` in ``path`` as UTF-8, in a directory made if need be: the
+    one way nudgesim writes a file. The whole text is encoded before the
+    file is opened, so a lone surrogate raises ValueError naming
+    ``<path>:<line>`` and leaves a previous file as it was."""
     try:
         data = text.encode("utf-8")
     except UnicodeEncodeError as exc:
         line = text.count("\n", 0, exc.start) + 1
         raise ValueError(f"{path}:{line}: {text[exc.start]!r} is a lone surrogate, which is not UTF-8") from None
-    # a rerun makes the same bytes, and reading them costs less than a new file
-    with contextlib.suppress(OSError):
-        found = os.lstat(path)
-        if stat.S_ISREG(found.st_mode) and found.st_size == len(data) and Path(path).read_bytes() == data:
-            return
-    tmp = Path(path).with_name(f".{os.getpid()}.tmp")  # short, so a name of 255 bytes still gets one
-    tmp.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        tmp.write_bytes(data)  # its mode follows the umask
-        os.replace(tmp, path)  # a symlink at path is replaced, not written through
-    finally:  # a no-op once the file is in place
-        tmp.unlink(missing_ok=True)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_bytes(data)  # its mode follows the umask, as open(path, "w") does
 
 
 def write_csv(path, header: list[str], rows) -> None:

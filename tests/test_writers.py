@@ -1,7 +1,8 @@
-"""Every file writer puts a whole file in place or leaves its target as it
-was, through the one function that opens a file for writing,
-``corpus.write_text``; and every writer with a reader either refuses a value
-before it writes or writes what the reader returns equal."""
+"""Every file writer goes through the one function that opens a file for
+writing, ``corpus.write_text``, which encodes the whole text before it opens
+the target; and every writer with a reader either refuses a value before it
+opens the file, leaving the target as it was, or writes what the reader
+returns equal."""
 
 import ast
 import os
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 import nudgesim
 from nudgesim import corpus
 from nudgesim.embedding import SourceVectors, load_vectors, save_vectors
-from nudgesim.graph import save_graph
 from nudgesim.groundtruth import (
     KNOWN_FLAGS,
     LEANING_CATEGORIES,
@@ -29,7 +29,6 @@ from nudgesim.groundtruth import (
     write_scores_csv,
 )
 from nudgesim.nudge import Persona, load_personas, write_personas
-from nudgesim.synthetic import two_cluster_graph
 
 # ---------------------------------------------------------------- one write path
 
@@ -78,7 +77,7 @@ def test_write_guard_sees_each_way_to_write():
         assert not seen(source), source
 
 
-# ---------------------------------------------------------------- whole or nothing
+# ---------------------------------------------------------------- refused before opened
 
 PRIOR = b"a previous whole file\n"
 
@@ -92,7 +91,7 @@ def _prior(tmp_path) -> Path:
 
 def _untouched(path: Path) -> None:
     assert path.read_bytes() == PRIOR
-    assert os.listdir(path.parent) == [path.name]  # no temporary file
+    assert os.listdir(path.parent) == [path.name]  # nothing else written
 
 
 def test_scores_with_a_lone_surrogate_leave_the_previous_file(tmp_path):
@@ -112,46 +111,16 @@ def test_vectors_parameter_with_a_lone_surrogate_leaves_the_previous_file(tmp_pa
     _untouched(path)
 
 
-def test_writer_whose_replace_fails_leaves_the_previous_file(tmp_path, monkeypatch):
-    def fail(src, dst):
-        raise OSError(28, "No space left on device")
-
-    path = _prior(tmp_path)
-    monkeypatch.setattr(os, "replace", fail)
-    with pytest.raises(OSError, match="No space left"):
-        save_graph(two_cluster_graph(), path)
-    _untouched(path)
-
-
-def test_write_text_makes_the_directory_and_replaces_a_symlink(tmp_path):
-    outside = _prior(tmp_path)
+def test_write_text_makes_the_directory_and_follows_the_umask(tmp_path):
     path = tmp_path / "new" / "deeper" / "out.txt"
-    path.parent.mkdir(parents=True)
-    path.symlink_to(outside)
     old = os.umask(0o027)
     try:
         corpus.write_text(path, "é\n")
     finally:
         os.umask(old)
-    assert not path.is_symlink() and path.read_bytes() == "é\n".encode()
+    assert path.read_bytes() == "é\n".encode()
     assert path.stat().st_mode & 0o777 == 0o640  # as open(path, "w") would make it
-    assert outside.read_bytes() == PRIOR
-    corpus.write_text(tmp_path / "made" / "here.txt", "")
-    assert os.listdir(tmp_path / "made") == ["here.txt"]
-
-
-def test_write_text_leaves_a_file_that_holds_the_bytes_already(tmp_path):
-    path = _prior(tmp_path)
-    before = path.stat()
-    corpus.write_text(path, PRIOR.decode())
-    assert (path.stat().st_ino, path.stat().st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
-    corpus.write_text(path, "other\n")
-    assert path.read_bytes() == b"other\n" and path.stat().st_ino != before.st_ino
-    # a symlink is replaced even when its target holds the bytes
-    link = tmp_path / "link"
-    link.symlink_to(path)
-    corpus.write_text(link, "other\n")
-    assert not link.is_symlink() and link.read_bytes() == b"other\n"
+    assert os.listdir(tmp_path / "new" / "deeper") == ["out.txt"]
 
 
 # ---------------------------------------------------------------- round trips
