@@ -339,11 +339,22 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        _resolve_options(parser, args)
-        return args.run(args)
-    except SystemExit as exc:  # --help, usage errors and bad --config values
-        return int(exc.code or 0)
+        try:
+            args = parser.parse_args(argv)
+            _resolve_options(parser, args)
+            code = args.run(args)
+        except SystemExit as exc:  # --help, usage errors and bad --config values
+            code = int(exc.code or 0)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError as exc:
+        # the output left in stdout's buffer goes nowhere, so that Python's
+        # flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (RuntimeError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -257,8 +257,11 @@ def write_text(path, text: str) -> None:
     except UnicodeEncodeError as exc:
         line = text.count("\n", 0, exc.start) + 1
         raise ValueError(f"{path}:{line}: {text[exc.start]!r} is a lone surrogate, which is not UTF-8") from None
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_bytes(data)  # its mode follows the umask, as open(path, "w") does
+    try:
+        Path(path).write_bytes(data)  # its mode follows the umask, as open(path, "w") does
+    except FileNotFoundError:  # no directory yet
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        Path(path).write_bytes(data)
 
 
 def write_csv(path, header: list[str], rows) -> None:

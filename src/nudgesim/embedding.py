@@ -122,11 +122,9 @@ def generate_walks(
     consumes one uniform; a node with no out-neighbors in the walk view ends
     its walk early.
 
-    The uniforms are drawn in chunks of ``WALK_CHUNK``, and the generator is
-    then rewound to its state before the last chunk and advanced by the
-    uniforms that chunk gave to steps. ``random(size)`` yields the doubles of
-    as many ``random()`` calls, so the walks and the generator's final state
-    are exactly those of one ``random()`` call per step taken.
+    The uniforms are drawn in chunks of ``WALK_CHUNK``. ``random(size)``
+    yields the doubles of as many ``random()`` calls, so the walks are
+    exactly those of one ``random()`` call per step taken.
     """
     if p <= 0 or q <= 0:
         raise ValueError(f"walk bias parameters must be positive (p={p}, q={q})")
@@ -157,7 +155,6 @@ def generate_walks(
     cached = cumulative.get
     uniforms: list[float] = []
     used = 0
-    rewind = None  # the generator's state before the chunk being used
     walks: list[list[int]] = []
     for _round in range(walks_per_node):
         for start in range(len(rows)):
@@ -173,7 +170,6 @@ def generate_walks(
                 if cum is None:
                     cum = cumulative[key] = second_order(prev, cur)
                 if used == len(uniforms):
-                    rewind = rng.bit_generator.state
                     uniforms = rng.random(WALK_CHUNK).tolist()
                     used = 0
                 idx = bisect_right(cum, uniforms[used] * cum[-1])
@@ -182,9 +178,6 @@ def generate_walks(
                 cur = ids[idx] if idx < len(ids) else ids[-1]
                 walk.append(cur)
             walks.append(walk)
-    if rewind is not None:
-        rng.bit_generator.state = rewind
-        rng.random(used)
     return walks
 
 

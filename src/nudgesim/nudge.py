@@ -481,26 +481,22 @@ def simulate_all(
 
     Every run's state is one row of arrays: its members and means (a
     :class:`_Rows` as wide as the largest start limit ``L``, each clamped to
-    the catalog size first) and its plan: the offer, its trust cost and its
-    accept probability ``p``, plus one outcome table, two lists of the
-    running sums of the outcome shares and the row each outcome drops. A
-    plan is made at a run's start and after each of its accepted steps.
-    Below capacity the outcomes drop nothing (accept) or the offer
-    (reject), with sums ``[p, 1.0]``; at capacity they are the drop
-    lottery, where dropping the offer means rejection. At each step one
-    :func:`_offers` call and one :func:`_lotteries` call, which gives each
-    plan's cost, ``p``, shares and rows at stake, plan every run that needs
-    a plan. Each stepping run then takes one uniform draw from its own
-    :func:`rng_for_user` stream and drops the row that ``bisect_right`` over
-    its sums picks, the last one where the draw passes every sum. One
-    vectorized update gives every run that accepted its new members, sorted,
-    and one :func:`_means` call its new means. A run's trajectory is a
-    function of its own (u0, catalog, config), whatever other runs share the
-    batch. One :func:`_start_rows` call checks every start set and lays out
-    the state, so a refused set raises before any run is made, its position
-    in ``runs`` as the error's ``run`` attribute. :func:`_row_profile` reads
-    ``Trajectory.start`` off the state before the first step, and
-    ``Trajectory.final`` after the last."""
+    the catalog size first) and its standing offer, made by one
+    :func:`_offers` call over every run without one and kept until the run
+    accepts it. At each step one :func:`_lotteries` call gives every
+    stepping run its offer's cost, its chance ``p`` and its drop lottery,
+    and the run takes one uniform draw from its own :func:`rng_for_user`
+    stream: below capacity it accepts when the draw is below ``p``; at
+    capacity it drops the row that ``bisect_right`` over the running sums
+    of the shares picks, where dropping the offer is rejection. One
+    vectorized update gives every run that accepted its new members,
+    sorted, and one :func:`_means` call its new means. A run's trajectory
+    is a function of its own (u0, catalog, config), whatever other runs
+    share the batch. One :func:`_start_rows` call checks every start set
+    and lays out the state, so a refused set raises before any run is
+    made, its position in ``runs`` as the error's ``run`` attribute.
+    :func:`_row_profile` reads ``Trajectory.start`` off the state before
+    the first step, and ``Trajectory.final`` after the last."""
     if not runs:
         return []
     configs = [config for _, config in runs]
@@ -516,46 +512,35 @@ def simulate_all(
     offer_rule = [config.alpha if config.mode == "constrained" else None for config in configs]
     alphas = np.array([config.alpha for config in configs])
     ends = np.array([config.T for config in configs])
-    # the plans: each offer (-1 for none), its cost and accept probability,
-    # and each outcome table, the running sums of the outcome shares and the
-    # row each outcome drops (n for none), as two lists
+    # each run's standing offer, -1 until one is made and again once accepted
     offer = np.full(len(runs), -1, dtype=np.int64)
-    cost, accept = np.zeros(len(runs)), np.zeros(len(runs))
-    tables: list[tuple[list[float], list[int]] | None] = [None] * len(runs)
     records: list[list[StepRecord]] = [[] for _ in runs]
     stepping = np.arange(len(runs))
     for t in range(max(config.T for config in configs)):
-        # a rejected offer leaves the members, and so the plan, unchanged; a
-        # converged run, or one with nothing eligible, never changes again.
-        # A plan is made only below convergence and dropped when q_u changes
+        # a rejected offer leaves the members, and so the offer, unchanged; a
+        # converged run, or one with nothing eligible, never changes again
         stepping = stepping[(ends[stepping] > t) & (state.q_u[stepping] < 1.0 - SimConfig.epsilon_converge)]
-        planless = stepping[offer[stepping] < 0]
-        if planless.size:
-            offers = _offers(state.take(planless), catalog, [offer_rule[j] for j in planless.tolist()])
-            new = planless[[row is not None for row in offers]]
-            if new.size:
-                rows = np.array([row for row in offers if row is not None], dtype=np.int64)
-                full = state.sizes[new] == capacity[new]
-                offer[new] = rows
-                stakes, counts, shares, cost[new], accept[new] = _lotteries(
-                    state.take(new), full, rows, alphas[new], catalog
-                )
-                # below capacity the outcomes are accept, which drops nothing,
-                # and reject; a draw is below 1.0, so sums [p, 1.0] pick as [p]
-                for j, at_limit, count, sums, drops, chance, row in zip(
-                    new.tolist(), full.tolist(), counts.tolist(), np.cumsum(shares, axis=1).tolist(),
-                    stakes.tolist(), accept[new].tolist(), rows.tolist(),
-                ):
-                    tables[j] = (sums[:count], drops[:count]) if at_limit else ([chance, 1.0], [n, row])
+        offerless = stepping[offer[stepping] < 0]
+        if offerless.size:
+            offers = _offers(state.take(offerless), catalog, [offer_rule[j] for j in offerless.tolist()])
+            offer[offerless] = [-1 if row is None else row for row in offers]
             stepping = stepping[offer[stepping] >= 0]
         if not stepping.size:
             break
-        # one draw per run; a draw past every running sum takes the last outcome
+        offered, full = offer[stepping], state.sizes[stepping] == capacity[stepping]
+        stakes, counts, shares, cost, accept = _lotteries(state.take(stepping), full, offered, alphas[stepping], catalog)
+        # one draw per run: below capacity the offer is kept when the draw is
+        # below p; at capacity bisect_right over the running sums picks the
+        # row to drop, and a draw past every sum takes the last one
         dropped = np.array([
-            drops[min(bisect_right(sums, rngs[j].random()), len(drops) - 1)]
-            for j in stepping.tolist() for sums, drops in [tables[j]]
+            drops[min(bisect_right(sums, draw, 0, count), count - 1)] if at_limit else (n if draw < chance else row)
+            for j, at_limit, count, sums, drops, chance, row in zip(
+                stepping.tolist(), full.tolist(), counts.tolist(), np.cumsum(shares, axis=1).tolist(),
+                stakes.tolist(), accept.tolist(), offered.tolist(),
+            )
+            for draw in [rngs[j].random()]
         ], dtype=np.int64)
-        taken = dropped != offer[stepping]
+        taken = dropped != offered
         moved = stepping[taken]
         if moved.size:
             members = np.column_stack([state.members[moved], offer[moved]])
@@ -567,7 +552,7 @@ def simulate_all(
                 state.members[moved], state.sizes[moved], catalog
             )
         for j, row, c, chance, a, d, q, l in zip(
-            stepping.tolist(), offer[stepping].tolist(), cost[stepping].tolist(), accept[stepping].tolist(),
+            stepping.tolist(), offered.tolist(), cost.tolist(), accept.tolist(),
             taken.tolist(), dropped.tolist(), state.q_u[stepping].tolist(), state.l_u[stepping].tolist(),
         ):
             records[j].append(StepRecord(t, ids[row], c, chance, a, ids[d] if a and d < n else None, q, l))

@@ -161,54 +161,40 @@ def test_walks_undirected_view_sums_reciprocal_weights():
     assert _named(graph.nodes, walks) == [["a", "b", "a", "b"], ["b", "a", "b", "a"]]
 
 
-def _cached_uint32(seed):
-    """A generator whose buffered 32-bit half-draw is set."""
-    rng = np.random.default_rng(seed)
-    state = rng.bit_generator.state
-    state["has_uint32"], state["uinteger"] = 1, 123456789
-    rng.bit_generator.state = state
-    return rng
-
-
 _TRIANGLE = {("a", "b"): 0.5, ("b", "c"): 0.5, ("c", "a"): 0.5}
 
 
 @pytest.mark.parametrize(
-    "edges, walk_kwargs, make_rng",
+    "edges, walk_kwargs",
     [
-        (_TRIANGLE, dict(p=2.0, q=0.5, walk_length=7, walks_per_node=2), np.random.default_rng),
+        (_TRIANGLE, dict(p=2.0, q=0.5, walk_length=7, walks_per_node=2)),
         # c is a sink of the directed view: walks through it end early
-        (
-            {("a", "b"): 0.5, ("b", "c"): 0.3, ("a", "c"): 0.2},
-            dict(walk_length=6, walks_per_node=3, directed=True),
-            np.random.default_rng,
-        ),
-        (_TRIANGLE, dict(walk_length=1, walks_per_node=3), np.random.default_rng),
-        (_TRIANGLE, dict(walk_length=1500, walks_per_node=2), np.random.default_rng),
-        (_TRIANGLE, dict(p=0.5, walk_length=9, walks_per_node=2), _cached_uint32),
+        ({("a", "b"): 0.5, ("b", "c"): 0.3, ("a", "c"): 0.2}, dict(walk_length=6, walks_per_node=3, directed=True)),
+        (_TRIANGLE, dict(walk_length=1, walks_per_node=3)),
+        (_TRIANGLE, dict(walk_length=1500, walks_per_node=2)),
     ],
-    ids=["biased", "directed-sink", "length-one", "several-chunks", "cached-uint32"],
+    ids=["biased", "directed-sink", "length-one", "several-chunks"],
 )
-def test_walks_leave_generator_one_uniform_per_step(edges, walk_kwargs, make_rng):
-    # the bulk draws are rewound: the generator ends exactly where one
-    # random() per step taken would leave it, cached half-draw included, and
-    # an unbiased walk's steps are the documented sampler on those uniforms
+def test_walks_take_one_uniform_per_step(edges, walk_kwargs):
+    # each step taken is the documented sampler on the next random() of the
+    # generator: the bulk draws give the same uniforms, in the same order
     graph = _graph(edges)
-    rng = make_rng(4)
-    walks = generate_walks(graph, rng, **walk_kwargs)
-    steps_taken = sum(len(w) - 1 for w in walks)
-    reference = make_rng(4)
-    uniforms = [reference.random() for _ in range(steps_taken)]
-    assert rng.bit_generator.state == reference.bit_generator.state
-    if walk_kwargs.get("p", 1.0) == 1.0 == walk_kwargs.get("q", 1.0):
-        view = graph.weights if walk_kwargs.get("directed") else graph.undirected
-        draws = iter(uniforms)
-        for walk in walks:
-            for i, nxt in zip(walk, walk[1:]):
-                ids = view.indices[view.indptr[i] : view.indptr[i + 1]]
-                cum = np.cumsum(view.data[view.indptr[i] : view.indptr[i + 1]]).tolist()
-                idx = min(bisect.bisect_right(cum, next(draws) * cum[-1]), len(ids) - 1)
-                assert ids[idx] == nxt
+    walks = generate_walks(graph, np.random.default_rng(4), **walk_kwargs)
+    draws = np.random.default_rng(4)
+    p, q = walk_kwargs.get("p", 1.0), walk_kwargs.get("q", 1.0)
+    view = graph.weights if walk_kwargs.get("directed") else graph.undirected
+    steps_taken = 0
+    for walk in walks:
+        for prev, i, nxt in zip([None, *walk], walk, walk[1:]):
+            ids = view.indices[view.indptr[i] : view.indptr[i + 1]].tolist()
+            weights = view.data[view.indptr[i] : view.indptr[i + 1]]
+            if prev is not None:
+                prev_nbrs = view.indices[view.indptr[prev] : view.indptr[prev + 1]].tolist()
+                weights = weights * [1 / p if x == prev else 1.0 if x in prev_nbrs else 1 / q for x in ids]
+            cum = np.cumsum(weights).tolist()
+            idx = min(bisect.bisect_right(cum, draws.random() * cum[-1]), len(ids) - 1)
+            assert ids[idx] == nxt
+            steps_taken += 1
     if walk_kwargs["walk_length"] == 1:
         assert steps_taken == 0
     if walk_kwargs.get("directed"):
@@ -218,12 +204,10 @@ def test_walks_leave_generator_one_uniform_per_step(edges, walk_kwargs, make_rng
 
 
 class _CallCountingGenerator:
-    """Forwards ``random`` and ``bit_generator`` to a generator and counts
-    ``random`` calls."""
+    """Forwards ``random`` to a generator and counts its calls."""
 
     def __init__(self, rng):
         self._rng = rng
-        self.bit_generator = rng.bit_generator
         self.calls = 0
 
     def random(self, *args, **kwargs):

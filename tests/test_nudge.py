@@ -801,28 +801,31 @@ def test_simulate_starts_converged_profile_as_noop():
 @pytest.fixture
 def select_calls(monkeypatch):
     """Every member row passed to ``nudge._offers``, one entry per profile
-    state. An ``_offers`` call starts a step's planning; on teardown, no
-    more than two calls of the cost kernel ``nudge._costs`` may follow any
-    one of them, whatever the number of runs, and none may come before the
-    first."""
+    state. A step ends at each ``nudge._lotteries`` call; on teardown, no
+    step may have made more than two calls of the cost kernel
+    ``nudge._costs``, whatever the number of runs."""
     calls = []
-    kernel_calls = []  # per _offers call, the kernel calls that followed it
-    offers, costs = nudge._offers, nudge._costs
+    kernel_calls = [0]  # per step, the kernel calls made in it
+    offers, costs, lotteries = nudge._offers, nudge._costs, nudge._lotteries
 
     def counting_offers(rows, catalog, alphas):
         calls.extend(rows.members)
-        kernel_calls.append(0)
         return offers(rows, catalog, alphas)
 
     def counting_costs(*args):
-        assert kernel_calls, "a kernel call before any step's offers"
         kernel_calls[-1] += 1
         return costs(*args)
 
+    def counting_lotteries(*args):
+        result = lotteries(*args)
+        kernel_calls.append(0)
+        return result
+
     monkeypatch.setattr(nudge, "_offers", counting_offers)
     monkeypatch.setattr(nudge, "_costs", counting_costs)
+    monkeypatch.setattr(nudge, "_lotteries", counting_lotteries)
     yield calls
-    assert max(kernel_calls, default=0) <= 2, kernel_calls
+    assert max(kernel_calls) <= 2, kernel_calls
 
 
 def test_simulate_selects_once_when_nothing_is_eligible(select_calls):
@@ -864,9 +867,14 @@ def test_simulate_selects_once_per_profile_state(select_calls):
         assert len(select_calls) == 1 + sum(r.accepted for r in traj.steps)
 
 
-def test_simulate_all_makes_at_most_two_kernel_calls_per_step(select_calls, world_catalog):
-    # every run of a 40-run batch needs a plan at step 0, and most again later
+def test_simulate_all_makes_at_most_two_kernel_calls_per_step(select_calls, world_catalog, monkeypatch):
+    # every run of a 40-run batch needs an offer at step 0, and most again
+    # later; the lottery kernel runs once per step, not once per run
     from nudgesim.synthetic import WORLD_PERSONAS
+
+    steps = []
+    lotteries = nudge._lotteries
+    monkeypatch.setattr(nudge, "_lotteries", lambda *args: steps.append(None) or lotteries(*args))
 
     runs = [
         (persona, SimConfig(T=30, seed=seed, mode=mode))
@@ -877,6 +885,7 @@ def test_simulate_all_makes_at_most_two_kernel_calls_per_step(select_calls, worl
     trajectories = nudge.simulate_all(runs, world_catalog)
     assert sum(r.accepted for traj in trajectories for r in traj.steps) > 2 * len(runs)
     assert len(select_calls) > 3 * len(runs)  # the teardown checks the kernel calls
+    assert len(steps) <= 30
 
 
 # ---------------------------------------------------------------- lockstep runs
