@@ -94,10 +94,6 @@ class SourceCatalog:
         self.leaning = _frozen([s.leaning for s in self._rows])
         self.vectors = _frozen(np.reshape([s.vector for s in self._rows], (len(self._rows), dims)))
         self.norms = _frozen(_norms(self.vectors))
-        # quality and leaning with a 0.0 at row len(self), the padding row
-        # of member arrays (_Rows)
-        self._padded_quality = _frozen(np.append(self.quality, 0.0))
-        self._padded_leaning = _frozen(np.append(self.leaning, 0.0))
 
     @classmethod
     def from_scores(cls, scores: dict[str, SourceScore], vectors: SourceVectors) -> "SourceCatalog":
@@ -151,20 +147,6 @@ class _Rows(NamedTuple):
         return _Rows(*(column[index] for column in self))
 
 
-def _member_rows(trusted_sets, catalog: SourceCatalog, width: int | None = None):
-    """The ``members`` and ``sizes`` of :class:`_Rows` for ``trusted_sets``,
-    each set's rows in its given order, ``width`` (by default the largest
-    set's size) columns wide."""
-    sizes = np.array([len(sources) for sources in trusted_sets], dtype=np.int64)
-    if width is None:
-        width = int(sizes.max(initial=0))
-    members = np.full((len(sizes), width), len(catalog), dtype=np.int64)
-    members[np.arange(width) < sizes[:, None]] = [
-        catalog.index[s] for s in itertools.chain.from_iterable(trusted_sets)
-    ]
-    return members, sizes
-
-
 def _float_sums(table: np.ndarray) -> np.ndarray:
     """Each row's ``float_sum``: its columns added left to right from 0.0.
     Adding 0.0 leaves such a sum as it is, since it is never -0.0."""
@@ -184,8 +166,8 @@ def _means(members: np.ndarray, sizes: np.ndarray, catalog: SourceCatalog):
     ``np.add.reduce(..., axis=1)``, which adds each row's members in the
     same order."""
     top = members[:, : sizes.max(initial=0)]
-    q_u = _float_sums(catalog._padded_quality[top]) / sizes
-    l_u = _float_sums(catalog._padded_leaning[top]) / sizes
+    q_u = _float_sums(np.append(catalog.quality, 0.0)[top]) / sizes
+    l_u = _float_sums(np.append(catalog.leaning, 0.0)[top]) / sizes
     v_u = np.empty((len(members), catalog.vectors.shape[1]))
     for size in np.unique(sizes).tolist():
         group = np.flatnonzero(sizes == size)
@@ -193,33 +175,36 @@ def _means(members: np.ndarray, sizes: np.ndarray, catalog: SourceCatalog):
     return q_u, l_u, v_u
 
 
-def _check_trusted(user_id: str, sources, catalog: SourceCatalog, limit: int) -> None:
-    """The one rule for a trusted set, the first broken part raising: non-empty,
-    no repeats, no larger than a limit of at least 1, only catalog sources."""
-    if not sources:
-        raise ValueError(f"{user_id}: trusted set must be non-empty")
-    if len(sources) != len(set(sources)):
-        raise ValueError(f"{user_id}: duplicate trusted sources")
-    if limit < 1:
-        raise ValueError(f"{user_id}: limit must be >= 1")
-    if len(sources) > limit:
-        raise ValueError(f"{user_id}: {len(sources)} trusted sources exceed limit {limit}")
-    for s in sources:
-        if s not in catalog:
-            raise ValueError(f"{user_id}: unknown source {s!r}")
-
-
-def _start_rows(user_ids, trusted_sets, catalog: SourceCatalog, limits, width: int) -> _Rows:
-    """The :class:`_Rows`, ``width`` wide, of the trusted sets in their given
-    order, each checked against its limit by :func:`_check_trusted`. A refused
-    set's ValueError has its position as its ``run`` attribute."""
+def _start_rows(user_ids, trusted_sets, catalog: SourceCatalog, limits) -> _Rows:
+    """The :class:`_Rows` of the trusted sets, each set's rows in its given
+    order, as wide as the largest limit clamped to the catalog size. Every
+    set is first held to the one rule for a trusted set, the first broken
+    part raising ValueError with the set's position as its ``run``
+    attribute: non-empty, no repeats, an int limit (not a bool) of at least
+    1, no more sources than the limit, only catalog sources."""
     for position, (user_id, sources, limit) in enumerate(zip(user_ids, trusted_sets, limits)):
-        try:
-            _check_trusted(user_id, sources, catalog, limit)
-        except ValueError as exc:
+        if not sources:
+            problem = "trusted set must be non-empty"
+        elif len(sources) != len(set(sources)):
+            problem = "duplicate trusted sources"
+        elif isinstance(limit, bool) or not isinstance(limit, int):
+            problem = f"limit must be an integer, got {limit!r}"
+        elif limit < 1:
+            problem = "limit must be >= 1"
+        elif len(sources) > limit:
+            problem = f"{len(sources)} trusted sources exceed limit {limit}"
+        else:
+            problem = next((f"unknown source {s!r}" for s in sources if s not in catalog), None)
+        if problem:
+            exc = ValueError(f"{user_id}: {problem}")
             exc.run = position
-            raise
-    members, sizes = _member_rows(trusted_sets, catalog, width)
+            raise exc
+    sizes = np.array([len(sources) for sources in trusted_sets], dtype=np.int64)
+    width = max(min(limit, len(catalog)) for limit in limits)
+    members = np.full((len(sizes), width), len(catalog), dtype=np.int64)
+    members[np.arange(width) < sizes[:, None]] = [
+        catalog.index[s] for s in itertools.chain.from_iterable(trusted_sets)
+    ]
     return _Rows(members, sizes, *_means(members, sizes, catalog))
 
 
@@ -233,8 +218,7 @@ def _row_profile(rows: _Rows, i: int, user_id: str, L: int, catalog: SourceCatal
 def profile_from_sources(user_id: str, trusted, catalog: SourceCatalog, L: int) -> UserProfile:
     """The profile of ``trusted``, sorted, under the limit ``L``: the one row
     of :func:`_start_rows`, read by :func:`_row_profile`."""
-    trusted = sorted(trusted)
-    return _row_profile(_start_rows([user_id], [trusted], catalog, [L], len(trusted)), 0, user_id, L, catalog)
+    return _row_profile(_start_rows([user_id], [sorted(trusted)], catalog, [L]), 0, user_id, L, catalog)
 
 
 @dataclass(frozen=True)
@@ -246,6 +230,9 @@ class SimConfig:
     epsilon_converge: ClassVar[float] = DEFAULT_EPSILON
 
     def __post_init__(self) -> None:
+        for name, value in (("T", self.T), ("seed", self.seed)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.T < 1:
             raise ValueError(f"T must be >= 1, got {self.T}")
         _check_alpha(self.alpha)
@@ -397,7 +384,7 @@ def drop_distribution(
     uniform when every cost is zero. The lottery :func:`_lotteries` makes
     for ``u`` alone, which must hold ``u.L`` sources."""
     _check_alpha(alpha)
-    _check_trusted(u.user_id, u.sources, catalog, u.L)
+    rows = _start_rows([u.user_id], [u.sources], catalog, [u.L])
     if len(u.sources) != u.L:
         raise ValueError(
             f"{u.user_id}: drop lottery requires a full profile "
@@ -409,7 +396,8 @@ def drop_distribution(
         raise ValueError(f"{u.user_id}: unknown candidate {s_prime.source_id!r}")
     offer = np.array([catalog.index[s_prime.source_id]])
     # the lottery is drawn against u's own means, whatever its members
-    rows = _Rows(*_member_rows([u.sources], catalog), *(np.array([m], dtype=float) for m in (u.q_u, u.l_u, u.v_u)))
+    rows = rows._replace(q_u=np.array([u.q_u], dtype=float), l_u=np.array([u.l_u], dtype=float),
+                         v_u=np.array([u.v_u], dtype=float))
     stakes, (count,), shares, _, _ = _lotteries(rows, np.array([True]), offer, [alpha], catalog)
     return dict(zip((catalog._ids[r] for r in stakes[0, :count].tolist()), shares[0, :count].tolist()))
 
@@ -464,8 +452,8 @@ def simulate(u0: Persona | UserProfile, catalog: SourceCatalog, config: SimConfi
     go to the smallest id. Acceptance and drop mechanics are shared, and the
     trust cost of each offer is recorded in both modes. Only ``u0.user_id``,
     ``u0.sources`` and ``u0.L``, the reader's limit, are read, so ``u0`` may
-    be a :class:`Persona` or a profile; a set that breaks the rule of
-    :func:`_check_trusted` raises ValueError. ``Trajectory.start`` is the
+    be a :class:`Persona` or a profile; a set or limit that breaks the rule
+    of :func:`_start_rows` raises ValueError. ``Trajectory.start`` is the
     :func:`profile_from_sources` of ``u0.sources`` and ``u0.L``, and
     ``Trajectory.final`` the profile of the last members, sorted. Pure in
     its inputs: ``u0`` is never changed, and the outcome is a function of
@@ -480,8 +468,7 @@ def simulate_all(
     describes, all in lockstep, and return their trajectories in order.
 
     Every run's state is one row of arrays: its members and means (a
-    :class:`_Rows` as wide as the largest start limit ``L``, each clamped to
-    the catalog size first) and its standing offer, made by one
+    :class:`_Rows` of :func:`_start_rows`) and its standing offer, made by one
     :func:`_offers` call over every run without one and kept until the run
     accepts it. At each step one :func:`_lotteries` call gives every
     stepping run its offer's cost, its chance ``p`` and its drop lottery,
@@ -502,13 +489,12 @@ def simulate_all(
     configs = [config for _, config in runs]
     n, ids = len(catalog), catalog._ids
     user_ids, limits = [u0.user_id for u0, _ in runs], [u0.L for u0, _ in runs]
-    # no run holds more members than the catalog has, so a larger limit
-    # means the same as the catalog size
-    capacity = [min(L, n) for L in limits]
-    state = _start_rows(user_ids, [sorted(u0.sources) for u0, _ in runs], catalog, limits, max(capacity))
+    state = _start_rows(user_ids, [sorted(u0.sources) for u0, _ in runs], catalog, limits)
     starts = [_row_profile(state, j, user_id, L, catalog) for j, (user_id, L) in enumerate(zip(user_ids, limits))]
     rngs = [rng_for_user(config.seed, user_id) for user_id, config in zip(user_ids, configs)]
-    capacity = np.array(capacity, dtype=np.int64)
+    # no run holds more members than the catalog has, so a larger limit
+    # means the same as the catalog size
+    capacity = np.array([min(L, n) for L in limits], dtype=np.int64)
     offer_rule = [config.alpha if config.mode == "constrained" else None for config in configs]
     alphas = np.array([config.alpha for config in configs])
     ends = np.array([config.T for config in configs])

@@ -847,10 +847,13 @@ def test_config_file_null_value_exits_2(tmp_path, capsys, world_dir, key, comman
         # a well-formed persona whose trusted set breaks the one set rule
         ('{"user_id": "x", "sources": [], "L": 2}', " (x): trusted set must be non-empty"),
         ('{"user_id": "x", "sources": ["valley-voice"], "L": 0}', " (x): limit must be >= 1"),
+        ('{"user_id": "x", "sources": ["valley-voice", "valley-voice"], "L": 2}', " (x): duplicate trusted sources"),
+        ('{"user_id": "x", "sources": ["valley-voice", "other"], "L": 1}', " (x): 2 trusted sources exceed limit 1"),
         ("", None),
     ],
     ids=["L-overflow", "user_id-list", "sources-string", "L-fraction", "not-an-object",
-         "user_id-lone-surrogate", "sources-empty", "L-zero", "no-personas"],
+         "user_id-lone-surrogate", "sources-empty", "L-zero", "sources-duplicate", "sources-exceed",
+         "no-personas"],
 )
 def test_simulate_bad_persona_field_exits_1(tmp_path, capsys, world_dir, entry, message):
     bad = tmp_path / "personas.json"

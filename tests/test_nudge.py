@@ -79,7 +79,7 @@ def _rows_of(profiles, catalog):
     """The simulator's start rows for the sources and limits of ``profiles``."""
     return nudge._start_rows(
         [u.user_id for u in profiles], [u.sources for u in profiles], catalog,
-        [u.L for u in profiles], max(u.L for u in profiles),
+        [u.L for u in profiles],
     )
 
 
@@ -558,7 +558,7 @@ def test_drop_distribution_preconditions():
     full = _profile(["anchor", "cheap"], 2, q_u=0.45, l_u=0.0, v_u=[1.0, 0.0])
     with pytest.raises(ValueError, match="already trusted"):
         drop_distribution(full, catalog["cheap"], catalog, ALPHA)
-    # the trusted-set rule of profile_from_sources comes first
+    # the trusted-set rule of _start_rows comes first
     repeated = _profile(["anchor", "anchor"], 2, q_u=0.3, l_u=0.0, v_u=[1.0, 0.0])
     with pytest.raises(ValueError, match="duplicate trusted sources"):
         drop_distribution(repeated, catalog["top"], catalog, ALPHA)
@@ -1076,9 +1076,33 @@ def test_simulate_validates_inputs():
         simulate(repeated, catalog, _config())
 
 
+@pytest.mark.parametrize("limit", [2.5, 1.0, 0.5, True, np.int64(2)], ids=["fraction", "float", "half", "bool", "int64"])
+def test_trusted_set_rule_refuses_a_limit_that_is_not_an_int(limit):
+    # every caller of _start_rows reaches the rule before any min, max or
+    # numpy call sees the limit, and in a batch the error names its run
+    catalog = _toy_catalog()
+    message = f"^u: limit must be an integer, got {re.escape(repr(limit))}$"
+    with pytest.raises(ValueError, match=message):
+        simulate(Persona("u", ("anchor",), limit), catalog, _config())
+    with pytest.raises(ValueError, match=message):
+        profile_from_sources("u", ["anchor"], catalog, limit)
+    with pytest.raises(ValueError, match=message):
+        drop_distribution(_profile(["anchor", "cheap"], limit, 0.45, 0.0, [1.0, 0.0]), catalog["top"], catalog, ALPHA)
+    runs = [(Persona("a", ("anchor",), 10**30), _config()), (Persona("u", ("cheap",), limit), _config())]
+    with pytest.raises(ValueError, match=message) as caught:
+        nudge.simulate_all(runs, catalog)
+    assert caught.value.run == 1
+
+
 def test_simconfig_validation():
     with pytest.raises(ValueError, match="T"):
         SimConfig(T=0, seed=0)
+    # T and seed are ints, not bools, or the run fails later or records them
+    # in a form summary.json cannot hold
+    for field in ("T", "seed"):
+        for value in (2.5, True, np.int64(3)):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
+                SimConfig(**{"T": 3, "seed": 0, field: value})
     with pytest.raises(ValueError, match="alpha"):
         SimConfig(T=1, seed=0, alpha=1.0)
     with pytest.raises(ValueError, match="mode"):
@@ -1183,8 +1207,8 @@ def test_means_are_float_sums_and_mean_vectors_per_row(data):
         st.lists(st.integers(0, len(rows) - 1), min_size=1, unique=True), min_size=1, max_size=6
     ))
     width = max(map(len, sets)) + data.draw(st.integers(0, 2))
-    members, sizes = nudge._member_rows([[ids[r] for r in rows] for rows in sets], catalog, width)
-    q_u, l_u, v_u = nudge._means(members, sizes, catalog)
+    trusted_sets = [[ids[r] for r in rows] for rows in sets]
+    q_u, l_u, v_u = nudge._start_rows(range(len(sets)), trusted_sets, catalog, [width] * len(sets))[2:]
     for k, rows in enumerate(sets):
         assert repr(q_u.tolist()[k]) == repr(float_sum(quality[r] for r in rows) / len(rows))
         assert repr(l_u.tolist()[k]) == repr(float_sum(leaning[r] for r in rows) / len(rows))
