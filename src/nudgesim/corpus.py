@@ -16,6 +16,7 @@ import json
 import logging
 import math
 import operator
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -257,11 +258,18 @@ def write_text(path, text: str) -> None:
     except UnicodeEncodeError as exc:
         line = text.count("\n", 0, exc.start) + 1
         raise ValueError(f"{path}:{line}: {text[exc.start]!r} is a lone surrogate, which is not UTF-8") from None
+    flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
     try:
-        Path(path).write_bytes(data)  # its mode follows the umask, as open(path, "w") does
+        fd = os.open(path, flags, 0o666)  # its mode follows the umask, as open(path, "w") does
     except FileNotFoundError:  # no directory yet
         Path(path).parent.mkdir(parents=True, exist_ok=True)
-        Path(path).write_bytes(data)
+        fd = os.open(path, flags, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
 
 
 def write_csv(path, header: list[str], rows) -> None:

@@ -65,19 +65,42 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 1.0 - float(np.dot(a, b)) / (norm_a * norm_b)
 
 
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, each bit for bit ``np.dot(a[i], b[i])``: for
+    a 1×d by d×1 core, ``np.matmul`` calls the dot routine that ``np.dot``
+    calls on 1-D arrays. ``einsum("ij,ij->i")``, ``(a * b).sum(1)`` and
+    ``a @ b.T`` add the products in other orders."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
 def check_vector(source_id: str, vector) -> None:
     """The one rule for a source vector: ``v·v``, whose square root is its
     norm, must be finite, and the vector must have a direction (norm at
     least :data:`NO_DIRECTION_NORM`) unless it is zero. A non-finite
     component, or components so large that ``v·v`` overflows, would make
-    every cosine against the vector nan."""
-    vector = np.asarray(vector, dtype=float)
-    with np.errstate(over="ignore"):
-        square = np.dot(vector, vector)
-    if not np.isfinite(square):
-        raise ValueError(f"non-finite vector norm for {source_id!r}")
-    if math.sqrt(square) < NO_DIRECTION_NORM and vector.any():
-        raise ValueError(f"vector for {source_id!r} is not zero but its squared norm is subnormal")
+    every cosine against the vector nan. The one row of :func:`check_vectors`."""
+    check_vectors([source_id], np.reshape(np.asarray(vector, dtype=float), (1, -1)))
+
+
+def check_vectors(source_ids, vectors) -> None:
+    """The rule of :func:`check_vector` on each row of the matrix
+    ``vectors``, row ``i`` being the vector of ``source_ids[i]``, in one
+    pass: ``v·v`` is :func:`row_dots`, ``np.dot``'s to the bit. The first
+    row that breaks the rule raises its ValueError, with the row's index as
+    the error's ``row`` attribute."""
+    vectors = np.asarray(vectors, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = row_dots(vectors, vectors)
+        finite = np.isfinite(squares)
+        broken = ~finite | ((np.sqrt(squares) < NO_DIRECTION_NORM) & vectors.any(axis=1))
+    if broken.any():
+        row = int(broken.argmax())
+        if not finite[row]:
+            exc = ValueError(f"non-finite vector norm for {source_ids[row]!r}")
+        else:
+            exc = ValueError(f"vector for {source_ids[row]!r} is not zero but its squared norm is subnormal")
+        exc.row = row
+        raise exc
 
 
 def community_cosines(vectors: SourceVectors, labels: dict) -> tuple[float, float]:
@@ -415,7 +438,8 @@ def save_vectors(vectors: SourceVectors, path) -> None:
     strings with no tab, ``\\n`` or ``\\r``, named, with no ``=`` in a name,
     ``dims`` if given is ``str(dims)``, and some vector has 1 component or
     more. Then each row's source id, shape and :func:`check_vector` are checked
-    before the rows are sorted; the first bad parameter, then row, raises."""
+    before the rows are sorted, the vectors by one :func:`check_vectors`
+    call; the first bad parameter, then row, raises."""
     for key, value in vectors.params.items():
         if not (isinstance(key, str) and isinstance(value, str)):
             raise ValueError(f"parameter {key!r}={value!r} is not a pair of strings")
@@ -429,11 +453,17 @@ def save_vectors(vectors: SourceVectors, path) -> None:
         raise ValueError(f"parameter dims={vectors.params['dims']!r} is not the vectors' dims {vectors.dims}")
     if not vectors.vectors or vectors.dims < 1:
         raise ValueError(f"nothing to write: {len(vectors.vectors)} vectors of dims {vectors.dims}")
-    for node, row in vectors.vectors.items():
-        check_source_name(node)
-        if row.shape != (vectors.dims,):
-            raise ValueError(f"{node!r}: vector shape {row.shape} != ({vectors.dims},)")
-        check_vector(node, row)
+    nodes, values = list(vectors.vectors), list(vectors.vectors.values())
+    for k, (node, row) in enumerate(zip(nodes, values)):
+        try:
+            check_source_name(node)
+            if row.shape != (vectors.dims,):
+                raise ValueError(f"{node!r}: vector shape {row.shape} != ({vectors.dims},)")
+        except ValueError:
+            # a bad vector in an earlier row is named first
+            check_vectors(nodes, np.reshape(values[:k], (k, vectors.dims)))
+            raise
+    check_vectors(nodes, values)
     params = "".join(f"\t{k}={vectors.params[k]}" for k in sorted(vectors.params))
     rows = (node + "\t" + "\t".join(map(str, row.tolist())) + "\n" for node, row in sorted(vectors.vectors.items()))
     write_text(path, VECTORS_HEADER + params + "\n" + "".join(rows))
@@ -461,6 +491,7 @@ def load_vectors(path) -> SourceVectors:
             if dims is None or dims < 1:
                 raise ValueError(f"{path}:1: dims must be a positive integer, got {params['dims']!r}")
         vectors: dict[str, np.ndarray] = {}
+        linenos: list[int] = []
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
@@ -471,16 +502,32 @@ def load_vectors(path) -> SourceVectors:
                 row = np.array([float(x) for x in fields[1:]], dtype=float)
                 if not len(row):
                     raise ValueError(f"no components for {fields[0]!r}")
-                check_vector(fields[0], row)
+                if dims is None:
+                    dims = len(row)
+                if len(row) != dims or fields[0] in vectors:
+                    check_vector(fields[0], row)  # the line's own bad vector is named first
+                    raise ValueError(
+                        f"expected {dims} components, got {len(row)}" if len(row) != dims
+                        else f"duplicate source {fields[0]!r}"
+                    )
             except ValueError as exc:
+                # a bad vector on an earlier line is named first
+                _check_lines(path, vectors, linenos)
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if dims is None:
-                dims = len(row)
-            if len(row) != dims:
-                raise ValueError(f"{path}:{lineno}: expected {dims} components, got {len(row)}")
-            if fields[0] in vectors:
-                raise ValueError(f"{path}:{lineno}: duplicate source {fields[0]!r}")
             vectors[fields[0]] = row
+            linenos.append(lineno)
     if not vectors:
         raise ValueError(f"{path}: no vectors found")
+    _check_lines(path, vectors, linenos)
     return SourceVectors(dims=dims, vectors=vectors, params=params)
+
+
+def _check_lines(path, vectors: dict[str, np.ndarray], linenos: list[int]) -> None:
+    """One :func:`check_vectors` call over ``vectors``, read from the lines
+    ``linenos`` of ``path``, naming the first bad one's line."""
+    if not vectors:
+        return
+    try:
+        check_vectors(list(vectors), list(vectors.values()))
+    except ValueError as exc:
+        raise ValueError(f"{path}:{linenos[exc.row]}: {exc}") from None

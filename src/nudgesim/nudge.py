@@ -32,7 +32,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .corpus import read_json, write_csv, write_text
-from .embedding import NO_DIRECTION_NORM, SEED_MASK, SourceVectors, check_vector
+from .embedding import NO_DIRECTION_NORM, SEED_MASK, SourceVectors, check_vector, check_vectors, row_dots
 from .groundtruth import SourceScore
 
 DEFAULT_ALPHA = 0.5
@@ -73,37 +73,54 @@ class SourceCatalog:
     id in sorted order; ``index`` maps an id to its row."""
 
     def __init__(self, sources) -> None:
-        by_id: dict[str, Source] = {}
-        dims: int | None = None
-        for source in sources:
-            if source.source_id in by_id:
-                raise ValueError(f"duplicate source {source.source_id!r}")
-            if dims is None:
-                dims = len(source.vector)
-            elif len(source.vector) != dims:
-                raise ValueError(
-                    f"{source.source_id}: vector has {len(source.vector)} dims, expected {dims}"
-                )
-            by_id[source.source_id] = source
-        if not by_id:
-            raise ValueError("catalog must contain at least one source")
-        self._ids = sorted(by_id)
-        self._rows = tuple(by_id[s] for s in self._ids)
-        self.index = MappingProxyType({s: i for i, s in enumerate(self._ids)})
-        self.quality = _frozen([s.quality for s in self._rows])
-        self.leaning = _frozen([s.leaning for s in self._rows])
-        self.vectors = _frozen(np.reshape([s.vector for s in self._rows], (len(self._rows), dims)))
-        self.norms = _frozen(_norms(self.vectors))
+        sources = list(sources)
+        self._fill(
+            [s.source_id for s in sources], [s.quality for s in sources],
+            [s.leaning for s in sources], [s.vector for s in sources],
+        )
 
     @classmethod
     def from_scores(cls, scores: dict[str, SourceScore], vectors: SourceVectors) -> "SourceCatalog":
         """Keep the sources that are actually usable: scored (labeled or
-        imputed, which have both fields) and embedded."""
-        return cls(
-            Source(source_id, sc.quality, sc.leaning, vectors.vectors[source_id])
-            for source_id, sc in scores.items()
-            if sc.provenance in ("labeled", "imputed") and source_id in vectors.vectors
+        imputed, which have both fields) and embedded. Their arrays are
+        built straight from ``scores`` and ``vectors``, each entry held to
+        :class:`Source`'s rule by the catalog's own check."""
+        usable = [s for s, sc in scores.items() if sc.provenance in ("labeled", "imputed") and s in vectors.vectors]
+        catalog = cls.__new__(cls)
+        catalog._fill(
+            usable, [scores[s].quality for s in usable],
+            [scores[s].leaning for s in usable], [vectors.vectors[s] for s in usable],
         )
+        return catalog
+
+    def _fill(self, ids: list, quality: list, leaning: list, vectors: list) -> None:
+        """Set the arrays of the entries ``(ids[i], quality[i], leaning[i],
+        vectors[i])`` after one check over all of them. The first entry that
+        breaks a rule raises ValueError: :class:`Source`'s rule (quality,
+        leaning, then :func:`check_vectors`), then a repeated id, then a
+        vector length other than the first entry's; no entries at all
+        raise too."""
+        if not ids:
+            raise ValueError("catalog must contain at least one source")
+        position = {}
+        repeated = [position.setdefault(s, i) != i for i, s in enumerate(ids)]
+        lengths = np.array([len(v) for v in vectors])
+        q, l = np.array(quality, dtype=float), np.array(leaning, dtype=float)
+        broken = ~((0.0 <= q) & (q <= 1.0)) | ~((-1.0 <= l) & (l <= 1.0)) | repeated | (lengths != lengths[0])
+        first = int(broken.argmax()) if broken.any() else len(ids)
+        check_vectors(ids, np.reshape(vectors[:first], (first, lengths[0])))  # an earlier bad vector wins
+        if first < len(ids):
+            source = Source(ids[first], quality[first], leaning[first], vectors[first])  # its own rule first
+            if repeated[first]:
+                raise ValueError(f"duplicate source {source.source_id!r}")
+            raise ValueError(f"{source.source_id}: vector has {lengths[first]} dims, expected {lengths[0]}")
+        self._ids = sorted(position)
+        order = [position[s] for s in self._ids]
+        self.index = MappingProxyType({s: i for i, s in enumerate(self._ids)})
+        self.quality = _frozen(q[order])
+        self.leaning = _frozen(l[order])
+        self.vectors = _frozen(np.reshape(vectors, (len(ids), lengths[0]))[order])
+        self.norms = _frozen(_norms(self.vectors))
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -112,7 +129,8 @@ class SourceCatalog:
         return source_id in self.index
 
     def __getitem__(self, source_id: str) -> Source:
-        return self._rows[self.index[source_id]]
+        i = self.index[source_id]
+        return Source(source_id, self.quality[i].item(), self.leaning[i].item(), self.vectors[i])
 
     def ids(self) -> list[str]:
         return list(self._ids)
@@ -176,14 +194,21 @@ def _means(members: np.ndarray, sizes: np.ndarray, catalog: SourceCatalog):
 
 
 def _start_rows(user_ids, trusted_sets, catalog: SourceCatalog, limits) -> _Rows:
-    """The :class:`_Rows` of the trusted sets, each set's rows in its given
-    order, as wide as the largest limit clamped to the catalog size. Every
-    set is first held to the one rule for a trusted set, the first broken
-    part raising ValueError with the set's position as its ``run``
-    attribute: non-empty, no repeats, an int limit (not a bool) of at least
-    1, no more sources than the limit, only catalog sources."""
+    """The :class:`_Rows` of the trusted sets, each set's rows in id order,
+    as wide as the largest limit clamped to the catalog size. Every set is
+    first held to the one rule for a trusted set, the first broken part
+    raising ValueError with the set's position as its ``run`` attribute: a
+    user id that is a non-empty string UTF-8 can encode, a collection of ids
+    that is not one string, non-empty, no repeats, an int limit (not a bool)
+    of at least 1, no more sources than the limit, only catalog sources (the
+    first unknown one named in ``str`` order)."""
     for position, (user_id, sources, limit) in enumerate(zip(user_ids, trusted_sets, limits)):
-        if not sources:
+        prefix = f"{user_id}: "
+        if not isinstance(user_id, str) or not user_id or not _encodes(user_id):
+            prefix, problem = "", f"user_id must be a non-empty string that UTF-8 can encode, got {user_id!r}"
+        elif isinstance(sources, str):
+            problem = f"trusted set must be a collection of source ids, got the string {sources!r}"
+        elif not sources:
             problem = "trusted set must be non-empty"
         elif len(sources) != len(set(sources)):
             problem = "duplicate trusted sources"
@@ -194,18 +219,29 @@ def _start_rows(user_ids, trusted_sets, catalog: SourceCatalog, limits) -> _Rows
         elif len(sources) > limit:
             problem = f"{len(sources)} trusted sources exceed limit {limit}"
         else:
-            problem = next((f"unknown source {s!r}" for s in sources if s not in catalog), None)
+            unknown = [s for s in sources if s not in catalog]
+            problem = f"unknown source {min(unknown, key=str)!r}" if unknown else None
         if problem:
-            exc = ValueError(f"{user_id}: {problem}")
+            exc = ValueError(prefix + problem)
             exc.run = position
             raise exc
     sizes = np.array([len(sources) for sources in trusted_sets], dtype=np.int64)
     width = max(min(limit, len(catalog)) for limit in limits)
     members = np.full((len(sizes), width), len(catalog), dtype=np.int64)
     members[np.arange(width) < sizes[:, None]] = [
-        catalog.index[s] for s in itertools.chain.from_iterable(trusted_sets)
+        catalog.index[s] for s in itertools.chain.from_iterable(map(sorted, trusted_sets))
     ]
     return _Rows(members, sizes, *_means(members, sizes, catalog))
+
+
+def _encodes(user_id: str) -> bool:
+    """Whether UTF-8 can encode ``user_id``, which seeds its stream
+    (:func:`rng_for_user`)."""
+    try:
+        user_id.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _row_profile(rows: _Rows, i: int, user_id: str, L: int, catalog: SourceCatalog) -> UserProfile:
@@ -218,7 +254,7 @@ def _row_profile(rows: _Rows, i: int, user_id: str, L: int, catalog: SourceCatal
 def profile_from_sources(user_id: str, trusted, catalog: SourceCatalog, L: int) -> UserProfile:
     """The profile of ``trusted``, sorted, under the limit ``L``: the one row
     of :func:`_start_rows`, read by :func:`_row_profile`."""
-    return _row_profile(_start_rows([user_id], [sorted(trusted)], catalog, [L]), 0, user_id, L, catalog)
+    return _row_profile(_start_rows([user_id], [trusted], catalog, [L]), 0, user_id, L, catalog)
 
 
 @dataclass(frozen=True)
@@ -235,6 +271,8 @@ class SimConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.T < 1:
             raise ValueError(f"T must be >= 1, got {self.T}")
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, (int, float)):
+            raise ValueError(f"alpha must be a number, got {self.alpha!r}")
         _check_alpha(self.alpha)
         if self.mode not in ("constrained", "unconstrained"):
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -275,18 +313,10 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
 
 
-def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products, each bit for bit ``np.dot(a[i], b[i])``: for
-    a 1×d by d×1 core, ``np.matmul`` calls the dot routine that ``np.dot``
-    calls on 1-D arrays. ``einsum("ij,ij->i")``, ``(a * b).sum(1)`` and
-    ``a @ b.T`` add the products in other orders."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
 def _norms(vectors: np.ndarray) -> np.ndarray:
     """Each row's ``np.linalg.norm``, bit for bit: it is the square root of
     the row's dot product with itself."""
-    return np.sqrt(_dots(vectors, vectors))
+    return np.sqrt(row_dots(vectors, vectors))
 
 
 def _trust_costs(dots: np.ndarray, norm_u, norm_s, l_u, l_s, alpha) -> np.ndarray:
@@ -310,10 +340,10 @@ def _costs(l_u: np.ndarray, v_u: np.ndarray, alphas, owners, rows, catalog: Sour
     """The :func:`_trust_costs` of each pair (profile means ``l_u[o]`` and
     ``v_u[o]``, catalog row ``r``) at ``alphas[o]``, for the ``o`` and ``r``
     of ``zip(owners, rows)``. Dot products and norms come from
-    :func:`_dots`, so each cost equals the scalar formula on ``np.dot`` and
+    :func:`row_dots`, so each cost equals the scalar formula on ``np.dot`` and
     ``np.linalg.norm`` to the bit. The caller has checked each alpha."""
     return _trust_costs(
-        _dots(v_u[owners], catalog.vectors[rows]), _norms(v_u)[owners], catalog.norms[rows],
+        row_dots(v_u[owners], catalog.vectors[rows]), _norms(v_u)[owners], catalog.norms[rows],
         l_u[owners], catalog.leaning[rows], np.array(alphas)[owners],
     ).tolist()
 
@@ -489,7 +519,7 @@ def simulate_all(
     configs = [config for _, config in runs]
     n, ids = len(catalog), catalog._ids
     user_ids, limits = [u0.user_id for u0, _ in runs], [u0.L for u0, _ in runs]
-    state = _start_rows(user_ids, [sorted(u0.sources) for u0, _ in runs], catalog, limits)
+    state = _start_rows(user_ids, [u0.sources for u0, _ in runs], catalog, limits)
     starts = [_row_profile(state, j, user_id, L, catalog) for j, (user_id, L) in enumerate(zip(user_ids, limits))]
     rngs = [rng_for_user(config.seed, user_id) for user_id, config in zip(user_ids, configs)]
     # no run holds more members than the catalog has, so a larger limit
@@ -579,7 +609,8 @@ def _profile_summary(u: UserProfile) -> dict:
 def write_summary_json(trajectories: list[Trajectory], path) -> None:
     """One entry per user: start/end profile, convergence point, and the
     exact config (seed included) that produced the run, with the start
-    profile's ``L`` as its ``L``; through ``corpus.write_text``."""
+    profile's ``L`` as its ``L``; through ``corpus.write_text``, as a JSON
+    list with one entry per line, keys sorted."""
     payload = []
     for traj in trajectories:
         cfg = traj.config
@@ -593,7 +624,7 @@ def write_summary_json(trajectories: list[Trajectory], path) -> None:
                 "accepted_steps": sum(1 for r in traj.steps if r.accepted),
             }
         )
-    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_text(path, "[\n" + ",\n".join(json.dumps(entry, sort_keys=True) for entry in payload) + "\n]\n")
 
 
 @dataclass(frozen=True)
@@ -628,10 +659,8 @@ def _personas(data, path) -> list[Persona]:
             raise ValueError(f"{where}: missing field ({exc})") from exc
         if not isinstance(user_id, str) or not user_id:
             raise ValueError(f"{where}: user_id must be a non-empty string, got {user_id!r}")
-        try:
-            user_id.encode("utf-8")  # seeds the user's stream (rng_for_user)
-        except UnicodeEncodeError:
-            raise ValueError(f"{where}: user_id {user_id!r} is not encodable as UTF-8") from None
+        if not _encodes(user_id):
+            raise ValueError(f"{where}: user_id {user_id!r} is not encodable as UTF-8")
         if not isinstance(sources, list) or not all(isinstance(s, str) for s in sources):
             raise ValueError(f"{where}: sources must be a list of strings, got {sources!r}")
         if isinstance(limit, bool) or not isinstance(limit, int):

@@ -25,11 +25,14 @@ from nudgesim.embedding import (
     WALK_CHUNK,
     SourceVectors,
     _noise_lookup,
+    check_vector,
+    check_vectors,
     community_cosines,
     cosine_distance,
     embed_graph,
     generate_walks,
     load_vectors,
+    row_dots,
     save_vectors,
     train_embeddings,
 )
@@ -659,3 +662,72 @@ def test_save_vectors_checks_shapes(tmp_path):
         with pytest.raises(ValueError, match=match):
             save_vectors(SourceVectors(dims=3, vectors=vectors, params={}), path)
         assert not path.exists()
+
+
+# ---------------------------------------------------------------- vector rule
+
+# a zero row, rows whose v·v is subnormal, overflows or is nan, and ordinary ones
+_RULE_ROWS = [
+    [0.0, -0.0, 0.0], [1e-160, 3e-161, 0.0], [5e-324, 0.0, 0.0], [1e200, 1e200, 0.0],
+    [1.0, math.nan, 0.0], [math.inf, 0.0, 0.0], [-math.inf, 1.0, 0.0],
+    [1.0, -2.0, 0.5], [1.5e-154, 0.0, 0.0], [1.3e154, 0.0, 0.0], [0.1, 0.2, 0.3],
+]
+
+
+def _refusal(source_id, vector):
+    try:
+        check_vector(source_id, vector)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(picks=st.lists(st.integers(0, len(_RULE_ROWS) - 1), min_size=1, max_size=8))
+def test_check_vectors_is_check_vector_on_each_row(picks):
+    # the matrix check refuses a matrix exactly when check_vector refuses a
+    # row of it, with that first row's message and index, and its v·v is
+    # np.dot's to the bit
+    ids = [f"s{i}" for i in range(len(picks))]
+    matrix = np.array([_RULE_ROWS[k] for k in picks])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert row_dots(matrix, matrix).tobytes() == np.array([np.dot(v, v) for v in matrix]).tobytes()
+    refusals = [_refusal(s, v) for s, v in zip(ids, matrix)]
+    first = next((i for i, message in enumerate(refusals) if message), None)
+    if first is None:
+        check_vectors(ids, matrix)
+        return
+    with pytest.raises(ValueError) as caught:
+        check_vectors(ids, matrix)
+    assert (str(caught.value), caught.value.row) == (refusals[first], first)
+
+
+def test_load_vectors_names_the_first_bad_line(tmp_path):
+    # a bad vector on line 3 is named before a repeated source on line 5, a
+    # bad number, a wrong length or a bad name further down
+    path = tmp_path / "vectors.tsv"
+    for later in ("a\t2.0\t0.0", "d\tnope\t1.0", "d\t1.0", "#d\t1.0\t1.0", "d\t1e-170\t0.0"):
+        path.write_text(f"#vectors v1\na\t1.0\t0.5\nb\tnan\t1.0\nc\t0.0\t0.0\n{later}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^[^:]*vectors\.tsv:3: non-finite vector norm for 'b'$"):
+            load_vectors(path)
+    # a line's own bad vector is named before its wrong length or repeat
+    for later, name in (("d\tinf", "d"), ("a\tinf\t1.0", "a")):
+        path.write_text(f"#vectors v1\na\t1.0\t0.5\n{later}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f":3: non-finite vector norm for '{name}'$"):
+            load_vectors(path)
+
+
+def test_save_vectors_names_the_first_bad_row(tmp_path):
+    path = tmp_path / "vectors.tsv"
+    for later, match in [
+        ({"c": np.zeros(2)}, r"^non-finite vector norm for 'b'$"),
+        ({"#c": np.zeros(3)}, r"^non-finite vector norm for 'b'$"),
+        ({"c": np.full(3, 1e-300)}, r"^non-finite vector norm for 'b'$"),
+    ]:
+        vectors = {"a": np.ones(3), "b": np.array([1.0, math.inf, 0.0]), **later}
+        with pytest.raises(ValueError, match=match):
+            save_vectors(SourceVectors(dims=3, vectors=vectors), path)
+        assert not path.exists()
+    # a row's own bad name or shape is named before its vector
+    with pytest.raises(ValueError, match=r"^'b': vector shape \(2,\) != \(3,\)$"):
+        save_vectors(SourceVectors(dims=3, vectors={"a": np.ones(3), "b": np.full(2, math.nan)}), path)

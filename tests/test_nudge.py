@@ -199,6 +199,48 @@ def test_catalog_validation():
         assert _source("a", 0.5, 0.0, vector).vector.tolist() == vector
 
 
+_SCORE_ROWS = st.tuples(
+    st.sampled_from([0.0, 0.5, 1.0, 1.2, -0.1, math.nan]),
+    st.sampled_from([-1.0, 0.0, 1.0, 1.5, math.nan]),
+    st.sampled_from([[1.0, 0.0], [0.0, 0.0], [math.inf, 0.0], [1e-170, 0.0], [1.0], [1e200, 1.0], [0.5, 0.5, 0.5]]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(_SCORE_ROWS, min_size=1, max_size=6))
+def test_catalog_from_scores_refuses_as_one_source_per_entry(rows):
+    # from_scores checks every entry at once, with the outcome of building
+    # one Source per entry, in score order, into the catalog: the first entry
+    # with a bad quality, leaning or vector, or a vector length other than
+    # the first entry's, raises that entry's message (a SourceScore refuses
+    # a bad quality or leaning itself, so the scores here are plain records)
+    from types import SimpleNamespace
+
+    from nudgesim.embedding import SourceVectors
+
+    ids = [f"s{len(rows) - i}" for i in range(len(rows))]  # score order is not id order
+    scores = {s: SimpleNamespace(quality=q, leaning=l, provenance="labeled") for s, (q, l, _) in zip(ids, rows)}
+    vectors = SourceVectors(dims=2, vectors={s: np.array(v) for s, (_, _, v) in zip(ids, rows)})
+
+    def outcome(build):
+        try:
+            catalog = build()
+        except ValueError as exc:
+            return str(exc)
+        return catalog.ids(), [a.tobytes() for a in (catalog.quality, catalog.leaning, catalog.vectors, catalog.norms)]
+
+    def one_by_one():
+        sources = []
+        for s in ids:
+            sources.append(Source(s, scores[s].quality, scores[s].leaning, vectors.vectors[s]))
+            dims = [len(source.vector) for source in sources]
+            if dims[-1] != dims[0]:
+                raise ValueError(f"{s}: vector has {dims[-1]} dims, expected {dims[0]}")
+        return SourceCatalog(sources)
+
+    assert outcome(lambda: SourceCatalog.from_scores(scores, vectors)) == outcome(one_by_one)
+
+
 def test_catalog_from_scores_is_the_same_in_any_score_order():
     # the usable sources are labeled or imputed and embedded, in id order,
     # however the scores dict is ordered
@@ -934,6 +976,23 @@ def test_simulate_all_is_independent_of_batch_order_and_make_up(world_catalog, w
     assert [_outcome(traj) for traj in got] == [alone[j] for j in batch]
 
 
+@pytest.mark.parametrize("user_id, sources, message", [
+    (7, ("anchor",), "user_id must be a non-empty string that UTF-8 can encode, got 7"),
+    ("", ("anchor",), "user_id must be a non-empty string that UTF-8 can encode, got ''"),
+    ("\ud800", ("anchor",), "user_id must be a non-empty string that UTF-8 can encode, got '\\ud800'"),
+    ("reader", "anchor", "reader: trusted set must be a collection of source ids, got the string 'anchor'"),
+])
+def test_simulate_all_refuses_a_bad_id_or_a_string_set(user_id, sources, message):
+    # refused as ValueError naming the run, before any run is made, not as
+    # AttributeError or UnicodeEncodeError from the user's stream, nor read
+    # as the set of the string's characters
+    catalog = _toy_catalog()
+    runs = [(Persona("fine", ("weak",), 2), SimConfig(T=3, seed=0)), (Persona(user_id, sources, 2), SimConfig(T=3, seed=0))]
+    with pytest.raises(ValueError) as caught:
+        nudge.simulate_all(runs, catalog)
+    assert (str(caught.value), caught.value.run) == (message, 1)
+
+
 def test_simulate_all_names_the_run_that_cannot_start(world_catalog, world_runs):
     runs, _ = world_runs
     bad = Persona("ghost-reader", ("no-such-outlet",), 2)
@@ -1107,6 +1166,12 @@ def test_simconfig_validation():
         SimConfig(T=1, seed=0, alpha=1.0)
     with pytest.raises(ValueError, match="mode"):
         SimConfig(T=1, seed=0, mode="hybrid")
+    # alpha is an int or a float (numpy's float64 is one), not a bool, or
+    # summary.json cannot hold it
+    for value in (np.float32(0.5), True, "0.5", None):
+        with pytest.raises(ValueError, match=f"^alpha must be a number, got {re.escape(repr(value))}$"):
+            SimConfig(T=3, seed=0, alpha=value)
+    assert SimConfig(T=3, seed=0, alpha=np.float64(0.25)).alpha == 0.25
 
 
 def test_unconstrained_accepts_perfect_source_below_capacity():
@@ -1191,10 +1256,10 @@ def test_convergence_point_variants():
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_means_are_float_sums_and_mean_vectors_per_row(data):
-    # q_u and l_u are float_sum in member order over the member count; v_u
-    # is the row's own np.add.reduce over the member count, which is
-    # np.mean; a batch of rows of several sizes, padded past each, changes
-    # none of them
+    # q_u and l_u are float_sum in member order, which is id order, over the
+    # member count; v_u is the row's own np.add.reduce over the member count,
+    # which is np.mean; a batch of rows of several sizes, padded past each,
+    # changes none of them
     dims = data.draw(st.integers(1, 5))
     vectors = st.lists(st.floats(-1e6, 1e6) | st.sampled_from([-0.0, 1e-300]), min_size=dims, max_size=dims)
     rows = data.draw(st.lists(
@@ -1208,8 +1273,9 @@ def test_means_are_float_sums_and_mean_vectors_per_row(data):
     ))
     width = max(map(len, sets)) + data.draw(st.integers(0, 2))
     trusted_sets = [[ids[r] for r in rows] for rows in sets]
-    q_u, l_u, v_u = nudge._start_rows(range(len(sets)), trusted_sets, catalog, [width] * len(sets))[2:]
-    for k, rows in enumerate(sets):
+    user_ids = [f"u{k}" for k in range(len(sets))]
+    q_u, l_u, v_u = nudge._start_rows(user_ids, trusted_sets, catalog, [width] * len(sets))[2:]
+    for k, rows in enumerate(map(sorted, sets)):
         assert repr(q_u.tolist()[k]) == repr(float_sum(quality[r] for r in rows) / len(rows))
         assert repr(l_u.tolist()[k]) == repr(float_sum(leaning[r] for r in rows) / len(rows))
         alone = np.add.reduce(catalog.vectors[[rows]], axis=1)[0] / len(rows)
@@ -1286,22 +1352,36 @@ def test_step_record_fields_pair_with_trajectory_columns():
 
 
 def test_summary_json_format(tmp_path):
-    traj = _small_trajectory()
+    # a JSON list with one run per line, each line json's compact rendering
+    # of the run's entry with its keys sorted, for byte-stable reruns
+    catalog = _toy_catalog()
+    trajectories = [
+        simulate(Persona(user_id, sources, 2), catalog, _config(T=4, seed=seed, mode=mode))
+        for user_id, sources, seed, mode in [
+            ("reader", ("anchor",), 5, "constrained"), ("other", ("weak", "cheap"), 1, "unconstrained"),
+        ]
+    ]
     path = tmp_path / "summary.json"
-    write_summary_json([traj], path)
+    write_summary_json(trajectories, path)
     text = path.read_text(encoding="utf-8")
-    assert text.endswith("\n")
-    payload = json.loads(text)
-    entry = payload[0]
-    assert entry["user_id"] == "reader"
-    assert entry["config"]["seed"] == 5
-    assert entry["config"]["mode"] == "constrained"
-    assert entry["start"]["sources"] == ["anchor"]
-    assert entry["end"]["sources"] == traj.final.sources
-    assert entry["accepted_steps"] == sum(1 for r in traj.steps if r.accepted)
-    assert entry["convergence_point"] == traj.convergence_point
-    # deterministic key order for byte-stable reruns
-    assert text.index('"T"') < text.index('"alpha"') < text.index('"seed"')
+    expected = [
+        {
+            "user_id": user_id,
+            "config": {"T": 4, "seed": seed, "alpha": ALPHA, "mode": mode, "L": 2,
+                       "epsilon_converge": SimConfig.epsilon_converge},
+            "start": {"sources": start, "q_u": traj.start.q_u, "l_u": traj.start.l_u},
+            "end": {"sources": traj.final.sources, "q_u": traj.final.q_u, "l_u": traj.final.l_u},
+            "convergence_point": traj.convergence_point,
+            "accepted_steps": sum(1 for r in traj.steps if r.accepted),
+        }
+        for traj, (user_id, start, seed, mode) in zip(
+            trajectories, [("reader", ["anchor"], 5, "constrained"), ("other", ["cheap", "weak"], 1, "unconstrained")]
+        )
+    ]
+    assert json.loads(text) == expected
+    lines = [json.dumps(entry, sort_keys=True) for entry in expected]
+    assert text == "[\n" + ",\n".join(lines) + "\n]\n"
+    assert lines[0].index('"T"') < lines[0].index('"alpha"') < lines[0].index('"seed"')
 
 
 def test_personas_round_trip(tmp_path):

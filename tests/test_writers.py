@@ -116,11 +116,33 @@ def test_write_text_makes_the_directory_and_follows_the_umask(tmp_path):
     old = os.umask(0o027)
     try:
         corpus.write_text(path, "é\n")
+        with open(tmp_path / "by_open", "w", encoding="utf-8") as fh:
+            fh.write("é\n")
     finally:
         os.umask(old)
     assert path.read_bytes() == "é\n".encode()
-    assert path.stat().st_mode & 0o777 == 0o640  # as open(path, "w") would make it
+    assert path.stat().st_mode & 0o777 == 0o640
+    assert path.stat().st_mode == (tmp_path / "by_open").stat().st_mode  # as open(path, "w") makes it
     assert os.listdir(tmp_path / "new" / "deeper") == ["out.txt"]
+
+
+def test_write_text_writes_every_byte_of_short_writes(tmp_path, monkeypatch):
+    # os.write may put down fewer bytes than it is given; write_text goes on
+    # until the whole text is in the file
+    calls = []
+    real_write = os.write
+
+    def one_byte(fd, data):
+        calls.append(len(data))
+        return real_write(fd, bytes(data[:1]))
+
+    monkeypatch.setattr(os, "write", one_byte)
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"a longer previous file than the new one\n")
+    text = "é,ü\n€\n"
+    corpus.write_text(path, text)
+    assert path.read_bytes() == text.encode("utf-8")
+    assert calls == list(range(len(text.encode("utf-8")), 0, -1))
 
 
 # ---------------------------------------------------------------- round trips
