@@ -10,6 +10,7 @@ is what the downstream trust cost consumes.
 from __future__ import annotations
 
 import bisect
+import io
 import itertools
 import logging
 import math
@@ -82,12 +83,23 @@ def check_vector(source_id: str, vector) -> None:
     check_vectors([source_id], np.reshape(np.asarray(vector, dtype=float), (1, -1)))
 
 
-def check_vectors(source_ids, vectors) -> None:
+def check_shape(source_id: str, vector) -> int:
+    """The one shape rule for a source vector: one dimension (by ``np.shape``,
+    so a list is checked too) of 1 component or more, whose count it returns."""
+    shape = np.shape(vector)
+    if len(shape) != 1:
+        raise ValueError(f"vector for {source_id!r} has shape {shape}, not one dimension")
+    if not shape[0]:
+        raise ValueError(f"no components for {source_id!r}")
+    return shape[0]
+
+
+def check_vectors(source_ids, vectors) -> np.ndarray:
     """The rule of :func:`check_vector` on each row of the matrix
     ``vectors``, row ``i`` being the vector of ``source_ids[i]``, in one
     pass: ``v·v`` is :func:`row_dots`, ``np.dot``'s to the bit. The first
     row that breaks the rule raises its ValueError, with the row's index as
-    the error's ``row`` attribute."""
+    the error's ``row`` attribute; else the float matrix checked is returned."""
     vectors = np.asarray(vectors, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         squares = row_dots(vectors, vectors)
@@ -101,6 +113,7 @@ def check_vectors(source_ids, vectors) -> None:
             exc = ValueError(f"vector for {source_ids[row]!r} is not zero but its squared norm is subnormal")
         exc.row = row
         raise exc
+    return vectors
 
 
 def community_cosines(vectors: SourceVectors, labels: dict) -> tuple[float, float]:
@@ -431,103 +444,83 @@ def embed_graph(
 
 
 def save_vectors(vectors: SourceVectors, path) -> None:
-    """Header line with hyperparameters, then one tab-separated row per
-    source, through ``corpus.write_text``; each component is its shortest
-    round-trip decimal, so loads are exact. Nothing is written that
-    :func:`load_vectors` would refuse or read back otherwise: parameters are
-    strings with no tab, ``\\n`` or ``\\r``, named, with no ``=`` in a name,
-    ``dims`` if given is ``str(dims)``, and some vector has 1 component or
-    more. Then each row's source id, shape and :func:`check_vector` are checked
-    before the rows are sorted, the vectors by one :func:`check_vectors`
-    call; the first bad parameter, then row, raises."""
-    for key, value in vectors.params.items():
-        if not (isinstance(key, str) and isinstance(value, str)):
-            raise ValueError(f"parameter {key!r}={value!r} is not a pair of strings")
-        if not key:
-            raise ValueError("a parameter has an empty name")
-        if "=" in key:
-            raise ValueError(f"parameter {key!r} holds '=' in its name")
-        if any(c in key + value for c in "\t\n\r"):
-            raise ValueError(f"parameter {key!r}={value!r} holds a tab, \\n or \\r")
-    if vectors.params.get("dims", str(vectors.dims)) != str(vectors.dims):
-        raise ValueError(f"parameter dims={vectors.params['dims']!r} is not the vectors' dims {vectors.dims}")
-    if not vectors.vectors or vectors.dims < 1:
-        raise ValueError(f"nothing to write: {len(vectors.vectors)} vectors of dims {vectors.dims}")
-    nodes, values = list(vectors.vectors), list(vectors.vectors.values())
-    for k, (node, row) in enumerate(zip(nodes, values)):
-        try:
-            check_source_name(node)
-            if row.shape != (vectors.dims,):
-                raise ValueError(f"{node!r}: vector shape {row.shape} != ({vectors.dims},)")
-        except ValueError:
-            # a bad vector in an earlier row is named first
-            check_vectors(nodes, np.reshape(values[:k], (k, vectors.dims)))
-            raise
-    check_vectors(nodes, values)
-    params = "".join(f"\t{k}={vectors.params[k]}" for k in sorted(vectors.params))
-    rows = (node + "\t" + "\t".join(map(str, row.tolist())) + "\n" for node, row in sorted(vectors.vectors.items()))
-    write_text(path, VECTORS_HEADER + params + "\n" + "".join(rows))
+    """The header, parameters sorted by name, then a row per source in id
+    order, each component its float's shortest round-trip decimal. The header
+    must parse back by :func:`_read_header`, read as ``read_utf8`` reads it,
+    to ``vectors.params``, whose ``dims``, if any, is ``str(vectors.dims)``.
+    Then two passes, the first fault raising: each row's source id and
+    :func:`check_shape` of ``vectors.dims``, then one :func:`check_vectors`."""
+    header = VECTORS_HEADER + "".join(f"\t{k}={vectors.params[k]}" for k in sorted(vectors.params, key=str))
+    try:
+        loads_back = _read_header(io.StringIO(header, newline=None)) == vectors.params
+    except ValueError:
+        loads_back = False
+    if not loads_back or vectors.params.get("dims", str(vectors.dims)) != str(vectors.dims):
+        raise ValueError(f"parameters {vectors.params!r} of {vectors.dims}-dim vectors would not load back as they are")
+    if not vectors.vectors:
+        raise ValueError("nothing to write: no vectors")
+    for node, row in vectors.vectors.items():
+        check_source_name(node)
+        if check_shape(node, row) != vectors.dims:
+            raise ValueError(f"{node!r}: vector shape {np.shape(row)} != ({vectors.dims},)")
+    matrix = check_vectors(list(vectors.vectors), list(vectors.vectors.values()))
+    rows = (node + "\t" + "\t".join(map(str, row)) + "\n" for node, row in sorted(zip(vectors.vectors, matrix.tolist())))
+    write_text(path, header + "\n" + "".join(rows))
+
+
+def _read_header(fh) -> dict[str, str]:
+    """The parameters of the ``vectors.tsv`` header, the first line of ``fh``:
+    :data:`VECTORS_HEADER`, then ``key=value`` parts, each key non-empty and
+    named once, ``dims``, if any, ``str(n)`` of an int ``n >= 1``; else ValueError."""
+    tag, *parts = fh.readline().rstrip("\n").split("\t")
+    if tag != VECTORS_HEADER:
+        raise ValueError(f"expected header {VECTORS_HEADER!r}, got {tag!r}")
+    params: dict[str, str] = {}
+    for part in parts:
+        key, sep, value = part.partition("=")
+        if not sep or not key:
+            raise ValueError(f"malformed parameter {part!r}")
+        if key in params:
+            raise ValueError(f"repeated parameter {key!r}")
+        params[key] = value
+    dims = params.get("dims", "1")
+    if not (dims.isascii() and dims.isdecimal() and dims[0] != "0"):  # str(n) of an int n >= 1
+        raise ValueError(f"dims must be a positive integer, got {dims!r}")
+    return params
 
 
 def load_vectors(path) -> SourceVectors:
+    """The :func:`_read_header` parameters and vectors of ``path``, in two passes,
+    the first fault raising ValueError naming its line: each row's id, components
+    (as many as ``dims`` or the first row's) and repeat, then :func:`check_vectors`."""
     with read_utf8(path) as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if header[0] != VECTORS_HEADER:
-            raise ValueError(f"{path}:1: expected header {VECTORS_HEADER!r}, got {header[0]!r}")
-        params: dict[str, str] = {}
-        for part in header[1:]:
-            key, sep, value = part.partition("=")
-            if not sep or not key:
-                raise ValueError(f"{path}:1: malformed parameter {part!r}")
-            if key in params:
-                raise ValueError(f"{path}:1: repeated parameter {key!r}")
-            params[key] = value
-        dims = None
-        if "dims" in params:
-            try:
-                dims = int(params["dims"])
-            except ValueError:
-                pass
-            if dims is None or dims < 1:
-                raise ValueError(f"{path}:1: dims must be a positive integer, got {params['dims']!r}")
-        vectors: dict[str, np.ndarray] = {}
-        linenos: list[int] = []
+        try:
+            params = _read_header(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}:1: {exc}") from None
+        dims, vectors, linenos = params.get("dims"), {}, []  # dims stays text, which no int() can refuse
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
                 continue
-            fields = line.split("\t")
+            node, *fields = line.split("\t")
             try:
-                check_source_name(fields[0])
-                row = np.array([float(x) for x in fields[1:]], dtype=float)
-                if not len(row):
-                    raise ValueError(f"no components for {fields[0]!r}")
-                if dims is None:
-                    dims = len(row)
-                if len(row) != dims or fields[0] in vectors:
-                    check_vector(fields[0], row)  # the line's own bad vector is named first
-                    raise ValueError(
-                        f"expected {dims} components, got {len(row)}" if len(row) != dims
-                        else f"duplicate source {fields[0]!r}"
-                    )
+                check_source_name(node)
+                row = np.array([float(x) for x in fields], dtype=float)
+                check_shape(node, row)
+                dims = dims or str(len(row))
+                if str(len(row)) != dims:
+                    raise ValueError(f"expected {dims} components, got {len(row)}")
+                if node in vectors:
+                    raise ValueError(f"duplicate source {node!r}")
             except ValueError as exc:
-                # a bad vector on an earlier line is named first
-                _check_lines(path, vectors, linenos)
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-            vectors[fields[0]] = row
+            vectors[node] = row
             linenos.append(lineno)
     if not vectors:
         raise ValueError(f"{path}: no vectors found")
-    _check_lines(path, vectors, linenos)
-    return SourceVectors(dims=dims, vectors=vectors, params=params)
-
-
-def _check_lines(path, vectors: dict[str, np.ndarray], linenos: list[int]) -> None:
-    """One :func:`check_vectors` call over ``vectors``, read from the lines
-    ``linenos`` of ``path``, naming the first bad one's line."""
-    if not vectors:
-        return
     try:
         check_vectors(list(vectors), list(vectors.values()))
     except ValueError as exc:
         raise ValueError(f"{path}:{linenos[exc.row]}: {exc}") from None
+    return SourceVectors(dims=int(dims), vectors=vectors, params=params)

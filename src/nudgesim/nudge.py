@@ -32,7 +32,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .corpus import read_json, write_csv, write_text
-from .embedding import NO_DIRECTION_NORM, SEED_MASK, SourceVectors, check_vector, check_vectors, row_dots
+from .embedding import NO_DIRECTION_NORM, SEED_MASK, SourceVectors, check_shape, check_vector, check_vectors, row_dots
 from .groundtruth import SourceScore
 
 DEFAULT_ALPHA = 0.5
@@ -52,11 +52,18 @@ class Source:
     vector: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.quality <= 1.0):
-            raise ValueError(f"{self.source_id}: quality {self.quality} outside [0, 1]")
-        if not (-1.0 <= self.leaning <= 1.0):
-            raise ValueError(f"{self.source_id}: leaning {self.leaning} outside [-1, 1]")
+        _check_record(self.source_id, self.quality, self.leaning, self.vector)
         check_vector(self.source_id, self.vector)
+
+
+def _check_record(source_id, quality, leaning, vector) -> int:
+    """A source's own fields, checked before its vector's values: quality in
+    [0, 1], leaning in [-1, 1], then :func:`check_shape`, whose count it returns."""
+    if not (0.0 <= quality <= 1.0):
+        raise ValueError(f"{source_id}: quality {quality} outside [0, 1]")
+    if not (-1.0 <= leaning <= 1.0):
+        raise ValueError(f"{source_id}: leaning {leaning} outside [-1, 1]")
+    return check_shape(source_id, vector)
 
 
 def _frozen(values) -> np.ndarray:
@@ -73,53 +80,41 @@ class SourceCatalog:
     id in sorted order; ``index`` maps an id to its row."""
 
     def __init__(self, sources) -> None:
-        sources = list(sources)
-        self._fill(
-            [s.source_id for s in sources], [s.quality for s in sources],
-            [s.leaning for s in sources], [s.vector for s in sources],
-        )
+        self._fill([(s.source_id, s.quality, s.leaning, s.vector) for s in sources])
 
     @classmethod
     def from_scores(cls, scores: dict[str, SourceScore], vectors: SourceVectors) -> "SourceCatalog":
         """Keep the sources that are actually usable: scored (labeled or
         imputed, which have both fields) and embedded. Their arrays are
         built straight from ``scores`` and ``vectors``, each entry held to
-        :class:`Source`'s rule by the catalog's own check."""
+        :class:`Source`'s rule by the catalog's two passes."""
         usable = [s for s, sc in scores.items() if sc.provenance in ("labeled", "imputed") and s in vectors.vectors]
         catalog = cls.__new__(cls)
-        catalog._fill(
-            usable, [scores[s].quality for s in usable],
-            [scores[s].leaning for s in usable], [vectors.vectors[s] for s in usable],
-        )
+        catalog._fill([(s, scores[s].quality, scores[s].leaning, vectors.vectors[s]) for s in usable])
         return catalog
 
-    def _fill(self, ids: list, quality: list, leaning: list, vectors: list) -> None:
-        """Set the arrays of the entries ``(ids[i], quality[i], leaning[i],
-        vectors[i])`` after one check over all of them. The first entry that
-        breaks a rule raises ValueError: :class:`Source`'s rule (quality,
-        leaning, then :func:`check_vectors`), then a repeated id, then a
-        vector length other than the first entry's; no entries at all
-        raise too."""
-        if not ids:
+    def _fill(self, records: list) -> None:
+        """Set the arrays of the ``(source_id, quality, leaning, vector)``
+        records, checked in two passes, the first fault raising ValueError:
+        each record's :func:`_check_record`, repeat and length other than the
+        first record's, then one :func:`check_vectors` call over all vectors."""
+        if not records:
             raise ValueError("catalog must contain at least one source")
-        position = {}
-        repeated = [position.setdefault(s, i) != i for i, s in enumerate(ids)]
-        lengths = np.array([len(v) for v in vectors])
-        q, l = np.array(quality, dtype=float), np.array(leaning, dtype=float)
-        broken = ~((0.0 <= q) & (q <= 1.0)) | ~((-1.0 <= l) & (l <= 1.0)) | repeated | (lengths != lengths[0])
-        first = int(broken.argmax()) if broken.any() else len(ids)
-        check_vectors(ids, np.reshape(vectors[:first], (first, lengths[0])))  # an earlier bad vector wins
-        if first < len(ids):
-            source = Source(ids[first], quality[first], leaning[first], vectors[first])  # its own rule first
-            if repeated[first]:
-                raise ValueError(f"duplicate source {source.source_id!r}")
-            raise ValueError(f"{source.source_id}: vector has {lengths[first]} dims, expected {lengths[0]}")
+        position, dims = {}, None
+        for i, record in enumerate(records):
+            length = _check_record(*record)
+            dims = dims or length  # the first record's, which is at least 1
+            if position.setdefault(record[0], i) != i:
+                raise ValueError(f"duplicate source {record[0]!r}")
+            if length != dims:
+                raise ValueError(f"{record[0]}: vector has {length} dims, expected {dims}")
+        ids, quality, leaning, vectors = zip(*records)
+        matrix = check_vectors(ids, vectors)
         self._ids = sorted(position)
         order = [position[s] for s in self._ids]
         self.index = MappingProxyType({s: i for i, s in enumerate(self._ids)})
-        self.quality = _frozen(q[order])
-        self.leaning = _frozen(l[order])
-        self.vectors = _frozen(np.reshape(vectors, (len(ids), lengths[0]))[order])
+        self.quality, self.leaning = (_frozen([column[i] for i in order]) for column in (quality, leaning))
+        self.vectors = _frozen(matrix[order])
         self.norms = _frozen(_norms(self.vectors))
 
     def __len__(self) -> int:
@@ -204,8 +199,8 @@ def _start_rows(user_ids, trusted_sets, catalog: SourceCatalog, limits) -> _Rows
     first unknown one named in ``str`` order)."""
     for position, (user_id, sources, limit) in enumerate(zip(user_ids, trusted_sets, limits)):
         prefix = f"{user_id}: "
-        if not isinstance(user_id, str) or not user_id or not _encodes(user_id):
-            prefix, problem = "", f"user_id must be a non-empty string that UTF-8 can encode, got {user_id!r}"
+        if problem := _user_id_problem(user_id):
+            prefix = ""
         elif isinstance(sources, str):
             problem = f"trusted set must be a collection of source ids, got the string {sources!r}"
         elif not sources:
@@ -234,14 +229,12 @@ def _start_rows(user_ids, trusted_sets, catalog: SourceCatalog, limits) -> _Rows
     return _Rows(members, sizes, *_means(members, sizes, catalog))
 
 
-def _encodes(user_id: str) -> bool:
-    """Whether UTF-8 can encode ``user_id``, which seeds its stream
-    (:func:`rng_for_user`)."""
-    try:
-        user_id.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
+def _user_id_problem(user_id) -> str | None:
+    """What is wrong with ``user_id``, which seeds its stream (:func:`rng_for_user`),
+    or None for a non-empty string that UTF-8 can encode (no lone surrogate)."""
+    if not isinstance(user_id, str) or not user_id or any("\ud800" <= c <= "\udfff" for c in user_id):
+        return f"user_id must be a non-empty string that UTF-8 can encode, got {user_id!r}"
+    return None
 
 
 def _row_profile(rows: _Rows, i: int, user_id: str, L: int, catalog: SourceCatalog) -> UserProfile:
@@ -657,10 +650,8 @@ def _personas(data, path) -> list[Persona]:
             user_id, sources, limit = entry["user_id"], entry["sources"], entry["L"]
         except KeyError as exc:
             raise ValueError(f"{where}: missing field ({exc})") from exc
-        if not isinstance(user_id, str) or not user_id:
-            raise ValueError(f"{where}: user_id must be a non-empty string, got {user_id!r}")
-        if not _encodes(user_id):
-            raise ValueError(f"{where}: user_id {user_id!r} is not encodable as UTF-8")
+        if problem := _user_id_problem(user_id):
+            raise ValueError(f"{where}: {problem}")
         if not isinstance(sources, list) or not all(isinstance(s, str) for s in sources):
             raise ValueError(f"{where}: sources must be a list of strings, got {sources!r}")
         if isinstance(limit, bool) or not isinstance(limit, int):

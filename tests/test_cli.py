@@ -843,7 +843,7 @@ def test_config_file_null_value_exits_2(tmp_path, capsys, world_dir, key, comman
         ('"abc"', ": expected a JSON object"),
         # a lone surrogate cannot seed the user's stream
         ('{"user_id": "u\\ud800", "sources": ["valley-voice"], "L": 2}',
-         ": user_id 'u\\ud800' is not encodable as UTF-8"),
+         ": user_id must be a non-empty string that UTF-8 can encode, got 'u\\ud800'"),
         # a well-formed persona whose trusted set breaks the one set rule
         ('{"user_id": "x", "sources": [], "L": 2}', " (x): trusted set must be non-empty"),
         ('{"user_id": "x", "sources": ["valley-voice"], "L": 0}', " (x): limit must be >= 1"),

@@ -563,25 +563,21 @@ def test_vectors_header_names_each_parameter_once_by_a_nonempty_key(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "params, message",
-    [
-        ({"": "1"}, "a parameter has an empty name"),
-        ({"a=b": "1"}, "parameter 'a=b' holds '=' in its name"),
-        ({"y": "1\t2"}, r"parameter 'y'='1\\t2' holds a tab"),
-        ({"y": "1\n2"}, r"parameter 'y'='1\\n2' holds a tab"),
-        ({"y": "1\r"}, r"parameter 'y'='1\\r' holds a tab"),
-        ({"y\tz": "1"}, r"parameter 'y\\tz'='1' holds a tab"),
-        ({1: "1"}, "parameter 1='1' is not a pair of strings"),
-        ({"y": 1}, "parameter 'y'=1 is not a pair of strings"),
-    ],
+    "params",
+    [{"": "1"}, {"a=b": "1"}, {"y": "1\t2"}, {"y": "1\n2"}, {"y": "1\r"}, {"y\tz": "1"}, {1: "1"}, {"y": 1},
+     {"dims": "2"}, {"dims": "01"}],
     ids=["empty-name", "equals-in-name", "tab-in-value", "newline-in-value", "carriage-return-in-value",
-         "tab-in-name", "name-not-a-string", "value-not-a-string"],
+         "tab-in-name", "name-not-a-string", "value-not-a-string", "dims-not-the-vectors", "dims-not-canonical"],
 )
-def test_save_vectors_writes_only_parameters_that_load_back(tmp_path, params, message):
+def test_save_vectors_writes_only_parameters_that_load_back(tmp_path, params):
     # load_vectors would refuse an empty name, split 'a=b=1' at the first
-    # '=', split the header at a tab or line break, and drop a trailing '\r'
+    # '=', split the header at a tab or line break, drop a trailing '\r',
+    # read every name and value as a string, and refuse a dims other than
+    # str(n); save_vectors names the parameters of the header that would not
+    # parse back to them
     path = tmp_path / "vectors.tsv"
-    with pytest.raises(ValueError, match=f"^{message}"):
+    message = f"parameters {params!r} of 1-dim vectors would not load back as they are"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         save_vectors(SourceVectors(dims=1, vectors={"a": np.ones(1)}, params=params), path)
     assert not path.exists()
 
@@ -664,6 +660,22 @@ def test_save_vectors_checks_shapes(tmp_path):
         assert not path.exists()
 
 
+def test_save_vectors_checks_each_row_by_the_shape_rule(tmp_path):
+    # a row given as a list is checked and written, not an AttributeError,
+    # and its values are written as the floats that were checked
+    path = tmp_path / "vectors.tsv"
+    save_vectors(SourceVectors(dims=2, vectors={"a": [3.0, 4.0], "b": np.array([True, False])}), path)
+    assert path.read_text(encoding="utf-8") == "#vectors v1\na\t3.0\t4.0\nb\t1.0\t0.0\n"
+    for row, match in [
+        ([1.0, 2.0, 3.0], r"^'a': vector shape \(3,\) != \(2,\)$"),
+        (np.eye(2), r"^vector for 'a' has shape \(2, 2\), not one dimension$"),
+        (np.zeros(0), r"^no components for 'a'$"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            save_vectors(SourceVectors(dims=2, vectors={"a": row}), tmp_path / "other.tsv")
+    assert not (tmp_path / "other.tsv").exists()
+
+
 # ---------------------------------------------------------------- vector rule
 
 # a zero row, rows whose v·v is subnormal, overflows or is nan, and ordinary ones
@@ -703,25 +715,34 @@ def test_check_vectors_is_check_vector_on_each_row(picks):
 
 
 def test_load_vectors_names_the_first_bad_line(tmp_path):
-    # a bad vector on line 3 is named before a repeated source on line 5, a
-    # bad number, a wrong length or a bad name further down
+    # every line's own fields are checked before any vector: a repeated
+    # source, a bad number, a wrong length or a bad name on line 5 is named
+    # before a bad vector on line 3
     path = tmp_path / "vectors.tsv"
-    for later in ("a\t2.0\t0.0", "d\tnope\t1.0", "d\t1.0", "#d\t1.0\t1.0", "d\t1e-170\t0.0"):
+    for later, match in [
+        ("a\t2.0\t0.0", "duplicate source 'a'"), ("d\tnope\t1.0", "could not convert"),
+        ("d\t1.0", "expected 2 components, got 1"), ("#d\t1.0\t1.0", "source '#d' is empty"),
+    ]:
         path.write_text(f"#vectors v1\na\t1.0\t0.5\nb\tnan\t1.0\nc\t0.0\t0.0\n{later}\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=r"^[^:]*vectors\.tsv:3: non-finite vector norm for 'b'$"):
+        with pytest.raises(ValueError, match=rf"^[^:]*vectors\.tsv:5: {match}"):
             load_vectors(path)
-    # a line's own bad vector is named before its wrong length or repeat
-    for later, name in (("d\tinf", "d"), ("a\tinf\t1.0", "a")):
+    # with no such fault, the first bad vector is named, by its line
+    path.write_text("#vectors v1\na\t1.0\t0.5\nb\tnan\t1.0\nc\t0.0\t0.0\nd\t1e-170\t0.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"^[^:]*vectors\.tsv:3: non-finite vector norm for 'b'$"):
+        load_vectors(path)
+    # a line's own wrong length or repeat is named before its bad vector
+    for later, match in (("d\tinf", "expected 2 components, got 1"), ("a\tinf\t1.0", "duplicate source 'a'")):
         path.write_text(f"#vectors v1\na\t1.0\t0.5\n{later}\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=f":3: non-finite vector norm for '{name}'$"):
+        with pytest.raises(ValueError, match=f":3: {match}$"):
             load_vectors(path)
 
 
 def test_save_vectors_names_the_first_bad_row(tmp_path):
+    # every row's own name and shape are checked before any vector
     path = tmp_path / "vectors.tsv"
     for later, match in [
-        ({"c": np.zeros(2)}, r"^non-finite vector norm for 'b'$"),
-        ({"#c": np.zeros(3)}, r"^non-finite vector norm for 'b'$"),
+        ({"c": np.zeros(2)}, r"^'c': vector shape \(2,\) != \(3,\)$"),
+        ({"#c": np.zeros(3)}, r"^source '#c' is empty, starts with '#'"),
         ({"c": np.full(3, 1e-300)}, r"^non-finite vector norm for 'b'$"),
     ]:
         vectors = {"a": np.ones(3), "b": np.array([1.0, math.inf, 0.0]), **later}

@@ -199,6 +199,31 @@ def test_catalog_validation():
         assert _source("a", 0.5, 0.0, vector).vector.tolist() == vector
 
 
+@pytest.mark.parametrize("vector, message", [
+    (np.eye(2), r"^vector for 'a' has shape \(2, 2\), not one dimension$"),
+    (np.float64(1.0), r"^vector for 'a' has shape \(\), not one dimension$"),
+    (np.zeros(0), r"^no components for 'a'$"),
+], ids=["matrix", "scalar", "no-components"])
+def test_source_vector_is_one_dimension_of_one_component_or_more(vector, message):
+    # the one shape rule, named by source, rather than a Source that builds
+    # and a catalog that fails on numpy's reshape or len(), or builds (1, 0)
+    with pytest.raises(ValueError, match=message):
+        Source("a", 0.5, 0.0, vector)
+    from types import SimpleNamespace
+
+    from nudgesim.embedding import SourceVectors
+
+    scores = {"a": SimpleNamespace(quality=0.5, leaning=0.0, provenance="labeled")}
+    with pytest.raises(ValueError, match=message):
+        SourceCatalog.from_scores(scores, SourceVectors(dims=2, vectors={"a": vector}))
+
+
+def test_source_vector_may_be_a_list():
+    catalog = SourceCatalog([Source("a", 0.5, 0.0, [3.0, 4.0]), Source("b", 0.6, 0.0, (1.0, 0.0))])
+    assert catalog.vectors.tolist() == [[3.0, 4.0], [1.0, 0.0]]
+    assert catalog.norms.tolist() == [5.0, 1.0]
+
+
 _SCORE_ROWS = st.tuples(
     st.sampled_from([0.0, 0.5, 1.0, 1.2, -0.1, math.nan]),
     st.sampled_from([-1.0, 0.0, 1.0, 1.5, math.nan]),
@@ -208,12 +233,15 @@ _SCORE_ROWS = st.tuples(
 
 @settings(max_examples=300, deadline=None)
 @given(rows=st.lists(_SCORE_ROWS, min_size=1, max_size=6))
-def test_catalog_from_scores_refuses_as_one_source_per_entry(rows):
-    # from_scores checks every entry at once, with the outcome of building
-    # one Source per entry, in score order, into the catalog: the first entry
-    # with a bad quality, leaning or vector, or a vector length other than
-    # the first entry's, raises that entry's message (a SourceScore refuses
-    # a bad quality or leaning itself, so the scores here are plain records)
+@example(rows=[(0.5, 0.0, [math.inf, 0.0]), (1.2, 0.0, [1.0, 0.0])])
+@example(rows=[(0.5, 0.0, [1e-170, 0.0]), (0.5, 0.0, [1.0])])
+def test_catalog_from_scores_refuses_records_then_vectors(rows):
+    # from_scores checks in two passes, in score order: first each entry's
+    # own fields, as a Source checks them (quality, leaning, then its
+    # vector's shape), then a vector length other than the first entry's;
+    # only then every vector's values, the first bad one raising its
+    # Source's message (a SourceScore refuses a bad quality or leaning
+    # itself, so the scores here are plain records)
     from types import SimpleNamespace
 
     from nudgesim.embedding import SourceVectors
@@ -229,16 +257,14 @@ def test_catalog_from_scores_refuses_as_one_source_per_entry(rows):
             return str(exc)
         return catalog.ids(), [a.tobytes() for a in (catalog.quality, catalog.leaning, catalog.vectors, catalog.norms)]
 
-    def one_by_one():
-        sources = []
-        for s in ids:
-            sources.append(Source(s, scores[s].quality, scores[s].leaning, vectors.vectors[s]))
-            dims = [len(source.vector) for source in sources]
-            if dims[-1] != dims[0]:
-                raise ValueError(f"{s}: vector has {dims[-1]} dims, expected {dims[0]}")
-        return SourceCatalog(sources)
+    def records_then_vectors():
+        for s in ids:  # a stand-in vector of the same shape has admitted values
+            Source(s, scores[s].quality, scores[s].leaning, np.ones(np.shape(vectors.vectors[s])))
+            if len(vectors.vectors[s]) != len(vectors.vectors[ids[0]]):
+                raise ValueError(f"{s}: vector has {len(vectors.vectors[s])} dims, expected {len(vectors.vectors[ids[0]])}")
+        return SourceCatalog([Source(s, scores[s].quality, scores[s].leaning, vectors.vectors[s]) for s in ids])
 
-    assert outcome(lambda: SourceCatalog.from_scores(scores, vectors)) == outcome(one_by_one)
+    assert outcome(lambda: SourceCatalog.from_scores(scores, vectors)) == outcome(records_then_vectors)
 
 
 def test_catalog_from_scores_is_the_same_in_any_score_order():
@@ -991,6 +1017,18 @@ def test_simulate_all_refuses_a_bad_id_or_a_string_set(user_id, sources, message
     with pytest.raises(ValueError) as caught:
         nudge.simulate_all(runs, catalog)
     assert (str(caught.value), caught.value.run) == (message, 1)
+
+
+@pytest.mark.parametrize("user_id", [7, "", "\ud800"], ids=["int", "empty", "lone-surrogate"])
+def test_persona_loader_and_simulate_all_refuse_a_user_id_alike(tmp_path, user_id):
+    # one rule for a user id, and one message, whether read from a file or run
+    path = tmp_path / "personas.json"
+    path.write_text(json.dumps([{"user_id": user_id, "sources": ["anchor"], "L": 2}]), encoding="utf-8")
+    with pytest.raises(ValueError) as loaded:
+        load_personas(path)
+    with pytest.raises(ValueError) as simulated:
+        nudge.simulate_all([(Persona(user_id, ("anchor",), 2), SimConfig(T=1, seed=0))], _toy_catalog())
+    assert str(loaded.value) == f"{path}: persona #0: {simulated.value}"
 
 
 def test_simulate_all_names_the_run_that_cannot_start(world_catalog, world_runs):

@@ -226,6 +226,38 @@ def test_vectors_tsv_round_trips_or_is_refused(tmp_path, vectors):
         }
 
 
+# a vectors.tsv text: header parts, then rows of a source id and n components
+_NUMBER = st.floats(allow_nan=False).map(repr) | st.sampled_from(["1", "-0", "1e-320", " 2", "1_0", "\u0662", "x"])
+_VECTORS_TEXT = st.integers(1, 2).flatmap(lambda n: st.builds(
+    lambda parts, rows: "\t".join(["#vectors v1", *parts]) + "\n" + "".join("\t".join(row) + "\n" for row in rows),
+    st.lists(st.sampled_from(["dims=1", "dims=2", "p=", "a=b=c", "=1", "x"]) | st.builds("{}={}".format, _TEXT, _TEXT),
+             max_size=2),
+    st.lists(st.tuples(st.sampled_from(["a", "b", "c"]) | _TEXT, *[_NUMBER] * n), max_size=3,
+             unique_by=lambda row: row[0]),
+))
+
+
+@_SETTINGS
+@given(text=_VECTORS_TEXT)
+@example(text="#vectors v1\tdims=+2\na\t1.0\t0.5\n")
+@example(text="#vectors v1\tdims= 2\na\t1.0\t0.5\n")
+@example(text="#vectors v1\tdims=02\na\t1.0\t0.5\n")
+@example(text="#vectors v1\tdims=\u0662\na\t1.0\t0.5\n")
+def test_every_vectors_tsv_that_loads_is_written_back_and_loads_equal(tmp_path, text):
+    # the reader and the writer hold one header rule: whatever load_vectors
+    # accepts, save_vectors writes, and it loads back equal
+    path = tmp_path / "vectors.tsv"
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    try:
+        loaded = load_vectors(path)
+    except ValueError:
+        return
+    save_vectors(loaded, path)
+    again = load_vectors(path)
+    assert (again.dims, again.params) == (loaded.dims, loaded.params)
+    assert {s: v.tobytes() for s, v in again.vectors.items()} == {s: v.tobytes() for s, v in loaded.vectors.items()}
+
+
 @_SETTINGS
 @given(personas=st.lists(_PERSONA, max_size=3))
 @example(personas=[Persona("", ("a",), 2)])
