@@ -54,6 +54,8 @@ _ASCII_TABLE = bytes(
 _TSV_BREAK_RE = re.compile(r"[\t\r\n]")
 # a lone surrogate (a JSON escape such as "\ud800") cannot be written as UTF-8
 _SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
+# the number text parse_number takes
+_NUMBER_TEXT_RE = re.compile(r"(?!\+)[\x21-\x5e\x60-\x7e]*")
 
 # the timestamps parse_timestamp reads: the extended forms that
 # datetime.fromisoformat takes on every supported Python, plus a trailing Z
@@ -137,6 +139,17 @@ def float_sum(values) -> float:
     ``sum()`` gives up to Python 3.11. From 3.12 ``sum()`` compensates its
     rounding, and so can differ in the last bit."""
     return functools.reduce(operator.add, values, 0.0)
+
+
+def parse_number(text: str, kind=float):
+    """``kind(text)``, for ``kind`` ``float`` or ``int``, of number text in a
+    form the writers write: printable ASCII with no space or ``_``, not
+    starting with ``+``. ``float()`` and ``int()`` would take ``1_0`` as 10,
+    and ``٢``, `` 2`` and ``+2`` as 2; such text raises ValueError. Text that
+    is no number at all keeps ``kind``'s own message."""
+    if _NUMBER_TEXT_RE.fullmatch(text) is None:
+        raise ValueError(f"number {text!r} must be printable ASCII, with no space, '_' or leading '+'")
+    return kind(text)
 
 
 def check_source_name(name: str) -> None:

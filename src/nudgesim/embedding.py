@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csc_matrix
 
-from .corpus import check_source_name, read_utf8, write_text
+from .corpus import check_source_name, parse_number, read_utf8, write_text
 from .graph import CsnGraph
 
 VECTORS_HEADER = "#vectors v1"
@@ -74,15 +74,6 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def check_vector(source_id: str, vector) -> None:
-    """The one rule for a source vector: ``v·v``, whose square root is its
-    norm, must be finite, and the vector must have a direction (norm at
-    least :data:`NO_DIRECTION_NORM`) unless it is zero. A non-finite
-    component, or components so large that ``v·v`` overflows, would make
-    every cosine against the vector nan. The one row of :func:`check_vectors`."""
-    check_vectors([source_id], np.reshape(np.asarray(vector, dtype=float), (1, -1)))
-
-
 def check_shape(source_id: str, vector) -> int:
     """The one shape rule for a source vector: one dimension (by ``np.shape``,
     so a list is checked too) of 1 component or more, whose count it returns."""
@@ -95,11 +86,15 @@ def check_shape(source_id: str, vector) -> int:
 
 
 def check_vectors(source_ids, vectors) -> np.ndarray:
-    """The rule of :func:`check_vector` on each row of the matrix
+    """The one rule for a source vector, on each row of the matrix
     ``vectors``, row ``i`` being the vector of ``source_ids[i]``, in one
-    pass: ``v·v`` is :func:`row_dots`, ``np.dot``'s to the bit. The first
-    row that breaks the rule raises its ValueError, with the row's index as
-    the error's ``row`` attribute; else the float matrix checked is returned."""
+    pass: ``v·v``, whose square root is its norm, must be finite, and the
+    vector must have a direction (norm at least :data:`NO_DIRECTION_NORM`)
+    unless it is zero. A non-finite component, or components so large that
+    ``v·v`` overflows, would make every cosine against the vector nan.
+    ``v·v`` is :func:`row_dots`, ``np.dot``'s to the bit. The first row that
+    breaks the rule raises its ValueError, with the row's index as the
+    error's ``row`` attribute; else the float matrix checked is returned."""
     vectors = np.asarray(vectors, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         squares = row_dots(vectors, vectors)
@@ -506,7 +501,7 @@ def load_vectors(path) -> SourceVectors:
             node, *fields = line.split("\t")
             try:
                 check_source_name(node)
-                row = np.array([float(x) for x in fields], dtype=float)
+                row = np.array([parse_number(x) for x in fields], dtype=float)
                 check_shape(node, row)
                 dims = dims or str(len(row))
                 if str(len(row)) != dims:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix, hstack
 
-from .corpus import CopyPair, check_source_name, read_utf8, write_text
+from .corpus import CopyPair, check_source_name, parse_number, read_utf8, write_text
 
 CSN_HEADER = "#csn v1"
 
@@ -198,11 +198,11 @@ def load_graph(path) -> CsnGraph:
                     raise ValueError("expected '#node\\tsource\\tcount'")
                 if records.raw_counts:
                     raise ValueError("#node line after the first edge line")
-                records.node(row[1], int(row[2]))
+                records.node(row[1], parse_number(row[2], int))
             elif len(row) != 4:
                 raise ValueError("expected 'from\\tto\\traw\\tweight'")
             else:
-                copies, stated = int(row[2]), float(row[3])
+                copies, stated = parse_number(row[2], int), parse_number(row[3])
                 weight = records.edge(row[0], row[1], copies)
                 if weight != stated:
                     raise ValueError(f"weight {row[3]} is not raw / article count {weight!r}")

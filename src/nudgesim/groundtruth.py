@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 
-from .corpus import float_sum, read_csv, write_csv
+from .corpus import float_sum, parse_number, read_csv, write_csv
 from .graph import CsnGraph
 
 LEANING_CATEGORIES: dict[str, float] = {
@@ -195,7 +195,7 @@ def write_labels_csv(labels: list[SourceLabels], path) -> None:
 
 
 def _optional_float(field: str) -> float | None:
-    return float(field) if field else None
+    return parse_number(field) if field else None
 
 
 def read_labels_csv(path) -> list[SourceLabels]:

@@ -32,7 +32,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .corpus import read_json, write_csv, write_text
-from .embedding import NO_DIRECTION_NORM, SEED_MASK, SourceVectors, check_shape, check_vector, check_vectors, row_dots
+from .embedding import NO_DIRECTION_NORM, SEED_MASK, SourceVectors, check_shape, check_vectors, row_dots
 from .groundtruth import SourceScore
 
 DEFAULT_ALPHA = 0.5
@@ -44,26 +44,14 @@ TRAJECTORY_FIELDS = ["t", "recommended", "trust_cost", "accept_prob", "accepted"
 COMPARISON_FIELDS = ["user_id", "t", "constrained_trust_cost", "unconstrained_trust_cost"]
 
 
-@dataclass(frozen=True, eq=False)
-class Source:
+class Source(NamedTuple):
+    """A scored, embedded source: a plain record, checked where a
+    :class:`SourceCatalog` takes it."""
+
     source_id: str
     quality: float
     leaning: float
     vector: np.ndarray
-
-    def __post_init__(self) -> None:
-        _check_record(self.source_id, self.quality, self.leaning, self.vector)
-        check_vector(self.source_id, self.vector)
-
-
-def _check_record(source_id, quality, leaning, vector) -> int:
-    """A source's own fields, checked before its vector's values: quality in
-    [0, 1], leaning in [-1, 1], then :func:`check_shape`, whose count it returns."""
-    if not (0.0 <= quality <= 1.0):
-        raise ValueError(f"{source_id}: quality {quality} outside [0, 1]")
-    if not (-1.0 <= leaning <= 1.0):
-        raise ValueError(f"{source_id}: leaning {leaning} outside [-1, 1]")
-    return check_shape(source_id, vector)
 
 
 def _frozen(values) -> np.ndarray:
@@ -80,35 +68,26 @@ class SourceCatalog:
     id in sorted order; ``index`` maps an id to its row."""
 
     def __init__(self, sources) -> None:
-        self._fill([(s.source_id, s.quality, s.leaning, s.vector) for s in sources])
-
-    @classmethod
-    def from_scores(cls, scores: dict[str, SourceScore], vectors: SourceVectors) -> "SourceCatalog":
-        """Keep the sources that are actually usable: scored (labeled or
-        imputed, which have both fields) and embedded. Their arrays are
-        built straight from ``scores`` and ``vectors``, each entry held to
-        :class:`Source`'s rule by the catalog's two passes."""
-        usable = [s for s, sc in scores.items() if sc.provenance in ("labeled", "imputed") and s in vectors.vectors]
-        catalog = cls.__new__(cls)
-        catalog._fill([(s, scores[s].quality, scores[s].leaning, vectors.vectors[s]) for s in usable])
-        return catalog
-
-    def _fill(self, records: list) -> None:
-        """Set the arrays of the ``(source_id, quality, leaning, vector)``
-        records, checked in two passes, the first fault raising ValueError:
-        each record's :func:`_check_record`, repeat and length other than the
-        first record's, then one :func:`check_vectors` call over all vectors."""
-        if not records:
+        """The catalog of ``sources``, checked in two passes, the first fault
+        raising ValueError: each source's quality in [0, 1], leaning in
+        [-1, 1], :func:`check_shape`, repeat and length other than the first
+        source's, then one :func:`check_vectors` call over all vectors."""
+        sources = list(sources)
+        if not sources:
             raise ValueError("catalog must contain at least one source")
         position, dims = {}, None
-        for i, record in enumerate(records):
-            length = _check_record(*record)
-            dims = dims or length  # the first record's, which is at least 1
-            if position.setdefault(record[0], i) != i:
-                raise ValueError(f"duplicate source {record[0]!r}")
+        for i, (source_id, quality, leaning, vector) in enumerate(sources):
+            if not (0.0 <= quality <= 1.0):
+                raise ValueError(f"{source_id}: quality {quality} outside [0, 1]")
+            if not (-1.0 <= leaning <= 1.0):
+                raise ValueError(f"{source_id}: leaning {leaning} outside [-1, 1]")
+            length = check_shape(source_id, vector)
+            dims = dims or length  # the first source's, which is at least 1
+            if position.setdefault(source_id, i) != i:
+                raise ValueError(f"duplicate source {source_id!r}")
             if length != dims:
-                raise ValueError(f"{record[0]}: vector has {length} dims, expected {dims}")
-        ids, quality, leaning, vectors = zip(*records)
+                raise ValueError(f"{source_id}: vector has {length} dims, expected {dims}")
+        ids, quality, leaning, vectors = zip(*sources)
         matrix = check_vectors(ids, vectors)
         self._ids = sorted(position)
         order = [position[s] for s in self._ids]
@@ -116,6 +95,13 @@ class SourceCatalog:
         self.quality, self.leaning = (_frozen([column[i] for i in order]) for column in (quality, leaning))
         self.vectors = _frozen(matrix[order])
         self.norms = _frozen(_norms(self.vectors))
+
+    @classmethod
+    def from_scores(cls, scores: dict[str, SourceScore], vectors: SourceVectors) -> "SourceCatalog":
+        """The catalog of the sources that are actually usable: scored
+        (labeled or imputed, which have both fields) and embedded."""
+        usable = (s for s, sc in scores.items() if sc.provenance in ("labeled", "imputed") and s in vectors.vectors)
+        return cls([Source(s, scores[s].quality, scores[s].leaning, vectors.vectors[s]) for s in usable])
 
     def __len__(self) -> int:
         return len(self._ids)

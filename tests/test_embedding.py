@@ -21,11 +21,11 @@ from test_graph import _graph
 from nudgesim import synthetic
 from nudgesim.embedding import (
     NOISE_EXPONENT,
+    NO_DIRECTION_NORM,
     TRAIN_BLOCK,
     WALK_CHUNK,
     SourceVectors,
     _noise_lookup,
-    check_vector,
     check_vectors,
     community_cosines,
     cosine_distance,
@@ -687,10 +687,15 @@ _RULE_ROWS = [
 
 
 def _refusal(source_id, vector):
-    try:
-        check_vector(source_id, vector)
-    except ValueError as exc:
-        return str(exc)
+    """The vector rule's message for one row, or None, by scalars: ``np.dot(v,
+    v)`` must be finite, and its ``math.sqrt`` at least ``NO_DIRECTION_NORM``
+    unless every component is zero."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        square = float(np.dot(vector, vector))
+    if not math.isfinite(square):
+        return f"non-finite vector norm for {source_id!r}"
+    if math.sqrt(square) < NO_DIRECTION_NORM and any(x != 0.0 for x in vector):
+        return f"vector for {source_id!r} is not zero but its squared norm is subnormal"
     return None
 
 

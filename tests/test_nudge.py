@@ -16,10 +16,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_acceptance import _replica_cost, _replica_means
+from test_embedding import _refusal
 
 from nudgesim import nudge
 from nudgesim.corpus import float_sum
-from nudgesim.embedding import NO_DIRECTION_NORM, check_vector
+from nudgesim.embedding import NO_DIRECTION_NORM
 from nudgesim.nudge import (
     TRAJECTORY_FIELDS,
     Persona,
@@ -48,12 +49,9 @@ def _source(source_id, quality, leaning, vector):
 
 
 def _admitted(vector) -> bool:
-    """Whether a source may have this vector."""
-    try:
-        check_vector("s", vector)
-    except ValueError:
-        return False
-    return True
+    """Whether a source may have this vector, by the scalar rule of
+    ``_refusal``."""
+    return _refusal("s", vector) is None
 
 
 def _scalar_cost(s, l_u, v_u, alpha):
@@ -182,21 +180,21 @@ def test_catalog_validation():
     with pytest.raises(ValueError, match="at least one"):
         SourceCatalog([])
     with pytest.raises(ValueError, match="quality"):
-        _source("a", 1.2, 0.0, [1.0])
+        SourceCatalog([_source("a", 1.2, 0.0, [1.0])])
     with pytest.raises(ValueError, match="leaning"):
-        _source("a", 0.5, -1.2, [1.0])
+        SourceCatalog([_source("a", 0.5, -1.2, [1.0])])
     # every component of the last one is finite, but its norm overflows
     for vector in ([1.0, math.nan], [1.0, math.inf], [1.0, -math.inf], [1e200, 1e200]):
         with pytest.raises(ValueError, match="non-finite"):
-            _source("a", 0.5, 0.0, vector)
+            SourceCatalog([_source("a", 0.5, 0.0, vector)])
     # a nonzero vector whose v·v is subnormal, or underflows to zero, has
     # lost the bits its norm is taken from; the smallest admitted is zero or
     # has v·v of at least the smallest normal float
     for vector in ([2.3e-162, 0.0], [1e-160, 3e-161, 0.0], [1e-170, 0.0], [5e-324]):
         with pytest.raises(ValueError, match="^vector for 'a' is not zero but its squared norm is subnormal$"):
-            _source("a", 0.5, 0.0, vector)
+            SourceCatalog([_source("a", 0.5, 0.0, vector)])
     for vector in ([0.0, -0.0], [1.5e-154, 0.0, 0.0]):
-        assert _source("a", 0.5, 0.0, vector).vector.tolist() == vector
+        assert SourceCatalog([_source("a", 0.5, 0.0, vector)]).vectors[0].tolist() == vector
 
 
 @pytest.mark.parametrize("vector, message", [
@@ -205,10 +203,10 @@ def test_catalog_validation():
     (np.zeros(0), r"^no components for 'a'$"),
 ], ids=["matrix", "scalar", "no-components"])
 def test_source_vector_is_one_dimension_of_one_component_or_more(vector, message):
-    # the one shape rule, named by source, rather than a Source that builds
-    # and a catalog that fails on numpy's reshape or len(), or builds (1, 0)
+    # the one shape rule, named by source, rather than a catalog that fails
+    # on numpy's reshape or len(), or builds (1, 0)
     with pytest.raises(ValueError, match=message):
-        Source("a", 0.5, 0.0, vector)
+        SourceCatalog([Source("a", 0.5, 0.0, vector)])
     from types import SimpleNamespace
 
     from nudgesim.embedding import SourceVectors
@@ -237,11 +235,10 @@ _SCORE_ROWS = st.tuples(
 @example(rows=[(0.5, 0.0, [1e-170, 0.0]), (0.5, 0.0, [1.0])])
 def test_catalog_from_scores_refuses_records_then_vectors(rows):
     # from_scores checks in two passes, in score order: first each entry's
-    # own fields, as a Source checks them (quality, leaning, then its
-    # vector's shape), then a vector length other than the first entry's;
-    # only then every vector's values, the first bad one raising its
-    # Source's message (a SourceScore refuses a bad quality or leaning
-    # itself, so the scores here are plain records)
+    # record (quality, leaning, then a vector length other than the first
+    # entry's; every vector here has one dimension), and only then every
+    # vector's values, the first bad one raising (a SourceScore refuses a
+    # bad quality or leaning itself, so the scores here are plain records)
     from types import SimpleNamespace
 
     from nudgesim.embedding import SourceVectors
@@ -258,10 +255,18 @@ def test_catalog_from_scores_refuses_records_then_vectors(rows):
         return catalog.ids(), [a.tobytes() for a in (catalog.quality, catalog.leaning, catalog.vectors, catalog.norms)]
 
     def records_then_vectors():
-        for s in ids:  # a stand-in vector of the same shape has admitted values
-            Source(s, scores[s].quality, scores[s].leaning, np.ones(np.shape(vectors.vectors[s])))
-            if len(vectors.vectors[s]) != len(vectors.vectors[ids[0]]):
-                raise ValueError(f"{s}: vector has {len(vectors.vectors[s])} dims, expected {len(vectors.vectors[ids[0]])}")
+        first = len(vectors.vectors[ids[0]])
+        for s in ids:
+            quality, leaning, length = scores[s].quality, scores[s].leaning, len(vectors.vectors[s])
+            if not 0.0 <= quality <= 1.0:
+                raise ValueError(f"{s}: quality {quality} outside [0, 1]")
+            if not -1.0 <= leaning <= 1.0:
+                raise ValueError(f"{s}: leaning {leaning} outside [-1, 1]")
+            if length != first:
+                raise ValueError(f"{s}: vector has {length} dims, expected {first}")
+        for s in ids:
+            if message := _refusal(s, vectors.vectors[s]):
+                raise ValueError(message)
         return SourceCatalog([Source(s, scores[s].quality, scores[s].leaning, vectors.vectors[s]) for s in ids])
 
     assert outcome(lambda: SourceCatalog.from_scores(scores, vectors)) == outcome(records_then_vectors)
@@ -306,6 +311,58 @@ def test_catalog_lookup_and_order():
     assert catalog.leaning.tolist() == [0.0, 0.0, 1.0, -1.0, 0.0]
     assert catalog.vectors[3].tolist() == [-1.0, 0.0]
     assert catalog.norms.tolist() == [1.0] * 5
+
+
+# a Source with one bad field, and the message a catalog refuses it with
+_BAD_SOURCES = [
+    ("a", 1.2, 0.0, [1.0], r"^a: quality 1.2 outside \[0, 1\]$"),
+    ("a", 0.5, -1.2, [1.0], r"^a: leaning -1.2 outside \[-1, 1\]$"),
+    *(("a", 0.5, 0.0, vector, r"^non-finite vector norm for 'a'$")
+      for vector in ([1.0, math.nan], [1.0, math.inf], [1.0, -math.inf], [1e200, 1e200])),
+    *(("a", 0.5, 0.0, vector, r"^vector for 'a' is not zero but its squared norm is subnormal$")
+      for vector in ([2.3e-162, 0.0], [1e-160, 3e-161, 0.0], [1e-170, 0.0], [5e-324])),
+    ("a", 0.5, 0.0, np.eye(2), r"^vector for 'a' has shape \(2, 2\), not one dimension$"),
+    ("a", 0.5, 0.0, np.float64(1.0), r"^vector for 'a' has shape \(\), not one dimension$"),
+    ("a", 0.5, 0.0, np.zeros(0), r"^no components for 'a'$"),
+]
+
+
+@pytest.mark.parametrize("source_id, quality, leaning, vector, message", _BAD_SOURCES)
+def test_a_bad_source_builds_and_every_catalog_refuses_it(source_id, quality, leaning, vector, message):
+    # a Source is a plain record; the catalog is the one place it is
+    # checked, whether built from sources, from scores or for one trust cost
+    from types import SimpleNamespace
+
+    from nudgesim.embedding import SourceVectors
+
+    s = Source(source_id, quality, leaning, vector)
+    assert (s.source_id, s.quality, s.leaning) == (source_id, quality, leaning) and s.vector is vector
+    scores = {source_id: SimpleNamespace(quality=quality, leaning=leaning, provenance="labeled")}
+    u = _profile(["m"], 2, q_u=0.5, l_u=0.0, v_u=[1.0, 0.0])
+    for refuse in (
+        lambda: SourceCatalog([s]),
+        lambda: SourceCatalog.from_scores(scores, SourceVectors(dims=2, vectors={source_id: vector})),
+        lambda: trust_cost(s, u, ALPHA),
+    ):
+        with pytest.raises(ValueError, match=message):
+            refuse()
+
+
+def test_catalog_lookup_runs_no_check(monkeypatch):
+    # a lookup reads rows the catalog checked when it was built
+    catalog = _toy_catalog()
+
+    def refuse(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(nudge, "check_vectors", refuse)
+    monkeypatch.setattr(nudge, "check_shape", refuse)
+    with pytest.raises(AssertionError, match="a check ran"):
+        SourceCatalog([catalog["pricey"]])
+    s = catalog["pricey"]
+    assert (s.source_id, s.quality, s.leaning, s.vector.tolist()) == ("pricey", 0.7, 1.0, [0.0, 1.0])
+    assert type(s.quality) is type(s.leaning) is float
+    assert not s.vector.flags.writeable
 
 
 def test_catalog_arrays_reject_writes():

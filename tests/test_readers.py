@@ -116,3 +116,53 @@ def test_bad_byte_after_byte_order_mark_names_its_offset_in_the_file(tmp_path):
     with pytest.raises(ValueError) as exc:
         read_scores_csv(path)
     assert str(exc.value) == f"{path}:1: byte 0xff at offset 13 is not UTF-8"
+
+
+# ---------------------------------------------------------------- number text
+
+# number text that float() or int() takes as a number but no writer writes:
+# '_' between digits, a non-ASCII digit, a leading '+', surrounding space
+_LOOSE = "must be printable ASCII, with no space, '_' or leading '+'"
+
+
+def _refused(tmp_path, name, text, reader):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as caught:
+        reader(path)
+    return str(caught.value).replace(str(path), "PATH")
+
+
+@pytest.mark.parametrize("quality, leaning, number", [
+    ("0_1", "0.5", "0_1"), ("0.1", "٠.5", "٠.5"), ("0.1", " 0.5", " 0.5"), ("+0.1", "0.5", "+0.1"),
+])
+def test_scores_csv_refuses_loose_number_text(tmp_path, quality, leaning, number):
+    text = f"source,quality,leaning,provenance\na,{quality},{leaning},labeled\n"
+    assert _refused(tmp_path, "scores.csv", text, read_scores_csv) == f"PATH:2: number {number!r} {_LOOSE}"
+
+
+@pytest.mark.parametrize("newsguard", ["5_0", "٥٠", "50 ", "+50"])
+def test_labels_csv_refuses_loose_number_text(tmp_path, newsguard):
+    text = f"source,newsguard,os_flags,mbfc_flags,allsides,buzzfeed,mbfc_bias\na,{newsguard},,,,,\n"
+    assert _refused(tmp_path, "labels.csv", text, read_labels_csv) == f"PATH:2: number {newsguard!r} {_LOOSE}"
+
+
+@pytest.mark.parametrize("lines, number", [
+    ("#node\ta\t1_0\n", "1_0"), ("#node\ta\t2\n#node\tb\t ٤\n", " ٤"),
+    ("#node\ta\t2\n#node\tb\t4\na\tb\t+2\t0.5\n", "+2"), ("#node\ta\t2\n#node\tb\t4\na\tb\t2\t0_5\n", "0_5"),
+    ("#node\ta\t2\n#node\tb\t4\na\tb\t2\t0.5 \n", "0.5 "),
+])
+def test_csn_tsv_refuses_loose_number_text(tmp_path, lines, number):
+    lineno = lines.count("\n") + 1
+    expected = f"PATH:{lineno}: malformed line (number {number!r} {_LOOSE})"
+    assert _refused(tmp_path, "csn.tsv", "#csn v1\n" + lines, load_graph) == expected
+
+
+@pytest.mark.parametrize("component", ["1_0", "\u0662", " 2", "2 ", "2\u00a0", "+2"])
+def test_vectors_tsv_refuses_loose_number_text(tmp_path, component):
+    text = f"#vectors v1\na\t1.0\t0.5\nb\t0.5\t{component}\n"
+    assert _refused(tmp_path, "vectors.tsv", text, load_vectors) == f"PATH:3: number {component!r} {_LOOSE}"
+    # the forms the writer writes still load, an exponent's sign included
+    path = tmp_path / "written.tsv"
+    path.write_text("#vectors v1\na\t1e+20\t-0.5\nb\t2.5e-05\t0.0\n", encoding="utf-8")
+    assert load_vectors(path).vectors["a"].tolist() == [1e20, -0.5]
