@@ -291,14 +291,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         personas = [dataclasses.replace(persona, L=args.L) for persona in personas]
     modes = ["constrained", "unconstrained"] if args.mode == "both" else [args.mode]
     configs = [nudge.SimConfig(T=args.T, seed=args.seed, alpha=args.alpha, mode=m) for m in modes]
-    try:  # one run per persona and mode, every one made before any output
-        trajectories = nudge.simulate_all([(p, config) for p in personas for config in configs], catalog)
+    try:  # one batch per mode, every run made before any output
+        batches = [nudge.simulate_all(personas, catalog, config) for config in configs]
     except ValueError as exc:  # the first persona whose start is refused
-        i = exc.run // len(modes)
-        user_id = personas[i].user_id
+        user_id = personas[exc.run].user_id
         reason = str(exc).removeprefix(f"{user_id}: ")
-        raise ValueError(f"{args.personas}: persona #{i} ({user_id}): {reason}") from None
-    runs = list(zip(*[iter(trajectories)] * len(modes)))  # per persona, one run per mode
+        raise ValueError(f"{args.personas}: persona #{exc.run} ({user_id}): {reason}") from None
+    runs = list(zip(*batches))  # per persona, one run per mode
 
     lines = []  # printed once every output is in place
     for stem, run in zip(stems, runs):
@@ -313,7 +312,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.mode == "both":
         nudge.write_comparison_csv(runs, out_dir / "comparison.csv")
     svgplot.line_chart(
-        [(m, _mean_quality(column)) for m, column in zip(modes, zip(*runs))],
+        [(m, _mean_quality(batch)) for m, batch in zip(modes, batches)],
         title="mean quality across personas",
         y_label="mean profile quality",
         path=out_dir / "quality.svg",
@@ -324,7 +323,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _mean_quality(trajectories: tuple[nudge.Trajectory, ...]) -> list[float]:
+def _mean_quality(trajectories: list[nudge.Trajectory]) -> list[float]:
     """Per step, the mean of ``q_u`` over the trajectories."""
     steps = zip(*([r.q_u for r in traj.steps] for traj in trajectories))
     return [corpus.float_sum(column) / len(trajectories) for column in steps]

@@ -206,14 +206,14 @@ def _check_decoded(line: str) -> None:
 def read_utf8(path, newline: str | None = None) -> io.StringIO:
     """The text of ``path``, read like ``open(path, encoding="utf-8-sig",
     newline=newline)`` (one leading byte-order mark is skipped); a byte that
-    is not UTF-8 raises ValueError naming the path, its line and its offset
-    in the file."""
+    is not UTF-8 raises ValueError naming the path, its line (ended by
+    ``\n``, ``\r\n`` or ``\r``) and its offset in the file."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         return io.StringIO(data.decode("utf-8").removeprefix("\ufeff"), newline=newline)
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        line = len((data[: exc.start] + b".").splitlines())
         raise ValueError(
             f"{path}:{line}: byte 0x{data[exc.start]:02x} at offset {exc.start} is not UTF-8"
         ) from None
@@ -238,26 +238,29 @@ def read_csv(path, fields: list[str], make) -> dict:
     row's source being its first field. Every row has ``len(fields)`` string
     fields, and an empty field (:func:`write_csv`'s ``None``) is ``""``. A
     row that repeats a source, or whose ``make`` raises a ValueError, raises
-    one naming its line; the repeat is named first."""
+    one naming the line where its record starts; the repeat is named first."""
     made = {}
     with read_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
+        end = 0  # the last line of the record read last
         try:
             if next(reader, None) != fields:
                 raise ValueError(f"{path}:1: expected header {','.join(fields)!r}")
-            for row_num, row in enumerate(reader, start=2):
+            end = reader.line_num
+            for row in reader:
+                line, end = end + 1, reader.line_num
                 if not row:
                     continue
                 if len(row) != len(fields):
-                    raise ValueError(f"{path}:{row_num}: expected {len(fields)} fields, got {len(row)}")
+                    raise ValueError(f"{path}:{line}: expected {len(fields)} fields, got {len(row)}")
                 if row[0] in made:
-                    raise ValueError(f"{path}:{row_num}: duplicate source {row[0]!r}")
+                    raise ValueError(f"{path}:{line}: duplicate source {row[0]!r}")
                 try:
                     made[row[0]] = make(row)
                 except ValueError as exc:
-                    raise ValueError(f"{path}:{row_num}: {exc}") from exc
+                    raise ValueError(f"{path}:{line}: {exc}") from exc
         except csv.Error as exc:  # a field over csv.field_size_limit()
-            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+            raise ValueError(f"{path}:{end + 1}: {exc}") from None
     return made
 
 

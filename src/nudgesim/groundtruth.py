@@ -10,6 +10,7 @@ provider-derived values (one hop, no chaining).
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, replace
 
 from .corpus import float_sum, parse_number, read_csv, write_csv
@@ -64,10 +65,21 @@ class SourceLabels:
                 )
 
 
+def check_score(name: str, value, prefix: str = "") -> None:
+    """The one rule for a score field: a ``"quality"`` is a number in [0, 1]
+    and a ``"leaning"`` one in [-1, 1]. A value that breaks it raises
+    ValueError naming the field and the value, after ``prefix``."""
+    low = 0.0 if name == "quality" else -1.0
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{prefix}{name} must be a number, got {value!r}")
+    if not (low <= value <= 1.0):
+        raise ValueError(f"{prefix}{name} {value} outside [{low:g}, 1]")
+
+
 @dataclass(frozen=True)
 class SourceScore:
-    """Quality in [0, 1] and leaning in [-1, 1]; a ``labeled`` or ``imputed``
-    score has both, an ``unavailable`` one may lack either."""
+    """Quality and leaning by :func:`check_score`; a ``labeled`` or
+    ``imputed`` score has both, an ``unavailable`` one may lack either."""
 
     source: str
     quality: float | None
@@ -77,10 +89,9 @@ class SourceScore:
     def __post_init__(self) -> None:
         if self.provenance not in PROVENANCE_VALUES:
             raise ValueError(f"bad provenance {self.provenance!r}")
-        if self.quality is not None and not (0.0 <= self.quality <= 1.0):
-            raise ValueError(f"quality {self.quality} outside [0, 1]")
-        if self.leaning is not None and not (-1.0 <= self.leaning <= 1.0):
-            raise ValueError(f"leaning {self.leaning} outside [-1, 1]")
+        for name, value in (("quality", self.quality), ("leaning", self.leaning)):
+            if value is not None:
+                check_score(name, value)
         if self.provenance != "unavailable" and (self.quality is None or self.leaning is None):
             raise ValueError(f"provenance {self.provenance!r} needs both quality and leaning")
 

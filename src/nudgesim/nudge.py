@@ -33,7 +33,7 @@ import numpy as np
 
 from .corpus import read_json, write_csv, write_text
 from .embedding import NO_DIRECTION_NORM, SEED_MASK, SourceVectors, check_shape, check_vectors, row_dots
-from .groundtruth import SourceScore
+from .groundtruth import SourceScore, check_score
 
 DEFAULT_ALPHA = 0.5
 DEFAULT_EPSILON = 1e-9
@@ -69,18 +69,16 @@ class SourceCatalog:
 
     def __init__(self, sources) -> None:
         """The catalog of ``sources``, checked in two passes, the first fault
-        raising ValueError: each source's quality in [0, 1], leaning in
-        [-1, 1], :func:`check_shape`, repeat and length other than the first
-        source's, then one :func:`check_vectors` call over all vectors."""
+        raising ValueError: each source's :func:`check_score` fields,
+        :func:`check_shape`, repeat and length other than the first source's,
+        then one :func:`check_vectors` call over all vectors."""
         sources = list(sources)
         if not sources:
             raise ValueError("catalog must contain at least one source")
         position, dims = {}, None
         for i, (source_id, quality, leaning, vector) in enumerate(sources):
-            if not (0.0 <= quality <= 1.0):
-                raise ValueError(f"{source_id}: quality {quality} outside [0, 1]")
-            if not (-1.0 <= leaning <= 1.0):
-                raise ValueError(f"{source_id}: leaning {leaning} outside [-1, 1]")
+            check_score("quality", quality, f"{source_id}: ")
+            check_score("leaning", leaning, f"{source_id}: ")
             length = check_shape(source_id, vector)
             dims = dims or length  # the first source's, which is at least 1
             if position.setdefault(source_id, i) != i:
@@ -300,7 +298,7 @@ def _norms(vectors: np.ndarray) -> np.ndarray:
 
 def _trust_costs(dots: np.ndarray, norm_u, norm_s, l_u, l_s, alpha) -> np.ndarray:
     """The trust cost of each dot product of ``v_u`` and ``v_s`` in ``dots``,
-    written over it, with norms, leanings and alphas broadcast against it:
+    written over it, with norms and leanings broadcast against it:
 
         (1 - alpha) * (|l_u - l_s| / 2) + alpha * (1 - dot / (|v_u| * |v_s|))
 
@@ -315,31 +313,31 @@ def _trust_costs(dots: np.ndarray, norm_u, norm_s, l_u, l_s, alpha) -> np.ndarra
     return distance
 
 
-def _costs(l_u: np.ndarray, v_u: np.ndarray, alphas, owners, rows, catalog: SourceCatalog) -> list[float]:
-    """The :func:`_trust_costs` of each pair (profile means ``l_u[o]`` and
-    ``v_u[o]``, catalog row ``r``) at ``alphas[o]``, for the ``o`` and ``r``
-    of ``zip(owners, rows)``. Dot products and norms come from
+def _costs(l_u: np.ndarray, v_u: np.ndarray, alpha: float, owners, rows, catalog: SourceCatalog) -> list[float]:
+    """The :func:`_trust_costs` at ``alpha`` of each pair (profile means
+    ``l_u[o]`` and ``v_u[o]``, catalog row ``r``), for the ``o`` and ``r`` of
+    ``zip(owners, rows)``. Dot products and norms come from
     :func:`row_dots`, so each cost equals the scalar formula on ``np.dot`` and
-    ``np.linalg.norm`` to the bit. The caller has checked each alpha."""
+    ``np.linalg.norm`` to the bit. The caller has checked ``alpha``."""
     return _trust_costs(
         row_dots(v_u[owners], catalog.vectors[rows]), _norms(v_u)[owners], catalog.norms[rows],
-        l_u[owners], catalog.leaning[rows], np.array(alphas)[owners],
+        l_u[owners], catalog.leaning[rows], alpha,
     ).tolist()
 
 
 def trust_cost(s_prime: Source, u: UserProfile, alpha: float) -> float:
     """The trust cost of ``s_prime`` to ``u``: one pair of :func:`_costs`."""
     _check_alpha(alpha)
-    (cost,) = _costs(np.array([u.l_u]), np.array([u.v_u]), [alpha], [0], [0], SourceCatalog([s_prime]))
+    (cost,) = _costs(np.array([u.l_u]), np.array([u.v_u]), alpha, [0], [0], SourceCatalog([s_prime]))
     return cost
 
 
-def _offers(rows: _Rows, catalog: SourceCatalog, alphas) -> list[int | None]:
+def _offers(rows: _Rows, catalog: SourceCatalog, alpha: float | None) -> list[int | None]:
     """The catalog row offered to each of ``rows``, or None when nothing is
     eligible: no source lies strictly above the row's mean quality and
-    outside its members. An ``alphas`` entry of None offers the highest
-    quality, any other the cheapest by trust cost at that alpha; ties go to
-    the smallest source_id. ``rows.sizes`` is not read.
+    outside its members. An ``alpha`` of None offers the highest quality,
+    any other the cheapest by trust cost at that alpha; ties go to the
+    smallest source_id. ``rows.sizes`` is not read.
 
     One mask covers every row, and :func:`_trust_costs` on one matrix
     product gives every approximate cost. Those only pick candidates:
@@ -349,39 +347,30 @@ def _offers(rows: _Rows, catalog: SourceCatalog, alphas) -> list[int | None]:
     strict minimum in id order wins. The margin is far above the rounding
     gap between the two, which apply the same formula, so the exact argmin
     is always among them, and each offer is the exhaustive scalar argmin
-    for its own row, whatever the others are. The caller has checked each
-    alpha."""
+    for its own row, whatever the others are. The caller has checked
+    ``alpha``."""
     eligible = np.zeros((len(rows.members), len(catalog) + 1), dtype=bool)
     np.greater(catalog.quality, rows.q_u[:, None], out=eligible[:, :-1])
     # no member is eligible, nor the padding row, the last column
     eligible[np.arange(len(eligible))[:, None], rows.members] = False
     eligible = eligible[:, :-1]
-    found = eligible.any(axis=1).tolist()
-    offers: list[int | None] = [None] * len(found)
-    best_quality = [i for i, alpha in enumerate(alphas) if found[i] and alpha is None]
-    if best_quality:
+    if alpha is None:
         # argmax keeps the first maximum, in id order
-        best = np.where(eligible[best_quality], catalog.quality, -np.inf).argmax(axis=1)
-        for i, row in zip(best_quality, best.tolist()):
-            offers[i] = row
-    cheapest = [i for i, alpha in enumerate(alphas) if found[i] and alpha is not None]
-    if not cheapest:
-        return offers
-    alpha = np.array([alphas[i] for i in cheapest])[:, None]
-    v_u, l_u = rows.v_u[cheapest], rows.l_u[cheapest]
-    dots = v_u @ catalog.vectors.T  # one row per profile
-    approx = _trust_costs(dots, _norms(v_u)[:, None], catalog.norms, l_u[:, None], catalog.leaning, alpha)
-    mask = eligible[cheapest]
+        best = np.where(eligible, catalog.quality, -np.inf).argmax(axis=1)
+        return [row if found else None for row, found in zip(best.tolist(), eligible.any(axis=1).tolist())]
+    dots = rows.v_u @ catalog.vectors.T  # one row per profile
+    approx = _trust_costs(dots, _norms(rows.v_u)[:, None], catalog.norms, rows.l_u[:, None], catalog.leaning, alpha)
     finite = np.isfinite(approx)
-    smallest = np.where(mask & finite, approx, np.inf).min(axis=1, keepdims=True)
-    kept = mask & ((approx <= smallest + _VERIFY_MARGIN) | ~finite)
+    smallest = np.where(eligible & finite, approx, np.inf).min(axis=1, keepdims=True)
+    kept = eligible & ((approx <= smallest + _VERIFY_MARGIN) | ~finite)
     owners, candidates = np.divmod(np.flatnonzero(kept), len(catalog))
-    best = [math.inf] * len(cheapest)
-    costs = _costs(l_u, v_u, alpha[:, 0], owners, candidates, catalog)
+    costs = _costs(rows.l_u, rows.v_u, alpha, owners, candidates, catalog)
+    offers: list[int | None] = [None] * len(eligible)
+    best = [math.inf] * len(eligible)
     # pairs come in id order per profile, so the first strict minimum wins
     for k, row, cost in zip(owners.tolist(), candidates.tolist(), costs):
         if cost < best[k]:
-            offers[cheapest[k]], best[k] = row, cost
+            offers[k], best[k] = row, cost
     return offers
 
 
@@ -407,26 +396,26 @@ def drop_distribution(
     # the lottery is drawn against u's own means, whatever its members
     rows = rows._replace(q_u=np.array([u.q_u], dtype=float), l_u=np.array([u.l_u], dtype=float),
                          v_u=np.array([u.v_u], dtype=float))
-    stakes, (count,), shares, _, _ = _lotteries(rows, np.array([True]), offer, [alpha], catalog)
+    stakes, (count,), shares, _, _ = _lotteries(rows, np.array([True]), offer, alpha, catalog)
     return dict(zip((catalog._ids[r] for r in stakes[0, :count].tolist()), shares[0, :count].tolist()))
 
 
-def _lotteries(rows: _Rows, full: np.ndarray, offers: np.ndarray, alphas, catalog: SourceCatalog):
+def _lotteries(rows: _Rows, full: np.ndarray, offers: np.ndarray, alpha: float, catalog: SourceCatalog):
     """For each of ``rows`` and the catalog row offered to it, the lottery
-    that decides the offer, from one :func:`_costs` call: the catalog rows
-    at stake, their count, their :func:`_shares`, the offer's trust cost and
-    the chance the offer is kept. At stake is the offer alone below the
-    limit (``full`` False), with chance max(0, 1 - cost), else the drop
-    lottery's entries, the members and the offer in id order, with chance 1
-    minus the offer's share. The stakes and shares have a row per offer,
-    padded past its count with the padding row and with shares that mean
-    nothing. The caller has checked each alpha."""
+    that decides the offer, from one :func:`_costs` call at ``alpha``: the
+    catalog rows at stake, their count, their :func:`_shares`, the offer's
+    trust cost and the chance the offer is kept. At stake is the offer alone
+    below the limit (``full`` False), with chance max(0, 1 - cost), else the
+    drop lottery's entries, the members and the offer in id order, with
+    chance 1 minus the offer's share. The stakes and shares have a row per
+    offer, padded past its count with the padding row and with shares that
+    mean nothing. The caller has checked ``alpha``."""
     n = len(catalog)
     stakes = np.column_stack([np.where(full[:, None], rows.members, n), offers])
     stakes.sort(axis=1)
     owners, columns = np.nonzero(stakes < n)
     costs = np.zeros(stakes.shape)
-    costs[owners, columns] = _costs(rows.l_u, rows.v_u, alphas, owners, stakes[owners, columns], catalog)
+    costs[owners, columns] = _costs(rows.l_u, rows.v_u, alpha, owners, stakes[owners, columns], catalog)
     counts = np.where(full, rows.sizes + 1, 1)
     shares = _shares(costs, counts)
     k, at = np.arange(len(offers)), np.argmax(stakes == offers[:, None], axis=1)
@@ -466,66 +455,62 @@ def simulate(u0: Persona | UserProfile, catalog: SourceCatalog, config: SimConfi
     :func:`profile_from_sources` of ``u0.sources`` and ``u0.L``, and
     ``Trajectory.final`` the profile of the last members, sorted. Pure in
     its inputs: ``u0`` is never changed, and the outcome is a function of
-    (u0, catalog, config) alone. The one run of :func:`simulate_all`."""
-    return simulate_all([(u0, config)], catalog)[0]
+    (u0, catalog, config) alone. The one reader of :func:`simulate_all`."""
+    return simulate_all([u0], catalog, config)[0]
 
 
 def simulate_all(
-    runs: list[tuple[Persona | UserProfile, SimConfig]], catalog: SourceCatalog
+    readers: list[Persona | UserProfile], catalog: SourceCatalog, config: SimConfig
 ) -> list[Trajectory]:
-    """Make each ``(u0, config)`` run of ``runs`` as :func:`simulate`
+    """Run each reader of ``readers`` under ``config`` as :func:`simulate`
     describes, all in lockstep, and return their trajectories in order.
 
-    Every run's state is one row of arrays: its members and means (a
+    Every reader's state is one row of arrays: its members and means (a
     :class:`_Rows` of :func:`_start_rows`) and its standing offer, made by one
-    :func:`_offers` call over every run without one and kept until the run
-    accepts it. At each step one :func:`_lotteries` call gives every
-    stepping run its offer's cost, its chance ``p`` and its drop lottery,
-    and the run takes one uniform draw from its own :func:`rng_for_user`
+    :func:`_offers` call over every reader without one and kept until the
+    reader accepts it. At each step one :func:`_lotteries` call gives every
+    stepping reader its offer's cost, its chance ``p`` and its drop lottery,
+    and the reader takes one uniform draw from its own :func:`rng_for_user`
     stream: below capacity it accepts when the draw is below ``p``; at
     capacity it drops the row that ``bisect_right`` over the running sums
     of the shares picks, where dropping the offer is rejection. One
-    vectorized update gives every run that accepted its new members,
-    sorted, and one :func:`_means` call its new means. A run's trajectory
-    is a function of its own (u0, catalog, config), whatever other runs
+    vectorized update gives every reader that accepted its new members,
+    sorted, and one :func:`_means` call its new means. A reader's trajectory
+    is a function of its own (u0, catalog, config), whatever other readers
     share the batch. One :func:`_start_rows` call checks every start set
     and lays out the state, so a refused set raises before any run is
-    made, its position in ``runs`` as the error's ``run`` attribute.
+    made, its position in ``readers`` as the error's ``run`` attribute.
     :func:`_row_profile` reads ``Trajectory.start`` off the state before
     the first step, and ``Trajectory.final`` after the last."""
-    if not runs:
+    if not readers:
         return []
-    configs = [config for _, config in runs]
     n, ids = len(catalog), catalog._ids
-    user_ids, limits = [u0.user_id for u0, _ in runs], [u0.L for u0, _ in runs]
-    state = _start_rows(user_ids, [u0.sources for u0, _ in runs], catalog, limits)
+    user_ids, limits = [u0.user_id for u0 in readers], [u0.L for u0 in readers]
+    state = _start_rows(user_ids, [u0.sources for u0 in readers], catalog, limits)
     starts = [_row_profile(state, j, user_id, L, catalog) for j, (user_id, L) in enumerate(zip(user_ids, limits))]
-    rngs = [rng_for_user(config.seed, user_id) for user_id, config in zip(user_ids, configs)]
-    # no run holds more members than the catalog has, so a larger limit
+    rngs = [rng_for_user(config.seed, user_id) for user_id in user_ids]
+    # no reader holds more members than the catalog has, so a larger limit
     # means the same as the catalog size
     capacity = np.array([min(L, n) for L in limits], dtype=np.int64)
-    offer_rule = [config.alpha if config.mode == "constrained" else None for config in configs]
-    alphas = np.array([config.alpha for config in configs])
-    ends = np.array([config.T for config in configs])
-    # each run's standing offer, -1 until one is made and again once accepted
-    offer = np.full(len(runs), -1, dtype=np.int64)
-    records: list[list[StepRecord]] = [[] for _ in runs]
-    stepping = np.arange(len(runs))
-    for t in range(max(config.T for config in configs)):
+    # each reader's standing offer, -1 until one is made and again once accepted
+    offer = np.full(len(readers), -1, dtype=np.int64)
+    records: list[list[StepRecord]] = [[] for _ in readers]
+    stepping = np.arange(len(readers))
+    for t in range(config.T):
         # a rejected offer leaves the members, and so the offer, unchanged; a
-        # converged run, or one with nothing eligible, never changes again
-        stepping = stepping[(ends[stepping] > t) & (state.q_u[stepping] < 1.0 - SimConfig.epsilon_converge)]
+        # converged reader, or one with nothing eligible, never changes again
+        stepping = stepping[state.q_u[stepping] < 1.0 - SimConfig.epsilon_converge]
         offerless = stepping[offer[stepping] < 0]
         if offerless.size:
-            offers = _offers(state.take(offerless), catalog, [offer_rule[j] for j in offerless.tolist()])
+            offers = _offers(state.take(offerless), catalog, config.alpha if config.mode == "constrained" else None)
             offer[offerless] = [-1 if row is None else row for row in offers]
             stepping = stepping[offer[stepping] >= 0]
         if not stepping.size:
             break
         offered, full = offer[stepping], state.sizes[stepping] == capacity[stepping]
-        stakes, counts, shares, cost, accept = _lotteries(state.take(stepping), full, offered, alphas[stepping], catalog)
-        # one draw per run: below capacity the offer is kept when the draw is
-        # below p; at capacity bisect_right over the running sums picks the
+        stakes, counts, shares, cost, accept = _lotteries(state.take(stepping), full, offered, config.alpha, catalog)
+        # one draw per reader: below capacity the offer is kept when the draw
+        # is below p; at capacity bisect_right over the running sums picks the
         # row to drop, and a draw past every sum takes the last one
         dropped = np.array([
             drops[min(bisect_right(sums, draw, 0, count), count - 1)] if at_limit else (n if draw < chance else row)
@@ -553,10 +538,10 @@ def simulate_all(
             records[j].append(StepRecord(t, ids[row], c, chance, a, ids[d] if a and d < n else None, q, l))
         offer[moved] = -1
     trajectories = []
-    for j, (start, config, steps) in enumerate(zip(starts, configs, records)):
+    for j, (start, steps) in enumerate(zip(starts, records)):
         final = _row_profile(state, j, start.user_id, start.L, catalog)
         q, l = final.q_u, final.l_u
-        # every step after a run stops is a no-op that draws nothing
+        # every step after a reader stops is a no-op that draws nothing
         steps += [StepRecord(rest, None, None, None, False, None, q, l) for rest in range(len(steps), config.T)]
         trajectories.append(Trajectory(start.user_id, config, steps, start, final))
     return trajectories

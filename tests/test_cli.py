@@ -950,9 +950,10 @@ def test_simulate_builds_each_profile_state_once(tmp_path, capsys, world_dir, mo
     summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
     assert len(summary) == 8
     assert sum(built) == len(summary) + sum(entry["accepted_steps"] for entry in summary) == 71
-    # the first call builds every start profile
-    assert built[0] == len(summary)
-    assert starts == [len(summary)]
+    # one batch per mode, whose first call builds every start profile
+    personas = len(summary) // 2
+    assert built[0] == personas
+    assert starts == [personas, personas]
     assert len(profiles) == 2 * len(summary)
 
 

@@ -702,9 +702,9 @@ def _refusal(source_id, vector):
 @settings(max_examples=200, deadline=None)
 @given(picks=st.lists(st.integers(0, len(_RULE_ROWS) - 1), min_size=1, max_size=8))
 def test_check_vectors_is_check_vector_on_each_row(picks):
-    # the matrix check refuses a matrix exactly when check_vector refuses a
-    # row of it, with that first row's message and index, and its v·v is
-    # np.dot's to the bit
+    # the matrix check refuses a matrix exactly when the scalar oracle
+    # _refusal refuses a row of it, with that first row's message and index,
+    # and its v·v is np.dot's to the bit
     ids = [f"s{i}" for i in range(len(picks))]
     matrix = np.array([_RULE_ROWS[k] for k in picks])
     with np.errstate(over="ignore", invalid="ignore"):

@@ -21,6 +21,7 @@ from test_embedding import _refusal
 from nudgesim import nudge
 from nudgesim.corpus import float_sum
 from nudgesim.embedding import NO_DIRECTION_NORM
+from nudgesim.groundtruth import SourceScore
 from nudgesim.nudge import (
     TRAJECTORY_FIELDS,
     Persona,
@@ -195,6 +196,24 @@ def test_catalog_validation():
             SourceCatalog([_source("a", 0.5, 0.0, vector)])
     for vector in ([0.0, -0.0], [1.5e-154, 0.0, 0.0]):
         assert SourceCatalog([_source("a", 0.5, 0.0, vector)]).vectors[0].tolist() == vector
+
+
+def test_a_score_field_that_is_no_number_is_a_value_error():
+    # one rule for a score field, in a catalog and in a score: a field that
+    # is no number raises ValueError naming the field and the value, not the
+    # TypeError of a comparison
+    refusals = [
+        (lambda: SourceCatalog([_source("a", None, 0.0, [1.0])]), "a: quality must be a number, got None"),
+        (lambda: SourceCatalog([_source("a", "0.5", 0.0, [1.0])]), "a: quality must be a number, got '0.5'"),
+        (lambda: SourceScore("a", "x", None, "unavailable"), "quality must be a number, got 'x'"),
+        (lambda: SourceScore("a", None, [0.5], "unavailable"), "leaning must be a number, got [0.5]"),
+    ]
+    for make, message in refusals:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+    # a numpy float and a bool are numbers, as before
+    assert SourceCatalog([_source("a", np.float32(0.5), True, [1.0])]).leaning.tolist() == [1.0]
+    assert SourceScore("a", np.float32(0.5), True, "labeled").leaning is True
 
 
 @pytest.mark.parametrize("vector, message", [
@@ -395,7 +414,7 @@ def test_profile_from_sources_means():
     ),
     data=st.data(),
 )
-def test_update_scores_mean_vector_is_numpy_mean_bit_for_bit(rows, data):
+def test_profile_mean_vector_is_numpy_mean_bit_for_bit(rows, data):
     catalog = SourceCatalog(_source(f"s{i:02d}", 0.5, 0.0, v) for i, v in enumerate(rows))
     members = sorted(data.draw(st.lists(st.sampled_from(catalog.ids()), min_size=1, unique=True)))
     u = profile_from_sources("u", members, catalog, len(members))
@@ -427,10 +446,10 @@ def test_world_persona_start_means(world_catalog):
     assert u.l_u == pytest.approx(0.6333333333333333, abs=1e-12)
 
 
-# ---------------------------------------------------------------- selection
+# ---------------------------------------------------------------- offers
 
 
-def test_select_recommendation_is_cost_argmin_over_eligible():
+def test_offer_is_cost_argmin_over_eligible():
     catalog = _toy_catalog()
     u = profile_from_sources("u", ["anchor"], catalog, L=3)
     # eligible: cheap (cost 0), pricey, top; weak fails the quality bar
@@ -442,7 +461,7 @@ def test_select_recommendation_is_cost_argmin_over_eligible():
     assert costs["cheap"] == min(costs.values())
 
 
-def test_select_recommendation_skips_trusted_even_if_cheapest():
+def test_offer_skips_trusted_even_if_cheapest():
     catalog = _toy_catalog()
     u = profile_from_sources("u", ["anchor", "cheap"], catalog, L=3)
     picked, _ = _one_step(u, catalog)
@@ -454,7 +473,7 @@ def test_select_recommendation_skips_trusted_even_if_cheapest():
         _one_step(stranger, catalog)
 
 
-def test_select_recommendation_requires_strict_quality_gain():
+def test_offer_requires_strict_quality_gain():
     catalog = SourceCatalog(
         [
             _source("a", 0.5, 0.0, [1.0, 0.0]),
@@ -465,7 +484,7 @@ def test_select_recommendation_requires_strict_quality_gain():
     assert _one_step(u, catalog)[0].recommended is None  # 0.5 is not > 0.5
 
 
-def test_select_recommendation_breaks_ties_lexicographically():
+def test_offer_breaks_ties_lexicographically():
     catalog = SourceCatalog(
         [
             _source("base", 0.2, 0.0, [1.0, 0.0]),
@@ -626,7 +645,7 @@ def test_at_capacity_accept_probability_is_drop_distribution_complement(world, T
         assert members == traj.final.sources
 
 
-def test_select_recommendation_exact_among_rounding_ties():
+def test_offer_exact_among_rounding_ties():
     # permutations of one vector have mathematically equal costs against a
     # constant mean; the mat-vec and the scalar dot round them differently,
     # so only the scalar verification picks the exhaustive argmin
@@ -924,7 +943,7 @@ def test_simulate_starts_converged_profile_as_noop():
 
 
 @pytest.fixture
-def select_calls(monkeypatch):
+def offer_calls(monkeypatch):
     """Every member row passed to ``nudge._offers``, one entry per profile
     state. A step ends at each ``nudge._lotteries`` call; on teardown, no
     step may have made more than two calls of the cost kernel
@@ -933,9 +952,9 @@ def select_calls(monkeypatch):
     kernel_calls = [0]  # per step, the kernel calls made in it
     offers, costs, lotteries = nudge._offers, nudge._costs, nudge._lotteries
 
-    def counting_offers(rows, catalog, alphas):
+    def counting_offers(rows, catalog, alpha):
         calls.extend(rows.members)
-        return offers(rows, catalog, alphas)
+        return offers(rows, catalog, alpha)
 
     def counting_costs(*args):
         kernel_calls[-1] += 1
@@ -953,7 +972,7 @@ def select_calls(monkeypatch):
     assert max(kernel_calls) <= 2, kernel_calls
 
 
-def test_simulate_selects_once_when_nothing_is_eligible(select_calls):
+def test_simulate_selects_once_when_nothing_is_eligible(offer_calls):
     catalog = SourceCatalog(
         [
             _source("low", 0.4, 0.0, [1.0, 0.0]),
@@ -962,13 +981,13 @@ def test_simulate_selects_once_when_nothing_is_eligible(select_calls):
     )
     u0 = profile_from_sources("idle", ["mid"], catalog, L=2)
     traj = simulate(u0, catalog, _config(T=50))
-    assert len(select_calls) == 1
+    assert len(offer_calls) == 1
     assert [r.t for r in traj.steps] == list(range(50))
     assert all(r.recommended is None and r.q_u == 0.5 for r in traj.steps)
     assert traj.final.sources == ["mid"]
 
 
-def test_simulate_selects_once_per_profile_state(select_calls):
+def test_simulate_selects_once_per_profile_state(offer_calls):
     # an offer that is never accepted (cost 1.5) leaves one profile state
     hostile = SourceCatalog(
         [
@@ -978,38 +997,34 @@ def test_simulate_selects_once_per_profile_state(select_calls):
     )
     u0 = profile_from_sources("u", ["seed"], hostile, L=2)
     traj = simulate(u0, hostile, _config(T=10))
-    assert len(select_calls) == 1
+    assert len(offer_calls) == 1
     assert all(r.recommended == "hostile" and not r.accepted for r in traj.steps)
     # otherwise each accepted step makes a new state; no run here converges
     # (0.95 tops the catalog) or ends on an accepted step, so its last state
     # is selected for too
     catalog = _toy_catalog()
     for seed in range(10):
-        select_calls.clear()
+        offer_calls.clear()
         u0 = profile_from_sources("u", ["anchor", "weak"], catalog, L=2)
         traj = simulate(u0, catalog, _config(T=40, seed=seed))
         assert not traj.steps[-1].accepted
-        assert len(select_calls) == 1 + sum(r.accepted for r in traj.steps)
+        assert len(offer_calls) == 1 + sum(r.accepted for r in traj.steps)
 
 
-def test_simulate_all_makes_at_most_two_kernel_calls_per_step(select_calls, world_catalog, monkeypatch):
-    # every run of a 40-run batch needs an offer at step 0, and most again
-    # later; the lottery kernel runs once per step, not once per run
+def test_simulate_all_makes_at_most_two_kernel_calls_per_step(offer_calls, world_catalog, monkeypatch):
+    # every reader of a 40-reader batch needs an offer at step 0, and most
+    # again later; the lottery kernel runs once per step, not once per
+    # reader, and the nudged offers add at most one cost-kernel call to it
     from nudgesim.synthetic import WORLD_PERSONAS
 
     steps = []
     lotteries = nudge._lotteries
     monkeypatch.setattr(nudge, "_lotteries", lambda *args: steps.append(None) or lotteries(*args))
 
-    runs = [
-        (persona, SimConfig(T=30, seed=seed, mode=mode))
-        for seed in range(5)
-        for persona in WORLD_PERSONAS
-        for mode in ("constrained", "unconstrained")
-    ]
-    trajectories = nudge.simulate_all(runs, world_catalog)
-    assert sum(r.accepted for traj in trajectories for r in traj.steps) > 2 * len(runs)
-    assert len(select_calls) > 3 * len(runs)  # the teardown checks the kernel calls
+    readers = [dataclasses.replace(p, user_id=f"{p.user_id}-{k}") for k in range(10) for p in WORLD_PERSONAS]
+    trajectories = nudge.simulate_all(readers, world_catalog, SimConfig(T=30, seed=0))
+    assert sum(r.accepted for traj in trajectories for r in traj.steps) > 2 * len(readers)
+    assert len(offer_calls) > 3 * len(readers)  # the teardown checks the kernel calls
     assert len(steps) <= 30
 
 
@@ -1027,35 +1042,42 @@ def _outcome(traj):
 
 
 @pytest.fixture(scope="module")
-def world_runs(world_catalog):
-    """World personas x both modes x seeds and alphas, with runs of different
-    T and L in one batch, and each run's outcome when made alone."""
+def world_batches(world_catalog):
+    """One batch per config, over seeds and alphas, both modes and two T:
+    each world persona at its own L and at one more, and each reader's
+    outcome when run alone, as ``(config, readers, outcomes)``."""
     from nudgesim.synthetic import WORLD_PERSONAS
 
-    runs = [
-        (dataclasses.replace(persona, L=persona.L + (k + seed) % 2),
-         SimConfig(T=20 + 13 * k + seed % 7, seed=seed, alpha=alpha, mode=mode))
+    readers = [
+        dataclasses.replace(persona, user_id=f"{persona.user_id}-L{persona.L + extra}", L=persona.L + extra)
+        for persona in WORLD_PERSONAS
+        for extra in (0, 1)
+    ]
+    configs = [
+        SimConfig(T=T, seed=seed, alpha=alpha, mode=mode)
         for seed, alpha in [(0, 0.5), (7, 0.2), (2**40 + 3, 0.85)]
-        for k, persona in enumerate(WORLD_PERSONAS)
+        for T in (20, 47)
         for mode in ("constrained", "unconstrained")
     ]
-    return runs, [_outcome(simulate(u0, world_catalog, config)) for u0, config in runs]
+    return [
+        (config, readers, [_outcome(simulate(u0, world_catalog, config)) for u0 in readers]) for config in configs
+    ]
 
 
-def test_simulate_all_equals_each_run_alone(world_catalog, world_runs):
-    runs, alone = world_runs
-    assert len({(c.T, u0.L) for u0, c in runs}) > 4
-    assert [_outcome(traj) for traj in nudge.simulate_all(runs, world_catalog)] == alone
-    assert nudge.simulate_all([], world_catalog) == []
+def test_simulate_all_equals_each_run_alone(world_catalog, world_batches):
+    for config, readers, alone in world_batches:
+        assert len({u0.L for u0 in readers}) > 1
+        assert [_outcome(traj) for traj in nudge.simulate_all(readers, world_catalog, config)] == alone
+    assert nudge.simulate_all([], world_catalog, _config()) == []
 
 
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
-def test_simulate_all_is_independent_of_batch_order_and_make_up(world_catalog, world_runs, data):
-    runs, alone = world_runs
-    order = data.draw(st.permutations(range(len(runs))))
-    batch = order[: data.draw(st.integers(1, len(runs)))]
-    got = nudge.simulate_all([runs[j] for j in batch], world_catalog)
+def test_simulate_all_is_independent_of_batch_order_and_make_up(world_catalog, world_batches, data):
+    config, readers, alone = data.draw(st.sampled_from(world_batches))
+    order = data.draw(st.permutations(range(len(readers))))
+    batch = order[: data.draw(st.integers(1, len(readers)))]
+    got = nudge.simulate_all([readers[j] for j in batch], world_catalog, config)
     assert [_outcome(traj) for traj in got] == [alone[j] for j in batch]
 
 
@@ -1070,9 +1092,9 @@ def test_simulate_all_refuses_a_bad_id_or_a_string_set(user_id, sources, message
     # AttributeError or UnicodeEncodeError from the user's stream, nor read
     # as the set of the string's characters
     catalog = _toy_catalog()
-    runs = [(Persona("fine", ("weak",), 2), SimConfig(T=3, seed=0)), (Persona(user_id, sources, 2), SimConfig(T=3, seed=0))]
+    readers = [Persona("fine", ("weak",), 2), Persona(user_id, sources, 2)]
     with pytest.raises(ValueError) as caught:
-        nudge.simulate_all(runs, catalog)
+        nudge.simulate_all(readers, catalog, SimConfig(T=3, seed=0))
     assert (str(caught.value), caught.value.run) == (message, 1)
 
 
@@ -1084,16 +1106,15 @@ def test_persona_loader_and_simulate_all_refuse_a_user_id_alike(tmp_path, user_i
     with pytest.raises(ValueError) as loaded:
         load_personas(path)
     with pytest.raises(ValueError) as simulated:
-        nudge.simulate_all([(Persona(user_id, ("anchor",), 2), SimConfig(T=1, seed=0))], _toy_catalog())
+        nudge.simulate_all([Persona(user_id, ("anchor",), 2)], _toy_catalog(), SimConfig(T=1, seed=0))
     assert str(loaded.value) == f"{path}: persona #0: {simulated.value}"
 
 
-def test_simulate_all_names_the_run_that_cannot_start(world_catalog, world_runs):
-    runs, _ = world_runs
-    bad = Persona("ghost-reader", ("no-such-outlet",), 2)
-    batch = runs[:3] + [(bad, SimConfig(T=5, seed=0))] + runs[3:]
+def test_simulate_all_names_the_run_that_cannot_start(world_catalog, world_batches):
+    config, readers, _ = world_batches[0]
+    batch = readers[:3] + [Persona("ghost-reader", ("no-such-outlet",), 2)] + readers[3:]
     with pytest.raises(ValueError, match="^ghost-reader: unknown source 'no-such-outlet'$") as caught:
-        nudge.simulate_all(batch, world_catalog)
+        nudge.simulate_all(batch, world_catalog, config)
     assert caught.value.run == 3
 
 
@@ -1138,14 +1159,21 @@ def test_offers_match_exhaustive_argmin_on_hostile_catalogs(data):
         trusted_sets = data.draw(st.lists(
             st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=3, unique=True), min_size=1, max_size=6
         ))
-        alphas = [data.draw(st.none() | st.floats(0.01, 0.99)) for _ in trusted_sets]
+        pool = data.draw(st.lists(st.none() | st.floats(0.01, 0.99), min_size=1, max_size=2))
+        alphas = [data.draw(st.sampled_from(pool)) for _ in trusted_sets]
     catalog = SourceCatalog(_source(f"s{i:02d}", q, l, v) for i, (q, l, v) in enumerate(rows))
     ids = catalog.ids()
     profiles = [profile_from_sources("u", [ids[i] for i in t], catalog, 3) for t in trusted_sets]
     expected = [_exhaustive_row(u, catalog, alpha) for u, alpha in zip(profiles, alphas)]
-    assert nudge._offers(_rows_of(profiles, catalog), catalog, alphas) == expected
+    got = [None] * len(profiles)
+    for alpha in dict.fromkeys(alphas):  # one call per alpha
+        group = [i for i, a in enumerate(alphas) if a == alpha]
+        offers = nudge._offers(_rows_of([profiles[i] for i in group], catalog), catalog, alpha)
+        for i, row in zip(group, offers, strict=True):
+            got[i] = row
+    assert got == expected
     # each offer is the one the profile gets alone
-    assert [nudge._offers(_rows_of([u], catalog), catalog, [a])[0] for u, a in zip(profiles, alphas)] == expected
+    assert [nudge._offers(_rows_of([u], catalog), catalog, a)[0] for u, a in zip(profiles, alphas)] == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -1166,7 +1194,8 @@ def test_cost_kernel_is_the_scalar_formula_bit_for_bit(data):
         trusted_sets = data.draw(st.lists(
             st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=3, unique=True), min_size=1, max_size=6
         ))
-        alphas = [data.draw(st.floats(0.01, 0.99)) for _ in trusted_sets]
+        pool = data.draw(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=2))
+        alphas = [data.draw(st.sampled_from(pool)) for _ in trusted_sets]
         pairs = data.draw(st.lists(
             st.tuples(st.integers(0, len(trusted_sets) - 1), st.integers(0, len(rows) - 1)),
             min_size=1, max_size=24,
@@ -1176,12 +1205,14 @@ def test_cost_kernel_is_the_scalar_formula_bit_for_bit(data):
     norms = [np.linalg.norm(catalog[s].vector) for s in ids]
     assert catalog.norms.tobytes() == np.array(norms).tobytes()
     profiles = [profile_from_sources("u", [ids[i] for i in t], catalog, 3) for t in trusted_sets]
-    owners, picked = (np.array(column) for column in zip(*pairs))
     rows = _rows_of(profiles, catalog)
-    costs = nudge._costs(rows.l_u, rows.v_u, alphas, owners, picked, catalog)
-    expected = [_scalar_cost(catalog[ids[r]], profiles[o].l_u, profiles[o].v_u, alphas[o]) for o, r in pairs]
-    # repr tells -0.0 from 0.0 and a numpy scalar from a float
-    assert [repr(c) for c in costs] == [repr(c) for c in expected]
+    for alpha in dict.fromkeys(alphas[o] for o, _ in pairs):  # one call per alpha
+        group = [(o, r) for o, r in pairs if alphas[o] == alpha]
+        owners, picked = (np.array(column) for column in zip(*group))
+        costs = nudge._costs(rows.l_u, rows.v_u, alpha, owners, picked, catalog)
+        expected = [_scalar_cost(catalog[ids[r]], profiles[o].l_u, profiles[o].v_u, alpha) for o, r in group]
+        # repr tells -0.0 from 0.0 and a numpy scalar from a float
+        assert [repr(c) for c in costs] == [repr(c) for c in expected]
 
 
 def test_profile_mean_without_direction_is_at_distance_one():
@@ -1242,9 +1273,9 @@ def test_trusted_set_rule_refuses_a_limit_that_is_not_an_int(limit):
         profile_from_sources("u", ["anchor"], catalog, limit)
     with pytest.raises(ValueError, match=message):
         drop_distribution(_profile(["anchor", "cheap"], limit, 0.45, 0.0, [1.0, 0.0]), catalog["top"], catalog, ALPHA)
-    runs = [(Persona("a", ("anchor",), 10**30), _config()), (Persona("u", ("cheap",), limit), _config())]
+    readers = [Persona("a", ("anchor",), 10**30), Persona("u", ("cheap",), limit)]
     with pytest.raises(ValueError, match=message) as caught:
-        nudge.simulate_all(runs, catalog)
+        nudge.simulate_all(readers, catalog, _config())
     assert caught.value.run == 1
 
 

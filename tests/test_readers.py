@@ -2,6 +2,7 @@
 OSError naming the path: no other exception, and no message without the
 file it is about."""
 
+import re
 import shutil
 
 import numpy as np
@@ -116,6 +117,33 @@ def test_bad_byte_after_byte_order_mark_names_its_offset_in_the_file(tmp_path):
     with pytest.raises(ValueError) as exc:
         read_scores_csv(path)
     assert str(exc.value) == f"{path}:1: byte 0xff at offset 13 is not UTF-8"
+
+
+# ---------------------------------------------------------------- line numbers
+
+
+def test_csv_names_the_line_where_a_record_starts(tmp_path):
+    # a quoted field may hold a line break, so a record may span lines: the
+    # line named is the record's first, for a bad field and for csv.Error
+    header = "source,quality,leaning,provenance\n"
+    text = header + '"a\nb",0.5,0.0,labeled\nc,2.0,0.0,labeled\n'
+    assert _refused(tmp_path, "scores.csv", text, read_scores_csv) == "PATH:4: quality 2.0 outside [0, 1]"
+    text = header + '"a\nb",0.5,0.0,labeled\n"c\n' + "x" * 140_000 + '",0.5,0.0,labeled\n'
+    assert _refused(tmp_path, "scores.csv", text, read_scores_csv).startswith("PATH:4: field larger than field limit")
+
+
+def test_bad_byte_names_the_line_every_reader_counts(tmp_path):
+    # load_graph splits lines at \n, \r\n and \r; a byte that is not UTF-8
+    # is named on the same line as any other fault there
+    path = tmp_path / "csn.tsv"
+    lines = ["#csn v1", "#node\ta\t2", "#node\tb\t4", "#node\tc\t1"]
+    for newline in ("\n", "\r\n", "\r"):
+        path.write_bytes(newline.join([*lines, "a\tb\t2\t0_5", ""]).encode())
+        with pytest.raises(ValueError, match="^[^:]*:5: malformed line"):
+            load_graph(path)
+        path.write_bytes(newline.join([*lines, "a\tb\t2\t0.5\udcff", ""]).encode("utf-8", "surrogateescape"))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:5: byte 0xff at offset"):
+            load_graph(path)
 
 
 # ---------------------------------------------------------------- number text
