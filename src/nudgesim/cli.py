@@ -25,8 +25,8 @@ import json
 import logging
 import math
 import os
-import re
 import sys
+import urllib.parse
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -34,8 +34,10 @@ from . import corpus, embedding, graph, groundtruth, nudge, svgplot
 
 log = logging.getLogger("nudgesim")
 
-_SAFE_NAME = re.compile(r"[^A-Za-z0-9_.-]+")
 _MAX_FILE_NAME = 255  # bytes in one path component on common file systems
+# the part of a persona's file names that names it: its id, each UTF-8 byte outside
+# A-Z a-z 0-9 _ . - ~ written %XX, so distinct ids give distinct names
+file_stem = functools.partial(urllib.parse.quote, safe="")
 
 
 def _number(convert: Callable[[str], Any], ok: Callable[[Any], bool], rule: str):
@@ -267,19 +269,11 @@ def cmd_embed(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     personas = nudge.load_personas(args.personas)
-    stems: dict[str, str] = {}  # stem -> user id, one per persona in persona order
-    for persona in personas:
-        stem = _SAFE_NAME.sub("_", persona.user_id)  # ASCII, so characters are bytes
-        if len(f"trajectory_{stem}_unconstrained.csv") > _MAX_FILE_NAME:
+    for persona in personas:  # a stem is ASCII, so its characters are bytes
+        if len(f"trajectory_{file_stem(persona.user_id)}_unconstrained.csv") > _MAX_FILE_NAME:
             raise ValueError(
                 f"{args.personas}: persona {persona.user_id!r} would write file names "
                 f"over {_MAX_FILE_NAME} bytes"
-            )
-        other = stems.setdefault(stem, persona.user_id)
-        if other != persona.user_id:
-            raise ValueError(
-                f"{args.personas}: personas {other!r} and {persona.user_id!r} "
-                f"would write the same output files ({stem!r})"
             )
     scores = groundtruth.read_scores_csv(args.scores)
     vectors = embedding.load_vectors(args.vectors)
@@ -300,9 +294,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     runs = list(zip(*batches))  # per persona, one run per mode
 
     lines = []  # printed once every output is in place
-    for stem, run in zip(stems, runs):
+    for run in runs:
         for m, traj in zip(modes, run):
-            nudge.write_trajectory_csv(traj, out_dir / f"trajectory_{stem}_{m}.csv")
+            nudge.write_trajectory_csv(traj, out_dir / f"trajectory_{file_stem(traj.user_id)}_{m}.csv")
             where = traj.convergence_point
             lines.append(
                 f"user={traj.user_id} mode={m} "

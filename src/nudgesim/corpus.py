@@ -52,10 +52,9 @@ _ASCII_TABLE = bytes(
 ) + bytes(range(128, 256))
 # splits a field or a line of pairs.tsv and csn.tsv
 _TSV_BREAK_RE = re.compile(r"[\t\r\n]")
-# a lone surrogate (a JSON escape such as "\ud800") cannot be written as UTF-8
-_SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
-# the number text parse_number takes
+# the number text parse_number takes, and a row of it, one number per tab-separated field
 _NUMBER_TEXT_RE = re.compile(r"(?!\+)[\x21-\x5e\x60-\x7e]*")
+_NUMBER_ROW_RE = re.compile(rf"{_NUMBER_TEXT_RE.pattern}(?:\t{_NUMBER_TEXT_RE.pattern})*")
 
 # the timestamps parse_timestamp reads: the extended forms that
 # datetime.fromisoformat takes on every supported Python, plus a trailing Z
@@ -152,6 +151,22 @@ def parse_number(text: str, kind=float):
     return kind(text)
 
 
+def parse_floats(fields: list[str]) -> list[float]:
+    """:func:`parse_number` of each field, the text rule checked in one match over the row."""
+    if _NUMBER_ROW_RE.fullmatch("\t".join(fields)):
+        return list(map(float, fields))
+    return [parse_number(text) for text in fields]  # a field breaks the rule: the first bad one raises
+
+
+def lone_surrogate(text: str) -> int | None:
+    """The index of the first lone surrogate in ``text``, which UTF-8 cannot encode, or None."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return exc.start
+    return None
+
+
 def check_source_name(name: str) -> None:
     """Reject a source name that ``pairs.tsv`` and ``csn.tsv`` cannot hold
     and read back: one that is not a string, an empty name, one starting
@@ -161,7 +176,7 @@ def check_source_name(name: str) -> None:
         raise ValueError(f"source {name!r} is not a string but {type(name).__name__}")
     if not name or name.startswith("#") or _TSV_BREAK_RE.search(name):
         raise ValueError(f"source {name!r} is empty, starts with '#' or holds a tab or line break")
-    if _SURROGATE_RE.search(name):
+    if lone_surrogate(name) is not None:
         raise ValueError(f"source {name!r} holds a lone surrogate, which is not UTF-8")
 
 
@@ -175,7 +190,7 @@ def _article_from_record(record: dict) -> Article:
     article_id, source_id = str(record["id"]), str(record["source"])
     if not article_id or _TSV_BREAK_RE.search(article_id):
         raise ValueError(f"article id {article_id!r} is empty or holds a tab or line break")
-    if _SURROGATE_RE.search(article_id):
+    if lone_surrogate(article_id) is not None:
         raise ValueError(f"{article_id!r} holds a lone surrogate, which is not UTF-8")
     check_source_name(source_id)
     body = str(record["content"])
@@ -188,19 +203,6 @@ def _article_from_record(record: dict) -> Article:
         body=body,
         published_at=parse_timestamp(str(record["published_at"])),
     )
-
-
-def _check_decoded(line: str) -> None:
-    """Raise ValueError naming the first byte of ``line`` that was not UTF-8.
-
-    The line was read with ``errors="surrogateescape"``, which decodes such
-    a byte to a lone surrogate, and only those fail to encode back.
-    """
-    try:
-        line.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        byte = ord(line[exc.start]) - 0xDC00
-        raise ValueError(f"byte 0x{byte:02x} at character {exc.start} is not UTF-8") from None
 
 
 def read_utf8(path, newline: str | None = None) -> io.StringIO:
@@ -318,7 +320,8 @@ def load_articles(path) -> ArticleSet:
             if not line.strip():
                 continue
             try:
-                _check_decoded(line)
+                if (at := lone_surrogate(line)) is not None:  # surrogateescape's stand-in for a non-UTF-8 byte
+                    raise ValueError(f"byte 0x{ord(line[at]) - 0xDC00:02x} at character {at} is not UTF-8")
                 record = json.loads(line)
                 if not isinstance(record, dict):
                     raise ValueError("line is not a JSON object")

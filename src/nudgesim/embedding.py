@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csc_matrix
 
-from .corpus import check_source_name, parse_number, read_utf8, write_text
+from .corpus import check_source_name, parse_floats, read_utf8, write_text
 from .graph import CsnGraph
 
 VECTORS_HEADER = "#vectors v1"
@@ -74,14 +74,16 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def check_shape(source_id: str, vector) -> int:
-    """The one shape rule for a source vector: one dimension (by ``np.shape``,
-    so a list is checked too) of 1 component or more, whose count it returns."""
+def check_shape(source_id: str, vector, dims: int | None = None) -> int:
+    """The one shape rule for a source vector: one dimension (by ``np.shape``, so
+    a list is checked too) of 1 component or more, ``dims`` if given; returns the count."""
     shape = np.shape(vector)
     if len(shape) != 1:
         raise ValueError(f"vector for {source_id!r} has shape {shape}, not one dimension")
     if not shape[0]:
         raise ValueError(f"no components for {source_id!r}")
+    if dims is not None and shape[0] != dims:
+        raise ValueError(f"vector for {source_id!r} has {shape[0]} components, expected {dims}")
     return shape[0]
 
 
@@ -456,8 +458,7 @@ def save_vectors(vectors: SourceVectors, path) -> None:
         raise ValueError("nothing to write: no vectors")
     for node, row in vectors.vectors.items():
         check_source_name(node)
-        if check_shape(node, row) != vectors.dims:
-            raise ValueError(f"{node!r}: vector shape {np.shape(row)} != ({vectors.dims},)")
+        check_shape(node, row, vectors.dims)
     matrix = check_vectors(list(vectors.vectors), list(vectors.vectors.values()))
     rows = (node + "\t" + "\t".join(map(str, row)) + "\n" for node, row in sorted(zip(vectors.vectors, matrix.tolist())))
     write_text(path, header + "\n" + "".join(rows))
@@ -479,21 +480,24 @@ def _read_header(fh) -> dict[str, str]:
             raise ValueError(f"repeated parameter {key!r}")
         params[key] = value
     dims = params.get("dims", "1")
-    if not (dims.isascii() and dims.isdecimal() and dims[0] != "0"):  # str(n) of an int n >= 1
-        raise ValueError(f"dims must be a positive integer, got {dims!r}")
+    try:  # str(n) of an int n >= 1, in no more digits than int() converts
+        if not (dims.isascii() and dims.isdecimal() and dims[0] != "0" and int(dims)):
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"dims must be a positive integer, got {dims!r}") from None
     return params
 
 
 def load_vectors(path) -> SourceVectors:
     """The :func:`_read_header` parameters and vectors of ``path``, in two passes,
-    the first fault raising ValueError naming its line: each row's id, components
-    (as many as ``dims`` or the first row's) and repeat, then :func:`check_vectors`."""
+    the first fault raising ValueError naming its line: each row's id, :func:`check_shape`
+    (of ``dims`` or the first row's length) and repeat, then :func:`check_vectors`."""
     with read_utf8(path) as fh:
         try:
             params = _read_header(fh)
         except ValueError as exc:
             raise ValueError(f"{path}:1: {exc}") from None
-        dims, vectors, linenos = params.get("dims"), {}, []  # dims stays text, which no int() can refuse
+        dims, vectors, linenos = int(params["dims"]) if "dims" in params else None, {}, []
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
@@ -501,11 +505,8 @@ def load_vectors(path) -> SourceVectors:
             node, *fields = line.split("\t")
             try:
                 check_source_name(node)
-                row = np.array([parse_number(x) for x in fields], dtype=float)
-                check_shape(node, row)
-                dims = dims or str(len(row))
-                if str(len(row)) != dims:
-                    raise ValueError(f"expected {dims} components, got {len(row)}")
+                row = np.array(parse_floats(fields))
+                dims = check_shape(node, row, dims)
                 if node in vectors:
                     raise ValueError(f"duplicate source {node!r}")
             except ValueError as exc:
@@ -518,4 +519,4 @@ def load_vectors(path) -> SourceVectors:
         check_vectors(list(vectors), list(vectors.values()))
     except ValueError as exc:
         raise ValueError(f"{path}:{linenos[exc.row]}: {exc}") from None
-    return SourceVectors(dims=int(dims), vectors=vectors, params=params)
+    return SourceVectors(dims=dims, vectors=vectors, params=params)

@@ -25,13 +25,14 @@ import itertools
 import json
 import math
 from bisect import bisect_right
+from collections.abc import Collection
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .corpus import read_json, write_csv, write_text
+from .corpus import check_source_name, lone_surrogate, read_json, write_csv, write_text
 from .embedding import NO_DIRECTION_NORM, SEED_MASK, SourceVectors, check_shape, check_vectors, row_dots
 from .groundtruth import SourceScore, check_score
 
@@ -69,22 +70,20 @@ class SourceCatalog:
 
     def __init__(self, sources) -> None:
         """The catalog of ``sources``, checked in two passes, the first fault
-        raising ValueError: each source's :func:`check_score` fields,
-        :func:`check_shape`, repeat and length other than the first source's,
-        then one :func:`check_vectors` call over all vectors."""
+        raising ValueError: each source's :func:`check_source_name` id,
+        :func:`check_score` fields, :func:`check_shape` (as long as the first
+        vector) and repeat, then one :func:`check_vectors` call over all vectors."""
         sources = list(sources)
         if not sources:
             raise ValueError("catalog must contain at least one source")
         position, dims = {}, None
         for i, (source_id, quality, leaning, vector) in enumerate(sources):
+            check_source_name(source_id)
             check_score("quality", quality, f"{source_id}: ")
             check_score("leaning", leaning, f"{source_id}: ")
-            length = check_shape(source_id, vector)
-            dims = dims or length  # the first source's, which is at least 1
+            dims = check_shape(source_id, vector, dims)
             if position.setdefault(source_id, i) != i:
                 raise ValueError(f"duplicate source {source_id!r}")
-            if length != dims:
-                raise ValueError(f"{source_id}: vector has {length} dims, expected {dims}")
         ids, quality, leaning, vectors = zip(*sources)
         matrix = check_vectors(ids, vectors)
         self._ids = sorted(position)
@@ -177,8 +176,8 @@ def _start_rows(user_ids, trusted_sets, catalog: SourceCatalog, limits) -> _Rows
     as wide as the largest limit clamped to the catalog size. Every set is
     first held to the one rule for a trusted set, the first broken part
     raising ValueError with the set's position as its ``run`` attribute: a
-    user id that is a non-empty string UTF-8 can encode, a collection of ids
-    that is not one string, non-empty, no repeats, an int limit (not a bool)
+    user id that is a non-empty string UTF-8 can encode, a sized collection
+    of string ids, not one string, non-empty, no repeats, an int limit (not a bool)
     of at least 1, no more sources than the limit, only catalog sources (the
     first unknown one named in ``str`` order)."""
     for position, (user_id, sources, limit) in enumerate(zip(user_ids, trusted_sets, limits)):
@@ -187,6 +186,8 @@ def _start_rows(user_ids, trusted_sets, catalog: SourceCatalog, limits) -> _Rows
             prefix = ""
         elif isinstance(sources, str):
             problem = f"trusted set must be a collection of source ids, got the string {sources!r}"
+        elif not isinstance(sources, Collection) or not all(isinstance(s, str) for s in sources):
+            problem = f"trusted set must be a collection of source ids, got {sources!r}"
         elif not sources:
             problem = "trusted set must be non-empty"
         elif len(sources) != len(set(sources)):
@@ -199,7 +200,7 @@ def _start_rows(user_ids, trusted_sets, catalog: SourceCatalog, limits) -> _Rows
             problem = f"{len(sources)} trusted sources exceed limit {limit}"
         else:
             unknown = [s for s in sources if s not in catalog]
-            problem = f"unknown source {min(unknown, key=str)!r}" if unknown else None
+            problem = f"unknown source {min(unknown)!r}" if unknown else None
         if problem:
             exc = ValueError(prefix + problem)
             exc.run = position
@@ -216,7 +217,7 @@ def _start_rows(user_ids, trusted_sets, catalog: SourceCatalog, limits) -> _Rows
 def _user_id_problem(user_id) -> str | None:
     """What is wrong with ``user_id``, which seeds its stream (:func:`rng_for_user`),
     or None for a non-empty string that UTF-8 can encode (no lone surrogate)."""
-    if not isinstance(user_id, str) or not user_id or any("\ud800" <= c <= "\udfff" for c in user_id):
+    if not isinstance(user_id, str) or not user_id or lone_surrogate(user_id) is not None:
         return f"user_id must be a non-empty string that UTF-8 can encode, got {user_id!r}"
     return None
 

@@ -681,7 +681,7 @@ def test_simulate_both_mode_writes_comparison(tmp_path, capsys, world_dir):
         user = persona["user_id"]
         costs = {}
         for mode in ("constrained", "unconstrained"):
-            path = out / f"trajectory_{cli._SAFE_NAME.sub('_', user)}_{mode}.csv"
+            path = out / f"trajectory_{cli.file_stem(user)}_{mode}.csv"
             with open(path, encoding="utf-8", newline="") as fh:
                 costs[mode] = [row["trust_cost"] for row in csv.DictReader(fh)]
         assert len(costs["constrained"]) == 40
@@ -735,7 +735,7 @@ def _simulate_files(out) -> set[str]:
 def _expected_files(summary: list[dict], mode: str) -> set[str]:
     """What simulate writes: one trajectory CSV per run in ``summary``, the
     summary and the quality chart, and the comparison under ``both``."""
-    runs = {f"trajectory_{cli._SAFE_NAME.sub('_', e['user_id'])}_{e['config']['mode']}.csv" for e in summary}
+    runs = {f"trajectory_{cli.file_stem(e['user_id'])}_{e['config']['mode']}.csv" for e in summary}
     extra = {"comparison.csv"} if mode == "both" else set()
     return runs | {"summary.json", "quality.svg"} | extra
 
@@ -866,27 +866,54 @@ def test_simulate_bad_persona_field_exits_1(tmp_path, capsys, world_dir, entry, 
     assert not (tmp_path / "sim").exists()
 
 
-def test_simulate_colliding_file_names_exit_1_before_writing(tmp_path, capsys, world_dir):
+def test_simulate_gives_each_persona_its_own_files(tmp_path, capsys, world_dir):
+    # ids that a lossy rewrite would merge ("x/y" and "x_y") or that hold
+    # non-ASCII text each run into files of their own
+    world = json.loads((world_dir / "personas.json").read_text(encoding="utf-8"))
+    ids = ["x/y", "x_y", "caf\u00e9 au lait"]
+    personas = tmp_path / "personas.json"
+    personas.write_text(json.dumps([dict(world[0], user_id=u) for u in ids]), encoding="utf-8")
+    inputs = [str(personas), str(world_dir / "scores.csv"), str(world_dir / "vectors.tsv")]
+    out = tmp_path / "sim"
+    code, _, stderr = _run(capsys, ["simulate", *inputs, "--T", "5", "--mode", "both", "--out-dir", str(out)])
+    assert code == 0, stderr
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert _simulate_files(out) == _expected_files(summary, "both")
+    assert {"trajectory_x%2Fy_constrained.csv", "trajectory_x_y_constrained.csv",
+            "trajectory_caf%C3%A9%20au%20lait_constrained.csv"} <= _simulate_files(out)
+    for entry in summary:
+        trajectory = out / f"trajectory_{cli.file_stem(entry['user_id'])}_{entry['config']['mode']}.csv"
+        with open(trajectory, encoding="utf-8", newline="") as fh:
+            assert len(list(csv.DictReader(fh))) == entry["config"]["T"] == 5
+
+
+@settings(max_examples=300, deadline=None)
+@given(ids=st.lists(st.text(min_size=1), min_size=2, max_size=2, unique=True),
+       plain=st.from_regex(r"[A-Za-z0-9_.-]+", fullmatch=True))
+def test_file_stem_is_lossless_and_keeps_plain_ids(ids, plain):
+    # distinct ids (text UTF-8 can encode, as a persona's id is) give
+    # distinct file names, and an id made only of [A-Za-z0-9_.-], as every
+    # bundled, golden and benchmark id is, keeps its name; every stem is
+    # ASCII with no path separator, so its length is its size in bytes
+    stems = [cli.file_stem(u) for u in ids]
+    assert stems[0] != stems[1]
+    assert all(stem.isascii() and "/" not in stem for stem in stems)
+    assert cli.file_stem(plain) == plain
+
+
+def test_simulate_overlong_file_names_exit_1_before_writing(tmp_path, capsys, world_dir):
+    # the last persona's file names exceed 255 bytes
     world = json.loads((world_dir / "personas.json").read_text(encoding="utf-8"))
     long_id = "x" * 300
-    cases = [
-        # "x/y" and "x_y" both map to trajectory_x_y_<mode>.csv
-        ([{"user_id": u, "sources": ["valley-voice"], "L": 2} for u in ("x/y", "x_y")],
-         "personas 'x/y' and 'x_y' would write the same output files"),
-        # the last persona's file names exceed 255 bytes
-        (world + [dict(world[0], user_id=long_id)],
-         f"persona {long_id!r} would write file names over 255 bytes"),
-    ]
-    for entries, message in cases:
-        personas = tmp_path / "personas.json"
-        personas.write_text(json.dumps(entries), encoding="utf-8")
-        inputs = [str(personas), str(world_dir / "scores.csv"), str(world_dir / "vectors.tsv")]
-        argv = ["simulate", *inputs, "--T", "5", "--out-dir", str(tmp_path / "sim")]
-        code, stdout, stderr = _run(capsys, argv)
-        assert code == 1
-        assert f"{personas}: {message}" in stderr
-        assert "user=" not in stdout
-        assert not (tmp_path / "sim").exists()
+    personas = tmp_path / "personas.json"
+    personas.write_text(json.dumps(world + [dict(world[0], user_id=long_id)]), encoding="utf-8")
+    inputs = [str(personas), str(world_dir / "scores.csv"), str(world_dir / "vectors.tsv")]
+    argv = ["simulate", *inputs, "--T", "5", "--out-dir", str(tmp_path / "sim")]
+    code, stdout, stderr = _run(capsys, argv)
+    assert code == 1
+    assert f"{personas}: persona {long_id!r} would write file names over 255 bytes" in stderr
+    assert "user=" not in stdout
+    assert not (tmp_path / "sim").exists()
 
 
 def test_simulate_limit_override(tmp_path, capsys, world_dir):

@@ -228,6 +228,49 @@ def test_load_articles_skips_malformed_lines(tmp_path, caplog):
     assert sum("skipping malformed line" in r.message for r in caplog.records) == 6
 
 
+def test_load_articles_names_what_utf8_cannot_hold(tmp_path, caplog):
+    # one lone-surrogate test serves a byte that is not UTF-8, which the
+    # reader decodes to a lone surrogate, and an id or a source that a JSON
+    # escape makes one; each line is skipped with its own message
+    path = tmp_path / "articles.jsonl"
+    bad_byte = json.dumps(_record("a2", content="xQy")).encode().replace(b"Q", b"\xff")
+    lines = [json.dumps(_record("a1")).encode(), bad_byte,
+             json.dumps(_record("\ud800")).encode(), json.dumps(_record("a4", source="s\udfff")).encode()]
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    at = bad_byte.index(b"\xff")  # every byte before it is ASCII, one character each
+    with caplog.at_level("WARNING", logger="nudgesim.corpus"):
+        result = corpus.load_articles(path)
+    assert [a.article_id for a in result.articles] == ["a1"]
+    assert [r.getMessage().removeprefix(f"{path}:") for r in caplog.records] == [
+        f"2: skipping malformed line (byte 0xff at character {at} is not UTF-8)",
+        "3: skipping malformed line ('\\ud800' holds a lone surrogate, which is not UTF-8)",
+        "4: skipping malformed line (source 's\\udfff' holds a lone surrogate, which is not UTF-8)",
+    ]
+
+
+@given(text=st.text(st.sampled_from("a\u00e9\ud7ff\ud800\udbff\udc00\udfff\ue000\U0001f600")))
+def test_lone_surrogate_is_the_first_surrogate_code_point(text):
+    expected = next((i for i, c in enumerate(text) if "\ud800" <= c <= "\udfff"), None)
+    assert corpus.lone_surrogate(text) == expected
+
+
+_NUMBER_FIELDS = st.lists(st.sampled_from(["1.0", "-0.5", "1e+20", "nan", "-inf", "0", "", "1_0", "+2", " 2", "2 ",
+                                           "nope", "\u0662", "0x1p3", "1e400"]), max_size=5)
+
+
+@given(fields=_NUMBER_FIELDS)
+def test_parse_floats_is_parse_number_on_each_field(fields):
+    # the one match over a row gives what parse_number gives field by field:
+    # the same floats, or the first bad field's error
+    def outcome(parse):
+        try:
+            return [x.hex() for x in parse()]
+        except ValueError as exc:
+            return str(exc)
+
+    assert outcome(lambda: corpus.parse_floats(fields)) == outcome(lambda: [corpus.parse_number(f) for f in fields])
+
+
 def test_load_articles_duplicate_id_is_fatal(tmp_path):
     path = tmp_path / "articles.jsonl"
     _write_jsonl(path, [_record("a1"), _record("a1")])

@@ -594,7 +594,11 @@ def test_vectors_file_errors(tmp_path):
     with pytest.raises(ValueError, match=":2:"):
         load_vectors(path)
     path.write_text("#vectors v1\tdims=2\na\t1.0\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="expected 2 components"):
+    with pytest.raises(ValueError, match=r":2: vector for 'a' has 1 components, expected 2$"):
+        load_vectors(path)
+    # a dims of more digits than int() converts is refused with the header
+    path.write_text("#vectors v1\tdims=" + "1" * 5000 + "\na\t1.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r":1: dims must be a positive integer, got '1111"):
         load_vectors(path)
     # a blank line is skipped, but still counted in the line numbers
     path.write_text("#vectors v1\tdims=2\na\t1.0\t0.5\n\nb\t1.0\tnope\n", encoding="utf-8")
@@ -644,7 +648,7 @@ def test_save_vectors_checks_shapes(tmp_path):
     # sort compares it
     path = tmp_path / "vectors.tsv"
     for vectors, match in [
-        ({"a": np.zeros(2)}, "shape"),
+        ({"a": np.zeros(2)}, r"^vector for 'a' has 2 components, expected 3$"),
         ({"a\tb": np.zeros(3)}, "tab or line break"),
         ({"a\nb": np.zeros(3)}, "tab or line break"),
         ({"#x": np.zeros(3)}, "starts with '#'"),
@@ -667,7 +671,7 @@ def test_save_vectors_checks_each_row_by_the_shape_rule(tmp_path):
     save_vectors(SourceVectors(dims=2, vectors={"a": [3.0, 4.0], "b": np.array([True, False])}), path)
     assert path.read_text(encoding="utf-8") == "#vectors v1\na\t3.0\t4.0\nb\t1.0\t0.0\n"
     for row, match in [
-        ([1.0, 2.0, 3.0], r"^'a': vector shape \(3,\) != \(2,\)$"),
+        ([1.0, 2.0, 3.0], r"^vector for 'a' has 3 components, expected 2$"),
         (np.eye(2), r"^vector for 'a' has shape \(2, 2\), not one dimension$"),
         (np.zeros(0), r"^no components for 'a'$"),
     ]:
@@ -701,7 +705,7 @@ def _refusal(source_id, vector):
 
 @settings(max_examples=200, deadline=None)
 @given(picks=st.lists(st.integers(0, len(_RULE_ROWS) - 1), min_size=1, max_size=8))
-def test_check_vectors_is_check_vector_on_each_row(picks):
+def test_check_vectors_refuses_the_rows_the_scalar_oracle_refuses(picks):
     # the matrix check refuses a matrix exactly when the scalar oracle
     # _refusal refuses a row of it, with that first row's message and index,
     # and its v·v is np.dot's to the bit
@@ -726,7 +730,7 @@ def test_load_vectors_names_the_first_bad_line(tmp_path):
     path = tmp_path / "vectors.tsv"
     for later, match in [
         ("a\t2.0\t0.0", "duplicate source 'a'"), ("d\tnope\t1.0", "could not convert"),
-        ("d\t1.0", "expected 2 components, got 1"), ("#d\t1.0\t1.0", "source '#d' is empty"),
+        ("d\t1.0", "vector for 'd' has 1 components, expected 2"), ("#d\t1.0\t1.0", "source '#d' is empty"),
     ]:
         path.write_text(f"#vectors v1\na\t1.0\t0.5\nb\tnan\t1.0\nc\t0.0\t0.0\n{later}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=rf"^[^:]*vectors\.tsv:5: {match}"):
@@ -736,7 +740,7 @@ def test_load_vectors_names_the_first_bad_line(tmp_path):
     with pytest.raises(ValueError, match=r"^[^:]*vectors\.tsv:3: non-finite vector norm for 'b'$"):
         load_vectors(path)
     # a line's own wrong length or repeat is named before its bad vector
-    for later, match in (("d\tinf", "expected 2 components, got 1"), ("a\tinf\t1.0", "duplicate source 'a'")):
+    for later, match in (("d\tinf", "vector for 'd' has 1 components, expected 2"), ("a\tinf\t1.0", "duplicate source 'a'")):
         path.write_text(f"#vectors v1\na\t1.0\t0.5\n{later}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f":3: {match}$"):
             load_vectors(path)
@@ -746,7 +750,7 @@ def test_save_vectors_names_the_first_bad_row(tmp_path):
     # every row's own name and shape are checked before any vector
     path = tmp_path / "vectors.tsv"
     for later, match in [
-        ({"c": np.zeros(2)}, r"^'c': vector shape \(2,\) != \(3,\)$"),
+        ({"c": np.zeros(2)}, r"^vector for 'c' has 2 components, expected 3$"),
         ({"#c": np.zeros(3)}, r"^source '#c' is empty, starts with '#'"),
         ({"c": np.full(3, 1e-300)}, r"^non-finite vector norm for 'b'$"),
     ]:
@@ -755,5 +759,5 @@ def test_save_vectors_names_the_first_bad_row(tmp_path):
             save_vectors(SourceVectors(dims=3, vectors=vectors), path)
         assert not path.exists()
     # a row's own bad name or shape is named before its vector
-    with pytest.raises(ValueError, match=r"^'b': vector shape \(2,\) != \(3,\)$"):
+    with pytest.raises(ValueError, match=r"^vector for 'b' has 2 components, expected 3$"):
         save_vectors(SourceVectors(dims=3, vectors={"a": np.ones(3), "b": np.full(2, math.nan)}), path)

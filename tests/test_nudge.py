@@ -176,7 +176,7 @@ def _toy_catalog():
 def test_catalog_validation():
     with pytest.raises(ValueError, match="duplicate"):
         SourceCatalog([_source("a", 0.5, 0.0, [1.0]), _source("a", 0.6, 0.0, [1.0])])
-    with pytest.raises(ValueError, match="dims"):
+    with pytest.raises(ValueError, match=r"^vector for 'b' has 2 components, expected 1$"):
         SourceCatalog([_source("a", 0.5, 0.0, [1.0]), _source("b", 0.6, 0.0, [1.0, 2.0])])
     with pytest.raises(ValueError, match="at least one"):
         SourceCatalog([])
@@ -235,6 +235,18 @@ def test_source_vector_is_one_dimension_of_one_component_or_more(vector, message
         SourceCatalog.from_scores(scores, SourceVectors(dims=2, vectors={"a": vector}))
 
 
+@pytest.mark.parametrize("source_id, message", [
+    (1, r"^source 1 is not a string but int$"),
+    (["a"], r"^source \['a'\] is not a string but list$"),
+    ("#b", r"^source '#b' is empty, starts with '#'"),
+], ids=["int", "list", "comment"])
+def test_catalog_holds_each_id_to_the_source_name_rule(source_id, message):
+    # the rule of csn.tsv and vectors.tsv, as ValueError before the catalog
+    # hashes or sorts an id, not as TypeError from either
+    with pytest.raises(ValueError, match=message):
+        SourceCatalog([Source("a", 0.5, 0.0, [1.0]), Source(source_id, 0.5, 0.0, [1.0])])
+
+
 def test_source_vector_may_be_a_list():
     catalog = SourceCatalog([Source("a", 0.5, 0.0, [3.0, 4.0]), Source("b", 0.6, 0.0, (1.0, 0.0))])
     assert catalog.vectors.tolist() == [[3.0, 4.0], [1.0, 0.0]]
@@ -282,7 +294,7 @@ def test_catalog_from_scores_refuses_records_then_vectors(rows):
             if not -1.0 <= leaning <= 1.0:
                 raise ValueError(f"{s}: leaning {leaning} outside [-1, 1]")
             if length != first:
-                raise ValueError(f"{s}: vector has {length} dims, expected {first}")
+                raise ValueError(f"vector for {s!r} has {length} components, expected {first}")
         for s in ids:
             if message := _refusal(s, vectors.vectors[s]):
                 raise ValueError(message)
@@ -1095,6 +1107,19 @@ def test_simulate_all_refuses_a_bad_id_or_a_string_set(user_id, sources, message
     readers = [Persona("fine", ("weak",), 2), Persona(user_id, sources, 2)]
     with pytest.raises(ValueError) as caught:
         nudge.simulate_all(readers, catalog, SimConfig(T=3, seed=0))
+    assert (str(caught.value), caught.value.run) == (message, 1)
+
+
+@pytest.mark.parametrize("sources", [[["anchor"]], iter(["anchor"]), ("anchor", 1)],
+                         ids=["list-of-lists", "iterator", "non-string-id"])
+def test_simulate_all_refuses_a_set_it_cannot_read(sources):
+    # a set of unhashable or non-string ids, or one with no length, is
+    # refused as ValueError naming the run, not as TypeError from the
+    # repeat check or read as unknown sources
+    readers = [Persona("fine", ("weak",), 2), Persona("reader", sources, 2)]
+    with pytest.raises(ValueError) as caught:
+        nudge.simulate_all(readers, _toy_catalog(), SimConfig(T=3, seed=0))
+    message = f"reader: trusted set must be a collection of source ids, got {sources!r}"
     assert (str(caught.value), caught.value.run) == (message, 1)
 
 

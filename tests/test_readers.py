@@ -186,6 +186,18 @@ def test_csn_tsv_refuses_loose_number_text(tmp_path, lines, number):
     assert _refused(tmp_path, "csn.tsv", "#csn v1\n" + lines, load_graph) == expected
 
 
+@pytest.mark.parametrize("row, message", [
+    ("1.0\t1_0\t0.5", f"number '1_0' {_LOOSE}"),
+    ("1.0\tnope\t+2", "could not convert string to float: 'nope'"),
+    ("1.0\t+2\tnope", f"number '+2' {_LOOSE}"),
+])
+def test_vectors_tsv_names_the_first_bad_component_mid_row(tmp_path, row, message):
+    # a row's number text is checked in one match; a row that fails it still
+    # names its first bad component, by the rule or by float() alike
+    text = f"#vectors v1\na\t1.0\t0.5\t0.25\nb\t{row}\n"
+    assert _refused(tmp_path, "vectors.tsv", text, load_vectors) == f"PATH:3: {message}"
+
+
 @pytest.mark.parametrize("component", ["1_0", "\u0662", " 2", "2 ", "2\u00a0", "+2"])
 def test_vectors_tsv_refuses_loose_number_text(tmp_path, component):
     text = f"#vectors v1\na\t1.0\t0.5\nb\t0.5\t{component}\n"
