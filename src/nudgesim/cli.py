@@ -41,13 +41,13 @@ file_stem = functools.partial(urllib.parse.quote, safe="")
 
 
 def _number(convert: Callable[[str], Any], ok: Callable[[Any], bool], rule: str):
-    """Parser that applies ``convert`` (int or float) to the text and accepts
-    only a finite value for which ``ok`` holds; ``rule`` words that test."""
+    """Parser of ``convert`` (int or float) by :func:`corpus.parse_number`, the
+    readers' rule, taking only a finite value for which ``ok`` holds; ``rule`` words that test."""
     kind = "an integer" if convert is int else "a number"
 
     def parse(text: str):
         try:
-            value = convert(text)
+            value = corpus.parse_number(text, convert)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}") from None
         if (isinstance(value, float) and not math.isfinite(value)) or not ok(value):

@@ -140,6 +140,13 @@ def float_sum(values) -> float:
     return functools.reduce(operator.add, values, 0.0)
 
 
+def float_sums(table: np.ndarray) -> np.ndarray:
+    """Each row's :func:`float_sum`: the last of the cumulative sums that
+    ``np.cumsum`` adds left to right along the row, plus 0.0, since a sum from
+    the first column rather than from 0.0 differs only as -0.0 for 0.0."""
+    return np.cumsum(table, axis=1)[:, -1] + 0.0 if table.shape[1] else np.zeros(len(table))
+
+
 def parse_number(text: str, kind=float):
     """``kind(text)``, for ``kind`` ``float`` or ``int``, of number text in a
     form the writers write: printable ASCII with no space or ``_``, not

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csc_matrix
 
-from .corpus import check_source_name, parse_floats, read_utf8, write_text
+from .corpus import check_source_name, float_sums, parse_floats, read_utf8, write_text
 from .graph import CsnGraph
 
 VECTORS_HEADER = "#vectors v1"
@@ -59,19 +59,22 @@ class SourceVectors:
 def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     """1 - cos(a, b), in [0, 2]. A vector without direction (norm below
     :data:`NO_DIRECTION_NORM`) is at the neutral 1.0 from anything."""
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
+    pair = np.array([a, b], dtype=float)
+    norm_a, norm_b = row_norms(pair).tolist()
     if min(norm_a, norm_b) < NO_DIRECTION_NORM:
         return 1.0
-    return 1.0 - float(np.dot(a, b)) / (norm_a * norm_b)
+    return 1.0 - row_dots(pair[:1], pair[1:]).item() / (norm_a * norm_b)
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products, each bit for bit ``np.dot(a[i], b[i])``: for
-    a 1×d by d×1 core, ``np.matmul`` calls the dot routine that ``np.dot``
-    calls on 1-D arrays. ``einsum("ij,ij->i")``, ``(a * b).sum(1)`` and
-    ``a @ b.T`` add the products in other orders."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+    """Row-wise dot products: each row's elementwise products added left to
+    right from 0.0 (:func:`float_sums`), so no bit depends on a BLAS kernel."""
+    return float_sums(a * b)
+
+
+def row_norms(vectors: np.ndarray) -> np.ndarray:
+    """Each row's norm, the square root of its :func:`row_dots` with itself."""
+    return np.sqrt(row_dots(vectors, vectors))
 
 
 def check_shape(source_id: str, vector, dims: int | None = None) -> int:
@@ -94,17 +97,16 @@ def check_vectors(source_ids, vectors) -> np.ndarray:
     vector must have a direction (norm at least :data:`NO_DIRECTION_NORM`)
     unless it is zero. A non-finite component, or components so large that
     ``v·v`` overflows, would make every cosine against the vector nan.
-    ``v·v`` is :func:`row_dots`, ``np.dot``'s to the bit. The first row that
-    breaks the rule raises its ValueError, with the row's index as the
-    error's ``row`` attribute; else the float matrix checked is returned."""
+    The norms are :func:`row_norms`. The first row that breaks the rule
+    raises its ValueError, with the row's index as the error's ``row``
+    attribute; else the float matrix checked is returned."""
     vectors = np.asarray(vectors, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        squares = row_dots(vectors, vectors)
-        finite = np.isfinite(squares)
-        broken = ~finite | ((np.sqrt(squares) < NO_DIRECTION_NORM) & vectors.any(axis=1))
+        norms = row_norms(vectors)
+        broken = ~np.isfinite(norms) | ((norms < NO_DIRECTION_NORM) & vectors.any(axis=1))
     if broken.any():
         row = int(broken.argmax())
-        if not finite[row]:
+        if not math.isfinite(norms[row]):
             exc = ValueError(f"non-finite vector norm for {source_ids[row]!r}")
         else:
             exc = ValueError(f"vector for {source_ids[row]!r} is not zero but its squared norm is subnormal")
@@ -124,7 +126,7 @@ def community_cosines(vectors: SourceVectors, labels: dict) -> tuple[float, floa
     and without visiting pairs."""
     ids = sorted(vectors.vectors)
     rows = np.array([vectors.vectors[s] for s in ids], dtype=float)
-    norms = np.linalg.norm(rows, axis=1)[:, None]
+    norms = row_norms(rows)[:, None]
     unit = np.divide(rows, norms, out=np.zeros_like(rows), where=norms >= NO_DIRECTION_NORM)
     _, groups = np.unique([labels[s] for s in ids], return_inverse=True)
     sizes = np.bincount(groups)
@@ -159,8 +161,8 @@ def generate_walks(
     yields the doubles of as many ``random()`` calls, so the walks are
     exactly those of one ``random()`` call per step taken.
     """
-    if p <= 0 or q <= 0:
-        raise ValueError(f"walk bias parameters must be positive (p={p}, q={q})")
+    if not all(x > 0 and math.isfinite(1.0 / float(x)) for x in (p, q)):
+        raise ValueError(f"walk bias parameters must be positive, with finite reciprocals (p={p}, q={q})")
     if walk_length < 1 or walks_per_node < 1:
         raise ValueError("walk_length and walks_per_node must be >= 1")
 

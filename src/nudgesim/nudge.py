@@ -14,8 +14,8 @@ with identical acceptance mechanics.
 
 Randomness: one PCG64 substream per user, derived from the run seed and a
 SHA-256 hash of the user id, consuming exactly one uniform draw per stochastic
-decision, and every float sum added left to right (``corpus.float_sum``) —
-trajectories are byte-identical across Python versions for one BLAS kernel.
+decision, and every float sum added left to right (``corpus.float_sum``), dot
+products included — trajectories are byte-identical on any Python and BLAS.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .corpus import check_source_name, lone_surrogate, read_json, write_csv, write_text
-from .embedding import NO_DIRECTION_NORM, SEED_MASK, SourceVectors, check_shape, check_vectors, row_dots
+from .corpus import check_source_name, float_sums, lone_surrogate, read_json, write_csv, write_text
+from .embedding import NO_DIRECTION_NORM, SEED_MASK, SourceVectors, check_shape, check_vectors, row_dots, row_norms
 from .groundtruth import SourceScore, check_score
 
 DEFAULT_ALPHA = 0.5
@@ -65,7 +65,7 @@ class SourceCatalog:
     """Immutable id-keyed collection of fully scored, embedded sources.
 
     Row ``i`` of the read-only arrays ``quality``, ``leaning``, ``vectors``
-    and ``norms`` (each vector's ``np.linalg.norm``) describes the ``i``-th
+    and ``norms`` (each vector's :func:`row_norms`) describes the ``i``-th
     id in sorted order; ``index`` maps an id to its row."""
 
     def __init__(self, sources) -> None:
@@ -91,7 +91,7 @@ class SourceCatalog:
         self.index = MappingProxyType({s: i for i, s in enumerate(self._ids)})
         self.quality, self.leaning = (_frozen([column[i] for i in order]) for column in (quality, leaning))
         self.vectors = _frozen(matrix[order])
-        self.norms = _frozen(_norms(self.vectors))
+        self.norms = _frozen(row_norms(self.vectors))
 
     @classmethod
     def from_scores(cls, scores: dict[str, SourceScore], vectors: SourceVectors) -> "SourceCatalog":
@@ -143,27 +143,18 @@ class _Rows(NamedTuple):
         return _Rows(*(column[index] for column in self))
 
 
-def _float_sums(table: np.ndarray) -> np.ndarray:
-    """Each row's ``float_sum``: its columns added left to right from 0.0.
-    Adding 0.0 leaves such a sum as it is, since it is never -0.0."""
-    total = np.zeros(len(table))
-    for column in table.T:
-        total += column
-    return total
-
-
 def _means(members: np.ndarray, sizes: np.ndarray, catalog: SourceCatalog):
     """The ``q_u``, ``l_u`` and ``v_u`` arrays of the rows ``members`` and
     ``sizes`` (as in :class:`_Rows`). ``q_u`` and ``l_u`` are
-    :func:`_float_sums` in member order, where the padding row adds 0.0,
+    :func:`float_sums` in member order, where the padding row adds 0.0,
     over the member count. Each ``v_u`` is ``np.add.reduce(catalog.vectors[
     rows], axis=0) / len(rows)``, the sum and division that ``ndarray.mean``
     runs; the rows with the same member count take theirs from one
     ``np.add.reduce(..., axis=1)``, which adds each row's members in the
     same order."""
     top = members[:, : sizes.max(initial=0)]
-    q_u = _float_sums(np.append(catalog.quality, 0.0)[top]) / sizes
-    l_u = _float_sums(np.append(catalog.leaning, 0.0)[top]) / sizes
+    q_u = float_sums(np.append(catalog.quality, 0.0)[top]) / sizes
+    l_u = float_sums(np.append(catalog.leaning, 0.0)[top]) / sizes
     v_u = np.empty((len(members), catalog.vectors.shape[1]))
     for size in np.unique(sizes).tolist():
         group = np.flatnonzero(sizes == size)
@@ -291,12 +282,6 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
 
 
-def _norms(vectors: np.ndarray) -> np.ndarray:
-    """Each row's ``np.linalg.norm``, bit for bit: it is the square root of
-    the row's dot product with itself."""
-    return np.sqrt(row_dots(vectors, vectors))
-
-
 def _trust_costs(dots: np.ndarray, norm_u, norm_s, l_u, l_s, alpha) -> np.ndarray:
     """The trust cost of each dot product of ``v_u`` and ``v_s`` in ``dots``,
     written over it, with norms and leanings broadcast against it:
@@ -317,11 +302,10 @@ def _trust_costs(dots: np.ndarray, norm_u, norm_s, l_u, l_s, alpha) -> np.ndarra
 def _costs(l_u: np.ndarray, v_u: np.ndarray, alpha: float, owners, rows, catalog: SourceCatalog) -> list[float]:
     """The :func:`_trust_costs` at ``alpha`` of each pair (profile means
     ``l_u[o]`` and ``v_u[o]``, catalog row ``r``), for the ``o`` and ``r`` of
-    ``zip(owners, rows)``. Dot products and norms come from
-    :func:`row_dots`, so each cost equals the scalar formula on ``np.dot`` and
-    ``np.linalg.norm`` to the bit. The caller has checked ``alpha``."""
+    ``zip(owners, rows)``, dot products and norms by :func:`row_dots`, so
+    each equals the scalar formula's to the bit. The caller has checked ``alpha``."""
     return _trust_costs(
-        row_dots(v_u[owners], catalog.vectors[rows]), _norms(v_u)[owners], catalog.norms[rows],
+        row_dots(v_u[owners], catalog.vectors[rows]), row_norms(v_u)[owners], catalog.norms[rows],
         l_u[owners], catalog.leaning[rows], alpha,
     ).tolist()
 
@@ -346,9 +330,10 @@ def _offers(rows: _Rows, catalog: SourceCatalog, alpha: float | None) -> list[in
     finite approximate cost, and eligible ones whose approximate cost is not
     finite, are recomputed exactly by one :func:`_costs` call, and the first
     strict minimum in id order wins. The margin is far above the rounding
-    gap between the two, which apply the same formula, so the exact argmin
-    is always among them, and each offer is the exhaustive scalar argmin
-    for its own row, whatever the others are. The caller has checked
+    gap between the two, which apply the same formula and differ only in
+    the order each dot product adds its terms, so the exact argmin is
+    always among them, and each offer is the exhaustive scalar argmin for
+    its own row, whatever the others are. The caller has checked
     ``alpha``."""
     eligible = np.zeros((len(rows.members), len(catalog) + 1), dtype=bool)
     np.greater(catalog.quality, rows.q_u[:, None], out=eligible[:, :-1])
@@ -360,7 +345,7 @@ def _offers(rows: _Rows, catalog: SourceCatalog, alpha: float | None) -> list[in
         best = np.where(eligible, catalog.quality, -np.inf).argmax(axis=1)
         return [row if found else None for row, found in zip(best.tolist(), eligible.any(axis=1).tolist())]
     dots = rows.v_u @ catalog.vectors.T  # one row per profile
-    approx = _trust_costs(dots, _norms(rows.v_u)[:, None], catalog.norms, rows.l_u[:, None], catalog.leaning, alpha)
+    approx = _trust_costs(dots, row_norms(rows.v_u)[:, None], catalog.norms, rows.l_u[:, None], catalog.leaning, alpha)
     finite = np.isfinite(approx)
     smallest = np.where(eligible & finite, approx, np.inf).min(axis=1, keepdims=True)
     kept = eligible & ((approx <= smallest + _VERIFY_MARGIN) | ~finite)
@@ -428,9 +413,9 @@ def _lotteries(rows: _Rows, full: np.ndarray, offers: np.ndarray, alpha: float, 
 def _shares(costs: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Each row's drop shares in proportion to its first ``counts`` costs,
     the rest being 0.0: ``c / total`` with the ``total`` of
-    :func:`_float_sums`, or ``1.0 / count`` each when that total is zero.
+    :func:`float_sums`, or ``1.0 / count`` each when that total is zero.
     Past ``counts`` a row's shares mean nothing."""
-    total = _float_sums(costs[:, : counts.max(initial=0)])[:, None]
+    total = float_sums(costs[:, : counts.max(initial=0)])[:, None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return np.where(total == 0.0, 1.0 / counts[:, None], costs / total)
 

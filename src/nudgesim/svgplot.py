@@ -8,6 +8,8 @@ fixes the y range. Output is plain static markup — same input, same bytes.
 
 from __future__ import annotations
 
+import math
+
 from .corpus import write_text
 
 PALETTE = ["#1b6ca8", "#d95f02", "#1b9e77", "#7570b3", "#e7298a", "#66a61e"]
@@ -32,12 +34,16 @@ def line_chart(
     y_range: tuple[float, float],
 ) -> None:
     """Write one SVG with a polyline per (label, values) pair through
-    ``corpus.write_text``. X is the step index; Y spans ``y_range`` (low < high)."""
+    ``corpus.write_text``. X is the step index; Y spans ``y_range`` (finite, low < high)."""
     if not series or all(not values for _, values in series):
         raise ValueError("line_chart needs at least one non-empty series")
+    y_lo, y_hi = y_range
+    if not (y_lo < y_hi and math.isfinite(y_hi - y_lo)):
+        raise ValueError(f"y_range must be finite with low < high, got {y_range!r}")
+    if not all(math.isfinite(v) for _, values in series for v in values):
+        raise ValueError("line_chart values must be finite")
 
     n = max(len(values) for _, values in series)
-    y_lo, y_hi = y_range
 
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM

@@ -12,14 +12,6 @@ unrated) and personas, through all four stages and
 ``golden.json``, and reruns the repost run alone (``repost_outputs``) under
 another hash seed, BLAS thread count and input order.
 
-Some output bits depend on the BLAS kernel: an OpenBLAS built with
-``DYNAMIC_ARCH`` picks its kernels by CPU at run time, and the last bit of
-a dot product follows the kernel's summation order. So where numpy reports
-such an OpenBLAS on x86-64, ``digests`` runs the pipelines in a child
-process under ``OPENBLAS_CORETYPE=Prescott``, a kernel every x86-64 CPU
-runs, and the digests are the same on any such host; elsewhere it runs
-them in this process.
-
 Re-record after a deliberate output change, and say why in CHANGES.md:
 
     PYTHONPATH=src python tests/golden.py
@@ -31,23 +23,17 @@ import contextlib
 import hashlib
 import io
 import json
-import os
-import platform
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
 import numpy
 import scipy
 
-import nudgesim
 from nudgesim import synthetic
 from nudgesim.cli import main
 
 GOLDEN = Path(__file__).with_name("golden.json")
 RECORD_COMMAND = "PYTHONPATH=src python tests/golden.py"
-PINNED_KERNEL = "Prescott"
 
 _WORLD_EMBED = ["--seed", "1234", "--dims", "32", "--walk-length", "40",
                 "--walks-per-node", "6", "--window", "5", "--epochs", "3"]
@@ -114,31 +100,8 @@ def repost_outputs(out, articles, labels, personas) -> dict[str, bytes]:
     ])
 
 
-def kernel_picked_at_run_time() -> bool:
-    """Whether numpy's BLAS is an OpenBLAS that picks its kernels by CPU,
-    on x86-64, where ``OPENBLAS_CORETYPE`` can pin one."""
-    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return platform.machine().lower() in ("x86_64", "amd64") and "DYNAMIC_ARCH" in blas.get(
-        "openblas configuration", ""
-    )
-
-
 def digests(root) -> dict[str, dict[str, str]]:
-    """The digests of the three runs under ``root``, taken under the pinned
-    kernel where the kernel is picked at run time."""
-    if not kernel_picked_at_run_time():
-        return _digests(root)
-    src = str(Path(nudgesim.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, OPENBLAS_CORETYPE=PINNED_KERNEL, PYTHONPATH=path)
-    child = subprocess.run([sys.executable, __file__, "--digests", str(root)], env=env,
-                           capture_output=True, text=True, encoding="utf-8", timeout=600)
-    if child.returncode != 0:
-        raise RuntimeError(f"golden run under OPENBLAS_CORETYPE={PINNED_KERNEL} failed:\n{child.stderr}")
-    return json.loads(child.stdout)
-
-
-def _digests(root) -> dict[str, dict[str, str]]:
+    """The digests of the three runs, with their files under ``root``."""
     root = Path(root)
     fixture = root / "fixture"
     world_inputs = synthetic.write_world(root / "world-inputs")
@@ -171,7 +134,4 @@ def record() -> None:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--digests"]:
-        print(json.dumps(_digests(sys.argv[2])))
-    else:
-        record()
+    record()

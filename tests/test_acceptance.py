@@ -58,15 +58,28 @@ def _personas_by_id():
     return {p.user_id: p for p in WORLD_PERSONAS}
 
 
-def _replica_cost(s: Source, l_u: float, v_u: np.ndarray, alpha: float) -> float:
+def _dot(a, b) -> float:
+    """``a·b`` by scalars: the products added left to right from 0.0."""
+    total = 0.0
+    for x, y in zip(np.asarray(a, dtype=float).tolist(), np.asarray(b, dtype=float).tolist()):
+        total += x * y
+    return total
+
+
+def _norm(v) -> float:
+    return math.sqrt(_dot(v, v))
+
+
+def _replica_cost(s: Source, l_u: float, v_u: np.ndarray, alpha: float, norm_u=None, norm_s=None) -> float:
     """Trust cost re-derived with the same floating-point operation order,
-    so argmin comparisons below can demand bitwise-equal outcomes."""
-    norm_a = float(np.linalg.norm(v_u))
-    norm_b = float(np.linalg.norm(s.vector))
+    so argmin comparisons below can demand bitwise-equal outcomes; the
+    norms ``_norm(v_u)`` and ``_norm(s.vector)`` may be passed in."""
+    norm_a = _norm(v_u) if norm_u is None else norm_u
+    norm_b = _norm(s.vector) if norm_s is None else norm_s
     if norm_a == 0.0 or norm_b == 0.0:
         d = 1.0
     else:
-        d = 1.0 - float(np.dot(v_u, s.vector)) / (norm_a * norm_b)
+        d = 1.0 - _dot(v_u, s.vector) / (norm_a * norm_b)
     return (1.0 - alpha) * (abs(l_u - s.leaning) / 2.0) + alpha * d
 
 
@@ -201,6 +214,7 @@ def test_acceptance_04_recommendation_invariants_hold_across_seeds(capsys, world
     with _verdict(capsys, "04 eligibility/argmin/progress invariants, 100 seeds x 4 personas"):
         assert len(world_catalog) >= 50
         started = time.perf_counter()
+        norms = {s: _norm(world_catalog[s].vector) for s in world_catalog.ids()}
         below_capacity_accepts = 0
         for persona in WORLD_PERSONAS:
             limit = persona.L + 1  # start below capacity to exercise both regimes
@@ -218,12 +232,13 @@ def test_acceptance_04_recommendation_invariants_hold_across_seeds(capsys, world
                     assert offered.quality > q_u
                     # exhaustive argmin re-check with identical float ops
                     member_set = set(members)
+                    norm_u = _norm(v_u)
                     best_id, best_cost = None, float("inf")
                     for source_id in world_catalog.ids():
                         s = world_catalog[source_id]
                         if source_id in member_set or s.quality <= q_u:
                             continue
-                        cost = _replica_cost(s, l_u, v_u, ALPHA)
+                        cost = _replica_cost(s, l_u, v_u, ALPHA, norm_u, norms[source_id])
                         if cost < best_cost:
                             best_id, best_cost = source_id, cost
                     assert record.recommended == best_id

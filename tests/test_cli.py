@@ -833,6 +833,28 @@ def test_config_file_null_value_exits_2(tmp_path, capsys, world_dir, key, comman
     assert "Traceback" not in stderr
 
 
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("text", ["1_0", "1_2", "\u0663", " 3", "+3"])
+def test_number_text_outside_the_readers_rule_exits_2(tmp_path, capsys, world_dir, where, text):
+    # int() reads each as a number; corpus.parse_number, the readers' rule, does not
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"T": text}), encoding="utf-8")
+    simulate = ["simulate", *_inputs(world_dir, "simulate"), "--out-dir", str(tmp_path / "out")]
+    argv = {"flag": simulate + ["--T", text], "config": ["--config", str(config)] + simulate}[where]
+    code, _, stderr = _run(capsys, argv)
+    assert code == 2
+    assert f"--T: expected an integer, got {text!r}" in stderr
+    assert "Traceback" not in stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_signed_and_exponent_numbers_still_parse():
+    for name, text, value in (("seed", "-5", -5), ("learning_rate", "1e-3", 1e-3)):
+        option = cli._OPTIONS[name]
+        assert option.parse(text) == value
+        assert cli._from_config(option, value) == value
+
+
 @pytest.mark.parametrize(
     "entry, message",
     [

@@ -822,3 +822,19 @@ def test_float_sum_adds_left_to_right():
             total += v
         assert corpus.float_sum(values) == total
         assert corpus.float_sum(iter(values)) == total
+
+
+def test_float_sums_is_float_sum_of_each_row():
+    # repr tells -0.0 from 0.0: a row of -0.0 sums to 0.0, as from 0.0
+    rng = random.Random(4)
+    pool = [-0.0, 0.0, 0.1, 0.2, -0.3, 1e308, -1e308, 5e-324, math.inf, math.nan]
+    for _ in range(200):
+        table = [[rng.choice(pool) for _ in range(rng.randint(1, 6))] for _ in range(3)]
+        width = min(map(len, table))
+        rows = [row[:width] for row in table]
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = corpus.float_sums(np.array(rows))
+        assert [repr(x) for x in sums.tolist()] == [repr(corpus.float_sum(row)) for row in rows]
+    assert repr(corpus.float_sums(np.array([[-0.0, -0.0]])).tolist()) == "[0.0]"
+    assert corpus.float_sums(np.zeros((2, 0))).tolist() == [0.0, 0.0]
+    assert corpus.float_sums(np.zeros((0, 0))).shape == (0,)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_acceptance import _dot
 from test_graph import _graph
 
 from nudgesim import synthetic
@@ -129,6 +130,17 @@ def test_generate_walks_rejects_bad_bias():
         generate_walks(graph, rng, q=-1.0)
     with pytest.raises(ValueError):
         generate_walks(graph, rng, walk_length=0)
+
+
+def test_generate_walks_refuses_a_bias_whose_reciprocal_overflows():
+    # 1 / 1e-320 is inf, and nan is not positive; 1 / 1e-300 is finite, and
+    # so large a return weight sends every walk back where it came from at each step
+    graph = _graph({("a", "b"): 0.5, ("b", "c"): 0.5, ("c", "a"): 0.5})
+    for bias in ({"p": 1e-320}, {"q": 1e-320}, {"p": math.nan}):
+        with pytest.raises(ValueError, match="positive, with finite reciprocals"):
+            generate_walks(graph, np.random.default_rng(0), **bias)
+    walks = generate_walks(graph, np.random.default_rng(0), p=1e-300, walk_length=12)
+    assert all(walk[i + 2] == walk[i] for walk in walks for i in range(len(walk) - 2))
 
 
 # ---------------------------------------------------------------- walks
@@ -691,11 +703,10 @@ _RULE_ROWS = [
 
 
 def _refusal(source_id, vector):
-    """The vector rule's message for one row, or None, by scalars: ``np.dot(v,
-    v)`` must be finite, and its ``math.sqrt`` at least ``NO_DIRECTION_NORM``
-    unless every component is zero."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        square = float(np.dot(vector, vector))
+    """The vector rule's message for one row, or None, by scalars: ``v·v``,
+    its products added left to right, must be finite, and its ``math.sqrt``
+    at least ``NO_DIRECTION_NORM`` unless every component is zero."""
+    square = _dot(vector, vector)
     if not math.isfinite(square):
         return f"non-finite vector norm for {source_id!r}"
     if math.sqrt(square) < NO_DIRECTION_NORM and any(x != 0.0 for x in vector):
@@ -707,12 +718,14 @@ def _refusal(source_id, vector):
 @given(picks=st.lists(st.integers(0, len(_RULE_ROWS) - 1), min_size=1, max_size=8))
 def test_check_vectors_refuses_the_rows_the_scalar_oracle_refuses(picks):
     # the matrix check refuses a matrix exactly when the scalar oracle
-    # _refusal refuses a row of it, with that first row's message and index,
-    # and its v·v is np.dot's to the bit
+    # _refusal refuses a row of it, with that first row's message and index;
+    # row_dots is the scalar loop to the bit, on a row with itself or another
     ids = [f"s{i}" for i in range(len(picks))]
     matrix = np.array([_RULE_ROWS[k] for k in picks])
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert row_dots(matrix, matrix).tobytes() == np.array([np.dot(v, v) for v in matrix]).tobytes()
+    for other in (matrix, matrix[::-1]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            dots = row_dots(matrix, other)
+        assert dots.tobytes() == np.array([_dot(a, b) for a, b in zip(matrix, other)]).tobytes()
     refusals = [_refusal(s, v) for s, v in zip(ids, matrix)]
     first = next((i for i, message in enumerate(refusals) if message), None)
     if first is None:

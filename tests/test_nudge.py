@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_acceptance import _replica_cost, _replica_means
+from test_acceptance import _norm, _replica_cost, _replica_means
 from test_embedding import _refusal
 
 from nudgesim import nudge
@@ -58,7 +58,7 @@ def _admitted(vector) -> bool:
 def _scalar_cost(s, l_u, v_u, alpha):
     """``_replica_cost``, with a mean below the no-direction norm taken as
     the zero vector: the simulator gives it no direction."""
-    if np.linalg.norm(v_u) < NO_DIRECTION_NORM:
+    if _norm(v_u) < NO_DIRECTION_NORM:
         v_u = np.zeros_like(v_u)
     return _replica_cost(s, l_u, v_u, alpha)
 
@@ -1209,8 +1209,8 @@ def test_cost_kernel_is_the_scalar_formula_bit_for_bit(data):
         rows = [(0.2, 0.0, [1.0, 1.1e-160]), (0.2, 0.0, [-1.0, 0.0]), (0.9, 0.0, [0.0, 1.0])]
         trusted_sets, alphas, pairs = [[0, 1]], [0.5], [(0, 0), (0, 1), (0, 2)]
     else:
-        # more components after the hostile ones reach every unrolled path
-        # of the dot routine
+        # more components after the hostile ones make longer sums, whose
+        # order of addition shows in their last bits
         n = data.draw(st.integers(0, 30))
         extra = st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)
         vectors = st.tuples(_HOSTILE_VECTORS, extra).map(lambda parts: parts[0] + parts[1]).filter(_admitted)
@@ -1227,7 +1227,7 @@ def test_cost_kernel_is_the_scalar_formula_bit_for_bit(data):
         ))
     catalog = SourceCatalog(_source(f"s{i:02d}", q, l, v) for i, (q, l, v) in enumerate(rows))
     ids = catalog.ids()
-    norms = [np.linalg.norm(catalog[s].vector) for s in ids]
+    norms = [_norm(catalog[s].vector) for s in ids]
     assert catalog.norms.tobytes() == np.array(norms).tobytes()
     profiles = [profile_from_sources("u", [ids[i] for i in t], catalog, 3) for t in trusted_sets]
     rows = _rows_of(profiles, catalog)
